@@ -922,6 +922,30 @@ def test_bsp_tree_combine_parity_all_algorithms(ray_session):
         dict(zip(at.to_pandas()["node"], at.to_pandas()["s"]))
 
 
+def test_two_phase_reduce_sized_parts_rule():
+    """The exchange's partition count from its input size: at least 1,
+    never above the cap, one partition per block-size unit rounded up,
+    and never fewer partitions for a larger input."""
+    from text_to_rdf_ray.stages.bsp import sized_parts
+
+    mib = 1 << 20
+    assert sized_parts(0, 32, mib) == 1
+    assert sized_parts(1, 32, mib) == 1
+    assert sized_parts(mib, 32, mib) == 1
+    assert sized_parts(mib + 1, 32, mib) == 2
+    assert sized_parts(1_300_000, 32, mib) == 2
+    assert sized_parts(10**12, 32, mib) == 32
+    assert sized_parts(10**12, 64, mib) == 64
+    prev = 0
+    for b in range(0, 80 * mib, mib // 3):
+        for cap in (1, 32, 64):
+            p = sized_parts(b, cap, mib)
+            assert 1 <= p <= cap
+        p = sized_parts(b, 64, mib)
+        assert p >= prev
+        prev = p
+
+
 def test_bsp_fan_plan_object_counts():
     """Plan math: auto threshold, full partition coverage, and the
     O(P^1.5) object-count bound the tree combine exists for."""

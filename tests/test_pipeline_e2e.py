@@ -164,6 +164,29 @@ def test_ntriples_sink_identical_blocks_not_collapsed(tmp_path):
     assert total == 6, (files, total)
 
 
+def test_ntriples_sink_skips_empty_schemaless_block(tmp_path):
+    """A zero-row block with no columns (what an empty upstream task can
+    emit) must be skipped, not crash the sink on its missing columns."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import write_ntriples
+
+    rows = pa.table({
+        "subj": pa.array(["Alan Bean", "Buzz Aldrin"], pa.string()),
+        "pred": pa.array(["birthdat", "birthdat"], pa.string()),
+        "obj": pa.array(["1932-03-15", "1930-01-20"], pa.string()),
+        "obj_type": pa.array(["", ""], pa.string()),
+    })
+    ds = rd.from_arrow([pa.table({}), rows])
+    out = str(tmp_path / "nt_empty")
+    write_ntriples(ds, out)
+    lines = [ln for f in sorted(os.listdir(out))
+             for ln in open(os.path.join(out, f)).read().splitlines()]
+    assert len(lines) == 2, lines
+
+
 def test_document_shaped_rule_rejected_at_build(pages_dir):
     """A rule requiring a property outside the relational row view must
     fail LOUDLY at graph build, not silently invalidate every triple."""
@@ -570,3 +593,114 @@ def test_incremental_merge_equals_full_rebuild(pages_dir):
             [["subj", "pred", "obj"]]
             .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
     assert merged.equals(full)
+
+
+def _dedup_input():
+    """Triples with duplicate (subj, pred, obj) keys spread over several
+    urls and spans, so the kept representative (min packed provenance)
+    is decided across partitions and salts."""
+    import numpy as np
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    rng = np.random.RandomState(5)
+    n = 3000
+    k = rng.randint(0, 400, n)
+    url = rng.randint(0, 60, n)
+    span = rng.randint(0, 5000, n)
+    t = pa.table({
+        "url": pa.array([f"https://ex.org/p{u}" for u in url], pa.string()),
+        "subj": pa.array([f"S{i % 37}" for i in k], pa.string()),
+        "subj_slug": pa.array([f"s{i % 37}" for i in k], pa.string()),
+        "subj_lower": pa.array([f"s{i % 37}" for i in k], pa.string()),
+        "pred": pa.array([f"p{i % 11}" for i in k], pa.string()),
+        "pred_key": pa.array([f"p{i % 11}" for i in k], pa.string()),
+        "obj": pa.array([f"o{i}" for i in k], pa.string()),
+        "subj_type": pa.array(["Person"] * n, pa.string()),
+        "obj_type": pa.array([""] * n, pa.string()),
+        "nested_in": pa.array([""] * n, pa.string()),
+        "chunk_id": pa.array(rng.randint(0, 3, n), pa.int32()),
+        "span_start": pa.array(span, pa.int64()),
+        "span_end": pa.array(span + 7, pa.int64()),
+        "method": pa.array(rng.choice(["pattern", "kb"], n), pa.string()),
+        "subj_uri": pa.array([f"https://kg/{i % 37}" for i in k], pa.string()),
+        "subj_link_conf": pa.array(rng.rand(n), pa.float64()),
+        "obj_uri": pa.array([None] * n, pa.string()),
+        "obj_link_conf": pa.array([0.0] * n, pa.float64()),
+        "confidence": pa.array(rng.rand(n), pa.float64()),
+        "valid": pa.array(rng.rand(n) > 0.1, pa.bool_()),
+    })
+    return t, rd.from_arrow(t).repartition(7)
+
+
+def test_dedup_triples_same_rows_at_every_partition_count(monkeypatch):
+    """dedup_triples sizes its exchange to the input; the output rows and
+    the provenance kept per key must not depend on the partition count,
+    the cap, or the tree-combine exchange."""
+    import pandas as pd
+
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.canonicalize import (_DEDUP_MAX_PARTS,
+                                                     dedup_triples)
+
+    t, ds = _dedup_input()
+    df = t.to_pandas()
+    keys = ["subj", "pred", "obj"]
+    ctx = DataContext.get_current()
+    chosen = []
+    real_sized_parts = bsp.sized_parts
+    monkeypatch.setattr(bsp, "sized_parts", lambda *a: chosen.append(
+        real_sized_parts(*a)) or chosen[-1])
+
+    flat = bsp.TREE_COMBINE_THRESHOLD
+
+    def rows(part_bytes, tree_threshold):
+        # the exchange sizes P from DataContext.target_min_block_size
+        monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+        monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", tree_threshold)
+        out = dedup_triples(ds).to_pandas()
+        return out.sort_values(keys).reset_index(drop=True)
+
+    sized = rows(ctx.target_min_block_size, flat)
+    assert len(sized) == len(df.drop_duplicates(keys))
+    # reference representative: min (url, chunk, span) per key
+    ref = (df.sort_values(["url", "chunk_id", "span_start", "span_end",
+                          "method"])
+           .drop_duplicates(keys).sort_values(keys).reset_index(drop=True))
+    pd.testing.assert_frame_equal(
+        sized[keys + ["url", "chunk_id", "span_start", "method"]],
+        ref[keys + ["url", "chunk_id", "span_start", "method"]])
+    for part_bytes, tree_threshold in ((32 << 10, flat), (1, flat), (1, 0)):
+        pd.testing.assert_frame_equal(
+            rows(part_bytes, tree_threshold), sized,
+            obj=f"P={chosen[-1]} tree threshold={tree_threshold}")
+    # default (1 MiB per partition), mid-size, the cap, the cap as a tree
+    assert chosen[0] < chosen[1] < _DEDUP_MAX_PARTS, chosen
+    assert chosen[2:] == [_DEDUP_MAX_PARTS] * 2, chosen
+
+
+def test_dedup_triples_null_url_keeps_provenance():
+    """A null element in a present string column (url) must not null the
+    row's whole packed provenance: span, method and link columns survive."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.canonicalize import dedup_triples
+
+    t, _ = _dedup_input()
+    t = t.slice(0, 1)
+    t = t.set_column(t.schema.get_field_index("url"), "url",
+                     pa.array([None], pa.string()))
+    t = t.set_column(t.schema.get_field_index("nested_in"), "nested_in",
+                     pa.array([None], pa.string()))
+    got = dedup_triples(rd.from_arrow(t)).to_pandas()
+    assert len(got) == 1
+    row, src = got.iloc[0], t.to_pylist()[0]
+    assert row["url"] == ""
+    for c in ("span_start", "span_end", "chunk_id", "method", "subj_uri",
+              "subj_link_conf", "confidence", "subj_slug", "pred_key"):
+        assert row[c] == src[c], c

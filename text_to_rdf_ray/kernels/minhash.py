@@ -54,7 +54,6 @@ def word_shingles(text: str, k: int = 5) -> set[str]:
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-_MAX_HASH_BYTES = 40
 
 
 def _hash_shingles(shingles) -> np.ndarray:

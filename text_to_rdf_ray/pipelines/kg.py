@@ -382,6 +382,9 @@ class _NTriplesDatasink(rd.Datasink):
         written = 0
         for seq, block in enumerate(blocks):
             batch = BlockAccessor.for_block(block).to_arrow()
+            if batch.num_rows == 0:
+                # an empty block may carry no schema at all (no columns)
+                continue
             lines = [
                 render_ntriples(s, p, o, bool(t))
                 for s, p, o, t in zip(
@@ -391,8 +394,6 @@ class _NTriplesDatasink(rd.Datasink):
                     batch.column("obj_type").to_pylist(),
                 )
             ]
-            if not lines:
-                continue
             body = "\n".join(lines) + "\n"
             tag = hashlib.blake2b(body.encode("utf-8"), digest_size=10).hexdigest()
             path = os.path.join(

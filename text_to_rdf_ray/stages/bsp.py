@@ -290,6 +290,12 @@ def _reduce_task(reduce_fn, *tbls: pa.Table) -> pa.Table:
     return reduce_fn(cat)
 
 
+def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
+    """Partition count for ``input_bytes`` of exchange input: one
+    partition per ``part_bytes`` (rounded up), clamped to ``[1, cap]``."""
+    return max(1, min(cap, -(-input_bytes // part_bytes)))
+
+
 def two_phase_reduce(
     ds: rd.Dataset,
     p1_col: str,
@@ -297,7 +303,8 @@ def two_phase_reduce(
     reduce1,
     reduce2,
     *,
-    num_parts: int = 32,
+    num_parts: int | None = None,
+    max_parts: int = 32,
     tree_combine: bool | None = None,
 ) -> rd.Dataset:
     """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
@@ -311,18 +318,33 @@ def two_phase_reduce(
     barriers between phases.  ``reduce1`` must emit ``p2_col``;
     ``reduce2`` receives the concatenated second-phase partition.
 
-    Scale shape: identical shuffle volume to the Dataset form; one
-    partition must fit in a worker (raise ``num_parts`` with data).
-    Past ``TREE_COMBINE_THRESHOLD`` partitions both exchanges switch
-    to the two-level tree combine (mod-split variant of the BSP phase
-    tree — (B+P)*sqrt(P) objects instead of B*P + P^2); source-order
-    concat keeps the reduces bit-identical, and ``tree_combine``
-    forces the mode for parity tests.
+    Scale shape: identical shuffle volume to the Dataset form.  Each
+    phase costs ~B*P + P^2 objects and 2P + B tasks for B input blocks,
+    so P is sized to the materialized input rather than fixed: one
+    partition per ``DataContext.target_min_block_size`` (1 MiB) of
+    input, at least 1 and at most ``max_parts`` (:func:`sized_parts`).
+    Below the cap a partition holds about 1 MiB; above it partitions
+    grow with the data and one must still fit in a worker.  An explicit
+    ``num_parts`` bypasses the sizing (parity tests, callers that need a
+    fixed partitioning).  Both phases split on key-determined columns
+    (``v % P``), so reduces that are complete per key give the same rows
+    at every P, only in another order.  Past ``TREE_COMBINE_THRESHOLD``
+    partitions both exchanges switch to the two-level tree combine
+    (mod-split variant of the BSP phase tree — (B+P)*sqrt(P) objects
+    instead of B*P + P^2); source-order concat keeps the reduces
+    bit-identical, and ``tree_combine`` forces the mode for parity
+    tests.
     """
-    blocks = ds.materialize().to_arrow_refs()
+    mat = ds.materialize()
+    blocks = mat.to_arrow_refs()
     if not blocks:
         raise ValueError("two_phase_reduce: empty input dataset")
     P = num_parts
+    if P is None:
+        input_bytes = mat.size_bytes()  # None: block sizes not recorded
+        P = max_parts if input_bytes is None else sized_parts(
+            input_bytes, max_parts,
+            rd.DataContext.get_current().target_min_block_size)
     plan = _fan_plan(P, tree_combine)
     fan = P if plan is None else plan[1]
     gsz = None if plan is None else plan[0]

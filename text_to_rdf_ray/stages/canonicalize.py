@@ -658,54 +658,63 @@ _DEDUP_OUT_SCHEMA = pa.schema([
 ])
 
 
-def dedup_triples(triples: rd.Dataset, salt: int = 16,
-                  engine: str = "tasks") -> rd.Dataset:
+#: dedup_triples exchange fan-out cap — also the modulus of the packed
+#: ``p1``/``p2`` partition columns, which the exchange re-splits ``% P``
+#: for its sized P <= this cap
+_DEDUP_MAX_PARTS = 32
+
+
+def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
     """Global exact (subj, pred, obj) dedup — the final canonical shuffle
     (HashSet semantics of integration_tests.rs:70, A3 in SURVEY.md).
 
     Two-phase and fully vectorized (pyarrow kernels, no per-row Python —
     this is the one stage every triple of a 100-TB run passes through):
-    1. map_batches combiner: pack all provenance columns into ONE
-       lexicographically-sortable string (url first, then zero-padded
+    1. map_batches combiner (``pack``): pack all provenance columns into
+       ONE lexicographically-sortable string (url first, then zero-padded
        chunk/span) with ``pc.binary_join_element_wise``; collapse
        within-batch duplicates with an arrow ``group_by(...).min``.  This
-       absorbs head-entity skew before the exchange.
-    2. salted partial aggregation groupby((subj, pred, obj, salt)) with
-       salt = fnv(url) % S: a globally-hot key is spread across S reducers.
-    3. unsalted final merge groupby((subj, pred, obj)) over <= salt rows
-       per key.  Grouping on the REAL key columns (not a 64-bit digest)
-       makes a key collision impossible at any scale.  Min of the packed
-       string selects a CONSISTENT representative row (deterministic
-       first-by-(url, chunk, span)); Min is associative and commutative, so
-       the salted two-phase result is exactly the single-phase result.
-    4. map_batches: unpack provenance back into columns (vectorized
+       absorbs head-entity skew before the exchange.  Each row gets two
+       partition columns: ``p1`` from (spo hash, salt) with salt =
+       fnv(url) % S, so a globally-hot key spreads over S reducers, and
+       ``p2`` from the spo hash alone.
+    2. :func:`~.bsp.two_phase_reduce` as raw Ray tasks: split by ``p1``,
+       salted partial min per (subj, pred, obj, salt), re-split by ``p2``,
+       unsalted final min per (subj, pred, obj) over <= salt rows per key.
+       Grouping on the REAL key columns (not a 64-bit digest) makes a key
+       collision impossible at any scale.  Min of the packed string
+       selects a CONSISTENT representative row (deterministic
+       first-by-(url, chunk, span)); Min is associative and commutative,
+       so the result is exactly the single-phase result for every
+       partition count, and the exchange sizes its partition count to
+       the packed input (at most ``_DEDUP_MAX_PARTS``).
+    3. map_batches: unpack provenance back into columns (vectorized
        split_pattern + list_element + casts).
     """
     import pyarrow.compute as pc
 
     from ..kernels.minhash import _hash_shingles
 
-    P = 64  # reduce partitions per phase
-
     def pack(batch: pa.Table) -> pa.Table:
         n = len(batch)
         names = set(batch.column_names)
 
-        def col(name, default=None, typ=pa.string()):
-            if name in names:
-                return batch.column(name)
-            return pa.array([default] * n, typ)
-
         def s(arr) -> pa.ChunkedArray:
             return pc.cast(arr, pa.string())
+
+        def col(name, default, typ=pa.string()):
+            if name not in names:
+                return pa.array([default] * n, typ)
+            if typ == pa.string():
+                # a null element would null the row's ENTIRE packed prov
+                # via binary_join_element_wise — absent and null string
+                # columns both become "" (the unpack default)
+                return pc.fill_null(s(batch.column(name)), "")
+            return batch.column(name)
 
         def pad(arr, width):
             return pc.utf8_lpad(s(arr), width=width, padding="0")
 
-        # string defaults are "" — a null column element would null the
-        # ENTIRE packed prov via binary_join_element_wise, silently
-        # erasing every row's provenance when one optional column is
-        # absent (review r5)
         prov = pc.binary_join_element_wise(
             col("url", ""),
             pad(col("chunk_id", 0, pa.int32()), 8),
@@ -715,9 +724,9 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16,
             col("nested_in", ""),
             col("subj_type", ""),
             col("obj_type", ""),
-            pc.fill_null(col("subj_uri"), ""),
+            col("subj_uri", ""),
             s(col("subj_link_conf", 0.0, pa.float64())),
-            pc.fill_null(col("obj_uri"), ""),
+            col("obj_uri", ""),
             s(col("obj_link_conf", 0.0, pa.float64())),
             s(col("confidence", 0.0, pa.float64())),
             pc.if_else(col("valid", True, pa.bool_()), pa.scalar("1"), pa.scalar("0")),
@@ -729,10 +738,8 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16,
         # salt = fnv(url) % S: a globally-hot (s,p,o) spreads over S
         # reducers in phase 1 (SURVEY.md §4.2 skew handling); the salt only
         # exists in the partial-agg phase and is dropped by phase 2
-        salts = (_hash_shingles(
-            [u if u is not None else ""
-             for u in col("url", "").to_pylist()])
-            % np.uint64(salt)).astype(np.int32)
+        salts = (_hash_shingles(col("url", "").to_pylist())
+                 % np.uint64(salt)).astype(np.int32)
         tbl = pa.table(
             {
                 "subj": batch.column("subj"),
@@ -751,8 +758,9 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16,
         )
         spo_h = _hash_shingles(spo.to_pylist())
         salt_np = g.column("salt").to_numpy(zero_copy_only=False).astype(np.uint64)
-        p1 = ((spo_h * np.uint64(0x9E3779B97F4A7C15)) ^ salt_np) % np.uint64(P)
-        p2 = spo_h % np.uint64(P)
+        p1 = ((spo_h * np.uint64(0x9E3779B97F4A7C15)) ^ salt_np) \
+            % np.uint64(_DEDUP_MAX_PARTS)
+        p2 = spo_h % np.uint64(_DEDUP_MAX_PARTS)
         return pa.table(
             {
                 "subj": g.column("subj"),
@@ -811,9 +819,9 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16,
     # Large combiner batches both strengthen the pre-aggregation (dup factor
     # compounds across input blocks) and coalesce many small upstream blocks
     # so the shuffle fan is O(data/64k), not O(upstream task count).  Each
-    # phase is a hash-partition exchange (single int key) with the reduce
-    # itself a VECTORIZED arrow group_by inside map_groups — Ray's built-in
-    # Aggregate reduces per key in Python and is ~50x slower here.
+    # reduce is a VECTORIZED arrow group_by over one whole partition —
+    # Ray's built-in Aggregate reduces per key in Python and is ~50x
+    # slower here.
     def reduce1(g: pa.Table) -> pa.Table:
         r = g.group_by(["subj", "pred", "obj", "salt"]).aggregate(
             [("prov", "min"), ("p2", "min")]
@@ -839,29 +847,17 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16,
             }
         )
 
-    if engine == "tasks":
-        # raw-task two-phase exchange (stages/bsp.py): same shuffle
-        # volume and identical output set, none of the two sort-based
-        # all-to-all operators' ~1.5s-each fixed cost — this tail is on
-        # the headline path, where that cost neither shrinks with CPUs
-        # nor with data (measured: dedup 4.8-8.3s Dataset form vs ~1.5s
-        # task form at 663k rows, 16 CPUs)
-        from .bsp import two_phase_reduce
+    # raw-task two-phase exchange (stages/bsp.py): none of the Dataset
+    # groupby form's two sort-based all-to-all operators (~1.5s fixed
+    # each) — this tail is on the headline path
+    from .bsp import two_phase_reduce
 
-        packed = triples.map_batches(pack, batch_format="pyarrow",
-                                     batch_size=65536).materialize()
-        if packed.count() == 0:
-            # zero-block/zero-row input: empty result, not
-            # two_phase_reduce's empty-input ValueError (review r5)
-            return rd.from_arrow(_DEDUP_OUT_SCHEMA.empty_table())
-        agg = two_phase_reduce(packed, "p1", "p2", reduce1, reduce2,
-                               num_parts=32)
-    else:
-        agg = (
-            triples.map_batches(pack, batch_format="pyarrow", batch_size=65536)
-            .groupby("p1")
-            .map_groups(reduce1, batch_format="pyarrow")
-            .groupby("p2")
-            .map_groups(reduce2, batch_format="pyarrow")
-        )
+    packed = triples.map_batches(pack, batch_format="pyarrow",
+                                 batch_size=65536).materialize()
+    if packed.count() == 0:
+        # zero-block/zero-row input: empty result, not
+        # two_phase_reduce's empty-input ValueError (review r5)
+        return rd.from_arrow(_DEDUP_OUT_SCHEMA.empty_table())
+    agg = two_phase_reduce(packed, "p1", "p2", reduce1, reduce2,
+                           max_parts=_DEDUP_MAX_PARTS)
     return agg.map_batches(unpack, batch_format="pyarrow")

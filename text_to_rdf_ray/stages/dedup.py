@@ -364,7 +364,6 @@ def _pairs_from_buckets(
             pk = np.stack([a, b], axis=1)
             pk = np.unique(pk, axis=0)
             a, b = pk[:, 0], pk[:, 1]
-        incr({f"{counter_prefix}_candidates": len(a)})
         return pd.DataFrame(
             {"id_a": a.astype(np.int64), "id_b": b.astype(np.int64)}
         )
@@ -412,10 +411,16 @@ def _pairs_from_buckets(
     else:
         cands = two_phase_reduce(
             exploded,
-            "shard", "ppart", reduce1_tbl, reduce2_tbl, num_parts=64,
+            "shard", "ppart", reduce1_tbl, reduce2_tbl, max_parts=64,
         ).materialize()
 
     n_cands = cands.count()
+    # counted once here, after the global pair dedup: per-task counts
+    # would re-count a pair that surfaces in several partitions, so the
+    # figure would depend on the exchange's partition count
+    from ..state.counters import incr
+
+    incr({f"{counter_prefix}_candidates": n_cands})
     if _dbg:
         print(f"[lsh-debug] cands {n_cands} in {_time.time() - _t0:.1f}s",
               file=sys.stderr)

@@ -48,6 +48,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..kernels.minhash import _hash_shingles
+
 _SIDE = "_xj_side"
 _PART = "_xj_part"
 
@@ -56,34 +58,14 @@ _PART = "_xj_part"
 #: odd constant so null keys co-partition deterministically
 _NULL_KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
-
 
 def _hash_strings(vals: list) -> np.ndarray:
-    """Stable FNV-1a over each string's FULL utf-8 bytes — unlike the
-    minhash shingle hash (40-byte truncation, fine for short n-grams),
-    partition KEYS must not collide on a shared long prefix (IRIs with
-    a common namespace would all land in ONE partition).  The masked
-    column loop makes each hash independent of the batch's max width,
-    so the same key hashes identically in every batch."""
-    encoded = [(s if s is not None else None) for s in vals]
-    null_mask = np.array([e is None for e in encoded], bool)
-    byts = [e.encode("utf-8") if e is not None else b"" for e in encoded]
-    n = len(byts)
-    lens = np.array([len(b) for b in byts], np.uint64)
-    width = int(lens.max()) if n else 0
-    h = np.full(n, _FNV_OFFSET, np.uint64)
-    if width:
-        buf = b"".join(b.ljust(width, b"\x00") for b in byts)
-        arr = (np.frombuffer(buf, np.uint8)
-               .reshape(n, width).astype(np.uint64))
-        with np.errstate(over="ignore"):
-            for j in range(width):
-                hx = (h ^ arr[:, j]) * _FNV_PRIME
-                h = np.where(lens > np.uint64(j), hx, h)
-    with np.errstate(over="ignore"):
-        h = (h ^ lens) * _FNV_PRIME
+    """Partition-key string hash: the shingle hash
+    (:func:`~..kernels.minhash._hash_shingles`, FNV-1a over each
+    string's FULL utf-8 bytes, so IRIs sharing a long namespace prefix
+    still spread) with NULL keys mapped to ``_NULL_KEY_HASH``."""
+    h = _hash_shingles([v if v is not None else "" for v in vals])
+    null_mask = np.array([v is None for v in vals], bool)
     if null_mask.any():
         h = np.where(null_mask, _NULL_KEY_HASH, h)
     return h
