@@ -4443,16 +4443,12 @@ def _revenue_by_nation_year(sf_dir: str) -> pd.DataFrame:
                       ("o_year", pa.int64())])
     cu_s = pa.schema([("o_custkey", pa.int64()),
                       ("c_nationkey", pa.int64())])
-    # fact reads are wide-block lineages: coalesce each exchange's input
-    # to ~num_partitions blocks (see exchange.py block-count pathology)
     j1 = exchange_join(li.map_batches(rev, batch_format="pyarrow"),
                        orders.map_batches(okey, batch_format="pyarrow"),
-                       on="l_orderkey", left_schema=li_s, right_schema=or_s,
-                       coalesce_blocks=32)
+                       on="l_orderkey", left_schema=li_s, right_schema=or_s)
     j1_s = join_out_schema(li_s, or_s, ["l_orderkey"])
     j2 = exchange_join(j1, cust.map_batches(ckey, batch_format="pyarrow"),
-                       on="o_custkey", left_schema=j1_s, right_schema=cu_s,
-                       coalesce_blocks=32)
+                       on="o_custkey", left_schema=j1_s, right_schema=cu_s)
 
     nation = pd.read_parquet(os.path.join(sf_dir, "nation.parquet"),
                              columns=["n_nationkey", "n_name"]).rename(
@@ -4769,7 +4765,7 @@ def _revenue_by_nation_ivm(sf_dir: str) -> pd.DataFrame:
         j1 = exchange_join(
             li.map_batches(rev, batch_format="pandas"),
             orders.map_batches(sel, batch_format="pandas"),
-            on="okey", num_partitions=16, coalesce_blocks=16,
+            on="okey", num_partitions=16,
             left_schema=pa.schema([("okey", pa.int64()),
                                    ("rev", pa.float64())]),
             right_schema=pa.schema([("okey", pa.int64()),
@@ -4875,7 +4871,7 @@ def _graph_khop_reach(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5608,15 +5604,12 @@ def _kg_bgp_match(sf_dir: str) -> pd.DataFrame:
     first.  Triple table: :func:`_tpch_triples`."""
     from text_to_rdf_ray.stages.kgops import bgp_match
 
-    # coalesce: the 4-way union read fans into hundreds of tiny blocks;
-    # uncoalesced, 4 chained sort exchanges pay O(blocks²) refs each
-    # (~50s fixed at 8 CPUs; ~3s with the repartition barriers)
     out = bgp_match(_tpch_triples(sf_dir), [
         ("?r", "named", "EUROPE"),
         ("?n", "part_of", "?r"),
         ("?e", "located_in", "?n"),
         ("?n", "named", "?nname"),
-    ], coalesce_blocks=8).to_pandas()
+    ]).to_pandas()
     return (out[["e", "n", "r", "nname"]]
             .sort_values(["e", "n"]).reset_index(drop=True))
 
@@ -5712,7 +5705,7 @@ def _graph_personalized_pagerank(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5757,7 +5750,7 @@ def _graph_scc(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5812,7 +5805,7 @@ def _graph_assortativity(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5888,7 +5881,7 @@ def _graph_lpa(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5923,7 +5916,7 @@ def _graph_hits(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -5963,7 +5956,7 @@ def _graph_random_walks(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -6543,7 +6536,7 @@ def _graph_link_prediction(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -6583,7 +6576,7 @@ def _graph_modularity(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -6858,8 +6851,7 @@ def _kg_bgp_optional(sf_dir: str) -> pd.DataFrame:
         [("?r", "named", "EUROPE"),
          ("?n", "part_of", "?r"),
          ("?e", "located_in", "?n")],
-        [("?e", "named", "?ename")],
-        coalesce_blocks=8).to_pandas()
+        [("?e", "named", "?ename")]).to_pandas()
     out["ename"] = out["ename"].astype(object).where(
         out["ename"].notna(), None)
     return (out[["e", "n", "ename"]]
@@ -7481,7 +7473,7 @@ def _graph_closeness(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -7814,7 +7806,7 @@ def _graph_diameter(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(lambda b: pd.DataFrame(
             {"okey": b["o_orderkey"], "cust": b["o_custkey"]}),
             batch_format="pandas"),
-        on="okey", num_partitions=16, coalesce_blocks=16,
+        on="okey", num_partitions=16,
         left_schema=pa.schema([("okey", pa.int64()),
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
@@ -7878,8 +7870,7 @@ def _kg_construct_rewrite(sf_dir: str) -> pd.DataFrame:
          ("?n", "part_of", "?r"),
          ("?e", "located_in", "?n")],
         [("?e", "in_region", "?r"),
-         ("?r", "has_member", "?e")],
-        coalesce_blocks=8).to_pandas()
+         ("?r", "has_member", "?e")]).to_pandas()
     return (out[["subj", "pred", "obj"]]
             .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
 

@@ -24,3 +24,35 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def partition_counts(monkeypatch):
+    """The partition counts the sized exchanges choose during the test,
+    in call order (``bsp.sized_parts`` wrapped)."""
+    from text_to_rdf_ray.stages import bsp
+
+    chosen: list = []
+    real_sized_parts = bsp.sized_parts
+    monkeypatch.setattr(bsp, "sized_parts", lambda *a: chosen.append(
+        real_sized_parts(*a)) or chosen[-1])
+    return chosen
+
+
+@pytest.fixture
+def sized_and_capped(monkeypatch, partition_counts):
+    """``run()`` at the sized partition count and with every exchange at
+    its cap (one partition per byte of input, through the Ray context's
+    target_min_block_size): ``[(result, sorted counts chosen)] * 2``."""
+    from ray.data import DataContext
+
+    def runs(run):
+        ctx = DataContext.get_current()
+        out = []
+        for part_bytes in (ctx.target_min_block_size, 1):
+            monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+            partition_counts.clear()
+            out.append((run(), sorted(set(partition_counts))))
+        return out
+
+    return runs

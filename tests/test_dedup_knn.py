@@ -245,6 +245,40 @@ def test_canonicalize_surfaces_merges_variants():
     assert out["Apple Inc."] == "Apple Inc." and out["MIT"] == "MIT"
 
 
+def test_canonicalize_surfaces_same_map_at_every_partition_count(
+        sized_and_capped):
+    """canonicalize_surfaces gives the same mapping with its exchanges
+    at the sized P=1 and at their caps."""
+    import random
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.canonicalize import (canonicalize_local,
+                                                     canonicalize_surfaces)
+
+    rnd = random.Random(5)
+    syll = ["stan", "ford", "ap", "ple", "mi", "cro", "soft", "ber", "lin"]
+    base = sorted({" ".join("".join(rnd.sample(syll, 2)).title()
+                            for _ in range(2)) for _ in range(30)})
+    names = set(base)
+    for b in base:
+        names |= {b.lower() + ".", b.replace(" ", "  "), b[:-1] + "x"}
+    names = sorted(names)
+    ds = rd.from_items([{"surface": n} for n in names]).repartition(4)
+
+    def run():
+        return {r["surface"]: r["canonical"]
+                for r in canonicalize_surfaces(ds).take_all()}
+
+    (sized, p_sized), (capped, p_capped) = sized_and_capped(run)
+    # 16: the exchange joins/aggs' cap; 64: the LSH pair exchange's cap
+    assert (p_sized, p_capped) == ([1], [16, 64])
+    assert capped == sized
+    assert set(sized) == set(names)
+    changed = {s: c for s, c in sized.items() if s != c}
+    assert changed and changed == canonicalize_local(names)
+
+
 def test_giant_bucket_pairs_not_dropped():
     """Regression: a true pair must survive even when EVERY bucket holding
     it is huge (templated corpora share 2-row band hashes in the

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data as rd
@@ -1120,30 +1121,165 @@ def test_skew_join_string_keys_and_guard(ray_session):
                   heavy_threshold=1, max_heavy_keys=2)
 
 
-def test_exchange_coalesce_blocks_parity(ray_session):
-    """coalesce_blocks only changes block layout, never results."""
+def _exchange_sides():
+    rng = np.random.default_rng(3)
+    left = pd.DataFrame({"k": rng.integers(0, 40, 500).astype(np.int64),
+                         "a": np.arange(500, dtype=np.int64)})
+    right = pd.DataFrame({"k": np.arange(20, 60, dtype=np.int64),
+                          "b": np.arange(40, dtype=np.int64) * 2})
+    return left, right
+
+
+def _exchange_results(lds, rds) -> dict:
+    """exchange_join (every how) and exchange_agg rows, sorted."""
     from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
 
-    rng = np.random.default_rng(3)
-    l = pd.DataFrame({"k": rng.integers(0, 40, 500).astype(np.int64),
-                      "a": np.arange(500, dtype=np.int64)})
-    r = pd.DataFrame({"k": np.arange(40, dtype=np.int64),
-                      "b": np.arange(40, dtype=np.int64) * 2})
-    lds = rd.from_pandas(l).repartition(16)
-    rds = rd.from_pandas(r).repartition(4)
-    cols = ["k", "a", "b"]
-    plain = (exchange_join(lds, rds, on="k").to_pandas()
-             .sort_values(["k", "a"]).reset_index(drop=True)[cols])
-    coal = (exchange_join(lds, rds, on="k", coalesce_blocks=8).to_pandas()
-            .sort_values(["k", "a"]).reset_index(drop=True)[cols])
-    pd.testing.assert_frame_equal(coal, plain)
+    out = {}
+    for how in ("inner", "left_outer", "full_outer"):
+        got = exchange_join(lds, rds, on="k", how=how,
+                            num_partitions=8).to_pandas()
+        out[how] = (got[["k", "a", "b"]]
+                    .sort_values(["k", "a", "b"], na_position="last")
+                    .reset_index(drop=True))
+    agg = exchange_agg(lds, "k", [("a", "sum", "s"), ("a", "count", "n"),
+                                  ("a", "min", "lo")], num_partitions=8)
+    out["agg"] = agg.to_pandas().sort_values("k").reset_index(drop=True)
+    return out
 
-    ap = (exchange_agg(lds, "k", [("a", "sum", "s"), ("a", "count", "n")])
-          .to_pandas().sort_values("k").reset_index(drop=True))
-    ac = (exchange_agg(lds, "k", [("a", "sum", "s"), ("a", "count", "n")],
-                       coalesce_blocks=8)
-          .to_pandas().sort_values("k").reset_index(drop=True))
-    pd.testing.assert_frame_equal(ac, ap)
+
+def _assert_same_results(got: dict, want: dict, what: str) -> None:
+    for name in want:
+        pd.testing.assert_frame_equal(got[name], want[name],
+                                      obj=f"{name} ({what})")
+
+
+def test_exchange_block_layout_parity(ray_session):
+    """Block layout never changes exchange results: a many-block and a
+    one-block input give the same rows."""
+    left, right = _exchange_sides()
+    many = _exchange_results(rd.from_pandas(left).repartition(16),
+                             rd.from_pandas(right).repartition(4))
+    one = _exchange_results(rd.from_pandas(left).repartition(1),
+                            rd.from_pandas(right).repartition(1))
+    _assert_same_results(many, one, "16 blocks vs 1")
+    ref = left.merge(right, on="k")
+    assert len(one["inner"]) == len(ref)
+    assert one["agg"]["s"].tolist() == \
+        left.groupby("k")["a"].sum().sort_index().tolist()
+
+
+def test_exchange_same_rows_at_every_partition_count(ray_session,
+                                                     monkeypatch,
+                                                     partition_counts):
+    """exchange_join / exchange_agg size P to their input: the sized
+    P=1, a mid P, the cap and the cap as a forced tree combine all give
+    the same rows.  P is driven through the Ray context's
+    target_min_block_size."""
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages import bsp
+
+    left, right = _exchange_sides()
+    lds = rd.from_pandas(left).repartition(6).materialize()
+    rds = rd.from_pandas(right).repartition(3).materialize()
+    ctx = DataContext.get_current()
+    flat = bsp.TREE_COMBINE_THRESHOLD
+
+    def results(part_bytes, tree_threshold):
+        monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+        monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", tree_threshold)
+        partition_counts.clear()
+        out = _exchange_results(lds, rds)
+        return out, set(partition_counts)
+
+    sized, ps = results(ctx.target_min_block_size, flat)
+    assert ps == {1}, ps
+    ref = left.merge(right, on="k", how="outer")
+    assert len(sized["full_outer"]) == len(ref)
+    for part_bytes, tree_threshold, want_ps in (
+            (4 << 10, flat, None), (1, flat, {8}), (1, 0, {8})):
+        got, ps = results(part_bytes, tree_threshold)
+        if want_ps is None:
+            # mid-size: more than one partition, below the cap
+            assert ps and all(1 < p < 8 for p in ps), ps
+        else:
+            assert ps == want_ps, ps
+        _assert_same_results(got, sized, f"P={sorted(ps)} "
+                             f"tree threshold={tree_threshold}")
+
+
+def test_exchange_pandas_block_input(ray_session, monkeypatch):
+    """Pandas blocks (from_pandas, or a pandas map_batches) are
+    normalized to Arrow before the reduce, at P=1 and above."""
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
+
+    left, right = _exchange_sides()
+    ldf = rd.from_pandas([left.iloc[:250], left.iloc[250:]])
+    rdf = rd.from_pandas(right)
+    want = _exchange_results(
+        rd.from_arrow(pa.Table.from_pandas(left, preserve_index=False)),
+        rd.from_arrow(pa.Table.from_pandas(right, preserve_index=False)))
+    ctx = DataContext.get_current()
+    for part_bytes in (ctx.target_min_block_size, 1):
+        monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+        _assert_same_results(_exchange_results(ldf, rdf), want,
+                             f"from_pandas, part bytes {part_bytes}")
+        mapped = rd.from_arrow(pa.Table.from_pandas(
+            left, preserve_index=False)).map_batches(
+                lambda b: b, batch_format="pandas")
+        got = (exchange_agg(mapped, "k", [("a", "sum", "s")])
+               .to_pandas().sort_values("k").reset_index(drop=True))
+        assert got["s"].tolist() == want["agg"]["s"].tolist()
+        assert exchange_join(mapped, rdf, on="k").count() == \
+            len(want["inner"])
+
+
+def test_exchange_tasks_normalize_pandas_blocks(ray_session):
+    """The raw-task exchanges read pandas blocks directly (no Arrow map
+    in front): hash_exchange and two_phase_reduce at P=1 and P=4."""
+    from text_to_rdf_ray.stages.bsp import hash_exchange, two_phase_reduce
+
+    left, _ = _exchange_sides()
+    df = left.assign(p=left["k"], q=left["k"])
+    ds = rd.from_pandas([df.iloc[:200], df.iloc[200:]])
+    schema = pa.Schema.from_pandas(df, preserve_index=False)
+
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("k").aggregate([("a", "sum")])
+        return g.append_column("q", g.column("k"))
+
+    want = df.groupby("k")["a"].sum().sort_index().tolist()
+    for parts in (1, 4):
+        got = hash_exchange(ds, "p", total, schema, max_parts=parts)
+        assert got.to_pandas().sort_values("k")["a_sum"].tolist() == want
+        got = two_phase_reduce(ds, "p", "q", total,
+                               lambda t: t.select(["k", "a_sum"]),
+                               num_parts=parts)
+        assert got.to_pandas().sort_values("k")["a_sum"].tolist() == want
+
+
+def test_exchange_empty_input_keeps_declared_schema(ray_session):
+    """An empty input gives an empty result typed like a non-empty one."""
+    from text_to_rdf_ray.stages.exchange import (exchange_agg,
+                                                 exchange_join,
+                                                 join_out_schema)
+
+    ls = pa.schema([("k", pa.int64()), ("a", pa.string())])
+    rs = pa.schema([("k", pa.int64()), ("b", pa.float64())])
+    empty_l = rd.from_arrow(ls.empty_table())
+    right = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                    "b": pa.array([0.5, 1.5])}))
+    for how in ("inner", "left_outer", "full_outer"):
+        out = exchange_join(empty_l, right, on="k", how=how)
+        assert out.count() == (2 if how == "full_outer" else 0)
+        got = pa.schema(list(zip(out.schema().names, out.schema().types)))
+        assert got == join_out_schema(ls, rs, "k"), how
+    agg = exchange_agg(empty_l, "k", [("a", "min", "lo"), ("a", "count", "n")])
+    assert agg.count() == 0
+    assert agg.schema().names == ["k", "lo", "n"]
+    assert agg.schema().types == [pa.int64(), pa.string(), pa.int64()]
 
 
 def test_profile_table_matches_pandas(ray_session):
@@ -3327,6 +3463,26 @@ def test_fsm_conformance_manual(ray_session):
     # user 3: single event, zero steps
     assert out.loc[3, "n_steps"] == 0
     assert out.loc[3, "conformance"] == 1.0
+
+
+def test_fsm_conformance_null_state_is_a_violation(ray_session):
+    """A transition into a null state is never conformant, even when the
+    packed codes of a whitelisted pair sit next to the null's code."""
+    from text_to_rdf_ray.stages.windows import fsm_conformance
+
+    tbl = pa.table({
+        "user_id": pa.array([1, 1, 1, 2, 2], pa.int64()),
+        "event_id": pa.array([0, 1, 2, 3, 4], pa.int64()),
+        "ts": pa.array([0, 1, 2, 3, 4], pa.timestamp("us")),
+        "event_type": pa.array(["a", "b", None, "a", "b"], pa.string()),
+    })
+    out = (fsm_conformance(rd.from_arrow(tbl), [("a", "b")])
+           .to_pandas().set_index("user_id"))
+    # user 1: a->b allowed, b->null a violation
+    assert out.loc[1, "n_steps"] == 2
+    assert out.loc[1, "n_violations"] == 1
+    assert out.loc[1, "conformance"] == 0.5
+    assert out.loc[2, "n_violations"] == 0
 
 
 def test_ntile_matches_sql_distribution(ray_session):

@@ -361,3 +361,60 @@ def test_jaro_winkler_batch_parity_scalar():
                              chunk=313)
     want = np.array([jaro_winkler(a, b) for a, b in pairs])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_link_join_same_rows_at_every_partition_count(ray_session,
+                                                      sized_and_capped):
+    """link_entities_join gives the same rows with its exchanges at the
+    sized P=1 and at the num_partitions cap."""
+    import random
+
+    import pandas as pd
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.kg_stages import link_entities_join
+
+    rnd = random.Random(11)
+    syll = ["ka", "lo", "mer", "sin", "dra", "vel", "ton", "ari", "bel"]
+    names = sorted({" ".join("".join(rnd.sample(syll, 2)).title()
+                             for _ in range(2)) for _ in range(40)})
+    kb = [{"uri": f"https://kb.test/resource/e{i}", "label": nm,
+           "aliases": [], "types": ["Person"]} for i, nm in enumerate(names)]
+
+    def variant(nm: str) -> str:
+        r = rnd.random()
+        if r < 0.4:
+            return nm
+        if r < 0.8:  # one-char edit: a fuzzy candidate
+            i = rnd.randrange(1, len(nm))
+            return nm[:i] + "x" + nm[i + 1:]
+        return "Zq" + nm[::-1]
+
+    n = 120
+    subj = [variant(rnd.choice(names)) for _ in range(n)]
+    obj = [variant(rnd.choice(names)) for _ in range(n)]
+    triples = rd.from_arrow(pa.table({
+        "url": [f"u{i}" for i in range(n)], "subj": subj,
+        "subj_slug": [""] * n, "subj_lower": [""] * n,
+        "pred": ["knows"] * n, "pred_key": ["knows"] * n, "obj": obj,
+        "subj_type": ["Person"] * n, "obj_type": ["Person"] * n,
+        "nested_in": [""] * n,
+        "chunk_id": pa.array([0] * n, pa.int32()),
+        "span_start": pa.array([0] * n, pa.int64()),
+        "span_end": pa.array([1] * n, pa.int64()),
+        "confidence": [1.0] * n, "method": ["t"] * n,
+    })).repartition(3).materialize()
+
+    def run():
+        return (link_entities_join(triples, kb, num_partitions=8)
+                .to_pandas().sort_values("url").reset_index(drop=True))
+
+    (sized, p_sized), (capped, p_capped) = sized_and_capped(run)
+    assert p_sized == [1] and p_capped == [8], (p_sized, p_capped)
+    pd.testing.assert_frame_equal(capped, sized)
+    conf = sized["subj_link_conf"]
+    # exact, fuzzy and unlinked subjects are all present
+    assert (conf == 0.95).any() and ((conf > 0) & (conf != 0.95)).any()
+    assert sized["subj_uri"].isna().any()

@@ -704,3 +704,33 @@ def test_dedup_triples_null_url_keeps_provenance():
     for c in ("span_start", "span_end", "chunk_id", "method", "subj_uri",
               "subj_link_conf", "confidence", "subj_slug", "pred_key"):
         assert row[c] == src[c], c
+
+
+def test_dedup_triples_null_numeric_keeps_provenance():
+    """A null in a present numeric or bool column (chunk_id, span_*,
+    *_conf, confidence, valid) must not null the row's whole packed
+    provenance: the null reads back as the absent column's default and
+    every other column survives."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.canonicalize import dedup_triples
+
+    t, _ = _dedup_input()
+    src = t.slice(0, 1).to_pylist()[0]
+    defaults = {"chunk_id": 0, "span_start": 0, "span_end": 0,
+                "subj_link_conf": 0.0, "obj_link_conf": 0.0,
+                "confidence": 0.0, "valid": True}
+    for name, default in defaults.items():
+        one = t.slice(0, 1)
+        i = one.schema.get_field_index(name)
+        one = one.set_column(i, name, pa.nulls(1, one.schema.field(i).type))
+        got = dedup_triples(rd.from_arrow(one)).to_pandas()
+        assert len(got) == 1, name
+        row = got.iloc[0]
+        assert row[name] == default, name
+        for c in ("url", "span_end", "chunk_id", "method", "subj_uri",
+                  "subj_slug", "pred_key", "confidence", "valid"):
+            if c != name:
+                assert row[c] == src[c], (name, c)

@@ -156,15 +156,15 @@ def build_triples(
             from ..stages.analytics import distinct_rows
 
             surfaces_ds = distinct_rows(comb, cols=["surface"]).materialize()
-            from ..stages.canonicalize import _solid, apply_canonical_join
+            from ..stages.canonicalize import apply_canonical_join
 
             cmap = canonicalize_surfaces(surfaces_ds, tau=tau)
-            changed = _solid(cmap.map_batches(
+            changed = cmap.map_batches(
                 lambda t: t.filter(
                     pc.invert(pc.equal(t.column("surface"), t.column("canonical")))
                 ),
                 batch_format="pyarrow",
-            ))
+            ).materialize()
             n_changed = changed.count()
             if n_changed > canonical_map_join_threshold:
                 # mapping too large to broadcast: hash-partitioned join

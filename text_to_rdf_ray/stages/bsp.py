@@ -217,14 +217,34 @@ def dataset_to_part_refs(
     ]
 
 
+def _as_table(tbl, schema: pa.Schema | None) -> pa.Table:
+    """One exchange input block as an Arrow table: pandas blocks (from
+    ``from_pandas`` or a pandas ``map_batches``) convert, and with a
+    declared ``schema`` a block typed otherwise is cast to it."""
+    if isinstance(tbl, pd.DataFrame):
+        tbl = pa.Table.from_pandas(tbl, preserve_index=False)
+    if schema is not None and tbl.schema != schema:
+        tbl = tbl.select(schema.names).cast(schema)
+    return tbl
+
+
+def _concat(tbls: tuple, schema: pa.Schema | None) -> pa.Table:
+    """One partition's slices as one table; the empty ``schema`` table
+    when no slice has rows (``schema`` None: the first slice)."""
+    live = [_as_table(t, schema) for t in tbls if len(t)]
+    if live:
+        return pa.concat_tables(live)
+    return schema.empty_table() if schema is not None else tbls[0]
+
+
 @ray.remote
 def _split_col_task(tbl: pa.Table, col: str, num_parts: int,
-                    gsz: int | None = None):
-    """Split a typed Arrow block by an existing int partition column —
-    into partitions (``v % P``), or into tree-combine groups
+                    gsz: int | None = None,
+                    schema: pa.Schema | None = None):
+    """Split a block by an existing int partition column — into
+    partitions (``v % P``), or into tree-combine groups
     (``(v % P) // gsz``) when ``gsz`` is given."""
-    if num_parts == 1:
-        return tbl
+    tbl = _as_table(tbl, schema)
     v = tbl.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
     if gsz is None:
         return tuple(tbl.filter(pa.array(v % num_parts == p))
@@ -269,9 +289,7 @@ def _reduce_split_task(reduce_fn, col: str, num_parts: int,
     the NEXT phase's partition column — the middle stage of a two-phase
     exchange fused into one task (``gsz``: split into tree-combine
     groups instead of partitions)."""
-    cat = pa.concat_tables([t for t in tbls if t.num_rows]) \
-        if any(t.num_rows for t in tbls) else tbls[0]
-    red = reduce_fn(cat)
+    red = reduce_fn(_concat(tbls, None))
     if num_parts == 1:
         return red
     v = red.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -284,16 +302,94 @@ def _reduce_split_task(reduce_fn, col: str, num_parts: int,
 
 
 @ray.remote
-def _reduce_task(reduce_fn, *tbls: pa.Table) -> pa.Table:
-    cat = pa.concat_tables([t for t in tbls if t.num_rows]) \
-        if any(t.num_rows for t in tbls) else tbls[0]
-    return reduce_fn(cat)
+def _reduce_task(reduce_fn, schema: pa.Schema | None,
+                 *tbls: pa.Table) -> pa.Table:
+    return reduce_fn(_concat(tbls, schema))
 
 
 def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
     """Partition count for ``input_bytes`` of exchange input: one
     partition per ``part_bytes`` (rounded up), clamped to ``[1, cap]``."""
     return max(1, min(cap, -(-input_bytes // part_bytes)))
+
+
+def _partition(
+    ds: rd.Dataset,
+    part_col: str,
+    *,
+    num_parts: int | None,
+    max_parts: int,
+    tree_combine: bool | None,
+    schema: pa.Schema | None = None,
+) -> tuple[int, tuple[int, int] | None, list[list]]:
+    """The shared first exchange phase: materialize ``ds``, size P, and
+    split its non-empty blocks by ``part_col % P``.
+
+    Returns ``(P, plan, dest)`` with ``dest[q]`` the refs of partition
+    q's slices.  P is ``num_parts`` when given, else one partition per
+    ``DataContext.target_min_block_size`` of input within
+    ``[1, max_parts]`` (:func:`sized_parts`).  Zero-row blocks (Ray can
+    emit them schema-less) are dropped; at P=1 the blocks go to the one
+    reduce task unsplit."""
+    blocks, input_bytes = [], 0
+    for bundle in ds.materialize().iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            blocks.append(ref)
+            if input_bytes is not None and meta.size_bytes is not None:
+                input_bytes += meta.size_bytes
+            else:
+                input_bytes = None  # block sizes not recorded
+    if not blocks:
+        return 1, None, [[]]
+    P = num_parts
+    if P is None:
+        P = max_parts if input_bytes is None else sized_parts(
+            input_bytes, max_parts,
+            rd.DataContext.get_current().target_min_block_size)
+    plan = _fan_plan(P, tree_combine)
+    if P == 1:
+        return P, plan, [blocks]
+    fan = P if plan is None else plan[1]
+    gsz = None if plan is None else plan[0]
+    splits = [_split_col_task.options(num_returns=fan).remote(
+                  b, part_col, P, gsz, schema)
+              for b in blocks]
+    return P, plan, _mod_exchange(splits, P, plan, part_col)
+
+
+def hash_exchange(
+    ds: rd.Dataset,
+    part_col: str,
+    reduce_fn,
+    schema: pa.Schema,
+    *,
+    max_parts: int,
+) -> rd.Dataset:
+    """One hash exchange + a vectorized per-partition reduce as RAW Ray
+    tasks — the exchange under ``exchange_join`` / ``exchange_agg`` and
+    the linker's distinct and top-1 steps.
+
+    ``ds`` rows carry ``part_col``, a non-negative int64 hash of the
+    key; rows land in partition ``part_col % P``, so every key's rows
+    meet in one partition at every P.  ``schema`` is ``ds``'s declared
+    schema: blocks are normalized to it, and a partition with no rows
+    reduces the empty ``schema`` table, so every output block (and the
+    output of an empty input) is typed.  ``reduce_fn`` maps one
+    partition's Arrow table to an Arrow table.
+
+    Cost: B split tasks with P returns each plus P reduce tasks for B
+    input blocks (no split tasks at P=1), with P sized as in
+    :func:`two_phase_reduce` and ``max_parts`` as the cap.  Past
+    ``TREE_COMBINE_THRESHOLD`` partitions the split trees.  The output
+    is materialized.
+    """
+    P, _, dest = _partition(ds, part_col, num_parts=None,
+                            max_parts=max_parts, tree_combine=None,
+                            schema=schema)
+    return rd.from_arrow_refs(
+        [_reduce_task.remote(reduce_fn, schema, *dest[q]) for q in range(P)])
 
 
 def two_phase_reduce(
@@ -309,49 +405,36 @@ def two_phase_reduce(
 ) -> rd.Dataset:
     """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
 
-    The Dataset formulation (``groupby(p1).map_groups(r1).groupby(p2)
-    .map_groups(r2)``) pays two sort-based all-to-all operators — ~1.5s
-    fixed each at any input size.  Here the input's materialized blocks
-    are split by the precomputed ``p1_col``, each partition reduced and
-    re-split by ``p2_col`` inside ONE task, and the second-phase
-    partitions reduced to the output refs — no sorts, no executor
+    The input's materialized blocks are split by the precomputed
+    ``p1_col`` (the :func:`hash_exchange` first phase), each partition
+    reduced and re-split by ``p2_col`` inside ONE task, and the
+    second-phase partitions reduced to the output refs — no executor
     barriers between phases.  ``reduce1`` must emit ``p2_col``;
     ``reduce2`` receives the concatenated second-phase partition.
 
-    Scale shape: identical shuffle volume to the Dataset form.  Each
-    phase costs ~B*P + P^2 objects and 2P + B tasks for B input blocks,
-    so P is sized to the materialized input rather than fixed: one
-    partition per ``DataContext.target_min_block_size`` (1 MiB) of
-    input, at least 1 and at most ``max_parts`` (:func:`sized_parts`).
-    Below the cap a partition holds about 1 MiB; above it partitions
-    grow with the data and one must still fit in a worker.  An explicit
-    ``num_parts`` bypasses the sizing (parity tests, callers that need a
-    fixed partitioning).  Both phases split on key-determined columns
-    (``v % P``), so reduces that are complete per key give the same rows
-    at every P, only in another order.  Past ``TREE_COMBINE_THRESHOLD``
-    partitions both exchanges switch to the two-level tree combine
-    (mod-split variant of the BSP phase tree — (B+P)*sqrt(P) objects
-    instead of B*P + P^2); source-order concat keeps the reduces
-    bit-identical, and ``tree_combine`` forces the mode for parity
-    tests.
+    Scale shape: each phase costs ~B*P + P^2 objects and 2P + B tasks
+    for B input blocks, so P is sized to the materialized input rather
+    than fixed: one partition per ``DataContext.target_min_block_size``
+    (1 MiB) of input, at least 1 and at most ``max_parts``
+    (:func:`sized_parts`).  Below the cap a partition holds about 1 MiB;
+    above it partitions grow with the data and one must still fit in a
+    worker.  An explicit ``num_parts`` bypasses the sizing (parity
+    tests, callers that need a fixed partitioning).  Both phases split
+    on key-determined columns (``v % P``), so reduces that are complete
+    per key give the same rows at every P, only in another order.  Past
+    ``TREE_COMBINE_THRESHOLD`` partitions both exchanges switch to the
+    two-level tree combine (mod-split variant of the BSP phase tree —
+    (B+P)*sqrt(P) objects instead of B*P + P^2); source-order concat
+    keeps the reduces bit-identical, and ``tree_combine`` forces the
+    mode for parity tests.
     """
-    mat = ds.materialize()
-    blocks = mat.to_arrow_refs()
-    if not blocks:
+    P, plan, dest1 = _partition(ds, p1_col, num_parts=num_parts,
+                                max_parts=max_parts,
+                                tree_combine=tree_combine)
+    if not dest1[0]:
         raise ValueError("two_phase_reduce: empty input dataset")
-    P = num_parts
-    if P is None:
-        input_bytes = mat.size_bytes()  # None: block sizes not recorded
-        P = max_parts if input_bytes is None else sized_parts(
-            input_bytes, max_parts,
-            rd.DataContext.get_current().target_min_block_size)
-    plan = _fan_plan(P, tree_combine)
     fan = P if plan is None else plan[1]
     gsz = None if plan is None else plan[0]
-    s1 = [_split_col_task.options(num_returns=fan).remote(
-              b, p1_col, P, gsz)
-          for b in blocks]
-    dest1 = _mod_exchange(s1, P, plan, p1_col)
     mid = [
         _reduce_split_task.options(num_returns=fan).remote(
             reduce1, p2_col, P, gsz, *dest1[p])
@@ -359,7 +442,7 @@ def two_phase_reduce(
     ]
     dest2 = _mod_exchange(mid, P, plan, p2_col)
     out = [
-        _reduce_task.remote(reduce2, *dest2[q])
+        _reduce_task.remote(reduce2, None, *dest2[q])
         for q in range(P)
     ]
     return rd.from_arrow_refs(out)

@@ -21,9 +21,12 @@ canonicalization at 10^12-doc scale —
   -> canonical name per component = lexicographically smallest surface
   -> surface -> canonical map joined back onto the triples.
 
-The label-propagation join is hash-partitioned (Dataset.join on Ray
-2.49); candidate-pair generation shuffles only (shard, band, hash,
-name_id) rows — never surfaces, never documents.
+Label propagation runs on the stationary-partition BSP engine
+(stages/bsp.py), or as an in-process union-find for small edge sets; every
+other shuffle is a raw-task hash exchange (``exchange_join`` /
+``exchange_agg`` / ``two_phase_reduce``).  Candidate-pair generation
+shuffles only (shard, band, hash, name_id) rows — never surfaces,
+never documents.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ def _arrow(ds: rd.Dataset) -> rd.Dataset:
 
 
 def _solid(ds: rd.Dataset, n: int = 8) -> rd.Dataset:
-    """Join-safe materialization: map_groups/aggregate lineages can leave
-    schema-less empty blocks that crash the pyarrow hash join ("no match
-    for FieldRef..."); repartition coalesces them away."""
+    """Materialize as ``n`` Arrow blocks: map_groups/aggregate lineages
+    can leave schema-less empty blocks, and many-block lineages cost
+    every exchange that consumes them one split task per block."""
     return _arrow(ds).repartition(n).materialize()
 
 
@@ -158,10 +161,6 @@ def connected_components(
         lambda t: pa.table({"src": t.column("dst"), "dst": t.column("src")}),
         batch_format="pyarrow",
     )
-    # coalesce: und feeds every round's exchange, and Ray's sort-groupby
-    # cost grows with BLOCK count (0.3s at 16 blocks vs 3.2s at 232 for
-    # identical rows) — a 2x-union of a 64-block edge set would otherwise
-    # drag 128 tiny blocks through every round
     if engine == "bsp":
         # stationary-partition BSP (stages/bsp.py): edges exchanged ONCE
         # into pinned hash partitions; per round only the O(nodes) label
@@ -180,6 +179,8 @@ def connected_components(
             pass
         return labels_ds
 
+    # coalesced once: und feeds every round's exchange, and each
+    # exchange splits every input block
     und = _solid(fwd.union(rev).map_batches(
         lambda t: t, batch_format="pyarrow", batch_size=16384))
 
@@ -188,7 +189,7 @@ def connected_components(
     # initial labels: distinct node ids, self-labeled.  exchange_agg
     # distinct (arrow group_by per partition) — Ray's groupby().count()
     # reduces per key in Python (3.3s vs 0.5s at 120k nodes)
-    labels = _solid(
+    labels = (
         exchange_agg(und.select_columns(["src"]), "src", num_partitions=16)
         .map_batches(
             lambda t: pa.table(
@@ -196,6 +197,7 @@ def connected_components(
             ),
             batch_format="pyarrow",
         )
+        .materialize()
     )
     def _as(ds, mapping):
         """Column projection/rename via arrow rebuild — rename_columns
@@ -226,9 +228,8 @@ def connected_components(
     rounds = 0
     for _ in range(max_rounds):
         rounds += 1
-        # BOTH shrink moves ride in ONE executor plan per round — exchange
-        # joins are plain tasks (no JoinOperator actor pool), so two of
-        # them plus the groupby-min fuse safely at any CPU budget.
+        # exchange joins are plain tasks (no JoinOperator actor pool), so
+        # both shrink moves plus the min run safely at any CPU budget.
         # Neighbor propagation: component(x) <= min over neighbors.
         msgs = _as(
             exchange_join(
@@ -254,11 +255,9 @@ def connected_components(
         # one hash exchange + per-partition arrow group_by min — NOT
         # Ray's Aggregate (per-key Python: 5.0s vs 0.85s per round at
         # 120k keys, measured)
-        labels = _solid(
-            exchange_agg(
-                labels.union(msgs).union(ptr),
-                "name_id", [("component", "min")], num_partitions=16,
-            )
+        labels = exchange_agg(
+            labels.union(msgs).union(ptr),
+            "name_id", [("component", "min")], num_partitions=16,
         )
         # stop test: a stable sum under the COMBINED update means the
         # propagation alone changed nothing, which (und is symmetric)
@@ -500,21 +499,19 @@ def canonicalize_surfaces(
     # arrow-reduce aggs (plain tasks, vectorized across keys) — the
     # native JoinOperator + Aggregate tail measured 3.5 + 3.4 + 2.2s at
     # 120k surfaces; this shape runs it in ~1.5s total.
-    with_comp = _solid(
-        exchange_join(
-            ids, comp, on="name_id", how="left_outer", num_partitions=16,
-            left_schema=_S_IDS, right_schema=_S_COMP,
-        ).map_batches(
-            lambda t: pa.table(
-                {
-                    "surface": t.column("surface"),
-                    "component": pc.coalesce(
-                        t.column("component"), t.column("name_id")),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
+    with_comp = exchange_join(
+        ids, comp, on="name_id", how="left_outer", num_partitions=16,
+        left_schema=_S_IDS, right_schema=_S_COMP,
+    ).map_batches(
+        lambda t: pa.table(
+            {
+                "surface": t.column("surface"),
+                "component": pc.coalesce(
+                    t.column("component"), t.column("name_id")),
+            }
+        ),
+        batch_format="pyarrow",
+    ).materialize()
     canon = exchange_agg(
         with_comp, "component", [("surface", "min", "canonical")],
         num_partitions=16)
@@ -705,12 +702,13 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
         def col(name, default, typ=pa.string()):
             if name not in names:
                 return pa.array([default] * n, typ)
-            if typ == pa.string():
-                # a null element would null the row's ENTIRE packed prov
-                # via binary_join_element_wise — absent and null string
-                # columns both become "" (the unpack default)
-                return pc.fill_null(s(batch.column(name)), "")
-            return batch.column(name)
+            # a null element would null the row's ENTIRE packed prov via
+            # binary_join_element_wise — a null element gets the absent
+            # column's default (the unpack default)
+            arr = batch.column(name)
+            if typ == pa.string() or pa.types.is_null(arr.type):
+                arr = pc.cast(arr, typ)
+            return pc.fill_null(arr, pa.scalar(default).cast(arr.type))
 
         def pad(arr, width):
             return pc.utf8_lpad(s(arr), width=width, padding="0")
@@ -847,9 +845,8 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
             }
         )
 
-    # raw-task two-phase exchange (stages/bsp.py): none of the Dataset
-    # groupby form's two sort-based all-to-all operators (~1.5s fixed
-    # each) — this tail is on the headline path
+    # raw-task two-phase exchange (stages/bsp.py) sized to the packed
+    # input — this tail is on the headline path
     from .bsp import two_phase_reduce
 
     packed = triples.map_batches(pack, batch_format="pyarrow",

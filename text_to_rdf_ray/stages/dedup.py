@@ -470,12 +470,13 @@ def _pairs_from_buckets(
 
         from .exchange import exchange_agg
 
-        need_ids = _solid(
+        need_ids = (
             exchange_agg(
                 ids_table("id_a").union(ids_table("id_b")), id_col)
             .map_batches(
                 lambda t: pa.table({id_col: t.column(id_col).cast(pa.int64())}),
                 batch_format="pyarrow")
+            .materialize()
         )
         n_ids = need_ids.count()
     if _dbg:
@@ -570,18 +571,18 @@ def _pairs_from_buckets(
     _cs = corpus.schema()
     _S_CORPUS = pa.schema(list(zip(_cs.names, _cs.types)))
     _S_NEED = pa.schema([(id_col, pa.int64())])
-    feats_ds = _solid(
+    feats_ds = (
         exchange_join(corpus, need_ids, on=id_col, num_partitions=16,
                       left_schema=_S_CORPUS, right_schema=_S_NEED)
         .map_batches(lambda b: featurize(b, None), batch_format="pyarrow")
+        .materialize()
     )
     _S_FEAT_A = pa.schema([("id_a", pa.int64()), ("feat_a", pa.binary())])
     _S_FEAT_B = pa.schema([("id_b", pa.int64()), ("feat_b", pa.binary())])
     _S_CANDS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
     def rename_feats(suffix: str) -> rd.Dataset:
-        # lazy over the materialized feats — exchange joins are plain
-        # tasks, so both attach joins fuse into one consuming plan
+        # lazy over the materialized feats, consumed by the attach joins
         return feats_ds.map_batches(
             lambda t, s=suffix: pa.table({f"id_{s}": t.column(id_col),
                                           f"feat_{s}": t.column("feat")}),
@@ -590,7 +591,7 @@ def _pairs_from_buckets(
 
     joined = exchange_join(
         exchange_join(
-            _solid(cands), rename_feats("a"), on="id_a", num_partitions=16,
+            cands, rename_feats("a"), on="id_a", num_partitions=16,
             left_schema=_S_CANDS, right_schema=_S_FEAT_A,
         ),
         rename_feats("b"), on="id_b", num_partitions=16,

@@ -1,43 +1,36 @@
-"""Hash-exchange equi-join built from union + groupby — the cheap join.
+"""Hash-exchange equi-join and grouped aggregation as raw Ray tasks.
 
-Ray 2.49's native ``Dataset.join`` (JoinOperator) spins up a hash-shuffle
-aggregator ACTOR POOL per plan: measured ~1.5-1.9s fixed cost per
-join-bearing executor run at 16 CPUs even for kilobyte inputs (and two
-JoinOperators in one plan can oversubscribe the pool at small CPU budgets
-— observed livelock at num_cpus=4).  The barrier-dominated KG operators
-(link join, connected components, PageRank) run many small joins, so that
-fixed cost IS their wall time at bench scale.
+Ray 2.49's native operators carry large fixed costs at the sizes the KG
+operators run many of: ``Dataset.join`` (JoinOperator) spins up a
+hash-shuffle aggregator ACTOR POOL per plan (~1.5-1.9s per join-bearing
+executor run at 16 CPUs, even for kilobyte inputs), and a grouped
+``map_groups`` is a sort-based all-to-all (sample, sort-map,
+sort-reduce) whose intermediate object count grows with the square of
+its input block count.
 
-``exchange_join`` expresses the same equi-join as the repo's standard
-exchange pattern — tag each side, pad to one Arrow schema, hash-partition
-on the key inside the map, union, ONE groupby exchange, and a vectorized
-per-partition ``pandas.merge`` — which runs as plain tasks (no actor
-pool): measured ~0.4s for the same join, 4-5x less fixed cost, and any
-number of them can ride in one plan.
+``exchange_join`` and ``exchange_agg`` instead tag every row with a
+63-bit hash of its key (the join pads both sides to one Arrow schema;
+the aggregation optionally combines each batch first) and run ONE
+:func:`~.bsp.hash_exchange`: the tagged input is materialized, the
+partition count P is sized to it (one partition per
+``DataContext.target_min_block_size`` of input, at most
+``num_partitions``), each block is split by ``hash % P`` in one task,
+and one task per partition runs the vectorized reduce (``pandas.merge``
+over key columns and row positions for the join, Arrow ``group_by`` for
+the aggregation).  That is B split tasks and B*P objects for B input
+blocks (a two-level tree past ``bsp.TREE_COMBINE_THRESHOLD``), and at
+P=1 just one reduce task.  Measured on a 1-CPU host (BASELINE.md,
+"Exchange substrate"): ``link_entities_join`` over two 1000-triple
+partitions, nine exchanges each, took 18.6s on the sort-based
+``groupby`` exchange and takes 3.6s here.
 
-Scale shape: one all-to-all on the key hash (same volume as the native
-join's shuffle), merge vectorized across ALL keys in a partition.
-Partitioning assumption: one partition's rows (|left|+|right|)/
-``num_partitions`` fit in a worker — raise ``num_partitions`` with data
-size.
-
-Block-count pathology (measured, Ray 2.49): the ``groupby`` exchange is
-sort-based and emits as many output blocks as it gets INPUT blocks, so
-its intermediate object count grows ~O(B_in²) — 16 blocks/side join in
-0.55s, 128/side in 8-13s, 256/side in 26-46s on identical 60k-row data
-(SortMap 512 blocks x SortReduce 512 blocks = 262k refs; remote compute
-under 1s throughout).  When a side is a wide-block lineage (a large read
-or a many-task map), pass ``coalesce_blocks≈num_partitions`` to insert a
-cheap split/merge repartition in front of the exchange: same memory
-envelope as the per-partition merge already assumes, bounds the shuffle
-at O(P²) refs (256-block case back to ~3s).  Left None by default —
-the coalesce barrier costs ~0.35s, a net LOSS for the many-small-
-exchange KG paths whose inputs are already few-block.
-
-Output blocks are rebuilt as TYPED Arrow tables (missing
-left-outer payloads become proper Arrow nulls, not pandas NaN), so the
-result can feed further lazy stages — including more exchange joins —
-without a materialization barrier.
+Partitioning assumption: one partition's rows fit in a worker; above
+the cap partitions grow with the data, so raise ``num_partitions`` with
+data size.  Each call is EAGER: it materializes its input and returns a
+materialized dataset of TYPED Arrow blocks (empty partitions and empty
+inputs included; left-outer payload misses are Arrow nulls, not pandas
+NaN), so a result feeds further exchanges without a schema probe or
+another materialization.
 """
 
 from __future__ import annotations
@@ -107,6 +100,12 @@ def _key_hash(tbl: pa.Table, on: list[str]) -> np.ndarray:
     return acc
 
 
+def _hash_col(tbl: pa.Table, on: list[str]) -> pa.Array:
+    """The exchange partition column: the key hash as a non-negative
+    int64, so the partition count can be chosen after tagging."""
+    return pa.array((_key_hash(tbl, on) >> np.uint64(1)).astype(np.int64))
+
+
 def as_arrow_schema(schema) -> pa.Schema:
     """Ray ``Dataset.schema()`` -> ``pa.Schema``.  A pandas-block-backed
     dataset (``from_pandas``) reports numpy dtypes / Python ``object``
@@ -147,7 +146,6 @@ def exchange_agg(
     *,
     num_partitions: int = 32,
     combine: bool = True,
-    coalesce_blocks: int | None = None,
 ) -> rd.Dataset:
     """Grouped aggregation as hash exchange + vectorized Arrow reduce.
 
@@ -156,9 +154,10 @@ def exchange_agg(
     this helper on a 360k-row / 120k-key min — and 153s vs <2s on a
     48k-key two-string-column distinct, NOTES_r3).  This helper runs the
     same logical aggregation as: optional per-batch Arrow ``group_by``
-    combiner -> ONE hash exchange on the key -> per-partition Arrow
-    ``group_by`` (C++ hash aggregation, vectorized across every key in
-    the partition).
+    combiner -> ONE :func:`~.bsp.hash_exchange` on the key hash ->
+    per-partition Arrow ``group_by`` (C++ hash aggregation, vectorized
+    across every key in the partition).  ``num_partitions`` caps the
+    sized partition count.
 
     ``aggs``: ``(col, fn)`` or ``(col, fn, out_name)`` with fn in
     ``min | max | sum | count`` (count re-aggregates as sum of partial
@@ -167,6 +166,8 @@ def exchange_agg(
     decomposable) shrinks each batch to its distinct keys before the
     exchange, so shuffle volume is per-batch-distinct, not raw rows.
     """
+    from .bsp import hash_exchange
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     norm: list[tuple[str, str, str]] = []
     seen_out: set[str] = set(keys)
@@ -204,8 +205,7 @@ def exchange_agg(
         for _, fn, out in norm]
 
     def part_of(t: pa.Table) -> pa.Table:
-        h = (_key_hash(t, keys) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column(_PART, pa.array(h, pa.int32()))
+        return t.append_column(_PART, _hash_col(t, keys))
 
     def combine_batch(t: pa.Table) -> pa.Table:
         return part_of(_agg(t, norm))
@@ -223,13 +223,17 @@ def exchange_agg(
         return _agg(t, reduce_specs)
 
     first = combine_batch if combine else tag_batch
-    tagged = ds.map_batches(first, batch_format="pyarrow")
-    if coalesce_blocks is not None:
-        # bound the sort exchange at O(coalesce_blocks^2) refs (see module
-        # docstring) — worth it only for wide-block lineages
-        tagged = tagged.repartition(coalesce_blocks)
-    return (tagged.groupby(_PART)
-            .map_groups(reduce_part, batch_format="pyarrow"))
+    tagged = ds.map_batches(first, batch_format="pyarrow").materialize()
+    schema = tagged.schema()
+    if schema is None:
+        # no rows: the map never ran, so type the empty result from the
+        # source schema (None too for a schema-less empty source)
+        src = ds.schema()
+        if src is None:
+            return tagged
+        schema = first(as_arrow_schema(src).empty_table()).schema
+    return hash_exchange(tagged, _PART, reduce_part, as_arrow_schema(schema),
+                         max_parts=num_partitions)
 
 
 def exchange_join(
@@ -241,7 +245,6 @@ def exchange_join(
     num_partitions: int = 32,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
-    coalesce_blocks: int | None = None,
 ) -> rd.Dataset:
     """Equi-join ``left`` with ``right`` on the shared key column(s).
 
@@ -255,10 +258,10 @@ def exchange_join(
     not defined (hash-partitioned), matching Dataset.join.
 
     ``left_schema``/``right_schema``: pass explicitly when a side is a
-    lazy map_groups lineage (e.g. a previous exchange_join) — otherwise
-    ``.schema()`` triggers a schema-probe execution of that lineage.
-    Chained exchange joins with schemas provided fuse into ONE executor
-    plan (no actor pools, no intermediate materialization).
+    lazy lineage — otherwise ``.schema()`` runs a schema-probe execution
+    of it.  The output (see the module docstring) is materialized and
+    typed per ``join_out_schema``, even when empty; ``num_partitions``
+    caps the exchange's sized partition count.
 
     Semantics deviation from Dataset.join / SQL, by contract: NULL
     join keys MATCH each other (they co-partition via a fixed hash and
@@ -266,13 +269,15 @@ def exchange_join(
     that need SQL null semantics must filter nulls first.  No oracled
     path here carries null keys.
     """
-    import pyarrow.compute as _pc  # noqa: F401  (used below)
+    from .bsp import hash_exchange
 
     if how not in ("inner", "left_outer", "full_outer"):
         raise ValueError(f"unsupported how={how!r}")
     on = [on] if isinstance(on, str) else list(on)
-    ls = left_schema if left_schema is not None else left.schema()
-    rs = right_schema if right_schema is not None else right.schema()
+    ls = as_arrow_schema(
+        left_schema if left_schema is not None else left.schema())
+    rs = as_arrow_schema(
+        right_schema if right_schema is not None else right.schema())
 
     def _family(t: pa.DataType) -> str:
         if pa.types.is_integer(t):
@@ -319,26 +324,12 @@ def exchange_join(
             for name, typ in all_fields:
                 if name in batch.column_names:
                     cols[name] = batch.column(name).cast(typ)
-                elif pa.types.is_integer(typ):
-                    # NON-NULL zero filler, not pa.nulls: if ANY block in
-                    # the unioned lineage is a pandas block (Ray 2.49
-                    # emits empty zero-column pandas blocks from some
-                    # map_groups lineages, and map_batches skips them),
-                    # Ray's sort exchange normalizes ALL blocks to
-                    # pandas — a nullable int64 column then rides through
-                    # float64 and ids above 2^53 round (review r5,
-                    # reproduced).  merge_part gathers each side's
-                    # payload from that side's rows only, so the
-                    # opposite-side filler is never read.
-                    cols[name] = pa.array(np.zeros(n, np.int64)).cast(typ)
-                elif pa.types.is_boolean(typ):
-                    cols[name] = pa.array(np.zeros(n, bool))
                 else:
+                    # merge_part gathers each side's payload from that
+                    # side's rows only: the filler is never read
                     cols[name] = pa.nulls(n, typ)
             cols[_SIDE] = pa.array(np.full(n, side, np.int8))
-            cols[_PART] = pa.array(
-                (_key_hash(batch, on) % np.uint64(num_partitions))
-                .astype(np.int32))
+            cols[_PART] = _hash_col(batch, on)
             return pa.table(cols)
 
         return fn
@@ -393,8 +384,8 @@ def exchange_join(
 
     u = left.map_batches(pad(0), batch_format="pyarrow").union(
         right.map_batches(pad(1), batch_format="pyarrow"))
-    if coalesce_blocks is not None:
-        # bound the sort exchange at O(coalesce_blocks^2) refs (see module
-        # docstring) — worth it only for wide-block lineages
-        u = u.repartition(coalesce_blocks)
-    return u.groupby(_PART).map_groups(merge_part, batch_format="pyarrow")
+    padded = pa.schema(
+        [(k, key_types[k]) for k in on] + all_fields
+        + [(_SIDE, pa.int8()), (_PART, pa.int64())])
+    return hash_exchange(u, _PART, merge_part, padded,
+                         max_parts=num_partitions)

@@ -356,10 +356,9 @@ def triangle_count(
         # shared edge table; review r5)
         e = edges
     else:
-        e = _solid(exchange_agg(
+        e = exchange_agg(
             edges.map_batches(canon, batch_format="pyarrow"),
-            ["u", "v"], num_partitions=num_partitions),
-            n=max(num_partitions // 4, 1))
+            ["u", "v"], num_partitions=num_partitions)
     n_edges = e.count()
 
     if n_edges <= broadcast_threshold:
@@ -1010,10 +1009,9 @@ def clustering_coeff(
         return pa.table({"u": pa.array(u[keep], pa.int64()),
                          "v": pa.array(v[keep], pa.int64())})
 
-    e = _solid(exchange_agg(
+    e = exchange_agg(
         edges.map_batches(canon, batch_format="pyarrow"),
-        ["u", "v"], num_partitions=num_partitions),
-        n=max(num_partitions // 8, 2))
+        ["u", "v"], num_partitions=num_partitions)
 
     def endpoints(t: pa.Table) -> pa.Table:
         u = t.column("u").to_numpy(zero_copy_only=False)
@@ -1140,14 +1138,14 @@ def sssp(
             return pa.table({"node": t.column("node").filter(pa.array(keep)),
                              "dist": pa.array(c[keep], pa.int64())})
 
-        frontier = _solid(
-            probe.map_batches(improved, batch_format="pyarrow"), n=2)
+        frontier = probe.map_batches(
+            improved, batch_format="pyarrow").materialize()
         if frontier.count() == 0:
             break
         # min-merge: dist ∪ frontier -> per-node min
-        dist = _solid(exchange_agg(
+        dist = exchange_agg(
             dist.union(frontier), "node", [("dist", "min", "dist")],
-            num_partitions=min(num_partitions, 16)), n=2)
+            num_partitions=min(num_partitions, 16))
 
     return dist
 

@@ -237,7 +237,7 @@ def link_entities_join(
     to broadcast (``make_link_task``/``LinkEntities`` replicate the index
     per worker/actor; this path replicates NOTHING):
 
-      distinct surfaces (groupby — small vs triples)
+      distinct surfaces (hash exchange — small vs triples)
         exact:  hash join on lowercased label              [conf 0.95]
         fuzzy:  surfaces without an exact hit, candidates generated by
                 MinHash band blocking (SURVEY.md J2): surfaces and KB
@@ -251,6 +251,10 @@ def link_entities_join(
         top-1 per surface by (conf desc, uri asc)          [KBIndex.link]
       surface->uri map hash-joined back onto subj and entity-obj columns.
 
+    Every exchange step (the distinct, the joins, the candidate-pair
+    dedup and the top-1) is a raw-task :func:`~.bsp.hash_exchange`
+    sized to its input, with ``num_partitions`` as the cap.
+
     Output columns and values equal the broadcast paths exactly on every
     pair the band blocking surfaces (parity-tested).  Recall note: a
     JW-similar pair whose character-shingle Jaccard is very low can be
@@ -261,17 +265,18 @@ def link_entities_join(
     import ray.data as rd
 
     from ..kernels.linker import EXACT_CONFIDENCE, jaro_winkler_batch
+    from ..kernels.minhash import _hash_shingles
+    from .bsp import hash_exchange
     from .canonicalize import _solid
-    from .exchange import exchange_join, join_out_schema
+    from .exchange import exchange_agg, exchange_join, join_out_schema
 
     if not isinstance(kb_records, rd.Dataset):
         kb_ds = rd.from_items(list(kb_records))
     else:
         kb_ds = kb_records
 
-    # static schemas for every exchange_join below: chained lazy joins
-    # fuse into one executor plan ONLY when the planner never has to run
-    # a schema probe (exchange.py docstring)
+    # static schemas for every exchange below: a join side that is a
+    # lazy map would otherwise cost a schema-probe execution
     _S_LABELS = pa.schema([("kb_uri", pa.string()), ("kb_label", pa.string()),
                            ("kb_low", pa.string()), ("lid", pa.int64())])
     _S_SURF = pa.schema([("surface", pa.string()), ("low", pa.string()),
@@ -282,6 +287,9 @@ def link_entities_join(
     _S_BAND_L = pa.schema([("band_id", pa.int32()), ("band_hash", pa.int64()),
                            ("lid", pa.int64())])
     _S_CAND = pa.schema([("sid", pa.int64()), ("lid", pa.int64())])
+    _LINK_SCHEMA = pa.schema([("surface", pa.string()), ("uri", pa.string()),
+                              ("conf", pa.float64())])
+    _S_TOP1 = _LINK_SCHEMA.append(pa.field("_part", pa.int64()))
 
     import hashlib as _hl
 
@@ -313,11 +321,9 @@ def link_entities_join(
             }
         )
 
-    # batch_size=2048 coalesces the KB into ~|KB|/2048 blocks: enough
-    # parallelism for the per-label MinHash in _band_rows (one giant block
-    # would serialize it), few enough that the downstream sort-based
-    # groupby exchanges stay cheap (Ray's sort cost grows with BLOCK
-    # count: measured 0.3s at 16 blocks vs 3.2s at 232 for the same rows)
+    # batch_size=2048 + _solid's 8-way repartition: enough blocks for
+    # parallel per-label MinHash in _band_rows (one giant block would
+    # serialize it), few enough for cheap per-block exchange splits
     labels_ds = _solid(
         kb_ds.map_batches(kb_labels, batch_format="pyarrow",
                           batch_size=2048))
@@ -336,53 +342,40 @@ def link_entities_join(
                 "surface": pa.array(names, pa.string()),
                 "low": pa.array(lows, pa.string()),
                 # sid keys the LOWERCASED form (same as the band row key):
-                # case-variant surfaces share a sid and re-attach together
+                # case-variant surfaces share a sid and re-attach together;
+                # equal surfaces share a sid, so it is also the partition
+                # key of the distinct exchange below
                 "sid": pa.array(sids, pa.int64()),
-                # partition key for the distinct exchange below: equal
-                # surfaces share a sid, so they land in one partition
-                "_part": pa.array(
-                    np.asarray(sids, np.uint64) % np.uint64(64), pa.int32()),
             }
         )
 
-    # distinct surfaces via hash exchange + per-PARTITION vectorized
-    # drop_duplicates — NOT groupby("surface").map_groups (one Python
-    # call per distinct surface: the measured Ray-2.49 per-key pathology,
-    # 153s vs <2s at 48k keys — NOTES_r3.md).  LAZY: since the exact
-    # join and anti-join merged into one left_outer exchange, `surfaces`
-    # has exactly one consumer (`matched`), so the distinct fuses into
-    # that plan instead of paying its own materialization barrier.
-    triples_solid = _solid(triples)
-    surfaces = (
-        triples_solid.map_batches(surface_rows, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(lambda g: g.drop_duplicates("surface"),
-                    batch_format="pandas")
-        .map_batches(
-            lambda t: pa.table({n: t.column(n) for n in ("surface", "low", "sid")}),
-            batch_format="pyarrow",
-        )
-    )
+    def distinct_surfaces(t: pa.Table) -> pa.Table:
+        g = t.group_by(["surface", "low", "sid"]).aggregate([])
+        return g.select(_S_SURF.names)
 
-    _LINK_SCHEMA = pa.schema([("surface", pa.string()), ("uri", pa.string()),
-                              ("conf", pa.float64())])
+    # distinct surfaces via hash exchange on sid + a per-PARTITION
+    # vectorized group_by — NOT a per-surface Ray groupby (one Python
+    # call per distinct surface: the measured Ray-2.49 per-key pathology,
+    # 153s vs <2s at 48k keys — NOTES_r3.md)
+    triples_mat = triples.materialize()
+    surfaces = hash_exchange(
+        triples_mat.map_batches(surface_rows, batch_format="pyarrow"),
+        "sid", distinct_surfaces, _S_SURF, max_parts=num_partitions)
 
     # ONE left_outer exchange splits the surfaces: matched rows ARE the
     # exact links (duplicated per matching label, same as the old inner
     # join), unmatched rows ARE the fuzzy side — the separate exact-hit
     # projection + anti-join exchange is gone (one fewer shuffle of the
-    # surface table and one fewer materialization barrier)
-    matched = _solid(
-        exchange_join(
-            surfaces,
-            labels_ds.map_batches(
-                lambda t: pa.table({"low": t.column("kb_low"),
-                                    "kb_uri": t.column("kb_uri")}),
-                batch_format="pyarrow",
-            ),
-            on="low", how="left_outer", num_partitions=num_partitions,
-            left_schema=_S_SURF, right_schema=_S_EXACT_PROJ,
-        )
+    # surface table)
+    matched = exchange_join(
+        surfaces,
+        labels_ds.map_batches(
+            lambda t: pa.table({"low": t.column("kb_low"),
+                                "kb_uri": t.column("kb_uri")}),
+            batch_format="pyarrow",
+        ),
+        on="low", how="left_outer", num_partitions=num_partitions,
+        left_schema=_S_SURF, right_schema=_S_EXACT_PROJ,
     )
 
     exact = matched.map_batches(
@@ -399,15 +392,13 @@ def link_entities_join(
     # a surface with ANY match contributes no unmatched row, so the null
     # filter is exactly the anti-join (one row per unmatched surface —
     # surfaces are distinct)
-    no_exact = _solid(
-        matched.map_batches(
-            lambda t: (lambda f: pa.table(
-                {"surface": f.column("surface"), "low": f.column("low"),
-                 "sid": f.column("sid")}
-            ))(t.filter(pc.is_null(t.column("kb_uri")))),
-            batch_format="pyarrow",
-        )
-    )
+    no_exact = matched.map_batches(
+        lambda t: (lambda f: pa.table(
+            {"surface": f.column("surface"), "low": f.column("low"),
+             "sid": f.column("sid")}
+        ))(t.filter(pc.is_null(t.column("kb_uri")))),
+        batch_format="pyarrow",
+    ).materialize()
 
     def fuzzy_score(batch: pa.Table) -> pa.Table:
         from ..state.counters import incr
@@ -493,9 +484,8 @@ def link_entities_join(
                 }
             )
 
-        # lazy over a materialized parent: the explode output always has a
-        # schema (typed empty tables included), so the band join consumes
-        # it directly — no extra materialization barrier per side
+        # lazy over a materialized parent: the band join's exchange
+        # materializes it
         return src.map_batches(explode, batch_format="pyarrow")
 
     if no_exact.count() == 0:
@@ -504,12 +494,7 @@ def link_entities_join(
     else:
         # lid/sid already ride on labels_ds / no_exact (hashed in the
         # first-pass maps above); the band join moves only ids, strings
-        # re-attach via exchange joins on the tiny candidate set.  The
-        # WHOLE fuzzy chain — band join, global pair dedup, two re-attach
-        # joins, scoring — is lazy and fuses into the single links
-        # executor run below (exchange joins are plain tasks: no
-        # JoinOperator actor-pool spin-up per plan, measured 1.5-1.9s
-        # fixed -> ~0.4s each).
+        # re-attach via exchange joins on the tiny candidate set
         surf_bands = _band_rows(
             no_exact.map_batches(
                 lambda t: pa.table({"low": t.column("low")}),
@@ -522,33 +507,16 @@ def link_entities_join(
                                     "kb_uri": t.column("kb_uri")}),
                 batch_format="pyarrow"), "kb_low", "lid", keep_cols=("kb_uri",))
 
-        def cand_part(t: pa.Table) -> pa.Table:
-            # batch-local dedup (combiner) + a single int partition key for
-            # the global pair dedup — NEVER a per-pair map_groups (hundreds
-            # of thousands of one-row python groups)
-            g = pa.table({"sid": t.column("sid"), "lid": t.column("lid")})
-            g = g.group_by(["sid", "lid"]).aggregate([])
-            s = g.column("sid").to_numpy(zero_copy_only=False).astype(np.uint64)
-            l_ = g.column("lid").to_numpy(zero_copy_only=False).astype(np.uint64)
-            pp = ((s * np.uint64(0x9E3779B97F4A7C15)) ^ l_) % np.uint64(64)
-            return g.append_column("ppart", pa.array(pp.astype(np.int32), pa.int32()))
-
-        cand_ids = (
+        # global (sid, lid) pair dedup: a combiner-backed distinct
+        # exchange — NEVER a per-pair map_groups (hundreds of thousands
+        # of one-row python groups)
+        cand_ids = exchange_agg(
             exchange_join(
                 surf_bands, label_bands, on=("band_id", "band_hash"),
                 num_partitions=num_partitions,
                 left_schema=_S_BAND_S, right_schema=_S_BAND_L,
-            ).map_batches(cand_part, batch_format="pyarrow", batch_size=65536)
-            .groupby("ppart")
-            .map_groups(
-                lambda g: g.drop_duplicates(["sid", "lid"])[["sid", "lid"]],
-                batch_format="pandas",
-            )
-            .map_batches(
-                lambda t: pa.table({"sid": t.column("sid"),
-                                    "lid": t.column("lid")}),
-                batch_format="pyarrow",
-            )
+            ),
+            ["sid", "lid"], num_partitions=num_partitions,
         )
         with_surface = exchange_join(
             cand_ids, no_exact, on="sid", num_partitions=num_partitions,
@@ -578,31 +546,27 @@ def link_entities_join(
         return g.drop_duplicates("surface", keep="first")[
             ["surface", "uri", "conf"]]
 
-    def top1_combine(b: pd.DataFrame) -> pd.DataFrame:
+    def top1_combine(b: pd.DataFrame) -> pa.Table:
         # batch-local top-1 is a safe combiner: the global top-1 under the
         # (conf desc, uri asc) total order is the max of batch maxima
-        from ..kernels.minhash import _hash_shingles
-
         b = top1_vec(b)
         part = (_hash_shingles(b["surface"].tolist())
-                % np.uint64(64)).astype(np.int32)
-        return b.assign(_part=part)
+                >> np.uint64(1)).astype(np.int64)
+        return pa.Table.from_pandas(b.assign(_part=part), schema=_S_TOP1,
+                                    preserve_index=False)
 
-    links = _solid(
-        exact.union(fuzzy)
-        .map_batches(top1_combine, batch_format="pandas", batch_size=65536)
-        .groupby("_part")
-        .map_groups(lambda g: top1_vec(g.drop(columns=["_part"])),
-                    batch_format="pandas")
-        .map_batches(
-            lambda t: pa.table({n: t.column(n) for n in ("surface", "uri", "conf")}),
-            batch_format="pyarrow",
-        )
-    )
+    def top1_part(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(
+            top1_vec(t.drop_columns(["_part"]).to_pandas()),
+            schema=_LINK_SCHEMA, preserve_index=False)
+
+    links = hash_exchange(
+        exact.union(fuzzy).map_batches(top1_combine, batch_format="pandas",
+                                       batch_size=65536),
+        "_part", top1_part, _S_TOP1, max_parts=num_partitions)
 
     def rename_links(key: str, ucol: str, ccol: str) -> "rd.Dataset":
-        # lazy rename over the materialized links — the join right side
-        # consumes it directly (barrier-free; output schema is always typed)
+        # lazy rename over the materialized links, consumed by the join
         return links.map_batches(
             lambda t, key=key, ucol=ucol, ccol=ccol: pa.table(
                 {key: t.column("surface"), ucol: t.column("uri"),
@@ -611,9 +575,8 @@ def link_entities_join(
             batch_format="pyarrow",
         )
 
-    # both link-attach joins fuse into the caller's one consuming plan:
-    # schemas are static, so no probe executions and no barrier between
-    ts = triples_solid.schema()
+    # static schemas for both link-attach joins: no probe executions
+    ts = triples_mat.schema()
     _S_TRIPLES = pa.schema(list(zip(ts.names, ts.types)))
     _S_LINK_SUBJ = pa.schema([("subj", pa.string()),
                               ("subj_uri", pa.string()),
@@ -623,7 +586,7 @@ def link_entities_join(
                              ("obj_link_conf_j", pa.float64())])
     out = exchange_join(
         exchange_join(
-            triples_solid,
+            triples_mat,
             rename_links("subj", "subj_uri", "subj_link_conf"),
             on="subj", how="left_outer", num_partitions=num_partitions,
             left_schema=_S_TRIPLES, right_schema=_S_LINK_SUBJ,

@@ -10,9 +10,9 @@ fusing conflicting extractions — so these run AS Dataset stages:
 - :func:`bgp_match` — a mini-SPARQL basic-graph-pattern evaluator.
   Each triple pattern becomes a constant-pushdown Arrow filter + column
   projection; patterns chain through :func:`~.exchange.exchange_join`
-  on their shared variables (static string schemas, so the whole BGP
-  fuses into ONE executor plan with no schema probes).  All-to-all
-  volume per hop is the surviving bindings, never the triple table.
+  on their shared variables (static string schemas, so no schema
+  probes).  All-to-all volume per hop is the surviving bindings, never
+  the triple table.
 - :func:`majority_vote` — per-key truth discovery: the value with the
   highest support wins (ties break on the smaller value, so the result
   is deterministic).  Support counting is a combiner-backed
@@ -86,7 +86,6 @@ def bgp_match(
     *,
     distinct: bool = True,
     num_partitions: int = 32,
-    coalesce_blocks: int | None = None,
 ) -> rd.Dataset:
     """Evaluate a SPARQL-style basic graph pattern over a triple table.
 
@@ -102,20 +101,12 @@ def bgp_match(
     — at 100 TB it is always a mistake).  Join order is the pattern
     order the caller wrote; selective patterns (more constants) should
     come first, exactly as in a SPARQL engine without an optimizer.
-
-    ``coalesce_blocks``: each pattern scans the full triple lineage, so
-    a many-small-block source (e.g. a union of reads) multiplies the
-    sort-exchange O(blocks²) ref cost by the number of patterns — pass
-    ~num_partitions to repartition in front of every exchange (the
-    exchange.py module docstring has the measurements).
     """
     bound, bound_vars = _bgp_join(triples, patterns,
-                                  num_partitions=num_partitions,
-                                  coalesce_blocks=coalesce_blocks)
+                                  num_partitions=num_partitions)
     if distinct:
         bound = exchange_agg(bound, bound_vars,
-                             num_partitions=num_partitions,
-                             coalesce_blocks=coalesce_blocks)
+                             num_partitions=num_partitions)
     return bound
 
 
@@ -124,7 +115,6 @@ def _bgp_join(
     patterns: list[tuple[str, str, str]],
     *,
     num_partitions: int = 32,
-    coalesce_blocks: int | None = None,
 ) -> tuple[rd.Dataset, list[str]]:
     """Shared BGP evaluator core: returns (bindings, var order)."""
     if not patterns:
@@ -144,7 +134,6 @@ def _bgp_join(
         # side: all shared vars are join keys, so payloads stay disjoint
         bound = exchange_join(
             bound, rel, on=shared, num_partitions=num_partitions,
-            coalesce_blocks=coalesce_blocks,
             left_schema=pa.schema([(v, pa.string()) for v in bound_vars]),
             right_schema=pa.schema([(v, pa.string()) for v in rel_vars]))
         # exchange_join emits keys first, then left payload, then right
@@ -160,7 +149,6 @@ def bgp_match_optional(
     *,
     distinct: bool = True,
     num_partitions: int = 32,
-    coalesce_blocks: int | None = None,
 ) -> rd.Dataset:
     """SPARQL OPTIONAL over :func:`bgp_match`: evaluate the required
     BGP, then LEFT-join each optional pattern on its shared variables —
@@ -171,13 +159,11 @@ def bgp_match_optional(
     Each optional pattern must share >= 1 variable with the bindings so
     far (same no-Cartesian rule as the required patterns).  Scale shape
     identical to bgp_match — one more left_outer ``exchange_join`` per
-    optional pattern, all fused into the same plan (static string
-    schemas); the distinct at the end hashes NULL bindings like any
-    other value.
+    optional pattern (static string schemas); the distinct at the end
+    hashes NULL bindings like any other value.
     """
     bound, bound_vars = _bgp_join(triples, patterns,
-                                  num_partitions=num_partitions,
-                                  coalesce_blocks=coalesce_blocks)
+                                  num_partitions=num_partitions)
     for i, pat in enumerate(optional, start=1):
         rel, rel_vars = _pattern_relation(triples, pat)
         shared = [v for v in rel_vars if v in bound_vars]
@@ -189,7 +175,6 @@ def bgp_match_optional(
         bound = exchange_join(
             bound, rel, on=shared, how="left_outer",
             num_partitions=num_partitions,
-            coalesce_blocks=coalesce_blocks,
             left_schema=pa.schema([(v, pa.string())
                                    for v in bound_vars]),
             right_schema=pa.schema([(v, pa.string())
@@ -198,8 +183,7 @@ def bgp_match_optional(
                       + new)
     if distinct:
         bound = exchange_agg(bound, bound_vars,
-                             num_partitions=num_partitions,
-                             coalesce_blocks=coalesce_blocks)
+                             num_partitions=num_partitions)
     return bound
 
 
@@ -800,7 +784,6 @@ def bgp_construct(
     templates: list[tuple[str, str, str]],
     *,
     num_partitions: int = 32,
-    coalesce_blocks: int | None = None,
 ) -> rd.Dataset:
     """SPARQL CONSTRUCT: evaluate the WHERE basic graph pattern
     (:func:`bgp_match` semantics — '?'-prefixed terms are variables),
@@ -811,14 +794,13 @@ def bgp_construct(
 
     Template variables must be bound by the patterns (raises
     otherwise — an unbound CONSTRUCT variable is always a query bug).
-    Scale shape: the fused bgp join plan + one vectorized emit per
+    Scale shape: the bgp join chain + one vectorized emit per
     binding batch (len(templates) column-stacks, no per-row work) +
     the canonical (subj, pred, obj) distinct exchange.  Output is a
     plain triple table, composable with bgp_match / write_ntriples.
     """
     bound, bound_vars = _bgp_join(triples, patterns,
-                                  num_partitions=num_partitions,
-                                  coalesce_blocks=coalesce_blocks)
+                                  num_partitions=num_partitions)
     if not templates:
         raise ValueError("bgp_construct: empty template list")
     for t in templates:
@@ -842,8 +824,7 @@ def bgp_construct(
 
     return exchange_agg(
         bound.map_batches(emit, batch_format="pandas"),
-        ["subj", "pred", "obj"], num_partitions=num_partitions,
-        coalesce_blocks=coalesce_blocks)
+        ["subj", "pred", "obj"], num_partitions=num_partitions)
 
 
 def property_entailment(

@@ -1810,7 +1810,11 @@ def fsm_conformance(
             pd.Series([s for p_ in allowed_set for s in p_],
                       dtype="object")])
         codes, _uniq = pd.factorize(all_states, sort=False)
-        n_codes = np.int64(max(len(_uniq), 1))
+        # +1: factorize codes a null state -1, which would pack as
+        # prev*n - 1 == (prev-1)*n + (n-1), a real pair; shifted, null is
+        # code 0 and every pair packs uniquely
+        codes = codes + 1
+        n_codes = np.int64(len(_uniq) + 1)
         st_codes = codes[:len(g)]
         wl = codes[len(g):].reshape(-1, 2) if len(allowed_set) else \
             np.zeros((0, 2), np.int64)
