@@ -10,11 +10,14 @@ This module pins the edge set ONCE: a single raw-task exchange splits
 the (factor-attached) edges into ``num_parts`` hash partitions kept as
 object-store refs, then every iteration runs as plain Ray tasks over
 those stationary partitions — only the small per-node state (ranks /
-labels, O(nodes) rows) moves between iterations.  This is the one place
-the repo drops below the Dataset API: Ray Data cannot express "keep
-this partitioning resident across N dependent executions" (each
-Dataset execution re-plans its exchanges), which is exactly the BSP
-contract iterative graph algorithms need.
+labels, O(nodes) rows) moves between iterations.  This is where the
+repo drops below the Dataset API: Ray Data cannot express "keep this
+partitioning resident across N dependent executions" (each Dataset
+execution re-plans its exchanges), which is exactly the BSP contract
+iterative graph algorithms need.  The same split/route/reduce tasks
+also serve one-shot exchanges sized to their input: ``hash_exchange``
+(under ``exchange_join`` / ``exchange_agg``) and ``two_phase_reduce``
+(the salted dedup and LSH pair exchanges).
 
 Partitioning assumptions / scale shape:
 - edges are hash-partitioned on src; per-node state on the same hash,
@@ -319,7 +322,7 @@ def _partition(
     *,
     num_parts: int | None,
     max_parts: int,
-    tree_combine: bool | None,
+    tree_combine: bool | None = None,
     schema: pa.Schema | None = None,
 ) -> tuple[int, tuple[int, int] | None, list[list]]:
     """The shared first exchange phase: materialize ``ds``, size P, and
@@ -386,8 +389,7 @@ def hash_exchange(
     is materialized.
     """
     P, _, dest = _partition(ds, part_col, num_parts=None,
-                            max_parts=max_parts, tree_combine=None,
-                            schema=schema)
+                            max_parts=max_parts, schema=schema)
     return rd.from_arrow_refs(
         [_reduce_task.remote(reduce_fn, schema, *dest[q]) for q in range(P)])
 
