@@ -2352,17 +2352,22 @@ def _docs_heavy_hitters(sf_dir: str) -> pd.DataFrame:
 
 def _graph_pagerank(sf_dir: str) -> pd.DataFrame:
     """PageRank over the supplier->customer edge graph (distinct edges from
-    lineitem ⋈ orders; stages/graph.py::pagerank — per-iteration hash join
-    + arrow-reduce contribution sum, shuffle join for the edge build)."""
+    lineitem ⋈ orders; stages/graph.py::pagerank — stationary-partition
+    BSP power iteration, exchange join for the edge build)."""
+    from text_to_rdf_ray.stages.exchange import exchange_join
     from text_to_rdf_ray.stages.graph import _project, pagerank
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_suppkey"])
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
-    joined = _project(li, [("l_orderkey", "okey"), ("l_suppkey", "supp")]).join(
+    joined = exchange_join(
+        _project(li, [("l_orderkey", "okey"), ("l_suppkey", "supp")]),
         _project(orders, [("o_orderkey", "okey"), ("o_custkey", "cust")]),
-        join_type="inner", num_partitions=16, on=("okey",))
+        on="okey", num_partitions=16,
+        left_schema=pa.schema([("okey", pa.int64()), ("supp", pa.int64())]),
+        right_schema=pa.schema([("okey", pa.int64()),
+                                ("cust", pa.int64())]))
 
     def to_edges(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2380,7 +2385,7 @@ def _graph_pagerank(sf_dir: str) -> pd.DataFrame:
     # scale, like canonicalize_distributed) inside the correctness-gate
     # budget; the operator itself takes any iteration count.
     out = pagerank(edges, iterations=3, damping=0.85,
-                   num_partitions=8, sum_parts=16).to_pandas()
+                   num_partitions=8).to_pandas()
     out["rank"] = _r(out["rank"], 9)
     return out.sort_values("node").reset_index(drop=True)
 

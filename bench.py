@@ -198,9 +198,9 @@ def run_pagerank_bench(n_nodes: int = 50_000, n_edges: int = 500_000,
     })).repartition(64)
     t0 = time.time()
     # fan sized for the workload: wall time here is barrier-dominated (like
-    # canonicalize_distributed), so 16/32 partitions beats the 32/64 default
+    # canonicalize_distributed), so 16 partitions beats the 32 default
     out = pagerank(edges, iterations=iterations, driver_threshold=0,
-                   num_partitions=16, sum_parts=32).materialize()
+                   num_partitions=16).materialize()
     wall = time.time() - t0
     got = out.to_pandas()
     want = _pagerank_driver(pd.DataFrame({"src": sa, "dst": da}),

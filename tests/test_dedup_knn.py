@@ -580,9 +580,9 @@ def test_connected_components_pointer_jump_log_rounds(ray_session):
 
 
 def test_connected_components_engine_parity(ray_session):
-    """BSP and Dataset-exchange CC must produce identical component
-    labelings on a graph mixing chains, cliques, and singleton-free
-    star shapes."""
+    """Forced BSP (driver_threshold=0) and the driver union-find tier
+    must produce identical component labelings on a graph mixing
+    chains and singleton-free star shapes."""
     import ray.data as rd
 
     from text_to_rdf_ray.stages.canonicalize import connected_components
@@ -598,13 +598,13 @@ def test_connected_components_engine_parity(ray_session):
     rng.shuffle(edges)
     ds = rd.from_items(
         [{"src": a, "dst": b} for a, b in edges]).repartition(6)
-    by_engine = {}
-    for eng in ("bsp", "dataset"):
+    by_tier = {}
+    for tier, threshold in (("bsp", 0), ("driver", 10_000)):
         rows = connected_components(
-            ds, driver_threshold=0, engine=eng).take_all()
-        by_engine[eng] = {r["name_id"]: r["component"] for r in rows}
-    assert by_engine["bsp"] == by_engine["dataset"]
-    assert len({v for v in by_engine["bsp"].values()}) == 40
+            ds, driver_threshold=threshold).take_all()
+        by_tier[tier] = {r["name_id"]: r["component"] for r in rows}
+    assert by_tier["bsp"] == by_tier["driver"]
+    assert len({v for v in by_tier["bsp"].values()}) == 40
 
 
 def test_connected_components_bsp_single_partition(ray_session):

@@ -44,20 +44,35 @@ def test_pagerank_driver_path_matches_reference(ray_session):
 
 def test_pagerank_distributed_parity(ray_session):
     """Forced distributed path (driver_threshold=0) must match the driver
-    numpy path to float-sum noise."""
+    numpy path and an independent reference to float-sum noise, on
+    distinct edges and on a multigraph (parallel edges each contribute)
+    spread over 9 blocks."""
     rng = np.random.RandomState(11)
     edges = [("n%d" % rng.randint(0, 40), "n%d" % rng.randint(0, 40))
              for _ in range(300)]
     edges = sorted(set(edges))
     ds = rd.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(7)
     dist = pagerank(ds, iterations=4, driver_threshold=0,
-                    num_partitions=4, sum_parts=8).to_pandas()
+                    num_partitions=4).to_pandas()
     drv = pagerank(ds, iterations=4).to_pandas()
     m = dist.merge(drv, on="node", suffixes=("_d", "_l"))
     assert len(m) == len(drv) == len(dist)
     assert np.allclose(m["rank_d"], m["rank_l"], atol=1e-12)
     want = _numpy_pagerank(edges, 4)
     got = dict(zip(drv["node"], drv["rank"]))
+    for k in want:
+        assert abs(got[k] - want[k]) < 1e-12, k
+
+    rng = np.random.RandomState(23)
+    multi = [("n%d" % rng.randint(0, 60), "n%d" % rng.randint(0, 60))
+             for _ in range(400)]
+    assert len(set(multi)) < len(multi)  # parallel edges present
+    ds = rd.from_items([{"src": s, "dst": d} for s, d in multi]).repartition(9)
+    dist = pagerank(ds, iterations=4, driver_threshold=0,
+                    num_partitions=4).to_pandas()
+    want = _numpy_pagerank(multi, 4)
+    got = dict(zip(dist["node"], dist["rank"]))
+    assert set(got) == set(want)
     for k in want:
         assert abs(got[k] - want[k]) < 1e-12, k
 
@@ -100,27 +115,6 @@ def test_pagerank_empty_edges(ray_session):
     # forced distributed path must also degrade to empty, not crash
     out_d = pagerank(empty, iterations=2, driver_threshold=0)
     assert out_d.count() == 0
-
-
-def test_pagerank_engine_parity_bsp_vs_dataset(ray_session):
-    """The stationary-partition BSP engine and the Dataset-exchange
-    engine must agree to float-sum noise on the same forced-distributed
-    input (and both match the driver numpy path)."""
-    rng = np.random.RandomState(23)
-    edges = [("n%d" % rng.randint(0, 60), "n%d" % rng.randint(0, 60))
-             for _ in range(400)]
-    ds = rd.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(9)
-    bsp = pagerank(ds, iterations=4, driver_threshold=0,
-                   num_partitions=4, engine="bsp").to_pandas()
-    dset = pagerank(ds, iterations=4, driver_threshold=0,
-                    num_partitions=4, sum_parts=8,
-                    engine="dataset").to_pandas()
-    m = bsp.merge(dset, on="node", suffixes=("_b", "_d"))
-    assert len(m) == len(bsp) == len(dset)
-    assert np.allclose(m["rank_b"], m["rank_d"], atol=1e-12)
-    want = _numpy_pagerank(edges, 4)
-    got = dict(zip(bsp["node"], bsp["rank"]))
-    assert all(abs(got[k] - want[k]) < 1e-12 for k in want)
 
 
 def test_pagerank_bsp_single_partition(ray_session):
@@ -355,38 +349,42 @@ def test_hits_matches_numpy_reference(ray_session):
 
     from text_to_rdf_ray.stages.graph import hits
 
-    rng = np.random.RandomState(7)
-    src = rng.randint(0, 20, 200)
-    dst = rng.randint(100, 125, 200)
-    edges = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
+    # (seed, src range, dst range, edge draws, input blocks)
+    for seed, (s0, s1), (d0, d1), n_e, blocks in [
+            (7, (0, 20), (100, 125), 200, 4),
+            (13, (0, 40), (40, 110), 300, 1)]:
+        rng = np.random.RandomState(seed)
+        raw = pd.DataFrame({"src": rng.randint(s0, s1, n_e),
+                            "dst": rng.randint(d0, d1, n_e)})
+        edges = raw.drop_duplicates()  # hits counts each distinct edge once
 
-    # numpy reference: L1-normalized HITS, 3 iterations, hub0 = 1
-    nodes_s = np.unique(edges.src)
-    nodes_d = np.unique(edges.dst)
-    hub = {int(u): 1.0 for u in nodes_s}
-    auth = {}
-    for _ in range(3):
-        auth = {int(v): 0.0 for v in nodes_d}
-        for u, v in edges.itertuples(index=False):
-            auth[int(v)] += hub.get(int(u), 0.0)
-        t = sum(auth.values())
-        auth = {k: s / t for k, s in auth.items()}
-        hub = {int(u): 0.0 for u in nodes_s}
-        for u, v in edges.itertuples(index=False):
-            hub[int(u)] += auth.get(int(v), 0.0)
-        t = sum(hub.values())
-        hub = {k: s / t for k, s in hub.items()}
+        # numpy reference: L1-normalized HITS, 3 iterations, hub0 = 1
+        nodes_s = np.unique(edges.src)
+        nodes_d = np.unique(edges.dst)
+        hub = {int(u): 1.0 for u in nodes_s}
+        auth = {}
+        for _ in range(3):
+            auth = {int(v): 0.0 for v in nodes_d}
+            for u, v in edges.itertuples(index=False):
+                auth[int(v)] += hub.get(int(u), 0.0)
+            t = sum(auth.values())
+            auth = {k: s / t for k, s in auth.items()}
+            hub = {int(u): 0.0 for u in nodes_s}
+            for u, v in edges.itertuples(index=False):
+                hub[int(u)] += auth.get(int(v), 0.0)
+            t = sum(hub.values())
+            hub = {k: s / t for k, s in hub.items()}
 
-    out = (hits(rd.from_pandas(edges).repartition(4), iterations=3,
-                num_partitions=8).to_pandas()
-           .sort_values("node").reset_index(drop=True))
-    assert set(out.node) == set(hub) | set(auth)
-    for _, r in out.iterrows():
-        assert abs(r.hub - hub.get(int(r.node), 0.0)) < 1e-9
-        assert abs(r.auth - auth.get(int(r.node), 0.0)) < 1e-9
-    # both score vectors are L1-normalized
-    assert abs(out.hub.sum() - 1.0) < 1e-9
-    assert abs(out.auth.sum() - 1.0) < 1e-9
+        out = (hits(rd.from_pandas(raw).repartition(blocks),
+                    iterations=3, num_partitions=8).to_pandas()
+               .sort_values("node").reset_index(drop=True))
+        assert set(out.node) == set(hub) | set(auth)
+        for _, r in out.iterrows():
+            assert abs(r.hub - hub.get(int(r.node), 0.0)) < 1e-9
+            assert abs(r.auth - auth.get(int(r.node), 0.0)) < 1e-9
+        # both score vectors are L1-normalized
+        assert abs(out.hub.sum() - 1.0) < 1e-9
+        assert abs(out.auth.sum() - 1.0) < 1e-9
 
 
 def test_label_propagation_two_communities(ray_session):
@@ -534,43 +532,41 @@ def test_modularity_tier_parity(ray_session):
                    "intra_edges": "int64", "deg_sum": "int64"}))
 
 
-def test_lpa_engines_parity(ray_session):
+def _python_lpa(edges, iterations):
+    """Synchronous LPA reference: labels start as node ids, each node
+    takes its neighbors' majority label, ties to the smaller label;
+    edges undirected and distinct."""
+    nbrs = {}
+    for a, b in set(edges):
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    lbl = {v: v for v in nbrs}
+    for _ in range(iterations):
+        new = {}
+        for v, ns in nbrs.items():
+            cnt = {}
+            for u in ns:
+                cnt[lbl[u]] = cnt.get(lbl[u], 0) + 1
+            new[v] = min(cnt, key=lambda x: (-cnt[x], x))
+        lbl = new
+    return lbl
+
+
+def test_lpa_matches_python_reference(ray_session):
     import pandas as pd
     import ray.data as rd
 
     from text_to_rdf_ray.stages.graph import label_propagation
 
+    # bipartite random graph: many equal-count votes exercise the
+    # smaller-label tie-break
     rng = np.random.RandomState(9)
     e = pd.DataFrame({"src": rng.randint(0, 60, 400),
                       "dst": rng.randint(60, 120, 400)})
-    ds = rd.from_pandas(e)
-    a = label_propagation(ds, iterations=3, engine="dataset",
-                          num_partitions=8).to_pandas()
-    b = label_propagation(ds, iterations=3, engine="bsp",
-                          num_partitions=8).to_pandas()
-    assert dict(zip(a.node, a.lbl)) == dict(zip(b.node, b.lbl))
-
-
-def test_hits_engines_parity(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from text_to_rdf_ray.stages.graph import hits
-
-    rng = np.random.RandomState(13)
-    e = pd.DataFrame({"src": rng.randint(0, 40, 300),
-                      "dst": rng.randint(40, 110, 300)})
-    ds = rd.from_pandas(e)
-    a = hits(ds, iterations=3, engine="dataset",
-             num_partitions=8).to_pandas()
-    b = hits(ds, iterations=3, engine="bsp",
-             num_partitions=8).to_pandas()
-    da = {int(r.node): (r.hub, r.auth) for r in a.itertuples()}
-    db = {int(r.node): (r.hub, r.auth) for r in b.itertuples()}
-    assert set(da) == set(db)
-    for n in da:
-        assert abs(da[n][0] - db[n][0]) < 1e-12
-        assert abs(da[n][1] - db[n][1]) < 1e-12
+    got = label_propagation(rd.from_pandas(e), iterations=3,
+                            num_partitions=8).to_pandas()
+    want = _python_lpa(list(zip(e.src.tolist(), e.dst.tolist())), 3)
+    assert {int(n): int(v) for n, v in zip(got.node, got.lbl)} == want
 
 
 def test_pagerank_bsp_checkpoint_resume_exact(ray_session, tmp_path):
@@ -604,6 +600,57 @@ def test_pagerank_bsp_checkpoint_resume_exact(ray_session, tmp_path):
     da = dict(zip(full.node, full["rank"]))
     db = dict(zip(b.node, b["rank"]))
     assert da == db
+
+
+def test_bsp_checkpoint_meta_refuses_stale_resume(ray_session, tmp_path):
+    """A checkpoint's _META.json stamp (layout format, key-hash version,
+    partition count) must match the resuming run.  A missing stamp (a
+    checkpoint written before stamping) or any differing field may mean
+    state partitioned by another hash: resume raises, never returns
+    ranks."""
+    import json
+    import os
+
+    import pytest
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.bsp import pagerank_bsp
+
+    e = pd.DataFrame({"node": ["a", "b", "c", "c"],
+                      "dst": ["b", "c", "a", "b"],
+                      "factor": [1.0, 1.0, 0.5, 0.5]})
+    nodes = pd.DataFrame({"node": ["a", "b", "c"]})
+    ck = str(tmp_path / "ck")
+
+    def run():
+        return pagerank_bsp(rd.from_pandas(e), rd.from_pandas(nodes), 3,
+                            iterations=6, damping=0.85, num_parts=4,
+                            checkpoint_dir=ck,
+                            checkpoint_every=2).to_pandas()
+
+    full = run()  # leaves checkpoints at iterations 2 and 4
+    assert os.path.exists(os.path.join(ck, "iter_4", "_DONE"))
+    path = os.path.join(ck, "iter_4", "_META.json")
+    meta = None
+    if os.path.exists(path):
+        with open(path) as fh:
+            meta = json.load(fh)
+        os.remove(path)
+    with pytest.raises(ValueError, match="meta"):
+        run()
+    assert meta is not None and set(meta) == {
+        "format", "hash_version", "num_parts"}
+    assert meta["num_parts"] == 4
+    for field in meta:
+        with open(path, "w") as fh:
+            json.dump({**meta, field: meta[field] + 1}, fh)
+        with pytest.raises(ValueError, match="meta"):
+            run()
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    resumed = run()  # the intact stamp resumes, bit-equal
+    assert dict(zip(full.node, full["rank"])) == \
+        dict(zip(resumed.node, resumed["rank"]))
 
 
 def test_multi_source_bfs_levels_and_closeness(ray_session):
@@ -1108,7 +1155,7 @@ def test_graph_review_r5_regressions(ray_session):
     import ray.data as rd
 
     from text_to_rdf_ray.stages.graph import (degree_centralization,
-                                              hits, pagerank, scc)
+                                              hits, scc)
 
     # unsymmetrized path graph: node 4 is dst-only and must count
     e = pd.DataFrame({"src": [1, 2, 3], "dst": [2, 3, 4]})
@@ -1126,12 +1173,10 @@ def test_graph_review_r5_regressions(ray_session):
     # (Ray's to_pandas drops columns on zero-row datasets — the
     # dataset-level schema is the contract)
 
-    # degenerate iteration counts / engines raise
+    # degenerate iteration counts raise
     ds = rd.from_pandas(pd.DataFrame({"src": [1], "dst": [2]}))
     with pytest.raises(Exception, match="iterations"):
-        hits(ds, iterations=0, engine="dataset")
-    with pytest.raises(Exception, match="unknown engine"):
-        pagerank(ds, iterations=1, engine="bps", driver_threshold=0)
+        hits(ds, iterations=0)
 
     # scc distributed tier with hash-scale node ids survives exactly
     # (the float64 pcol round-trip rounded ids above 2^53)

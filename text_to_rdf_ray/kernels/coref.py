@@ -55,9 +55,6 @@ _PRONOUN_SCAN = re.compile(
     re.IGNORECASE,
 )
 
-_WORD = re.compile(r"\S+")
-
-
 _STRIP_EDGE = re.compile(r"^[^a-z]+|[^a-z]+$")
 
 

@@ -1,10 +1,11 @@
 """Stationary-partition BSP engine for iterative graph algorithms.
 
-The Dataset-exchange formulations of PageRank / connected components
-re-shuffle the FULL edge table through every iteration's join (the edge
-side re-rides the union -> groupby exchange each round) and pay one
-executor-plan spin-up per iteration (~1.5-2s fixed at bench scale).  At
-100 TB that is 10x the necessary shuffle volume for a 10-iteration run.
+This is the one distributed engine behind PageRank, connected
+components, label propagation and HITS.  A Dataset-exchange formulation
+would re-shuffle the FULL edge table through every iteration's join and
+pay one executor-plan spin-up per iteration (~1.5-2s fixed at bench
+scale); at 100 TB that is 10x the necessary shuffle volume for a
+10-iteration run.
 
 This module pins the edge set ONCE: a single raw-task exchange splits
 the (factor-attached) edges into ``num_parts`` hash partitions kept as
@@ -42,6 +43,7 @@ Partitioning assumptions / scale shape:
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -51,7 +53,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .exchange import _key_hash
+from .exchange import _KEY_HASH_VERSION, _key_hash
 
 
 #: above this partition count a phase exchange switches from the flat
@@ -452,6 +454,17 @@ def two_phase_reduce(
 
 # ------------------------------------------------- checkpoint helpers
 
+#: on-disk checkpoint layout version (``_ckpt_meta``)
+_CKPT_FORMAT = 1
+
+
+def _ckpt_meta(num_parts: int) -> dict:
+    """What a checkpoint must match to be resumed: its layout, the key
+    hash that placed each state row in its partition, and the
+    partition count."""
+    return {"format": _CKPT_FORMAT, "hash_version": _KEY_HASH_VERSION,
+            "num_parts": num_parts}
+
 
 @ray.remote
 def _ckpt_write_task(tbl: pa.Table, d: str, p: int) -> int:
@@ -475,13 +488,16 @@ def _ckpt_complete_iters(checkpoint_dir: str | None) -> list[int]:
 
 def _ckpt_write(parts: list, checkpoint_dir: str, t: int,
                 num_parts: int) -> None:
-    """Persist one iteration's state partitions as Parquet + an
-    atomically-renamed ``_DONE`` marker (the resume contract: a dir
-    without the marker is an aborted write and is ignored)."""
+    """Persist one iteration's state partitions as Parquet, a
+    ``_META.json`` stamp (``_ckpt_meta``) and an atomically-renamed
+    ``_DONE`` marker (the resume contract: a dir without the marker is
+    an aborted write and is ignored)."""
     d = os.path.join(checkpoint_dir, f"iter_{t}")
     os.makedirs(d, exist_ok=True)
     ray.get([_ckpt_write_task.remote(parts[p], d, p)
              for p in range(num_parts)])
+    with open(os.path.join(d, "_META.json"), "w") as fh:
+        json.dump(_ckpt_meta(num_parts), fh)
     marker = os.path.join(d, "_DONE")
     tmp = marker + ".tmp"
     open(tmp, "w").close()
@@ -501,9 +517,11 @@ def _ckpt_load(checkpoint_dir: str, t: int, num_parts: int) -> list:
     the state is O(nodes) x num_parts and the driver only holds refs).
 
     Raises if the checkpoint's partition count differs from
-    ``num_parts``: state partitions are hash-co-partitioned with the
-    edge partitions, so resuming at a different P would silently load
-    a subset AND break every co-partitioned join."""
+    ``num_parts``, or if its ``_META.json`` is missing or differs from
+    this run's ``_ckpt_meta``: state partitions are hash-co-partitioned
+    with the edge partitions, so resuming at a different P or under a
+    different key hash would silently break every co-partitioned
+    join."""
     d = os.path.join(checkpoint_dir, f"iter_{t}")
     n_files = len([f for f in os.listdir(d)
                    if f.startswith("part_") and f.endswith(".parquet")])
@@ -512,6 +530,17 @@ def _ckpt_load(checkpoint_dir: str, t: int, num_parts: int) -> list:
             f"checkpoint {d} has {n_files} partitions but the run uses "
             f"num_parts={num_parts}; resume with the original partition "
             "count (state is hash-co-partitioned with the edges)")
+    want = _ckpt_meta(num_parts)
+    try:
+        with open(os.path.join(d, "_META.json")) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError):
+        meta = None
+    if meta != want:
+        raise ValueError(
+            f"checkpoint {d} meta {meta} does not match this run's "
+            f"{want}; it was written by another checkpoint format or key "
+            "hash — delete it and rerun from iteration 0")
     return [_ckpt_load_task.remote(d, p) for p in range(num_parts)]
 
 
@@ -765,8 +794,7 @@ def connected_components_bsp(
     Per round: one propagation phase over stationary edge partitions,
     one pointer-jump request/serve exchange over the label partitions
     (O(nodes) rows), one reduce — labels only ever decrease, so a
-    stable global label sum is the exact fixed-point test (same
-    convergence contract as the Dataset-exchange formulation).
+    stable global label sum is the exact fixed-point test.
 
     ``checkpoint_dir`` + ``checkpoint_every``: same per-partition
     Parquet + ``_DONE`` resume contract as :func:`pagerank_bsp`; a
@@ -929,9 +957,9 @@ def label_propagation_bsp(
     """BSP synchronous label propagation.  ``und``: (node, nbr) rows,
     BOTH orientations already present.  Edges exchange ONCE into
     stationary hash(nbr) partitions; per round only the O(nodes) label
-    table moves (vote partials pre-counted inside each task).  Same
-    semantics as the Dataset form: labels start as node ids, majority
-    vote, ties to the smaller label, all nodes update synchronously.
+    table moves (vote partials pre-counted inside each task).  Labels
+    start as node ids, majority vote, ties to the smaller label, all
+    nodes update synchronously.
     Every und node appears as a voter (both orientations present), so
     the winner table covers every node each round.  ``checkpoint_dir``
     + ``checkpoint_every``: pagerank_bsp's per-partition Parquet +
@@ -1032,7 +1060,7 @@ def _part_sum(tbl: pa.Table) -> float:
 @ray.remote
 def _scale_scores(tbl: pa.Table, tot: float) -> pa.Table:
     # DIVIDE by the total (not multiply by its inverse) — the same
-    # float expression shape the Dataset engine and the SQL oracle use
+    # float expression shape the SQL oracle uses
     return pa.table({
         "node": tbl.column("node"),
         "s": pa.array(tbl.column("s").to_numpy(zero_copy_only=False)

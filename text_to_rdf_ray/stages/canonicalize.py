@@ -15,9 +15,10 @@ canonicalization at 10^12-doc scale —
       still unified because identical norms share ALL bands and one
       unskewed band key, and identical strings canonicalize identically)
   -> iterative min-label propagation over the edge set     [shuffles 2..k]
-     (union-find connected components as groupby-aggregate rounds with
-      early convergence detection; only nodes that appear in edges join
-      the iteration — singletons shortcut to themselves)
+     (connected components as BSP rounds over edges pinned once in
+      stationary partitions, with early convergence detection; only
+      nodes that appear in edges join the iteration — singletons
+      shortcut to themselves)
   -> canonical name per component = lexicographically smallest surface
   -> surface -> canonical map joined back onto the triples.
 
@@ -107,21 +108,24 @@ def connected_components(
     edges: rd.Dataset,
     max_rounds: int = 64,
     driver_threshold: int = DRIVER_UNION_FIND_THRESHOLD,
-    engine: str = "bsp",
 ) -> rd.Dataset:
     """Min-label propagation + pointer jumping over undirected edges ->
     (name_id, component).
 
-    Each round combines TWO shrink moves before one groupby-min:
+    The symmetric edge set is pinned ONCE as stationary hash partitions
+    (stages/bsp.py::connected_components_bsp); each round moves only
+    the O(nodes) label table and combines TWO shrink moves before one
+    per-partition min:
 
     - neighbor propagation: component(x) <= min over neighbors'
-      components (a hash join edges x labels) — the classic min-label
-      step, O(diameter) rounds alone;
-    - pointer jump: component(x) <= component(component(x)) (labels
-      self-join on the label value) — the path-halving move of
-      pointer-doubling / Hash-to-Min (Rastogi et al. 2013), which cuts
-      the round count to O(log diameter): a 10^9-edge graph with a
-      1000-hop chain converges in ~10 rounds instead of ~1000.
+      components (edges joined with the co-partitioned labels) — the
+      classic min-label step, O(diameter) rounds alone;
+    - pointer jump: component(x) <= component(component(x)) (a
+      request/serve exchange keyed on the label value) — the path-
+      halving move of pointer-doubling / Hash-to-Min (Rastogi et al.
+      2013), which cuts the round count to O(log diameter): a
+      10^9-edge graph with a 1000-hop chain converges in ~10 rounds
+      instead of ~1000.
 
     Labels only decrease, so a stable global label sum IS convergence
     (the stop test).  The observed round count is exported via the
@@ -155,132 +159,23 @@ def connected_components(
             )
         )
 
+    from .bsp import connected_components_bsp
+
     fwd = edges.select_columns(["src", "dst"])
     # swap via explicit arrow rebuild (a rename_columns swap-dict collides)
     rev = edges.map_batches(
         lambda t: pa.table({"src": t.column("dst"), "dst": t.column("src")}),
         batch_format="pyarrow",
     )
-    if engine == "bsp":
-        # stationary-partition BSP (stages/bsp.py): edges exchanged ONCE
-        # into pinned hash partitions; per round only the O(nodes) label
-        # table moves.  Same semantics (min-label + pointer jump, exact
-        # label-sum convergence test) as the Dataset path below.
-        from .bsp import connected_components_bsp
-
-        und_lazy = fwd.union(rev)
-        labels_ds, rounds = connected_components_bsp(
-            und_lazy, num_parts=16, max_rounds=max_rounds)
-        try:
-            from ..state.counters import incr
-
-            incr({"cc_rounds": rounds})
-        except Exception:
-            pass
-        return labels_ds
-
-    # coalesced once: und feeds every round's exchange, and each
-    # exchange splits every input block
-    und = _solid(fwd.union(rev).map_batches(
-        lambda t: t, batch_format="pyarrow", batch_size=16384))
-
-    from .exchange import exchange_agg, exchange_join
-
-    # initial labels: distinct node ids, self-labeled.  exchange_agg
-    # distinct (arrow group_by per partition) — Ray's groupby().count()
-    # reduces per key in Python (3.3s vs 0.5s at 120k nodes)
-    labels = (
-        exchange_agg(und.select_columns(["src"]), "src", num_partitions=16)
-        .map_batches(
-            lambda t: pa.table(
-                {"name_id": t.column("src"), "component": t.column("src")}
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    def _as(ds, mapping):
-        """Column projection/rename via arrow rebuild — rename_columns
-        interacts badly with the 2.49 join planner on some plans."""
-        return ds.map_batches(
-            lambda t, m=mapping: pa.table({new: t.column(old) for old, new in m}),
-            batch_format="pyarrow",
-        )
-
-    def _label_sum(lbl: rd.Dataset) -> int:
-        """Exact arbitrary-precision sum of labels (one tiny partial row per
-        batch; Dataset.sum overflows int64 — 63-bit ids x 10^5 rows)."""
-
-        def part(t: pa.Table) -> pa.Table:
-            s = sum(t.column("component").to_pylist())
-            return pa.table({"s": pa.array([str(s)], pa.string())})
-
-        rows = lbl.map_batches(part, batch_format="pyarrow").take_all()
-        return sum(int(r["s"]) for r in rows)
-
-    _S_EDGE = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    _S_LBL_SRC = pa.schema([("src", pa.int64()), ("component", pa.int64())])
-    _S_C1 = pa.schema([("name_id", pa.int64()), ("c1", pa.int64())])
-    _S_C1C2 = pa.schema([("c1", pa.int64()), ("c2", pa.int64())])
-
-    prev_sum = None
-    converged = False
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        # exchange joins are plain tasks (no JoinOperator actor pool), so
-        # both shrink moves plus the min run safely at any CPU budget.
-        # Neighbor propagation: component(x) <= min over neighbors.
-        msgs = _as(
-            exchange_join(
-                und,
-                _as(labels, [("name_id", "src"), ("component", "component")]),
-                on="src", num_partitions=16,
-                left_schema=_S_EDGE, right_schema=_S_LBL_SRC,
-            ),
-            [("dst", "name_id"), ("component", "component")],
-        )
-        # Pointer jump: (x, c) joined to (c, c') -> (x, c').  Every label
-        # value is a node id, so the inner self-join is total; c' <= c by
-        # the min invariant, so this only shrinks labels.
-        ptr = _as(
-            exchange_join(
-                _as(labels, [("name_id", "name_id"), ("component", "c1")]),
-                _as(labels, [("name_id", "c1"), ("component", "c2")]),
-                on="c1", num_partitions=16,
-                left_schema=_S_C1, right_schema=_S_C1C2,
-            ),
-            [("name_id", "name_id"), ("c2", "component")],
-        )
-        # one hash exchange + per-partition arrow group_by min — NOT
-        # Ray's Aggregate (per-key Python: 5.0s vs 0.85s per round at
-        # 120k keys, measured)
-        labels = exchange_agg(
-            labels.union(msgs).union(ptr),
-            "name_id", [("component", "min")], num_partitions=16,
-        )
-        # stop test: a stable sum under the COMBINED update means the
-        # propagation alone changed nothing, which (und is symmetric)
-        # forces labels equal across every edge — uniform per component,
-        # the global fixed point.
-        cur = _label_sum(labels)
-        if prev_sum is not None and cur == prev_sum:
-            converged = True
-            break
-        prev_sum = cur
+    labels, rounds = connected_components_bsp(
+        fwd.union(rev), num_parts=16, max_rounds=max_rounds)
     try:
         from ..state.counters import incr
 
         incr({"cc_rounds": rounds})
     except Exception:
         pass
-    if not converged:
-        raise RuntimeError(
-            f"connected_components did not converge within {max_rounds} rounds "
-            "(a component's diameter exceeds the round budget); raise max_rounds"
-        )
     return labels
-
 
 
 def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_PERM,

@@ -145,14 +145,6 @@ def _minhash_bands_feat_batch(shingle_fn, num_perm: int, bands: int,
     return batch_fn
 
 
-def _bbit_sketch(sig: np.ndarray) -> bytes:
-    """b-bit minwise sketch (b=8): low byte of each minhash value.
-    ``mean(byte agreement)`` estimates Jaccard with +1/256 collision bias —
-    64 bytes per doc regardless of document size (Li & König, b-bit
-    minwise hashing)."""
-    return (sig & np.uint64(0xFF)).astype(np.uint8).tobytes()
-
-
 def _explode_bands(ds: rd.Dataset, bands_feat_fn, id_col: str, payload_col: str,
                    bands_feat_batch_fn=None) -> rd.Dataset:
     """(shard, band_id, band_hash, id[, feat]) rows — the ONLY columns the
@@ -653,8 +645,6 @@ def _pairs_inband(
     scalar fallback; WITHOUT a vectorized form, buckets over ``max_bucket``
     are still skipped — but now counted (``_skipped_buckets`` /
     ``_skipped_pairs``), never silent."""
-    from ray.data.aggregate import Min
-
     from ..state.counters import incr
 
     def shard_pairs(group: pd.DataFrame) -> pd.DataFrame:
@@ -1652,7 +1642,6 @@ def cdc_chunks(
     import hashlib as _hl
 
     from ..kernels.minhash import window_hashes
-    from .exchange import exchange_agg  # noqa: F401  (pattern parity)
 
     mask = np.uint64((1 << mod_bits) - 1)
 

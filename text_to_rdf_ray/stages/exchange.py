@@ -64,6 +64,12 @@ def _hash_strings(vals: list) -> np.ndarray:
     return h
 
 
+#: version of ``_key_hash``'s output.  State persisted in its partition
+#: layout (BSP checkpoints) records it and refuses to resume on a
+#: mismatch.  2 = full-length string FNV (1 hashed the first 40 bytes).
+_KEY_HASH_VERSION = 2
+
+
 def _key_hash(tbl: pa.Table, on: list[str]) -> np.ndarray:
     """Vectorized uint64 hash of the key tuple (splitmix64 for integer
     columns, full-length FNV for strings; columns combined with a

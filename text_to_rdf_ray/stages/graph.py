@@ -4,18 +4,16 @@ An iterative-join workload the KG engine needs once triples form a graph
 (entity importance ranking over the extracted entity graph, or
 supplier/customer influence over relational edges).
 
-``pagerank`` is Ray-Data-first: each power-iteration step is one hash
-join (ranks onto the static edge/outdeg table) + one hash-partitioned
-arrow-reduce sum of contributions per destination — the standard
-distributed PageRank shape, so a 100 TB edge table shuffles
-candidate-proportionally per step and never materializes on one node.
-The per-dst sum uses the repo's combiner + group_by("part").map_groups
-arrow-reduce exchange (Ray's built-in ``Sum`` aggregate reduces per key
-in Python — see stages/canonicalize.py's (s,p,o) dedup note).
-Zero-in-degree nodes are handled by unioning a zero-contribution row per
-node before the sum (no outer join needed).  Ranks are materialized per
-iteration: a lazy k-iteration lineage would recompute iteration k-1 for
-every consumer of iteration k.
+``pagerank`` is Ray-Data-first: the static 1/outdeg factor attaches to
+every edge in one hash join, then the factor-attached edges are pinned
+ONCE as stationary hash partitions (stages/bsp.py::pagerank_bsp) and
+each power-iteration step moves only the O(nodes) rank table — per-
+partition contribution sums, one exchange by destination, one damping
+update per partition — so a 100 TB edge table shuffles once, not once
+per step, and never materializes on one node.  Zero-in-degree nodes get
+the base rank from their partition's node list (no outer join needed).
+Below ``DRIVER_PAGERANK_THRESHOLD`` edges a driver numpy tier runs the
+same iteration.
 
 Semantics (simplified dangling-mass variant, exactly replayable in SQL):
 
@@ -37,7 +35,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..kernels.minhash import _hash_shingles
 from .canonicalize import _solid
 
 
@@ -96,9 +93,7 @@ def pagerank(
     iterations: int = 5,
     damping: float = 0.85,
     num_partitions: int = 32,
-    sum_parts: int = 64,
     driver_threshold: int = DRIVER_PAGERANK_THRESHOLD,
-    engine: str = "bsp",
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
 ) -> rd.Dataset:
@@ -112,13 +107,8 @@ def pagerank(
     scale); above it, the distributed path runs.  Pass
     ``driver_threshold=0`` to force the distributed path (tests/bench).
 
-    ``engine``: "bsp" (default) pins the factor-attached edge set once
-    as stationary hash partitions and iterates with raw Ray tasks —
-    only the O(nodes) rank table moves per iteration (stages/bsp.py);
-    "dataset" keeps the Dataset-exchange formulation (one exchange_join
-    + arrow-reduce per iteration), which re-shuffles the edge table
-    every iteration — retained for parity testing and as the reference
-    semantics.
+    The distributed path is stages/bsp.py::pagerank_bsp (see the module
+    docstring), which also owns ``checkpoint_dir`` / ``checkpoint_every``.
     """
     # one materialization of the projected edges — three consumers below
     # (node distinct, outdeg, factor attach) would each re-run a lazy
@@ -159,9 +149,6 @@ def pagerank(
 
     _S_EDGE = pa.schema([("node", pa.string()), ("dst", pa.string())])
     _S_OUTDEG = pa.schema([("node", pa.string()), ("outdeg", pa.float64())])
-    _S_EFACT = pa.schema([("node", pa.string()), ("dst", pa.string()),
-                          ("factor", pa.float64())])
-    _S_RANKS = pa.schema([("node", pa.string()), ("rank", pa.float64())])
 
     e = exchange_join(
         _project(edges, [(src_col, "node"), (dst_col, "dst")]),
@@ -179,83 +166,12 @@ def pagerank(
 
     efact = e.map_batches(edge_factor, batch_format="pyarrow")
 
-    if engine not in ("bsp", "dataset"):
-        raise ValueError(f"pagerank: unknown engine {engine!r}")
-    if engine == "bsp":
-        from .bsp import pagerank_bsp
+    from .bsp import pagerank_bsp
 
-        return pagerank_bsp(efact, nodes, n, iterations=iterations,
-                            damping=damping, num_parts=num_partitions,
-                            checkpoint_dir=checkpoint_dir,
-                            checkpoint_every=checkpoint_every)
-
-    e = _solid(efact)
-
-    init = 1.0 / n
-    base = (1.0 - damping) / n
-
-    def const_rows(val: float, out_col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "dst" if out_col != "rank" else "node": batch.column("node"),
-                out_col: pa.array(np.full(batch.num_rows, val), pa.float64()),
-            })
-        return fn
-
-    # batch_size coalesces the node list (64 distinct_rows partitions)
-    # into few blocks: every per-iteration sort pays per-BLOCK overhead
-    ranks = _solid(nodes.map_batches(const_rows(init, "rank"),
-                                     batch_format="pyarrow",
-                                     batch_size=65536))
-    zeros = nodes.map_batches(const_rows(0.0, "contrib"),
-                              batch_format="pyarrow", batch_size=65536)
-
-    def contrib_combine(batch: pa.Table) -> pa.Table:
-        """Per-batch partial: contribution per dst, plus the hash part the
-        exchange keys on (vectorized FNV over the dst strings)."""
-        f = batch.column("factor").to_numpy(zero_copy_only=False)
-        r = batch.column("rank").to_numpy(zero_copy_only=False)
-        t = pa.table({"dst": batch.column("dst"),
-                      "contrib": pa.array(f * r, pa.float64())})
-        g = t.group_by("dst").aggregate([("contrib", "sum")])
-        part = (_hash_shingles(g.column("dst").to_pylist())
-                % np.uint64(sum_parts)).astype(np.int32)
-        return pa.table({
-            "dst": g.column("dst"),
-            "contrib": g.column("contrib_sum"),
-            "part": pa.array(part, pa.int32()),
-        })
-
-    def zero_part(batch: pa.Table) -> pa.Table:
-        part = (_hash_shingles(batch.column("dst").to_pylist())
-                % np.uint64(sum_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    zeros = _solid(zeros.map_batches(zero_part, batch_format="pyarrow"))
-
-    def reduce_rank(g: pa.Table) -> pa.Table:
-        r = g.group_by("dst").aggregate([("contrib", "sum")])
-        s = r.column("contrib_sum").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": r.column("dst"),
-            "rank": pa.array(base + damping * s, pa.float64()),
-        })
-
-    for _ in range(iterations):
-        # exchange_join (plain tasks, no JoinOperator actor-pool spin-up:
-        # ~1.5-1.9s fixed per iteration saved — stages/exchange.py)
-        joined = exchange_join(
-            e, ranks, on="node", num_partitions=num_partitions,
-            left_schema=_S_EFACT, right_schema=_S_RANKS)
-        ranks = _solid(
-            joined.map_batches(contrib_combine, batch_format="pyarrow",
-                               batch_size=65536)
-            .union(zeros)
-            .groupby("part")
-            .map_groups(reduce_rank, batch_format="pyarrow")
-        )
-
-    return ranks
+    return pagerank_bsp(efact, nodes, n, iterations=iterations,
+                        damping=damping, num_parts=num_partitions,
+                        checkpoint_dir=checkpoint_dir,
+                        checkpoint_every=checkpoint_every)
 
 
 def _pairs_within_groups(a: np.ndarray, b: np.ndarray,
@@ -601,8 +517,6 @@ def kcore(
     convergence are no-ops (peeling is monotone), which is what makes
     the unrolled-SQL oracle sound.
     """
-    import ray
-
     from ..state import counters
     from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join
@@ -1157,7 +1071,6 @@ def hits(
     dst_col: str = "dst",
     iterations: int = 3,
     num_partitions: int = 32,
-    engine: str = "bsp",
 ) -> rd.Dataset:
     """HITS hubs & authorities (Kleinberg 1999) over a directed graph,
     L1-normalized per half-step (sum-to-1 instead of the classical L2 —
@@ -1169,19 +1082,16 @@ def hits(
     every distinct source node.  Output: ``(node, hub, auth)`` full
     outer over the two score tables, absent side = 0.0.
 
-    ``engine="bsp"`` (default): both orientations exchange ONCE into
-    stationary hash partitions (stages/bsp.py::hits_bsp — the
-    pagerank/CC/LPA pattern); per half-step only O(nodes) score rows
-    move and the L1 normalizer is O(num_parts) driver scalars.
-    ``engine="dataset"`` keeps the exchange formulation (two
-    exchange_joins + two exchange_aggs per iteration) — parity-tested
-    against the BSP path.
+    Both orientations exchange ONCE into stationary hash partitions
+    (stages/bsp.py::hits_bsp — the pagerank/CC/LPA pattern); per
+    half-step only O(nodes) score rows move and the L1 normalizer is
+    O(num_parts) driver scalars.
     """
     if iterations < 1:
         raise ValueError("hits: iterations must be >= 1 (the auth pass "
                          "defines the output)")
     from .analytics import distinct_rows
-    from .exchange import exchange_agg, exchange_join
+    from .bsp import hits_bsp
 
     e = distinct_rows(edges, cols=[src_col, dst_col])
     eo = e.map_batches(
@@ -1192,63 +1102,9 @@ def hits(
         lambda t: pa.table({"node": t.column("_o"),
                             "_o": t.column("node")}),
         batch_format="pyarrow").materialize()
-    e_schema = pa.schema([("node", pa.int64()), ("_o", pa.int64())])
-
-    if engine == "bsp":
-        from .bsp import hits_bsp
-
-        hub_ds, auth_ds = hits_bsp(eo, ei, iterations=iterations,
-                                   num_parts=min(num_partitions, 16))
-        return _hits_merge(hub_ds, auth_ds, num_partitions)
-    if engine != "dataset":
-        raise ValueError(f"unknown engine {engine!r}")
-
-    hub = exchange_agg(eo.select_columns(["node"]), "node", [],
-                       num_partitions=num_partitions).map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "s": pa.array(
-                                np.ones(t.num_rows, np.float64))}),
-        batch_format="pyarrow").materialize()
-    s_schema = pa.schema([("node", pa.int64()), ("s", pa.float64())])
-
-    def _push(scores: rd.Dataset, edge_tbl: rd.Dataset) -> rd.Dataset:
-        """scores(node, s) ⋈ edges keyed on node -> sum s by the other
-        endpoint, L1-normalized."""
-        joined = exchange_join(scores, edge_tbl, on="node",
-                               num_partitions=num_partitions,
-                               left_schema=s_schema,
-                               right_schema=e_schema)
-        summed = exchange_agg(
-            joined.map_batches(
-                lambda t: pa.table({"node": t.column("_o"),
-                                    "s": t.column("s")}),
-                batch_format="pyarrow"),
-            "node", [("s", "sum", "s")],
-            num_partitions=num_partitions).materialize()
-        tot_rows = summed.map_batches(
-            lambda t: pa.table({"_t": pa.array(
-                [float(np.sum(t.column("s").to_numpy(
-                    zero_copy_only=False)))], pa.float64())}),
-            batch_format="pyarrow").to_pandas()
-        tot = np.float64(tot_rows["_t"].sum()) if len(tot_rows) else \
-            np.float64(1.0)
-        # materialized: each score table is consumed twice (the next
-        # half-step's join AND the final hub/auth merge) — lazy here
-        # re-executes a whole exchange per extra consumer (measured
-        # 10s -> 24s at sf0.1)
-        return summed.map_batches(
-            lambda t, tot=tot: pa.table({
-                "node": t.column("node"),
-                "s": pa.array(t.column("s").to_numpy(
-                    zero_copy_only=False) / tot, pa.float64())}),
-            batch_format="pyarrow").materialize()
-
-    auth = None
-    for _ in range(iterations):
-        auth = _push(hub, eo)
-        hub = _push(auth, ei)
-
-    return _hits_merge(hub, auth, num_partitions)
+    hub_ds, auth_ds = hits_bsp(eo, ei, iterations=iterations,
+                               num_parts=min(num_partitions, 16))
+    return _hits_merge(hub_ds, auth_ds, num_partitions)
 
 
 def _hits_merge(hub: rd.Dataset, auth: rd.Dataset,
@@ -1289,7 +1145,6 @@ def label_propagation(
     dst_col: str = "dst",
     iterations: int = 3,
     num_partitions: int = 32,
-    engine: str = "bsp",
 ) -> rd.Dataset:
     """Synchronous label propagation (Raghavan 2007, deterministic
     variant): community detection by iterated majority vote — each node
@@ -1301,16 +1156,13 @@ def label_propagation(
 
     Output after ``iterations`` rounds: ``(node, lbl)``.
 
-    ``engine="bsp"`` (default): the undirected edge set exchanges ONCE
-    into stationary hash(nbr) partitions (stages/bsp.py — the pagerank/
-    CC pattern); per round only O(nodes) label rows move, vote counts
-    pre-reduced inside each task.  ``engine="dataset"`` keeps the
-    exchange formulation (one edge⋈labels ``exchange_join`` + one
-    (node,label) ``exchange_agg`` + one ``topk_per_group`` winner per
-    round) — parity-tested against the BSP path.
+    The undirected edge set exchanges ONCE into stationary hash(nbr)
+    partitions (stages/bsp.py::label_propagation_bsp — the pagerank/CC
+    pattern); per round only O(nodes) label rows move, vote counts
+    pre-reduced inside each task.
     """
-    from .analytics import distinct_rows, topk_per_group
-    from .exchange import exchange_agg, exchange_join
+    from .analytics import distinct_rows
+    from .bsp import label_propagation_bsp
 
     e = distinct_rows(edges, cols=[src_col, dst_col])
     und = e.map_batches(
@@ -1323,52 +1175,8 @@ def label_propagation(
                 t.column(src_col).cast(pa.int64()).combine_chunks()])}),
         batch_format="pyarrow")
     und = distinct_rows(und, cols=["node", "nbr"]).materialize()
-    und_schema = pa.schema([("node", pa.int64()), ("nbr", pa.int64())])
-
-    if engine == "bsp":
-        from .bsp import label_propagation_bsp
-
-        return label_propagation_bsp(und, iterations=iterations,
-                                     num_parts=min(num_partitions, 16))
-    if engine != "dataset":
-        raise ValueError(f"unknown engine {engine!r}")
-
-    labels = distinct_rows(
-        und.select_columns(["node"]), cols=["node"]).map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "lbl": t.column("node")}),
-        batch_format="pyarrow").materialize()
-    l_schema = pa.schema([("node", pa.int64()), ("lbl", pa.int64())])
-
-    for _ in range(iterations):
-        # vote: node receives lbl(nbr) for every incident edge
-        votes = exchange_join(
-            und.map_batches(
-                lambda t: pa.table({"v_node": t.column("node"),
-                                    "node": t.column("nbr")}),
-                batch_format="pyarrow"),
-            labels, on="node", num_partitions=num_partitions,
-            left_schema=pa.schema([("v_node", pa.int64()),
-                                   ("node", pa.int64())]),
-            right_schema=l_schema)
-        cnt = exchange_agg(
-            votes.map_batches(
-                lambda t: pa.table({"node": t.column("v_node"),
-                                    "lbl": t.column("lbl"),
-                                    "c": pa.array(np.ones(
-                                        t.num_rows, np.int64))}),
-                batch_format="pyarrow"),
-            ["node", "lbl"], [("c", "sum", "c")],
-            num_partitions=num_partitions)
-        labels = topk_per_group(
-            cnt, key_col="node", sort_col="c", tiebreak_col="lbl",
-            k=1, descending=True).map_batches(
-            lambda t: pa.table({
-                "node": t.column("node").cast(pa.int64()),
-                "lbl": t.column("lbl").cast(pa.int64())}),
-            batch_format="pyarrow").materialize()
-
-    return labels
+    return label_propagation_bsp(und, iterations=iterations,
+                                 num_parts=min(num_partitions, 16))
 
 
 def _tarjan_scc(src: np.ndarray, dst: np.ndarray) -> dict:
