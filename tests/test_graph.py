@@ -44,9 +44,7 @@ def test_pagerank_driver_path_matches_reference(ray_session):
 
 def test_pagerank_distributed_parity(ray_session):
     """Forced distributed path (driver_threshold=0) must match the driver
-    numpy path and an independent reference to float-sum noise, on
-    distinct edges and on a multigraph (parallel edges each contribute)
-    spread over 9 blocks."""
+    numpy path to float-sum noise."""
     rng = np.random.RandomState(11)
     edges = [("n%d" % rng.randint(0, 40), "n%d" % rng.randint(0, 40))
              for _ in range(300)]
@@ -60,19 +58,6 @@ def test_pagerank_distributed_parity(ray_session):
     assert np.allclose(m["rank_d"], m["rank_l"], atol=1e-12)
     want = _numpy_pagerank(edges, 4)
     got = dict(zip(drv["node"], drv["rank"]))
-    for k in want:
-        assert abs(got[k] - want[k]) < 1e-12, k
-
-    rng = np.random.RandomState(23)
-    multi = [("n%d" % rng.randint(0, 60), "n%d" % rng.randint(0, 60))
-             for _ in range(400)]
-    assert len(set(multi)) < len(multi)  # parallel edges present
-    ds = rd.from_items([{"src": s, "dst": d} for s, d in multi]).repartition(9)
-    dist = pagerank(ds, iterations=4, driver_threshold=0,
-                    num_partitions=4).to_pandas()
-    want = _numpy_pagerank(multi, 4)
-    got = dict(zip(dist["node"], dist["rank"]))
-    assert set(got) == set(want)
     for k in want:
         assert abs(got[k] - want[k]) < 1e-12, k
 
@@ -115,6 +100,28 @@ def test_pagerank_empty_edges(ray_session):
     # forced distributed path must also degrade to empty, not crash
     out_d = pagerank(empty, iterations=2, driver_threshold=0)
     assert out_d.count() == 0
+
+
+def test_pagerank_engine_parity_bsp_vs_dataset(ray_session):
+    """The forced BSP engine and the driver numpy tier must agree to
+    float-sum noise on a multigraph (parallel edges each contribute)
+    spread over 9 blocks, and both must match _numpy_pagerank."""
+    rng = np.random.RandomState(23)
+    edges = [("n%d" % rng.randint(0, 60), "n%d" % rng.randint(0, 60))
+             for _ in range(400)]
+    assert len(set(edges)) < len(edges)  # parallel edges present
+    ds = rd.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(9)
+    bsp = pagerank(ds, iterations=4, driver_threshold=0,
+                   num_partitions=4).to_pandas()
+    drv = pagerank(ds, iterations=4).to_pandas()
+    m = bsp.merge(drv, on="node", suffixes=("_b", "_d"))
+    assert len(m) == len(bsp) == len(drv)
+    assert np.allclose(m["rank_b"], m["rank_d"], atol=1e-12)
+    want = _numpy_pagerank(edges, 4)
+    got = dict(zip(bsp["node"], bsp["rank"]))
+    assert set(got) == set(want)
+    for k in want:
+        assert abs(got[k] - want[k]) < 1e-12, k
 
 
 def test_pagerank_bsp_single_partition(ray_session):
@@ -343,48 +350,80 @@ def test_sssp_max_iters_truncates(ray_session):
     assert out["node"].tolist() == [0, 1, 2]
 
 
+def _numpy_hits(edges, iterations):
+    """L1-normalized HITS reference, hub0 = 1, over the distinct rows of
+    an int src/dst DataFrame; returns (hub, auth) dicts."""
+    edges = edges.drop_duplicates()  # hits counts each distinct edge once
+    nodes_s = np.unique(edges.src)
+    nodes_d = np.unique(edges.dst)
+    hub = {int(u): 1.0 for u in nodes_s}
+    auth = {}
+    for _ in range(iterations):
+        auth = {int(v): 0.0 for v in nodes_d}
+        for u, v in edges.itertuples(index=False):
+            auth[int(v)] += hub.get(int(u), 0.0)
+        t = sum(auth.values())
+        auth = {k: s / t for k, s in auth.items()}
+        hub = {int(u): 0.0 for u in nodes_s}
+        for u, v in edges.itertuples(index=False):
+            hub[int(u)] += auth.get(int(v), 0.0)
+        t = sum(hub.values())
+        hub = {k: s / t for k, s in hub.items()}
+    return hub, auth
+
+
+def _assert_hits_match(out, hub, auth):
+    assert set(out.node) == set(hub) | set(auth)
+    for _, r in out.iterrows():
+        assert abs(r.hub - hub.get(int(r.node), 0.0)) < 1e-9
+        assert abs(r.auth - auth.get(int(r.node), 0.0)) < 1e-9
+    # both score vectors are L1-normalized
+    assert abs(out.hub.sum() - 1.0) < 1e-9
+    assert abs(out.auth.sum() - 1.0) < 1e-9
+
+
 def test_hits_matches_numpy_reference(ray_session):
     import pandas as pd
     import ray.data as rd
 
     from text_to_rdf_ray.stages.graph import hits
 
-    # (seed, src range, dst range, edge draws, input blocks)
-    for seed, (s0, s1), (d0, d1), n_e, blocks in [
-            (7, (0, 20), (100, 125), 200, 4),
-            (13, (0, 40), (40, 110), 300, 1)]:
-        rng = np.random.RandomState(seed)
-        raw = pd.DataFrame({"src": rng.randint(s0, s1, n_e),
-                            "dst": rng.randint(d0, d1, n_e)})
-        edges = raw.drop_duplicates()  # hits counts each distinct edge once
+    rng = np.random.RandomState(7)
+    src = rng.randint(0, 20, 200)
+    dst = rng.randint(100, 125, 200)
+    edges = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
+    hub, auth = _numpy_hits(edges, 3)
 
-        # numpy reference: L1-normalized HITS, 3 iterations, hub0 = 1
-        nodes_s = np.unique(edges.src)
-        nodes_d = np.unique(edges.dst)
-        hub = {int(u): 1.0 for u in nodes_s}
-        auth = {}
-        for _ in range(3):
-            auth = {int(v): 0.0 for v in nodes_d}
-            for u, v in edges.itertuples(index=False):
-                auth[int(v)] += hub.get(int(u), 0.0)
-            t = sum(auth.values())
-            auth = {k: s / t for k, s in auth.items()}
-            hub = {int(u): 0.0 for u in nodes_s}
-            for u, v in edges.itertuples(index=False):
-                hub[int(u)] += auth.get(int(v), 0.0)
-            t = sum(hub.values())
-            hub = {k: s / t for k, s in hub.items()}
+    out = (hits(rd.from_pandas(edges).repartition(4), iterations=3,
+                num_partitions=8).to_pandas()
+           .sort_values("node").reset_index(drop=True))
+    _assert_hits_match(out, hub, auth)
 
-        out = (hits(rd.from_pandas(raw).repartition(blocks),
-                    iterations=3, num_partitions=8).to_pandas()
-               .sort_values("node").reset_index(drop=True))
-        assert set(out.node) == set(hub) | set(auth)
-        for _, r in out.iterrows():
-            assert abs(r.hub - hub.get(int(r.node), 0.0)) < 1e-9
-            assert abs(r.auth - auth.get(int(r.node), 0.0)) < 1e-9
-        # both score vectors are L1-normalized
-        assert abs(out.hub.sum() - 1.0) < 1e-9
-        assert abs(out.auth.sum() - 1.0) < 1e-9
+
+def test_hits_engines_parity(ray_session):
+    """HITS on a random graph with duplicate edges, in one input block:
+    the BSP engine at 8 partitions and at 1 partition must agree to
+    float-sum noise, and both must match the numpy reference."""
+    import pandas as pd
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.graph import hits
+
+    rng = np.random.RandomState(13)
+    e = pd.DataFrame({"src": rng.randint(0, 40, 300),
+                      "dst": rng.randint(40, 110, 300)})
+    assert e.duplicated().any()
+    ds = rd.from_pandas(e)
+    a = hits(ds, iterations=3, num_partitions=8).to_pandas()
+    b = hits(ds, iterations=3, num_partitions=1).to_pandas()
+    da = {int(r.node): (r.hub, r.auth) for r in a.itertuples()}
+    db = {int(r.node): (r.hub, r.auth) for r in b.itertuples()}
+    assert set(da) == set(db)
+    for n in da:
+        assert abs(da[n][0] - db[n][0]) < 1e-12
+        assert abs(da[n][1] - db[n][1]) < 1e-12
+    hub, auth = _numpy_hits(e, 3)
+    _assert_hits_match(a, hub, auth)
 
 
 def test_label_propagation_two_communities(ray_session):
