@@ -23,6 +23,7 @@ Both are pure functions: deterministic under Ray task retries.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .entities import ORG_LIKE, PERSON, Mention, scan_mentions
@@ -47,9 +48,15 @@ _DEF_DESC = re.compile(
 
 #: one-pass pronoun token scan: a \S+ token whose non-alpha edges wrap a
 #: pronoun — exactly the tokens classify_pronoun accepts (tokens with any
-#: other interior alphabetic character fail the trailing anchor)
+#: other interior alphabetic character fail the trailing anchor).  The
+#: ``(?=[hsit])`` lookahead rejects a position whose next character cannot
+#: begin a pronoun before the 16-way IGNORECASE alternation is tried there.
+#: It changes no match: under IGNORECASE the class admits exactly the
+#: characters that can begin an alternation match (h, s, i, t in either
+#: case, and ſ, ı, İ, which fold to them; Kelvin K folds to k and begins
+#: neither), as a check over every code point shows
 _PRONOUN_SCAN = re.compile(
-    r"(?<!\S)[^a-zA-Z\s]*("
+    r"(?<!\S)[^a-zA-Z\s]*(?=[hsit])("
     + "|".join(sorted(_PRONOUNS, key=len, reverse=True))
     + r")[^a-zA-Z\s]*(?!\S)",
     re.IGNORECASE,
@@ -177,13 +184,23 @@ def resolve_typed(
     replacements: list[tuple[int, int, str]] = []
     mention_map: dict[str, str] = {}
     taken: set[tuple[int, int]] = set()
+    # list positions by mention end: a bisect finds the mentions ending in
+    # [pos - max_char_distance, pos], and only those are visited
+    by_end = sorted(range(len(mentions)), key=lambda k: mentions[k].end)
+    ends = [mentions[k].end for k in by_end]
 
     def last_before(pos: int, pred) -> Mention | None:
+        """The latest-starting mention that satisfies ``pred`` and ends in
+        the window; the first in list order among equal starts."""
         best = None
-        for m in mentions:
-            if m.end <= pos and pos - m.end <= max_char_distance and pred(m):
-                if best is None or m.start > best.start:
-                    best = m
+        best_k = -1
+        lo = bisect_left(ends, pos - max_char_distance)
+        for i in range(bisect_right(ends, pos) - 1, lo - 1, -1):
+            k = by_end[i]
+            m = mentions[k]
+            if pred(m) and (best is None or m.start > best.start
+                            or (m.start == best.start and k < best_k)):
+                best, best_k = m, k
         return best
 
     # definite descriptions first (their spans include "The")

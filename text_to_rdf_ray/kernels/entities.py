@@ -14,8 +14,7 @@ Entity kinds mirror the reference ``EntityType`` enum
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PERSON = "Person"
 ORG = "Organization"
@@ -70,8 +69,6 @@ _AWARD_KEYWORDS = frozenset(["prize", "prizes", "award", "awards", "medal", "med
 _ABBREV_TAILS = frozenset(["Inc", "Corp", "Ltd", "Co", "Jr", "Sr"])
 _CONNECTORS = frozenset(["of", "de", "del", "van", "der", "da", "di", "la", "le"])
 _PLACE_PREPS = frozenset(["in", "at", "near"])
-
-_TOKEN_RE = re.compile(r"\S+")
 
 
 def _clean(tok: str) -> str:
@@ -134,8 +131,21 @@ def scan_mentions(text: str) -> list[Mention]:
     ("University of Paris"), ALL-CAPS starts when followed by a capitalized
     token ("UT Austin"), and corporate-abbreviation repair ("Apple Inc ."
     -> "Apple Inc.").
+
+    Tokens are ``str.split()``'s words, located by a running
+    ``text.find(word, pos)`` from the end of the previous word: the
+    characters before a word's start are whitespace and its first is not,
+    so the first hit is the word itself.  ``str.split`` and ``re``'s ``\\s``
+    share one whitespace definition, so these are the ``\\S+`` tokens and
+    spans, without a match object per token.
     """
-    toks = [(m.group(), *m.span()) for m in _TOKEN_RE.finditer(text)]
+    toks = []
+    pos = 0
+    find = text.find
+    for word in text.split():
+        start = find(word, pos)
+        pos = start + len(word)
+        toks.append((word, start, pos))
     mentions: list[Mention] = []
     i = 0
     n = len(toks)

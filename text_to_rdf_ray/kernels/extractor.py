@@ -20,12 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coref import resolve_typed
-from .entities import ORG_LIKE, scan_mentions
+from .coref import CorefResult, resolve_reference_rule, resolve_typed
+from .entities import ORG_LIKE, PERSON, scan_mentions
 from .knowledge import KnowledgeBuffer
 from .normalize import normalize_docred_subject, normalize_entity_name, normalize_predicate
 from .patterns import RawTriple, extract_raw_triples, predicate_blacklisted
-from .text import chunk_text, needs_chunking, split_segments
+from .text import (
+    CHUNK_MAX_CHARS,
+    CHUNK_OVERLAP,
+    CHUNK_TOKEN_THRESHOLD,
+    chunk_text,
+    needs_chunking,
+    split_segments,
+)
 
 
 @dataclass
@@ -55,6 +62,15 @@ class DocExtraction:
     resolved_text: str
 
 
+def _resolve_slot(kb: KnowledgeBuffer, surface: str, expected_kind: str):
+    ent = kb.resolve(surface, expected_kind=expected_kind)
+    # pattern slots carry more signal than the scanner's Person
+    # default: upgrade ("UT Austin" -> EducationalOrganization)
+    if expected_kind and ent.kind == PERSON and expected_kind != PERSON:
+        ent.kind = expected_kind
+    return ent
+
+
 def extract_document(
     text: str,
     apply_blacklist: bool = True,
@@ -69,8 +85,6 @@ def extract_document(
     faithful coref.rs rule port), or "none" — the runtime face of
     COREF_STRATEGY; chunk_* override the reference sizing contract
     (KG_CHUNK_MAX_CHARS / KG_CHUNK_OVERLAP / RDF_CHUNK_THRESHOLD)."""
-    from .text import CHUNK_MAX_CHARS, CHUNK_OVERLAP, CHUNK_TOKEN_THRESHOLD
-
     max_chars = chunk_max_chars or CHUNK_MAX_CHARS
     overlap = CHUNK_OVERLAP if chunk_overlap is None else chunk_overlap
     threshold = chunk_token_threshold or CHUNK_TOKEN_THRESHOLD
@@ -90,13 +104,9 @@ def extract_document(
         for m in mentions:
             kb.register(m.name, m.kind, cstart + m.start, chunk_id=cid)
         if coref_strategy == "none":
-            from .coref import CorefResult
-
             coref = CorefResult(original_text=ctext, resolved_text=ctext,
                                 mention_map={}, replacements=[], n_resolved=0)
         elif coref_strategy == "reference":
-            from .coref import resolve_reference_rule
-
             coref = resolve_reference_rule(ctext, max_distance=coref_max_distance)
         else:
             coref = resolve_typed(ctext, mentions=mentions)
@@ -114,18 +124,8 @@ def extract_document(
         for seg, seg_off in split_segments(resolved):
             raw.extend(extract_raw_triples(seg, offset=cstart + seg_off))
 
-        from .entities import PERSON
-
-        def resolve_slot(surface: str, expected_kind: str):
-            ent = kb.resolve(surface, expected_kind=expected_kind)
-            # pattern slots carry more signal than the scanner's Person
-            # default: upgrade ("UT Austin" -> EducationalOrganization)
-            if expected_kind and ent.kind == PERSON and expected_kind != PERSON:
-                ent.kind = expected_kind
-            return ent
-
         for rt in raw:
-            subj_ent = resolve_slot(rt.subj, rt.subj_kind)
+            subj_ent = _resolve_slot(kb, rt.subj, rt.subj_kind)
             if rt.obj_kind is None:
                 obj_surface, obj_type = rt.obj, ""
             elif rt.obj == "__ROOT_ORG__":
@@ -138,7 +138,7 @@ def extract_document(
                     continue
                 obj_surface, obj_type = root_org.canonical_name, root_org.kind
             else:
-                obj_ent = resolve_slot(rt.obj, rt.obj_kind)
+                obj_ent = _resolve_slot(kb, rt.obj, rt.obj_kind)
                 obj_surface, obj_type = obj_ent.canonical_name, obj_ent.kind
             pred = normalize_predicate(rt.pred)
             if apply_blacklist and predicate_blacklisted(pred):

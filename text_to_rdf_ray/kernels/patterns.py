@@ -13,6 +13,13 @@ flattener (integration_tests.rs:70-110, root-level only) and the
 DocRED-flavor flattener (docred_evaluation.rs:251-327) both reproduce their
 expected sets.
 
+Gate rule: every pattern contains a case-sensitive literal (its trigger,
+listed next to the patterns in ``GATES``) that any match must contain
+verbatim, and no pattern uses ``IGNORECASE``.  ``extract_raw_triples``
+runs a pattern only on a segment that contains its trigger; a segment
+without it cannot match, so skipping it changes no output.  Most segments
+contain no trigger at all and are never scanned by a pattern.
+
 Deliberately NOT implemented (they would emit triples outside the reference
 corpus's gold set, hurting precision): generic "is located in",
 "founded by" / "founded in" (the reference blacklists founder-style
@@ -112,97 +119,124 @@ _P_UNIV_IN = re.compile(
 )
 _P_CEO = re.compile(rf"(?P<s>{_N})\s+(?:served\s+as|became)\s+(?:the\s+)?CEO")
 
+#: (pattern, trigger) in the order ``extract_raw_triples`` runs them: the
+#: trigger is a literal of the pattern's source that every match contains
+#: (``including`` is rarer than ``graduated`` in the alumni list pattern)
+GATES = (
+    (_P_BORN_ON, "born"),
+    (_P_BORN_IN, "born"),
+    (_P_ALUMNI_INCL, "including"),
+    (_P_GRADUATED, "graduated"),
+    (_P_STUDIED, "studied"),
+    (_P_SERVES, "serves"),
+    (_P_AIRPORT_OF, "airport"),
+    (_P_HQ, "headquartered"),
+    (_P_UNIV_IN, "university"),
+    (_P_CEO, "CEO"),
+)
+
+_ABBREV = ("inc.", "corp.", "ltd.", "co.", "jr.", "sr.")
+_WS = re.compile(r"\s+")
+
+
+def _clean(name: str) -> str:
+    """Trim a trailing sentence period unless it belongs to an
+    abbreviation ("Apple Inc." keeps its period; "Denmark." loses it);
+    strip a trailing possessive ("Warsaw's" -> "Warsaw")."""
+    name = name.strip()
+    if name.endswith(".") and not name.lower().endswith(_ABBREV):
+        name = name.rstrip(".")
+    if name.endswith("'s") or name.endswith("\u2019s"):
+        name = name[:-2]
+    return _WS.sub(" ", name)
+
+
+def _emit(out, offset, s, pred, o, skind, okind, nested, m, pattern):
+    out.append(
+        RawTriple(
+            subj=_clean(s), pred=pred,
+            obj=_clean(o) if okind is not None and o != "__ROOT_ORG__" else o,
+            subj_kind=skind, obj_kind=okind,
+            nested_in=nested, span_start=offset + m.start(),
+            span_end=offset + m.end(), pattern=pattern,
+        )
+    )
+
 
 def extract_raw_triples(text: str, offset: int = 0) -> list[RawTriple]:
-    """Run all patterns over ``text`` (a segment of the resolved document).
+    """Run the patterns whose trigger ``text`` contains over ``text`` (a
+    segment of the resolved document).
 
     ``offset`` shifts span provenance into document coordinates.  Subjects
     marked ``__ROOT_ORG__`` must be resolved by the caller to the document's
     first org-like entity (worksFor's implicit employer).
     """
     out: list[RawTriple] = []
+    (born_on, born_in, alumni_incl, graduated, studied, serves, airport_of, hq,
+     univ_in, ceo) = [pat.finditer(text) if trigger in text else ()
+                      for pat, trigger in GATES]
 
-    _ABBREV = ("inc.", "corp.", "ltd.", "co.", "jr.", "sr.")
-
-    def clean(name: str) -> str:
-        """Trim a trailing sentence period unless it belongs to an
-        abbreviation ("Apple Inc." keeps its period; "Denmark." loses it);
-        strip a trailing possessive ("Warsaw's" -> "Warsaw")."""
-        name = name.strip()
-        if name.endswith(".") and not name.lower().endswith(_ABBREV):
-            name = name.rstrip(".")
-        if name.endswith("'s") or name.endswith("\u2019s"):
-            name = name[:-2]
-        return re.sub(r"\s+", " ", name)
-
-    def emit(s, pred, o, skind, okind, nested, m, pattern):
-        out.append(
-            RawTriple(
-                subj=clean(s), pred=pred,
-                obj=clean(o) if okind is not None and o != "__ROOT_ORG__" else o,
-                subj_kind=skind, obj_kind=okind,
-                nested_in=nested, span_start=offset + m.start(),
-                span_end=offset + m.end(), pattern=pattern,
-            )
-        )
-
-    for m in _P_BORN_ON.finditer(text):
+    for m in born_on:
         iso = parse_date(m.group("d"))
         if iso:
-            emit(m.group("s"), "birthDate", iso, PERSON, None, None, m, "born_on")
+            _emit(out, offset, m.group("s"), "birthDate", iso, PERSON, None, None, m, "born_on")
 
-    for m in _P_BORN_IN.finditer(text):
+    for m in born_in:
         s, l1, l2 = m.group("s"), m.group("l1"), m.group("l2")
-        emit(s, "birthPlace", l1, PERSON, PLACE, None, m, "born_in")
+        _emit(out, offset, s, "birthPlace", l1, PERSON, PLACE, None, m, "born_in")
         if l2:
-            emit(s, "nationality", l2, PERSON, COUNTRY, None, m, "born_in")
-            emit(l1, "addressCountry", l2, PLACE, COUNTRY, None, m, "born_in")
+            _emit(out, offset, s, "nationality", l2, PERSON, COUNTRY, None, m, "born_in")
+            _emit(out, offset, l1, "addressCountry", l2, PLACE, COUNTRY, None, m, "born_in")
 
     incl_spans = []
-    for m in _P_ALUMNI_INCL.finditer(text):
+    for m in alumni_incl:
         o = m.group("o")
-        emit(m.group("p1"), "alumniOf", o, PERSON, EDU, None, m, "alumni_incl")
-        emit(m.group("p2"), "alumniOf", o, PERSON, EDU, None, m, "alumni_incl")
+        _emit(out, offset, m.group("p1"), "alumniOf", o, PERSON, EDU, None, m, "alumni_incl")
+        _emit(out, offset, m.group("p2"), "alumniOf", o, PERSON, EDU, None, m, "alumni_incl")
         incl_spans.append((m.start(), m.end()))
 
-    for m in _P_GRADUATED.finditer(text):
+    for m in graduated:
         if any(s <= m.start() < e for s, e in incl_spans):
             continue
-        emit(m.group("s"), "alumniOf", m.group("o"), PERSON, EDU, None, m, "graduated")
+        _emit(out, offset, m.group("s"), "alumniOf", m.group("o"), PERSON, EDU, None, m,
+              "graduated")
 
-    for m in _P_STUDIED.finditer(text):
-        emit(m.group("s"), "alumniOf", m.group("o"), PERSON, EDU, None, m, "studied_at")
+    for m in studied:
+        _emit(out, offset, m.group("s"), "alumniOf", m.group("o"), PERSON, EDU, None, m,
+              "studied_at")
 
-    for m in _P_SERVES.finditer(text):
+    for m in serves:
         s, l1, l2 = m.group("s"), m.group("l1"), m.group("l2")
-        emit(s, "location", l1, AIRPORT, PLACE, None, m, "serves_city")
+        _emit(out, offset, s, "location", l1, AIRPORT, PLACE, None, m, "serves_city")
         if l2:
-            emit(l1, "addressCountry", l2, PLACE, COUNTRY, "location", m, "serves_city")
+            _emit(out, offset, l1, "addressCountry", l2, PLACE, COUNTRY, "location", m,
+                  "serves_city")
 
-    for m in _P_AIRPORT_OF.finditer(text):
+    for m in airport_of:
         s, l1, l2 = m.group("s"), m.group("l1"), m.group("l2")
         if not s.lower().endswith("airport"):
             s = s + " Airport"
-        emit(s, "location", l1, AIRPORT, PLACE, None, m, "airport_of")
+        _emit(out, offset, s, "location", l1, AIRPORT, PLACE, None, m, "airport_of")
         if l2:
-            emit(l1, "addressCountry", l2, PLACE, COUNTRY, "location", m, "airport_of")
+            _emit(out, offset, l1, "addressCountry", l2, PLACE, COUNTRY, "location", m,
+                  "airport_of")
 
-    for m in _P_HQ.finditer(text):
+    for m in hq:
         s, l1, l2 = m.group("s"), m.group("l1"), m.group("l2")
-        emit(s, "location", l1, ORG, PLACE, None, m, "headquartered")
+        _emit(out, offset, s, "location", l1, ORG, PLACE, None, m, "headquartered")
         if l2:
-            emit(s, "containedInPlace", l2, ORG, PLACE, None, m, "headquartered")
-            emit(l1, "containedInPlace", l2, PLACE, PLACE, None, m, "headquartered")
+            _emit(out, offset, s, "containedInPlace", l2, ORG, PLACE, None, m, "headquartered")
+            _emit(out, offset, l1, "containedInPlace", l2, PLACE, PLACE, None, m, "headquartered")
 
-    for m in _P_UNIV_IN.finditer(text):
+    for m in univ_in:
         s, l1, l2 = m.group("s"), m.group("l1"), m.group("l2")
-        emit(s, "location", l1, EDU, PLACE, None, m, "univ_in")
+        _emit(out, offset, s, "location", l1, EDU, PLACE, None, m, "univ_in")
         if l2:
-            emit(s, "containedInPlace", l2, EDU, PLACE, None, m, "univ_in")
-            emit(l1, "containedInPlace", l2, PLACE, PLACE, None, m, "univ_in")
+            _emit(out, offset, s, "containedInPlace", l2, EDU, PLACE, None, m, "univ_in")
+            _emit(out, offset, l1, "containedInPlace", l2, PLACE, PLACE, None, m, "univ_in")
 
-    for m in _P_CEO.finditer(text):
-        emit(m.group("s"), "worksFor", "__ROOT_ORG__", PERSON, ORG, None, m, "ceo")
+    for m in ceo:
+        _emit(out, offset, m.group("s"), "worksFor", "__ROOT_ORG__", PERSON, ORG, None, m, "ceo")
 
     return out
 
