@@ -1459,12 +1459,13 @@ def _lineitem_distinct_orders_hll(sf_dir: str) -> pd.DataFrame:
     partials, elementwise-max merge, NO shuffle) alongside the exact
     count; the DuckDB oracle replays the sketch bit-for-bit (Knuth hash,
     integer rank cascade) so even the approximation is hash-verified."""
-    from text_to_rdf_ray.stages.analytics import approx_distinct, distinct_rows
+    from text_to_rdf_ray.stages.analytics import approx_distinct
+    from text_to_rdf_ray.stages.exchange import exchange_agg
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey"])
     est = approx_distinct(li, col="l_orderkey", p=12)
-    n_exact = distinct_rows(li, cols=["l_orderkey"]).count()
+    n_exact = exchange_agg(li, ["l_orderkey"]).count()
     return pd.DataFrame({"n_exact": pd.array([n_exact], dtype="int64"),
                          "hll_estimate": [round(est, 4)]})
 
@@ -1475,10 +1476,8 @@ def _events_hourly_unique_users(sf_dir: str) -> pd.DataFrame:
     — per-(window,bucket) max-rank exchange, <= 2^p rows of state per
     window) alongside the exact count; the oracle replays both, the
     sketch bit-for-bit in its grouped form."""
-    from text_to_rdf_ray.stages.analytics import (
-        distinct_rows,
-        windowed_approx_distinct,
-    )
+    from text_to_rdf_ray.stages.analytics import windowed_approx_distinct
+    from text_to_rdf_ray.stages.exchange import exchange_agg
 
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["ts", "user_id"])
@@ -1493,8 +1492,8 @@ def _events_hourly_unique_users(sf_dir: str) -> pd.DataFrame:
         return pa.table({"window_id": pa.array(wins, pa.int64()),
                          "user_id": batch.column("user_id")})
 
-    exact = (distinct_rows(ev.map_batches(win, batch_format="pyarrow"),
-                           cols=["window_id", "user_id"])
+    exact = (exchange_agg(ev.map_batches(win, batch_format="pyarrow"),
+                          ["window_id", "user_id"])
              .to_pandas().groupby("window_id").size()
              .rename("n_exact").reset_index())
     out = est.merge(exact, on="window_id", how="left")
@@ -2375,11 +2374,11 @@ def _graph_pagerank(sf_dir: str) -> pd.DataFrame:
             "dst": "C" + batch["cust"].astype(str),
         }).drop_duplicates()
 
-    from text_to_rdf_ray.stages.analytics import distinct_rows
+    from text_to_rdf_ray.stages.exchange import exchange_agg
 
-    edges = distinct_rows(
+    edges = exchange_agg(
         joined.map_batches(to_edges, batch_format="pandas", batch_size=65536),
-        cols=["src", "dst"])
+        ["src", "dst"])
     # 3 iterations: enough to differentiate hub ranks at bench scale while
     # keeping the per-iteration barrier cost (executor-run-dominated at toy
     # scale, like canonicalize_distributed) inside the correctness-gate
@@ -5045,7 +5044,7 @@ def _docs_quality_classifier(sf_dir: str) -> pd.DataFrame:
     bucketing, weight derivation, sums and sigmoid are all replayed in
     SQL."""
     from text_to_rdf_ray.kernels.minhash import _hash_shingles
-    from text_to_rdf_ray.stages.analytics import distinct_rows
+    from text_to_rdf_ray.stages.exchange import exchange_agg
     from text_to_rdf_ray.stages.curation import (_CLF_TOKEN_RE,
                                                  hashed_classifier_score)
 
@@ -5056,8 +5055,8 @@ def _docs_quality_classifier(sf_dir: str) -> pd.DataFrame:
             t for txt in b["text"]
             for t in _CLF_TOKEN_RE.findall((txt or "").lower())]})
 
-    vocab = (distinct_rows(docs.map_batches(tok, batch_format="pandas"),
-                           cols=["token"])
+    vocab = (exchange_agg(docs.map_batches(tok, batch_format="pandas"),
+                          ["token"])
              .to_pandas().sort_values("token").reset_index(drop=True))
     vocab["h_base"] = _hash_shingles(vocab["token"].tolist()).astype(np.uint64)
     _side_write("docs_quality_classifier", "vocab.parquet", vocab)
@@ -5162,10 +5161,9 @@ def _events_user_types(sf_dir: str) -> pd.DataFrame:
 
 def _graph_degree_hist(sf_dir: str) -> pd.DataFrame:
     """Out-degree distribution of the supplier→customer graph: distinct
-    edges via exchange_join + distinct_rows, per-src degree and the
+    edges via exchange_join + exchange_agg, per-src degree and the
     degree histogram via two chained exchange_aggs (no per-key Python
     anywhere; the histogram is |distinct degrees| rows)."""
-    from text_to_rdf_ray.stages.analytics import distinct_rows
     from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
@@ -5192,10 +5190,10 @@ def _graph_degree_hist(sf_dir: str) -> pd.DataFrame:
     def to_edges(batch: pd.DataFrame) -> pd.DataFrame:
         return batch[["supp", "cust"]].drop_duplicates()
 
-    edges = distinct_rows(
+    edges = exchange_agg(
         joined.map_batches(to_edges, batch_format="pandas",
                            batch_size=65536),
-        cols=["supp", "cust"])
+        ["supp", "cust"])
     deg = exchange_agg(edges, "supp", [("cust", "count", "degree")])
     hist = exchange_agg(deg, "degree", [("supp", "count", "n_nodes")])
     out = hist.to_pandas()
@@ -5266,12 +5264,11 @@ def _kg_cooccur_edges(sf_dir: str) -> pd.DataFrame:
     """KG graph materialization: entity co-occurrence edges — subjects
     sharing a page, weighted by distinct co-occurring pages (the edge
     table entity-embedding trainers consume).  Distinct (url, subj_slug)
-    via distinct_rows, one self exchange_join on url, pair filter a < b,
+    via exchange_agg, one self exchange_join on url, pair filter a < b,
     exchange_agg count.  The canonical per-page entity table is dumped
     as a side table; the SQL replays distinct → self-join → count."""
     from text_to_rdf_ray.pipelines.kg import build_triples, read_pages
     from text_to_rdf_ray.sources.fixtures import kb_records
-    from text_to_rdf_ray.stages.analytics import distinct_rows
     from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
 
     pages = read_pages(_fixture_pages_dir(1000))
@@ -5282,7 +5279,7 @@ def _kg_cooccur_edges(sf_dir: str) -> pd.DataFrame:
         batch_format="pyarrow")
     _side_write("kg_cooccur_edges", "page_entities.parquet",
                 ents.to_pandas().sort_values(["url", "subj_slug"]))
-    d = distinct_rows(ents, cols=["url", "subj_slug"]).materialize()
+    d = exchange_agg(ents, ["url", "subj_slug"]).materialize()
     s = pa.schema([("url", pa.string()), ("subj_slug", pa.string())])
     pairs = exchange_join(
         d, d.map_batches(
@@ -5796,7 +5793,7 @@ def _graph_assortativity(sf_dir: str) -> pd.DataFrame:
     the edge list, and the correlation is the one-pass moment fold of
     stages/analytics.py::corr_matrix.  Oracle replays the same moment
     algebra."""
-    from text_to_rdf_ray.stages.analytics import corr_matrix, distinct_rows
+    from text_to_rdf_ray.stages.analytics import corr_matrix
     from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
@@ -5815,11 +5812,11 @@ def _graph_assortativity(sf_dir: str) -> pd.DataFrame:
                                ("supp", pa.int64())]),
         right_schema=pa.schema([("okey", pa.int64()),
                                 ("cust", pa.int64())]))
-    e0 = distinct_rows(joined.map_batches(
+    e0 = exchange_agg(joined.map_batches(
         lambda b: pd.DataFrame({
             "src": b["supp"].astype("int64"),
             "dst": b["cust"].astype("int64") + 1_000_000}),
-        batch_format="pandas"), cols=["src", "dst"])
+        batch_format="pandas"), ["src", "dst"])
     und = e0.map_batches(
         lambda t: pa.table({
             "node": pa.concat_arrays([
@@ -6760,7 +6757,7 @@ def _docs_dsir_sample(sf_dir: str) -> pd.DataFrame:
     the golden side table (FNV, like the quality classifier); the
     models, scores, Gumbel draw and ranking all replay in SQL."""
     from text_to_rdf_ray.kernels.minhash import _hash_shingles
-    from text_to_rdf_ray.stages.analytics import distinct_rows
+    from text_to_rdf_ray.stages.exchange import exchange_agg
     from text_to_rdf_ray.stages.curation import _terms, dsir_sample
 
     docs = _documents(sf_dir).select_columns(["doc_id", "text", "lang"])
@@ -6769,8 +6766,8 @@ def _docs_dsir_sample(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"term": [
             t for txt in b["text"] for t in _terms(txt or "")]})
 
-    vocab = (distinct_rows(docs.map_batches(tok, batch_format="pandas"),
-                           cols=["term"])
+    vocab = (exchange_agg(docs.map_batches(tok, batch_format="pandas"),
+                          ["term"])
              .to_pandas().sort_values("term").reset_index(drop=True))
     vocab["bucket"] = (_hash_shingles(vocab["term"].tolist())
                        % np.uint64(256)).astype(np.int64)
@@ -7334,18 +7331,14 @@ def _kg_property_path(sf_dir: str) -> pd.DataFrame:
     triples that must be pruned by the predicate filter.  Output: all
     (src, dst, min hops ≤ 3) pairs.  Oracle: lead() edge derivation +
     bounded recursive CTE."""
+    from text_to_rdf_ray.stages.exchange import keyed_apply
     from text_to_rdf_ray.stages.kgops import property_path
-    from text_to_rdf_ray.stages.windows import _part_of
 
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(_part=_part_of(b["o_custkey"], 32))
-
     def next_edges(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values(["o_custkey", "o_orderkey"], kind="mergesort"))
+        g = g.sort_values(["o_custkey", "o_orderkey"], kind="mergesort")
         nxt = g.groupby("o_custkey", sort=False)["o_orderkey"].shift(-1)
         m = nxt.notna()
         return pd.DataFrame({
@@ -7353,9 +7346,7 @@ def _kg_property_path(sf_dir: str) -> pd.DataFrame:
             "pred": "next_order",
             "obj": "order_" + nxt[m].astype("int64").astype(str)})
 
-    edges = (orders.map_batches(add_part, batch_format="pandas")
-             .groupby("_part").map_groups(next_edges,
-                                          batch_format="pandas"))
+    edges = keyed_apply(orders, "o_custkey", next_edges, num_partitions=32)
     distract = orders.map_batches(
         lambda b: pd.DataFrame({
             "subj": "order_" + b["o_orderkey"].astype(str),
@@ -7952,8 +7943,7 @@ def _graph_betweenness_parts(sf_dir: str) -> pd.DataFrame:
     self exchange_join, symmetrized; per-level dependency quantized
     to int64 nano-units (integer-exact final sums — the engine
     contract replayed by the unrolled SQL)."""
-    from text_to_rdf_ray.stages.analytics import distinct_rows
-    from text_to_rdf_ray.stages.exchange import exchange_join
+    from text_to_rdf_ray.stages.exchange import exchange_agg, exchange_join
     from text_to_rdf_ray.stages.graph import betweenness_from_seeds
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
@@ -7979,10 +7969,10 @@ def _graph_betweenness_parts(sf_dir: str) -> pd.DataFrame:
     edges = pairs.map_batches(sym, batch_format="pyarrow")
     # seeds: 5 smallest nodes — the node set is bounded by the part
     # table (a dimension), so this distinct collect is bounded
-    nodes = distinct_rows(
+    nodes = exchange_agg(
         edges.map_batches(lambda t: t.select(["src"]),
                           batch_format="pyarrow"),
-        cols=["src"]).to_pandas()
+        ["src"]).to_pandas()
     seeds = sorted(int(n) for n in nodes["src"])[:5]
     # sf0.1's co-purchase graph is 2.39M distinct directed edges —
     # just over the default driver tier; the numpy BFS handles it in

@@ -1282,6 +1282,199 @@ def test_exchange_empty_input_keeps_declared_schema(ray_session):
     assert agg.schema().types == [pa.int64(), pa.string(), pa.int64()]
 
 
+def _keyed_frame(n=600, n_keys=40):
+    rng = np.random.default_rng(3)
+    return pd.DataFrame({
+        "k": rng.integers(0, n_keys, n).astype("int64"),
+        "s": [f"s{i % 7}" for i in range(n)],
+        "v": rng.random(n)})
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    return (df.sort_values(["k", "s"]).reset_index(drop=True)
+            .assign(t=lambda d: d["t"].round(9)))
+
+
+def test_keyed_apply_same_rows_at_every_partition_count(ray_session,
+                                                        monkeypatch,
+                                                        partition_counts,
+                                                        sized_and_capped):
+    """keyed_apply gives the same rows at the sized P, at the cap, and
+    with the tree combine forced at the cap."""
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.exchange import keyed_apply
+
+    def per_key_sums(g: pd.DataFrame) -> pd.DataFrame:
+        # nested: Ray workers cannot import this test module by name
+        out = g.groupby(["k", "s"], as_index=False).agg(n=("v", "size"),
+                                                        t=("v", "sum"))
+        out["n"] = out["n"].astype("int64")
+        return out
+
+    df = _keyed_frame()
+    ds = rd.from_pandas(df).repartition(6).materialize()
+    want = _canon(per_key_sums(df))
+
+    def run():
+        return _canon(keyed_apply(ds, ["k", "s"], per_key_sums,
+                                  num_partitions=8).to_pandas())
+
+    (sized, p_sized), (capped, p_capped) = sized_and_capped(run)
+    assert p_sized == [1] and p_capped == [8]
+    pd.testing.assert_frame_equal(sized, want)
+    pd.testing.assert_frame_equal(capped, want)
+    # still one partition per byte: the cap, now as a two-level tree
+    monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+    partition_counts.clear()
+    pd.testing.assert_frame_equal(run(), want)
+    assert sorted(set(partition_counts)) == [8]
+
+
+def test_keyed_apply_never_calls_per_part_on_an_empty_frame(ray_session,
+                                                            monkeypatch):
+    """At a cap far above the key count most partitions are empty:
+    per_part sees only the non-empty ones, every key exactly once, and
+    the result (no empty blocks) feeds to_pandas and exchange_agg."""
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages.exchange import exchange_agg, keyed_apply
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_min_block_size", 1)
+    df = pd.DataFrame({"k": np.arange(5, dtype="int64"),
+                       "v": np.arange(5, dtype="float64")})
+    # a pandas map_batches lineage as input (pandas blocks)
+    src = rd.from_pandas(df).map_batches(lambda b: b, batch_format="pandas")
+
+    def one_row_per_call(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [np.int64(len(g))]})
+
+    calls = keyed_apply(src, "k", one_row_per_call,
+                        num_partitions=64).to_pandas()["n"].tolist()
+    assert all(n > 0 for n in calls) and sum(calls) == 5, calls
+
+    out = keyed_apply(src, "k", lambda g: g, num_partitions=64)
+    assert sorted(out.to_pandas()["k"].tolist()) == list(range(5))
+    tot = exchange_agg(out, "k", [("v", "sum", "v")]).to_pandas()
+    assert sorted(tot["v"].tolist()) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_keyed_apply_empty_input_and_reserved_tag(ray_session):
+    """An empty input gives an empty result without calling per_part;
+    an input column named _part raises."""
+    from text_to_rdf_ray.stages.exchange import keyed_apply
+
+    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+        raise AssertionError("per_part called on an empty input")
+
+    empty = rd.from_pandas(pd.DataFrame({"k": pd.Series(dtype="int64")}))
+    out = keyed_apply(empty, "k", per_part)
+    assert out.count() == 0 and len(out.to_pandas()) == 0
+    bad = rd.from_pandas(pd.DataFrame({"k": [1], "_part": [2]}))
+    with pytest.raises(Exception, match="_part.*reserved"):
+        keyed_apply(bad, "k", lambda g: g).to_pandas()
+
+
+def _null_block_frames():
+    """Two pandas blocks whose ``note`` is all-None in the first."""
+    a = pd.DataFrame({"k": [1, 2], "note": [None, None]})
+    b = pd.DataFrame({"k": [2, 3], "note": ["x", "y"]})
+    want = [(1, None), (2, None), (2, "x"), (3, "y")]
+    return (a, b), want
+
+
+def _k_note_rows(df):
+    df = df.astype({"note": object}).where(df.notna(), None)
+    return sorted(zip(df["k"], df["note"]), key=lambda r: (r[0], r[1] or ""))
+
+
+def test_exchange_agg_promotes_a_column_null_in_one_block(ray_session):
+    """A column that is all-None in one pandas block is Arrow null there;
+    exchange_agg takes its type from the other blocks whichever block
+    comes first (the dataset schema Ray reports is the first block's)."""
+    from text_to_rdf_ray.stages.exchange import exchange_agg
+
+    (a, b), want = _null_block_frames()
+    for frames in ([a, b], [b, a]):
+        got = exchange_agg(rd.from_pandas(frames), ["k", "note"]).to_pandas()
+        assert _k_note_rows(got) == want
+
+
+def test_keyed_apply_promotes_a_column_null_in_one_block(ray_session):
+    """keyed_apply shares the exchange's block normalization: the same
+    null-in-one-block input works in either order, and through
+    sessionize."""
+    from text_to_rdf_ray.stages.exchange import keyed_apply
+    from text_to_rdf_ray.stages.windows import sessionize
+
+    (a, b), want = _null_block_frames()
+    for frames in ([a, b], [b, a]):
+        got = keyed_apply(rd.from_pandas(frames), "k",
+                          lambda g: g).to_pandas()
+        assert _k_note_rows(got) == want
+
+    ev = [pd.DataFrame({"user_id": [1, 1], "event_id": [1, 2],
+                        "ts": pd.to_datetime([0, 60], unit="s"),
+                        "note": [None, None]}),
+          pd.DataFrame({"user_id": [2], "event_id": [3],
+                        "ts": pd.to_datetime([0], unit="s"),
+                        "note": ["x"]})]
+    s = sessionize(rd.from_pandas(ev)).to_pandas().sort_values("user_id")
+    assert s["n_events"].tolist() == [2, 1]
+
+
+def test_key_hash_fixed_corpus(ray_session):
+    """_key_hash values are pinned: int, float and string hashes are the
+    ones persisted partition layouts were written with (hash version 2),
+    and temporal, bool and binary keys hash through their integer view
+    or bytes — equal values at different units share a hash."""
+    import datetime as dt
+
+    from text_to_rdf_ray.stages.exchange import _KEY_HASH_VERSION, _key_hash
+
+    assert _KEY_HASH_VERSION == 2
+    t = pa.table({
+        "i": pa.array([0, 1, -1, 2**62 + 12345, None], pa.int64()),
+        "f": pa.array([0.0, -0.0, 1.5, float("inf"), None], pa.float64()),
+        "s": pa.array(["", "a\x00b", "东京", None, "x" * 100], pa.string()),
+    })
+    null = 11400714819323198485
+    assert _key_hash(t, ["i"]).tolist() == [
+        16294208416658607535, 10451216379200822465, 16490336266968443936,
+        11243083831848222953, null]
+    assert _key_hash(t, ["f"]).tolist() == [
+        16294208416658607535, 16294208416658607535, 15481881892811333770,
+        2638638862653029785, null]
+    assert _key_hash(t, ["s"]).tolist() == [
+        12638153115695167455, 12340098833051582147, 6605591294054262811,
+        null, 856140524800620963]
+    assert _key_hash(t, ["i", "s"]).tolist() == [
+        13431020720355560347, 17220999312433499362, 8468215511157601408,
+        8111790595201519509, 16489561339468712549]
+
+    ts = [dt.datetime(2020, 1, 1), None, dt.datetime(1970, 1, 1)]
+    days = [dt.date(2020, 1, 1), None, dt.date(1970, 1, 1)]
+    n = pa.table({
+        "ts_us": pa.array(ts, pa.timestamp("us")),
+        "ts_ns": pa.array(ts, pa.timestamp("ns")),
+        "d32": pa.array(days, pa.date32()),
+        "d64": pa.array(days, pa.date64()),
+        "b": pa.array([True, None, False]),
+        "bin": pa.array([b"", None, b"a\x00b"], pa.binary()),
+    })
+    assert _key_hash(n, ["ts_us"]).tolist() == [
+        410962054562611518, null, 16294208416658607535]
+    assert (_key_hash(n, ["ts_ns"]) == _key_hash(n, ["ts_us"])).all()
+    assert _key_hash(n, ["d32"]).tolist() == [
+        9529193699160209575, null, 16294208416658607535]
+    assert (_key_hash(n, ["d64"]) == _key_hash(n, ["d32"])).all()
+    assert _key_hash(n, ["b"]).tolist() == [
+        10451216379200822465, null, 16294208416658607535]
+    # binary keys hash their bytes: the same as the utf-8 string
+    assert _key_hash(n, ["bin"]).tolist() == [
+        12638153115695167455, null, 12340098833051582147]
+
+
 def test_profile_table_matches_pandas(ray_session):
     """profile_table vs pandas ground truth, incl. nulls + string cols."""
     from text_to_rdf_ray.stages.analytics import profile_table

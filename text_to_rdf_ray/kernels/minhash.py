@@ -71,8 +71,13 @@ def _hash_shingles(shingles) -> np.ndarray:
     batch's max width, so the same shingle hashes identically in every
     batch; batches of short shingles pay exactly the old per-column
     cost."""
-    n = len(shingles)
-    encoded = [s.encode("utf-8") for s in shingles]
+    return _fnv1a([s.encode("utf-8") for s in shingles])
+
+
+def _fnv1a(encoded: list[bytes]) -> np.ndarray:
+    """FNV-1a with the length fold over each byte string — the body of
+    :func:`_hash_shingles`, also applied directly to binary keys."""
+    n = len(encoded)
     lens = np.array([len(b) for b in encoded], dtype=np.uint64)
     width = int(lens.max()) if n else 0
     h = np.full(n, _FNV_OFFSET, dtype=np.uint64)

@@ -153,6 +153,7 @@ def compact_clean(out_dir: str, final_dir: str) -> dict:
             }
         )
 
+    # map_groups partitioning: low bits of the content hash (h % 64)
     deduped = (
         cleaned.map_batches(add_part, batch_format="pyarrow")
         .groupby("hpart")

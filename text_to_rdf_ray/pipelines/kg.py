@@ -153,9 +153,9 @@ def build_triples(
             if mapping:
                 ds = apply_canonical_map(ds, mapping)
         else:
-            from ..stages.analytics import distinct_rows
+            from ..stages.exchange import exchange_agg
 
-            surfaces_ds = distinct_rows(comb, cols=["surface"]).materialize()
+            surfaces_ds = exchange_agg(comb, ["surface"]).materialize()
             from ..stages.canonicalize import apply_canonical_join
 
             cmap = canonicalize_surfaces(surfaces_ds, tau=tau)

@@ -26,6 +26,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .exchange import keyed_apply
+
 
 def topk_per_group(
     ds: rd.Dataset,
@@ -42,33 +44,27 @@ def topk_per_group(
 
     A batch-local top-k per key runs before the exchange, so at most
     ``k x distinct_keys_in_batch`` rows shuffle — not the full table; the
-    exchange itself is an int32 key-hash partition whose reduce handles
+    exchange itself is one key-hash ``keyed_apply`` whose reduce handles
     EVERY key in the partition with one vectorized sort + groupby.head
     (groupby(key).map_groups makes one Python call per key — 5,000 doc
     groups cost seconds; 64 partition groups cost milliseconds).
     """
-    from ..kernels.minhash import _hash_shingles
-
     asc = [not descending, True]
     by = [sort_col, tiebreak_col]
-    num_partitions = 64
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        out = (batch.sort_values(by, ascending=asc)
-               .groupby(key_col, sort=False).head(k))
-        part = (_hash_shingles(out[key_col].astype(str).tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return out.assign(_part=part)
+        return (batch.sort_values(by, ascending=asc)
+                .groupby(key_col, sort=False).head(k))
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col] + by, ascending=[True] + asc))
+        g = g.sort_values([key_col] + by, ascending=[True] + asc)
         out = g.groupby(key_col, sort=False).head(k).copy()
         out["rank"] = out.groupby(key_col, sort=False).cumcount() + 1
         return out
 
-    return (ds.map_batches(local_topk, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(final_topk, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(local_topk, batch_format="pandas", batch_size=65536),
+        key_col, final_topk)
 
 
 def group_quantiles_exact(
@@ -287,31 +283,13 @@ def distinct_rows(
     cols: list[str],
     num_partitions: int = 64,
 ) -> rd.Dataset:
-    """DISTINCT over ``cols``: per-batch drop_duplicates combiner, then one
-    int32 hash-partition exchange with a vectorized per-partition
-    drop_duplicates reduce.
+    """DISTINCT over ``cols``: ``exchange_agg(ds, cols)``, which keeps
+    only the key columns too.  The package calls ``exchange_agg``
+    directly; this name stays for ``perfbench/stages.py``, which imports
+    it."""
+    from .exchange import exchange_agg
 
-    Exists because ``ds.groupby([c1, c2]).count()`` reduces per key in
-    Python under Ray 2.49 (measured 153s for a 48k-row two-string-key
-    distinct vs <2s for this exchange) — the same pathology the (s,p,o)
-    dedup routes around in stages/canonicalize.py.
-    """
-    from ..kernels.minhash import _hash_shingles
-
-    def combine(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[cols].drop_duplicates()
-        key = batch[cols[0]].astype(str)
-        for c in cols[1:]:
-            key = key + "\x1f" + batch[c].astype(str)
-        part = (_hash_shingles(key.tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.assign(_part=part)
-
-    def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop(columns=["_part"]).drop_duplicates()
-
-    return (ds.map_batches(combine, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(reduce_part, batch_format="pandas"))
+    return exchange_agg(ds, cols, num_partitions=num_partitions)
 
 
 def set_op_rows(
@@ -326,31 +304,23 @@ def set_op_rows(
     — the shuffle form of the set ops, for right sides too large to
     broadcast through ``joins.py::semi_join_filter``.
 
-    Same shape as ``distinct_rows``: per-batch drop_duplicates combiner
-    on BOTH sides (shuffle volume is per-batch-distinct, not raw rows),
-    each side tagged, ONE int32 hash-partition exchange, then a
-    vectorized per-partition pandas merge-indicator reduce — identical
-    rows land in the same partition, so membership is decided locally.
+    Per-batch drop_duplicates combiner on BOTH sides (shuffle volume is
+    per-batch-distinct, not raw rows), each side tagged, ONE key-hash
+    ``keyed_apply`` over ``cols``, then a vectorized per-partition
+    pandas merge-indicator reduce — identical rows land in the same
+    partition, so membership is decided locally.
     ``op``: ``"except"`` (left distinct rows absent from right) or
     ``"intersect"`` (present in both).
     """
     if op not in ("except", "intersect"):
         raise ValueError(f"set_op_rows: op must be except|intersect, got {op!r}")
-    from ..kernels.minhash import _hash_shingles
 
     def combine(side: int):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch[cols].drop_duplicates()
-            key = batch[cols[0]].astype(str)
-            for c in cols[1:]:
-                key = key + "\x1f" + batch[c].astype(str)
-            part = (_hash_shingles(key.tolist())
-                    % np.uint64(num_partitions)).astype(np.int32)
-            return batch.assign(_part=part, _side=np.int8(side))
+            return batch[cols].drop_duplicates().assign(_side=np.int8(side))
         return fn
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         la = g[g["_side"] == 0][cols].drop_duplicates()
         rb = g[g["_side"] == 1][cols].drop_duplicates()
         m = la.merge(rb, on=cols, how="left", indicator=True)
@@ -360,7 +330,7 @@ def set_op_rows(
     u = (left.map_batches(combine(0), batch_format="pandas", batch_size=65536)
          .union(right.map_batches(combine(1), batch_format="pandas",
                                   batch_size=65536)))
-    return u.groupby("_part").map_groups(reduce_part, batch_format="pandas")
+    return keyed_apply(u, cols, reduce_part, num_partitions=num_partitions)
 
 
 def splitmix64(ids: np.ndarray) -> np.ndarray:
@@ -538,12 +508,10 @@ def grouping_sets_agg(
 
     One combiner pass computes every set's partials per batch (the fan is
     |sets|, applied to already-aggregated rows, not raw rows), and a
-    single int32 hash exchange reduces all sets together — not |sets|
+    single key-hash ``keyed_apply`` reduces all sets together — not |sets|
     separate groupby jobs over the input.  Key columns are emitted as
     strings so the (gid, keys) tuple is one homogeneous exchange key.
     """
-    from ..kernels.minhash import _hash_shingles
-
     key_cols = sorted({c for s in sets for c in s})
 
     def combine(batch: pd.DataFrame) -> pd.DataFrame:
@@ -560,23 +528,17 @@ def grouping_sets_agg(
                 g[c] = g[c].astype(str) if c in cols else all_label
             g["gid"] = np.int64(gid)
             frames.append(g[["gid", *key_cols, "n", "sum_value"]])
-        out = pd.concat(frames, ignore_index=True)
-        key = out["gid"].astype(str)
-        for c in key_cols:
-            key = key + "\x1f" + out[c]
-        part = (_hash_shingles(key.tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return out.assign(_part=part)
+        return pd.concat(frames, ignore_index=True)
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.drop(columns=["_part"])
-               .groupby(["gid", *key_cols], as_index=False)
+        out = (g.groupby(["gid", *key_cols], as_index=False)
                .agg(n=("n", "sum"), sum_value=("sum_value", "sum")))
         out["n"] = out["n"].astype("int64")
         return out
 
-    return (ds.map_batches(combine, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(reduce_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(combine, batch_format="pandas", batch_size=65536),
+        ["gid", *key_cols], reduce_part, num_partitions=num_partitions)
 
 
 def group_corr(
@@ -1160,6 +1122,7 @@ def range_sort(
                                                          dtype=np.int64)})
                 .drop(columns=["_part"]))
 
+    # map_groups partitioning: sampled range cuts (reduce reads its id)
     return tagged.groupby("_part").map_groups(sort_part,
                                               batch_format="pandas")
 
@@ -1466,8 +1429,8 @@ def profile_table(
     Two scale-free passes: (a) a stats pass emitting ONE partial row per
     (column, batch) — shuffle volume is n_cols × n_batches regardless of
     row count — reduced by ``exchange_agg``; (b) a distinct pass shipping
-    only per-batch-DISTINCT ``(column, value)`` pairs through
-    ``distinct_rows`` + a count reduce.  Swap (b) for ``approx_distinct``
+    only per-batch-DISTINCT ``(column, value)`` pairs through a distinct
+    ``exchange_agg`` + a count reduce.  Swap (b) for ``approx_distinct``
     (mergeable HLL) when exact cardinalities aren't required at 10^12
     rows.  Returns a driver DataFrame — the result is inherently n_cols
     rows.  Numeric aggregates are float64; sums of int columns are exact
@@ -1532,9 +1495,9 @@ def profile_table(
         return out.astype({"column": str, "value": str})
 
     dist = exchange_agg(
-        distinct_rows(
+        exchange_agg(
             ds.map_batches(dvals, batch_format="pandas", batch_size=65536),
-            cols=["column", "value"], num_partitions=num_partitions),
+            ["column", "value"], num_partitions=num_partitions),
         "column", [("value", "count", "n_distinct")],
         num_partitions=min(num_partitions, max(1, len(cols))),
     ).to_pandas()
@@ -1572,30 +1535,15 @@ def group_collect(
     silently emit a memory-bomb row (same posting-list guard class as
     ``inverted_index``'s chunking — use that op for unbounded lists).
     """
-    from ..kernels.minhash import _hash_shingles
-
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
 
     def combine(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[keys + [value_col]]
-        if distinct:
-            batch = batch.drop_duplicates()
-        kstr = batch[keys[0]].astype(str)
-        for k in keys[1:]:
-            kstr = kstr + "\x1f" + batch[k].astype(str)
-        part = (_hash_shingles(kstr.tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.assign(_part=part)
+        return batch.drop_duplicates() if distinct else batch
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         if distinct:
             g = g.drop_duplicates()
-        if len(g) == 0:
-            return pd.DataFrame(
-                {**{k: g[k] for k in keys},
-                 "n_values": pd.Series([], dtype="int64"),
-                 "values": pd.Series([], dtype=str)})
         sizes = g.groupby(keys, sort=False)[value_col].size()
         if int(sizes.max()) > max_values_per_key:
             hot = sizes.idxmax()
@@ -1609,8 +1557,9 @@ def group_collect(
                .agg(n_values=(value_col, "size"), values=("_v", sep.join)))
         return out.reset_index()
 
-    return (ds.map_batches(combine, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(reduce_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(combine, batch_format="pandas", batch_size=65536),
+        keys, reduce_part, num_partitions=num_partitions)
 
 
 def prefix_max(
@@ -1859,8 +1808,8 @@ def dq_check(
 
         nonnull = ds.map_batches(nn, batch_format="pyarrow")
         n_nonnull = nonnull.count()
-        n_distinct = distinct_rows(nonnull, cols=[col],
-                                   num_partitions=num_partitions).count()
+        n_distinct = exchange_agg(nonnull, [col],
+                                  num_partitions=num_partitions).count()
         rows.append(pd.DataFrame({
             "rule": [name],
             "n_checked": np.array([n_nonnull], dtype=np.int64),
@@ -1955,9 +1904,9 @@ def khop_reach(
     collected edge table; the distributed tier above the threshold is
     unchanged and parity-tested.
     """
-    from .exchange import exchange_join
+    from .exchange import exchange_agg, exchange_join
 
-    e = distinct_rows(edges, cols=[src_col, dst_col]).materialize()
+    e = exchange_agg(edges, [src_col, dst_col]).materialize()
     es = pa.schema([("node", pa.int64()), ("_nxt", pa.int64())])
     e_keyed = e.map_batches(
         lambda t: pa.table({"node": t.column(src_col).cast(pa.int64()),
@@ -1995,11 +1944,11 @@ def khop_reach(
             "node": pd.Series(list(level.keys()), dtype="int64"),
             "level": pd.Series(list(level.values()), dtype="int64")}))
 
-    frontier = distinct_rows(
+    frontier = exchange_agg(
         seeds.map_batches(
             lambda t: pa.table({"node": t.column("node").cast(pa.int64())}),
             batch_format="pyarrow"),
-        cols=["node"]).materialize()
+        ["node"]).materialize()
     fs = pa.schema([("node", pa.int64())])
 
     def stamp(level: int):
@@ -2015,18 +1964,17 @@ def khop_reach(
         nb = exchange_join(frontier, e_keyed, on="node",
                            num_partitions=num_partitions,
                            left_schema=fs, right_schema=es)
-        nb = distinct_rows(
+        nb = exchange_agg(
             nb.map_batches(lambda t: pa.table({"node": t.column("_nxt")}),
                            batch_format="pyarrow"),
-            cols=["node"])
+            ["node"])
         new = set_op_rows(nb, visited, cols=["node"],
                           op="except",
                           num_partitions=num_partitions).materialize()
         if new.count() == 0:
             break
         levels.append(new.map_batches(stamp(lvl), batch_format="pyarrow"))
-        visited = distinct_rows(visited.union(new),
-                                cols=["node"]).materialize()
+        visited = exchange_agg(visited.union(new), ["node"]).materialize()
         frontier = new
     out = levels[0]
     for p in levels[1:]:
@@ -2854,9 +2802,6 @@ def benford_audit(
     exchange -> per-partition vectorized finalize (per-key totals via
     groupby.transform).  Output is O(keys x 9).
     """
-    from .exchange import _key_hash  # noqa: F401  (partition idiom)
-    from .windows import _part_of
-
     def partial(batch: pa.Table) -> pd.DataFrame:
         v = batch.column(value_col).to_numpy(zero_copy_only=False)
         cents = np.floor(v * 100.0)
@@ -2871,13 +2816,11 @@ def benford_audit(
         t = pa.table({key_col: batch.column(key_col).take(
                           pa.array(np.flatnonzero(ok), pa.int64())),
                       "digit": pa.array(d, pa.int64())})
-        g = (t.group_by([key_col, "digit"])
-             .aggregate([([], "count_all")]).to_pandas()
-             .rename(columns={"count_all": "n"}))
-        return g.assign(_part=_part_of(g[key_col], num_partitions))
+        return (t.group_by([key_col, "digit"])
+                .aggregate([([], "count_all")]).to_pandas()
+                .rename(columns={"count_all": "n"}))
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         g = (g.groupby([key_col, "digit"], sort=False, as_index=False)
              ["n"].sum())
         total = (g.groupby(key_col, sort=False)["n"]
@@ -2893,9 +2836,9 @@ def benford_audit(
             "expected_n": expected,
             "chi2_term": chi2})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def kmv_distinct(
@@ -2923,7 +2866,6 @@ def kmv_distinct(
     identical reduce -> O(keys) rows out: (key, n_kept, kth_hash as
     decimal string — uint64 doesn't fit the int64 lane — and estimate).
     """
-    from .windows import _part_of
 
     def _k_smallest(key: pd.Series, hv: np.ndarray) -> pd.DataFrame:
         df = pd.DataFrame({key_col: key.to_numpy(),
@@ -2935,8 +2877,7 @@ def kmv_distinct(
     def partial(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         hv = splitmix64(ids.astype(np.int64))
-        out = _k_smallest(batch.column(key_col).to_pandas(), hv)
-        return out.assign(_part=_part_of(out[key_col], num_partitions))
+        return _k_smallest(batch.column(key_col).to_pandas(), hv)
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = _k_smallest(g[key_col], g["_hv"].to_numpy())
@@ -2954,9 +2895,9 @@ def kmv_distinct(
             "kth_hash": [str(int(h)) for h in kth],
             "est_distinct": est})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def robust_zscore(
@@ -3048,7 +2989,6 @@ def weighted_quantile(
     per (key, q): (key, q, value, cum_weight, total_weight).
     """
     from .exchange import exchange_agg
-    from .windows import _part_of
 
     for q in qs:
         if not 0.0 < q <= 1.0:
@@ -3073,12 +3013,8 @@ def weighted_quantile(
         [key_col, value_col], [("_w", "sum", "_w")],
         num_partitions=num_partitions)
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(_part=_part_of(b[key_col], num_partitions))
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .groupby([key_col, value_col], sort=False, as_index=False)
+        g = (g.groupby([key_col, value_col], sort=False, as_index=False)
              ["_w"].sum()
              .sort_values([key_col, value_col], kind="mergesort")
              .reset_index(drop=True))
@@ -3102,8 +3038,8 @@ def weighted_quantile(
                 "total_weight": tot[pick]}))
         return pd.concat(frames, ignore_index=True)
 
-    return (wsum.map_batches(add_part, batch_format="pandas")
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(wsum, key_col, per_part,
+                       num_partitions=num_partitions)
 
 
 def f2_moment(
@@ -3437,17 +3373,17 @@ def assoc_rules(
 
     from .exchange import exchange_agg, exchange_join
 
-    d = distinct_rows(
+    d = exchange_agg(
         ds.map_batches(
             lambda t: pa.table({
                 "basket": t.column(basket_col).cast(pa.int64()),
                 "item": t.column(item_col).cast(pa.int64())}),
             batch_format="pyarrow"),
-        cols=["basket", "item"]).materialize()
-    n_baskets = distinct_rows(
+        ["basket", "item"]).materialize()
+    n_baskets = exchange_agg(
         d.map_batches(lambda b: b[["basket"]],
                       batch_format="pandas"),
-        cols=["basket"]).count()
+        ["basket"]).count()
     items = exchange_agg(
         d.map_batches(
             lambda t: pa.table({

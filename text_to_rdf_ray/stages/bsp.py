@@ -17,8 +17,8 @@ partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
 also serve one-shot exchanges sized to their input: ``hash_exchange``
-(under ``exchange_join`` / ``exchange_agg``) and ``two_phase_reduce``
-(the salted dedup and LSH pair exchanges).
+(under ``exchange_join`` / ``exchange_agg`` / ``keyed_apply``) and
+``two_phase_reduce`` (the salted dedup and LSH pair exchanges).
 
 Partitioning assumptions / scale shape:
 - edges are hash-partitioned on src; per-node state on the same hash,
@@ -225,20 +225,28 @@ def dataset_to_part_refs(
 def _as_table(tbl, schema: pa.Schema | None) -> pa.Table:
     """One exchange input block as an Arrow table: pandas blocks (from
     ``from_pandas`` or a pandas ``map_batches``) convert, and with a
-    declared ``schema`` a block typed otherwise is cast to it."""
+    declared ``schema`` a block typed otherwise is cast to it — except
+    where the declared type is Arrow ``null``.  Ray declares a dataset's
+    schema from one block, so a column that is all-null there (pandas
+    ``None``) would fail the cast of every block holding values; such a
+    column keeps each block's own type, and :func:`_concat` promotes."""
     if isinstance(tbl, pd.DataFrame):
         tbl = pa.Table.from_pandas(tbl, preserve_index=False)
     if schema is not None and tbl.schema != schema:
-        tbl = tbl.select(schema.names).cast(schema)
+        tbl = tbl.select(schema.names)
+        tbl = tbl.cast(pa.schema(
+            [tbl.schema.field(f.name) if pa.types.is_null(f.type) else f
+             for f in schema], metadata=schema.metadata))
     return tbl
 
 
 def _concat(tbls: tuple, schema: pa.Schema | None) -> pa.Table:
-    """One partition's slices as one table; the empty ``schema`` table
+    """One partition's slices as one table, a column null-typed in some
+    slices taking the type of the others; the empty ``schema`` table
     when no slice has rows (``schema`` None: the first slice)."""
     live = [_as_table(t, schema) for t in tbls if len(t)]
     if live:
-        return pa.concat_tables(live)
+        return pa.concat_tables(live, promote_options="permissive")
     return schema.empty_table() if schema is not None else tbls[0]
 
 
@@ -373,8 +381,8 @@ def hash_exchange(
     max_parts: int,
 ) -> rd.Dataset:
     """One hash exchange + a vectorized per-partition reduce as RAW Ray
-    tasks — the exchange under ``exchange_join`` / ``exchange_agg`` and
-    the linker's distinct and top-1 steps.
+    tasks — the exchange under ``exchange_join``, ``exchange_agg``,
+    ``keyed_apply`` and the linker's distinct and top-1 steps.
 
     ``ds`` rows carry ``part_col``, a non-negative int64 hash of the
     key; rows land in partition ``part_col % P``, so every key's rows

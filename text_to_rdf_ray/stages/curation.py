@@ -46,6 +46,8 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from .exchange import keyed_apply
+
 #: Knuth/Fibonacci multiplicative constant (2^64 / phi) — the sampling
 #: hash must be exactly reproducible in DuckDB HUGEINT arithmetic.
 _KNUTH = 11400714819323198485
@@ -81,28 +83,23 @@ def stratified_sample(
         # numpy and exporting the unsigned value (DuckDB UBIGINT)
         return batch.append_column("_h", pa.array(h, pa.uint64()))
 
-    from .windows import _part_of
-
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        out = (batch.sort_values("_h")
-               .groupby(key_col, sort=False).head(n_per_group))
-        return out.assign(_part=_part_of(out[key_col], 64))
+        return (batch.sort_values("_h")
+                .groupby(key_col, sort=False).head(n_per_group))
 
     def final_part(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized across ALL strata in the partition (not one Python
         # call per stratum): sort (key, hash), head-k per key, rank
-        g = g.drop(columns=["_part"]).sort_values([key_col, "_h"])
+        g = g.sort_values([key_col, "_h"])
         out = g.groupby(key_col, sort=False).head(n_per_group).copy()
         out["sample_rank"] = (out.groupby(key_col, sort=False).cumcount()
                               + 1).astype(np.int64)
         return out.drop(columns=["_h"])
 
-    return (
+    return keyed_apply(
         ds.map_batches(add_hash, batch_format="pyarrow")
-        .map_batches(local_topk, batch_format="pandas", batch_size=65536)
-        .groupby("_part")
-        .map_groups(final_part, batch_format="pandas")
-    )
+        .map_batches(local_topk, batch_format="pandas", batch_size=65536),
+        key_col, final_part)
 
 
 def _check_blocks_disjoint(partials: pd.DataFrame, id_col: str) -> None:
@@ -344,6 +341,7 @@ def passage_dedup(
         out = group.assign(keep=(group["_packed"] == win))
         return out[[id_col, "passage_idx", "n_words", "keep"]]
 
+    # map_groups partitioning: passage digest mod P
     return (
         ds.map_batches(explode, batch_format="pyarrow")
         .groupby("_part")
@@ -536,12 +534,11 @@ def inverted_index(
     ``invindex_stoplist_postings`` (no silent caps).
 
     Explode is per-doc distinct (a doc contributes once per term); the
-    exchange is hash-partitioned on the term (vectorized FNV), and the
-    per-partition reduce is one vectorized pandas pass over ALL terms in
-    the partition — partitioning assumption: one PARTITION's postings fit
-    in a worker (bounded by |corpus|/num_partitions spread).
+    exchange is a ``keyed_apply`` on the term, and the per-partition
+    reduce is one vectorized pandas pass over ALL terms in the partition
+    — partitioning assumption: one PARTITION's postings fit in a worker
+    (bounded by |corpus|/num_partitions spread).
     """
-    from ..kernels.minhash import _hash_shingles
     from ..state import counters
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -551,11 +548,9 @@ def inverted_index(
             terms = set(_terms(txt))
             out_t.extend(terms)
             out_i.extend([i] * len(terms))
-        part = (_hash_shingles(out_t) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             "term": pa.array(out_t, pa.string()),
             id_col: pa.array(out_i, pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -582,8 +577,8 @@ def inverted_index(
                     postings=(id_col, lambda s: ",".join(map(str, s)))))
         return agg.reset_index()
 
-    return (ds.map_batches(explode, batch_format="pyarrow")
-            .groupby("_part").map_groups(reduce_part, batch_format="pandas"))
+    return keyed_apply(ds.map_batches(explode, batch_format="pyarrow"),
+                       "term", reduce_part, num_partitions=num_partitions)
 
 
 # -- heavy hitters ----------------------------------------------------------
@@ -1010,6 +1005,7 @@ def dup_ngram_fraction(
                .groupby(id_col, sort=False)["n_dup"].sum().reset_index())
         return out
 
+    # map_groups partitioning: n-gram digest mod P
     dups = exchange_agg(
         ds.map_batches(explode, batch_format="pyarrow")
           .groupby("_part").map_groups(mark_part, batch_format="pandas"),
@@ -1381,6 +1377,7 @@ def line_dedup(
         })
         return rem[[id_col, "line_idx"]]
 
+    # map_groups partitioning: line digest mod P
     removed = (ds.map_batches(explode, batch_format="pyarrow")
                .groupby("_part")
                .map_groups(flag_removed, batch_format="pandas")
@@ -1439,6 +1436,7 @@ def line_dedup(
              .agg(lambda s: ",".join(map(str, s))).reset_index())
         return g.rename(columns={"line_idx": "_removed_csv"})
 
+    # map_groups partitioning: Knuth hash of the doc id
     packed = (removed.map_batches(add_part, batch_format="pyarrow")
               .groupby("_dpart").map_groups(pack, batch_format="pandas"))
     packed_schema = pa.schema([(id_col, pa.int64()),
@@ -2029,9 +2027,11 @@ def dup_spans(
                              "span_start": pos[starts],
                              "span_end": pos[ends] + n})
 
+    # map_groups partitioning: splitmix64 of each n-gram digest
     hits = (ds.map_batches(explode, batch_format="pyarrow",
                            batch_size=2048)
             .groupby("_part").map_groups(dup_hits, batch_format="pandas"))
+    # map_groups partitioning: splitmix64 of the doc id
     return (hits.groupby("_part2")
             .map_groups(merge_spans, batch_format="pandas"))
 
@@ -2098,6 +2098,7 @@ def ngram_novelty(
                .groupby(id_col, sort=False).sum().reset_index())
         return out
 
+    # map_groups partitioning: splitmix64 of each n-gram digest
     per_doc = exchange_agg(
         ds.map_batches(explode, batch_format="pyarrow", batch_size=2048)
           .groupby("_part").map_groups(novel_partials,
@@ -2147,7 +2148,6 @@ def nb_train(
     live on the driver by construction — only the (class, term) count
     table is corpus-scaled and it stays distributed.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2179,8 +2179,8 @@ def nb_train(
     class_stats = stats.merge(docs, on="class", how="outer").fillna(0)
     class_stats["tokens"] = class_stats["tokens"].astype("int64")
     class_stats["docs"] = class_stats["docs"].astype("int64")
-    vocab_size = int(distinct_rows(
-        model.select_columns(["term"]), cols=["term"]).count())
+    vocab_size = int(exchange_agg(
+        model.select_columns(["term"]), ["term"]).count())
     return model, class_stats, vocab_size
 
 
@@ -2701,19 +2701,10 @@ def kanon_audit(
     in the partition).  Emits (quasi..., n, n_sensitive, k_violation,
     l_violation).
     """
-    from .windows import _part_of
-
     if not quasi_cols:
         raise ValueError("kanon_audit: quasi_cols must be non-empty")
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        key = b[quasi_cols[0]].astype(str)
-        for c in quasi_cols[1:]:
-            key = key + "\x1f" + b[c].astype(str)
-        return b.assign(_part=_part_of(key, num_partitions))
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         # dropna=False: a class with a NULL quasi value is still an
         # equivalence class — the default silently excluded it and the
         # privacy gate passed non-anonymous releases (review r5)
@@ -2726,9 +2717,8 @@ def kanon_audit(
         agg["l_violation"] = agg["n_sensitive"] < l
         return agg
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, list(quasi_cols), per_part,
+                       num_partitions=num_partitions)
 
 
 def dp_counts(

@@ -36,6 +36,7 @@ from ..kernels.minhash import (
     simhash64,
     word_shingles,
 )
+from .exchange import keyed_apply
 
 
 def _text_hash64(texts: list[str]) -> list[int]:
@@ -86,6 +87,7 @@ def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id") 
             }
         )
 
+    # map_groups partitioning: low bits of the precomputed text hash (h % 64)
     return (
         ds.map_batches(combine, batch_format="pyarrow", batch_size=65536)
         .groupby("hpart")
@@ -731,6 +733,7 @@ def _pairs_inband(
         return pa.table({n: t.column(n).cast(_PAIR_SCHEMA.field(n).type) for n in
                          ("id_a", "id_b", "score")})
 
+    # map_groups partitioning: LSH band shards
     pairs = (
         _explode_bands(ds, bands_feat_fn, id_col, payload_col)
         .groupby("shard")
@@ -1153,6 +1156,7 @@ def dedup_against(
                           "v": inter["v"].astype("int64")}),
         ], ignore_index=True)
 
+    # map_groups partitioning: shingle hash mod P, both corpora in one exchange
     packed = (exploded.groupby("_part")
               .map_groups(per_part, batch_format="pandas")
               .materialize())  # consumed three times below
@@ -1355,6 +1359,7 @@ def editdist_join(
                              "id": g[id_col].to_numpy(np.int64),
                              "text": g["_t"].to_numpy()})
 
+    # map_groups partitioning: splitmix64 of the 128-bit content digest
     groups = (hashed.groupby("_part")
               .map_groups(group_part, batch_format="pandas")
               ).materialize()
@@ -1385,6 +1390,7 @@ def editdist_join(
             % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column("_rp", pa.array(part, pa.int32()))
 
+    # map_groups partitioning: splitmix64 of each group's representative id
     zeros = (groups.map_batches(part_by_rep, batch_format="pyarrow")
              .groupby("_rp")
              .map_groups(lambda g: zero_pairs(g.drop(columns=["_rp"])),
@@ -1408,17 +1414,13 @@ def editdist_join(
             v_strs.append(s)
             v_strs.extend(s[:j] + s[j + 1:] for j in range(len(s)))
         vh = _hash_shingles(v_strs)
-        part = (splitmix64(vh.astype(np.int64))
-                % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             "vh": pa.array(vh.astype(np.int64), pa.int64()),
             "id": pa.array(np.asarray(v_ids, np.int64), pa.int64()),
-            "s": pa.array(v_texts, pa.string()),
-            "_part": pa.array(part, pa.int32())})
+            "s": pa.array(v_texts, pa.string())})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .drop_duplicates(["vh", "id"])
+        g = (g.drop_duplicates(["vh", "id"])
              .sort_values(["vh", "id"], kind="mergesort")
              .reset_index(drop=True))
         vh = g["vh"].to_numpy(np.int64)
@@ -1451,10 +1453,9 @@ def editdist_join(
         return pd.DataFrame({"ra": np.concatenate(ia_all),
                              "rb": np.concatenate(ib_all)})
 
-    cand = (reps.map_batches(variants, batch_format="pyarrow",
-                             batch_size=2048)
-            .groupby("_part").map_groups(per_part,
-                                         batch_format="pandas"))
+    cand = keyed_apply(
+        reps.map_batches(variants, batch_format="pyarrow", batch_size=2048),
+        "vh", per_part, num_partitions=num_partitions)
     spairs = exchange_agg(
         cand.map_batches(
             lambda t: t.append_column(
@@ -1608,6 +1609,7 @@ def sorted_neighborhood_pairs(
                              "id_b": np.concatenate(out_b),
                              "dist": np.concatenate(out_d)})
 
+    # map_groups partitioning: sorted-neighbourhood rank chunks (range)
     return (srt.map_batches(route, batch_format="pyarrow",
                             batch_size=None)
             .groupby("_part").map_groups(pairs, batch_format="pandas"))
@@ -1689,6 +1691,7 @@ def cdc_chunks(
         out["is_dup"] = ~first.to_numpy()
         return out
 
+    # map_groups partitioning: splitmix64 of each text-window fingerprint
     return (ds.map_batches(chunk, batch_format="pyarrow",
                            batch_size=1024)
             .groupby("_part").map_groups(mark, batch_format="pandas"))
@@ -1788,6 +1791,7 @@ def containment_pairs(
                .size().rename("inter").reset_index())
         return out
 
+    # map_groups partitioning: splitmix64 of each n-gram digest
     inter = exchange_agg(
         grams.groupby("_part").map_groups(pair_partials,
                                           batch_format="pandas"),
@@ -2021,6 +2025,7 @@ def semdedup(
             "cluster": g["cluster"].astype("int64"),
             "keep": ~dropped})
 
+    # map_groups partitioning: Ray's groupby on the cluster id (per key)
     return keyed.groupby("cluster").map_groups(per_cluster,
                                                batch_format="pandas")
 
@@ -2063,7 +2068,6 @@ def fs_link_scores(
     the column's dtype (review r5).
     """
     from .graph import _pairs_within_groups
-    from .windows import _part_of
 
     for f in fields:
         if not (0.0 < u[f] < 1.0 and 0.0 < m[f] < 1.0):
@@ -2072,12 +2076,6 @@ def fs_link_scores(
     w_agree = {f: float(np.log2(m[f] / u[f])) for f in fields}
     w_disagree = {f: float(np.log2((1.0 - m[f]) / (1.0 - u[f])))
                   for f in fields}
-
-    cols = [id_col, block_col, *fields]
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[cols]
-        return b.assign(_part=_part_of(b[block_col], num_partitions))
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.sort_values([block_col, id_col], kind="mergesort")
@@ -2114,9 +2112,8 @@ def fs_link_scores(
             "id_a": ids[ai], "id_b": ids[bi], "w": w,
             "decision": dec})
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds.select_columns([id_col, block_col, *fields]),
+                       block_col, per_part, num_partitions=num_partitions)
 
 
 def survivorship_merge(
@@ -2146,8 +2143,6 @@ def survivorship_merge(
     pre-packed (ts, id) key) — equal recencies would resolve by input
     order, which no engine-independent replay can promise.
     """
-    from .windows import _part_of
-
     latest_cols = list(latest_cols)
     majority_cols = list(majority_cols)
     if not latest_cols and not majority_cols:
@@ -2155,12 +2150,7 @@ def survivorship_merge(
 
     cols = [cluster_col, recency_col, *latest_cols, *majority_cols]
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[cols]
-        return b.assign(_part=_part_of(b[cluster_col], num_partitions))
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         base = g.groupby(cluster_col, sort=False).size().rename(
             "n_members").to_frame()
         if latest_cols:
@@ -2182,9 +2172,8 @@ def survivorship_merge(
         return out[[cluster_col, "n_members", *latest_cols,
                     *majority_cols]]
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds.select_columns(cols), cluster_col, per_part,
+                       num_partitions=num_partitions)
 
 
 def reciprocal_best_match(

@@ -1,4 +1,5 @@
-"""Hash-exchange equi-join and grouped aggregation as raw Ray tasks.
+"""Hash-exchange equi-join, grouped aggregation and per-key pandas
+passes as raw Ray tasks.
 
 Ray 2.49's native operators carry large fixed costs at the sizes the KG
 operators run many of: ``Dataset.join`` (JoinOperator) spins up a
@@ -8,18 +9,20 @@ executor run at 16 CPUs, even for kilobyte inputs), and a grouped
 sort-reduce) whose intermediate object count grows with the square of
 its input block count.
 
-``exchange_join`` and ``exchange_agg`` instead tag every row with a
-63-bit hash of its key (the join pads both sides to one Arrow schema;
-the aggregation optionally combines each batch first) and run ONE
-:func:`~.bsp.hash_exchange`: the tagged input is materialized, the
-partition count P is sized to it (one partition per
+``exchange_join``, ``exchange_agg`` and ``keyed_apply`` instead tag
+every row with a 63-bit hash of its key (the join pads both sides to
+one Arrow schema; the aggregation optionally combines each batch
+first) and run ONE :func:`~.bsp.hash_exchange`: the tagged input is
+materialized, the partition count P is sized to it (one partition per
 ``DataContext.target_min_block_size`` of input, at most
 ``num_partitions``), each block is split by ``hash % P`` in one task,
 and one task per partition runs the vectorized reduce (``pandas.merge``
 over key columns and row positions for the join, Arrow ``group_by`` for
-the aggregation).  That is B split tasks and B*P objects for B input
-blocks (a two-level tree past ``bsp.TREE_COMBINE_THRESHOLD``), and at
-P=1 just one reduce task.  Measured on a 1-CPU host (BASELINE.md,
+the aggregation, the caller's pandas ``per_part`` for ``keyed_apply``
+— the one keyed exchange behind every per-key window, merge and audit
+operator).  That is B split tasks and B*P objects for B input blocks
+(a two-level tree past ``bsp.TREE_COMBINE_THRESHOLD``), and at P=1
+just one reduce task.  Measured on a 1-CPU host (BASELINE.md,
 "Exchange substrate"): ``link_entities_join`` over two 1000-triple
 partitions, nine exchanges each, took 18.6s on the sort-based
 ``groupby`` exchange and takes 3.6s here.
@@ -30,7 +33,8 @@ data size.  Each call is EAGER: it materializes its input and returns a
 materialized dataset of TYPED Arrow blocks (empty partitions and empty
 inputs included; left-outer payload misses are Arrow nulls, not pandas
 NaN), so a result feeds further exchanges without a schema probe or
-another materialization.
+another materialization.  ``keyed_apply`` cannot type a partition it
+never calls ``per_part`` on, so it drops empty partitions instead.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ from ..kernels.minhash import _hash_shingles
 
 _SIDE = "_xj_side"
 _PART = "_xj_part"
+#: keyed_apply's tag column (the name the hand-written exchanges it
+#: replaced used, so their reserved-name error stays the same)
+_KEYED_PART = "_part"
 
 
 #: hash assigned to a NULL key element (any type) — a fixed arbitrary
@@ -70,32 +77,64 @@ def _hash_strings(vals: list) -> np.ndarray:
 _KEY_HASH_VERSION = 2
 
 
-def _key_hash(tbl: pa.Table, on: list[str]) -> np.ndarray:
-    """Vectorized uint64 hash of the key tuple (splitmix64 for integer
-    columns, full-length FNV for strings; columns combined with a
-    rotate-xor).  NULL key elements hash to a fixed constant on every
-    type path — an int64 column with nulls must NOT round-trip through
-    numpy float64 (ids above 2^53 would round, making a key's partition
-    depend on which batch it shares with a null)."""
+def _int_view(col) -> np.ndarray:
+    """int64 values of an integer, temporal or bool column (nulls as 0).
+    Temporal units are normalized first — timestamps and times to
+    microseconds, dates to days — so equal instants typed at different
+    units (pandas ns, parquet us) share a partition."""
     import pyarrow.compute as pc
 
+    t = col.type
+    if pa.types.is_timestamp(t):
+        col = pc.cast(col, pa.timestamp("us", t.tz), safe=False)
+    elif pa.types.is_date(t):
+        col = pc.cast(col, pa.date32(), safe=False)
+    elif pa.types.is_time(t):
+        col = pc.cast(col, pa.time64("us"), safe=False)
+    elif pa.types.is_duration(t):
+        col = pc.cast(col, pa.duration("us"), safe=False)
+    if pa.types.is_boolean(col.type):
+        col = pc.cast(col, pa.int8())
+    elif not pa.types.is_integer(col.type):  # the same-width int view
+        col = pc.cast(col, pa.int32() if col.type.bit_width == 32
+                      else pa.int64())
+    if col.null_count:
+        col = pc.fill_null(col, 0)
+    return col.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _key_hash(tbl: pa.Table, on: list[str]) -> np.ndarray:
+    """Vectorized uint64 hash of the key tuple, columns combined with a
+    rotate-xor: splitmix64 over the int64 view of integer, temporal and
+    bool columns (:func:`_int_view`) and over the IEEE bits of floats;
+    full-length FNV over the utf-8 bytes of strings and over the raw
+    bytes of binary columns.  NULL key elements hash to a fixed constant
+    on every type path — an int64 column with nulls must NOT round-trip
+    through numpy float64 (ids above 2^53 would round, making a key's
+    partition depend on which batch it shares with a null)."""
+    import pyarrow.compute as pc
+
+    from ..kernels.minhash import _fnv1a
     from .analytics import splitmix64
 
     acc = np.zeros(len(tbl), np.uint64)
     for c in on:
         col = tbl.column(c)
+        typ = col.type
         nulls = col.null_count
-        if pa.types.is_integer(col.type):
-            filled = pc.fill_null(col, 0) if nulls else col
-            h = splitmix64(
-                filled.to_numpy(zero_copy_only=False).astype(np.int64))
-        elif pa.types.is_floating(col.type):
+        if (pa.types.is_integer(typ) or pa.types.is_temporal(typ)
+                or pa.types.is_boolean(typ)):
+            h = splitmix64(_int_view(col))
+        elif pa.types.is_floating(typ):
             # hash the IEEE bit pattern (equal float64 keys — including
             # +0.0 after the canonicalization below — share a partition)
             filled = pc.fill_null(col, 0.0) if nulls else col
             v = filled.to_numpy(zero_copy_only=False).astype(np.float64)
             v = v + 0.0  # -0.0 -> +0.0 so it groups with +0.0
             h = splitmix64(v.view(np.int64))
+        elif (pa.types.is_binary(typ) or pa.types.is_large_binary(typ)
+              or pa.types.is_fixed_size_binary(typ)):
+            h = _fnv1a([b or b"" for b in col.to_pylist()])
         else:
             h = _hash_strings(col.to_pylist())
             nulls = 0  # _hash_strings handled them
@@ -240,6 +279,57 @@ def exchange_agg(
         schema = first(as_arrow_schema(src).empty_table()).schema
     return hash_exchange(tagged, _PART, reduce_part, as_arrow_schema(schema),
                          max_parts=num_partitions)
+
+
+def keyed_apply(
+    ds: rd.Dataset,
+    keys: tuple[str, ...] | list[str] | str,
+    per_part,
+    *,
+    num_partitions: int = 64,
+) -> rd.Dataset:
+    """Run ``per_part`` on each hash partition of ``keys``: every row of
+    a key reaches the same call, together with the other keys of its
+    partition, so one vectorized pandas pass serves them all.
+
+    Rows are tagged with the key hash (``_part``, the column
+    :func:`_hash_col` computes) and moved by ONE
+    :func:`~.bsp.hash_exchange`, with ``num_partitions`` the cap on the
+    sized partition count.  ``per_part`` takes the partition's rows as a
+    pandas DataFrame without the tag and returns a DataFrame, converted
+    to Arrow.  It is never called on an empty frame: a partition with
+    no rows adds no output block, and an empty input gives a dataset
+    with no blocks.  The output is materialized.  An input column named
+    ``_part`` raises.
+    """
+    from .bsp import hash_exchange
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def tag(t: pa.Table) -> pa.Table:
+        if _KEYED_PART in t.column_names:
+            raise ValueError(
+                f"column name {_KEYED_PART!r} is reserved by the keyed "
+                "exchange — rename it")
+        return t.append_column(_KEYED_PART, _hash_col(t, keys))
+
+    def reduce_part(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({})
+        out = per_part(t.drop_columns([_KEYED_PART]).to_pandas())
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
+    schema = tagged.schema()
+    if schema is None:
+        return tagged  # no rows
+    out = hash_exchange(tagged, _KEYED_PART, reduce_part,
+                        as_arrow_schema(schema), max_parts=num_partitions)
+    bundles = list(out.iter_internal_ref_bundles())
+    live = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows]
+    if len(live) == sum(len(b.blocks) for b in bundles):
+        return out
+    return rd.from_arrow_refs(live)
 
 
 def exchange_join(

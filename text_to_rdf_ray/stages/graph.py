@@ -117,13 +117,13 @@ def pagerank(
     src_col, dst_col = "src", "dst"
     if driver_threshold > 0 and edges.count() <= driver_threshold:
         return _pagerank_driver(edges.to_pandas(), iterations, damping)
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
 
     nodes = _solid(
-        distinct_rows(
+        exchange_agg(
             _project(edges, [(src_col, "node")])
             .union(_project(edges, [(dst_col, "node")])),
-            cols=["node"])
+            ["node"])
     )
     n = nodes.count()
     if n == 0:
@@ -340,6 +340,7 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
                  else np.array([], np.int64))
         return pa.table({"node": pa.array(node_by_rank[ranks], pa.int64())})
 
+    # map_groups partitioning: splitmix64 of the lower orientation rank
     wedged = (oriented.map_batches(part_of, batch_format="pyarrow")
               .groupby("_part")
               .map_groups(lambda g: wedges_check(g.drop_columns(["_part"])),
@@ -457,12 +458,13 @@ def negative_samples(
     """
     import ray
 
-    from .analytics import distinct_rows, splitmix64
+    from .analytics import splitmix64
+    from .exchange import exchange_agg
     from ..kernels.minhash import _hash_shingles
 
-    ents_df = distinct_rows(
+    ents_df = exchange_agg(
         _project(triples, [(obj_col, "entity")]),
-        cols=["entity"], num_partitions=num_partitions).to_pandas()
+        ["entity"], num_partitions=num_partitions).to_pandas()
     if len(ents_df) > max_entities:
         raise ValueError(
             f"negative_samples: {len(ents_df)} entities exceeds "
@@ -518,7 +520,6 @@ def kcore(
     the unrolled-SQL oracle sound.
     """
     from ..state import counters
-    from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join
 
     # undirect + distinct once: every algorithm step assumes (a,b) and
@@ -531,9 +532,9 @@ def kcore(
             "b": pa.array(np.concatenate([b, a]), pa.int64()),
         })
 
-    e = distinct_rows(edges.map_batches(undirect, batch_format="pyarrow"),
-                      cols=["a", "b"],
-                      num_partitions=num_partitions).materialize()
+    e = exchange_agg(edges.map_batches(undirect, batch_format="pyarrow"),
+                     ["a", "b"],
+                     num_partitions=num_partitions).materialize()
     n_edges = e.count()
 
     if n_edges <= max_driver_edges:
@@ -640,10 +641,10 @@ def random_walks(
     Walks truncate early at sink nodes (no out-edges): the inner
     join/merge drops them, matching the oracle's recursive semantics.
     """
-    from .analytics import distinct_rows, splitmix64
-    from .exchange import exchange_join
+    from .analytics import splitmix64
+    from .exchange import exchange_agg, exchange_join
 
-    d = distinct_rows(edges, cols=[src_col, dst_col])
+    d = exchange_agg(edges, [src_col, dst_col])
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         part = (splitmix64(b[src_col].to_numpy(np.int64).view(np.uint64))
@@ -661,6 +662,7 @@ def random_walks(
             "pos": pos.astype("int64"),
             "deg": deg.astype("int64")})
 
+    # map_groups partitioning: splitmix64 of the source node
     adjacency = (d.map_batches(tag, batch_format="pandas",
                                batch_size=65536)
                  .groupby("_part").map_groups(adj_part,
@@ -790,13 +792,12 @@ def personalized_pagerank(
     table (with outdegrees) is materialized ONCE and re-exchanged only
     on the rank side.  Output: ``(node, rank)`` for nonzero-mass nodes.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join
 
     d = np.float64(damping)
     one_minus = np.float64(1.0) - d
 
-    e = distinct_rows(edges, cols=[src_col, dst_col])
+    e = exchange_agg(edges, [src_col, dst_col])
     e = e.map_batches(
         lambda t: pa.table({"node": t.column(src_col).cast(pa.int64()),
                             "_dst": t.column(dst_col).cast(pa.int64())}),
@@ -812,11 +813,11 @@ def personalized_pagerank(
     eo_schema = pa.schema([("node", pa.int64()), ("_dst", pa.int64()),
                            ("outdeg", pa.int64())])
 
-    seed_df = distinct_rows(
+    seed_df = exchange_agg(
         seeds.map_batches(
             lambda t: pa.table({"node": t.column("node").cast(pa.int64())}),
             batch_format="pyarrow"),
-        cols=["node"]).to_pandas()
+        ["node"]).to_pandas()
     if seed_df.empty:
         return rd.from_pandas(pd.DataFrame(
             {"node": pd.Series(dtype="int64"),
@@ -1090,10 +1091,10 @@ def hits(
     if iterations < 1:
         raise ValueError("hits: iterations must be >= 1 (the auth pass "
                          "defines the output)")
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
     from .bsp import hits_bsp
 
-    e = distinct_rows(edges, cols=[src_col, dst_col])
+    e = exchange_agg(edges, [src_col, dst_col])
     eo = e.map_batches(
         lambda t: pa.table({"node": t.column(src_col).cast(pa.int64()),
                             "_o": t.column(dst_col).cast(pa.int64())}),
@@ -1161,10 +1162,10 @@ def label_propagation(
     pattern); per round only O(nodes) label rows move, vote counts
     pre-reduced inside each task.
     """
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
     from .bsp import label_propagation_bsp
 
-    e = distinct_rows(edges, cols=[src_col, dst_col])
+    e = exchange_agg(edges, [src_col, dst_col])
     und = e.map_batches(
         lambda t: pa.table({
             "node": pa.concat_arrays([
@@ -1174,7 +1175,7 @@ def label_propagation(
                 t.column(dst_col).cast(pa.int64()).combine_chunks(),
                 t.column(src_col).cast(pa.int64()).combine_chunks()])}),
         batch_format="pyarrow")
-    und = distinct_rows(und, cols=["node", "nbr"]).materialize()
+    und = exchange_agg(und, ["node", "nbr"]).materialize()
     return label_propagation_bsp(und, iterations=iterations,
                                  num_parts=min(num_partitions, 16))
 
@@ -1275,16 +1276,16 @@ def scc(
     counters surface behavior).
     """
     from ..state import counters
-    from .analytics import distinct_rows, set_op_rows
+    from .analytics import set_op_rows
     from .exchange import exchange_agg, exchange_join
 
-    e = distinct_rows(
+    e = exchange_agg(
         edges.map_batches(
             lambda t: pa.table({
                 "src": t.column(src_col).cast(pa.int64()),
                 "dst": t.column(dst_col).cast(pa.int64())}),
             batch_format="pyarrow"),
-        cols=["src", "dst"]).materialize()
+        ["src", "dst"]).materialize()
     n_edges = e.count()
 
     if engine == "driver" or (engine == "auto"
@@ -1297,13 +1298,13 @@ def scc(
         return rd.from_pandas(out.astype("int64"))
 
     ns = pa.schema([("node", pa.int64())])
-    nodes = distinct_rows(
+    nodes = exchange_agg(
         e.map_batches(
             lambda t: pa.table({"node": pa.concat_arrays([
                 t.column("src").combine_chunks(),
                 t.column("dst").combine_chunks()])}),
             batch_format="pyarrow"),
-        cols=["node"]).materialize()
+        ["node"]).materialize()
 
     active = nodes
     assigned: list = []
@@ -1345,12 +1346,12 @@ def scc(
         ae = _active_edges(active)
         while True:
             counters.incr({"scc_trim_rounds": 1})
-            both = distinct_rows(ae.map_batches(
+            both = exchange_agg(ae.map_batches(
                 lambda t: pa.table({"node": t.column("src")}),
-                batch_format="pyarrow"), cols=["node"])
-            both = set_op_rows(both, distinct_rows(ae.map_batches(
+                batch_format="pyarrow"), ["node"])
+            both = set_op_rows(both, exchange_agg(ae.map_batches(
                 lambda t: pa.table({"node": t.column("dst")}),
-                batch_format="pyarrow"), cols=["node"]),
+                batch_format="pyarrow"), ["node"]),
                 cols=["node"], op="intersect",
                 num_partitions=num_partitions).map_batches(
                 lambda t: pa.table({"node": t.column("node").cast(
@@ -1469,7 +1470,7 @@ def scc(
                     t.column("rcol"), t.column("col"))).select(
                     ["node", "col"]),
                 batch_format="pyarrow")
-            cand2 = distinct_rows(cand2, cols=["node", "col"])
+            cand2 = exchange_agg(cand2, ["node", "col"])
             new = set_op_rows(cand2, visited, cols=["node", "col"],
                               op="except",
                               num_partitions=num_partitions
@@ -1480,8 +1481,8 @@ def scc(
                 batch_format="pyarrow").materialize()
             if new.count() == 0:
                 break
-            visited = distinct_rows(visited.union(new),
-                                    cols=["node", "col"]).map_batches(
+            visited = exchange_agg(visited.union(new),
+                                   ["node", "col"]).map_batches(
                 lambda t: pa.table({"node": t.column("node").cast(
                     pa.int64()), "col": t.column("col").cast(
                     pa.int64())}),
@@ -1578,12 +1579,11 @@ def common_neighbors(
     cap^2 per z.  SQL oracles replay the cap with
     ``HAVING count(*) <= cap`` on the z-degree CTE.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join
 
-    e = distinct_rows(
+    e = exchange_agg(
         _project(edges, [(a_col, "a"), (z_col, "z")]),
-        cols=["a", "z"]).materialize()
+        ["a", "z"]).materialize()
     es = pa.schema([("z", pa.int64()), ("a", pa.int64())])
     if max_wedge_degree is not None:
         degz = _cap_hub_degrees(
@@ -1655,12 +1655,11 @@ def link_prediction(
     Callers with an SQL oracle replay the cap as
     ``WHERE degz <= max_wedge_degree`` in the wedge CTE.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join, join_out_schema
 
-    e = distinct_rows(
+    e = exchange_agg(
         _project(edges, [(a_col, "a"), (z_col, "z")]),
-        cols=["a", "z"]).materialize()
+        ["a", "z"]).materialize()
     es = pa.schema([("a", pa.int64()), ("z", pa.int64())])
     degz = exchange_agg(e, "z", [("a", "count", "degz")],
                         num_partitions=num_partitions)
@@ -1756,7 +1755,6 @@ def modularity(
     label table instead of paying a third exchange.  ``m`` is the only
     driver scalar.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg, exchange_join
 
     def norm(t: pa.Table) -> pa.Table:
@@ -1767,8 +1765,8 @@ def modularity(
         keep = pc.not_equal(lo, hi)
         return pa.table({"lo": lo.filter(keep), "hi": hi.filter(keep)})
 
-    e0 = distinct_rows(edges.map_batches(norm, batch_format="pyarrow"),
-                       cols=["lo", "hi"]).materialize()
+    e0 = exchange_agg(edges.map_batches(norm, batch_format="pyarrow"),
+                      ["lo", "hi"]).materialize()
     m = e0.count()
     if m == 0:
         return rd.from_arrow(pa.table({
@@ -1933,15 +1931,15 @@ def bfs_prepare_edges(
     """Distinct (node, _nxt) int64 edge table, materialized — the
     shared preparation for :func:`multi_source_bfs` sweeps (one
     distinct exchange reused across sweeps over the same graph)."""
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
 
-    return distinct_rows(
+    return exchange_agg(
         edges.map_batches(
             lambda t: pa.table({
                 "node": t.column(src_col).cast(pa.int64()),
                 "_nxt": t.column(dst_col).cast(pa.int64())}),
             batch_format="pyarrow"),
-        cols=["node", "_nxt"]).materialize()
+        ["node", "_nxt"]).materialize()
 
 
 def multi_source_bfs(
@@ -1976,8 +1974,8 @@ def multi_source_bfs(
     over the SAME graph (diameter's double sweep, landmark closeness)
     pass it so the distinct exchange runs once, not per sweep.
     """
-    from .analytics import distinct_rows, set_op_rows
-    from .exchange import exchange_join
+    from .analytics import set_op_rows
+    from .exchange import exchange_agg, exchange_join
 
     e_keyed = (prepared if prepared is not None
                else bfs_prepare_edges(edges, src_col=src_col,
@@ -2032,11 +2030,10 @@ def multi_source_bfs(
     fs = pa.schema([("seed", pa.int64()), ("node", pa.int64())])
 
     # block types must stay UNIFORM through the unions below (mixing
-    # pandas and arrow blocks trips Ray's batcher) — distinct_rows /
-    # set_op_rows emit pandas blocks, so everything here is pandas
+    # pandas and arrow blocks trips Ray's batcher) — exchange_agg /
+    # set_op_rows emit Arrow blocks, so the seed frontier is Arrow too
     sarr = np.asarray(sorted(set(int(s) for s in seeds)), np.int64)
-    frontier = rd.from_pandas(
-        pd.DataFrame({"seed": sarr, "node": sarr})).materialize()
+    frontier = rd.from_arrow(pa.table({"seed": sarr, "node": sarr}))
 
     def stamp(level: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
@@ -2059,20 +2056,20 @@ def multi_source_bfs(
             left_schema=pa.schema([("node", pa.int64()),
                                    ("seed", pa.int64())]),
             right_schema=es)
-        nb = distinct_rows(
+        nb = exchange_agg(
             nb.map_batches(
                 lambda t: pa.table({"seed": t.column("seed"),
                                     "node": t.column("_nxt")}),
                 batch_format="pyarrow"),
-            cols=["seed", "node"])
+            ["seed", "node"])
         new = set_op_rows(nb, visited, cols=["seed", "node"],
                           op="except",
                           num_partitions=num_partitions).materialize()
         if new.count() == 0:
             break
         levels.append(new.map_batches(stamp(lvl), batch_format="pandas"))
-        visited = distinct_rows(visited.union(new),
-                                cols=["seed", "node"]).materialize()
+        visited = exchange_agg(visited.union(new),
+                               ["seed", "node"]).materialize()
         frontier = new
     out = levels[0]
     for p in levels[1:]:
@@ -2158,8 +2155,7 @@ def neighbor_agg(
     explode to d rows only at the final O(nodes x d) emit, which is the
     output's own size, not shuffle volume.
     """
-    from .exchange import exchange_join
-    from .windows import _part_of
+    from .exchange import exchange_join, keyed_apply
 
     joined = exchange_join(
         edges.map_batches(
@@ -2177,12 +2173,8 @@ def neighbor_agg(
         right_schema=pa.schema([(id_col, pa.int64()),
                                 (emb_col, pa.list_(pa.float32()))]))
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(_part=_part_of(b["_dst"], num_partitions))
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values("_dst", kind="mergesort").reset_index(drop=True))
+        g = g.sort_values("_dst", kind="mergesort").reset_index(drop=True)
         m = np.stack([np.asarray(v, np.float64) for v in g[emb_col]])
         dst = g["_dst"].to_numpy(np.int64)
         starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
@@ -2197,9 +2189,8 @@ def neighbor_agg(
             "val": mean.ravel(),
             "n_neighbors": np.repeat(counts.astype(np.int64), d)})
 
-    return (joined.map_batches(add_part, batch_format="pandas",
-                               batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(joined, "_dst", per_part,
+                       num_partitions=num_partitions)
 
 
 def diameter_double_sweep(
@@ -2533,7 +2524,6 @@ def degree_centralization(
     one row (n_nodes, n_edges, deg_max, centralization rounded 9dp).
     """
     from .exchange import exchange_agg
-    from .analytics import distinct_rows
 
     def sym(t: pa.Table) -> pa.Table:
         f = t.filter(pc.not_equal(t.column(src_col), t.column(dst_col)))
@@ -2545,9 +2535,9 @@ def degree_centralization(
             "node": pa.array(np.concatenate([s, d]), pa.int64()),
             "nbr": pa.array(np.concatenate([d, s]), pa.int64())})
 
-    e = distinct_rows(
+    e = exchange_agg(
         edges.map_batches(sym, batch_format="pyarrow"),
-        cols=["node", "nbr"]).materialize()
+        ["node", "nbr"]).materialize()
     deg = exchange_agg(
         e.map_batches(
             lambda b: pd.DataFrame({

@@ -39,6 +39,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .exchange import keyed_apply
+
 _SIDE = "_side"
 _TS64 = "_ts_us"
 _PART = "_tj_part"
@@ -197,6 +199,7 @@ def asof_join(
             cols[n] = R.column(n).take(ri)
         return pa.table(cols)
 
+    # map_groups partitioning: _key_hash of the key, both sides padded
     return u.groupby(_PART).map_groups(merge, batch_format="pyarrow")
 
 
@@ -396,6 +399,7 @@ def range_join_agg(
             cols["sum_value"] = pa.array(sum_value, pa.float64())
         return pa.table(cols)
 
+    # map_groups partitioning: _key_hash of the key, both sides padded
     return u.groupby(_PART).map_groups(merge, batch_format="pyarrow")
 
 
@@ -544,6 +548,7 @@ def semi_join_bloom(
                              pa.int64()),
         })
 
+    # map_groups partitioning: Bloom filter word index mod P
     words_df = (keys.map_batches(key_words, batch_format="pyarrow")
                 .groupby("_part").map_groups(or_part, batch_format="pyarrow")
                 .to_pandas())
@@ -671,13 +676,11 @@ def upsert_merge(
     deterministically.
 
     Scale shape: a batch-local winner-per-key combiner runs before the
-    exchange (at most one row per key per batch moves), then ONE int32
-    key-hash partition whose reduce handles every key in the partition
+    exchange (at most one row per key per batch moves), then ONE
+    key-hash ``keyed_apply`` whose reduce handles every key in the partition
     with one vectorized sort + ``groupby.head(1)`` — the
     ``topk_per_group`` pattern, never one Python call per key.
     """
-    from ..kernels.minhash import _hash_shingles
-
     by = [order_col, "_src", tiebreak_col]
     asc = [False, False, False]
 
@@ -696,21 +699,17 @@ def upsert_merge(
             raise ValueError(
                 f"upsert_merge: null values in key column {key_col!r} — "
                 "filter or fill them first")
-        out = (batch.sort_values(by, ascending=asc)
-               .groupby(key_col, sort=False).head(1))
-        part = (_hash_shingles(out[key_col].astype(str).tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return out.assign(_part=part)
+        return (batch.sort_values(by, ascending=asc)
+                .groupby(key_col, sort=False).head(1))
 
     def final_win(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col] + by, ascending=[True] + asc))
+        g = g.sort_values([key_col] + by, ascending=[True] + asc)
         return (g.groupby(key_col, sort=False).head(1)
                 .drop(columns=["_src"]))
 
-    return (u.map_batches(local_win, batch_format="pandas",
-                          batch_size=65536)
-            .groupby("_part").map_groups(final_win, batch_format="pandas"))
+    return keyed_apply(
+        u.map_batches(local_win, batch_format="pandas", batch_size=65536),
+        key_col, final_win, num_partitions=num_partitions)
 
 
 def skew_join(
@@ -880,8 +879,6 @@ def cdc_apply(
     winner combiner, ONE key-hash exchange, vectorized per-partition
     reduce; tombstones travel as ordinary rows.
     """
-    from ..kernels.minhash import _hash_shingles
-
     by = [order_col, "_src", tiebreak_col]
     asc = [False, False, False]
 
@@ -905,21 +902,17 @@ def cdc_apply(
             raise ValueError(
                 f"cdc_apply: null values in key column {key_col!r} — "
                 "filter or fill them first")
-        out = (batch.sort_values(by, ascending=asc)
-               .groupby(key_col, sort=False).head(1))
-        part = (_hash_shingles(out[key_col].astype(str).tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return out.assign(_part=part)
+        return (batch.sort_values(by, ascending=asc)
+                .groupby(key_col, sort=False).head(1))
 
     def final_win(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col] + by, ascending=[True] + asc))
+        g = g.sort_values([key_col] + by, ascending=[True] + asc)
         w = g.groupby(key_col, sort=False).head(1)
         return w[w["_del"] == 0].drop(columns=["_src", "_del"])
 
-    return (u.map_batches(local_win, batch_format="pandas",
-                          batch_size=65536)
-            .groupby("_part").map_groups(final_win, batch_format="pandas"))
+    return keyed_apply(
+        u.map_batches(local_win, batch_format="pandas", batch_size=65536),
+        key_col, final_win, num_partitions=num_partitions)
 
 
 def interval_self_join(
@@ -948,25 +941,9 @@ def interval_self_join(
     or shrink the window when it fires).  A key's rows must fit in one
     partition (the sessionize partitioning assumption).
     """
-    from ..kernels.minhash import _hash_shingles
-
-    def part_of(batch: pd.DataFrame) -> pd.DataFrame:
-        part = (_hash_shingles(batch[key_col].astype(str).tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.assign(_part=part)
-
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, id_col], kind="mergesort")
+        g = (g.sort_values([key_col, ts_col, id_col], kind="mergesort")
              .reset_index(drop=True))
-        out_cols = {
-            key_col: pd.Series([], dtype=g[key_col].dtype),
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "dt_us": pd.Series([], dtype="int64"),
-        }
-        if len(g) == 0:
-            return pd.DataFrame(out_cols)
         ts = g[ts_col]
         if pd.api.types.is_datetime64_any_dtype(ts):
             # normalize to MICROSECONDS regardless of the stored unit —
@@ -1008,7 +985,11 @@ def interval_self_join(
             reps.append(idx[rep])
             takes.append(idx[take])
         if not reps:
-            return pd.DataFrame(out_cols)
+            return pd.DataFrame({
+                key_col: pd.Series([], dtype=g[key_col].dtype),
+                "id_a": pd.Series([], dtype="int64"),
+                "id_b": pd.Series([], dtype="int64"),
+                "dt_us": pd.Series([], dtype="int64")})
         ra = np.concatenate(reps)
         ta = np.concatenate(takes)
         return pd.DataFrame({
@@ -1018,10 +999,8 @@ def interval_self_join(
             "dt_us": tsu[ta] - tsu[ra],
         })
 
-    return (ds.map_batches(part_of, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(reduce_part,
-                                         batch_format="pandas"))
+    return keyed_apply(ds, key_col, reduce_part,
+                       num_partitions=num_partitions)
 
 
 def planned_join(

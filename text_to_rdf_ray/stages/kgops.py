@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
-from .exchange import exchange_agg, exchange_join
+from .exchange import exchange_agg, exchange_join, keyed_apply
 
 _POS = ("subj", "pred", "obj")
 
@@ -285,8 +285,8 @@ def majority_vote(
     smaller value, so the output is a pure function of the multiset of
     claims.  Two phases, both vectorized: support counting via the
     combiner-backed ``exchange_agg`` (shuffle volume = per-batch
-    distinct (key, value) pairs), then winner-per-key as one int32
-    hash exchange + per-partition sort / ``groupby.head(1)`` — never
+    distinct (key, value) pairs), then winner-per-key as one key-hash
+    ``keyed_apply`` + per-partition sort / ``groupby.head(1)`` — never
     one Python call per key (NOTES_r3 pathology).
     """
     counted = exchange_agg(
@@ -294,25 +294,15 @@ def majority_vote(
         [(value_col, "count", support_col)],
         num_partitions=num_partitions)
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        key = batch[key_cols[0]].astype(str)
-        for c in key_cols[1:]:
-            key = key + "\x1f" + batch[c].astype(str)
-        part = (_hash_shingles(key.tolist())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.assign(_part=part)
-
     def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         totals = g.groupby(key_cols, sort=False)[support_col].transform("sum")
         g = g.assign(**{total_col: totals})
         g = g.sort_values(key_cols + [support_col, value_col],
                           ascending=[True] * len(key_cols) + [False, True])
         return g.groupby(key_cols, sort=False).head(1)
 
-    return (counted.map_batches(tag, batch_format="pandas",
-                                batch_size=65536)
-            .groupby("_part").map_groups(pick, batch_format="pandas"))
+    return keyed_apply(counted, key_cols, pick,
+                       num_partitions=num_partitions)
 
 
 def clustering_prf(
@@ -408,7 +398,6 @@ def predicate_stats(
     triples swap the distinct tiers for HLL sketches
     (analytics.py::hll_registers) — the exchange shape is unchanged.
     """
-    from .analytics import distinct_rows
     from .exchange import exchange_agg
 
     def ones(col: str):
@@ -425,12 +414,12 @@ def predicate_stats(
         num_partitions=num_partitions).to_pandas()
 
     def distinct_count(col: str, out: str) -> pd.DataFrame:
-        d = distinct_rows(
+        d = exchange_agg(
             triples.map_batches(
                 lambda t, c=col: pa.table({"pred": t.column(pred_col),
                                            "x": t.column(c)}),
                 batch_format="pyarrow"),
-            cols=["pred", "x"])
+            ["pred", "x"])
         return exchange_agg(
             d.map_batches(
                 lambda t: pa.table({"pred": t.column("pred"),
@@ -562,7 +551,7 @@ def sameas_closure(
     driver-side except the CC tier decision inside
     ``connected_components`` itself.
     """
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
     from .canonicalize import connected_components
 
     def hash_edges(t: pa.Table) -> pa.Table:
@@ -583,11 +572,11 @@ def sameas_closure(
             "name_id": pa.array(_hash_shingles(v).astype(np.int64),
                                 pa.int64())})
 
-    names = distinct_rows(
+    names = exchange_agg(
         sameas.map_batches(lambda t: pa.concat_tables(
             [hash_names(t, a_col), hash_names(t, b_col)]),
             batch_format="pyarrow"),
-        cols=["name", "name_id"])
+        ["name", "name_id"])
     n_schema = pa.schema([("name", pa.string()), ("name_id", pa.int64())])
     c_schema = pa.schema([("name_id", pa.int64()),
                           ("component", pa.int64())])
@@ -644,7 +633,7 @@ def sameas_closure(
             "pred": t.column("pred"),
             "obj": pc.coalesce(t.column("canon"), t.column("name"))}),
         batch_format="pyarrow")
-    return distinct_rows(rew2, cols=["subj", "pred", "obj"])
+    return exchange_agg(rew2, ["subj", "pred", "obj"])
 
 
 def property_path(
@@ -674,7 +663,7 @@ def property_path(
     hop bound terminates; an UNBOUNDED ``p+`` needs a frontier-EXCEPT
     fixpoint instead (see ``analytics.khop_reach`` for that shape).
     """
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
 
     e_schema = pa.schema([("node", pa.string()), ("dst", pa.string())])
     f_schema = pa.schema([("node", pa.string()), ("src", pa.string())])
@@ -688,12 +677,12 @@ def property_path(
     edges = triples.map_batches(edge_rows,
                                 batch_format="pyarrow").materialize()
 
-    frontier = distinct_rows(
+    frontier = exchange_agg(
         edges.map_batches(
             lambda t: pa.table({"src": t.column("node"),
                                 "dst": t.column("dst")}),
             batch_format="pyarrow"),
-        cols=["src", "dst"]).materialize()
+        ["src", "dst"]).materialize()
 
     def with_hops(ds: rd.Dataset, h: int) -> rd.Dataset:
         return ds.map_batches(
@@ -710,12 +699,12 @@ def property_path(
                 batch_format="pyarrow"),
             edges, on="node", num_partitions=num_partitions,
             left_schema=f_schema, right_schema=e_schema)
-        frontier = distinct_rows(
+        frontier = exchange_agg(
             ext.map_batches(
                 lambda t: pa.table({"src": t.column("src"),
                                     "dst": t.column("dst")}),
                 batch_format="pyarrow"),
-            cols=["src", "dst"]).materialize()
+            ["src", "dst"]).materialize()
         if frontier.count() == 0:
             break
         acc.append(with_hops(frontier, h))
@@ -750,7 +739,7 @@ def cardinality_check(
     the driver; the audited-predicate list ships inside the closure
     (bounded — an ontology's functional predicates are dozens).
     """
-    from .analytics import distinct_rows
+    from .exchange import exchange_agg
 
     pset = pa.array(sorted(set(functional_preds)), pa.string())
 
@@ -762,9 +751,9 @@ def cardinality_check(
                          "pred": f.column(pred_col).cast(pa.string()),
                          "obj": f.column(obj_col).cast(pa.string())})
 
-    spo = distinct_rows(
+    spo = exchange_agg(
         triples.map_batches(prune, batch_format="pyarrow"),
-        cols=["subj", "pred", "obj"])
+        ["subj", "pred", "obj"])
     counted = exchange_agg(
         spo.map_batches(
             lambda t: pa.table({
@@ -865,7 +854,7 @@ def property_entailment(
     exchange_agg, the type_inference convention).
     """
     from .exchange import exchange_agg, exchange_join
-    from ..stages.analytics import distinct_rows
+    from ..stages.exchange import exchange_agg
 
     inv_preds = {q for _, q in inverse}
     if inv_preds & (set(transitive) | set(symmetric)):
@@ -908,12 +897,12 @@ def property_entailment(
     # (2) transitive closure by path doubling, per predicate
     closed_parts: list[rd.Dataset] = []
     for p in transitive:
-        pairs = distinct_rows(
+        pairs = exchange_agg(
             expanded.map_batches(
                 lambda t, p=p: t.filter(pc.equal(t.column(pred_col), p))
                                 .select([subj_col, obj_col]),
                 batch_format="pyarrow"),
-            cols=[subj_col, obj_col]).materialize()
+            [subj_col, obj_col]).materialize()
         n_prev = pairs.count()
         converged = False
         for _ in range(max_iters):
@@ -931,13 +920,11 @@ def property_entailment(
                                        (subj_col, pa.string())]),
                 right_schema=pa.schema([("_mid", pa.string()),
                                         (obj_col, pa.string())]))
-            # distinct_rows emits pandas blocks; the union side must
-            # match (mixed block types trip Ray's block builder)
-            pairs = distinct_rows(
+            pairs = exchange_agg(
                 pairs.union(hop.map_batches(
-                    lambda b: b[[subj_col, obj_col]],
-                    batch_format="pandas")),
-                cols=[subj_col, obj_col]).materialize()
+                    lambda t: t.select([subj_col, obj_col]),
+                    batch_format="pyarrow")),
+                [subj_col, obj_col])
             n_now = pairs.count()
             if n_now == n_prev:
                 converged = True

@@ -154,6 +154,7 @@ def knn_bruteforce(
                 }
             )
 
+    # map_groups partitioning: query index mod the query-partition count
     reduced = (
         ds.map_batches(Score, batch_format="pyarrow", batch_size=4096,
                        concurrency=(1, 16))
@@ -268,6 +269,7 @@ def knn_ivf(
     # qidx-partitioned distributed reduce BEFORE the driver collect —
     # the partial volume is n_batches x n_queries x k otherwise, the
     # exact driver bottleneck the module docstring bans (review r5)
+    # map_groups partitioning: query index mod the query-partition count
     partial = (ds.map_batches(ScoreIVF, batch_format="pyarrow",
                               batch_size=4096, concurrency=(1, 16))
                .groupby("_part")
@@ -493,6 +495,7 @@ def knn_ivf_indexed(
             }
         )
 
+    # map_groups partitioning: query index mod 32
     partial = (corpus.map_batches(score, batch_format="pyarrow",
                                   batch_size=4096)
                .groupby("_part")
@@ -800,6 +803,7 @@ def _lsh_score_reduce(
                           ascending=[True, False, True]))
         return g.groupby("qidx", sort=False).head(k)
 
+    # map_groups partitioning: query index mod the query-partition count
     partial = (ds.map_batches(ScoreLSH, batch_format="pyarrow",
                               batch_size=4096, concurrency=(1, 16))
                .groupby("_part").map_groups(topk_part, batch_format="pandas")
@@ -1106,6 +1110,7 @@ def knn_quantized(
                     np.take_along_axis(sims, idx, axis=1).ravel(),
                     pa.int64())})
 
+    # map_groups partitioning: query index mod the query-partition count
     reduced = (ds_codes.map_batches(Score, batch_format="pyarrow",
                                     batch_size=4096, concurrency=(1, 16))
                .groupby("_part")

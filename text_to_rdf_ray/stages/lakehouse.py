@@ -132,6 +132,7 @@ def clustered_write(
             row["bloom_k"] = pd.Series([bloom_k], dtype="int64")
         return pd.DataFrame(row)
 
+    # map_groups partitioning: output file id from sampled key-range cuts
     manifest = (ds.map_batches(assign, batch_format="pandas",
                                batch_size=65536)
                 .groupby("_file")
@@ -398,6 +399,7 @@ def zorder_write(
             row[f"max_{c}"] = [float(g[c].max())]
         return pd.DataFrame(row)
 
+    # map_groups partitioning: output file id from sampled Z-order range cuts
     manifest = (ds.map_batches(assign, batch_format="pandas",
                                batch_size=65536)
                 .groupby("_file").map_groups(write_file,

@@ -279,7 +279,7 @@ def media_exact_dedup(
     """
     import hashlib as _hl
 
-    from .windows import _part_of
+    from .exchange import keyed_apply
 
     def digest(t: pa.Table) -> pd.DataFrame:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
@@ -289,12 +289,10 @@ def media_exact_dedup(
             d = _hl.blake2b(payload, digest_size=16).digest()
             h1[i] = int.from_bytes(d[:8], "little", signed=True)
             h2[i] = int.from_bytes(d[8:], "little", signed=True)
-        out = pd.DataFrame({id_col: ids.astype(np.int64),
-                            "_h1": h1, "_h2": h2})
-        return out.assign(_part=_part_of(out["_h1"], num_partitions))
+        return pd.DataFrame({id_col: ids.astype(np.int64),
+                             "_h1": h1, "_h2": h2})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         canon = (g.groupby(["_h1", "_h2"], sort=False)[id_col]
                  .min().rename("canonical_id").reset_index())
         out = g.merge(canon, on=["_h1", "_h2"], how="left")
@@ -302,6 +300,6 @@ def media_exact_dedup(
             id_col: out[id_col].astype("int64"),
             "canonical_id": out["canonical_id"].astype("int64")})
 
-    return (ds.map_batches(digest, batch_format="pyarrow",
-                           batch_size=1024)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(digest, batch_format="pyarrow", batch_size=1024),
+        "_h1", per_part, num_partitions=num_partitions)

@@ -6,13 +6,15 @@ Data expression of streaming windows over a bounded event table).
   the exchange (partials move, not rows).
 - ``sessionize``: per-key session windows split on inactivity gaps —
   one output row PER SESSION (key, session_id, n_events, start/end ts).
-  Executed as ONE key-hash exchange into ``num_partitions`` partitions
-  with a single vectorized pandas pass per partition (groupby.diff /
-  cumsum / agg — C kernels across ALL keys in the partition), NOT
-  ``groupby(key).map_groups``: Ray 2.49 makes one Python call per key
-  there (measured 153s vs <2s at 48k keys — NOTES_r3.md), which at
-  millions of users is the stage ceiling.  Partitioning assumption: one
-  PARTITION's events fit in a worker (~|events|/num_partitions — raise
+  Executed as ONE key-hash exchange (``exchange.keyed_apply``: P sized
+  to the input, ``num_partitions`` the cap) with a single vectorized
+  pandas pass per partition (groupby.diff / cumsum / agg — C kernels
+  across ALL keys in the partition), NOT ``groupby(key).map_groups``:
+  Ray 2.49 makes one Python call per key there (measured 153s vs <2s
+  at 48k keys — NOTES_r3.md), which at millions of users is the stage
+  ceiling.  Every per-key operator below runs on the same helper.
+  Partitioning assumption: one PARTITION's events fit in a worker
+  (above the cap partitions grow with the data — raise
   ``num_partitions`` with data size); a single hot key still needs a
   time-bucketed pre-split.
 - ``session_summary``: per-key rollup of ``sessionize`` output
@@ -32,32 +34,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-
-def _part_of(s: pd.Series, num_partitions: int) -> np.ndarray:
-    """int32 hash-partition ids for a key series (splitmix64 for integer
-    keys, vectorized FNV for everything else)."""
-    if pd.api.types.is_integer_dtype(s):
-        from .analytics import splitmix64
-
-        return (splitmix64(s.to_numpy().astype(np.int64))
-                % np.uint64(num_partitions)).astype(np.int32)
-    from ..kernels.minhash import _hash_shingles
-
-    return (_hash_shingles(s.astype(str).tolist())
-            % np.uint64(num_partitions)).astype(np.int32)
-
-
-def _with_part(frame: pd.DataFrame, key_col: str,
-               num_partitions: int) -> pd.DataFrame:
-    """Tag a batch with its exchange partition id — the ONE shared
-    add-part step for every windows operator.  Raises on a pre-existing
-    ``_part`` column instead of silently clobbering it (exchange.py's
-    reserved-name convention; review r5)."""
-    if "_part" in frame.columns:
-        raise ValueError(
-            "column name '_part' is reserved by the windows exchange — "
-            "rename it")
-    return frame.assign(_part=_part_of(frame[key_col], num_partitions))
+from .exchange import keyed_apply
 
 
 def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +157,11 @@ def sessionize(
     session_id numbers sessions 1..n per key in time order.
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         # one vectorized pass over ALL keys in the partition: groupby.diff
         # restarts the gap at each key boundary, groupby.cumsum numbers
         # sessions per key (the first row of every key breaks -> 1-based)
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col]))
+        g = g.sort_values([key_col, ts_col, order_col])
         gaps = g.groupby(key_col, sort=False)[ts_col].diff()
         brk = gaps.isna() | (gaps > gap)
         sid = brk.groupby(g[key_col], sort=False).cumsum()
@@ -202,8 +175,7 @@ def sessionize(
         out["session_id"] = out["session_id"].astype("int64")
         return out[[key_col, "session_id", "n_events", "start_ts", "end_ts"]]
 
-    return (ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def session_summary(sessions: rd.Dataset, key_col: str = "user_id") -> rd.Dataset:
@@ -241,12 +213,8 @@ def rolling_agg(
     vectorized across all keys in it).
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col]))
+        g = g.sort_values([key_col, ts_col, order_col])
         # unit-safe epoch µs: parquet may load as datetime64[ns] or [us]
         ts_us = pd.Series(
             g[ts_col].values.astype("datetime64[us]").astype("int64"),
@@ -263,8 +231,7 @@ def rolling_agg(
             "gap_us": gap.fillna(-1).astype("int64"),
         })
 
-    return (ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def funnel(
@@ -294,13 +261,11 @@ def funnel(
     if not steps:
         raise ValueError("funnel: steps must be non-empty")
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        keep = batch[type_col].isin(steps)  # shrink the exchange to
-        batch = batch[keep]                  # funnel-relevant events only
-        return _with_part(batch, key_col, num_partitions)
+    def relevant(batch: pd.DataFrame) -> pd.DataFrame:
+        # shrink the exchange to funnel-relevant events only
+        return batch[batch[type_col].isin(steps)]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         cur = (g[g[type_col] == steps[0]]
                .groupby(key_col, sort=False)[ts_col].min())
         counts = [len(cur)]
@@ -317,9 +282,9 @@ def funnel(
             "n_users": pd.Series(counts, dtype="int64"),
         })
 
-    partials = (ds.map_batches(add_part, batch_format="pandas",
-                               batch_size=65536)
-                .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    partials = keyed_apply(
+        ds.map_batches(relevant, batch_format="pandas", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
     return exchange_agg(partials, ["step", "step_name"],
                         [("n_users", "sum", "n_users")],
                         num_partitions=min(num_partitions, 8))
@@ -354,10 +319,10 @@ def retention(
                .astype(np.int64) // us_per_day)
         out = pd.DataFrame({key_col: batch[key_col], "day": day})
         out = out.drop_duplicates()  # per-batch combiner
-        return _with_part(out, key_col, num_partitions)
+        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).drop_duplicates()
+        g = g.drop_duplicates()
         coh = g.groupby(key_col, sort=False)["day"].transform("min")
         off = g["day"].to_numpy() - coh.to_numpy()
         keep = off <= max_offset
@@ -366,9 +331,9 @@ def retention(
             "day_offset": pd.Series(off[keep], dtype="int64"),
         })
 
-    fused = (ds.map_batches(day_rows, batch_format="pandas",
-                            batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    fused = keyed_apply(
+        ds.map_batches(day_rows, batch_format="pandas", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
     return exchange_agg(
         fused, ["cohort_day", "day_offset"],
         [("cohort_day", "count", "n_users")],
@@ -398,12 +363,8 @@ def lag_delta(
     matches the SQL replay exactly, so deltas are IEEE-bit-identical.
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col]))
+        g = g.sort_values([key_col, ts_col, order_col])
         d = g.groupby(key_col, sort=False)[value_col].diff()
         return pd.DataFrame({
             key_col: g[key_col],
@@ -413,8 +374,7 @@ def lag_delta(
             "has_prev": d.notna(),
         })
 
-    return (ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def watermark_filter(
@@ -514,12 +474,11 @@ def resample_fill(
         g = (t.group_by([key_col, "window_id"])
              .aggregate([(value_col, "sum"), (value_col, "count")])
              .to_pandas())
-        return _with_part(g, key_col, num_partitions)
+        return g
 
     sum_c, cnt_c = f"{value_col}_sum", f"{value_col}_count"
 
     def fill(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         agg = (g.groupby([key_col, "window_id"], sort=False, as_index=False)
                .agg(sum_value=(sum_c, "sum"), n=(cnt_c, "sum")))
         spans = agg.groupby(key_col, sort=False)["window_id"].agg(
@@ -554,9 +513,10 @@ def resample_fill(
             out["sum_value"] = out["sum_value"].fillna(0.0)
         return out[[key_col, "window_id", "n", "sum_value"]]
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(fill, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=65536),
+        key_col, fill, num_partitions=num_partitions)
 
 
 def transition_matrix(
@@ -583,9 +543,6 @@ def transition_matrix(
     """
     from .exchange import exchange_agg
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tiebreak_col],
                           kind="mergesort")
@@ -599,8 +556,7 @@ def transition_matrix(
         return out
 
     counted = exchange_agg(
-        ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-        .groupby("_part").map_groups(pairs, batch_format="pandas"),
+        keyed_apply(ds, key_col, pairs, num_partitions=num_partitions),
         ["state_from", "state_to"], [("n", "sum", "n")])
     tot = counted.to_pandas()
     tot["n"] = tot["n"].astype("int64")
@@ -639,12 +595,8 @@ def ewma(
     a = np.float64(alpha)
     one_minus = np.float64(1.0) - a
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, tiebreak_col],
+        g = (g.sort_values([key_col, ts_col, tiebreak_col],
                           kind="mergesort").reset_index(drop=True))
         x = g[value_col].to_numpy(np.float64)
         y = x.copy()                      # position 0: y = x
@@ -658,9 +610,7 @@ def ewma(
         g[out_col] = y
         return g
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def double_smooth(
@@ -695,12 +645,8 @@ def double_smooth(
     bt = np.float64(beta)
     one_minus_b = np.float64(1.0) - bt
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, tiebreak_col],
+        g = (g.sort_values([key_col, ts_col, tiebreak_col],
                           kind="mergesort").reset_index(drop=True))
         x = g[value_col].to_numpy(np.float64)
         lvl = x.copy()                    # position 0: l = x, b = 0
@@ -717,9 +663,7 @@ def double_smooth(
         g[trend_col] = trd
         return g
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def burst_detect(
@@ -763,10 +707,9 @@ def burst_detect(
         g = (t.group_by([key_col, "window_id"])
              .aggregate([([], "count_all")]).to_pandas()
              .rename(columns={"count_all": "n"}))
-        return _with_part(g, key_col, num_partitions)
+        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         g = (g.groupby([key_col, "window_id"], sort=False, as_index=False)
              ["n"].sum())
         g = (g.sort_values([key_col, "window_id"], kind="mergesort")
@@ -795,9 +738,10 @@ def burst_detect(
         })
         return out[ok].reset_index(drop=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def interval_coverage(
@@ -822,12 +766,8 @@ def interval_coverage(
     """
     dur = np.int64(dur_us)
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col], kind="mergesort")
+        g = (g.sort_values([key_col, ts_col], kind="mergesort")
              .reset_index(drop=True))
         s = g[ts_col].values.astype("datetime64[us]").astype("int64")
         e = s + dur
@@ -849,9 +789,7 @@ def interval_coverage(
         out["covered_us"] = out["covered_us"].astype("int64")
         return out
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def debounce(
@@ -875,12 +813,8 @@ def debounce(
     """
     keys = list(key_cols or ["user_id", "event_type"])
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, keys[0], num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values(keys + [ts_col, order_col], kind="mergesort")
+        g = (g.sort_values(keys + [ts_col, order_col], kind="mergesort")
              .reset_index(drop=True))
         ts_us = pd.Series(
             g[ts_col].values.astype("datetime64[us]").astype("int64"))
@@ -888,9 +822,7 @@ def debounce(
         keep = gaps.isna() | (gaps > gap_us)
         return g.loc[keep.to_numpy(), keys + [order_col, ts_col]]
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, keys[0], per_part, num_partitions=num_partitions)
 
 
 def scd2_history(
@@ -914,12 +846,8 @@ def scd2_history(
     tiebreak mirrored in the SQL oracle.
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col], kind="mergesort")
+        g = (g.sort_values([key_col, ts_col, order_col], kind="mergesort")
              .reset_index(drop=True))
         ts_us = pd.Series(
             g[ts_col].values.astype("datetime64[us]").astype("int64"))
@@ -933,9 +861,7 @@ def scd2_history(
         ch["valid_to_us"] = nxt.fillna(-1).astype("int64")
         return ch.reset_index(drop=True)
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def grouped_path(
@@ -961,12 +887,8 @@ def grouped_path(
     """
     import pyarrow.compute as pc
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col], kind="mergesort")
+        g = (g.sort_values([key_col, ts_col, order_col], kind="mergesort")
              .reset_index(drop=True))
         pos = g.groupby(key_col, sort=False).cumcount()
         g = g.loc[(pos < max_n).to_numpy(), [key_col, val_col]]
@@ -980,9 +902,7 @@ def grouped_path(
                          "n": agg.column(f"{val_col}_count").cast(
                              pa.int64())}).to_pandas()
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def decayed_sum(
@@ -1061,12 +981,8 @@ def time_weighted_avg(
     assumption sessionize documents.
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col], kind="mergesort"))
+        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         t = np.asarray(g[ts_col]).astype("datetime64[us]").astype(np.int64)
         g = g.assign(_t=t)
         nxt = g.groupby(key_col, sort=False)["_t"].shift(-1)
@@ -1086,9 +1002,7 @@ def time_weighted_avg(
             "twa": agg["sw"] / agg["sd"],
         })
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def survival_table(
@@ -1208,12 +1122,8 @@ def pattern_adjacent(
     keys; no per-key Python).
     """
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col], kind="mergesort"))
+        g = g.sort_values([key_col, ts_col, order_col], kind="mergesort")
         t = np.asarray(g[ts_col]).astype("datetime64[us]").astype(np.int64)
         g = g.assign(_t=t)
         grp = g.groupby(key_col, sort=False)
@@ -1231,9 +1141,7 @@ def pattern_adjacent(
             "gap_us": gap[hit].astype("int64"),
         })
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def rate_limit(
@@ -1260,12 +1168,8 @@ def rate_limit(
     """
     cap = int(max_per_window)
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, tiebreak_col],
+        g = (g.sort_values([key_col, ts_col, tiebreak_col],
                           kind="mergesort").reset_index(drop=True))
         wins = (g[ts_col].values.astype("datetime64[us]").astype(np.int64)
                 // width_us)
@@ -1273,9 +1177,7 @@ def rate_limit(
         rank = g.groupby([key_col, "window_id"], sort=False).cumcount()
         return g[rank.to_numpy() < cap].reset_index(drop=True)
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def autocorr(
@@ -1316,10 +1218,9 @@ def autocorr(
         g = (t.group_by([key_col, "window_id"])
              .aggregate([([], "count_all")]).to_pandas()
              .rename(columns={"count_all": "n"}))
-        return _with_part(g, key_col, num_partitions)
+        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         g = (g.groupby([key_col, "window_id"], sort=False, as_index=False)
              ["n"].sum())
         g = (g.sort_values([key_col, "window_id"], kind="mergesort")
@@ -1349,9 +1250,10 @@ def autocorr(
                     denv > 0.0, denv, 1.0), 0.0)}))
         return pd.concat(out, ignore_index=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def cusum_detect(
@@ -1391,10 +1293,9 @@ def cusum_detect(
         g = (t.group_by([key_col, "window_id"])
              .aggregate([([], "count_all")]).to_pandas()
              .rename(columns={"count_all": "n"}))
-        return _with_part(g, key_col, num_partitions)
+        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         g = (g.groupby([key_col, "window_id"], sort=False, as_index=False)
              ["n"].sum())
         g = (g.sort_values([key_col, "window_id"], kind="mergesort")
@@ -1414,9 +1315,10 @@ def cusum_detect(
         g["alarm"] = s > thresh
         return g
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def ohlc_bars(
@@ -1465,10 +1367,9 @@ def ohlc_bars(
         out = first.set_index([key_col, "window_id"]).join(
             [last, agg]).reset_index()
         out["n"] = out["n"].astype("int64")
-        return _with_part(out, key_col, num_partitions)
+        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         keys = [key_col, "window_id"]
         go = (g.sort_values([*keys, "o_ts", "o_id"], kind="mergesort")
               .groupby(keys, sort=False).head(1)
@@ -1483,9 +1384,10 @@ def ohlc_bars(
         return out[[key_col, "window_id", "open", "high", "low",
                     "close", "n"]]
 
-    return (ds.map_batches(partial, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(
+        ds.map_batches(partial, batch_format="pandas",
+                       batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def rolling_median(
@@ -1510,12 +1412,8 @@ def rolling_median(
     vectorized across every key in the partition, never a Python call
     per key.  Emits (key, order_col, value, rolling_med).
     """
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([key_col, ts_col, order_col]))
+        g = g.sort_values([key_col, ts_col, order_col])
         med = (g.groupby(key_col, sort=False)[value_col]
                .rolling(window_rows, min_periods=1).median()
                .reset_index(level=0, drop=True))
@@ -1525,9 +1423,7 @@ def rolling_median(
             value_col: g[value_col].astype("float64"),
             "rolling_med": med.astype("float64")})
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def seasonal_decompose(
@@ -1792,9 +1688,6 @@ def fsm_conformance(
     """
     allowed_set = {(a, b) for a, b in allowed}
 
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        return _with_part(batch, key_col, num_partitions)
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tiebreak_col],
                           kind="mergesort")
@@ -1843,10 +1736,7 @@ def fsm_conformance(
             1.0), 6)
         return out
 
-    return (ds.map_batches(add_part, batch_format="pandas",
-                           batch_size=65536)
-            .groupby("_part").map_groups(per_part,
-                                         batch_format="pandas"))
+    return keyed_apply(ds, key_col, per_part, num_partitions=num_partitions)
 
 
 def dau_wau(
@@ -1871,7 +1761,6 @@ def dau_wau(
     stickiness = round(dau / wau, 6)).
     """
     from .exchange import exchange_agg
-    from ..stages.analytics import distinct_rows
 
     def pairs(t: pa.Table) -> pa.Table:
         ts_us = (t.column(ts_col).cast(pa.timestamp("us"))
@@ -1881,8 +1770,8 @@ def dau_wau(
             "day": pa.array(day, pa.int64()),
             "u": t.column(key_col).cast(pa.int64())})
 
-    du = distinct_rows(ds.map_batches(pairs, batch_format="pyarrow"),
-                       cols=["day", "u"]).materialize()
+    du = exchange_agg(ds.map_batches(pairs, batch_format="pyarrow"),
+                      ["day", "u"])
     lohi = du.map_batches(
         lambda b: pd.DataFrame({"lo": [b["day"].min()],
                                 "hi": [b["day"].max()]}),
@@ -1914,9 +1803,8 @@ def dau_wau(
         return pd.DataFrame({
             "day": dd, "u": np.repeat(u, window_days)})
 
-    wau_pairs = distinct_rows(
-        du.map_batches(replicate, batch_format="pandas"),
-        cols=["day", "u"])
+    wau_pairs = exchange_agg(
+        du.map_batches(replicate, batch_format="pandas"), ["day", "u"])
     wau = exchange_agg(
         wau_pairs.map_batches(
             lambda b: pd.DataFrame({
