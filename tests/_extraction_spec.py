@@ -4,9 +4,11 @@ implementations that scan all of their input.
 ``extract_raw_triples`` runs every relation pattern over every segment,
 ``scan_mentions`` tokenizes with ``re.finditer(r"\\S+")``,
 ``_PRONOUN_SCAN`` has no first-letter lookahead, ``resolve_typed``'s
-``last_before`` scans every mention, and ``extract_document`` composes
-these.  The package's kernels skip work that cannot produce output; the
-differential tests require them to return exactly what this module does.
+``last_before`` scans every mention, ``KnowledgeBuffer.resolve``
+rebuilds and compares every entity's token set, and
+``extract_document`` composes these.  The package's kernels skip work
+that cannot produce output; the differential tests require them to
+return exactly what this module does.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from text_to_rdf_ray.kernels.entities import (
     _is_cap_start,
     classify_entity,
 )
-from text_to_rdf_ray.kernels.knowledge import KnowledgeBuffer
+from text_to_rdf_ray.kernels.knowledge import EntityContext
 from text_to_rdf_ray.kernels.normalize import (
     normalize_docred_subject,
     normalize_entity_name,
@@ -67,6 +69,128 @@ from text_to_rdf_ray.kernels.extractor import DocExtraction, DocTriple
 from text_to_rdf_ray.kernels.text import chunk_text, needs_chunking, split_segments
 
 _TOKEN_RE = re.compile(r"\S+")
+
+
+class KnowledgeBuffer:
+    def __init__(self) -> None:
+        self._entities: dict[str, EntityContext] = {}
+        self._alias_to_canonical: dict[str, str] = {}
+
+    def __len__(self) -> int:
+        return len(self._entities)
+
+    def entities(self) -> list[EntityContext]:
+        return sorted(self._entities.values(), key=lambda e: e.first_offset)
+
+    def register(self, name: str, kind: str, offset: int, chunk_id: int = 0) -> EntityContext:
+        """First-write-wins registration (knowledge_buffer.rs:40-51)."""
+        key = name.lower()
+        if key not in self._entities:
+            self._entities[key] = EntityContext(
+                canonical_name=name, kind=kind, first_offset=offset, first_chunk_id=chunk_id
+            )
+        return self._entities[key]
+
+    def set_kind(self, name: str, kind: str) -> None:
+        ent = self._entities.get(name.lower())
+        if ent is not None:
+            ent.kind = kind
+
+    def add_alias(self, alias: str, canonical: str) -> None:
+        key = canonical.lower()
+        if key in self._entities and alias.lower() != key:
+            ent = self._entities[key]
+            if alias not in ent.aliases:
+                ent.aliases.append(alias)
+            self._alias_to_canonical[alias.lower()] = key
+
+    def add_property(self, name: str, prop: str, value: str) -> None:
+        ent = self._entities.get(name.lower())
+        if ent is not None and prop not in ent.properties:
+            ent.properties[prop] = value
+
+    def get(self, name: str) -> EntityContext | None:
+        key = name.lower()
+        ent = self._entities.get(key)
+        if ent is None:
+            canon = self._alias_to_canonical.get(key)
+            if canon is not None:
+                ent = self._entities.get(canon)
+        return ent
+
+    def last_of_kind(self, kinds, before: int | None = None) -> EntityContext | None:
+        """Entity of one of ``kinds`` with max first_offset (kb.rs:124-130),
+        optionally restricted to entities first seen before ``before``."""
+        best = None
+        for ent in self._entities.values():
+            if ent.kind not in kinds:
+                continue
+            if before is not None and ent.first_offset >= before:
+                continue
+            if best is None or ent.first_offset > best.first_offset:
+                best = ent
+        return best
+
+    def resolve(self, surface: str, expected_kind: str | None = None) -> EntityContext:
+        """Kind-aware alias resolution; registers a new entity on miss.
+
+        Order: (1) earliest-registered candidate of the expected kind whose
+        name equals or token-contains the surface; (2) exact name match of
+        any kind; (3) earliest token-containment match of any kind; (4) new
+        registration.  Deterministic: ties broken by first_offset then name.
+        """
+        surface = surface.strip()
+        key = surface.lower()
+        stoks = set(key.replace(".", "").split())
+        exact = self.get(surface)
+
+        def candidates(kind_filter: bool) -> list[EntityContext]:
+            out = []
+            for ent in self._entities.values():
+                if kind_filter and expected_kind is not None:
+                    ok = (
+                        ent.kind == expected_kind
+                        or (expected_kind in ORG_LIKE and ent.kind in ORG_LIKE)
+                    )
+                    if not ok:
+                        continue
+                etoks = set(ent.canonical_name.lower().replace(".", "").split())
+                if ent.canonical_name.lower() == key or (stoks and stoks < etoks):
+                    out.append(ent)
+            return sorted(out, key=lambda e: (e.first_offset, e.canonical_name))
+
+        if expected_kind is not None:
+            kind_matches = candidates(True)
+            if kind_matches:
+                winner = kind_matches[0]
+                if winner.canonical_name.lower() != key:
+                    self.add_alias(surface, winner.canonical_name)
+                return winner
+        if exact is not None:
+            return exact
+        any_matches = candidates(False)
+        if any_matches:
+            winner = any_matches[0]
+            self.add_alias(surface, winner.canonical_name)
+            return winner
+        return self.register(surface, expected_kind or PERSON, offset=1 << 30)
+
+    def context_summary(self, max_entities: int = 10) -> str:
+        """Prompt-context style summary (knowledge_buffer.rs:77-106)."""
+        ents = self.entities()[:max_entities]
+        if not ents:
+            return ""
+        lines = ["Known entities from earlier context:"]
+        for ent in ents:
+            line = f"- {ent.canonical_name} ({ent.kind})"
+            if ent.aliases:
+                line += f" [aliases: {', '.join(ent.aliases)}]"
+            lines.append(line)
+        return "\n".join(lines)
+
+    def clear(self) -> None:
+        self._entities.clear()
+        self._alias_to_canonical.clear()
 
 
 def extract_raw_triples(text: str, offset: int = 0) -> list[RawTriple]:

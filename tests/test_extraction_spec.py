@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import _extraction_spec as spec
 from text_to_rdf_ray.kernels import coref, patterns
 from text_to_rdf_ray.kernels.coref import resolve_typed
-from text_to_rdf_ray.kernels.entities import ORG, PERSON, Mention, scan_mentions
+from text_to_rdf_ray.kernels.entities import (EDU, ORG, PERSON, PLACE, Mention,
+                                              scan_mentions)
 from text_to_rdf_ray.kernels.extractor import extract_document
+from text_to_rdf_ray.kernels.knowledge import KnowledgeBuffer
 from text_to_rdf_ray.sources.fixtures import gold_case, long_document, page_rows
 
 
@@ -122,6 +124,76 @@ def test_pronoun_scan_matches_spec(text):
         return [(m.span(), m.span(1)) for m in pat.finditer(text)]
 
     assert spans(coref._PRONOUN_SCAN) == spans(spec._PRONOUN_SCAN)
+
+
+# -- KnowledgeBuffer ---------------------------------------------------------
+
+#: names with dots, case variants, repeated and shared tokens, and
+#: surfaces with no tokens at all
+_KB_NAMES = st.sampled_from([
+    "Alan Bean", "alan bean", "ALAN BEAN", "Bean", "bean", "Alan",
+    "Bean Alan Bean", "U.S. Army", "US Army", "u.s.", "U.S.", "Army",
+    "New York New York", "New York", "York", "york york", "A.B.", "a b",
+    "Apple Inc.", "Apple Inc", "Apple", "Inc", " Apple ", "", " ", ".",
+    ". .", "..",
+])
+_KB_KINDS = st.sampled_from([PERSON, ORG, EDU, PLACE])
+_KB_OPS = st.lists(st.one_of(
+    st.tuples(st.just("register"), _KB_NAMES, _KB_KINDS,
+              st.integers(0, 5)),
+    st.tuples(st.just("add_alias"), _KB_NAMES, _KB_NAMES),
+    st.tuples(st.just("set_kind"), _KB_NAMES, _KB_KINDS),
+    st.tuples(st.just("resolve"), _KB_NAMES, st.none() | _KB_KINDS),
+), max_size=40)
+
+
+def _kb_state(kb) -> tuple:
+    return _value(kb.entities()), sorted(kb._alias_to_canonical.items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_KB_OPS)
+def test_knowledge_buffer_matches_spec(ops):
+    """The indexed KnowledgeBuffer returns the same entity and leaves the
+    same state as the spec's full scan after every operation."""
+    got, want = KnowledgeBuffer(), spec.KnowledgeBuffer()
+    for op, *args in ops:
+        if op == "register":
+            name, kind, offset = args
+            a, b = got.register(name, kind, offset), want.register(name, kind, offset)
+        elif op == "resolve":
+            surface, kind = args
+            a = got.resolve(surface, expected_kind=kind)
+            b = want.resolve(surface, expected_kind=kind)
+        else:
+            a, b = getattr(got, op)(*args), getattr(want, op)(*args)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert astuple(a) == astuple(b)
+        assert _kb_state(got) == _kb_state(want)
+    got.clear()
+    assert len(got) == 0 and not got._tokens and not got._postings
+
+
+def _letters(i: int) -> str:
+    out = ""
+    while True:
+        i, r = divmod(i, 26)
+        out += "abcdefghijklmnopqrstuvwxyz"[r]
+        if not i:
+            return out
+
+
+def test_long_unchunked_document_matches_spec():
+    """1,000 born-in paragraphs in one chunk: every resolution sees every
+    entity registered before it."""
+    text = "\n\n".join(
+        f"K{_letters(i)} Person was born in T{_letters(i)}ville , Denmark ."
+        for i in range(1000))
+    kw = {"chunk_token_threshold": 10 ** 9}
+    got = extract_document(text, **kw)
+    assert len(got.triples) >= 1000
+    assert _value(got) == _value(spec.extract_document(text, **kw))
 
 
 # -- the gate table ----------------------------------------------------------

@@ -1375,6 +1375,229 @@ def test_keyed_apply_empty_input_and_reserved_tag(ray_session):
         keyed_apply(bad, "k", lambda g: g).to_pandas()
 
 
+def test_keyed_exchange_same_rows_at_every_partition_count(
+        ray_session, monkeypatch, partition_counts, sized_and_capped):
+    """keyed_exchange gives the same rows at the sized P, at the cap,
+    and with the tree combine forced at the cap."""
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.exchange import keyed_exchange
+
+    def per_key_sums(t: pa.Table) -> pa.Table:
+        g = t.group_by(["k", "s"]).aggregate([("v", "count"), ("v", "sum")])
+        return pa.table({"k": g["k"], "s": g["s"], "n": g["v_count"],
+                         "t": g["v_sum"]})
+
+    df = _keyed_frame()
+    ds = rd.from_pandas(df).repartition(6).materialize()
+    want = _canon(df.groupby(["k", "s"], as_index=False)
+                  .agg(n=("v", "size"), t=("v", "sum"))
+                  .astype({"n": "int64"}))
+
+    def run():
+        return _canon(keyed_exchange(ds, ["k", "s"], per_key_sums,
+                                     num_partitions=8).to_pandas())
+
+    (sized, p_sized), (capped, p_capped) = sized_and_capped(run)
+    assert p_sized == [1] and p_capped == [8]
+    pd.testing.assert_frame_equal(sized, want)
+    pd.testing.assert_frame_equal(capped, want)
+    monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+    partition_counts.clear()
+    pd.testing.assert_frame_equal(run(), want)
+    assert sorted(set(partition_counts)) == [8]
+
+
+def test_keyed_exchange_empty_partitions_input_and_reserved_tag(
+        ray_session, monkeypatch):
+    """reduce sees only non-empty partitions, every key exactly once; a
+    result with no rows keeps the reduce's schema; an empty input gives
+    an empty result without a call; an input column _part raises."""
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages.exchange import keyed_exchange
+
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        1)
+    src = rd.from_pandas(pd.DataFrame({"k": np.arange(5, dtype="int64"),
+                                       "v": np.arange(5, dtype="float64")}))
+
+    def one_row_per_call(t: pa.Table) -> pa.Table:
+        return pa.table({"n": [t.num_rows]})
+
+    calls = keyed_exchange(src, "k", one_row_per_call,
+                           num_partitions=64).to_pandas()["n"].tolist()
+    assert all(n > 0 for n in calls) and sum(calls) == 5, calls
+
+    none = keyed_exchange(src, "k", lambda t: t.slice(0, 0),
+                          num_partitions=64)
+    assert none.count() == 0 and none.schema().names == ["k", "v"]
+
+    def never(t: pa.Table) -> pa.Table:
+        raise AssertionError("reduce called on an empty input")
+
+    empty = rd.from_pandas(pd.DataFrame({"k": pd.Series(dtype="int64")}))
+    assert keyed_exchange(empty, "k", never).count() == 0
+    bad = rd.from_pandas(pd.DataFrame({"k": [1], "_part": [2]}))
+    with pytest.raises(Exception, match="_part.*reserved"):
+        keyed_exchange(bad, "k", lambda t: t).to_pandas()
+
+
+def test_keyed_exchange_keeps_arrow_types(ray_session):
+    """The reduce sees and returns Arrow tables: a timezone-aware
+    microsecond timestamp and a decimal column come back with their
+    types (a pandas round trip re-infers the decimal's precision)."""
+    from decimal import Decimal
+
+    from text_to_rdf_ray.stages.exchange import keyed_exchange
+
+    t = pa.table({
+        "k": pa.array([1, 2, 2, 3], pa.int64()),
+        "ts": pa.array([0, 1_000_001, 2, 3],
+                       pa.timestamp("us", tz="Europe/Copenhagen")),
+        "d": pa.array([Decimal("1.10"), Decimal("-2.25"), None,
+                       Decimal("123456.78")], pa.decimal128(12, 2)),
+    })
+    out = keyed_exchange(rd.from_arrow(t), "k", lambda g: g)
+    assert out.schema().types == t.schema.types
+    got = pa.concat_tables(
+        out.iter_batches(batch_format="pyarrow")).to_pylist()
+    assert sorted(got, key=lambda r: (r["k"], r["ts"])) == sorted(
+        t.to_pylist(), key=lambda r: (r["k"], r["ts"]))
+
+
+def _moved_operator_run(name: str, tmp_path):
+    """A small run of one operator moved onto the keyed exchanges,
+    returning its rows as a sorted DataFrame."""
+    from text_to_rdf_ray.stages import curation, dedup, joins, knn
+
+    def rows(df: pd.DataFrame, by: list[str]) -> pd.DataFrame:
+        return df.sort_values(by).reset_index(drop=True)
+
+    if name == "exact_dedup":
+        ds = rd.from_items([{"doc_id": i, "text": f"t{i % 23}"}
+                            for i in range(200)]).repartition(4)
+        return lambda: rows(dedup.exact_dedup(ds).to_pandas(), ["doc_id"])
+    if name == "compact_clean":
+        import pyarrow.parquet as pq
+
+        from text_to_rdf_ray.pipelines.clean import (compact_clean,
+                                                     run_clean_partitioned)
+
+        words = ("the river runs past the old mill and the town hall "
+                 "where people meet to talk about the weather and the "
+                 "harvest of the year").split()
+        texts = [" ".join(words[j % 7:] + words[:j % 7]) + f" day {j}"
+                 for j in (i % 23 for i in range(120))]  # 23 distinct
+        (tmp_path / "docs").mkdir()
+        for k in range(2):
+            pq.write_table(
+                pa.table({"doc_id": pa.array(range(k * 60, k * 60 + 60),
+                                             pa.int64()),
+                          "text": texts[k * 60:k * 60 + 60]}),
+                str(tmp_path / "docs" / f"docs-{k}.parquet"))
+        out, final = str(tmp_path / "cleaned"), str(tmp_path / "final")
+        run_clean_partitioned(str(tmp_path / "docs"), out, partitions=2)
+
+        def run():
+            compact_clean(out, final)
+            return rows(rd.read_parquet(final).to_pandas(), ["doc_id"])
+        return run
+    if name == "asof_join":
+        left, right = _mk_events(n_left=120, n_right=300)
+        lds, rds = rd.from_pandas(left), rd.from_pandas(right)
+        return lambda: rows(joins.asof_join(
+            lds, rds, key_col="k", left_ts="lt", right_ts="rt",
+            tiebreak_col="r_id", num_partitions=8).to_pandas(), ["l_id"])
+    if name == "semi_join_bloom":
+        rng = np.random.RandomState(29)
+        big = rd.from_pandas(pd.DataFrame({
+            "k": rng.randint(0, 500, 2_000).astype(np.int64),
+            "v": np.arange(2_000, dtype=np.int64)})).repartition(4)
+        keys = rd.from_pandas(pd.DataFrame({
+            "k": rng.randint(0, 500, 300).astype(np.int64)}))
+        return lambda: rows(joins.semi_join_bloom(
+            big, keys, key_col="k", n_bits=256,
+            num_partitions=8).to_pandas(), ["v"])
+    if name == "knn_bruteforce":
+        corpus = np.random.RandomState(3).randn(120, 8).astype(np.float32)
+        ds = rd.from_items([{"vec_id": i, "embedding": corpus[i].tolist()}
+                            for i in range(120)]).repartition(3)
+        return lambda: rows(knn.knn_bruteforce(
+            ds, corpus[:6].astype(np.float64), list(range(6)), k=4),
+            ["query_id", "rank"])
+    if name == "semdedup":
+        rng = np.random.RandomState(11)
+        base = rng.randn(6, 4)
+        vecs = (base[np.arange(90) % 6] + 0.01 * rng.randn(90, 4))
+        emb = rd.from_pandas(pd.DataFrame({
+            "vec_id": np.arange(90, dtype=np.int64),
+            "embedding": list(vecs.astype(np.float32))}))
+        assign = rd.from_pandas(pd.DataFrame({
+            "vec_id": np.arange(90, dtype=np.int64),
+            "cluster": (np.arange(90) % 4).astype(np.int64)}))
+        return lambda: rows(dedup.semdedup(
+            emb, assignments=assign, tau=0.99).to_pandas(), ["vec_id"])
+    assert name == "line_dedup"
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(40), pa.int64()),
+        "text": pa.array([f"banner\nbody {i}\n" + ("promo" if i % 3 else "x")
+                          for i in range(40)], pa.string())})).repartition(4)
+    return lambda: rows(curation.line_dedup(
+        ds, min_df=2, num_partitions=8, max_broadcast_pairs=0).to_pandas(),
+        ["doc_id"])
+
+
+@pytest.mark.parametrize("name", [
+    "exact_dedup", "compact_clean", "asof_join", "semi_join_bloom",
+    "knn_bruteforce", "semdedup", "line_dedup"])
+def test_moved_operator_same_rows_at_every_partition_count(
+        ray_session, monkeypatch, partition_counts, sized_and_capped,
+        tmp_path, name):
+    """Operators whose per-key reduce moved onto exchange_agg,
+    keyed_apply or keyed_exchange give the same rows at the sized
+    partition count, at every exchange's cap and with the tree combine
+    forced at the cap."""
+    from text_to_rdf_ray.stages import bsp
+
+    run = _moved_operator_run(name, tmp_path)
+    (sized, _), (capped, p_capped) = sized_and_capped(run)
+    assert len(sized) and max(p_capped) > 1
+    pd.testing.assert_frame_equal(capped, sized)
+    monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+    pd.testing.assert_frame_equal(run(), sized)
+
+
+def test_only_range_cut_sites_use_map_groups():
+    """Every hash-keyed exchange goes through stages/exchange.py: the
+    package's only map_groups calls are the four range-cut sites whose
+    reduces read their range id."""
+    import ast
+    import pathlib
+
+    import text_to_rdf_ray
+
+    root = pathlib.Path(text_to_rdf_ray.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "map_groups"):
+                    sites.append((path.name, fn.name))
+    assert sorted(sites) == [
+        ("analytics.py", "range_sort"),
+        ("dedup.py", "sorted_neighborhood_pairs"),
+        ("lakehouse.py", "clustered_write"),
+        ("lakehouse.py", "zorder_write"),
+    ]
+    assert sum(p.read_text().count(".map_groups(")
+               for p in root.rglob("*.py")) == 4
+
+
 def _null_block_frames():
     """Two pandas blocks whose ``note`` is all-None in the first."""
     a = pd.DataFrame({"k": [1, 2], "note": [None, None]})

@@ -418,3 +418,40 @@ def test_link_join_same_rows_at_every_partition_count(ray_session,
     # exact, fuzzy and unlinked subjects are all present
     assert (conf == 0.95).any() and ((conf > 0) & (conf != 0.95)).any()
     assert sized["subj_uri"].isna().any()
+
+
+def test_link_task_builds_one_index_per_worker(ray_session, monkeypatch):
+    """Task-mode linking keeps its KB index in the worker's module, not
+    in a copy pickled with each task: two deserialized copies of one
+    link function build one KBIndex, and a new KB replaces the entry."""
+    import cloudpickle
+    import pyarrow as pa
+    import ray
+
+    from text_to_rdf_ray.kernels import linker
+    from text_to_rdf_ray.stages import kg_stages
+
+    built = []
+
+    class CountingKBIndex(linker.KBIndex):
+        def __init__(self, *a, **kw):
+            built.append(1)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(linker, "KBIndex", CountingKBIndex)
+    monkeypatch.setattr(kg_stages, "_KB_INDEX_CACHE", {})
+    batch = pa.table({"subj": ["Alan Bean"], "obj": ["Apple"],
+                      "obj_type": ["Organization"]})
+
+    kb_ref = ray.put(KB)  # held: the pickled copies do not own it
+    blob = cloudpickle.dumps(kg_stages.make_link_task(kb_ref))
+    for fn in (cloudpickle.loads(blob), cloudpickle.loads(blob)):
+        out = fn(batch)
+        assert out.column("subj_uri")[0].as_py() == KBIndex(KB).link(
+            "Alan Bean").uri
+    assert len(built) == 1
+    assert len(kg_stages._KB_INDEX_CACHE) == 1
+
+    kg_stages.make_link_task(ray.put(KB))(batch)
+    assert len(built) == 2
+    assert len(kg_stages._KB_INDEX_CACHE) == 1

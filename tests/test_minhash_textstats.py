@@ -1,6 +1,10 @@
 """MinHash/SimHash/fingerprint and text-stat kernels."""
 
+import os
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from text_to_rdf_ray.kernels.minhash import (
     band_keys,
@@ -215,3 +219,61 @@ def test_lag_delta_matches_pandas(ray_session):
     assert (out["has_prev"] == ref["has_prev"]).all()
     # exactly one first-event row per user
     assert (~out["has_prev"]).sum() == df["user_id"].nunique()
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _fnv1a_reference(b: bytes) -> int:
+    """Byte-at-a-time FNV-1a with the length fold."""
+    h = 0xCBF29CE484222325
+    for x in b:
+        h = ((h ^ x) * 0x100000001B3) & _MASK64
+    return ((h ^ len(b)) * 0x100000001B3) & _MASK64
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from(
+    ["\x00", "a", "Z", " ", "é", "中", "文", "字", "\U0001F600"]),
+    max_size=80), max_size=40))
+def test_fnv1a_matches_bytewise_reference(strings):
+    """Every string hash (NUL and multi-byte UTF-8 included, any mix of
+    lengths in one batch) is the byte-at-a-time FNV-1a."""
+    from text_to_rdf_ray.kernels.minhash import _hash_shingles
+
+    got = _hash_shingles(strings)
+    assert got.dtype == np.uint64
+    assert [int(h) for h in got] == [
+        _fnv1a_reference(s.encode("utf-8")) for s in strings]
+
+
+def test_fnv1a_long_key_in_a_large_batch_fits_in_memory():
+    """One 1 MB key among 65,536 short ones hashes under a 1 GiB
+    address-space limit (padding every row to the long key's width
+    would need about 0.5 TB)."""
+    import subprocess
+    import sys
+    import textwrap
+
+    code = textwrap.dedent("""
+        import os, resource
+        import numpy as np
+        from text_to_rdf_ray.kernels.minhash import _fnv1a
+
+        keys = [b"k%d" % i for i in range(65_536)]
+        keys[12_345] = bytes(range(256)) * 4096
+        pages = int(open("/proc/self/statm").read().split()[0])
+        limit = pages * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        h = _fnv1a(keys)
+        print(int(h[12_345]), int(h[0]), int(h[-1]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env,
+                         cwd=os.path.dirname(os.path.dirname(
+                             os.path.abspath(__file__))))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert [int(x) for x in out.stdout.split()] == [
+        _fnv1a_reference(bytes(range(256)) * 4096),
+        _fnv1a_reference(b"k0"), _fnv1a_reference(b"k65535")]

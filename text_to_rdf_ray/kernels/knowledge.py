@@ -25,10 +25,20 @@ class EntityContext:
     properties: dict[str, str] = field(default_factory=dict)
 
 
+def _name_tokens(key: str) -> frozenset[str]:
+    """The token set containment matching compares: a lowercased name's
+    whitespace tokens with dots removed ("U.S. Army" -> {us, army})."""
+    return frozenset(key.replace(".", "").split())
+
+
 class KnowledgeBuffer:
     def __init__(self) -> None:
         self._entities: dict[str, EntityContext] = {}
         self._alias_to_canonical: dict[str, str] = {}
+        # each entity's token set, built once at registration (a
+        # canonical name never changes), and token -> entity keys
+        self._tokens: dict[str, frozenset[str]] = {}
+        self._postings: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return len(self._entities)
@@ -43,6 +53,9 @@ class KnowledgeBuffer:
             self._entities[key] = EntityContext(
                 canonical_name=name, kind=kind, first_offset=offset, first_chunk_id=chunk_id
             )
+            toks = self._tokens[key] = _name_tokens(key)
+            for t in toks:
+                self._postings.setdefault(t, []).append(key)
         return self._entities[key]
 
     def set_kind(self, name: str, kind: str) -> None:
@@ -95,12 +108,20 @@ class KnowledgeBuffer:
         """
         surface = surface.strip()
         key = surface.lower()
-        stoks = set(key.replace(".", "").split())
+        stoks = _name_tokens(key)
         exact = self.get(surface)
+        # the entity named ``key`` plus every entity whose token set
+        # strictly contains the surface's: all of those hold its rarest
+        # token, so only that token's posting list is scanned
+        matched = [key] if key in self._entities else []
+        if stoks:
+            rarest = min((self._postings.get(t, ()) for t in stoks), key=len)
+            matched += [k for k in rarest if k != key and stoks < self._tokens[k]]
 
         def candidates(kind_filter: bool) -> list[EntityContext]:
             out = []
-            for ent in self._entities.values():
+            for k in matched:
+                ent = self._entities[k]
                 if kind_filter and expected_kind is not None:
                     ok = (
                         ent.kind == expected_kind
@@ -108,9 +129,7 @@ class KnowledgeBuffer:
                     )
                     if not ok:
                         continue
-                etoks = set(ent.canonical_name.lower().replace(".", "").split())
-                if ent.canonical_name.lower() == key or (stoks and stoks < etoks):
-                    out.append(ent)
+                out.append(ent)
             return sorted(out, key=lambda e: (e.first_offset, e.canonical_name))
 
         if expected_kind is not None:
@@ -145,3 +164,5 @@ class KnowledgeBuffer:
     def clear(self) -> None:
         self._entities.clear()
         self._alias_to_canonical.clear()
+        self._tokens.clear()
+        self._postings.clear()

@@ -76,21 +76,38 @@ def _hash_shingles(shingles) -> np.ndarray:
 
 def _fnv1a(encoded: list[bytes]) -> np.ndarray:
     """FNV-1a with the length fold over each byte string — the body of
-    :func:`_hash_shingles`, also applied directly to binary keys."""
+    :func:`_hash_shingles`, also applied directly to binary keys.
+
+    Rows are hashed in length buckets: sorted by length, each bucket
+    takes the shortest row left and every row at most twice its length,
+    and pads to its own longest row.  No row is padded past twice its
+    length, so the byte matrices stay within about twice the input
+    whatever the longest key (one long key no longer pads every short
+    one to its width)."""
     n = len(encoded)
-    lens = np.array([len(b) for b in encoded], dtype=np.uint64)
-    width = int(lens.max()) if n else 0
+    lens = np.fromiter((len(b) for b in encoded), dtype=np.int64, count=n)
     h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    if width:
-        buf = b"".join(b.ljust(width, b"\x00") for b in encoded)
-        arr = (np.frombuffer(buf, dtype=np.uint8)
-               .reshape(n, width).astype(np.uint64))
+    order = np.argsort(lens, kind="stable")
+    srt = lens[order]
+    start = int(np.searchsorted(srt, 0, side="right"))  # b"" keeps the basis
+    while start < n:
+        lo = int(srt[start])
+        stop = int(np.searchsorted(srt, 2 * lo, side="right"))
+        rows = order[start:stop]
+        blens = lens[rows]
+        width = int(srt[stop - 1])
+        arr = np.frombuffer(
+            b"".join(encoded[i].ljust(width, b"\x00") for i in rows),
+            dtype=np.uint8).reshape(len(rows), width)
+        hb = h[rows]
         for j in range(width):
-            hx = (h ^ arr[:, j]) * _FNV_PRIME
-            h = np.where(lens > np.uint64(j), hx, h)
+            hx = (hb ^ arr[:, j]) * _FNV_PRIME
+            # every row of the bucket is at least lo bytes long
+            hb = hx if j < lo else np.where(blens > j, hx, hb)
+        h[rows] = hb
+        start = stop
     # fold in the length so prefixes cannot collide with extensions
-    h = (h ^ lens) * _FNV_PRIME
-    return h
+    return (h ^ lens.astype(np.uint64)) * _FNV_PRIME
 
 
 def minhash_signature(shingles, num_perm: int = _DEFAULT_PERMS, seed: int = 42) -> np.ndarray:

@@ -117,6 +117,7 @@ def run_clean_partitioned(
 def compact_clean(out_dir: str, final_dir: str) -> dict:
     """Global exact dedup across completed partitions (content hash
     groupby-min, the one all-to-all exchange), writing the final corpus."""
+    from ..stages.exchange import exchange_agg
     from ..state import manifest as mf
 
     parts = mf.completed_partitions(out_dir)
@@ -131,35 +132,19 @@ def compact_clean(out_dir: str, final_dir: str) -> dict:
     cleaned = rd.read_parquet(files)
     rows_in = cleaned.count()
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import numpy as np
+    def cast(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": t.column("doc_id").cast(pa.int64()),
+            "text": t.column("text").cast(pa.string()),
+            "n_tokens": t.column("n_tokens").cast(pa.int64()),
+            "alpha_ratio": t.column("alpha_ratio").cast(pa.float64()),
+        })
 
-        h = t.column("content_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "hpart", pa.array((h % np.uint64(64)).astype(np.int32), pa.int32())
-        )
-
-    def reduce_part(g: pa.Table) -> pa.Table:
-        r = g.group_by("content_hash").aggregate(
-            [("doc_id", "min"), ("text", "min"), ("n_tokens", "min"),
-             ("alpha_ratio", "min")]
-        )
-        return pa.table(
-            {
-                "doc_id": r.column("doc_id_min").cast(pa.int64()),
-                "text": r.column("text_min").cast(pa.string()),
-                "n_tokens": r.column("n_tokens_min").cast(pa.int64()),
-                "alpha_ratio": r.column("alpha_ratio_min").cast(pa.float64()),
-            }
-        )
-
-    # map_groups partitioning: low bits of the content hash (h % 64)
-    deduped = (
-        cleaned.map_batches(add_part, batch_format="pyarrow")
-        .groupby("hpart")
-        .map_groups(reduce_part, batch_format="pyarrow")
-        .materialize()
-    )
+    deduped = exchange_agg(
+        cleaned, "content_hash",
+        [(c, "min") for c in ("doc_id", "text", "n_tokens", "alpha_ratio")],
+        num_partitions=64,
+    ).map_batches(cast, batch_format="pyarrow").materialize()
     rows_out = deduped.count()
     # replace, don't append: a rerun (the resume workflow re-compacts) would
     # otherwise add a second set of uniquely-named files beside the first

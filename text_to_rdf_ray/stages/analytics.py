@@ -1122,7 +1122,8 @@ def range_sort(
                                                          dtype=np.int64)})
                 .drop(columns=["_part"]))
 
-    # map_groups partitioning: sampled range cuts (reduce reads its id)
+    # map_groups stays: sampled range cuts (not a key hash), and
+    # sort_part reads its range id to look up its global row offset
     return tagged.groupby("_part").map_groups(sort_part,
                                               batch_format="pandas")
 

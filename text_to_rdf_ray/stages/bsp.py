@@ -17,7 +17,7 @@ partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
 also serve one-shot exchanges sized to their input: ``hash_exchange``
-(under ``exchange_join`` / ``exchange_agg`` / ``keyed_apply``) and
+(under ``exchange_join`` / ``exchange_agg`` / ``keyed_exchange``) and
 ``two_phase_reduce`` (the salted dedup and LSH pair exchanges).
 
 Partitioning assumptions / scale shape:
@@ -382,7 +382,7 @@ def hash_exchange(
 ) -> rd.Dataset:
     """One hash exchange + a vectorized per-partition reduce as RAW Ray
     tasks — the exchange under ``exchange_join``, ``exchange_agg``,
-    ``keyed_apply`` and the linker's distinct and top-1 steps.
+    ``keyed_exchange`` and the linker's distinct and top-1 steps.
 
     ``ds`` rows carry ``part_col``, a non-negative int64 hash of the
     key; rows land in partition ``part_col % P``, so every key's rows

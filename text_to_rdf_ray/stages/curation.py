@@ -322,15 +322,12 @@ def passage_dedup(
                 out_nw.append(len(chunk))
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
-        h1 = np.array(out_h1, dtype=np.int64)
-        part = (h1.astype(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "passage_idx": pa.array(out_idx, pa.int64()),
             "n_words": pa.array(out_nw, pa.int64()),
             "_h1": pa.array(out_h1, pa.int64()),
             "_h2": pa.array(out_h2, pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def mark(group: pd.DataFrame) -> pd.DataFrame:
@@ -341,12 +338,8 @@ def passage_dedup(
         out = group.assign(keep=(group["_packed"] == win))
         return out[[id_col, "passage_idx", "n_words", "keep"]]
 
-    # map_groups partitioning: passage digest mod P
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(mark, batch_format="pandas")
-    )
+    return keyed_apply(ds.map_batches(explode, batch_format="pyarrow"),
+                       "_h1", mark, num_partitions=num_partitions)
 
 
 def _word_ngrams(words: list[str], n: int) -> list[str]:
@@ -425,8 +418,6 @@ def tfidf_terms(
     number of docs containing the term, tfidf = tf * (ln((N+1)/(df+1)) + 1)
     (smoothed idf).  The (term, df) side is JOINED, not broadcast: at a
     100 TB vocabulary the df table shuffles candidate-proportionally."""
-    from ray.data.aggregate import Sum
-
     from .canonicalize import _solid
 
     n_docs = ds.count()
@@ -988,14 +979,11 @@ def dup_ngram_fraction(
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
                 out_occ.append(occ)
-        h1 = np.array(out_h1, dtype=np.int64)
-        part = (h1.astype(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "_h1": pa.array(out_h1, pa.int64()),
             "_h2": pa.array(out_h2, pa.int64()),
             "_occ": pa.array(out_occ, pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def mark_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -1005,10 +993,9 @@ def dup_ngram_fraction(
                .groupby(id_col, sort=False)["n_dup"].sum().reset_index())
         return out
 
-    # map_groups partitioning: n-gram digest mod P
     dups = exchange_agg(
-        ds.map_batches(explode, batch_format="pyarrow")
-          .groupby("_part").map_groups(mark_part, batch_format="pandas"),
+        keyed_apply(ds.map_batches(explode, batch_format="pyarrow"), "_h1",
+                    mark_part, num_partitions=num_partitions),
         id_col, [("n_dup", "sum", "n_dup")],
         num_partitions=num_partitions, combine=False)
 
@@ -1353,15 +1340,11 @@ def line_dedup(
                 out_idx.append(i)
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
-        h1 = np.array(out_h1, dtype=np.int64)
-        part = (h1.astype(np.uint64) % np.uint64(num_partitions)).astype(
-            np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "line_idx": pa.array(out_idx, pa.int64()),
             "_h1": pa.array(out_h1, pa.int64()),
             "_h2": pa.array(out_h2, pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def flag_removed(group: pd.DataFrame) -> pd.DataFrame:
@@ -1377,11 +1360,9 @@ def line_dedup(
         })
         return rem[[id_col, "line_idx"]]
 
-    # map_groups partitioning: line digest mod P
-    removed = (ds.map_batches(explode, batch_format="pyarrow")
-               .groupby("_part")
-               .map_groups(flag_removed, batch_format="pandas")
-               .materialize())  # tiny: boilerplate occurrences only
+    # tiny: boilerplate occurrences only
+    removed = keyed_apply(ds.map_batches(explode, batch_format="pyarrow"),
+                          "_h1", flag_removed, num_partitions=num_partitions)
 
     def rebuild(removed_of):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1424,21 +1405,14 @@ def line_dedup(
 
     # join tier: csv-pack removals per doc in a doc-keyed exchange, then
     # one exchange_join attaches them to the corpus
-    def add_part(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        part = (ids.astype(np.uint64) * np.uint64(_KNUTH)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("_dpart", pa.array(part, pa.int32()))
-
     def pack(group: pd.DataFrame) -> pd.DataFrame:
         g = (group.sort_values("line_idx")
              .groupby(id_col, sort=False)["line_idx"]
              .agg(lambda s: ",".join(map(str, s))).reset_index())
         return g.rename(columns={"line_idx": "_removed_csv"})
 
-    # map_groups partitioning: Knuth hash of the doc id
-    packed = (removed.map_batches(add_part, batch_format="pyarrow")
-              .groupby("_dpart").map_groups(pack, batch_format="pandas"))
+    packed = keyed_apply(removed, id_col, pack,
+                         num_partitions=num_partitions)
     packed_schema = pa.schema([(id_col, pa.int64()),
                                ("_removed_csv", pa.string())])
     joined = exchange_join(
@@ -1979,7 +1953,6 @@ def dup_spans(
     sort + cumsum islands pass per partition, vectorized across all
     docs.  Two exchanges total; no stage holds more than its partition.
     """
-    from .analytics import splitmix64
 
     def explode(batch: pa.Table) -> pa.Table:
         out_id, out_h1, out_h2, out_pos = [], [], [], []
@@ -1993,23 +1966,16 @@ def dup_spans(
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
                 out_pos.append(i)
-        h1 = np.asarray(out_h1, dtype=np.int64)
-        part = (splitmix64(h1) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
-            "_h1": pa.array(h1, pa.int64()),
+            "_h1": pa.array(np.asarray(out_h1, np.int64), pa.int64()),
             "_h2": pa.array(np.asarray(out_h2, np.int64), pa.int64()),
             "_pos": pa.array(np.asarray(out_pos, np.int64), pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def dup_hits(g: pd.DataFrame) -> pd.DataFrame:
         total = g.groupby(["_h1", "_h2"], sort=False)["_h1"].transform("size")
-        hit = g.loc[total.to_numpy() >= 2, [id_col, "_pos"]]
-        ids = hit[id_col].to_numpy(np.int64)
-        part2 = (splitmix64(ids)
-                 % np.uint64(num_partitions)).astype(np.int32)
-        return hit.assign(_part2=part2)
+        return g.loc[total.to_numpy() >= 2, [id_col, "_pos"]]
 
     def merge_spans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "_pos"], kind="mergesort")
@@ -2027,13 +1993,11 @@ def dup_spans(
                              "span_start": pos[starts],
                              "span_end": pos[ends] + n})
 
-    # map_groups partitioning: splitmix64 of each n-gram digest
-    hits = (ds.map_batches(explode, batch_format="pyarrow",
-                           batch_size=2048)
-            .groupby("_part").map_groups(dup_hits, batch_format="pandas"))
-    # map_groups partitioning: splitmix64 of the doc id
-    return (hits.groupby("_part2")
-            .map_groups(merge_spans, batch_format="pandas"))
+    hits = keyed_apply(ds.map_batches(explode, batch_format="pyarrow",
+                                      batch_size=2048),
+                       "_h1", dup_hits, num_partitions=num_partitions)
+    return keyed_apply(hits, id_col, merge_spans,
+                       num_partitions=num_partitions)
 
 
 def ngram_novelty(
@@ -2061,7 +2025,6 @@ def ngram_novelty(
     ``exchange_agg`` and attach to per-doc distinct totals with one
     ``exchange_join``.  Gram text never ships.
     """
-    from .analytics import splitmix64
     from .exchange import exchange_agg, exchange_join
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2079,13 +2042,10 @@ def ngram_novelty(
                 out_id.append(did)
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
-        h1 = np.asarray(out_h1, dtype=np.int64)
-        part = (splitmix64(h1) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
-            "_h1": pa.array(h1, pa.int64()),
+            "_h1": pa.array(np.asarray(out_h1, np.int64), pa.int64()),
             "_h2": pa.array(np.asarray(out_h2, np.int64), pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     def novel_partials(g: pd.DataFrame) -> pd.DataFrame:
@@ -2098,11 +2058,10 @@ def ngram_novelty(
                .groupby(id_col, sort=False).sum().reset_index())
         return out
 
-    # map_groups partitioning: splitmix64 of each n-gram digest
     per_doc = exchange_agg(
-        ds.map_batches(explode, batch_format="pyarrow", batch_size=2048)
-          .groupby("_part").map_groups(novel_partials,
-                                       batch_format="pandas"),
+        keyed_apply(ds.map_batches(explode, batch_format="pyarrow",
+                                   batch_size=2048),
+                    "_h1", novel_partials, num_partitions=num_partitions),
         id_col, [("n_distinct", "sum", "n_distinct"),
                  ("n_novel", "sum", "n_novel")],
         num_partitions=num_partitions, combine=False)

@@ -49,50 +49,26 @@ def _text_hash64(texts: list[str]) -> list[int]:
 def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id") -> rd.Dataset:
     """One row per distinct text: (id_col = min id, text_col).
 
-    Combiner: per-batch min-id per hash (vectorized arrow group_by);
-    exchange: hash-partition on an int key with the reduce itself an arrow
-    group_by(hash).min inside map_groups — Ray's built-in Aggregate reduces
-    per key in Python and is far slower on string payload columns.  The
-    text rides through the aggregation (constant within a hash group) so
-    no second shuffle re-attaches it.
+    An ``exchange_agg`` min over a 64-bit text hash ``h``: its combiner
+    shrinks each batch to its distinct hashes and the reduce is an Arrow
+    ``group_by(h).min`` — Ray's built-in Aggregate reduces per key in
+    Python and is far slower on string payload columns.  The text rides
+    through the aggregation (constant within a hash group) so no second
+    shuffle re-attaches it.
     """
+    from .exchange import exchange_agg
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def hashed(batch: pa.Table) -> pa.Table:
         h = np.array(_text_hash64(batch.column(text_col).to_pylist()),
                      dtype=np.int64)
-        t = pa.table(
-            {
-                "h": pa.array(h, pa.int64()),
-                id_col: batch.column(id_col),
-                text_col: batch.column(text_col),
-            }
-        )
-        g = t.group_by("h").aggregate([(id_col, "min"), (text_col, "min")])
-        hh = g.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table(
-            {
-                "h": g.column("h"),
-                "hpart": pa.array((hh % np.uint64(64)).astype(np.int32), pa.int32()),
-                id_col: g.column(f"{id_col}_min"),
-                text_col: g.column(f"{text_col}_min"),
-            }
-        )
+        return pa.table({"h": pa.array(h, pa.int64()),
+                         id_col: batch.column(id_col),
+                         text_col: batch.column(text_col)})
 
-    def reduce_part(g: pa.Table) -> pa.Table:
-        r = g.group_by("h").aggregate([(id_col, "min"), (text_col, "min")])
-        return pa.table(
-            {
-                id_col: r.column(f"{id_col}_min"),
-                text_col: r.column(f"{text_col}_min"),
-            }
-        )
-
-    # map_groups partitioning: low bits of the precomputed text hash (h % 64)
-    return (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=65536)
-        .groupby("hpart")
-        .map_groups(reduce_part, batch_format="pyarrow")
-    )
+    return exchange_agg(
+        ds.map_batches(hashed, batch_format="pyarrow", batch_size=65536),
+        "h", [(id_col, "min"), (text_col, "min")], num_partitions=64,
+    ).select_columns([id_col, text_col])
 
 
 #: Above this many DISTINCT candidate ids the verify stage switches from
@@ -733,14 +709,11 @@ def _pairs_inband(
         return pa.table({n: t.column(n).cast(_PAIR_SCHEMA.field(n).type) for n in
                          ("id_a", "id_b", "score")})
 
-    # map_groups partitioning: LSH band shards
-    pairs = (
-        _explode_bands(ds, bands_feat_fn, id_col, payload_col)
-        .groupby("shard")
-        .map_groups(shard_pairs, batch_format="pandas")
-        .map_batches(norm_pairs, batch_format="pyarrow")
-    )
-    # a pair can surface from several bands -> different shards: dedup.
+    pairs = keyed_apply(
+        _explode_bands(ds, bands_feat_fn, id_col, payload_col),
+        ["band_id", "band_hash"], shard_pairs,
+    ).map_batches(norm_pairs, batch_format="pyarrow")
+    # a pair can surface from several bands -> other partitions: dedup.
     # exchange_agg, not Ray's Aggregate — one group per PAIR (millions
     # at scale = the per-key-Python pathology)
     from .exchange import exchange_agg
@@ -834,23 +807,20 @@ def pairs_to_canonical(
 
         comp_ref = ray.put({r["name_id"]: r["component"] for r in comp.take_all()})
 
-        class Attach:
-            def __init__(self):
-                self.map = ray.get(comp_ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                ids_list = t.column(id_col).to_pylist()
-                return pa.table(
-                    {
-                        id_col: t.column(id_col),
-                        "canonical_id": pa.array(
-                            [self.map.get(i, i) for i in ids_list], pa.int64()
-                        ),
-                    }
-                )
+        def attach(t: pa.Table) -> pa.Table:
+            comp_of = _worker_obj_cache(comp_ref)
+            ids_list = t.column(id_col).to_pylist()
+            return pa.table(
+                {
+                    id_col: t.column(id_col),
+                    "canonical_id": pa.array(
+                        [comp_of.get(i, i) for i in ids_list], pa.int64()
+                    ),
+                }
+            )
 
         return ds.select_columns([id_col]).map_batches(
-            Attach, batch_format="pyarrow", concurrency=(1, 4)
+            attach, batch_format="pyarrow"
         )
     from .exchange import exchange_join
 
@@ -1109,17 +1079,13 @@ def dedup_against(
             if not id_out:
                 return pa.table({"id": pa.array([], pa.int64()),
                                  "h": pa.array([], pa.int64()),
-                                 "side": pa.array([], pa.int8()),
-                                 "_part": pa.array([], pa.int32())})
+                                 "side": pa.array([], pa.int8())})
             idv = np.concatenate(id_out)
             hv = np.concatenate(h_out)
             return pa.table({
                 "id": pa.array(idv, pa.int64()),
                 "h": pa.array(hv.view(np.int64), pa.int64()),
                 "side": pa.array(np.full(len(idv), side, np.int8)),
-                "_part": pa.array(
-                    (hv % np.uint64(num_partitions)).astype(np.int32),
-                    pa.int32()),
             })
 
         return fn
@@ -1131,7 +1097,6 @@ def dedup_against(
         # every occurrence of a hash is in THIS partition: df filter,
         # per-doc effective-size partials, and pair-intersection partials
         # all come from one vectorized pass
-        g = g.drop(columns=["_part"])
         if max_df is not None:
             dfc = g.groupby("h", sort=False)["id"].transform("size")
             dropped = dfc > max_df
@@ -1156,10 +1121,9 @@ def dedup_against(
                           "v": inter["v"].astype("int64")}),
         ], ignore_index=True)
 
-    # map_groups partitioning: shingle hash mod P, both corpora in one exchange
-    packed = (exploded.groupby("_part")
-              .map_groups(per_part, batch_format="pandas")
-              .materialize())  # consumed three times below
+    # both corpora in one exchange; materialized, consumed three times below
+    packed = keyed_apply(exploded, "h", per_part,
+                         num_partitions=num_partitions)
 
     def split(kind: int, names: tuple[str, str, str]):
         def fn(t: pa.Table) -> pa.Table:
@@ -1325,7 +1289,6 @@ def editdist_join(
     import hashlib as _hl
 
     from ..kernels.minhash import _hash_shingles
-    from .analytics import splitmix64
     from .exchange import exchange_agg, exchange_join
     from .graph import _pairs_within_groups
 
@@ -1338,15 +1301,12 @@ def editdist_join(
                             digest_size=16).digest()
             h1.append(int.from_bytes(d[:8], "little", signed=True))
             h2.append(int.from_bytes(d[8:], "little", signed=True))
-        ha = np.asarray(h1, np.int64)
-        part = (splitmix64(ha) % np.uint64(num_partitions)).astype(
-            np.int32)
         return pa.table({id_col: ids,
                          "_t": t.column(text_col).cast(pa.string()),
-                         "_h1": pa.array(ha, pa.int64()),
-                         "_h2": pa.array(np.asarray(h2, np.int64),
+                         "_h1": pa.array(np.asarray(h1, np.int64),
                                          pa.int64()),
-                         "_part": pa.array(part, pa.int32())})
+                         "_h2": pa.array(np.asarray(h2, np.int64),
+                                         pa.int64())})
 
     hashed = ds.map_batches(string_hash, batch_format="pyarrow",
                             batch_size=4096)
@@ -1359,10 +1319,8 @@ def editdist_join(
                              "id": g[id_col].to_numpy(np.int64),
                              "text": g["_t"].to_numpy()})
 
-    # map_groups partitioning: splitmix64 of the 128-bit content digest
-    groups = (hashed.groupby("_part")
-              .map_groups(group_part, batch_format="pandas")
-              ).materialize()
+    groups = keyed_apply(hashed, "_h1", group_part,
+                         num_partitions=num_partitions)
     g_schema = pa.schema([("rep", pa.int64()), ("id", pa.int64()),
                           ("text", pa.string())])
 
@@ -1384,17 +1342,8 @@ def editdist_join(
         return pd.DataFrame({"id_a": a, "id_b": b,
                              "dist": np.zeros(len(a), np.int64)})
 
-    def part_by_rep(t: pa.Table) -> pa.Table:
-        part = (splitmix64(t.column("rep").to_numpy(
-            zero_copy_only=False).astype(np.int64))
-            % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_rp", pa.array(part, pa.int32()))
-
-    # map_groups partitioning: splitmix64 of each group's representative id
-    zeros = (groups.map_batches(part_by_rep, batch_format="pyarrow")
-             .groupby("_rp")
-             .map_groups(lambda g: zero_pairs(g.drop(columns=["_rp"])),
-                         batch_format="pandas"))
+    zeros = keyed_apply(groups, "rep", zero_pairs,
+                        num_partitions=num_partitions)
 
     # ---- (2) FastSS over representatives (distinct strings)
     reps = groups.map_batches(
@@ -1609,7 +1558,9 @@ def sorted_neighborhood_pairs(
                              "id_b": np.concatenate(out_b),
                              "dist": np.concatenate(out_d)})
 
-    # map_groups partitioning: sorted-neighbourhood rank chunks (range)
+    # map_groups stays: rows go to rank chunks (a range cut, not a key
+    # hash) and ``pairs`` reads its chunk id to keep only the pairs whose
+    # left end it owns; the keyed exchange hides the partition id
     return (srt.map_batches(route, batch_format="pyarrow",
                             batch_size=None)
             .groupby("_part").map_groups(pairs, batch_format="pandas"))
@@ -1671,17 +1622,13 @@ def cdc_chunks(
                 o_ln.append(en - st)
                 o_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 o_h2.append(int.from_bytes(dig[8:], "little", signed=True))
-        h1 = np.asarray(o_h1, np.int64)
-        from ..stages.analytics import splitmix64
-        part = (splitmix64(h1) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(o_id, pa.int64()),
             "chunk_idx": pa.array(np.asarray(o_idx, np.int64), pa.int64()),
             "start": pa.array(np.asarray(o_st, np.int64), pa.int64()),
             "length": pa.array(np.asarray(o_ln, np.int64), pa.int64()),
-            "_h1": pa.array(h1, pa.int64()),
-            "_h2": pa.array(np.asarray(o_h2, np.int64), pa.int64()),
-            "_part": pa.array(part, pa.int32())})
+            "_h1": pa.array(np.asarray(o_h1, np.int64), pa.int64()),
+            "_h2": pa.array(np.asarray(o_h2, np.int64), pa.int64())})
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["_h1", "_h2", id_col, "chunk_idx"],
@@ -1691,10 +1638,9 @@ def cdc_chunks(
         out["is_dup"] = ~first.to_numpy()
         return out
 
-    # map_groups partitioning: splitmix64 of each text-window fingerprint
-    return (ds.map_batches(chunk, batch_format="pyarrow",
-                           batch_size=1024)
-            .groupby("_part").map_groups(mark, batch_format="pandas"))
+    return keyed_apply(ds.map_batches(chunk, batch_format="pyarrow",
+                                      batch_size=1024),
+                       "_h1", mark, num_partitions=num_partitions)
 
 
 def containment_pairs(
@@ -1727,7 +1673,6 @@ def containment_pairs(
     counters when an approximate sweep is acceptable.
     """
     from ..state import counters
-    from .analytics import splitmix64
     from .exchange import exchange_agg, exchange_join
     from .graph import _pairs_within_groups
 
@@ -1747,13 +1692,10 @@ def containment_pairs(
                 out_id.append(did)
                 out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
                 out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
-        h1 = np.asarray(out_h1, dtype=np.int64)
-        part = (splitmix64(h1) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
-            "_h1": pa.array(h1, pa.int64()),
+            "_h1": pa.array(np.asarray(out_h1, np.int64), pa.int64()),
             "_h2": pa.array(np.asarray(out_h2, np.int64), pa.int64()),
-            "_part": pa.array(part, pa.int32()),
         })
 
     grams = ds.map_batches(explode, batch_format="pyarrow",
@@ -1791,10 +1733,9 @@ def containment_pairs(
                .size().rename("inter").reset_index())
         return out
 
-    # map_groups partitioning: splitmix64 of each n-gram digest
     inter = exchange_agg(
-        grams.groupby("_part").map_groups(pair_partials,
-                                          batch_format="pandas"),
+        keyed_apply(grams, "_h1", pair_partials,
+                    num_partitions=num_partitions),
         ["id_a", "id_b"], [("inter", "sum", "inter")],
         num_partitions=num_partitions, combine=False)
 
@@ -2025,9 +1966,13 @@ def semdedup(
             "cluster": g["cluster"].astype("int64"),
             "keep": ~dropped})
 
-    # map_groups partitioning: Ray's groupby on the cluster id (per key)
-    return keyed.groupby("cluster").map_groups(per_cluster,
-                                               batch_format="pandas")
+    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([per_cluster(c)
+                          for _, c in g.groupby("cluster", sort=False)],
+                         ignore_index=True)
+
+    return keyed_apply(keyed, "cluster", per_part,
+                       num_partitions=max(16, k))
 
 
 def fs_link_scores(

@@ -9,18 +9,28 @@ executor run at 16 CPUs, even for kilobyte inputs), and a grouped
 sort-reduce) whose intermediate object count grows with the square of
 its input block count.
 
-``exchange_join``, ``exchange_agg`` and ``keyed_apply`` instead tag
+``exchange_join``, ``exchange_agg`` and ``keyed_exchange`` instead tag
 every row with a 63-bit hash of its key (the join pads both sides to
 one Arrow schema; the aggregation optionally combines each batch
 first) and run ONE :func:`~.bsp.hash_exchange`: the tagged input is
 materialized, the partition count P is sized to it (one partition per
 ``DataContext.target_min_block_size`` of input, at most
 ``num_partitions``), each block is split by ``hash % P`` in one task,
-and one task per partition runs the vectorized reduce (``pandas.merge``
-over key columns and row positions for the join, Arrow ``group_by`` for
-the aggregation, the caller's pandas ``per_part`` for ``keyed_apply``
-— the one keyed exchange behind every per-key window, merge and audit
-operator).  That is B split tasks and B*P objects for B input blocks
+and one task per partition runs the vectorized reduce.  Which helper
+serves which reduce:
+
+- ``exchange_join``: an equi-join (``pandas.merge`` over key columns
+  and row positions, payloads gathered in Arrow);
+- ``exchange_agg``: a decomposable min/max/sum/count or a DISTINCT
+  (Arrow ``group_by``, with a per-batch combiner);
+- ``keyed_exchange``: any other per-key pass written over Arrow
+  tables (as-of and range joins, Bloom-word ORs, wedge checks);
+- ``keyed_apply``: the same written over pandas DataFrames (windows,
+  dedup and curation marks, KNN top-k, merges and audits).
+
+Every hash-keyed exchange in the package goes through one of these;
+only the range-cut sorts and file writes, whose reduces read their
+range id, keep Ray's ``map_groups``.  That is B split tasks and B*P objects for B input blocks
 (a two-level tree past ``bsp.TREE_COMBINE_THRESHOLD``), and at P=1
 just one reduce task.  Measured on a 1-CPU host (BASELINE.md,
 "Exchange substrate"): ``link_entities_join`` over two 1000-triple
@@ -33,8 +43,8 @@ data size.  Each call is EAGER: it materializes its input and returns a
 materialized dataset of TYPED Arrow blocks (empty partitions and empty
 inputs included; left-outer payload misses are Arrow nulls, not pandas
 NaN), so a result feeds further exchanges without a schema probe or
-another materialization.  ``keyed_apply`` cannot type a partition it
-never calls ``per_part`` on, so it drops empty partitions instead.
+another materialization.  ``keyed_exchange`` cannot type a partition it
+never calls ``reduce`` on, so it drops empty partitions instead.
 """
 
 from __future__ import annotations
@@ -43,13 +53,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
 
 _SIDE = "_xj_side"
 _PART = "_xj_part"
-#: keyed_apply's tag column (the name the hand-written exchanges it
+#: keyed_exchange's tag column (the name the hand-written exchanges it
 #: replaced used, so their reserved-name error stays the same)
 _KEYED_PART = "_part"
 
@@ -281,26 +292,28 @@ def exchange_agg(
                          max_parts=num_partitions)
 
 
-def keyed_apply(
+def keyed_exchange(
     ds: rd.Dataset,
     keys: tuple[str, ...] | list[str] | str,
-    per_part,
+    reduce,
     *,
     num_partitions: int = 64,
 ) -> rd.Dataset:
-    """Run ``per_part`` on each hash partition of ``keys``: every row of
-    a key reaches the same call, together with the other keys of its
-    partition, so one vectorized pandas pass serves them all.
+    """Run the Arrow ``reduce`` on each hash partition of ``keys``: every
+    row of a key reaches the same call, together with the other keys of
+    its partition, so one vectorized pass serves them all.
 
     Rows are tagged with the key hash (``_part``, the column
     :func:`_hash_col` computes) and moved by ONE
     :func:`~.bsp.hash_exchange`, with ``num_partitions`` the cap on the
-    sized partition count.  ``per_part`` takes the partition's rows as a
-    pandas DataFrame without the tag and returns a DataFrame, converted
-    to Arrow.  It is never called on an empty frame: a partition with
-    no rows adds no output block, and an empty input gives a dataset
-    with no blocks.  The output is materialized.  An input column named
-    ``_part`` raises.
+    sized partition count.  ``reduce`` takes the partition's rows as an
+    Arrow table without the tag and returns an Arrow table.  It is never
+    called on an empty partition: a partition with no rows adds no
+    output block, and an empty input gives a dataset with no blocks.
+    Zero-row outputs are dropped too, except that when no call returns
+    a row the first typed one is kept, so the empty result still has
+    the reduce's schema.  The output is materialized.  An input column
+    named ``_part`` raises.
     """
     from .bsp import hash_exchange
 
@@ -316,8 +329,7 @@ def keyed_apply(
     def reduce_part(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return pa.table({})
-        out = per_part(t.drop_columns([_KEYED_PART]).to_pandas())
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return reduce(t.drop_columns([_KEYED_PART]))
 
     tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
     schema = tagged.schema()
@@ -325,11 +337,34 @@ def keyed_apply(
         return tagged  # no rows
     out = hash_exchange(tagged, _KEYED_PART, reduce_part,
                         as_arrow_schema(schema), max_parts=num_partitions)
-    bundles = list(out.iter_internal_ref_bundles())
-    live = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows]
-    if len(live) == sum(len(b.blocks) for b in bundles):
+    blocks = [(ref, meta.num_rows)
+              for b in out.iter_internal_ref_bundles() for ref, meta in b.blocks]
+    live = [ref for ref, n in blocks if n]
+    if not live:
+        refs = [ref for ref, _ in blocks]
+        live = [ref for ref, t in zip(refs, ray.get(refs))
+                if t.num_columns][:1]
+    if len(live) == len(blocks):
         return out
     return rd.from_arrow_refs(live)
+
+
+def keyed_apply(
+    ds: rd.Dataset,
+    keys: tuple[str, ...] | list[str] | str,
+    per_part,
+    *,
+    num_partitions: int = 64,
+) -> rd.Dataset:
+    """:func:`keyed_exchange` with a pandas ``per_part``: it takes the
+    partition's rows as a DataFrame and returns a DataFrame, converted
+    to Arrow."""
+
+    def reduce(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(per_part(t.to_pandas()),
+                                    preserve_index=False)
+
+    return keyed_exchange(ds, keys, reduce, num_partitions=num_partitions)
 
 
 def exchange_join(
@@ -478,8 +513,10 @@ def exchange_join(
         return pa.table([cols[f.name] for f in out_schema],
                         schema=out_schema)
 
-    u = left.map_batches(pad(0), batch_format="pyarrow").union(
-        right.map_batches(pad(1), batch_format="pyarrow"))
+    # each side runs on its own: Ray executing both lineages as one union
+    # (an all-to-all op in one of them) deadlocks on a one-CPU cluster
+    u = left.map_batches(pad(0), batch_format="pyarrow").materialize().union(
+        right.map_batches(pad(1), batch_format="pyarrow").materialize())
     padded = pa.schema(
         [(k, key_types[k]) for k in on] + all_fields
         + [(_SIDE, pa.int8()), (_PART, pa.int64())])

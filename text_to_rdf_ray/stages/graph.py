@@ -288,7 +288,7 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
     import ray
 
     from ..stages.dedup import _worker_obj_cache
-    from .exchange import exchange_agg
+    from .exchange import exchange_agg, keyed_exchange
 
     if n_edges == 0:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
@@ -314,13 +314,6 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
         "ra": pa.array(ra, pa.int64()), "rb": pa.array(rb, pa.int64()),
     })).repartition(max(num_partitions // 4, 1))
 
-    def part_of(t: pa.Table) -> pa.Table:
-        from .analytics import splitmix64
-
-        h = (splitmix64(t.column("ra").to_numpy(zero_copy_only=False))
-             % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(h, pa.int32()))
-
     def wedges_check(g: pa.Table, ref=ref, n_nodes=n_nodes) -> pa.Table:
         keys, node_by_rank = _worker_obj_cache(ref)
         a = g.column("ra").to_numpy(zero_copy_only=False)
@@ -340,11 +333,8 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
                  else np.array([], np.int64))
         return pa.table({"node": pa.array(node_by_rank[ranks], pa.int64())})
 
-    # map_groups partitioning: splitmix64 of the lower orientation rank
-    wedged = (oriented.map_batches(part_of, batch_format="pyarrow")
-              .groupby("_part")
-              .map_groups(lambda g: wedges_check(g.drop_columns(["_part"])),
-                          batch_format="pyarrow"))
+    wedged = keyed_exchange(oriented, "ra", wedges_check,
+                            num_partitions=num_partitions)
     return exchange_agg(wedged, "node", [("node", "count", "n_tri")],
                         num_partitions=min(num_partitions, 16))
 
@@ -642,18 +632,12 @@ def random_walks(
     join/merge drops them, matching the oracle's recursive semantics.
     """
     from .analytics import splitmix64
-    from .exchange import exchange_agg, exchange_join
+    from .exchange import exchange_agg, exchange_join, keyed_apply
 
     d = exchange_agg(edges, [src_col, dst_col])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        part = (splitmix64(b[src_col].to_numpy(np.int64).view(np.uint64))
-                % np.uint64(num_partitions)).astype(np.int32)
-        return b.assign(_part=part)
-
     def adj_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values([src_col, dst_col], kind="mergesort"))
+        g = g.sort_values([src_col, dst_col], kind="mergesort")
         pos = g.groupby(src_col, sort=False).cumcount()
         deg = g.groupby(src_col, sort=False)[dst_col].transform("size")
         return pd.DataFrame({
@@ -662,12 +646,8 @@ def random_walks(
             "pos": pos.astype("int64"),
             "deg": deg.astype("int64")})
 
-    # map_groups partitioning: splitmix64 of the source node
-    adjacency = (d.map_batches(tag, batch_format="pandas",
-                               batch_size=65536)
-                 .groupby("_part").map_groups(adj_part,
-                                              batch_format="pandas")
-                 .materialize())
+    adjacency = keyed_apply(d, src_col, adj_part,
+                            num_partitions=num_partitions)
     adj_schema = pa.schema([("node", pa.int64()), ("nbr", pa.int64()),
                             ("pos", pa.int64()), ("deg", pa.int64())])
 

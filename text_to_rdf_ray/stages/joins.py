@@ -7,12 +7,12 @@ Two execution shapes, mirroring the linker's broadcast/join duality
 (stages/kg_stages.py):
 
 - ``asof_join`` / ``range_join_agg``: the general co-partitioned form.
-  Both sides are padded to a common Arrow schema, tagged, unioned, and
-  hash-exchanged ONCE on ``hash(key) % num_partitions`` (NOT on the raw
-  key: Ray 2.49's ``groupby(key).map_groups`` dispatches one Python call
-  per distinct key — the 153s-vs-2s pathology documented in NOTES_r3 —
-  whereas partition-keyed dispatch makes ``num_partitions`` calls
-  total).  Inside each partition the merge is ``pd.merge_asof(by=key)``
+  Both sides are padded to a common Arrow schema, unioned, and moved by
+  ONE keyed exchange on the key (``exchange.keyed_exchange``: one
+  reduce call per hash PARTITION, not per key — Ray 2.49's
+  ``groupby(key).map_groups`` dispatches one Python call per distinct
+  key, the 153s-vs-2s pathology documented in NOTES_r3).  Inside each
+  partition the merge is ``pd.merge_asof(by=key)``
   — a single Cython pass vectorized across every key in the partition —
   used only to compute MATCH INDICES; payload columns are then gathered
   with Arrow ``take`` so they never round-trip through pandas dtypes.
@@ -39,11 +39,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .exchange import keyed_apply
+from .exchange import keyed_apply, keyed_exchange
 
 _SIDE = "_side"
 _TS64 = "_ts_us"
-_PART = "_tj_part"
 
 
 def _key_scalar(k):
@@ -67,18 +66,16 @@ def _pad_union(
     key_col: str,
     left_ts: str,
     right_ts: str,
-    num_partitions: int,
 ) -> tuple[rd.Dataset, list[tuple[str, pa.DataType]], list[tuple[str, pa.DataType]]]:
-    """Tag-and-union the two sides under one schema, with a
-    ``hash(key) % num_partitions`` exchange column so the downstream
-    groupby dispatches per PARTITION, not per key.
+    """Tag-and-union the two sides under one schema for one keyed
+    exchange on ``key_col``.
 
     Payload column names must be disjoint between the sides (callers
     project/rename first); the shared key column and one int64 ``_ts_us``
     axis (from each side's own ts column) are the only common fields.
     Returns (union_ds, left_payload_fields, right_payload_fields).
     """
-    from .exchange import _key_hash, as_arrow_schema
+    from .exchange import as_arrow_schema
 
     # normalize pandas-block-reported numpy/object dtypes to Arrow types
     # (the cast-to-declared-type below needs real pa.DataType)
@@ -88,7 +85,7 @@ def _pad_union(
     overlap = {n for n, _ in l_fields} & {n for n, _ in r_fields}
     if overlap:
         raise ValueError(f"payload column collision between sides: {sorted(overlap)}")
-    reserved = {_TS64, _SIDE, _PART} & (set(ls.names) | set(rs.names))
+    reserved = {_TS64, _SIDE} & (set(ls.names) | set(rs.names))
     if reserved:
         raise ValueError(
             f"column names {sorted(reserved)} are reserved by the "
@@ -105,21 +102,12 @@ def _pad_union(
             cols: dict = {key_col: batch.column(key_col).cast(key_type)}
             cols[_TS64] = _ts_to_us(batch.column(ts_name))
             for name, typ in all_fields:
-                if name in batch.column_names:
-                    cols[name] = batch.column(name).cast(typ)
-                elif pa.types.is_integer(typ):
-                    # non-null filler — the exchange.py pad's Ray-2.49
-                    # mixed-block float64 hazard (opposite-side padding
-                    # is never read by the merges)
-                    cols[name] = pa.array(np.zeros(n, np.int64)).cast(typ)
-                elif pa.types.is_boolean(typ):
-                    cols[name] = pa.array(np.zeros(n, bool))
-                else:
-                    cols[name] = pa.nulls(n, typ)
+                # the merges read each side's payload from that side's
+                # rows only: the filler is never read
+                cols[name] = (batch.column(name).cast(typ)
+                              if name in batch.column_names
+                              else pa.nulls(n, typ))
             cols[_SIDE] = pa.array(np.full(n, side, np.int8))
-            cols[_PART] = pa.array(
-                (_key_hash(batch, [key_col]) % np.uint64(num_partitions))
-                .astype(np.int32))
             return pa.table(cols)
 
         return fn
@@ -156,8 +144,8 @@ def asof_join(
     merge_asof takes the LAST positional row among equal timestamps).
     """
     out_ts = out_left_ts or left_ts
-    u, l_fields, r_fields = _pad_union(
-        left, right, key_col, left_ts, right_ts, num_partitions)
+    u, l_fields, r_fields = _pad_union(left, right, key_col, left_ts,
+                                       right_ts)
     l_names = [n for n, _ in l_fields]
     r_names = [n for n, _ in r_fields]
 
@@ -199,8 +187,7 @@ def asof_join(
             cols[n] = R.column(n).take(ri)
         return pa.table(cols)
 
-    # map_groups partitioning: _key_hash of the key, both sides padded
-    return u.groupby(_PART).map_groups(merge, batch_format="pyarrow")
+    return keyed_exchange(u, key_col, merge, num_partitions=num_partitions)
 
 
 def asof_join_broadcast(
@@ -331,8 +318,7 @@ def range_join_agg(
     |L|x|R|).
     """
     out_ts = out_left_ts or left_ts
-    u, l_fields, _ = _pad_union(
-        left, right, key_col, left_ts, right_ts, num_partitions)
+    u, l_fields, _ = _pad_union(left, right, key_col, left_ts, right_ts)
     l_names = [n for n, _ in l_fields]
 
     def merge(g: pa.Table) -> pa.Table:
@@ -399,8 +385,7 @@ def range_join_agg(
             cols["sum_value"] = pa.array(sum_value, pa.float64())
         return pa.table(cols)
 
-    # map_groups partitioning: _key_hash of the key, both sides padded
-    return u.groupby(_PART).map_groups(merge, batch_format="pyarrow")
+    return keyed_exchange(u, key_col, merge, num_partitions=num_partitions)
 
 
 def semi_join_filter(
@@ -514,8 +499,7 @@ def semi_join_bloom(
         if batch.num_rows == 0:
             # reduceat(empty, [0]) raises IndexError (review r5)
             return pa.table({"word": pa.array([], pa.int64()),
-                             "bits": pa.array([], pa.int64()),
-                             "_part": pa.array([], pa.int32())})
+                             "bits": pa.array([], pa.int64())})
         h = _key_hash(pa.table({key_col: batch.column(kc)}), [key_col])
         pos = positions(h).ravel()
         words = (pos >> np.uint64(6)).astype(np.int64)
@@ -528,14 +512,9 @@ def semi_join_bloom(
         return pa.table({
             "word": pa.array(words[starts], pa.int64()),
             "bits": pa.array(ored.view(np.int64), pa.int64()),
-            "_part": pa.array((words[starts] % num_partitions)
-                              .astype(np.int32), pa.int32()),
         })
 
     def or_part(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"word": pa.array([], pa.int64()),
-                             "bits": pa.array([], pa.int64())})
         w = g.column("word").to_numpy(zero_copy_only=False)
         b = g.column("bits").to_numpy(zero_copy_only=False).view(np.uint64)
         order = np.argsort(w, kind="stable")
@@ -548,10 +527,9 @@ def semi_join_bloom(
                              pa.int64()),
         })
 
-    # map_groups partitioning: Bloom filter word index mod P
-    words_df = (keys.map_batches(key_words, batch_format="pyarrow")
-                .groupby("_part").map_groups(or_part, batch_format="pyarrow")
-                .to_pandas())
+    words_df = keyed_exchange(
+        keys.map_batches(key_words, batch_format="pyarrow"), "word",
+        or_part, num_partitions=num_partitions).to_pandas()
     bitmap = np.zeros(n_words, np.uint64)
     if len(words_df):
         bitmap[words_df["word"].to_numpy()] = \

@@ -193,7 +193,9 @@ class LinkEntities:
         return _link_batch(self.index, self.cache, batch)
 
 
-# per-worker-process KB index cache for task-mode linking
+#: per-worker-process KB index for task-mode linking: at most one
+#: ``key -> (KBIndex, TTLCache)`` entry, replaced when the key changes
+#: (every ``build_triples`` call broadcasts its KB under a new ref)
 _KB_INDEX_CACHE: dict[str, tuple] = {}
 
 
@@ -210,15 +212,19 @@ def make_link_task(kb_ref, fuzzy_threshold=0.8, confidence_threshold=0.5):
         import ray
 
         from ..kernels.linker import KBIndex
+        # through the worker's imported module: a global named here
+        # directly would be pickled with this closure, one copy per task
+        from . import kg_stages
 
-        entry = _KB_INDEX_CACHE.get(key)
+        entry = kg_stages._KB_INDEX_CACHE.get(key)
         if entry is None:
             from ..functions.ttl_cache import TTLCache
 
             index = KBIndex(ray.get(kb_ref), fuzzy_threshold=fuzzy_threshold,
                             confidence_threshold=confidence_threshold)
             entry = (index, TTLCache())
-            _KB_INDEX_CACHE[key] = entry
+            kg_stages._KB_INDEX_CACHE.clear()
+            kg_stages._KB_INDEX_CACHE[key] = entry
         index, cache = entry
         return _link_batch(index, cache, batch)
 

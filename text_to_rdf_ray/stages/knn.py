@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .dedup import _worker_obj_cache
+
 
 def _to_matrix(col) -> np.ndarray:
     return np.array(col, dtype=np.float32)
@@ -82,11 +84,21 @@ def _topk_part_fn(k: int):
     """The qidx-partitioned distributed top-k reduce (one vectorized
     sort + grouped head per partition) — shared by every KNN scorer."""
     def topk_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values(["qidx", "score", "neighbor_id"],
-                          ascending=[True, False, True]))
+        g = g.sort_values(["qidx", "score", "neighbor_id"],
+                          ascending=[True, False, True])
         return g.groupby("qidx", sort=False).head(k)
     return topk_part
+
+
+def _reduce_topk(partials: rd.Dataset, query_ids, k: int) -> pd.DataFrame:
+    """Per-batch top-k partials -> the qidx-keyed distributed top-k, so
+    the driver collects O(n_queries x k) rows, not one partial per
+    batch -> the final ranked (query_id, neighbor_id, rank, score)."""
+    from .exchange import keyed_apply
+
+    return _driver_topk(keyed_apply(partials, "qidx", _topk_part_fn(k),
+                                    num_partitions=32).to_pandas(),
+                        query_ids, k)
 
 
 def _driver_topk(partial: pd.DataFrame, query_ids, k: int) -> pd.DataFrame:
@@ -126,43 +138,32 @@ def knn_bruteforce(
     """
     qm = _normalize(np.asarray(queries, dtype=np.float32))
     q_ref = ray.put(qm)
-    n_parts = 32
 
-    class Score:
-        def __init__(self):
-            self.q = ray.get(q_ref)
+    def score(batch: pa.Table) -> pa.Table:
+        q = _worker_obj_cache(q_ref)
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        m = _normalize(_emb_matrix(batch, emb_col))
+        ids, m = _sort_batch_by_id(ids, m)
+        sims = q @ m.T  # (n_queries, batch)
+        kk = min(k, sims.shape[1])
+        # local top-k per query (combiner before the partitioned
+        # reduce) — stable, deterministic at score ties
+        idx = _stable_topk_idx(sims, kk)
+        nq = sims.shape[0]
+        out_q = np.repeat(np.arange(nq, dtype=np.int32), kk)
+        out_n = ids[idx.ravel()]
+        out_s = np.take_along_axis(sims, idx, axis=1).ravel().astype(np.float64)
+        return pa.table(
+            {
+                "qidx": pa.array(out_q, pa.int32()),
+                "neighbor_id": pa.array(out_n, pa.int64()),
+                "score": pa.array(out_s, pa.float64()),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            m = _normalize(_emb_matrix(batch, emb_col))
-            ids, m = _sort_batch_by_id(ids, m)
-            sims = self.q @ m.T  # (n_queries, batch)
-            kk = min(k, sims.shape[1])
-            # local top-k per query (combiner before the partitioned
-            # reduce) — stable, deterministic at score ties
-            idx = _stable_topk_idx(sims, kk)
-            nq = sims.shape[0]
-            out_q = np.repeat(np.arange(nq, dtype=np.int32), kk)
-            out_n = ids[idx.ravel()]
-            out_s = np.take_along_axis(sims, idx, axis=1).ravel().astype(np.float64)
-            return pa.table(
-                {
-                    "qidx": pa.array(out_q, pa.int32()),
-                    "_part": pa.array(out_q % np.int32(n_parts), pa.int32()),
-                    "neighbor_id": pa.array(out_n, pa.int64()),
-                    "score": pa.array(out_s, pa.float64()),
-                }
-            )
-
-    # map_groups partitioning: query index mod the query-partition count
-    reduced = (
-        ds.map_batches(Score, batch_format="pyarrow", batch_size=4096,
-                       concurrency=(1, 16))
-        .groupby("_part")
-        .map_groups(_topk_part_fn(k), batch_format="pandas")
-        .to_pandas()
-    )
-    return _driver_topk(reduced, query_ids, k)
+    return _reduce_topk(
+        ds.map_batches(score, batch_format="pyarrow", batch_size=4096),
+        query_ids, k)
 
 
 def _kmeans_lite(sample: np.ndarray, n_clusters: int, iters: int = 5,
@@ -227,55 +228,47 @@ def knn_ivf(
         ]
     q_ref = ray.put((qm, probe_sets))
 
-    class ScoreIVF:
-        def __init__(self):
-            self.centers = ray.get(c_ref)
-            self.q, self.probes = ray.get(q_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            m = _normalize(_emb_matrix(batch, emb_col))
-            ids, m = _sort_batch_by_id(ids, m)
-            assign = (m @ self.centers.T).argmax(axis=1)
-            out_q, out_n, out_s = [], [], []
-            for qi, probe in enumerate(self.probes):
-                mask = np.isin(assign, list(probe))
-                if not mask.any():
-                    continue
-                sub_ids = ids[mask]
-                sims = self.q[qi] @ m[mask].T
-                kk = min(k, len(sub_ids))
-                idx = np.argsort(-sims, kind="stable")[:kk]
-                out_q.append(np.full(kk, qi, np.int32))
-                out_n.append(sub_ids[idx])
-                out_s.append(sims[idx].astype(np.float64))
-            if out_q:
-                oq = np.concatenate(out_q)
-                on = np.concatenate(out_n)
-                os_ = np.concatenate(out_s)
-            else:
-                oq = np.empty(0, np.int32)
-                on = np.empty(0, np.int64)
-                os_ = np.empty(0, np.float64)
-            return pa.table(
-                {
-                    "qidx": pa.array(oq, pa.int32()),
-                    "_part": pa.array(oq % np.int32(32), pa.int32()),
-                    "neighbor_id": pa.array(on, pa.int64()),
-                    "score": pa.array(os_, pa.float64()),
-                }
-            )
+    def score(batch: pa.Table) -> pa.Table:
+        centers = _worker_obj_cache(c_ref)
+        q, probes = _worker_obj_cache(q_ref)
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        m = _normalize(_emb_matrix(batch, emb_col))
+        ids, m = _sort_batch_by_id(ids, m)
+        assign = (m @ centers.T).argmax(axis=1)
+        out_q, out_n, out_s = [], [], []
+        for qi, probe in enumerate(probes):
+            mask = np.isin(assign, list(probe))
+            if not mask.any():
+                continue
+            sub_ids = ids[mask]
+            sims = q[qi] @ m[mask].T
+            kk = min(k, len(sub_ids))
+            idx = np.argsort(-sims, kind="stable")[:kk]
+            out_q.append(np.full(kk, qi, np.int32))
+            out_n.append(sub_ids[idx])
+            out_s.append(sims[idx].astype(np.float64))
+        if out_q:
+            oq = np.concatenate(out_q)
+            on = np.concatenate(out_n)
+            os_ = np.concatenate(out_s)
+        else:
+            oq = np.empty(0, np.int32)
+            on = np.empty(0, np.int64)
+            os_ = np.empty(0, np.float64)
+        return pa.table(
+            {
+                "qidx": pa.array(oq, pa.int32()),
+                "neighbor_id": pa.array(on, pa.int64()),
+                "score": pa.array(os_, pa.float64()),
+            }
+        )
 
     # qidx-partitioned distributed reduce BEFORE the driver collect —
     # the partial volume is n_batches x n_queries x k otherwise, the
     # exact driver bottleneck the module docstring bans (review r5)
-    # map_groups partitioning: query index mod the query-partition count
-    partial = (ds.map_batches(ScoreIVF, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 16))
-               .groupby("_part")
-               .map_groups(_topk_part_fn(k), batch_format="pandas")
-               .to_pandas())
-    return _driver_topk(partial, query_ids, k)
+    return _reduce_topk(
+        ds.map_batches(score, batch_format="pyarrow", batch_size=4096),
+        query_ids, k)
 
 
 def _train_quantizer(ds: rd.Dataset, *, n_clusters: int, emb_col: str,
@@ -489,19 +482,14 @@ def knn_ivf_indexed(
         return pa.table(
             {
                 "qidx": pa.array(oq, pa.int32()),
-                "_part": pa.array(oq % np.int32(32), pa.int32()),
                 "neighbor_id": pa.array(on, pa.int64()),
                 "score": pa.array(os_, pa.float64()),
             }
         )
 
-    # map_groups partitioning: query index mod 32
-    partial = (corpus.map_batches(score, batch_format="pyarrow",
-                                  batch_size=4096)
-               .groupby("_part")
-               .map_groups(_topk_part_fn(k), batch_format="pandas")
-               .to_pandas())
-    return _driver_topk(partial, query_ids, k)
+    return _reduce_topk(
+        corpus.map_batches(score, batch_format="pyarrow", batch_size=4096),
+        query_ids, k)
 
 
 def kmeans_lloyd(
@@ -751,64 +739,49 @@ def _lsh_score_reduce(
             bucket_q.setdefault(b, []).append(qi)
     bucket_q = {b: np.array(v, np.int64) for b, v in bucket_q.items()}
     ref = ray.put((planes, qm, bucket_q))
-    n_parts = 32
 
-    class ScoreLSH:
-        def __init__(self):
-            self.planes, self.q, self.bq = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy(
+    def score(batch: pa.Table) -> pa.Table:
+        planes, q, bq = _worker_obj_cache(ref)
+        ids = batch.column(id_col).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        m_raw = _emb_matrix(batch, emb_col)
+        if bucket_col is not None:
+            # stored build-time assignment (indexed probe)
+            b = batch.column(bucket_col).to_numpy(
                 zero_copy_only=False).astype(np.int64)
-            m_raw = _emb_matrix(batch, emb_col)
-            if bucket_col is not None:
-                # stored build-time assignment (indexed probe)
-                b = batch.column(bucket_col).to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-            else:
-                b = lsh_bucket(m_raw, self.planes)
-            m = _normalize(m_raw)
-            order = np.argsort(ids, kind="stable")
-            ids, m, b = ids[order], m[order], b[order]
-            out_q, out_n, out_s = [], [], []
-            for bucket in np.unique(b):
-                qis = self.bq.get(int(bucket))
-                if qis is None:
-                    continue
-                mask = b == bucket
-                sub, sub_ids = m[mask], ids[mask]
-                sims = self.q[qis] @ sub.T  # (len(qis), n_sub)
-                kk = min(k, sims.shape[1])
-                idx = _stable_topk_idx(sims, kk)
-                out_q.append(np.repeat(qis, kk))
-                out_n.append(sub_ids[idx.ravel()])
-                out_s.append(np.take_along_axis(sims, idx, axis=1)
-                             .ravel().astype(np.float64))
-            if not out_q:
-                return pa.table({"qidx": pa.array([], pa.int32()),
-                                 "_part": pa.array([], pa.int32()),
-                                 "neighbor_id": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            qv = np.concatenate(out_q).astype(np.int32)
-            return pa.table({
-                "qidx": pa.array(qv, pa.int32()),
-                "_part": pa.array(qv % np.int32(n_parts), pa.int32()),
-                "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
-                "score": pa.array(np.concatenate(out_s), pa.float64()),
-            })
+        else:
+            b = lsh_bucket(m_raw, planes)
+        m = _normalize(m_raw)
+        order = np.argsort(ids, kind="stable")
+        ids, m, b = ids[order], m[order], b[order]
+        out_q, out_n, out_s = [], [], []
+        for bucket in np.unique(b):
+            qis = bq.get(int(bucket))
+            if qis is None:
+                continue
+            mask = b == bucket
+            sub, sub_ids = m[mask], ids[mask]
+            sims = q[qis] @ sub.T  # (len(qis), n_sub)
+            kk = min(k, sims.shape[1])
+            idx = _stable_topk_idx(sims, kk)
+            out_q.append(np.repeat(qis, kk))
+            out_n.append(sub_ids[idx.ravel()])
+            out_s.append(np.take_along_axis(sims, idx, axis=1)
+                         .ravel().astype(np.float64))
+        if not out_q:
+            return pa.table({"qidx": pa.array([], pa.int32()),
+                             "neighbor_id": pa.array([], pa.int64()),
+                             "score": pa.array([], pa.float64())})
+        qv = np.concatenate(out_q).astype(np.int32)
+        return pa.table({
+            "qidx": pa.array(qv, pa.int32()),
+            "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
+            "score": pa.array(np.concatenate(out_s), pa.float64()),
+        })
 
-    def topk_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns=["_part"])
-             .sort_values(["qidx", "score", "neighbor_id"],
-                          ascending=[True, False, True]))
-        return g.groupby("qidx", sort=False).head(k)
-
-    # map_groups partitioning: query index mod the query-partition count
-    partial = (ds.map_batches(ScoreLSH, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 16))
-               .groupby("_part").map_groups(topk_part, batch_format="pandas")
-               .to_pandas())
-    return _driver_topk(partial, query_ids, k)
+    return _reduce_topk(
+        ds.map_batches(score, batch_format="pyarrow", batch_size=4096),
+        query_ids, k)
 
 
 def build_lsh_index(
@@ -1074,49 +1047,40 @@ def knn_quantized(
     reduce, driver collects O(n_queries x k)."""
     qm = np.asarray(query_codes, dtype=np.int64)
     q_ref = ray.put(qm)
-    n_parts = 32
 
-    class Score:
-        def __init__(self):
-            self.q = ray.get(q_ref)
+    def score(batch: pa.Table) -> pa.Table:
+        q = _worker_obj_cache(q_ref)
+        ids = batch.column(id_col).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        # zero-copy decode (the to_pylist + np.stack path boxes
+        # every code; review r5): Ray stores fixed-shape lists as
+        # an ArrowTensorArray whose to_numpy IS the (n, d) matrix;
+        # plain list<int> flattens + reshapes
+        col = batch.column("codes")
+        arr = (col.combine_chunks()
+               if isinstance(col, pa.ChunkedArray) else col)
+        if hasattr(arr, "flatten"):
+            m = (arr.flatten().to_numpy(zero_copy_only=False)
+                 .astype(np.int64).reshape(len(arr), -1))
+        else:
+            m = np.asarray(arr.to_numpy(zero_copy_only=False)
+                           ).astype(np.int64)
+        ids, m = _sort_batch_by_id(ids, m)
+        sims = q @ m.T
+        kk = min(k, sims.shape[1])
+        idx = _stable_topk_idx(sims, kk)
+        nq = sims.shape[0]
+        out_q = np.repeat(np.arange(nq, dtype=np.int32), kk)
+        return pa.table({
+            "qidx": pa.array(out_q, pa.int32()),
+            "neighbor_id": pa.array(ids[idx.ravel()], pa.int64()),
+            "score": pa.array(
+                np.take_along_axis(sims, idx, axis=1).ravel(),
+                pa.int64())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            # zero-copy decode (the to_pylist + np.stack path boxes
-            # every code; review r5): Ray stores fixed-shape lists as
-            # an ArrowTensorArray whose to_numpy IS the (n, d) matrix;
-            # plain list<int> flattens + reshapes
-            col = batch.column("codes")
-            arr = (col.combine_chunks()
-                   if isinstance(col, pa.ChunkedArray) else col)
-            if hasattr(arr, "flatten"):
-                m = (arr.flatten().to_numpy(zero_copy_only=False)
-                     .astype(np.int64).reshape(len(arr), -1))
-            else:
-                m = np.asarray(arr.to_numpy(zero_copy_only=False)
-                               ).astype(np.int64)
-            ids, m = _sort_batch_by_id(ids, m)
-            sims = self.q @ m.T
-            kk = min(k, sims.shape[1])
-            idx = _stable_topk_idx(sims, kk)
-            nq = sims.shape[0]
-            out_q = np.repeat(np.arange(nq, dtype=np.int32), kk)
-            return pa.table({
-                "qidx": pa.array(out_q, pa.int32()),
-                "_part": pa.array(out_q % np.int32(n_parts), pa.int32()),
-                "neighbor_id": pa.array(ids[idx.ravel()], pa.int64()),
-                "score": pa.array(
-                    np.take_along_axis(sims, idx, axis=1).ravel(),
-                    pa.int64())})
-
-    # map_groups partitioning: query index mod the query-partition count
-    reduced = (ds_codes.map_batches(Score, batch_format="pyarrow",
-                                    batch_size=4096, concurrency=(1, 16))
-               .groupby("_part")
-               .map_groups(_topk_part_fn(k), batch_format="pandas")
-               .to_pandas())
-    out = _driver_topk(reduced, query_ids, k)
+    out = _reduce_topk(
+        ds_codes.map_batches(score, batch_format="pyarrow", batch_size=4096),
+        query_ids, k)
     # integer-dot scores: round(6) in _driver_topk is an int64 no-op,
     # but re-assert the dtype for the bit-exact contract
     out["score"] = out["score"].astype("int64")

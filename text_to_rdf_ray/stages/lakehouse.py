@@ -132,7 +132,8 @@ def clustered_write(
             row["bloom_k"] = pd.Series([bloom_k], dtype="int64")
         return pd.DataFrame(row)
 
-    # map_groups partitioning: output file id from sampled key-range cuts
+    # map_groups stays: one group per output file, cut by sampled key
+    # ranges (not a key hash), and write_file names the file by its id
     manifest = (ds.map_batches(assign, batch_format="pandas",
                                batch_size=65536)
                 .groupby("_file")
@@ -399,7 +400,8 @@ def zorder_write(
             row[f"max_{c}"] = [float(g[c].max())]
         return pd.DataFrame(row)
 
-    # map_groups partitioning: output file id from sampled Z-order range cuts
+    # map_groups stays: one group per output file, cut by sampled Z-order
+    # ranges (not a key hash), and write_file names the file by its id
     manifest = (ds.map_batches(assign, batch_format="pandas",
                                batch_size=65536)
                 .groupby("_file").map_groups(write_file,

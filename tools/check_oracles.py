@@ -43,8 +43,10 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 def main() -> int:
     import ray
 
+    from perfbench.hostinfo import nproc
+
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=nproc(), include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext
 
