@@ -1,6 +1,10 @@
 """Config, stage registry, corpus loaders, distributed evaluation."""
 
+import os
+
 import pytest
+
+from text_to_rdf_ray.sources import corpora
 
 
 def test_pipeline_config_defaults_match_reference():
@@ -73,6 +77,12 @@ def test_custom_validation_rules():
     assert apply_custom_rules(org, [rule]) == ([], 0.0)  # type-filtered
 
 
+@pytest.mark.skipif(
+    not (os.path.exists(corpora.WEBNLG_FIXTURE)
+         and os.path.exists(corpora.DOCRED_FIXTURE)),
+    reason=f"fixtures {corpora.WEBNLG_FIXTURE} and {corpora.DOCRED_FIXTURE} "
+    "are required",
+)
 def test_corpora_loaders(ray_session):
     from text_to_rdf_ray.sources.corpora import (
         docred_dataset,

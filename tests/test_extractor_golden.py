@@ -4,6 +4,7 @@ north-rule P/R >= 0.95 criterion with margin.
 """
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,11 @@ from text_to_rdf_ray.kernels.jsonld import (
 )
 from text_to_rdf_ray.kernels.metrics import evaluate
 from text_to_rdf_ray.kernels.normalize import normalize_predicate
+from text_to_rdf_ray.sources.corpora import DOCRED_FIXTURE, WEBNLG_FIXTURE
+
+WIKIPEDIA_FIXTURE = os.path.join(
+    os.path.dirname(WEBNLG_FIXTURE), "wikipedia_marie_curie.txt"
+)
 
 WD_MAP = {
     "P17": "addressCountry", "P131": "containedInPlace", "P276": "location",
@@ -25,12 +31,30 @@ WD_MAP = {
     "P37": "language", "P159": "location",
 }
 
-with open("/root/reference/tests/fixtures/test_cases.json") as f:
-    WEBNLG_CASES = json.load(f)
-with open("/root/reference/tests/fixtures/docred_sample.json") as f:
-    DOCRED_DOCS = json.load(f)
+
+def _load_fixture(path):
+    # The corpus lives in the reference checkout; without it the tests that
+    # read it skip and the fixture-free tests below still run.
+    if not os.path.exists(path):
+        return []
+    with open(path) as f:
+        return json.load(f)
 
 
+def _needs(path):
+    return pytest.mark.skipif(
+        not os.path.exists(path), reason=f"fixture {path} is missing"
+    )
+
+
+WEBNLG_CASES = _load_fixture(WEBNLG_FIXTURE)
+DOCRED_DOCS = _load_fixture(DOCRED_FIXTURE)
+needs_webnlg = _needs(WEBNLG_FIXTURE)
+needs_docred = _needs(DOCRED_FIXTURE)
+needs_wikipedia = _needs(WIKIPEDIA_FIXTURE)
+
+
+@needs_webnlg
 @pytest.mark.parametrize("case", WEBNLG_CASES, ids=[c["id"] for c in WEBNLG_CASES])
 def test_webnlg_triples_exact(case):
     ex = extract_document(case["raw_text"])
@@ -39,6 +63,7 @@ def test_webnlg_triples_exact(case):
     assert predicted == gold
 
 
+@needs_webnlg
 @pytest.mark.parametrize("case", WEBNLG_CASES, ids=[c["id"] for c in WEBNLG_CASES])
 def test_webnlg_jsonld_exact(case):
     ex = extract_document(case["raw_text"])
@@ -57,6 +82,7 @@ def _docred_gold(doc):
     return gold
 
 
+@needs_docred
 @pytest.mark.parametrize("doc", DOCRED_DOCS, ids=[d["id"] for d in DOCRED_DOCS])
 def test_docred_triples_exact(doc):
     text = "\n\n".join(" ".join(s) for s in doc["sents"])
@@ -65,6 +91,8 @@ def test_docred_triples_exact(doc):
     assert predicted == _docred_gold(doc)
 
 
+@needs_webnlg
+@needs_docred
 def test_macro_prf_at_least_095():
     per_case = []
     for case in WEBNLG_CASES:
@@ -94,6 +122,7 @@ def test_flatteners_mirror_reference_flavors():
     }
 
 
+@needs_docred
 def test_determinism_same_input_same_output():
     text = "\n\n".join(" ".join(s) for s in DOCRED_DOCS[1]["sents"])
     a = extract_document(text)
@@ -112,11 +141,12 @@ def test_chunked_long_document_extraction():
     assert "grace_bean" in subjects  # cross-chunk entity persisted via KB
 
 
+@needs_wikipedia
 def test_wikipedia_article_smoke():
     """Real Wikipedia fixture (reference examples corpus): the extractor
     stays well-formed at article scale — chunked, heavy coref, sane
     subjects (no pronoun/award/adjective subjects)."""
-    with open("/root/reference/tests/fixtures/wikipedia_marie_curie.txt") as f:
+    with open(WIKIPEDIA_FIXTURE) as f:
         text = f.read()
     ex = extract_document(text)
     assert ex.n_chunks > 10
