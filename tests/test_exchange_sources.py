@@ -1,0 +1,263 @@
+"""The exchange's sources: block functions run in the split tasks, each
+source is materialized on its own, and an already materialized source
+costs no Ray Data execution."""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+import ray.data as rd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """The number of Ray Data executor runs started during the test
+    (``StreamingExecutor.execute`` wrapped)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    n = [0]
+    real = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        n[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return n
+
+
+def _sides():
+    rng = np.random.default_rng(7)
+    left = pd.DataFrame({"k": rng.integers(0, 60, 500).astype("int64"),
+                         "a": rng.random(500)})
+    right = pd.DataFrame({"k": rng.integers(30, 90, 300).astype("int64"),
+                          "b": [f"b{i}" for i in range(300)]})
+    return left, right
+
+
+def _arrow(df: pd.DataFrame) -> rd.Dataset:
+    return rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+
+
+def test_materialized_exchange_inputs_start_no_execution(ray_session,
+                                                         executions):
+    """exchange_join, exchange_agg and keyed_exchange over materialized
+    inputs start no executor run; a lazy source starts exactly one."""
+    from text_to_rdf_ray.stages.exchange import (exchange_agg,
+                                                 exchange_join,
+                                                 keyed_exchange)
+
+    left, right = _sides()
+    lds = _arrow(left).repartition(3).materialize()
+    rds = _arrow(right).materialize()
+    executions[0] = 0
+    joined = exchange_join(lds, rds, on="k", how="full_outer")
+    summed = exchange_agg(joined, "k", [("a", "sum", "s")])
+    keyed = keyed_exchange(summed, "k", lambda t: t)
+    projected = exchange_join(
+        (lds, lambda t: t.select(["k"])), rds, on="k",
+        left_schema=pa.schema([("k", pa.int64())]))
+    assert executions[0] == 0
+    assert keyed.count() == left["k"].nunique() + len(
+        set(right["k"]) - set(left["k"]))
+    assert projected.count() == len(left.merge(right, on="k"))
+
+    executions[0] = 0
+    exchange_join(lds.map_batches(lambda t: t, batch_format="pyarrow"),
+                  rds.map_batches(lambda t: t, batch_format="pyarrow"),
+                  on="k", left_schema=lds.schema(), right_schema=rds.schema())
+    assert executions[0] == 2
+
+
+def test_link_entities_join_executions(ray_session, executions):
+    """One shuffle-join link over materialized triples starts one
+    executor run (the KB label table); every projection feeding an
+    exchange runs inside it."""
+    from text_to_rdf_ray.stages.kg_stages import link_entities_join
+
+    kb = [{"uri": f"https://kb.test/resource/e{i}", "label": nm,
+           "aliases": [], "types": ["Person"]}
+          for i, nm in enumerate(["Ada Lovelace", "Alan Turing",
+                                  "Grace Hopper"])]
+    n = 4
+    triples = rd.from_arrow(pa.table({
+        "url": [f"u{i}" for i in range(n)],
+        "subj": ["Ada Lovelace", "Alan Turnig", "Nobody Known", "Ada"],
+        "subj_slug": [""] * n, "subj_lower": [""] * n,
+        "pred": ["knows"] * n, "pred_key": ["knows"] * n,
+        "obj": ["Grace Hopper", "Ada Lovelace", "Alan Turing", "x"],
+        "subj_type": ["Person"] * n,
+        "obj_type": ["Person", "Person", "Person", ""],
+        "nested_in": [""] * n,
+        "chunk_id": pa.array([0] * n, pa.int32()),
+        "span_start": pa.array([0] * n, pa.int64()),
+        "span_end": pa.array([1] * n, pa.int64()),
+        "confidence": [1.0] * n, "method": ["t"] * n,
+    })).materialize()
+    executions[0] = 0
+    out = link_entities_join(triples, kb)
+    assert executions[0] <= 1
+    got = out.to_pandas().set_index("url")
+    assert got.loc["u0", "subj_uri"] == "https://kb.test/resource/e0"
+    assert got.loc["u1", "subj_uri"] == "https://kb.test/resource/e1"
+    # a fuzzy link: Jaro-Winkler score, not the exact-hit confidence
+    assert 0.8 <= got.loc["u1", "subj_link_conf"] != 0.95
+    assert pd.isna(got.loc["u2", "subj_uri"])
+    assert got.loc["u0", "obj_uri"] == "https://kb.test/resource/e2"
+    assert pd.isna(got.loc["u3", "obj_uri"])
+
+
+def test_block_functions_same_rows_at_every_partition_count(
+        ray_session, sized_and_capped):
+    """hash_exchange over two sources with block functions gives the
+    rows of mapping each source first, at the sized P=1 and at the cap;
+    a pandas-block source is typed from its first block, so an object
+    column holding lists stays a list column."""
+    from text_to_rdf_ray.stages.bsp import hash_exchange
+    from text_to_rdf_ray.stages.exchange import _hash_col, keyed_exchange
+
+    left, right = _sides()
+    lds = _arrow(left).repartition(4).materialize()
+    # object column: the pandas block schema carries no Arrow type for it
+    rds = rd.from_pandas([right.iloc[:100], right.iloc[100:]]).materialize()
+
+    def tag(side: int):
+        def fn(t: pa.Table) -> pa.Table:
+            out = pa.table({"k": t.column("k"),
+                            "side": pa.array(np.full(len(t), side, np.int8))})
+            return out.append_column("p", _hash_col(out, ["k"]))
+        return fn
+
+    def count_sides(t: pa.Table) -> pa.Table:
+        return t.group_by(["k", "side"]).aggregate([("p", "count")])
+
+    def run():
+        out = hash_exchange([(lds, tag(0)), (rds, tag(1))], "p", count_sides,
+                            max_parts=8)
+        return (out.to_pandas().sort_values(["k", "side"])
+                .reset_index(drop=True))
+
+    (sized, p_sized), (capped, p_capped) = sized_and_capped(run)
+    assert p_sized == [1] and p_capped == [8], (p_sized, p_capped)
+    pd.testing.assert_frame_equal(sized, capped)
+    want = (pd.concat([left.assign(side=0), right.assign(side=1)])
+            .groupby(["k", "side"]).size().rename("p_count").reset_index()
+            .astype({"side": "int8"}))
+    pd.testing.assert_frame_equal(sized, want)
+
+    # an object column holding lists keeps its type through the tagger
+    lists = rd.from_pandas(pd.DataFrame({"k": [1, 2, 1],
+                                         "l": [[1, 2], [3], []]}))
+    got = keyed_exchange(lists, "k", lambda t: t).to_pandas()
+    assert sorted(map(list, got["l"])) == [[], [1, 2], [3]]
+
+
+def test_reserved_names_raise_plain_value_errors(ray_session):
+    """A reserved column name raises a plain ValueError on the driver,
+    before any task runs, for Arrow and pandas-block inputs alike."""
+    from text_to_rdf_ray.stages.exchange import (exchange_join,
+                                                 keyed_exchange)
+
+    for bad in (rd.from_arrow(pa.table({"k": [1], "_part": [2]})),
+                rd.from_pandas(pd.DataFrame({"k": [1], "_part": ["x"]}))):
+        with pytest.raises(ValueError, match="_part.*reserved") as err:
+            keyed_exchange(bad, "k", lambda t: t)
+        assert type(err.value) is ValueError
+    side = rd.from_arrow(pa.table({"k": [1], "_xj_side": [0]}))
+    with pytest.raises(ValueError, match="reserved") as err:
+        exchange_join(side, rd.from_arrow(pa.table({"k": [1]})), on="k")
+    assert type(err.value) is ValueError
+
+
+_ONE_CPU = textwrap.dedent("""
+    import os
+    import tempfile
+
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.exchange import (exchange_agg,
+                                                 exchange_join,
+                                                 keyed_exchange)
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+    rd.DataContext.get_current().enable_progress_bars = False
+    eid = np.arange(10_000, dtype=np.int64)
+    events = pd.DataFrame({"eid": eid,
+                           "k": np.where(eid % 10 < 7, 0, eid % 1000)})
+    dim = pd.DataFrame({"k": np.arange(0, 1000, 2, dtype=np.int64)})
+    dim["v"] = dim["k"] * 3 + 1
+    path = os.path.join(tempfile.mkdtemp(), "events.parquet")
+    pq.write_table(pa.Table.from_pandas(events, preserve_index=False), path)
+
+    def read():
+        # a read-backed lineage: unioned with an all-to-all one into a
+        # single execution, it deadlocks a one-CPU cluster
+        return rd.read_parquet(path).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+    ALL_TO_ALL = {"repartition": lambda d: d.repartition(2),
+                  "sort": lambda d: d.sort("k"),
+                  "random_shuffle": lambda d: d.random_shuffle(seed=1)}
+
+    def rows(ds, cols):
+        df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    for name, op in ALL_TO_ALL.items():
+        for how, ref in (("inner", "inner"), ("left_outer", "left"),
+                         ("full_outer", "outer")):
+            got = rows(exchange_join(read(), op(rd.from_pandas(dim)),
+                                     on="k", how=how), ["k", "eid", "v"])
+            want = rows(events.merge(dim, on="k", how=ref),
+                        ["k", "eid", "v"])
+            pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                          obj=f"{name} {how}")
+        got = rows(exchange_agg(op(read()), "k", [("eid", "sum", "s")]),
+                   ["k", "s"])
+        want = events.groupby("k")["eid"].sum().rename("s").reset_index()
+        pd.testing.assert_frame_equal(got, want, obj=f"{name} agg")
+        got = rows(keyed_exchange(op(read()), "k", lambda t: t),
+                   ["k", "eid"])
+        pd.testing.assert_frame_equal(got, rows(events, ["k", "eid"]),
+                                      obj=f"{name} keyed")
+    ray.shutdown()
+    print("OK")
+""")
+
+
+def test_exchanges_finish_at_one_cpu():
+    """At one logical CPU, every exchange kind finishes and gives the
+    rows of a pandas reference, with one source holding an all-to-all op
+    (repartition, sort or random_shuffle) and a join's other side
+    read-backed.  Runs in its own process and Ray session, killed with
+    its Ray processes if it has not finished."""
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    proc = subprocess.Popen([sys.executable, "-c", _ONE_CPU], cwd=ROOT,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the one-CPU exchanges did not finish in 300 s")
+    assert proc.returncode == 0, err[-3000:]
+    assert out.strip().splitlines()[-1] == "OK"

@@ -76,6 +76,40 @@ def test_pipeline_deterministic(pages_dir):
     assert ka == kb
 
 
+def test_triple_counters_match_pandas_reference():
+    """_triple_counters (one task per block, summed on the driver) equals
+    a pandas count over the rows: a null subj_uri is not linked, and
+    without a valid column every row counts as valid."""
+    import pandas as pd
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import _triple_counters
+
+    df = pd.DataFrame({
+        "method": ["pattern", "nlp", "pattern", "pattern", "llm"] * 5,
+        "subj_uri": ["u", None, None, "v", "w"] * 5})
+
+    def counters(frame):
+        return _triple_counters(rd.from_arrow(pa.Table.from_pandas(
+            frame, preserve_index=False)).repartition(3).materialize())
+
+    def reference(frame):
+        want = {f"triples_method_{m}": int(n)
+                for m, n in frame.groupby("method").size().items()}
+        want["triples_valid"] = (int(frame["valid"].sum())
+                                 if "valid" in frame else len(frame))
+        want["triples_linked"] = int(frame["subj_uri"].notna().sum())
+        return want
+
+    for frame in (df, df.assign(valid=[True, False, True, True, False] * 5)):
+        got = counters(frame)
+        assert got == reference(frame)
+        assert list(got) == list(reference(frame))
+    assert counters(df.iloc[:0]) == {}
+
+
 def test_partitioned_run_and_resume(pages_dir, tmp_path):
     import pandas as pd
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
 import ray
@@ -218,41 +219,49 @@ def build_triples(
     return ds
 
 
+@ray.remote
+def _counter_partial(batch: pa.Table) -> list[dict]:
+    """One block's (method, rows, valid, linked) counts, one dict per
+    method (rows of a null method are not counted)."""
+    import pyarrow.compute as pc
+
+    n = batch.num_rows
+    if not n:  # an empty block may have no columns
+        return []
+    t = pa.table({
+        "method": batch.column("method"),
+        "valid": (batch.column("valid").cast(pa.int64())
+                  if "valid" in batch.column_names
+                  else pa.array(np.ones(n, np.int64))),
+        "linked": (pc.is_valid(batch.column("subj_uri")).cast(pa.int64())
+                   if "subj_uri" in batch.column_names
+                   else pa.array(np.zeros(n, np.int64))),
+    })
+    g = t.group_by("method").aggregate(
+        [("method", "count"), ("valid", "sum"), ("linked", "sum")])
+    return [r for r in g.to_pylist() if r["method"] is not None]
+
+
 def _triple_counters(triples: rd.Dataset) -> dict:
     """Per-partition metric counters: triples by extraction method, valid
     and linked counts (recorded in the partition manifest for the run
-    report — the 'per-partition lineage + metrics' requirement)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        method = batch.column("method")
-        t = pa.table(
-            {
-                "method": method,
-                "valid": batch.column("valid").cast(pa.int64())
-                if "valid" in batch.column_names
-                else pa.array([1] * len(batch), pa.int64()),
-                "linked": pc.cast(
-                    pc.is_valid(batch.column("subj_uri")), pa.int64()
-                )
-                if "subj_uri" in batch.column_names
-                else pa.array([0] * len(batch), pa.int64()),
-            }
-        )
-        return t.group_by("method").aggregate(
-            [("valid", "sum"), ("linked", "sum"), ("method", "count")]
-        )
-
-    df = triples.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if df.empty:
+    report — the 'per-partition lineage + metrics' requirement).  One
+    task per block of the (materialized) triples counts its block; the
+    driver sums."""
+    sums: dict = {}
+    for part in ray.get([_counter_partial.remote(ref)
+                         for ref in triples.to_arrow_refs()]):
+        for r in part:
+            acc = sums.setdefault(r["method"], [0, 0, 0])
+            acc[0] += r["method_count"]
+            # a sum over nulls only is null
+            acc[1] += r["valid_sum"] or 0
+            acc[2] += r["linked_sum"] or 0
+    if not sums:
         return {}
-    agg = df.groupby("method").sum()
-    out: dict = {}
-    for method, row in agg.iterrows():
-        out[f"triples_method_{method}"] = int(row["method_count"])
-    out["triples_valid"] = int(agg["valid_sum"].sum())
-    out["triples_linked"] = int(agg["linked_sum"].sum())
+    out = {f"triples_method_{m}": sums[m][0] for m in sorted(sums)}
+    out["triples_valid"] = sum(v[1] for v in sums.values())
+    out["triples_linked"] = sum(v[2] for v in sums.values())
     return out
 
 

@@ -250,14 +250,24 @@ def _concat(tbls: tuple, schema: pa.Schema | None) -> pa.Table:
     return schema.empty_table() if schema is not None else tbls[0]
 
 
+def _prep(tbl, fn, schema: pa.Schema | None) -> pa.Table:
+    """One source block as its exchange moves it: mapped by the source's
+    block function ``fn`` (when it has one) and normalized to ``schema``
+    (:func:`_as_table`)."""
+    if fn is not None:
+        tbl = fn(_as_table(tbl, None))
+    return _as_table(tbl, schema)
+
+
 @ray.remote
 def _split_col_task(tbl: pa.Table, col: str, num_parts: int,
                     gsz: int | None = None,
-                    schema: pa.Schema | None = None):
-    """Split a block by an existing int partition column — into
-    partitions (``v % P``), or into tree-combine groups
-    (``(v % P) // gsz``) when ``gsz`` is given."""
-    tbl = _as_table(tbl, schema)
+                    schema: pa.Schema | None = None, fn=None):
+    """Split a block by an int partition column — into partitions
+    (``v % P``), or into tree-combine groups (``(v % P) // gsz``) when
+    ``gsz`` is given.  ``fn``, the source's block function, runs first
+    and may compute the column."""
+    tbl = _prep(tbl, fn, schema)
     v = tbl.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
     if gsz is None:
         return tuple(tbl.filter(pa.array(v % num_parts == p))
@@ -315,8 +325,12 @@ def _reduce_split_task(reduce_fn, col: str, num_parts: int,
 
 
 @ray.remote
-def _reduce_task(reduce_fn, schema: pa.Schema | None,
+def _reduce_task(reduce_fn, schema: pa.Schema | None, fns,
                  *tbls: pa.Table) -> pa.Table:
+    """Reduce one partition's slices; ``fns`` (P=1: the unsplit source
+    blocks) holds each block's block function, still to run."""
+    if fns is not None:
+        tbls = tuple(_prep(t, f, schema) for t, f in zip(tbls, fns))
     return reduce_fn(_concat(tbls, schema))
 
 
@@ -326,36 +340,81 @@ def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
     return max(1, min(cap, -(-input_bytes // part_bytes)))
 
 
+@ray.remote
+def _fn_schema_task(tbl, fn) -> pa.Schema:
+    return fn(_as_table(tbl, None)).schema
+
+
+def _fn_schema(mat: rd.Dataset, fn, first: list) -> pa.Schema | None:
+    """The schema ``fn`` gives the blocks of the materialized ``mat``:
+    ``fn`` applied, on the driver, to the empty table of ``mat``'s
+    schema, so an error ``fn`` raises on the schema (a reserved column
+    name) stays a plain exception.  A pandas block schema gives an
+    ``object`` column no Arrow type, so there ``fn`` types the first
+    block (``first``, one ref) in a task."""
+    from .exchange import as_arrow_schema
+
+    src = mat.schema(fetch_if_missing=False)
+    if src is None:
+        return None
+    out = fn(as_arrow_schema(src).empty_table()).schema
+    if not first or all(t is not object for t in src.types):
+        return out
+    return ray.get(_fn_schema_task.remote(first[0], fn))
+
+
 def _partition(
-    ds: rd.Dataset,
+    sources: list[tuple[rd.Dataset, object]],
     part_col: str,
     *,
     num_parts: int | None,
     max_parts: int,
     tree_combine: bool | None = None,
     schema: pa.Schema | None = None,
-) -> tuple[int, tuple[int, int] | None, list[list]]:
-    """The shared first exchange phase: materialize ``ds``, size P, and
-    split its non-empty blocks by ``part_col % P``.
+) -> tuple[int, tuple[int, int] | None, list[list], list | None,
+           pa.Schema | None]:
+    """The shared first exchange phase over ``sources``, each a
+    ``(Dataset, block_fn)`` pair: materialize each source, size P, and
+    split every non-empty block by ``part_col % P``.
 
-    Returns ``(P, plan, dest)`` with ``dest[q]`` the refs of partition
-    q's slices.  P is ``num_parts`` when given, else one partition per
-    ``DataContext.target_min_block_size`` of input within
-    ``[1, max_parts]`` (:func:`sized_parts`).  Zero-row blocks (Ray can
-    emit them schema-less) are dropped; at P=1 the blocks go to the one
-    reduce task unsplit."""
-    blocks, input_bytes = [], 0
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            blocks.append(ref)
-            if input_bytes is not None and meta.size_bytes is not None:
-                input_bytes += meta.size_bytes
-            else:
-                input_bytes = None  # block sizes not recorded
+    A ``block_fn`` (None: none) maps one source block, as an Arrow
+    table, to the rows the exchange moves, ``part_col`` included: the
+    prologue (join padding, key tagging, a combiner) runs in the split
+    task, not in a Ray Data map in front of the exchange.  Each source
+    is materialized on its own, never as one union: one execution over
+    two lineages, a read-backed one and one holding an all-to-all op,
+    hangs a one-CPU cluster.  An already materialized source costs no
+    executor run.  Zero-row blocks (Ray can emit them schema-less) are
+    dropped.
+
+    ``schema`` declares the moved rows; when None, it is derived from
+    the first source with a block function (:func:`_fn_schema`).  P is
+    ``num_parts`` when given, else one partition per
+    ``DataContext.target_min_block_size`` of source blocks within
+    ``[1, max_parts]`` (:func:`sized_parts`).
+
+    Returns ``(P, plan, dest, fns, schema)`` with ``dest[q]`` the refs
+    of partition q's slices.  At P=1 the source blocks go to the one
+    reduce task unsplit, with their block functions in ``fns`` (None
+    when no source has one)."""
+    blocks, block_fns, input_bytes = [], [], 0
+    for ds, fn in sources:
+        mat = ds.materialize()
+        first = len(blocks)
+        for bundle in mat.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                if meta.num_rows == 0:
+                    continue
+                blocks.append(ref)
+                block_fns.append(fn)
+                if input_bytes is not None and meta.size_bytes is not None:
+                    input_bytes += meta.size_bytes
+                else:
+                    input_bytes = None  # block sizes not recorded
+        if schema is None and fn is not None:
+            schema = _fn_schema(mat, fn, blocks[first:first + 1])
     if not blocks:
-        return 1, None, [[]]
+        return 1, None, [[]], None, schema
     P = num_parts
     if P is None:
         P = max_parts if input_bytes is None else sized_parts(
@@ -363,20 +422,21 @@ def _partition(
             rd.DataContext.get_current().target_min_block_size)
     plan = _fan_plan(P, tree_combine)
     if P == 1:
-        return P, plan, [blocks]
+        fns = block_fns if any(f is not None for f in block_fns) else None
+        return P, plan, [blocks], fns, schema
     fan = P if plan is None else plan[1]
     gsz = None if plan is None else plan[0]
     splits = [_split_col_task.options(num_returns=fan).remote(
-                  b, part_col, P, gsz, schema)
-              for b in blocks]
-    return P, plan, _mod_exchange(splits, P, plan, part_col)
+                  b, part_col, P, gsz, schema, fn)
+              for b, fn in zip(blocks, block_fns)]
+    return P, plan, _mod_exchange(splits, P, plan, part_col), None, schema
 
 
 def hash_exchange(
-    ds: rd.Dataset,
+    sources,
     part_col: str,
     reduce_fn,
-    schema: pa.Schema,
+    schema: pa.Schema | None = None,
     *,
     max_parts: int,
 ) -> rd.Dataset:
@@ -384,24 +444,36 @@ def hash_exchange(
     tasks — the exchange under ``exchange_join``, ``exchange_agg``,
     ``keyed_exchange`` and the linker's distinct and top-1 steps.
 
-    ``ds`` rows carry ``part_col``, a non-negative int64 hash of the
-    key; rows land in partition ``part_col % P``, so every key's rows
-    meet in one partition at every P.  ``schema`` is ``ds``'s declared
-    schema: blocks are normalized to it, and a partition with no rows
-    reduces the empty ``schema`` table, so every output block (and the
-    output of an empty input) is typed.  ``reduce_fn`` maps one
-    partition's Arrow table to an Arrow table.
+    ``sources`` is a Dataset or a list of ``(Dataset, block_fn)`` pairs
+    whose rows meet in one exchange (the two sides of a join); each
+    ``block_fn`` runs in the task that splits its source's blocks (see
+    :func:`_partition`).  Moved rows carry ``part_col``, a non-negative
+    int64 hash of the key; they land in partition ``part_col % P``, so
+    every key's rows meet in one partition at every P.  ``schema``
+    declares the moved rows (None: derived from the block function):
+    blocks are normalized to it, and a partition with no rows reduces
+    the empty ``schema`` table, so every output block (and the output of
+    an empty input) is typed; with no rows and no schema the output has
+    no blocks.  ``reduce_fn`` maps one partition's Arrow table to an
+    Arrow table.
 
-    Cost: B split tasks with P returns each plus P reduce tasks for B
-    input blocks (no split tasks at P=1), with P sized as in
-    :func:`two_phase_reduce` and ``max_parts`` as the cap.  Past
-    ``TREE_COMBINE_THRESHOLD`` partitions the split trees.  The output
-    is materialized.
+    Cost: one executor run per source not yet materialized, then B split
+    tasks with P returns each plus P reduce tasks for B source blocks
+    (no split tasks at P=1), with P sized as in :func:`two_phase_reduce`
+    and ``max_parts`` as the cap.  Past ``TREE_COMBINE_THRESHOLD``
+    partitions the split trees.  The output is a MaterializedDataset.
     """
-    P, _, dest = _partition(ds, part_col, num_parts=None,
-                            max_parts=max_parts, schema=schema)
+    if isinstance(sources, rd.Dataset):
+        sources = [(sources, None)]
+    P, _, dest, fns, schema = _partition(sources, part_col, num_parts=None,
+                                         max_parts=max_parts, schema=schema)
+    if schema is None and not dest[0]:
+        return rd.from_arrow_refs([]).materialize()
+    # materialize() over Arrow refs starts no executor run, and the
+    # MaterializedDataset lists its blocks without one
     return rd.from_arrow_refs(
-        [_reduce_task.remote(reduce_fn, schema, *dest[q]) for q in range(P)])
+        [_reduce_task.remote(reduce_fn, schema, fns, *dest[q])
+         for q in range(P)]).materialize()
 
 
 def two_phase_reduce(
@@ -440,9 +512,10 @@ def two_phase_reduce(
     keeps the reduces bit-identical, and ``tree_combine`` forces the
     mode for parity tests.
     """
-    P, plan, dest1 = _partition(ds, p1_col, num_parts=num_parts,
-                                max_parts=max_parts,
-                                tree_combine=tree_combine)
+    P, plan, dest1, _, _ = _partition([(ds, None)], p1_col,
+                                      num_parts=num_parts,
+                                      max_parts=max_parts,
+                                      tree_combine=tree_combine)
     if not dest1[0]:
         raise ValueError("two_phase_reduce: empty input dataset")
     fan = P if plan is None else plan[1]
@@ -454,7 +527,7 @@ def two_phase_reduce(
     ]
     dest2 = _mod_exchange(mid, P, plan, p2_col)
     out = [
-        _reduce_task.remote(reduce2, None, *dest2[q])
+        _reduce_task.remote(reduce2, None, None, *dest2[q])
         for q in range(P)
     ]
     return rd.from_arrow_refs(out)

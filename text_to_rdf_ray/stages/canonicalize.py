@@ -295,10 +295,7 @@ def canonicalize_surfaces(
     from .exchange import exchange_agg, exchange_join
 
     n_surfaces = ids.count()
-    n_ids = exchange_agg(
-        ids.map_batches(lambda t: pa.table({"name_id": t.column("name_id")}),
-                        batch_format="pyarrow"),
-        "name_id", [], num_partitions=16).count()
+    n_ids = exchange_agg(ids, "name_id", [], num_partitions=16).count()
     if n_ids != n_surfaces:
         raise RuntimeError(
             f"canonicalize_surfaces: {n_surfaces - n_ids} 63-bit name_id "
@@ -341,14 +338,12 @@ def canonicalize_surfaces(
     # exact same-norm edges: min name_id per norm (one combiner-backed
     # exchange over short strings), members joined back, edge to the
     # group min for every non-min member — O(n), no quadratic explode,
-    # immune to bucket caps
-    nm = ids.map_batches(
-        lambda t: pa.table({
-            "norm": pa.array([_norm(s) for s in
-                              t.column("surface").to_pylist()],
-                             pa.string()),
-            "name_id": t.column("name_id")}),
-        batch_format="pyarrow")
+    # immune to bucket caps.  The norm column is computed in each
+    # exchange's split tasks (a block function), not in a Ray Data map
+    nm = (ids, lambda t: pa.table({
+        "norm": pa.array([_norm(s) for s in t.column("surface").to_pylist()],
+                         pa.string()),
+        "name_id": t.column("name_id")}))
     nmin = exchange_agg(nm, "norm", [("name_id", "min", "root")],
                         num_partitions=16)
     nsch = pa.schema([("norm", pa.string()), ("name_id", pa.int64())])
@@ -389,25 +384,21 @@ def canonicalize_surfaces(
     _S_CANON = pa.schema([("component", pa.int64()),
                           ("canonical", pa.string())])
     # attach component to every (name_id, surface); nodes without edges
-    # keep themselves (fill_null with own id).  Materialized ONCE — it
-    # feeds both the per-component canonical-pick reduce and the final
-    # application join.  All three tail steps run as exchange joins /
+    # keep themselves (coalesce with own id).  The join is materialized
+    # once; the coalesce is a block function of the two exchanges it
+    # feeds (the per-component canonical-pick reduce and the final
+    # application join).  All three tail steps run as exchange joins /
     # arrow-reduce aggs (plain tasks, vectorized across keys) — the
     # native JoinOperator + Aggregate tail measured 3.5 + 3.4 + 2.2s at
     # 120k surfaces; this shape runs it in ~1.5s total.
-    with_comp = exchange_join(
-        ids, comp, on="name_id", how="left_outer", num_partitions=16,
-        left_schema=_S_IDS, right_schema=_S_COMP,
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "surface": t.column("surface"),
-                "component": pc.coalesce(
-                    t.column("component"), t.column("name_id")),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    with_comp = (
+        exchange_join(ids, comp, on="name_id", how="left_outer",
+                      num_partitions=16, left_schema=_S_IDS,
+                      right_schema=_S_COMP),
+        lambda t: pa.table({
+            "surface": t.column("surface"),
+            "component": pc.coalesce(t.column("component"),
+                                     t.column("name_id"))}))
     canon = exchange_agg(
         with_comp, "component", [("surface", "min", "canonical")],
         num_partitions=16)

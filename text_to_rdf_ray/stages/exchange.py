@@ -11,18 +11,25 @@ its input block count.
 
 ``exchange_join``, ``exchange_agg`` and ``keyed_exchange`` instead tag
 every row with a 63-bit hash of its key (the join pads both sides to
-one Arrow schema; the aggregation optionally combines each batch
-first) and run ONE :func:`~.bsp.hash_exchange`: the tagged input is
-materialized, the partition count P is sized to it (one partition per
-``DataContext.target_min_block_size`` of input, at most
-``num_partitions``), each block is split by ``hash % P`` in one task,
-and one task per partition runs the vectorized reduce.  Which helper
+one Arrow schema; the aggregation optionally combines each block
+first) and run ONE :func:`~.bsp.hash_exchange`.  The padding, tagging
+or combining is a block function of the exchange's source (a join has
+two sources): it runs inside the raw task that splits each source
+block by ``hash % P`` (at P=1, in the one reduce task), so it costs no
+Ray Data execution of its own.  A caller's projection in front of an
+exchange can ride along the same way: every helper takes a
+``(Dataset, block_fn)`` pair where it takes a Dataset, and the pair's
+function runs first in the same task.  Each source is materialized on
+its own (none, when it already is), the partition count P is sized to
+the source blocks (one partition per
+``DataContext.target_min_block_size``, at most ``num_partitions``), and
+one task per partition runs the vectorized reduce.  Which helper
 serves which reduce:
 
 - ``exchange_join``: an equi-join (``pandas.merge`` over key columns
   and row positions, payloads gathered in Arrow);
 - ``exchange_agg``: a decomposable min/max/sum/count or a DISTINCT
-  (Arrow ``group_by``, with a per-batch combiner);
+  (Arrow ``group_by``, with a per-block combiner);
 - ``keyed_exchange``: any other per-key pass written over Arrow
   tables (as-of and range joins, Bloom-word ORs, wedge checks);
 - ``keyed_apply``: the same written over pandas DataFrames (windows,
@@ -30,12 +37,14 @@ serves which reduce:
 
 Every hash-keyed exchange in the package goes through one of these;
 only the range-cut sorts and file writes, whose reduces read their
-range id, keep Ray's ``map_groups``.  That is B split tasks and B*P objects for B input blocks
-(a two-level tree past ``bsp.TREE_COMBINE_THRESHOLD``), and at P=1
-just one reduce task.  Measured on a 1-CPU host (BASELINE.md,
-"Exchange substrate"): ``link_entities_join`` over two 1000-triple
-partitions, nine exchanges each, took 18.6s on the sort-based
-``groupby`` exchange and takes 3.6s here.
+range id, keep Ray's ``map_groups``.  That is B split tasks and B*P
+objects for B source blocks (a two-level tree past
+``bsp.TREE_COMBINE_THRESHOLD``), and at P=1 just one reduce task.
+Measured on a 1-CPU host (BASELINE.md, "Exchange substrate"): one
+``link_entities_join`` over materialized triples runs nine exchanges
+and starts one Ray Data execution (its KB label table); with padding
+and projections run as Ray Data maps in front of each exchange it
+started 23.
 
 Partitioning assumption: one partition's rows fit in a worker; above
 the cap partitions grow with the data, so raise ``num_partitions`` with
@@ -195,6 +204,19 @@ def join_out_schema(
     return pa.schema(keys + pay)
 
 
+def _source(src) -> tuple[rd.Dataset, object]:
+    """An exchange input as ``(Dataset, block_fn)``: a Dataset (no block
+    function), or a ``(Dataset, block_fn)`` pair whose Arrow function
+    maps each block before the exchange's own prologue runs on it, in
+    the same split task (a projection costs no Ray Data execution)."""
+    return src if isinstance(src, tuple) else (src, None)
+
+
+def _then(fn, g):
+    """``g`` after the source's block function ``fn`` (if any)."""
+    return g if fn is None else (lambda t: g(fn(t)))
+
+
 def exchange_agg(
     ds: rd.Dataset,
     keys: tuple[str, ...] | list[str] | str,
@@ -209,7 +231,7 @@ def exchange_agg(
     reduces ONE PYTHON CALL PER KEY (measured here: 5.0s vs 0.85s for
     this helper on a 360k-row / 120k-key min — and 153s vs <2s on a
     48k-key two-string-column distinct, NOTES_r3).  This helper runs the
-    same logical aggregation as: optional per-batch Arrow ``group_by``
+    same logical aggregation as: optional per-block Arrow ``group_by``
     combiner -> ONE :func:`~.bsp.hash_exchange` on the key hash ->
     per-partition Arrow ``group_by`` (C++ hash aggregation, vectorized
     across every key in the partition).  ``num_partitions`` caps the
@@ -219,8 +241,10 @@ def exchange_agg(
     ``min | max | sum | count`` (count re-aggregates as sum of partial
     counts).  Empty ``aggs`` = DISTINCT over the key columns.  Output
     columns: keys + out names.  ``combine=True`` (all supported fns are
-    decomposable) shrinks each batch to its distinct keys before the
-    exchange, so shuffle volume is per-batch-distinct, not raw rows.
+    decomposable) shrinks each source block to its distinct keys in the
+    task that splits it, so shuffle volume is per-block-distinct, not
+    raw rows.  ``ds`` may be a ``(Dataset, block_fn)`` pair (module
+    docstring).
     """
     from .bsp import hash_exchange
 
@@ -278,17 +302,9 @@ def exchange_agg(
             return t.group_by(keys).aggregate([])
         return _agg(t, reduce_specs)
 
+    ds, fn = _source(ds)
     first = combine_batch if combine else tag_batch
-    tagged = ds.map_batches(first, batch_format="pyarrow").materialize()
-    schema = tagged.schema()
-    if schema is None:
-        # no rows: the map never ran, so type the empty result from the
-        # source schema (None too for a schema-less empty source)
-        src = ds.schema()
-        if src is None:
-            return tagged
-        schema = first(as_arrow_schema(src).empty_table()).schema
-    return hash_exchange(tagged, _PART, reduce_part, as_arrow_schema(schema),
+    return hash_exchange([(ds, _then(fn, first))], _PART, reduce_part,
                          max_parts=num_partitions)
 
 
@@ -304,22 +320,25 @@ def keyed_exchange(
     its partition, so one vectorized pass serves them all.
 
     Rows are tagged with the key hash (``_part``, the column
-    :func:`_hash_col` computes) and moved by ONE
-    :func:`~.bsp.hash_exchange`, with ``num_partitions`` the cap on the
-    sized partition count.  ``reduce`` takes the partition's rows as an
-    Arrow table without the tag and returns an Arrow table.  It is never
-    called on an empty partition: a partition with no rows adds no
-    output block, and an empty input gives a dataset with no blocks.
-    Zero-row outputs are dropped too, except that when no call returns
-    a row the first typed one is kept, so the empty result still has
-    the reduce's schema.  The output is materialized.  An input column
-    named ``_part`` raises.
+    :func:`_hash_col` computes) in the tasks that split the source
+    blocks and moved by ONE :func:`~.bsp.hash_exchange`, with
+    ``num_partitions`` the cap on the sized partition count; ``ds`` may
+    be a ``(Dataset, block_fn)`` pair (module docstring).  ``reduce``
+    takes the partition's rows as an Arrow table without the tag and
+    returns an Arrow table.  It is never called on an empty partition: a
+    partition with no rows adds no output block, and an empty input
+    gives a dataset with no blocks.  Zero-row outputs are dropped too,
+    except that when no call returns a row the first typed one is kept,
+    so the empty result still has the reduce's schema.  The output is
+    materialized.  An input column named ``_part`` raises.
     """
     from .bsp import hash_exchange
 
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def tag(t: pa.Table) -> pa.Table:
+        # the schema derivation runs this on the driver first, so a
+        # reserved name raises there as a plain ValueError
         if _KEYED_PART in t.column_names:
             raise ValueError(
                 f"column name {_KEYED_PART!r} is reserved by the keyed "
@@ -331,12 +350,9 @@ def keyed_exchange(
             return pa.table({})
         return reduce(t.drop_columns([_KEYED_PART]))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
-    schema = tagged.schema()
-    if schema is None:
-        return tagged  # no rows
-    out = hash_exchange(tagged, _KEYED_PART, reduce_part,
-                        as_arrow_schema(schema), max_parts=num_partitions)
+    ds, fn = _source(ds)
+    out = hash_exchange([(ds, _then(fn, tag))], _KEYED_PART, reduce_part,
+                        max_parts=num_partitions)
     blocks = [(ref, meta.num_rows)
               for b in out.iter_internal_ref_bundles() for ref, meta in b.blocks]
     live = [ref for ref, n in blocks if n]
@@ -388,11 +404,17 @@ def exchange_join(
     columns are coalesced from whichever side matched).  Row order is
     not defined (hash-partitioned), matching Dataset.join.
 
-    ``left_schema``/``right_schema``: pass explicitly when a side is a
-    lazy lineage — otherwise ``.schema()`` runs a schema-probe execution
-    of it.  The output (see the module docstring) is materialized and
-    typed per ``join_out_schema``, even when empty; ``num_partitions``
-    caps the exchange's sized partition count.
+    A side is a Dataset or a ``(Dataset, block_fn)`` pair: the pair's
+    Arrow function maps each block of the side (a projection or rename)
+    in the task that pads and splits it.  Each side is materialized on
+    its own, with no Ray Data execution when it already is; the padding
+    runs in the split tasks.  ``left_schema``/``right_schema`` are the
+    sides' schemas after their block functions: pass them explicitly
+    when a side is a lazy lineage — otherwise ``.schema()`` runs a
+    schema-probe execution of it.  The output (see the module
+    docstring) is materialized and typed per ``join_out_schema``, even
+    when empty; ``num_partitions`` caps the exchange's sized partition
+    count.
 
     Semantics deviation from Dataset.join / SQL, by contract: NULL
     join keys MATCH each other (they co-partition via a fixed hash and
@@ -405,10 +427,8 @@ def exchange_join(
     if how not in ("inner", "left_outer", "full_outer"):
         raise ValueError(f"unsupported how={how!r}")
     on = [on] if isinstance(on, str) else list(on)
-    ls = as_arrow_schema(
-        left_schema if left_schema is not None else left.schema())
-    rs = as_arrow_schema(
-        right_schema if right_schema is not None else right.schema())
+    left, lfn, ls = _join_side(left, left_schema)
+    right, rfn, rs = _join_side(right, right_schema)
 
     def _family(t: pa.DataType) -> str:
         if pa.types.is_integer(t):
@@ -513,12 +533,26 @@ def exchange_join(
         return pa.table([cols[f.name] for f in out_schema],
                         schema=out_schema)
 
-    # each side runs on its own: Ray executing both lineages as one union
-    # (an all-to-all op in one of them) deadlocks on a one-CPU cluster
-    u = left.map_batches(pad(0), batch_format="pyarrow").materialize().union(
-        right.map_batches(pad(1), batch_format="pyarrow").materialize())
+    # the two sides are the exchange's two sources, each padded in the
+    # tasks that split its blocks.  Each side is materialized on its own:
+    # Ray executing both lineages as one union (an all-to-all op in one
+    # of them) deadlocks on a one-CPU cluster
     padded = pa.schema(
         [(k, key_types[k]) for k in on] + all_fields
         + [(_SIDE, pa.int8()), (_PART, pa.int64())])
-    return hash_exchange(u, _PART, merge_part, padded,
-                         max_parts=num_partitions)
+    return hash_exchange([(left, _then(lfn, pad(0))),
+                          (right, _then(rfn, pad(1)))],
+                         _PART, merge_part, padded, max_parts=num_partitions)
+
+
+def _join_side(side, declared: pa.Schema | None):
+    """An ``exchange_join`` side as ``(dataset, block_fn, schema)``: the
+    side is a Dataset or a ``(Dataset, block_fn)`` pair, and its schema
+    is ``declared`` or, when that is None, the dataset's (through the
+    block function: applied to its empty table)."""
+    ds, fn = _source(side)
+    if declared is None:
+        declared = as_arrow_schema(ds.schema())
+        if fn is not None:
+            declared = fn(declared.empty_table()).schema
+    return ds, fn, as_arrow_schema(declared)

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..kernels.extractor import extract_document
 from ..kernels.text import extract_text
@@ -231,6 +232,19 @@ def make_link_task(kb_ref, fuzzy_threshold=0.8, confidence_threshold=0.5):
     return link_batch
 
 
+@ray.remote
+def _null_count(tbl: pa.Table, col: str) -> int:
+    return tbl.column(col).null_count
+
+
+def _any_null(ds, col: str) -> bool:
+    """Whether column ``col`` of the materialized Arrow dataset ``ds``
+    holds a null: one task per block, no Ray Data execution."""
+    refs = [ref for b in ds.iter_internal_ref_bundles()
+            for ref, meta in b.blocks if meta.num_rows]
+    return any(ray.get([_null_count.remote(ref, col) for ref in refs]))
+
+
 def link_entities_join(
     triples,
     kb_records,
@@ -259,7 +273,12 @@ def link_entities_join(
 
     Every exchange step (the distinct, the joins, the candidate-pair
     dedup and the top-1) is a raw-task :func:`~.bsp.hash_exchange`
-    sized to its input, with ``num_partitions`` as the cap.
+    sized to its input, with ``num_partitions`` as the cap.  The work
+    between them (surface rows, filters, band explode, Jaro-Winkler
+    scoring, the top-1 combiner, renames) runs as block functions in
+    the split tasks of the exchange it feeds, so over materialized
+    triples the link starts one Ray Data execution: the KB label table,
+    which feeds three exchanges.  The output is a lazy column map.
 
     Output columns and values equal the broadcast paths exactly on every
     pair the band blocking surfaces (parity-tested).  Recall note: a
@@ -273,7 +292,6 @@ def link_entities_join(
     from ..kernels.linker import EXACT_CONFIDENCE, jaro_winkler_batch
     from ..kernels.minhash import _hash_shingles
     from .bsp import hash_exchange
-    from .canonicalize import _solid
     from .exchange import exchange_agg, exchange_join, join_out_schema
 
     if not isinstance(kb_records, rd.Dataset):
@@ -327,12 +345,11 @@ def link_entities_join(
             }
         )
 
-    # batch_size=2048 + _solid's 8-way repartition: enough blocks for
-    # parallel per-label MinHash in _band_rows (one giant block would
-    # serialize it), few enough for cheap per-block exchange splits
-    labels_ds = _solid(
-        kb_ds.map_batches(kb_labels, batch_format="pyarrow",
-                          batch_size=2048))
+    # batch_size=2048: one block per 2048 KB entities, so the label
+    # MinHash (run per block in the band exchange's split tasks) spreads
+    # over tasks; materialized once, it feeds three exchanges
+    labels_ds = kb_ds.map_batches(kb_labels, batch_format="pyarrow",
+                                  batch_size=2048).materialize()
 
     def surface_rows(batch: pa.Table) -> pa.Table:
         subs = batch.column("subj").to_pylist()
@@ -364,47 +381,36 @@ def link_entities_join(
     # call per distinct surface: the measured Ray-2.49 per-key pathology,
     # 153s vs <2s at 48k keys — NOTES_r3.md)
     triples_mat = triples.materialize()
-    surfaces = hash_exchange(
-        triples_mat.map_batches(surface_rows, batch_format="pyarrow"),
-        "sid", distinct_surfaces, _S_SURF, max_parts=num_partitions)
+    surfaces = hash_exchange([(triples_mat, surface_rows)], "sid",
+                             distinct_surfaces, _S_SURF,
+                             max_parts=num_partitions)
 
     # ONE left_outer exchange splits the surfaces: matched rows ARE the
     # exact links (duplicated per matching label, same as the old inner
     # join), unmatched rows ARE the fuzzy side — the separate exact-hit
     # projection + anti-join exchange is gone (one fewer shuffle of the
-    # surface table)
+    # surface table).  The projections, filters and combiners from here
+    # on are block functions of the exchange each one feeds: they run in
+    # its split tasks, with no Ray Data execution of their own
     matched = exchange_join(
         surfaces,
-        labels_ds.map_batches(
-            lambda t: pa.table({"low": t.column("kb_low"),
-                                "kb_uri": t.column("kb_uri")}),
-            batch_format="pyarrow",
-        ),
+        (labels_ds, lambda t: pa.table({"low": t.column("kb_low"),
+                                        "kb_uri": t.column("kb_uri")})),
         on="low", how="left_outer", num_partitions=num_partitions,
         left_schema=_S_SURF, right_schema=_S_EXACT_PROJ,
     )
 
-    exact = matched.map_batches(
-        lambda t: (lambda f: pa.table(
-            {
-                "surface": f.column("surface"),
-                "uri": f.column("kb_uri"),
-                "conf": pa.array([EXACT_CONFIDENCE] * len(f), pa.float64()),
-            }
-        ))(t.filter(pc.is_valid(t.column("kb_uri")))),
-        batch_format="pyarrow",
-    )
+    def exact(t: pa.Table) -> pa.Table:
+        f = t.filter(pc.is_valid(t.column("kb_uri")))
+        return pa.table({
+            "surface": f.column("surface"), "uri": f.column("kb_uri"),
+            "conf": pa.array([EXACT_CONFIDENCE] * len(f), pa.float64())})
 
     # a surface with ANY match contributes no unmatched row, so the null
     # filter is exactly the anti-join (one row per unmatched surface —
     # surfaces are distinct)
-    no_exact = matched.map_batches(
-        lambda t: (lambda f: pa.table(
-            {"surface": f.column("surface"), "low": f.column("low"),
-             "sid": f.column("sid")}
-        ))(t.filter(pc.is_null(t.column("kb_uri")))),
-        batch_format="pyarrow",
-    ).materialize()
+    def no_exact(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_null(t.column("kb_uri"))).select(_S_SURF.names)
 
     def fuzzy_score(batch: pa.Table) -> pa.Table:
         from ..state.counters import incr
@@ -444,11 +450,11 @@ def link_entities_join(
              "conf": pa.array(good_sims, pa.float64())}
         )
 
-    def _band_rows(src: "rd.Dataset", text_col: str, out_id: str,
-                   keep_cols: tuple = ()) -> "rd.Dataset":
-        """Explode lowercased strings to (band_id, band_hash, id64) rows —
-        the ONLY columns the blocking exchange moves (payload-free, the
-        dedup.py band-exchange pattern).  id64 = blake2b64(row key)."""
+    def _band_rows(text_col: str, out_id: str, keep_cols: tuple = ()):
+        """The block function exploding lowercased strings to (band_id,
+        band_hash, id64) rows — the ONLY columns the blocking exchange
+        moves (payload-free, the dedup.py band-exchange pattern).
+        id64 = blake2b64(row key)."""
         import hashlib as _hl
 
         from ..kernels.minhash import char_shingles, minhash_signatures
@@ -490,53 +496,7 @@ def link_entities_join(
                 }
             )
 
-        # lazy over a materialized parent: the band join's exchange
-        # materializes it
-        return src.map_batches(explode, batch_format="pyarrow")
-
-    if no_exact.count() == 0:
-        # every surface had an exact hit: nothing to band-explode
-        fuzzy = rd.from_arrow(_LINK_SCHEMA.empty_table())
-    else:
-        # lid/sid already ride on labels_ds / no_exact (hashed in the
-        # first-pass maps above); the band join moves only ids, strings
-        # re-attach via exchange joins on the tiny candidate set
-        surf_bands = _band_rows(
-            no_exact.map_batches(
-                lambda t: pa.table({"low": t.column("low")}),
-                batch_format="pyarrow"), "low", "sid")
-        # label id must hash (low, uri) exactly like kb_labels' lid: rebuild
-        # the same row key by keeping uri alongside
-        label_bands = _band_rows(
-            labels_ds.map_batches(
-                lambda t: pa.table({"kb_low": t.column("kb_low"),
-                                    "kb_uri": t.column("kb_uri")}),
-                batch_format="pyarrow"), "kb_low", "lid", keep_cols=("kb_uri",))
-
-        # global (sid, lid) pair dedup: a combiner-backed distinct
-        # exchange — NEVER a per-pair map_groups (hundreds of thousands
-        # of one-row python groups)
-        cand_ids = exchange_agg(
-            exchange_join(
-                surf_bands, label_bands, on=("band_id", "band_hash"),
-                num_partitions=num_partitions,
-                left_schema=_S_BAND_S, right_schema=_S_BAND_L,
-            ),
-            ["sid", "lid"], num_partitions=num_partitions,
-        )
-        with_surface = exchange_join(
-            cand_ids, no_exact, on="sid", num_partitions=num_partitions,
-            left_schema=_S_CAND, right_schema=_S_SURF,
-        )
-        fuzzy = (
-            exchange_join(
-                with_surface, labels_ds, on="lid",
-                num_partitions=num_partitions,
-                left_schema=join_out_schema(_S_CAND, _S_SURF, "sid"),
-                right_schema=_S_LABELS,
-            )
-            .map_batches(fuzzy_score, batch_format="pyarrow")
-        )
+        return explode
 
     def top1_vec(g: pd.DataFrame) -> pd.DataFrame:
         # deterministic top-1 per surface (conf desc, uri asc), vectorized
@@ -552,34 +512,63 @@ def link_entities_join(
         return g.drop_duplicates("surface", keep="first")[
             ["surface", "uri", "conf"]]
 
-    def top1_combine(b: pd.DataFrame) -> pa.Table:
-        # batch-local top-1 is a safe combiner: the global top-1 under the
-        # (conf desc, uri asc) total order is the max of batch maxima
-        b = top1_vec(b)
+    def top1_combine(t: pa.Table) -> pa.Table:
+        # block-local top-1 is a safe combiner: the global top-1 under the
+        # (conf desc, uri asc) total order is the max of block maxima
+        b = top1_vec(t.to_pandas())
         part = (_hash_shingles(b["surface"].tolist())
                 >> np.uint64(1)).astype(np.int64)
         return pa.Table.from_pandas(b.assign(_part=part), schema=_S_TOP1,
                                     preserve_index=False)
+
+    top1_sources = [(matched, lambda t: top1_combine(exact(t)))]
+    if _any_null(matched, "kb_uri"):
+        # lid/sid already ride on labels_ds / matched (hashed in the
+        # first-pass maps above); the band join moves only ids, strings
+        # re-attach via exchange joins on the tiny candidate set
+        surf_bands = _band_rows("low", "sid")
+        # label id must hash (low, uri) exactly like kb_labels' lid: rebuild
+        # the same row key by keeping uri alongside
+        label_bands = _band_rows("kb_low", "lid", keep_cols=("kb_uri",))
+
+        # global (sid, lid) pair dedup: a combiner-backed distinct
+        # exchange — NEVER a per-pair map_groups (hundreds of thousands
+        # of one-row python groups)
+        cand_ids = exchange_agg(
+            exchange_join(
+                (matched, lambda t: surf_bands(no_exact(t))),
+                (labels_ds, label_bands), on=("band_id", "band_hash"),
+                num_partitions=num_partitions,
+                left_schema=_S_BAND_S, right_schema=_S_BAND_L,
+            ),
+            ["sid", "lid"], num_partitions=num_partitions,
+        )
+        with_surface = exchange_join(
+            cand_ids, (matched, no_exact), on="sid",
+            num_partitions=num_partitions,
+            left_schema=_S_CAND, right_schema=_S_SURF,
+        )
+        fuzzy = exchange_join(
+            with_surface, labels_ds, on="lid",
+            num_partitions=num_partitions,
+            left_schema=join_out_schema(_S_CAND, _S_SURF, "sid"),
+            right_schema=_S_LABELS,
+        )
+        top1_sources.append((fuzzy, lambda t: top1_combine(fuzzy_score(t))))
 
     def top1_part(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(
             top1_vec(t.drop_columns(["_part"]).to_pandas()),
             schema=_LINK_SCHEMA, preserve_index=False)
 
-    links = hash_exchange(
-        exact.union(fuzzy).map_batches(top1_combine, batch_format="pandas",
-                                       batch_size=65536),
-        "_part", top1_part, _S_TOP1, max_parts=num_partitions)
+    links = hash_exchange(top1_sources, "_part", top1_part, _S_TOP1,
+                          max_parts=num_partitions)
 
-    def rename_links(key: str, ucol: str, ccol: str) -> "rd.Dataset":
-        # lazy rename over the materialized links, consumed by the join
-        return links.map_batches(
-            lambda t, key=key, ucol=ucol, ccol=ccol: pa.table(
-                {key: t.column("surface"), ucol: t.column("uri"),
-                 ccol: t.column("conf")}
-            ),
-            batch_format="pyarrow",
-        )
+    def rename_links(key: str, ucol: str, ccol: str):
+        # the links as one link-attach join's right side
+        return (links, lambda t: pa.table(
+            {key: t.column("surface"), ucol: t.column("uri"),
+             ccol: t.column("conf")}))
 
     # static schemas for both link-attach joins: no probe executions
     ts = triples_mat.schema()
