@@ -193,6 +193,29 @@ def test_lsh_band_exchange_is_payload_free():
     assert "text" not in bands2.schema().names and "feat" in bands2.schema().names
 
 
+def test_pairs_from_buckets_empty_input_gives_empty_pairs():
+    """An empty corpus gives the empty (typed) candidate pair set, not an
+    error from the band exchange; so does a corpus whose rows explode to
+    no band rows."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.dedup import _pairs_from_buckets
+
+    def bands_feat(text):
+        return ([(0, len(text))] if text else []), None
+
+    def verify(a, b):
+        return 1.0
+
+    empty = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                    "text": pa.array([], pa.string())}))
+    for ds in (empty, _docs_ds(["", ""])):
+        out = _pairs_from_buckets(ds, bands_feat, verify, "doc_id", "text")
+        assert out.count() == 0
+        assert out.schema().names == ["id_a", "id_b", "score"]
+
+
 def test_pairs_distributed_verify_path_matches_broadcast():
     """broadcast_threshold=0 forces the hash-partitioned join verify path;
     its pair set must equal the broadcast path's exactly."""

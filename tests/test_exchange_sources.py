@@ -81,9 +81,10 @@ def test_materialized_exchange_inputs_start_no_execution(ray_session,
 
 
 def test_link_entities_join_executions(ray_session, executions):
-    """One shuffle-join link over materialized triples starts one
-    executor run (the KB label table); every projection feeding an
-    exchange runs inside it."""
+    """One shuffle-join link over materialized triples and a list KB
+    starts no executor run: the KB label table is built on the driver,
+    every projection feeding an exchange runs in its split tasks, and
+    each exchange hands its blocks to the next."""
     from text_to_rdf_ray.stages.kg_stages import link_entities_join
 
     kb = [{"uri": f"https://kb.test/resource/e{i}", "label": nm,
@@ -107,7 +108,7 @@ def test_link_entities_join_executions(ray_session, executions):
     })).materialize()
     executions[0] = 0
     out = link_entities_join(triples, kb)
-    assert executions[0] <= 1
+    assert executions[0] == 0
     got = out.to_pandas().set_index("url")
     assert got.loc["u0", "subj_uri"] == "https://kb.test/resource/e0"
     assert got.loc["u1", "subj_uri"] == "https://kb.test/resource/e1"
@@ -116,6 +117,40 @@ def test_link_entities_join_executions(ray_session, executions):
     assert pd.isna(got.loc["u2", "subj_uri"])
     assert got.loc["u0", "obj_uri"] == "https://kb.test/resource/e2"
     assert pd.isna(got.loc["u3", "obj_uri"])
+
+
+def test_list_kb_label_table_blocks(ray_session, executions):
+    """A list KB's label table is cut into ceil(rows / 2048) blocks on the
+    driver (no executor run), in KB order with each label before its
+    aliases; a Dataset KB gives the same rows (a Ray Data map, whose
+    output block order is not fixed)."""
+    import hashlib
+    import math
+
+    from text_to_rdf_ray.stages.kg_stages import (KB_LABEL_BLOCK_ROWS,
+                                                  KBLabelTable)
+
+    kb = [{"uri": f"https://kb.test/resource/e{i}", "label": f"Name {i}",
+           "aliases": [f"Alias {i}"] if i % 3 else []}
+          for i in range(3100)]
+    n = sum(1 + len(r["aliases"]) for r in kb)
+    assert n > 2 * KB_LABEL_BLOCK_ROWS
+    executions[0] = 0
+    labels = KBLabelTable(kb).labels()
+    assert executions[0] == 0
+    assert labels.num_blocks() == math.ceil(n / KB_LABEL_BLOCK_ROWS)
+    got = labels.to_pandas()
+    want = [(r["uri"], lab) for r in kb for lab in [r["label"], *r["aliases"]]]
+    assert list(zip(got["kb_uri"], got["kb_label"])) == want
+    assert list(got["kb_low"]) == [lab.lower() for _, lab in want]
+    assert list(got["lid"]) == [
+        int.from_bytes(hashlib.blake2b(f"{lab.lower()}\x00{uri}".encode(),
+                                       digest_size=8).digest(), "little") >> 1
+        for uri, lab in want]
+    def rows(df):
+        return sorted(map(tuple, df.values.tolist()))
+
+    assert rows(KBLabelTable(rd.from_items(kb)).labels().to_pandas()) == rows(got)
 
 
 def test_block_functions_same_rows_at_every_partition_count(

@@ -282,6 +282,57 @@ def test_link_join_mode_agrees_with_broadcast(pages_dir):
     assert sa == sj
 
 
+def test_partitioned_join_link_builds_label_table_once(pages_dir, tmp_path,
+                                                       monkeypatch):
+    """run_partitioned(link_mode="join") labels the KB once per call, not
+    once per partition, with no rd.from_items; every partition's output
+    equals the broadcast (task-mode) link's."""
+    import pandas as pd
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.stages import kg_stages
+    from text_to_rdf_ray.state import manifest as mf
+
+    calls = {"labels": 0, "from_items": 0}
+    real_rows, real_items = kg_stages._label_rows, rd.from_items
+
+    def counted_rows(records):
+        calls["labels"] += 1
+        return real_rows(records)
+
+    def counted_items(*a, **k):
+        calls["from_items"] += 1
+        return real_items(*a, **k)
+
+    monkeypatch.setattr(kg_stages, "_label_rows", counted_rows)
+    monkeypatch.setattr(rd, "from_items", counted_items)
+
+    def partitions(link_mode: str) -> list:
+        out = str(tmp_path / link_mode)
+        rep = run_partitioned(pages_dir, out, partitions=2,
+                              kb_records=kb_records(), link_mode=link_mode)
+        assert rep["ran"] == 2
+        frames = []
+        for part in mf.completed_partitions(out):
+            pdir = mf.partition_dir(out, part)
+            df = pd.concat([pd.read_parquet(os.path.join(pdir, f))
+                            for f in sorted(os.listdir(pdir))
+                            if f.endswith(".parquet")])
+            df = df.round({c: 9 for c in df.columns if df[c].dtype == float})
+            frames.append(df.sort_values(list(df.columns))
+                          .reset_index(drop=True))
+        return frames
+
+    joined = partitions("join")
+    assert calls == {"labels": 1, "from_items": 0}
+    broadcast = partitions("task")
+    assert len(joined) == len(broadcast) == 2
+    for j, b in zip(joined, broadcast):
+        pd.testing.assert_frame_equal(j, b)
+
+
 def test_hot_key_skew_dedups_to_single_triples():
     """2,000 pages all asserting the same facts about one hot entity: the
     batch-local combiner collapses the skew before the exchange and the

@@ -42,10 +42,6 @@ def register_stage(name: str, fn: Callable | type, *, batch_format: str = "pyarr
     }
 
 
-def get_stage(name: str) -> dict:
-    return _STAGES[name]
-
-
 def list_stages() -> list[str]:
     return sorted(_STAGES)
 

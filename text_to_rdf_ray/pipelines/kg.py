@@ -5,15 +5,19 @@ End-to-end flow (north star):
   -> strip_html (map_batches, drops binary column)
   -> filter_lang (vectorized arrow predicate)
   -> extract_triples (per-document kernel: chunking/coref/patterns/KB)
-  -> LinkEntities (actor pool; KB broadcast via ray.put)
+  -> link (``link_mode``: "task", the default — a map task with the KB
+     index cached per worker, KB broadcast via ray.put; "actor" — the
+     LinkEntities actor pool; "join" — shuffle-join linking,
+     ``link_entities_join``, nothing broadcast)
   -> canonicalize (MinHash-LSH blocking + union-find shuffles)
   -> validate (vectorized confidence)
   -> global (subj,pred,obj) dedup (salted two-phase shuffle)
   -> partitioned Parquet + N-Triples sinks, per-partition manifests.
 
-``run_partitioned`` processes the input in named partition groups (file
-granularity) with atomic per-partition outputs + manifests so a failed run
-resumes by skipping complete partitions (state/manifest.py).
+``run_partitioned`` processes the input in partition groups of whole
+files, dealt round-robin (file ``i`` of the sorted list to group
+``i % partitions``), with atomic per-partition outputs + manifests so a
+failed run resumes by skipping complete partitions (state/manifest.py).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import ray.data as rd
 
 from ..stages.canonicalize import apply_canonical_map, canonicalize_surfaces, dedup_triples
 from ..stages.kg_stages import (
+    KBLabelTable,
     LinkEntities,
     extract_triples,
     make_lang_filter,
@@ -285,9 +290,12 @@ def run_partitioned(
     sort_output: bool = False,
     **build_kwargs,
 ) -> dict:
-    """Partitioned, resumable run: input files are hashed into partition
-    groups; each group runs the full pipeline and commits atomically with a
-    manifest.  Returns the aggregated run report."""
+    """Partitioned, resumable run: the sorted input files are dealt
+    round-robin into partition groups (file ``i`` to group
+    ``i % partitions``); each group runs the full pipeline and commits
+    atomically with a manifest.  With ``link_mode="join"`` the KB label
+    table is built once for all the groups (``KBLabelTable``).  Returns
+    the aggregated run report."""
     from ..state import manifest as mf
 
     files = sorted(
@@ -301,6 +309,9 @@ def run_partitioned(
     for i, f in enumerate(files):
         groups[i % partitions].append(f)
 
+    if kb_records is not None and build_kwargs.get("link_mode") == "join":
+        # built on first use, kept for every partition
+        kb_records = KBLabelTable(kb_records)
     report = {"partitions": partitions, "skipped": 0, "ran": 0}
     for part, group in enumerate(groups):
         if not group:

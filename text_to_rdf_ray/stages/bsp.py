@@ -16,9 +16,10 @@ repo drops below the Dataset API: Ray Data cannot express "keep this
 partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
-also serve one-shot exchanges sized to their input: ``hash_exchange``
-(under ``exchange_join`` / ``exchange_agg`` / ``keyed_exchange``) and
-``two_phase_reduce`` (the salted dedup and LSH pair exchanges).
+also serve one-shot exchanges sized to their input: ``exchange_blocks``
+/ ``hash_exchange`` (under ``exchange_join`` / ``exchange_agg`` /
+``keyed_exchange``) and ``two_phase_reduce`` (the salted dedup and LSH
+pair exchanges).
 
 Partitioning assumptions / scale shape:
 - edges are hash-partitioned on src; per-node state on the same hash,
@@ -307,11 +308,13 @@ def _mod_exchange(task_refs: list, num_parts: int,
 
 @ray.remote
 def _reduce_split_task(reduce_fn, col: str, num_parts: int,
-                       gsz: int | None, *tbls: pa.Table):
+                       gsz: int | None, fns, *tbls: pa.Table):
     """Concat one partition's slices, reduce, and re-split the result by
     the NEXT phase's partition column — the middle stage of a two-phase
     exchange fused into one task (``gsz``: split into tree-combine
-    groups instead of partitions)."""
+    groups instead of partitions; ``fns`` as in :func:`_reduce_task`)."""
+    if fns is not None:
+        tbls = tuple(_prep(t, f, None) for t, f in zip(tbls, fns))
     red = reduce_fn(_concat(tbls, None))
     if num_parts == 1:
         return red
@@ -324,14 +327,96 @@ def _reduce_split_task(reduce_fn, col: str, num_parts: int,
     return tuple(red.filter(pa.array(b == j)) for j in range(fan))
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _reduce_task(reduce_fn, schema: pa.Schema | None, fns,
-                 *tbls: pa.Table) -> pa.Table:
+                 *tbls: pa.Table) -> tuple[pa.Table, tuple]:
     """Reduce one partition's slices; ``fns`` (P=1: the unsplit source
-    blocks) holds each block's block function, still to run."""
+    blocks) holds each block's block function, still to run.  Returns
+    the block and its ``(rows, bytes, schema)``, the two refs of a
+    :class:`Blocks` entry."""
+    from ray.data.block import BlockAccessor
+
     if fns is not None:
         tbls = tuple(_prep(t, f, schema) for t, f in zip(tbls, fns))
-    return reduce_fn(_concat(tbls, schema))
+    out = reduce_fn(_concat(tbls, schema))
+    acc = BlockAccessor.for_block(out)
+    return out, (acc.num_rows(), acc.size_bytes(), acc.schema())
+
+
+class Blocks:
+    """An exchange's output as block refs, handed to the next exchange of
+    the same operator as a source with no Dataset around it.
+
+    ``refs`` holds one Arrow table ref per block; ``meta_refs`` one
+    ``(rows, bytes, schema)`` ref per block, computed by the task that
+    made the block (:func:`_reduce_task`).  A Dataset built from the refs
+    (``rd.from_arrow_refs``) runs one metadata task per block and each
+    ``materialize()`` constructs two more Datasets; an operator that
+    chains exchanges pays that once, at its output (:meth:`dataset`)."""
+
+    def __init__(self, refs: list, meta_refs: list) -> None:
+        self.refs = refs
+        self._meta_refs = meta_refs
+        self._metas: list | None = None
+
+    @classmethod
+    def of(cls, pairs: list) -> "Blocks":
+        """From ``_reduce_task`` return pairs ``[(block_ref, meta_ref)]``."""
+        return cls([b for b, _ in pairs], [m for _, m in pairs])
+
+    @classmethod
+    def chain(cls, *parts: "Blocks") -> "Blocks":
+        """The blocks of ``parts``, one after another (a union with no
+        execution)."""
+        return cls([r for p in parts for r in p.refs],
+                   [m for p in parts for m in p._meta_refs])
+
+    def metas(self) -> list[tuple[int, int, pa.Schema]]:
+        """Each block's ``(rows, bytes, schema)`` (fetched once; waits for
+        the blocks' tasks)."""
+        if self._metas is None:
+            self._metas = ray.get(self._meta_refs)
+        return self._metas
+
+    def num_rows(self) -> int:
+        return sum(m[0] for m in self.metas())
+
+    def schema(self) -> pa.Schema | None:
+        """The first block's schema (None: no blocks)."""
+        metas = self.metas()
+        return metas[0][2] if metas else None
+
+    def dataset(self) -> rd.MaterializedDataset:
+        # materialize() over Arrow refs starts no executor run, and the
+        # MaterializedDataset lists its blocks without one
+        return rd.from_arrow_refs(self.refs).materialize()
+
+
+def _source_blocks(src) -> tuple[list[tuple], object]:
+    """A source's non-empty blocks as ``(ref, rows, bytes)`` and its
+    schema (Ray's, for a Dataset: numpy dtypes for pandas blocks).  A
+    Dataset is materialized (no executor run when it already is); zero-
+    row blocks (Ray can emit them schema-less) are dropped."""
+    if isinstance(src, Blocks):
+        return ([(r, n, b) for r, (n, b, _) in zip(src.refs, src.metas())
+                 if n], src.schema())
+    mat = src.materialize()
+    blocks = [(ref, meta.num_rows, meta.size_bytes)
+              for bundle in mat.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows]
+    return blocks, mat.schema(fetch_if_missing=False)
+
+
+def map_blocks(source, fn) -> Blocks:
+    """``fn`` (Arrow table -> Arrow table) over each block of ``source``,
+    one raw task per block: a per-block step after an exchange with no
+    Ray Data execution.  ``source`` is :class:`Blocks` (every block is
+    mapped, the typed empty ones too) or a Dataset (materialized; its
+    zero-row blocks are dropped)."""
+    refs = (source.refs if isinstance(source, Blocks)
+            else [ref for ref, _, _ in _source_blocks(source)[0]])
+    return Blocks.of([_reduce_task.remote(fn, None, None, ref)
+                      for ref in refs])
 
 
 def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
@@ -345,16 +430,15 @@ def _fn_schema_task(tbl, fn) -> pa.Schema:
     return fn(_as_table(tbl, None)).schema
 
 
-def _fn_schema(mat: rd.Dataset, fn, first: list) -> pa.Schema | None:
-    """The schema ``fn`` gives the blocks of the materialized ``mat``:
-    ``fn`` applied, on the driver, to the empty table of ``mat``'s
-    schema, so an error ``fn`` raises on the schema (a reserved column
-    name) stays a plain exception.  A pandas block schema gives an
-    ``object`` column no Arrow type, so there ``fn`` types the first
-    block (``first``, one ref) in a task."""
+def _fn_schema(src, fn, first: list) -> pa.Schema | None:
+    """The schema ``fn`` gives the blocks of a source whose schema is
+    ``src`` (None: no blocks): ``fn`` applied, on the driver, to the
+    empty table of ``src``, so an error ``fn`` raises on the schema (a
+    reserved column name) stays a plain exception.  A pandas block
+    schema gives an ``object`` column no Arrow type, so there ``fn``
+    types the first block (``first``, one ref) in a task."""
     from .exchange import as_arrow_schema
 
-    src = mat.schema(fetch_if_missing=False)
     if src is None:
         return None
     out = fn(as_arrow_schema(src).empty_table()).schema
@@ -364,55 +448,53 @@ def _fn_schema(mat: rd.Dataset, fn, first: list) -> pa.Schema | None:
 
 
 def _partition(
-    sources: list[tuple[rd.Dataset, object]],
+    sources: list[tuple[object, object]],
     part_col: str,
     *,
     num_parts: int | None,
     max_parts: int,
     tree_combine: bool | None = None,
     schema: pa.Schema | None = None,
+    derive_schema: bool = True,
 ) -> tuple[int, tuple[int, int] | None, list[list], list | None,
            pa.Schema | None]:
     """The shared first exchange phase over ``sources``, each a
-    ``(Dataset, block_fn)`` pair: materialize each source, size P, and
-    split every non-empty block by ``part_col % P``.
+    ``(source, block_fn)`` pair whose source is a Dataset or the
+    :class:`Blocks` of an earlier exchange: size P, and split every
+    non-empty block by ``part_col % P``.
 
     A ``block_fn`` (None: none) maps one source block, as an Arrow
     table, to the rows the exchange moves, ``part_col`` included: the
     prologue (join padding, key tagging, a combiner) runs in the split
-    task, not in a Ray Data map in front of the exchange.  Each source
-    is materialized on its own, never as one union: one execution over
-    two lineages, a read-backed one and one holding an all-to-all op,
-    hangs a one-CPU cluster.  An already materialized source costs no
-    executor run.  Zero-row blocks (Ray can emit them schema-less) are
-    dropped.
+    task, not in a Ray Data map in front of the exchange.  Each Dataset
+    source is materialized on its own, never as one union: one
+    execution over two lineages, a read-backed one and one holding an
+    all-to-all op, hangs a one-CPU cluster.  An already materialized
+    source, or a ``Blocks`` one, costs no executor run.  Zero-row blocks
+    (Ray can emit them schema-less) are dropped.
 
-    ``schema`` declares the moved rows; when None, it is derived from
-    the first source with a block function (:func:`_fn_schema`).  P is
-    ``num_parts`` when given, else one partition per
-    ``DataContext.target_min_block_size`` of source blocks within
-    ``[1, max_parts]`` (:func:`sized_parts`).
+    ``schema`` declares the moved rows; when None and
+    ``derive_schema``, it is derived from the first source with a block
+    function (:func:`_fn_schema`).  P is ``num_parts`` when given, else
+    one partition per ``DataContext.target_min_block_size`` of source
+    blocks within ``[1, max_parts]`` (:func:`sized_parts`).
 
     Returns ``(P, plan, dest, fns, schema)`` with ``dest[q]`` the refs
     of partition q's slices.  At P=1 the source blocks go to the one
     reduce task unsplit, with their block functions in ``fns`` (None
     when no source has one)."""
     blocks, block_fns, input_bytes = [], [], 0
-    for ds, fn in sources:
-        mat = ds.materialize()
-        first = len(blocks)
-        for bundle in mat.iter_internal_ref_bundles():
-            for ref, meta in bundle.blocks:
-                if meta.num_rows == 0:
-                    continue
-                blocks.append(ref)
-                block_fns.append(fn)
-                if input_bytes is not None and meta.size_bytes is not None:
-                    input_bytes += meta.size_bytes
-                else:
-                    input_bytes = None  # block sizes not recorded
-        if schema is None and fn is not None:
-            schema = _fn_schema(mat, fn, blocks[first:first + 1])
+    for src, fn in sources:
+        src_blocks, src_schema = _source_blocks(src)
+        for ref, _, size in src_blocks:
+            blocks.append(ref)
+            block_fns.append(fn)
+            if input_bytes is not None and size is not None:
+                input_bytes += size
+            else:
+                input_bytes = None  # block sizes not recorded
+        if schema is None and derive_schema and fn is not None:
+            schema = _fn_schema(src_schema, fn, [b[0] for b in src_blocks[:1]])
     if not blocks:
         return 1, None, [[]], None, schema
     P = num_parts
@@ -432,6 +514,28 @@ def _partition(
     return P, plan, _mod_exchange(splits, P, plan, part_col), None, schema
 
 
+def exchange_blocks(
+    sources,
+    part_col: str,
+    reduce_fn,
+    schema: pa.Schema | None = None,
+    *,
+    max_parts: int,
+) -> Blocks:
+    """:func:`hash_exchange` with its output as :class:`Blocks` — the
+    exchange under ``exchange_join``, ``exchange_agg`` and
+    ``keyed_exchange``, and the form an operator chaining exchanges
+    calls, wrapping a Dataset around its last output only."""
+    if isinstance(sources, (rd.Dataset, Blocks)):
+        sources = [(sources, None)]
+    P, _, dest, fns, schema = _partition(sources, part_col, num_parts=None,
+                                         max_parts=max_parts, schema=schema)
+    if schema is None and not dest[0]:
+        return Blocks([], [])
+    return Blocks.of([_reduce_task.remote(reduce_fn, schema, fns, *dest[q])
+                      for q in range(P)])
+
+
 def hash_exchange(
     sources,
     part_col: str,
@@ -441,43 +545,34 @@ def hash_exchange(
     max_parts: int,
 ) -> rd.Dataset:
     """One hash exchange + a vectorized per-partition reduce as RAW Ray
-    tasks — the exchange under ``exchange_join``, ``exchange_agg``,
-    ``keyed_exchange`` and the linker's distinct and top-1 steps.
+    tasks (:func:`exchange_blocks`, its output wrapped in a Dataset).
 
-    ``sources`` is a Dataset or a list of ``(Dataset, block_fn)`` pairs
-    whose rows meet in one exchange (the two sides of a join); each
-    ``block_fn`` runs in the task that splits its source's blocks (see
-    :func:`_partition`).  Moved rows carry ``part_col``, a non-negative
-    int64 hash of the key; they land in partition ``part_col % P``, so
-    every key's rows meet in one partition at every P.  ``schema``
-    declares the moved rows (None: derived from the block function):
-    blocks are normalized to it, and a partition with no rows reduces
-    the empty ``schema`` table, so every output block (and the output of
-    an empty input) is typed; with no rows and no schema the output has
-    no blocks.  ``reduce_fn`` maps one partition's Arrow table to an
-    Arrow table.
+    ``sources`` is a Dataset, a :class:`Blocks`, or a list of
+    ``(source, block_fn)`` pairs whose rows meet in one exchange (the
+    two sides of a join); each ``block_fn`` runs in the task that splits
+    its source's blocks (see :func:`_partition`).  Moved rows carry
+    ``part_col``, a non-negative int64 hash of the key; they land in
+    partition ``part_col % P``, so every key's rows meet in one
+    partition at every P.  ``schema`` declares the moved rows (None:
+    derived from the block function): blocks are normalized to it, and a
+    partition with no rows reduces the empty ``schema`` table, so every
+    output block (and the output of an empty input) is typed; with no
+    rows and no schema the output has no blocks.  ``reduce_fn`` maps one
+    partition's Arrow table to an Arrow table.
 
-    Cost: one executor run per source not yet materialized, then B split
-    tasks with P returns each plus P reduce tasks for B source blocks
-    (no split tasks at P=1), with P sized as in :func:`two_phase_reduce`
-    and ``max_parts`` as the cap.  Past ``TREE_COMBINE_THRESHOLD``
-    partitions the split trees.  The output is a MaterializedDataset.
+    Cost: one executor run per Dataset source not yet materialized, then
+    B split tasks with P returns each plus P reduce tasks for B source
+    blocks (no split tasks at P=1), with P sized as in
+    :func:`two_phase_reduce` and ``max_parts`` as the cap.  Past
+    ``TREE_COMBINE_THRESHOLD`` partitions the split trees.  The output
+    is a MaterializedDataset.
     """
-    if isinstance(sources, rd.Dataset):
-        sources = [(sources, None)]
-    P, _, dest, fns, schema = _partition(sources, part_col, num_parts=None,
-                                         max_parts=max_parts, schema=schema)
-    if schema is None and not dest[0]:
-        return rd.from_arrow_refs([]).materialize()
-    # materialize() over Arrow refs starts no executor run, and the
-    # MaterializedDataset lists its blocks without one
-    return rd.from_arrow_refs(
-        [_reduce_task.remote(reduce_fn, schema, fns, *dest[q])
-         for q in range(P)]).materialize()
+    return exchange_blocks(sources, part_col, reduce_fn, schema,
+                           max_parts=max_parts).dataset()
 
 
 def two_phase_reduce(
-    ds: rd.Dataset,
+    ds,
     p1_col: str,
     p2_col: str,
     reduce1,
@@ -493,8 +588,13 @@ def two_phase_reduce(
     ``p1_col`` (the :func:`hash_exchange` first phase), each partition
     reduced and re-split by ``p2_col`` inside ONE task, and the
     second-phase partitions reduced to the output refs — no executor
-    barriers between phases.  ``reduce1`` must emit ``p2_col``;
-    ``reduce2`` receives the concatenated second-phase partition.
+    barriers between phases.  ``ds`` is a Dataset or a ``(Dataset,
+    block_fn)`` pair: the block function maps each input block, in the
+    task that splits it, to the rows the first phase moves (``p1_col``
+    included).  ``reduce1`` must emit ``p2_col``; ``reduce2`` receives
+    the concatenated second-phase partition.  The output is a
+    MaterializedDataset, one block per partition; an empty input gives
+    one with no blocks.
 
     Scale shape: each phase costs ~B*P + P^2 objects and 2P + B tasks
     for B input blocks, so P is sized to the materialized input rather
@@ -512,25 +612,26 @@ def two_phase_reduce(
     keeps the reduces bit-identical, and ``tree_combine`` forces the
     mode for parity tests.
     """
-    P, plan, dest1, _, _ = _partition([(ds, None)], p1_col,
-                                      num_parts=num_parts,
-                                      max_parts=max_parts,
-                                      tree_combine=tree_combine)
+    source = ds if isinstance(ds, tuple) else (ds, None)
+    # no declared schema: reduce1 sees the moved rows as the block
+    # function made them
+    P, plan, dest1, fns, _ = _partition([source], p1_col,
+                                        num_parts=num_parts,
+                                        max_parts=max_parts,
+                                        tree_combine=tree_combine,
+                                        derive_schema=False)
     if not dest1[0]:
-        raise ValueError("two_phase_reduce: empty input dataset")
+        return Blocks([], []).dataset()
     fan = P if plan is None else plan[1]
     gsz = None if plan is None else plan[0]
     mid = [
         _reduce_split_task.options(num_returns=fan).remote(
-            reduce1, p2_col, P, gsz, *dest1[p])
+            reduce1, p2_col, P, gsz, fns, *dest1[p])
         for p in range(P)
     ]
     dest2 = _mod_exchange(mid, P, plan, p2_col)
-    out = [
-        _reduce_task.remote(reduce2, None, None, *dest2[q])
-        for q in range(P)
-    ]
-    return rd.from_arrow_refs(out)
+    return Blocks.of([_reduce_task.remote(reduce2, None, None, *dest2[q])
+                      for q in range(P)]).dataset()
 
 
 # ------------------------------------------------- checkpoint helpers

@@ -285,17 +285,20 @@ def canonicalize_surfaces(
                 pa.int64()),
         })
 
-    ids = surfaces.map_batches(assign_ids,
-                               batch_format="pyarrow").materialize()
+    from .bsp import Blocks, map_blocks
+    from .exchange import agg_blocks, exchange_join, join_blocks
+
+    # every exchange below hands its block refs to the next (bsp.Blocks);
+    # a Dataset wraps only what leaves the exchange chain
+    ids = map_blocks(surfaces, assign_ids)
+    ids_ds = ids.dataset()
 
     # 63-bit id collision guard: a digest collision would silently merge
     # two unrelated surfaces into one component corpus-wide (birthday
     # bound ~5% at 1e9 distinct surfaces), so the distinct-id count is
     # checked against the distinct-surface contract before clustering
-    from .exchange import exchange_agg, exchange_join
-
-    n_surfaces = ids.count()
-    n_ids = exchange_agg(ids, "name_id", [], num_partitions=16).count()
+    n_surfaces = ids.num_rows()
+    n_ids = agg_blocks(ids, "name_id", [], num_partitions=16).num_rows()
     if n_ids != n_surfaces:
         raise RuntimeError(
             f"canonicalize_surfaces: {n_surfaces - n_ids} 63-bit name_id "
@@ -305,12 +308,10 @@ def canonicalize_surfaces(
     # payload-free LSH pair generation (stages/dedup.py machinery): the band
     # exchange carries only (shard, band, hash, name_id); surfaces are
     # re-read for the (tiny) candidate set in the verify stage
-    from .dedup import _pairs_from_buckets
-
-    from .dedup import _minhash_bands_feat_batch
+    from .dedup import _minhash_bands_feat_batch, _pairs_from_buckets
 
     pairs = _pairs_from_buckets(
-        ids,
+        ids_ds,
         None,
         _surface_verify_fn(tau),
         "name_id",
@@ -344,28 +345,26 @@ def canonicalize_surfaces(
         "norm": pa.array([_norm(s) for s in t.column("surface").to_pylist()],
                          pa.string()),
         "name_id": t.column("name_id")}))
-    nmin = exchange_agg(nm, "norm", [("name_id", "min", "root")],
-                        num_partitions=16)
+    nmin = agg_blocks(nm, "norm", [("name_id", "min", "root")],
+                      num_partitions=16)
     nsch = pa.schema([("norm", pa.string()), ("name_id", pa.int64())])
-    njoin = exchange_join(
+    njoin = join_blocks(
         nm, nmin, on="norm", num_partitions=16,
         left_schema=nsch,
         right_schema=pa.schema([("norm", pa.string()),
                                 ("root", pa.int64())]))
-    norm_edges = njoin.map_batches(
-        lambda t: (lambda f: pa.table({"src": f.column("name_id"),
-                                       "dst": f.column("root")}))(
+    norm_edges = map_blocks(njoin, lambda t: (lambda f: pa.table(
+        {"src": f.column("name_id"), "dst": f.column("root")}))(
             t.filter(pc.invert(pc.equal(t.column("name_id"),
-                                        t.column("root"))))),
-        batch_format="pyarrow")
+                                        t.column("root"))))))
 
-    edges = pairs.map_batches(
-        lambda t: pa.table({"src": t.column("id_a"), "dst": t.column("id_b")}),
-        batch_format="pyarrow",
-    ).union(norm_edges).materialize()
+    # both edge sets as one dataset of their blocks: no union execution
+    pair_edges = map_blocks(pairs, lambda t: pa.table(
+        {"src": t.column("id_a"), "dst": t.column("id_b")}))
+    edges = Blocks.chain(pair_edges, norm_edges).dataset()
 
     if edges.count() == 0:
-        return ids.map_batches(
+        return ids_ds.map_batches(
             lambda t: pa.table(
                 {"surface": t.column("surface"), "canonical": t.column("surface")}
             ),
@@ -373,10 +372,8 @@ def canonicalize_surfaces(
         )
 
     # connected_components already returns a materialized (or from_arrow)
-    # labels table; ids was materialized above — both join sides are solid
-    # without further barriers
+    # labels table, a join side without further barriers
     comp = connected_components(edges, driver_threshold=cc_driver_threshold)
-    from .exchange import exchange_agg, exchange_join
 
     _S_IDS = pa.schema([("surface", pa.string()), ("name_id", pa.int64())])
     _S_COMP = pa.schema([("name_id", pa.int64()), ("component", pa.int64())])
@@ -384,22 +381,22 @@ def canonicalize_surfaces(
     _S_CANON = pa.schema([("component", pa.int64()),
                           ("canonical", pa.string())])
     # attach component to every (name_id, surface); nodes without edges
-    # keep themselves (coalesce with own id).  The join is materialized
-    # once; the coalesce is a block function of the two exchanges it
-    # feeds (the per-component canonical-pick reduce and the final
-    # application join).  All three tail steps run as exchange joins /
-    # arrow-reduce aggs (plain tasks, vectorized across keys) — the
-    # native JoinOperator + Aggregate tail measured 3.5 + 3.4 + 2.2s at
-    # 120k surfaces; this shape runs it in ~1.5s total.
+    # keep themselves (coalesce with own id).  The join runs once; the
+    # coalesce is a block function of the two exchanges it feeds (the
+    # per-component canonical-pick reduce and the final application
+    # join).  All three tail steps run as exchange joins / arrow-reduce
+    # aggs (plain tasks, vectorized across keys) — the native
+    # JoinOperator + Aggregate tail measured 3.5 + 3.4 + 2.2s at 120k
+    # surfaces; this shape runs it in ~1.5s total.
     with_comp = (
-        exchange_join(ids, comp, on="name_id", how="left_outer",
-                      num_partitions=16, left_schema=_S_IDS,
-                      right_schema=_S_COMP),
+        join_blocks(ids, comp, on="name_id", how="left_outer",
+                    num_partitions=16, left_schema=_S_IDS,
+                    right_schema=_S_COMP),
         lambda t: pa.table({
             "surface": t.column("surface"),
             "component": pc.coalesce(t.column("component"),
                                      t.column("name_id"))}))
-    canon = exchange_agg(
+    canon = agg_blocks(
         with_comp, "component", [("surface", "min", "canonical")],
         num_partitions=16)
     return exchange_join(
@@ -572,8 +569,9 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
        so the result is exactly the single-phase result for every
        partition count, and the exchange sizes its partition count to
        the packed input (at most ``_DEDUP_MAX_PARTS``).
-    3. map_batches: unpack provenance back into columns (vectorized
-       split_pattern + list_element + casts).
+    3. unpack provenance back into columns (vectorized split_pattern +
+       list_element + casts), in the phase-2 reduce tasks; the output
+       is materialized.
     """
     import pyarrow.compute as pc
 
@@ -723,14 +721,14 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
 
     def reduce2(g: pa.Table) -> pa.Table:
         r = g.group_by(["subj", "pred", "obj"]).aggregate([("prov", "min")])
-        return pa.table(
+        return unpack(pa.table(
             {
                 "subj": r.column("subj"),
                 "pred": r.column("pred"),
                 "obj": r.column("obj"),
                 "prov": r.column("prov_min"),
             }
-        )
+        ))
 
     # raw-task two-phase exchange (stages/bsp.py) sized to the packed
     # input — this tail is on the headline path
@@ -742,6 +740,7 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
         # zero-block/zero-row input: empty result, not
         # two_phase_reduce's empty-input ValueError (review r5)
         return rd.from_arrow(_DEDUP_OUT_SCHEMA.empty_table())
-    agg = two_phase_reduce(packed, "p1", "p2", reduce1, reduce2,
-                           max_parts=_DEDUP_MAX_PARTS)
-    return agg.map_batches(unpack, batch_format="pyarrow")
+    # the unpack runs in the second phase's reduce tasks: the output is
+    # materialized, with no Ray Data map after the exchange
+    return two_phase_reduce(packed, "p1", "p2", reduce1, reduce2,
+                            max_parts=_DEDUP_MAX_PARTS)

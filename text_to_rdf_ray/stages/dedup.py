@@ -20,8 +20,6 @@ Pairs outputs are (id_a, id_b, score) with id_a < id_b, globally deduped.
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
 
 import numpy as np
 import pandas as pd
@@ -125,7 +123,16 @@ def _minhash_bands_feat_batch(shingle_fn, num_perm: int, bands: int,
 
 def _explode_bands(ds: rd.Dataset, bands_feat_fn, id_col: str, payload_col: str,
                    bands_feat_batch_fn=None) -> rd.Dataset:
-    """(shard, band_id, band_hash, id[, feat]) rows — the ONLY columns the
+    """:func:`_band_explode` as a Ray Data map over ``ds``."""
+    return ds.map_batches(
+        _band_explode(bands_feat_fn, id_col, payload_col, bands_feat_batch_fn),
+        batch_format="pyarrow")
+
+
+def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
+                  bands_feat_batch_fn=None):
+    """The block function mapping corpus rows to (shard, band_id,
+    band_hash, id[, feat]) rows — the ONLY columns the
     LSH bucket exchange moves.  ``bands_feat_fn(payload) -> (bands, feat)``
     where ``bands`` is a list of (band_id, band_hash) and ``feat`` is an
     optional SMALL fixed-size bytes feature (b-bit minhash sketch, simhash
@@ -189,7 +196,7 @@ def _explode_bands(ds: rd.Dataset, bands_feat_fn, id_col: str, payload_col: str,
             cols["feat"] = pa.array(of_list, pa.binary())
         return pa.table(cols)
 
-    return ds.map_batches(explode, batch_format="pyarrow")
+    return explode
 
 _PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                           ("score", pa.float64())])
@@ -345,10 +352,6 @@ def _pairs_from_buckets(
         pp = ((a * np.uint64(0x9E3779B97F4A7C15)) ^ b) % np.uint64(64)
         return t.append_column("ppart", pa.array(pp.astype(np.int32), pa.int32()))
 
-    import time as _time
-
-    _dbg = os.environ.get("GRAFT_LSH_DEBUG")
-    _t0 = _time.time()
     # candidate generation as a raw-task two-phase exchange (bsp.py):
     # split band rows by shard (bucket-key hash — co-locates each
     # bucket), per-shard pair generation + ppart tagging in one task,
@@ -369,20 +372,15 @@ def _pairs_from_buckets(
         g = t.group_by(["id_a", "id_b"]).aggregate([])
         return pa.table({"id_a": g.column("id_a"), "id_b": g.column("id_b")})
 
-    exploded = _explode_bands(
-        ds, bands_feat_fn, id_col, payload_col,
-        bands_feat_batch_fn=bands_feat_batch_fn).materialize()
-    if exploded.count() == 0:
-        # empty corpus (or nothing shingled): empty candidate set, not
-        # two_phase_reduce's empty-input ValueError (review r5)
-        cands = rd.from_arrow(pa.table({
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64())}))
-    else:
-        cands = two_phase_reduce(
-            exploded,
-            "shard", "ppart", reduce1_tbl, reduce2_tbl, max_parts=64,
-        ).materialize()
+    # the band explode is the first phase's block function: it runs in
+    # the tasks that split the corpus blocks, with no Ray Data map or
+    # materialization of the band rows in front of the exchange.  An
+    # empty corpus gives no candidate blocks
+    cands = two_phase_reduce(
+        (ds, _band_explode(bands_feat_fn, id_col, payload_col,
+                           bands_feat_batch_fn)),
+        "shard", "ppart", reduce1_tbl, reduce2_tbl, max_parts=64,
+    )
 
     n_cands = cands.count()
     # counted once here, after the global pair dedup: per-task counts
@@ -391,10 +389,6 @@ def _pairs_from_buckets(
     from ..state.counters import incr
 
     incr({f"{counter_prefix}_candidates": n_cands})
-    if _dbg:
-        print(f"[lsh-debug] cands {n_cands} in {_time.time() - _t0:.1f}s",
-              file=sys.stderr)
-        _t0 = _time.time()
     if n_cands == 0:
         return rd.from_arrow(_PAIR_SCHEMA.empty_table())
 
@@ -449,10 +443,6 @@ def _pairs_from_buckets(
             .materialize()
         )
         n_ids = need_ids.count()
-    if _dbg:
-        print(f"[lsh-debug] distinct ids {n_ids} in {_time.time() - _t0:.1f}s",
-              file=sys.stderr)
-        _t0 = _time.time()
 
     # The broadcast-vs-join decision keys on the DISTINCT-ID count (feature
     # volume), not the pair count: pairs verify streaming through
@@ -485,9 +475,6 @@ def _pairs_from_buckets(
         feats = {int(r[id_col]): r["feat"] for r in feat_rows}
         feats_ref = ray.put(feats)
         fcache: dict = {}
-        if _dbg:
-            print(f"[lsh-debug] featurize+put {len(feats)} in "
-                  f"{_time.time() - _t0:.1f}s", file=sys.stderr)
 
         def verify_batch(batch: pa.Table) -> pa.Table:
             f = fcache.get("f")

@@ -42,9 +42,8 @@ objects for B source blocks (a two-level tree past
 ``bsp.TREE_COMBINE_THRESHOLD``), and at P=1 just one reduce task.
 Measured on a 1-CPU host (BASELINE.md, "Exchange substrate"): one
 ``link_entities_join`` over materialized triples runs nine exchanges
-and starts one Ray Data execution (its KB label table); with padding
-and projections run as Ray Data maps in front of each exchange it
-started 23.
+and starts no Ray Data execution; with padding and projections run as
+Ray Data maps in front of each exchange it started 23.
 
 Partitioning assumption: one partition's rows fit in a worker; above
 the cap partitions grow with the data, so raise ``num_partitions`` with
@@ -54,6 +53,14 @@ inputs included; left-outer payload misses are Arrow nulls, not pandas
 NaN), so a result feeds further exchanges without a schema probe or
 another materialization.  ``keyed_exchange`` cannot type a partition it
 never calls ``reduce`` on, so it drops empty partitions instead.
+
+An operator that chains exchanges calls ``join_blocks`` / ``agg_blocks``
+(or ``bsp.exchange_blocks``) for every exchange but its last: they
+return the reduce tasks' block refs with each block's rows, bytes and
+schema (``bsp.Blocks``), which the next exchange takes as a source.  No
+Dataset is built between the exchanges, so ``rd.from_arrow_refs`` (one
+metadata task per block) and ``materialize()`` run once, at the
+operator's output.
 """
 
 from __future__ import annotations
@@ -62,7 +69,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
@@ -246,7 +252,15 @@ def exchange_agg(
     raw rows.  ``ds`` may be a ``(Dataset, block_fn)`` pair (module
     docstring).
     """
-    from .bsp import hash_exchange
+    return agg_blocks(ds, keys, aggs, num_partitions=num_partitions,
+                      combine=combine).dataset()
+
+
+def agg_blocks(ds, keys, aggs=(), *, num_partitions: int = 32,
+               combine: bool = True):
+    """:func:`exchange_agg` with its output as :class:`~.bsp.Blocks`
+    (the next exchange of the same operator takes it as a source)."""
+    from .bsp import exchange_blocks
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     norm: list[tuple[str, str, str]] = []
@@ -304,8 +318,8 @@ def exchange_agg(
 
     ds, fn = _source(ds)
     first = combine_batch if combine else tag_batch
-    return hash_exchange([(ds, _then(fn, first))], _PART, reduce_part,
-                         max_parts=num_partitions)
+    return exchange_blocks([(ds, _then(fn, first))], _PART, reduce_part,
+                           max_parts=num_partitions)
 
 
 def keyed_exchange(
@@ -332,7 +346,7 @@ def keyed_exchange(
     so the empty result still has the reduce's schema.  The output is
     materialized.  An input column named ``_part`` raises.
     """
-    from .bsp import hash_exchange
+    from .bsp import exchange_blocks
 
     keys = [keys] if isinstance(keys, str) else list(keys)
 
@@ -351,18 +365,13 @@ def keyed_exchange(
         return reduce(t.drop_columns([_KEYED_PART]))
 
     ds, fn = _source(ds)
-    out = hash_exchange([(ds, _then(fn, tag))], _KEYED_PART, reduce_part,
-                        max_parts=num_partitions)
-    blocks = [(ref, meta.num_rows)
-              for b in out.iter_internal_ref_bundles() for ref, meta in b.blocks]
-    live = [ref for ref, n in blocks if n]
+    out = exchange_blocks([(ds, _then(fn, tag))], _KEYED_PART, reduce_part,
+                          max_parts=num_partitions)
+    metas = out.metas()
+    live = [ref for ref, m in zip(out.refs, metas) if m[0]]
     if not live:
-        refs = [ref for ref, _ in blocks]
-        live = [ref for ref, t in zip(refs, ray.get(refs))
-                if t.num_columns][:1]
-    if len(live) == len(blocks):
-        return out
-    return rd.from_arrow_refs(live)
+        live = [ref for ref, m in zip(out.refs, metas) if len(m[2])][:1]
+    return rd.from_arrow_refs(live).materialize()
 
 
 def keyed_apply(
@@ -422,7 +431,17 @@ def exchange_join(
     that need SQL null semantics must filter nulls first.  No oracled
     path here carries null keys.
     """
-    from .bsp import hash_exchange
+    return join_blocks(left, right, on=on, how=how,
+                       num_partitions=num_partitions, left_schema=left_schema,
+                       right_schema=right_schema).dataset()
+
+
+def join_blocks(left, right, *, on, how: str = "inner",
+                num_partitions: int = 32, left_schema=None,
+                right_schema=None):
+    """:func:`exchange_join` with its output as :class:`~.bsp.Blocks`
+    (the next exchange of the same operator takes it as a source)."""
+    from .bsp import exchange_blocks
 
     if how not in ("inner", "left_outer", "full_outer"):
         raise ValueError(f"unsupported how={how!r}")
@@ -540,9 +559,9 @@ def exchange_join(
     padded = pa.schema(
         [(k, key_types[k]) for k in on] + all_fields
         + [(_SIDE, pa.int8()), (_PART, pa.int64())])
-    return hash_exchange([(left, _then(lfn, pad(0))),
-                          (right, _then(rfn, pad(1)))],
-                         _PART, merge_part, padded, max_parts=num_partitions)
+    return exchange_blocks([(left, _then(lfn, pad(0))),
+                            (right, _then(rfn, pad(1)))],
+                           _PART, merge_part, padded, max_parts=num_partitions)
 
 
 def _join_side(side, declared: pa.Schema | None):

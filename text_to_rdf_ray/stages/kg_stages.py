@@ -9,9 +9,11 @@ Pipeline shape (pipelines/kg.py):
   -> strip_html (drops the wide ``html`` column immediately)
   -> filter_lang
   -> extract_triples (per-document kernel; doc = row, chunk loop inside)
-  -> LinkEntities actor pool (KB broadcast once via ray.put)
+  -> link (task mode: ``make_link_task``; actor mode: ``LinkEntities``;
+     join mode: ``link_entities_join``)
+  -> canonicalize (stages/canonicalize.py, shuffles)
   -> validate
-  -> canonicalize + global dedup (stages/canonicalize.py, shuffles)
+  -> global dedup (stages/canonicalize.py, shuffles)
 """
 
 from __future__ import annotations
@@ -237,12 +239,119 @@ def _null_count(tbl: pa.Table, col: str) -> int:
     return tbl.column(col).null_count
 
 
-def _any_null(ds, col: str) -> bool:
-    """Whether column ``col`` of the materialized Arrow dataset ``ds``
-    holds a null: one task per block, no Ray Data execution."""
-    refs = [ref for b in ds.iter_internal_ref_bundles()
-            for ref, meta in b.blocks if meta.num_rows]
+def _any_null(blocks, col: str) -> bool:
+    """Whether column ``col`` of the exchange output ``blocks`` (a
+    ``bsp.Blocks``) holds a null: one task per non-empty block, no Ray
+    Data execution."""
+    refs = [ref for ref, m in zip(blocks.refs, blocks.metas()) if m[0]]
     return any(ray.get([_null_count.remote(ref, col) for ref in refs]))
+
+
+def _id64(key: str) -> int:
+    """The linker's 63-bit row id: blake2b-64 of ``key``, shifted right
+    by one."""
+    import hashlib
+
+    return int.from_bytes(
+        hashlib.blake2b(key.encode(), digest_size=8).digest(), "little") >> 1
+
+
+#: the join-mode KB label table: one row per KB label and alias
+_S_LABELS = pa.schema([("kb_uri", pa.string()), ("kb_label", pa.string()),
+                       ("kb_low", pa.string()), ("lid", pa.int64())])
+
+#: rows per block of a list KB's label table: the label MinHash (one task
+#: per block, :meth:`KBLabelTable.bands`) spreads over tasks
+KB_LABEL_BLOCK_ROWS = 2048
+
+
+def _label_rows(records) -> pa.Table:
+    """The label table rows of KB ``records`` (dicts with ``uri``,
+    ``label`` and optional ``aliases``), in record order, each label
+    before its aliases.  ``lid`` hashes ``low + "\\x00" + uri``."""
+    uris, labels, lows, lids = [], [], [], []
+    for row in records:
+        for lab in [row["label"], *(row.get("aliases") or ())]:
+            low = lab.lower()
+            uris.append(row["uri"])
+            labels.append(lab)
+            lows.append(low)
+            lids.append(_id64(f"{low}\x00{row['uri']}"))
+    return pa.table([pa.array(uris, pa.string()), pa.array(labels, pa.string()),
+                     pa.array(lows, pa.string()), pa.array(lids, pa.int64())],
+                    schema=_S_LABELS)
+
+
+def _band_rows(text_col: str, id_col: str):
+    """The block function exploding lowercased strings to (band_id,
+    band_hash, id) rows — the ONLY columns the fuzzy blocking exchange
+    moves (payload-free, the dedup.py band-exchange pattern).  ``id`` is
+    the block's ``id_col``."""
+
+    def explode(batch: pa.Table) -> pa.Table:
+        from ..kernels.minhash import (band_keys_batch, char_shingles,
+                                       minhash_signatures)
+
+        lows = batch.column(text_col).to_pylist()
+        # 21 bands x 3 rows: >=99.8% band recall at shingle-Jaccard
+        # 0.64 (a one-char edit on a short name) while filtering
+        # syllable-sharing non-matches ~4x harder than 2-row bands
+        sigs = minhash_signatures([char_shingles(low) for low in lows],
+                                  num_perm=63)
+        keys = band_keys_batch(sigs, 21)  # (n, 21) int64, one numpy pass
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        n, nb = keys.shape
+        return pa.table({
+            "band_id": pa.array(np.tile(np.arange(nb, dtype=np.int32), n),
+                                pa.int32()),
+            "band_hash": pa.array(keys.ravel(), pa.int64()),
+            id_col: pa.array(np.repeat(ids.astype(np.int64), nb), pa.int64()),
+        })
+
+    return explode
+
+
+class KBLabelTable:
+    """The join-mode linker's KB label table ``(kb_uri, kb_label, kb_low,
+    lid)`` and its band rows, each built on first use and kept, so one
+    table serves every :func:`link_entities_join` call it is passed to
+    (``run_partitioned`` builds it once for all its partitions).
+
+    A list KB is already in driver memory: it is labelled on the driver
+    and handed over with ``rd.from_arrow`` in blocks of
+    ``KB_LABEL_BLOCK_ROWS`` rows (one block per 2,048 label rows, at
+    least one), with no Ray Data execution.  A Dataset KB is labelled by
+    one ``map_batches`` over it, materialized."""
+
+    def __init__(self, kb_records) -> None:
+        self.kb_records = kb_records
+        self._labels = None
+        self._bands = None
+
+    def labels(self):
+        if self._labels is None:
+            import ray.data as rd
+
+            kb = self.kb_records
+            if isinstance(kb, rd.Dataset):
+                self._labels = kb.map_batches(
+                    lambda t: _label_rows(t.to_pylist()),
+                    batch_format="pyarrow", batch_size=2048).materialize()
+            else:
+                t = _label_rows(kb)
+                n = KB_LABEL_BLOCK_ROWS
+                self._labels = rd.from_arrow(
+                    [t.slice(i, n) for i in range(0, len(t), n)] or [t])
+        return self._labels
+
+    def bands(self):
+        """The ``(band_id, band_hash, lid)`` rows of every label, one raw
+        task per label block (``bsp.Blocks``)."""
+        if self._bands is None:
+            from .bsp import map_blocks
+
+            self._bands = map_blocks(self.labels(), _band_rows("kb_low", "lid"))
+        return self._bands
 
 
 def link_entities_join(
@@ -271,14 +380,21 @@ def link_entities_join(
         top-1 per surface by (conf desc, uri asc)          [KBIndex.link]
       surface->uri map hash-joined back onto subj and entity-obj columns.
 
+    ``kb_records`` is a list of KB records, a Dataset of them, or a
+    :class:`KBLabelTable` built from either (its label table and label
+    band rows are then built once for every call it is passed to).
+
     Every exchange step (the distinct, the joins, the candidate-pair
-    dedup and the top-1) is a raw-task :func:`~.bsp.hash_exchange`
-    sized to its input, with ``num_partitions`` as the cap.  The work
-    between them (surface rows, filters, band explode, Jaro-Winkler
-    scoring, the top-1 combiner, renames) runs as block functions in
-    the split tasks of the exchange it feeds, so over materialized
-    triples the link starts one Ray Data execution: the KB label table,
-    which feeds three exchanges.  The output is a lazy column map.
+    dedup and the top-1) is a raw-task hash exchange sized to its
+    input, with ``num_partitions`` as the cap.  The work between them
+    (surface rows, filters, band explode, Jaro-Winkler scoring, the
+    top-1 combiner, renames) runs as block functions in the split tasks
+    of the exchange it feeds, and each exchange hands its block refs to
+    the next (``bsp.Blocks``): no Dataset is built between them.  Over
+    materialized triples and a list KB the link starts no Ray Data
+    execution (a Dataset KB costs one, its label table).  The output is
+    a materialized dataset: the last join's blocks with the link
+    columns finalized, one raw task per block.
 
     Output columns and values equal the broadcast paths exactly on every
     pair the band blocking surfaces (parity-tested).  Recall note: a
@@ -287,22 +403,17 @@ def link_entities_join(
     one-char-edit regime; real surface variants share most shingles);
     the broadcast modes remain the exhaustive-within-block reference.
     """
-    import ray.data as rd
-
     from ..kernels.linker import EXACT_CONFIDENCE, jaro_winkler_batch
     from ..kernels.minhash import _hash_shingles
-    from .bsp import hash_exchange
-    from .exchange import exchange_agg, exchange_join, join_out_schema
+    from .bsp import exchange_blocks, map_blocks
+    from .exchange import agg_blocks, join_blocks, join_out_schema
 
-    if not isinstance(kb_records, rd.Dataset):
-        kb_ds = rd.from_items(list(kb_records))
-    else:
-        kb_ds = kb_records
+    kb = (kb_records if isinstance(kb_records, KBLabelTable)
+          else KBLabelTable(kb_records))
+    labels = kb.labels()
 
     # static schemas for every exchange below: a join side that is a
     # lazy map would otherwise cost a schema-probe execution
-    _S_LABELS = pa.schema([("kb_uri", pa.string()), ("kb_label", pa.string()),
-                           ("kb_low", pa.string()), ("lid", pa.int64())])
     _S_SURF = pa.schema([("surface", pa.string()), ("low", pa.string()),
                          ("sid", pa.int64())])
     _S_EXACT_PROJ = pa.schema([("low", pa.string()), ("kb_uri", pa.string())])
@@ -314,42 +425,6 @@ def link_entities_join(
     _LINK_SCHEMA = pa.schema([("surface", pa.string()), ("uri", pa.string()),
                               ("conf", pa.float64())])
     _S_TOP1 = _LINK_SCHEMA.append(pa.field("_part", pa.int64()))
-
-    import hashlib as _hl
-
-    def _id64(key: str) -> int:
-        return int.from_bytes(
-            _hl.blake2b(key.encode(), digest_size=8).digest(), "little"
-        ) >> 1
-
-    # lid/sid 64-bit row ids ride along from the FIRST pass (one shared
-    # materialization instead of separate *_with_id re-maps — every
-    # materialize is a full executor run, and this operator's cost at
-    # small scale is almost entirely such fixed barriers)
-    def kb_labels(batch: pa.Table) -> pa.Table:
-        uris, labels, lows, lids = [], [], [], []
-        for row in batch.to_pylist():
-            for lab in [row["label"], *(row.get("aliases") or ())]:
-                low = lab.lower()
-                uris.append(row["uri"])
-                labels.append(lab)
-                lows.append(low)
-                # must match _band_rows' row key "\x00".join([low, uri])
-                lids.append(_id64(f"{low}\x00{row['uri']}"))
-        return pa.table(
-            {
-                "kb_uri": pa.array(uris, pa.string()),
-                "kb_label": pa.array(labels, pa.string()),
-                "kb_low": pa.array(lows, pa.string()),
-                "lid": pa.array(lids, pa.int64()),
-            }
-        )
-
-    # batch_size=2048: one block per 2048 KB entities, so the label
-    # MinHash (run per block in the band exchange's split tasks) spreads
-    # over tasks; materialized once, it feeds three exchanges
-    labels_ds = kb_ds.map_batches(kb_labels, batch_format="pyarrow",
-                                  batch_size=2048).materialize()
 
     def surface_rows(batch: pa.Table) -> pa.Table:
         subs = batch.column("subj").to_pylist()
@@ -381,9 +456,9 @@ def link_entities_join(
     # call per distinct surface: the measured Ray-2.49 per-key pathology,
     # 153s vs <2s at 48k keys — NOTES_r3.md)
     triples_mat = triples.materialize()
-    surfaces = hash_exchange([(triples_mat, surface_rows)], "sid",
-                             distinct_surfaces, _S_SURF,
-                             max_parts=num_partitions)
+    surfaces = exchange_blocks([(triples_mat, surface_rows)], "sid",
+                               distinct_surfaces, _S_SURF,
+                               max_parts=num_partitions)
 
     # ONE left_outer exchange splits the surfaces: matched rows ARE the
     # exact links (duplicated per matching label, same as the old inner
@@ -392,10 +467,10 @@ def link_entities_join(
     # surface table).  The projections, filters and combiners from here
     # on are block functions of the exchange each one feeds: they run in
     # its split tasks, with no Ray Data execution of their own
-    matched = exchange_join(
+    matched = join_blocks(
         surfaces,
-        (labels_ds, lambda t: pa.table({"low": t.column("kb_low"),
-                                        "kb_uri": t.column("kb_uri")})),
+        (labels, lambda t: pa.table({"low": t.column("kb_low"),
+                                     "kb_uri": t.column("kb_uri")})),
         on="low", how="left_outer", num_partitions=num_partitions,
         left_schema=_S_SURF, right_schema=_S_EXACT_PROJ,
     )
@@ -450,54 +525,6 @@ def link_entities_join(
              "conf": pa.array(good_sims, pa.float64())}
         )
 
-    def _band_rows(text_col: str, out_id: str, keep_cols: tuple = ()):
-        """The block function exploding lowercased strings to (band_id,
-        band_hash, id64) rows — the ONLY columns the blocking exchange
-        moves (payload-free, the dedup.py band-exchange pattern).
-        id64 = blake2b64(row key)."""
-        import hashlib as _hl
-
-        from ..kernels.minhash import char_shingles, minhash_signatures
-
-        def explode(batch: pa.Table) -> pa.Table:
-            import numpy as _np
-
-            from ..kernels.minhash import band_keys_batch
-
-            lows = batch.column(text_col).to_pylist()
-            extra = [batch.column(c).to_pylist() for c in keep_cols]
-            row_keys = [
-                "\x00".join([low, *[e[i] for e in extra]])
-                for i, low in enumerate(lows)
-            ]
-            # 21 bands x 3 rows: >=99.8% band recall at shingle-Jaccard
-            # 0.64 (a one-char edit on a short name) while filtering
-            # syllable-sharing non-matches ~4x harder than 2-row bands
-            sigs = minhash_signatures(
-                [char_shingles(low) for low in lows], num_perm=63
-            )
-            keys = band_keys_batch(sigs, 21)  # (n, 21) int64, one numpy pass
-            rids = _np.array(
-                [
-                    int.from_bytes(
-                        _hl.blake2b(rk.encode(), digest_size=8).digest(), "little"
-                    ) >> 1
-                    for rk in row_keys
-                ],
-                dtype=_np.int64,
-            )
-            n, nb = keys.shape
-            return pa.table(
-                {
-                    "band_id": pa.array(
-                        _np.tile(_np.arange(nb, dtype=_np.int32), n), pa.int32()),
-                    "band_hash": pa.array(keys.ravel(), pa.int64()),
-                    out_id: pa.array(_np.repeat(rids, nb), pa.int64()),
-                }
-            )
-
-        return explode
-
     def top1_vec(g: pd.DataFrame) -> pd.DataFrame:
         # deterministic top-1 per surface (conf desc, uri asc), vectorized
         # across ALL surfaces in the frame: after the sort the first row of
@@ -523,33 +550,31 @@ def link_entities_join(
 
     top1_sources = [(matched, lambda t: top1_combine(exact(t)))]
     if _any_null(matched, "kb_uri"):
-        # lid/sid already ride on labels_ds / matched (hashed in the
-        # first-pass maps above); the band join moves only ids, strings
-        # re-attach via exchange joins on the tiny candidate set
+        # sid rides on the surface rows and lid on the label table, so
+        # the band join moves only ids; strings re-attach via exchange
+        # joins on the tiny candidate set.  The label band rows are the
+        # table's own (built once per table)
         surf_bands = _band_rows("low", "sid")
-        # label id must hash (low, uri) exactly like kb_labels' lid: rebuild
-        # the same row key by keeping uri alongside
-        label_bands = _band_rows("kb_low", "lid", keep_cols=("kb_uri",))
 
         # global (sid, lid) pair dedup: a combiner-backed distinct
         # exchange — NEVER a per-pair map_groups (hundreds of thousands
         # of one-row python groups)
-        cand_ids = exchange_agg(
-            exchange_join(
+        cand_ids = agg_blocks(
+            join_blocks(
                 (matched, lambda t: surf_bands(no_exact(t))),
-                (labels_ds, label_bands), on=("band_id", "band_hash"),
+                kb.bands(), on=("band_id", "band_hash"),
                 num_partitions=num_partitions,
                 left_schema=_S_BAND_S, right_schema=_S_BAND_L,
             ),
             ["sid", "lid"], num_partitions=num_partitions,
         )
-        with_surface = exchange_join(
+        with_surface = join_blocks(
             cand_ids, (matched, no_exact), on="sid",
             num_partitions=num_partitions,
             left_schema=_S_CAND, right_schema=_S_SURF,
         )
-        fuzzy = exchange_join(
-            with_surface, labels_ds, on="lid",
+        fuzzy = join_blocks(
+            with_surface, labels, on="lid",
             num_partitions=num_partitions,
             left_schema=join_out_schema(_S_CAND, _S_SURF, "sid"),
             right_schema=_S_LABELS,
@@ -561,8 +586,8 @@ def link_entities_join(
             top1_vec(t.drop_columns(["_part"]).to_pandas()),
             schema=_LINK_SCHEMA, preserve_index=False)
 
-    links = hash_exchange(top1_sources, "_part", top1_part, _S_TOP1,
-                          max_parts=num_partitions)
+    links = exchange_blocks(top1_sources, "_part", top1_part, _S_TOP1,
+                            max_parts=num_partitions)
 
     def rename_links(key: str, ucol: str, ccol: str):
         # the links as one link-attach join's right side
@@ -579,8 +604,8 @@ def link_entities_join(
     _S_LINK_OBJ = pa.schema([("obj", pa.string()),
                              ("obj_uri_j", pa.string()),
                              ("obj_link_conf_j", pa.float64())])
-    out = exchange_join(
-        exchange_join(
+    out = join_blocks(
+        join_blocks(
             triples_mat,
             rename_links("subj", "subj_uri", "subj_link_conf"),
             on="subj", how="left_outer", num_partitions=num_partitions,
@@ -615,7 +640,7 @@ def link_entities_join(
         ]
         return pa.table({name: cols[name] for name in order})
 
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return map_blocks(out, finalize).dataset()
 
 
 def validate_triples(batch: pa.Table, rules=()) -> pa.Table:
