@@ -53,7 +53,8 @@ def _arrow(df: pd.DataFrame) -> rd.Dataset:
 def test_materialized_exchange_inputs_start_no_execution(ray_session,
                                                          executions):
     """exchange_join, exchange_agg and keyed_exchange over materialized
-    inputs start no executor run; a lazy source starts exactly one."""
+    inputs start no executor run, also over two sources; a lazy source
+    starts exactly one."""
     from text_to_rdf_ray.stages.exchange import (exchange_agg,
                                                  exchange_join,
                                                  keyed_exchange)
@@ -72,6 +73,20 @@ def test_materialized_exchange_inputs_start_no_execution(ray_session,
     assert keyed.count() == left["k"].nunique() + len(
         set(right["k"]) - set(left["k"]))
     assert projected.count() == len(left.merge(right, on="k"))
+
+    # two materialized sources meet in one exchange with no union run
+    def keys_only(t: pa.Table) -> pa.Table:
+        return t.select(["k"])
+
+    executions[0] = 0
+    both = [(lds, keys_only), (rds, keys_only)]
+    distinct = exchange_agg(both, "k")
+    keyed_two = keyed_exchange(both, "k", lambda t: t)
+    assert executions[0] == 0
+    assert sorted(distinct.to_pandas()["k"]) == sorted(
+        set(left["k"]) | set(right["k"]))
+    assert sorted(keyed_two.to_pandas()["k"]) == sorted(
+        list(left["k"]) + list(right["k"]))
 
     executions[0] = 0
     exchange_join(lds.map_batches(lambda t: t, batch_format="pyarrow"),
@@ -294,5 +309,125 @@ def test_exchanges_finish_at_one_cpu():
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail("the one-CPU exchanges did not finish in 300 s")
+    assert proc.returncode == 0, err[-3000:]
+    assert out.strip().splitlines()[-1] == "OK"
+
+
+_ONE_CPU_SOURCES = textwrap.dedent("""
+    import os
+    import tempfile
+
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import ray
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.analytics import set_op_rows
+    from text_to_rdf_ray.stages.bsp import connected_components_bsp
+    from text_to_rdf_ray.stages.canonicalize import connected_components
+    from text_to_rdf_ray.stages.exchange import exchange_agg
+    from text_to_rdf_ray.stages.graph import pagerank
+    from text_to_rdf_ray.stages.joins import upsert_merge
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+    rd.DataContext.get_current().enable_progress_bars = False
+    tmp = tempfile.mkdtemp()
+
+    def read(df, name):
+        # a read-backed lineage
+        path = os.path.join(tmp, name + ".parquet")
+        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), path)
+        return rd.read_parquet(path).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+    def shuffled(df):
+        # a lineage holding an all-to-all op
+        return rd.from_pandas(df).repartition(2)
+
+    def rows(ds, cols):
+        df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    rng = np.random.default_rng(3)
+    a = pd.DataFrame({"k": rng.integers(0, 300, 2000).astype("int64")})
+    b = pd.DataFrame({"k": rng.integers(150, 450, 1000).astype("int64")})
+    for op, want in (("except", set(a.k) - set(b.k)),
+                     ("intersect", set(a.k) & set(b.k))):
+        got = set_op_rows(read(a, "a"), shuffled(b), cols=["k"], op=op)
+        assert sorted(got.to_pandas()["k"]) == sorted(want), op
+
+    base = pd.DataFrame({"key": np.arange(400, dtype="int64"),
+                         "ts": np.zeros(400, "int64"),
+                         "tb": np.zeros(400, "int64"),
+                         "val": np.arange(400, dtype="int64")})
+    upd = pd.DataFrame({"key": rng.integers(0, 600, 500).astype("int64"),
+                        "ts": rng.integers(0, 3, 500).astype("int64"),
+                        "tb": np.arange(500, dtype="int64"),
+                        "val": np.arange(1000, 1500, dtype="int64")})
+    got = rows(upsert_merge(read(base, "base"), shuffled(upd), key_col="key",
+                            order_col="ts", tiebreak_col="tb"),
+               ["key", "ts", "tb", "val"])
+    both = pd.concat([base.assign(_src=0), upd.assign(_src=1)])
+    want = (both.sort_values(["ts", "_src", "tb"], ascending=False)
+            .groupby("key").head(1).drop(columns=["_src"]))
+    pd.testing.assert_frame_equal(got, rows(want, ["key", "ts", "tb", "val"]),
+                                  check_dtype=False)
+
+    # chains of 5 nodes: components are the chain minima
+    src = np.arange(500, dtype="int64")
+    src = src[src % 5 != 4]
+    fwd = pd.DataFrame({"src": src, "dst": src + 1})
+    rev = pd.DataFrame({"src": src + 1, "dst": src})
+    want = {int(n): int(n) // 5 * 5 for n in range(500)}
+    for labels in (
+            connected_components(
+                shuffled(pd.concat([fwd, rev], ignore_index=True)),
+                driver_threshold=0),
+            connected_components_bsp([read(fwd, "fwd"), shuffled(rev)],
+                                     num_parts=4)[0]):
+        df = labels.to_pandas()
+        assert dict(zip(df.name_id, df.component)) == want
+
+    e = pd.DataFrame({"src": [f"n{i}" for i in rng.integers(0, 80, 400)],
+                      "dst": [f"n{i}" for i in rng.integers(40, 120, 400)]})
+    got = exchange_agg([read(e[["src"]].rename(columns={"src": "node"}),
+                             "src"),
+                        shuffled(e[["dst"]].rename(columns={"dst": "node"}))],
+                       ["node"])
+    assert sorted(got.to_pandas()["node"]) == sorted(set(e.src) | set(e.dst))
+    ranks = pagerank(read(e, "edges").sort("src"), num_partitions=4,
+                     driver_threshold=0).to_pandas()
+    ref = pagerank(rd.from_pandas(e), driver_threshold=10**6).to_pandas()
+    assert set(ranks.node) == set(e.src) | set(e.dst)
+    got = dict(zip(ranks.node, ranks["rank"]))
+    assert all(abs(got[n] - r) < 1e-12 for n, r in zip(ref.node, ref["rank"]))
+    ray.shutdown()
+    print("OK")
+""")
+
+
+def test_source_operators_finish_at_one_cpu():
+    """At one logical CPU, the operators whose exchange takes two
+    sources instead of a union — set_op_rows, upsert_merge, connected
+    components (distributed path, and the BSP edge exchange over two
+    sources) and the PageRank node distinct — finish and match a pandas
+    reference, with one source read-backed and the other holding an
+    all-to-all op.  Runs in its own process, killed with its Ray
+    processes if it has not finished."""
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    proc = subprocess.Popen([sys.executable, "-c", _ONE_CPU_SOURCES],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the one-CPU source operators did not finish in 300 s")
     assert proc.returncode == 0, err[-3000:]
     assert out.strip().splitlines()[-1] == "OK"

@@ -937,18 +937,25 @@ def test_common_neighbors_hub_cap_and_parity(ray_session):
                         "common"].iloc[0]) == 3
 
 
-def test_bsp_tree_combine_parity_all_algorithms(ray_session):
+def test_bsp_tree_combine_parity_all_algorithms(ray_session, monkeypatch):
     """Forced tree combine (two-level exchange) must be BIT-identical to
     the flat P x P exchange for every BSP algorithm — the regroup task
     preserves source-partition concat order, so even float sums agree
-    (VERDICT r4 #2)."""
+    (VERDICT r4 #2).  The tree is forced through the threshold."""
     import pandas as pd
     import ray.data as rd
 
+    from text_to_rdf_ray.stages import bsp
     from text_to_rdf_ray.stages.bsp import (connected_components_bsp,
                                             hits_bsp,
                                             label_propagation_bsp,
                                             pagerank_bsp)
+
+    flat_threshold = bsp.TREE_COMBINE_THRESHOLD
+
+    def force_tree(force: bool) -> None:
+        monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD",
+                            0 if force else flat_threshold)
 
     rng = np.random.RandomState(7)
     src = rng.randint(0, 40, 200).astype(np.int64)
@@ -966,21 +973,23 @@ def test_bsp_tree_combine_parity_all_algorithms(ray_session):
     nodes = pd.DataFrame(
         {"node": pd.unique(pd.concat([e["src"], e["dst"]]).astype(str))})
     n = len(nodes)
+    force_tree(False)
     flat = pagerank_bsp(rd.from_pandas(ef), rd.from_pandas(nodes), n,
-                        iterations=5, damping=0.85, num_parts=5,
-                        tree_combine=False).to_pandas()
+                        iterations=5, damping=0.85,
+                        num_parts=5).to_pandas()
+    force_tree(True)
     tree = pagerank_bsp(rd.from_pandas(ef), rd.from_pandas(nodes), n,
-                        iterations=5, damping=0.85, num_parts=5,
-                        tree_combine=True).to_pandas()
+                        iterations=5, damping=0.85,
+                        num_parts=5).to_pandas()
     assert dict(zip(flat["node"], flat["rank"])) == \
         dict(zip(tree["node"], tree["rank"]))  # exact float equality
 
     # connected components: labels + round count
     undi = und.astype({"src": "int64", "dst": "int64"})
-    lf, rf = connected_components_bsp(rd.from_pandas(undi), num_parts=5,
-                                      tree_combine=False)
-    lt, rt = connected_components_bsp(rd.from_pandas(undi), num_parts=5,
-                                      tree_combine=True)
+    force_tree(False)
+    lf, rf = connected_components_bsp(rd.from_pandas(undi), num_parts=5)
+    force_tree(True)
+    lt, rt = connected_components_bsp(rd.from_pandas(undi), num_parts=5)
     lf, lt = lf.to_pandas(), lt.to_pandas()
     assert dict(zip(lf["name_id"], lf["component"])) == \
         dict(zip(lt["name_id"], lt["component"]))
@@ -988,20 +997,24 @@ def test_bsp_tree_combine_parity_all_algorithms(ray_session):
 
     # LPA: labels
     lund = und.rename(columns={"src": "node", "dst": "nbr"})
+    force_tree(False)
     pf = label_propagation_bsp(rd.from_pandas(lund), iterations=3,
-                               num_parts=5, tree_combine=False).to_pandas()
+                               num_parts=5).to_pandas()
+    force_tree(True)
     pt = label_propagation_bsp(rd.from_pandas(lund), iterations=3,
-                               num_parts=5, tree_combine=True).to_pandas()
+                               num_parts=5).to_pandas()
     assert dict(zip(pf["node"], pf["lbl"])) == \
         dict(zip(pt["node"], pt["lbl"]))
 
     # HITS: float hub/auth scores must be bit-equal
     eo = e.rename(columns={"src": "node", "dst": "_o"})
     ei = e.rename(columns={"dst": "node", "src": "_o"})[["node", "_o"]]
+    force_tree(False)
     hf, af = hits_bsp(rd.from_pandas(eo), rd.from_pandas(ei),
-                      iterations=3, num_parts=5, tree_combine=False)
+                      iterations=3, num_parts=5)
+    force_tree(True)
     ht, at = hits_bsp(rd.from_pandas(eo), rd.from_pandas(ei),
-                      iterations=3, num_parts=5, tree_combine=True)
+                      iterations=3, num_parts=5)
     assert dict(zip(hf.to_pandas()["node"], hf.to_pandas()["s"])) == \
         dict(zip(ht.to_pandas()["node"], ht.to_pandas()["s"]))
     assert dict(zip(af.to_pandas()["node"], af.to_pandas()["s"])) == \
@@ -1032,15 +1045,18 @@ def test_two_phase_reduce_sized_parts_rule():
         prev = p
 
 
-def test_bsp_fan_plan_object_counts():
+def test_bsp_fan_plan_object_counts(monkeypatch):
     """Plan math: auto threshold, full partition coverage, and the
     O(P^1.5) object-count bound the tree combine exists for."""
+    from text_to_rdf_ray.stages import bsp
     from text_to_rdf_ray.stages.bsp import (TREE_COMBINE_THRESHOLD,
                                             _fan_plan)
 
     assert _fan_plan(512) is None          # at threshold: flat
     assert _fan_plan(1) is None
-    assert _fan_plan(4, tree_combine=True) == (2, 2)
+    with monkeypatch.context() as m:
+        m.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+        assert _fan_plan(4) == (2, 2)
     for P in (513, 1000, 4096):
         gsz, G = _fan_plan(P)
         # every partition owned by exactly one group slot
@@ -1153,8 +1169,67 @@ def test_bsp_auto_tree_mode_above_threshold(ray_session):
     assert rb == rs
 
 
+def test_partition_placement_is_pinned(ray_session):
+    """Rows land where the split laws put them, flat (P=5) and through
+    the tree combine (P=513): each row of the BSP initial exchange in
+    partition ``_key_hash(key) % P`` taken in uint64, each row of
+    ``_partition`` in ``col % P``.  Keys include hashes at or above
+    2**63, whose residue changes if the hash is cast to int64 first.  A
+    placement change would let a BSP checkpoint stamped with hash
+    version 2 resume into another co-partitioning without any error.
+    An empty input still gives P typed partitions."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.exchange import _KEY_HASH_VERSION, _key_hash
+
+    assert bsp._CKPT_FORMAT == 1 and _KEY_HASH_VERSION == 2
+    keys = np.arange(-3000, 3000, 7, dtype=np.int64)
+    tbl = pa.table({"k": pa.array(keys),
+                    "v": pa.array(np.arange(len(keys), dtype=np.int64))})
+    h = _key_hash(tbl, ["k"])
+    big = h >= np.uint64(2**63)
+    assert big.any() and (~big).any()
+    assert ((h.astype(np.int64) % 5)
+            != (h % np.uint64(5)).astype(np.int64)).any()
+    assert int(np.uint64(2**63 + 5) % np.uint64(5)) == 3
+    col = pa.table({"c": pa.array((h >> np.uint64(1)).astype(np.int64)),
+                    "v": tbl.column("v")})
+    ds = rd.from_arrow([tbl.slice(0, 300), tbl.slice(300)]).materialize()
+    cds = rd.from_arrow([col.slice(0, 300), col.slice(300)]).materialize()
+    for P in (5, 513):
+        assert (bsp._fan_plan(P) is None) == (P == 5)
+        parts = ray.get(bsp.dataset_to_part_refs(ds, "k", P, tbl.schema))
+        assert len(parts) == P
+        for q, t in enumerate(parts):
+            assert t.schema.equals(tbl.schema)
+            assert (_key_hash(t, ["k"]) % np.uint64(P)
+                    == np.uint64(q)).all()
+        assert sum(t.num_rows for t in parts) == len(keys)
+
+        dest, _, _ = bsp._partition([(cds, None)], "c", num_parts=P,
+                                    max_parts=P)
+        assert len(dest) == P
+        n = 0
+        for q, refs in enumerate(dest):
+            for t in ray.get(refs):
+                v = t.column("c").to_numpy()
+                assert (v % P == q).all()
+                n += len(v)
+        assert n == len(keys)
+
+    empty = ray.get(bsp.dataset_to_part_refs(
+        rd.from_arrow(tbl.schema.empty_table()), "k", 5, tbl.schema))
+    assert len(empty) == 5
+    assert all(t.num_rows == 0 and t.schema.equals(tbl.schema)
+               for t in empty)
+
+
 def test_bsp_small_p_forced_tree_and_ckpt_partition_guard(ray_session,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          monkeypatch):
     """Review r5 regressions: (a) forced tree at P=2 falls back to flat
     (a one-group tree would break the bare-ref fan contract); (b)
     resuming a checkpoint at a different partition count raises instead
@@ -1165,15 +1240,18 @@ def test_bsp_small_p_forced_tree_and_ckpt_partition_guard(ray_session,
     import pytest
     import ray.data as rd
 
+    from text_to_rdf_ray.stages import bsp
     from text_to_rdf_ray.stages.bsp import (_fan_plan,
                                             connected_components_bsp)
 
-    assert _fan_plan(2, tree_combine=True) is None
-    assert _fan_plan(3, tree_combine=True) == (2, 2)
+    with monkeypatch.context() as m:
+        m.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)  # force the tree
+        assert _fan_plan(2) is None
+        assert _fan_plan(3) == (2, 2)
 
-    e = pd.DataFrame({"src": [1, 2, 2, 3], "dst": [2, 1, 3, 2]})
-    lbl, _ = connected_components_bsp(rd.from_pandas(e), num_parts=2,
-                                      tree_combine=True)  # flat fallback
+        e = pd.DataFrame({"src": [1, 2, 2, 3], "dst": [2, 1, 3, 2]})
+        lbl, _ = connected_components_bsp(rd.from_pandas(e),
+                                          num_parts=2)  # flat fallback
     df = lbl.to_pandas()
     assert set(df.component) == {1}
 

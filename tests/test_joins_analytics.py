@@ -486,11 +486,12 @@ def test_exchange_agg_matches_pandas_groupby(ray_session):
         set(map(tuple, want[["k1", "k2"]].itertuples(index=False)))
 
 
-def test_two_phase_reduce_matches_dataset_form(ray_session):
+def test_two_phase_reduce_matches_dataset_form(ray_session, monkeypatch):
     """two_phase_reduce must equal the groupby(p1)->groupby(p2) Dataset
     formulation for a salted min-reduce."""
     import pyarrow as pa
 
+    from text_to_rdf_ray.stages import bsp
     from text_to_rdf_ray.stages.bsp import two_phase_reduce
 
     rng = np.random.RandomState(11)
@@ -524,8 +525,8 @@ def test_two_phase_reduce_matches_dataset_form(ray_session):
 
     # forced tree combine (the >512-part object-count path) must be
     # bit-identical to the flat exchange
-    gt = (two_phase_reduce(ds, "p1", "p2", r1, r2, num_parts=8,
-                           tree_combine=True).to_pandas()
+    monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+    gt = (two_phase_reduce(ds, "p1", "p2", r1, r2, num_parts=8).to_pandas()
           .sort_values("key").reset_index(drop=True))
     assert (gt["key"].to_numpy() == w["key"].to_numpy()).all()
     assert (gt["val"].to_numpy() == w["val"].to_numpy()).all()

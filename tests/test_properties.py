@@ -204,26 +204,40 @@ def test_tree_split_reconstructs_flat_split(P, keys):
     map split (group buckets) followed by the per-member re-filter is
     row-identical to the flat per-partition split — the invariant the
     bit-exactness of the BSP tree combine rests on."""
+    from unittest import mock
+
     import numpy as np
     import pyarrow as pa
 
+    from text_to_rdf_ray.stages import bsp
     from text_to_rdf_ray.stages.bsp import _fan_plan, _split
     from text_to_rdf_ray.stages.exchange import _key_hash
 
     tbl = pa.table({"k": pa.array(keys, pa.int64()),
                     "v": pa.array(range(len(keys)), pa.int64())})
-    plan = _fan_plan(P, tree_combine=True)
-    if plan is None:  # P <= 1 never happens here
+    # force the tree, as a run past TREE_COMBINE_THRESHOLD takes it
+    with mock.patch.object(bsp, "TREE_COMBINE_THRESHOLD", 0):
+        plan = _fan_plan(P)
+    if plan is None:  # P=2: one group, the exchange stays flat
         return
     gsz, G = plan
-    flat = _split(tbl, ["k"], P)
-    grouped = _split(tbl, ["k"], P, gsz)
-    assert len(grouped) == G
-    h = (_key_hash(tbl, ["k"]) % np.uint64(P)).astype(np.int64)
-    for j, gtbl in enumerate(grouped):
-        gh = (_key_hash(gtbl, ["k"]) % np.uint64(P)).astype(np.int64)
-        for q in range(j * gsz, min((j + 1) * gsz, P)):
-            member = gtbl.filter(pa.array(gh == q))
-            assert member.equals(flat[q])  # rows AND order identical
+    # three source blocks, split flat and into groups as map tasks do
+    n = tbl.num_rows
+    blocks = [tbl.slice(0, n // 3), tbl.slice(n // 3, n // 3),
+              tbl.slice(2 * (n // 3))]
+    flat = [_split(b, ["k"], P) for b in blocks]
+    grouped = [_split(b, ["k"], P, gsz) for b in blocks]
+    assert all(len(g) == G for g in grouped)
+    for j in range(G):
+        members = range(j * gsz, min((j + 1) * gsz, P))
+        # the regroup task's body over group j's slices, in source order
+        out = bsp._regroup_task._function(j, gsz, P, ["k"],
+                                          *[g[j] for g in grouped])
+        out = (out,) if len(members) == 1 else out
+        for q, member in zip(members, out):
+            want = pa.concat_tables([f[q] for f in flat])
+            assert member.equals(want)  # rows AND order identical
+            h = _key_hash(member, ["k"]) % np.uint64(P)
+            assert (h == np.uint64(q)).all()
     # every row lands in exactly one group
-    assert sum(t.num_rows for t in grouped) == tbl.num_rows
+    assert sum(t.num_rows for g in grouped for t in g) == tbl.num_rows

@@ -7,7 +7,8 @@ at Dataset scale: TP = semi join on (subj, pred, obj), FP/FN = anti joins
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
 
 import ray.data as rd
 
@@ -29,31 +30,27 @@ def evaluate_datasets(
     s, p, o = cols
 
     def tag(side):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {
-                    case_col: batch[case_col],
-                    "s": batch[s],
-                    "p": batch[p],
-                    "o": batch[o],
-                }
-            )
-            out["pred_n"] = 1 if side == "pred" else 0
-            out["exp_n"] = 1 if side == "exp" else 0
-            return out
+        def fn(batch: pa.Table) -> pa.Table:
+            n = len(batch)
+            return pa.table({
+                case_col: batch.column(case_col),
+                "s": batch.column(s),
+                "p": batch.column(p),
+                "o": batch.column(o),
+                "pred_n": pa.array(np.full(n, side == "pred", np.int64)),
+                "exp_n": pa.array(np.full(n, side == "exp", np.int64)),
+            })
 
         return fn
 
-    tagged = predicted.map_batches(tag("pred"), batch_format="pandas").union(
-        expected.map_batches(tag("exp"), batch_format="pandas")
-    )
+    # the two sides are the exchange's two sources, tagged in the tasks
+    # that split their blocks
+    tagged = [(predicted, tag("pred")), (expected, tag("exp"))]
 
     # one hash exchange per reduce, vectorized across keys — NOT one
     # Python map_groups call per (case, s, p, o) triple (the Ray 2.49
     # per-key pathology; large eval corpora have millions of triples)
     from ..stages.exchange import exchange_agg
-
-    import pyarrow as pa
 
     per_triple = exchange_agg(
         tagged, [case_col, "s", "p", "o"],

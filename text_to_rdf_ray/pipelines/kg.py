@@ -135,6 +135,7 @@ def build_triples(
     if canonicalize:
         import pyarrow.compute as pc
 
+        from ..stages.bsp import map_blocks
         from ..stages.canonicalize import canonicalize_local
 
         ds = ds.materialize()
@@ -145,16 +146,17 @@ def build_triples(
         # the hash-exchange a global distinct would cost.  Only when the
         # upper bound exceeds the threshold does the distributed
         # distinct (hash exchange; Ray's groupby().count() reduces per
-        # key in Python — 153s vs <2s at 48k keys) run.
-        comb = ds.map_batches(
-            _surface_rows, batch_format="pyarrow").materialize()
+        # key in Python — 153s vs <2s at 48k keys) run.  Raw tasks over
+        # the materialized blocks: no Ray Data execution.
+        comb = map_blocks(ds, _surface_rows)
         from ..stages.canonicalize import DEFAULT_TAU
 
         tau = DEFAULT_TAU if canonicalize_tau is None else canonicalize_tau
-        if comb.count() <= canonicalize_local_threshold:
+        if comb.num_rows() <= canonicalize_local_threshold:
             # small distinct-surface set: identical LSH+union-find
             # semantics computed driver-side (broadcast-small-side path)
-            surfaces = sorted({r["surface"] for r in comb.take_all()})
+            surfaces = sorted({v for t in ray.get(comb.refs)
+                               for v in t.column("surface").to_pylist()})
             mapping = canonicalize_local(surfaces, tau=tau)
             if mapping:
                 ds = apply_canonical_map(ds, mapping)
@@ -165,20 +167,18 @@ def build_triples(
             from ..stages.canonicalize import apply_canonical_join
 
             cmap = canonicalize_surfaces(surfaces_ds, tau=tau)
-            changed = cmap.map_batches(
-                lambda t: t.filter(
-                    pc.invert(pc.equal(t.column("surface"), t.column("canonical")))
-                ),
-                batch_format="pyarrow",
-            ).materialize()
-            n_changed = changed.count()
+            changed = map_blocks(cmap, lambda t: t.filter(
+                pc.invert(pc.equal(t.column("surface"), t.column("canonical")))))
+            n_changed = changed.num_rows()
             if n_changed > canonical_map_join_threshold:
                 # mapping too large to broadcast: hash-partitioned join
                 # rewrite (same output contract as the broadcast map)
                 ds = apply_canonical_join(ds, changed)
             elif n_changed:
                 # only actually-merged surfaces come back to the driver
-                mapping = {r["surface"]: r["canonical"] for r in changed.take_all()}
+                mapping = {s: c for t in ray.get(changed.refs)
+                           for s, c in zip(t.column("surface").to_pylist(),
+                                           t.column("canonical").to_pylist())}
                 ds = apply_canonical_map(ds, mapping)
     if validate:
         # capture registered custom rules at graph-construction time (the

@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .exchange import keyed_apply
+from .exchange import keyed_apply, pandas_block
 
 
 def topk_per_group(
@@ -304,8 +304,9 @@ def set_op_rows(
     — the shuffle form of the set ops, for right sides too large to
     broadcast through ``joins.py::semi_join_filter``.
 
-    Per-batch drop_duplicates combiner on BOTH sides (shuffle volume is
-    per-batch-distinct, not raw rows), each side tagged, ONE key-hash
+    Per-block drop_duplicates combiner on BOTH sides, run in the tasks
+    that split their blocks (shuffle volume is per-block-distinct, not
+    raw rows), each side tagged, ONE key-hash
     ``keyed_apply`` over ``cols``, then a vectorized per-partition
     pandas merge-indicator reduce — identical rows land in the same
     partition, so membership is decided locally.
@@ -327,10 +328,9 @@ def set_op_rows(
         keep = "left_only" if op == "except" else "both"
         return m[m["_merge"] == keep][cols]
 
-    u = (left.map_batches(combine(0), batch_format="pandas", batch_size=65536)
-         .union(right.map_batches(combine(1), batch_format="pandas",
-                                  batch_size=65536)))
-    return keyed_apply(u, cols, reduce_part, num_partitions=num_partitions)
+    return keyed_apply([(left, pandas_block(combine(0))),
+                        (right, pandas_block(combine(1)))],
+                       cols, reduce_part, num_partitions=num_partitions)
 
 
 def splitmix64(ids: np.ndarray) -> np.ndarray:
@@ -1975,7 +1975,7 @@ def khop_reach(
         if new.count() == 0:
             break
         levels.append(new.map_batches(stamp(lvl), batch_format="pyarrow"))
-        visited = exchange_agg(visited.union(new), ["node"]).materialize()
+        visited = exchange_agg([visited, new], ["node"])
         frontier = new
     out = levels[0]
     for p in levels[1:]:

@@ -21,6 +21,12 @@ also serve one-shot exchanges sized to their input: ``exchange_blocks``
 ``keyed_exchange``) and ``two_phase_reduce`` (the salted dedup and LSH
 pair exchanges).
 
+Every exchange has one split law (:func:`_part_ids`): a row goes to
+partition ``col % P`` of an int partition column, or ``_key_hash(keys)
+% P`` of its key columns.  One splitter (:func:`_split`) runs it in the
+map tasks, one regroup task in the tree combine, and one route
+(:func:`_route`) wires the two.
+
 Partitioning assumptions / scale shape:
 - edges are hash-partitioned on src; per-node state on the same hash,
   so the edge-state join inside a task is complete without probing
@@ -35,8 +41,7 @@ Partitioning assumptions / scale shape:
   row order as the flat exchange and stays bit-identical — and
   re-splits into the group's member partitions.  Objects per phase:
   P*G + P = O(P^1.5) instead of P^2 (P=4096: ~266k vs 16.8M).
-  ``tree_combine=True/False`` on each algorithm forces the mode for
-  parity tests.
+  Parity tests force the tree by lowering ``TREE_COMBINE_THRESHOLD``.
 - partition refs live in the object store and spill like any block;
   nothing materializes on the driver except O(num_parts) scalars per
   round (convergence sums).
@@ -44,6 +49,7 @@ Partitioning assumptions / scale shape:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -54,173 +60,118 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .exchange import _KEY_HASH_VERSION, _key_hash
+from .exchange import _KEY_HASH_VERSION, _key_hash, _sources
 
 
-#: above this partition count a phase exchange switches from the flat
-#: P x P split to the two-level tree combine (see module docstring)
+#: above this partition count an exchange switches from the flat P x P
+#: split to the two-level tree combine (see module docstring)
 TREE_COMBINE_THRESHOLD = 512
 
 
-def _fan_plan(num_parts: int,
-              tree_combine: bool | None = None) -> tuple[int, int] | None:
-    """(group_size, n_groups) for the tree combine, or None for the flat
-    exchange.  ``tree_combine`` forces the mode; None = auto by
-    ``TREE_COMBINE_THRESHOLD``."""
+def _fan_plan(num_parts: int) -> tuple[int, int] | None:
+    """(group_size, n_groups) for the tree combine past
+    ``TREE_COMBINE_THRESHOLD`` partitions, else None (flat exchange)."""
     import math
 
-    if tree_combine is False or num_parts <= 1:
-        return None
-    if tree_combine is None and num_parts <= TREE_COMBINE_THRESHOLD:
+    if num_parts <= max(1, TREE_COMBINE_THRESHOLD):
         return None
     gsz = math.ceil(math.sqrt(num_parts))
     n_groups = math.ceil(num_parts / gsz)
     if n_groups <= 1:
-        # P=2 forced: one group == a pointless full concat, and fan==1
-        # would break the bare-ref num_returns contract — stay flat
+        # P=2: one group == a pointless full concat, and fan==1 would
+        # break the bare-ref num_returns contract — stay flat
         return None
     return gsz, n_groups
 
 
-def _empty_like(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
+def _part_ids(tbl: pa.Table, law, num_parts: int) -> np.ndarray:
+    """Each row's partition under the split ``law``: an int partition
+    column's name (``v % P``) or a list of key columns (their uint64
+    :func:`~.exchange._key_hash` ``% P``, taken before the int64 cast so
+    a hash at or above 2**63 keeps its residue)."""
+    if isinstance(law, str):
+        v = tbl.column(law).to_numpy(zero_copy_only=False).astype(np.int64)
+        return v % num_parts
+    return (_key_hash(tbl, law) % np.uint64(num_parts)).astype(np.int64)
 
 
-def _rets(out: tuple, num_parts: int):
-    """num_returns=1 does not unpack a returned tuple: hand back the bare
-    element when there is only one partition."""
-    return out[0] if num_parts == 1 else out
-
-
-def _split(tbl: pa.Table, key_cols: list[str], num_parts: int,
-           group_size: int | None = None) -> tuple:
-    """Hash split into num_parts partitions — or, with ``group_size``,
-    into ceil(num_parts/group_size) GROUP buckets where group j owns
-    partitions [j*group_size, (j+1)*group_size) (the tree-combine map
-    side; the per-partition hash is identical, only the bucketing
-    coarsens, so regroup + member filter reproduces the flat split
-    exactly)."""
-    h = (_key_hash(tbl, key_cols) % np.uint64(num_parts)).astype(np.int64)
-    if group_size is None:
-        return tuple(tbl.filter(pa.array(h == p))
-                     for p in range(num_parts))
-    b = h // group_size
-    fan = -(-num_parts // group_size)
-    return tuple(tbl.filter(pa.array(b == j)) for j in range(fan))
+def _split(tbl: pa.Table, law, num_parts: int, gsz: int | None = None):
+    """Split ``tbl`` by ``law`` into ``num_parts`` partitions — or, with
+    ``gsz``, into ceil(num_parts/gsz) GROUP buckets where group j owns
+    partitions [j*gsz, (j+1)*gsz) (the tree-combine map side: the
+    partition id is the same, only the bucketing coarsens, so regroup +
+    member filter reproduces the flat split exactly).  Returned as a
+    task's ``num_returns`` value: a tuple, or the bare table when there
+    is one bucket."""
+    fan = num_parts if gsz is None else -(-num_parts // gsz)
+    if fan == 1:
+        return tbl
+    ids = _part_ids(tbl, law, num_parts)
+    if gsz is not None:
+        ids = ids // gsz
+    return tuple(tbl.filter(pa.array(ids == j)) for j in range(fan))
 
 
 @ray.remote
-def _regroup_task(j: int, gsz: int, num_parts: int, key_cols: list[str],
-                  schema: pa.Schema, *slices: pa.Table):
+def _map_split_task(fn, law, num_parts: int, gsz: int | None, *args):
+    """The map side of every exchange: ``fn(*args)`` (a BSP phase step,
+    a source block's prologue, a two-phase middle reduce) split by
+    ``law`` (:func:`_split`)."""
+    return _split(fn(*args), law, num_parts, gsz)
+
+
+@ray.remote
+def _regroup_task(j: int, gsz: int, num_parts: int, law, *slices: pa.Table):
     """Tree-combine middle level: concatenate group j's slices from every
-    source partition (IN SOURCE ORDER — downstream reductions then see
-    the same row order as the flat exchange, keeping float sums
-    bit-identical) and split into the group's member partitions."""
-    members = list(range(j * gsz, min((j + 1) * gsz, num_parts)))
-    live = [t for t in slices if t is not None and t.num_rows]
-    if not live:
-        out = tuple(_empty_like(schema) for _ in members)
-    else:
-        cat = pa.concat_tables(live).combine_chunks()
-        h = (_key_hash(cat, key_cols)
-             % np.uint64(num_parts)).astype(np.int64)
-        out = tuple(cat.filter(pa.array(h == q)) for q in members)
-    return out[0] if len(members) == 1 else out
+    map task (IN SOURCE ORDER — downstream reductions then see the same
+    row order as the flat exchange, keeping float sums bit-identical)
+    and split them into the group's member partitions."""
+    members = range(j * gsz, min((j + 1) * gsz, num_parts))
+    cat = _concat(slices, None).combine_chunks()
+    ids = _part_ids(cat, law, num_parts)
+    out = tuple(cat.filter(pa.array(ids == q)) for q in members)
+    return out[0] if len(out) == 1 else out
 
 
-def _route(task_refs: list, num_parts: int,
-           plan: tuple[int, int] | None, submit_regroup) -> list[list]:
-    """Shared tree/flat routing for one phase's fanned map outputs.
-
-    ``task_refs``: one entry per source — a tuple of refs of length fan
-    (P flat / G tree), or the bare ref when fan == 1.
-    ``submit_regroup(j, n_members, slices)``: submits the middle-level
-    regroup task for group j (hash- or mod-split law — the ONLY thing
-    that differs between the two exchange flavors).  Returns
-    ``dest[q]`` = list of partial refs for partition q (one per source
-    in flat mode, exactly 1 in tree mode)."""
+def _route(maps: list, law, num_parts: int) -> list[list]:
+    """One exchange: a :func:`_map_split_task` per ``(fn, args)`` of
+    ``maps`` splits ``fn(*args)`` by ``law`` into ``num_parts``
+    partitions — flat, or past ``TREE_COMBINE_THRESHOLD`` through one
+    :func:`_regroup_task` per destination group.  Returns ``dest[q]``,
+    the refs of partition q's slices (one per map task in flat mode,
+    exactly 1 in tree mode, none when ``maps`` is empty)."""
     P = num_parts
+    if not maps:
+        return [[] for _ in range(P)]
+    plan = _fan_plan(P)
+    fan, gsz = (P, None) if plan is None else (plan[1], plan[0])
+    refs = [_map_split_task.options(num_returns=fan).remote(
+                fn, law, P, gsz, *args) for fn, args in maps]
     if plan is None:
-        refs = [[r] for r in task_refs] if P == 1 else task_refs
-        return [[refs[p][q] for p in range(len(refs))] for q in range(P)]
-    gsz, n_groups = plan
+        refs = [[r] for r in refs] if P == 1 else refs
+        return [[r[q] for r in refs] for q in range(P)]
     mids: list[list] = []
-    for j in range(n_groups):
+    for j in range(fan):
         n_members = min((j + 1) * gsz, P) - j * gsz
-        m = submit_regroup(
-            j, n_members,
-            [task_refs[p][j] for p in range(len(task_refs))])
+        m = _regroup_task.options(num_returns=n_members).remote(
+            j, gsz, P, law, *[r[j] for r in refs])
         mids.append([m] if n_members == 1 else list(m))
     return [[mids[q // gsz][q % gsz]] for q in range(P)]
 
 
-def _phase_exchange(task_refs: list, num_parts: int,
-                    plan: tuple[int, int] | None,
-                    key_cols: list[str], schema: pa.Schema) -> list[list]:
-    """:func:`_route` with the hash-split regroup (BSP phase law)."""
-    gsz = plan[0] if plan else None
-    return _route(
-        task_refs, num_parts, plan,
-        lambda j, n, slices: _regroup_task.options(num_returns=n).remote(
-            j, gsz, num_parts, key_cols, schema, *slices))
-
-
-@ray.remote
-def _split_task(tbl: pa.Table, key_cols: list[str], num_parts: int,
-                schema: pa.Schema, gsz: int | None = None):
-    # map_groups lineages can emit empty zero-COLUMN blocks (Ray 2.49
-    # artifact); replace them with typed empties so downstream phases
-    # always see the declared schema
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    if tbl.num_rows == 0 or any(c not in tbl.column_names for c in key_cols):
-        out = tuple(_empty_like(schema) for _ in range(fan))
-    else:
-        out = _split(tbl.select(schema.names), key_cols, num_parts, gsz)
-    # num_returns=1 does NOT unpack a returned tuple — the single object
-    # must be the bare table
-    return out[0] if fan == 1 else out
-
-
-@ray.remote
-def _concat_task(schema: pa.Schema, *tbls: pa.Table) -> pa.Table:
-    live = [t for t in tbls if t is not None and t.num_rows]
-    if not live:
-        return _empty_like(schema)
-    return pa.concat_tables(live).combine_chunks()
-
-
 def dataset_to_part_refs(
-    ds: rd.Dataset, key_cols: list[str] | str, num_parts: int,
-    schema: pa.Schema, tree_combine: bool | None = None,
+    ds, key_cols: list[str] | str, num_parts: int, schema: pa.Schema,
 ) -> list[ray.ObjectRef]:
-    """One raw-task hash exchange: Dataset blocks -> ``num_parts``
-    object-store refs of Arrow tables partitioned on ``key_cols``.
-
-    The input dataset is materialized (its blocks become the map side);
-    the returned refs are the stationary partitions every subsequent
-    BSP phase reads in place.  Past ``TREE_COMBINE_THRESHOLD``
-    partitions this initial exchange trees too (B*sqrt(P) + P objects
-    instead of B*P — with B ~ input-size/block-size, the B*P term is
-    the larger blowup at real scale).
-    """
+    """The BSP initial exchange: ``ds`` (a Dataset, or sources as
+    :func:`hash_exchange` takes them) as ``num_parts`` object-store refs
+    of ``schema`` tables, partitioned on the hash of ``key_cols`` — the
+    stationary partitions every later BSP phase reads in place.  An
+    empty input gives ``num_parts`` typed empty partitions."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    blocks = ds.materialize().to_arrow_refs()
-    if not blocks:
-        empty = ray.put(_empty_like(schema))
-        return [empty for _ in range(num_parts)]
-    plan = _fan_plan(num_parts, tree_combine)
-    fan = num_parts if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    splits = [
-        _split_task.options(num_returns=fan).remote(
-            b, key_cols, num_parts, schema, gsz)
-        for b in blocks
-    ]
-    dest = _phase_exchange(splits, num_parts, plan, key_cols, schema)
-    return [
-        _concat_task.remote(schema, *dest[p])
-        for p in range(num_parts)
-    ]
+    dest, fns, schema = _partition(_sources(ds), key_cols,
+                                   num_parts=num_parts, max_parts=num_parts,
+                                   schema=schema)
+    return [_reduce_task.remote(None, schema, fns, *d)[0] for d in dest]
 
 
 def _as_table(tbl, schema: pa.Schema | None) -> pa.Table:
@@ -260,85 +211,27 @@ def _prep(tbl, fn, schema: pa.Schema | None) -> pa.Table:
     return _as_table(tbl, schema)
 
 
-@ray.remote
-def _split_col_task(tbl: pa.Table, col: str, num_parts: int,
-                    gsz: int | None = None,
-                    schema: pa.Schema | None = None, fn=None):
-    """Split a block by an int partition column — into partitions
-    (``v % P``), or into tree-combine groups (``(v % P) // gsz``) when
-    ``gsz`` is given.  ``fn``, the source's block function, runs first
-    and may compute the column."""
-    tbl = _prep(tbl, fn, schema)
-    v = tbl.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-    if gsz is None:
-        return tuple(tbl.filter(pa.array(v % num_parts == p))
-                     for p in range(num_parts))
-    b = (v % num_parts) // gsz
-    fan = -(-num_parts // gsz)
-    return tuple(tbl.filter(pa.array(b == j)) for j in range(fan))
-
-
-@ray.remote
-def _mod_regroup_task(j: int, gsz: int, num_parts: int, col: str,
-                      *slices: pa.Table):
-    """Tree-combine middle level for MOD-partitioned columns (the
-    two_phase_reduce split law): concat group j's slices in source
-    order, re-split into member partitions by ``v % P``."""
-    members = list(range(j * gsz, min((j + 1) * gsz, num_parts)))
-    live = [t for t in slices if t is not None and t.num_rows]
-    if not live:
-        out = tuple(slices[0].slice(0, 0) for _ in members)
-    else:
-        cat = pa.concat_tables(live).combine_chunks()
-        v = cat.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-        out = tuple(cat.filter(pa.array(v % num_parts == q))
-                    for q in members)
-    return out[0] if len(members) == 1 else out
-
-
-def _mod_exchange(task_refs: list, num_parts: int,
-                  plan: tuple[int, int] | None, col: str) -> list[list]:
-    """:func:`_route` with the mod-split regroup (two_phase_reduce law)."""
-    gsz = plan[0] if plan else None
-    return _route(
-        task_refs, num_parts, plan,
-        lambda j, n, slices: _mod_regroup_task.options(
-            num_returns=n).remote(j, gsz, num_parts, col, *slices))
-
-
-@ray.remote
-def _reduce_split_task(reduce_fn, col: str, num_parts: int,
-                       gsz: int | None, fns, *tbls: pa.Table):
-    """Concat one partition's slices, reduce, and re-split the result by
-    the NEXT phase's partition column — the middle stage of a two-phase
-    exchange fused into one task (``gsz``: split into tree-combine
-    groups instead of partitions; ``fns`` as in :func:`_reduce_task`)."""
+def _reduce_slices(reduce_fn, schema: pa.Schema | None, fns,
+                   *tbls) -> pa.Table:
+    """One partition's slices concatenated (:func:`_concat`) and reduced
+    by ``reduce_fn`` (None: kept as they are).  ``fns`` (P=1: the
+    unsplit source blocks) holds each block's block function, still to
+    run."""
     if fns is not None:
-        tbls = tuple(_prep(t, f, None) for t, f in zip(tbls, fns))
-    red = reduce_fn(_concat(tbls, None))
-    if num_parts == 1:
-        return red
-    v = red.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-    if gsz is None:
-        return tuple(red.filter(pa.array(v % num_parts == q))
-                     for q in range(num_parts))
-    b = (v % num_parts) // gsz
-    fan = -(-num_parts // gsz)
-    return tuple(red.filter(pa.array(b == j)) for j in range(fan))
+        tbls = tuple(_prep(t, f, schema) for t, f in zip(tbls, fns))
+    out = _concat(tbls, schema)
+    return out if reduce_fn is None else reduce_fn(out)
 
 
 @ray.remote(num_returns=2)
 def _reduce_task(reduce_fn, schema: pa.Schema | None, fns,
                  *tbls: pa.Table) -> tuple[pa.Table, tuple]:
-    """Reduce one partition's slices; ``fns`` (P=1: the unsplit source
-    blocks) holds each block's block function, still to run.  Returns
+    """Reduce one partition's slices (:func:`_reduce_slices`).  Returns
     the block and its ``(rows, bytes, schema)``, the two refs of a
     :class:`Blocks` entry."""
     from ray.data.block import BlockAccessor
 
-    if fns is not None:
-        tbls = tuple(_prep(t, f, schema) for t, f in zip(tbls, fns))
-    out = reduce_fn(_concat(tbls, schema))
+    out = _reduce_slices(reduce_fn, schema, fns, *tbls)
     acc = BlockAccessor.for_block(out)
     return out, (acc.num_rows(), acc.size_bytes(), acc.schema())
 
@@ -449,25 +342,24 @@ def _fn_schema(src, fn, first: list) -> pa.Schema | None:
 
 def _partition(
     sources: list[tuple[object, object]],
-    part_col: str,
+    law,
     *,
     num_parts: int | None,
     max_parts: int,
-    tree_combine: bool | None = None,
     schema: pa.Schema | None = None,
     derive_schema: bool = True,
-) -> tuple[int, tuple[int, int] | None, list[list], list | None,
-           pa.Schema | None]:
+) -> tuple[list[list], list | None, pa.Schema | None]:
     """The shared first exchange phase over ``sources``, each a
     ``(source, block_fn)`` pair whose source is a Dataset or the
     :class:`Blocks` of an earlier exchange: size P, and split every
-    non-empty block by ``part_col % P``.
+    non-empty block by ``law`` (:func:`_part_ids`: an int partition
+    column, or a list of key columns to hash).
 
     A ``block_fn`` (None: none) maps one source block, as an Arrow
-    table, to the rows the exchange moves, ``part_col`` included: the
-    prologue (join padding, key tagging, a combiner) runs in the split
-    task, not in a Ray Data map in front of the exchange.  Each Dataset
-    source is materialized on its own, never as one union: one
+    table, to the rows the exchange moves, a ``law`` column included:
+    the prologue (join padding, key tagging, a combiner) runs in the
+    split task, not in a Ray Data map in front of the exchange.  Each
+    Dataset source is materialized on its own, never as one union: one
     execution over two lineages, a read-backed one and one holding an
     all-to-all op, hangs a one-CPU cluster.  An already materialized
     source, or a ``Blocks`` one, costs no executor run.  Zero-row blocks
@@ -479,10 +371,11 @@ def _partition(
     one partition per ``DataContext.target_min_block_size`` of source
     blocks within ``[1, max_parts]`` (:func:`sized_parts`).
 
-    Returns ``(P, plan, dest, fns, schema)`` with ``dest[q]`` the refs
-    of partition q's slices.  At P=1 the source blocks go to the one
-    reduce task unsplit, with their block functions in ``fns`` (None
-    when no source has one)."""
+    Returns ``(dest, fns, schema)`` with ``dest[q]`` the refs of
+    partition q's slices (P lists; all empty when no source has a
+    row).  At P=1 the source blocks go to the one reduce task unsplit,
+    with their block functions in ``fns`` (None when no source has
+    one)."""
     blocks, block_fns, input_bytes = [], [], 0
     for src, fn in sources:
         src_blocks, src_schema = _source_blocks(src)
@@ -495,23 +388,17 @@ def _partition(
                 input_bytes = None  # block sizes not recorded
         if schema is None and derive_schema and fn is not None:
             schema = _fn_schema(src_schema, fn, [b[0] for b in src_blocks[:1]])
-    if not blocks:
-        return 1, None, [[]], None, schema
     P = num_parts
     if P is None:
         P = max_parts if input_bytes is None else sized_parts(
             input_bytes, max_parts,
             rd.DataContext.get_current().target_min_block_size)
-    plan = _fan_plan(P, tree_combine)
     if P == 1:
         fns = block_fns if any(f is not None for f in block_fns) else None
-        return P, plan, [blocks], fns, schema
-    fan = P if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    splits = [_split_col_task.options(num_returns=fan).remote(
-                  b, part_col, P, gsz, schema, fn)
-              for b, fn in zip(blocks, block_fns)]
-    return P, plan, _mod_exchange(splits, P, plan, part_col), None, schema
+        return [blocks], fns, schema
+    maps = [(functools.partial(_prep, fn=fn, schema=schema), (b,))
+            for b, fn in zip(blocks, block_fns)]
+    return _route(maps, law, P), None, schema
 
 
 def exchange_blocks(
@@ -526,14 +413,13 @@ def exchange_blocks(
     exchange under ``exchange_join``, ``exchange_agg`` and
     ``keyed_exchange``, and the form an operator chaining exchanges
     calls, wrapping a Dataset around its last output only."""
-    if isinstance(sources, (rd.Dataset, Blocks)):
-        sources = [(sources, None)]
-    P, _, dest, fns, schema = _partition(sources, part_col, num_parts=None,
-                                         max_parts=max_parts, schema=schema)
+    dest, fns, schema = _partition(_sources(sources), part_col,
+                                   num_parts=None, max_parts=max_parts,
+                                   schema=schema)
     if schema is None and not dest[0]:
         return Blocks([], [])
-    return Blocks.of([_reduce_task.remote(reduce_fn, schema, fns, *dest[q])
-                      for q in range(P)])
+    return Blocks.of([_reduce_task.remote(reduce_fn, schema, fns, *d)
+                      for d in dest])
 
 
 def hash_exchange(
@@ -547,18 +433,19 @@ def hash_exchange(
     """One hash exchange + a vectorized per-partition reduce as RAW Ray
     tasks (:func:`exchange_blocks`, its output wrapped in a Dataset).
 
-    ``sources`` is a Dataset, a :class:`Blocks`, or a list of
-    ``(source, block_fn)`` pairs whose rows meet in one exchange (the
-    two sides of a join); each ``block_fn`` runs in the task that splits
-    its source's blocks (see :func:`_partition`).  Moved rows carry
-    ``part_col``, a non-negative int64 hash of the key; they land in
-    partition ``part_col % P``, so every key's rows meet in one
-    partition at every P.  ``schema`` declares the moved rows (None:
-    derived from the block function): blocks are normalized to it, and a
-    partition with no rows reduces the empty ``schema`` table, so every
-    output block (and the output of an empty input) is typed; with no
-    rows and no schema the output has no blocks.  ``reduce_fn`` maps one
-    partition's Arrow table to an Arrow table.
+    ``sources`` is a Dataset, a :class:`Blocks`, a ``(source,
+    block_fn)`` pair, or a list of these whose rows meet in one exchange
+    (the two sides of a join, the inputs of a union); each ``block_fn``
+    runs in the task that splits its source's blocks (see
+    :func:`_partition`).  Moved rows carry ``part_col``, a non-negative
+    int64 hash of the key; they land in partition ``part_col % P``, so
+    every key's rows meet in one partition at every P.  ``schema``
+    declares the moved rows (None: derived from the block function):
+    blocks are normalized to it, and a partition with no rows reduces
+    the empty ``schema`` table, so every output block (and the output
+    of an empty input) is typed; with no rows and no schema the output
+    has no blocks.  ``reduce_fn`` maps one partition's Arrow table to an
+    Arrow table.
 
     Cost: one executor run per Dataset source not yet materialized, then
     B split tasks with P returns each plus P reduce tasks for B source
@@ -580,7 +467,6 @@ def two_phase_reduce(
     *,
     num_parts: int | None = None,
     max_parts: int = 32,
-    tree_combine: bool | None = None,
 ) -> rd.Dataset:
     """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
 
@@ -607,31 +493,20 @@ def two_phase_reduce(
     on key-determined columns (``v % P``), so reduces that are complete
     per key give the same rows at every P, only in another order.  Past
     ``TREE_COMBINE_THRESHOLD`` partitions both exchanges switch to the
-    two-level tree combine (mod-split variant of the BSP phase tree —
-    (B+P)*sqrt(P) objects instead of B*P + P^2); source-order concat
-    keeps the reduces bit-identical, and ``tree_combine`` forces the
-    mode for parity tests.
+    two-level tree combine ((B+P)*sqrt(P) objects instead of B*P +
+    P^2); source-order concat keeps the reduces bit-identical.
     """
-    source = ds if isinstance(ds, tuple) else (ds, None)
     # no declared schema: reduce1 sees the moved rows as the block
     # function made them
-    P, plan, dest1, fns, _ = _partition([source], p1_col,
-                                        num_parts=num_parts,
-                                        max_parts=max_parts,
-                                        tree_combine=tree_combine,
-                                        derive_schema=False)
+    dest1, fns, _ = _partition(_sources(ds), p1_col, num_parts=num_parts,
+                               max_parts=max_parts, derive_schema=False)
     if not dest1[0]:
         return Blocks([], []).dataset()
-    fan = P if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    mid = [
-        _reduce_split_task.options(num_returns=fan).remote(
-            reduce1, p2_col, P, gsz, fns, *dest1[p])
-        for p in range(P)
-    ]
-    dest2 = _mod_exchange(mid, P, plan, p2_col)
-    return Blocks.of([_reduce_task.remote(reduce2, None, None, *dest2[q])
-                      for q in range(P)]).dataset()
+    P = len(dest1)
+    middle = functools.partial(_reduce_slices, reduce1, None, fns)
+    dest2 = _route([(middle, tuple(d)) for d in dest1], p2_col, P)
+    return Blocks.of([_reduce_task.remote(reduce2, None, None, *d)
+                      for d in dest2]).dataset()
 
 
 # ------------------------------------------------- checkpoint helpers
@@ -729,18 +604,11 @@ def _ckpt_load(checkpoint_dir: str, t: int, num_parts: int) -> list:
 # ---------------------------------------------------------------- PageRank
 
 
-@ray.remote
-def _pr_contrib(epart: pa.Table, rankpart: pa.Table, num_parts: int,
-                gsz: int | None = None):
+def _pr_contrib(epart: pa.Table, rankpart: pa.Table) -> pa.Table:
     """Join stationary edges (node, dst, factor) with this partition's
     ranks (node, rank) — co-partitioned on hash(node), so the join is
     complete locally — then emit per-dst partial contribution sums,
-    split by hash(dst) for the reduce side (``gsz``: tree-combine
-    group size -> split into groups instead of partitions)."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    if epart.num_rows == 0 or rankpart.num_rows == 0:
-        empty = pa.schema([("dst", pa.string()), ("contrib", pa.float64())])
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
+    routed on hash(dst) to the reduce side."""
     e = pd.DataFrame({
         "node": epart.column("node").to_pandas(),
         "dst": epart.column("dst").to_pandas(),
@@ -757,8 +625,8 @@ def _pr_contrib(epart: pa.Table, rankpart: pa.Table, num_parts: int,
         "contrib": pa.array(contrib, pa.float64()),
     })
     g = t.group_by("dst").aggregate([("contrib", "sum")])
-    g = pa.table({"dst": g.column("dst"), "contrib": g.column("contrib_sum")})
-    return _rets(_split(g, ["dst"], num_parts, gsz), fan)
+    return pa.table({"dst": g.column("dst"),
+                     "contrib": g.column("contrib_sum")})
 
 
 @ray.remote
@@ -794,7 +662,6 @@ def pagerank_bsp(
     num_parts: int = 32,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
-    tree_combine: bool | None = None,
 ) -> rd.Dataset:
     """BSP power iteration.  ``efact``: (node=src, dst, factor=1/outdeg)
     rows; ``nodes``: distinct (node) rows; both may be lazy.  Returns a
@@ -815,10 +682,8 @@ def pagerank_bsp(
     _S_E = pa.schema([("node", pa.string()), ("dst", pa.string()),
                       ("factor", pa.float64())])
     _S_N = pa.schema([("node", pa.string())])
-    eparts = dataset_to_part_refs(efact, "node", num_parts, _S_E,
-                                  tree_combine)
-    node_parts = dataset_to_part_refs(nodes, "node", num_parts, _S_N,
-                                      tree_combine)
+    eparts = dataset_to_part_refs(efact, "node", num_parts, _S_E)
+    node_parts = dataset_to_part_refs(nodes, "node", num_parts, _S_N)
 
     init = 1.0 / n_nodes
     base = (1.0 - damping) / n_nodes
@@ -840,17 +705,9 @@ def pagerank_bsp(
     if rank_parts is None:
         rank_parts = [_init_ranks.remote(np_) for np_ in node_parts]
 
-    plan = _fan_plan(num_parts, tree_combine)
-    fan = num_parts if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    _S_C = pa.schema([("dst", pa.string()), ("contrib", pa.float64())])
     for it in range(start_iter, iterations):
-        contribs = [
-            _pr_contrib.options(num_returns=fan).remote(
-                eparts[p], rank_parts[p], num_parts, gsz)
-            for p in range(num_parts)
-        ]
-        dest = _phase_exchange(contribs, num_parts, plan, ["dst"], _S_C)
+        dest = _route([(_pr_contrib, (eparts[p], rank_parts[p]))
+                       for p in range(num_parts)], ["dst"], num_parts)
         rank_parts = [
             _pr_reduce.remote(node_parts[q], base, damping, *dest[q])
             for q in range(num_parts)
@@ -866,17 +723,11 @@ def pagerank_bsp(
 # ------------------------------------------------- Connected components
 
 
-@ray.remote
-def _cc_prop(epart: pa.Table, lblpart: pa.Table, num_parts: int,
-             gsz: int | None = None):
+def _cc_prop(epart: pa.Table, lblpart: pa.Table) -> pa.Table:
     """Neighbor propagation: for stationary und-edges (src, dst) and this
     partition's labels (name_id, component) — co-partitioned on
-    hash(src) — emit per-dst min(component) messages, split by
+    hash(src) — emit per-dst min(component) messages, routed on
     hash(dst)."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    empty = pa.schema([("name_id", pa.int64()), ("component", pa.int64())])
-    if epart.num_rows == 0 or lblpart.num_rows == 0:
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
     e = pd.DataFrame({
         "src": epart.column("src").to_numpy(zero_copy_only=False),
         "dst": epart.column("dst").to_numpy(zero_copy_only=False),
@@ -887,40 +738,25 @@ def _cc_prop(epart: pa.Table, lblpart: pa.Table, num_parts: int,
     })
     m = e.merge(l_, on="src", how="inner")
     g = (m.groupby("dst", sort=False)["component"].min().reset_index())
-    t = pa.table({
+    return pa.table({
         "name_id": pa.array(g["dst"].to_numpy(), pa.int64()),
         "component": pa.array(g["component"].to_numpy(), pa.int64()),
     })
-    return _rets(_split(t, ["name_id"], num_parts, gsz), fan)
 
 
-@ray.remote
-def _cc_jump_req(lblpart: pa.Table, num_parts: int,
-                 gsz: int | None = None):
+def _cc_jump_req(lblpart: pa.Table) -> pa.Table:
     """Pointer-jump request: route (x, c) to the partition owning label
     value c, so the owner can answer with component(c)."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    empty = pa.schema([("name_id", pa.int64()), ("c", pa.int64())])
-    if lblpart.num_rows == 0:
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
-    t = pa.table({
+    return pa.table({
         "name_id": lblpart.column("name_id"),
         "c": lblpart.column("component"),
     })
-    return _rets(_split(t, ["c"], num_parts, gsz), fan)
 
 
-@ray.remote
-def _cc_jump_serve(lblpart: pa.Table, num_parts: int,
-                   gsz: int | None, *reqs: pa.Table):
+def _cc_jump_serve(lblpart: pa.Table, *reqs: pa.Table) -> pa.Table:
     """Answer pointer-jump requests: (x, c) + local (c -> c') ->
-    (x, c'), split by hash(x) for the reduce."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    empty = pa.schema([("name_id", pa.int64()), ("component", pa.int64())])
-    live = [t for t in reqs if t.num_rows]
-    if not live or lblpart.num_rows == 0:
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
-    req = pa.concat_tables(live)
+    (x, c'), routed on hash(x) to the reduce."""
+    req = pa.concat_tables(reqs)
     r = pd.DataFrame({
         "name_id": req.column("name_id").to_numpy(zero_copy_only=False),
         "c": req.column("c").to_numpy(zero_copy_only=False),
@@ -930,11 +766,10 @@ def _cc_jump_serve(lblpart: pa.Table, num_parts: int,
         "component": lblpart.column("component").to_numpy(zero_copy_only=False),
     })
     m = r.merge(l_, on="c", how="inner")
-    t = pa.table({
+    return pa.table({
         "name_id": pa.array(m["name_id"].to_numpy(), pa.int64()),
         "component": pa.array(m["component"].to_numpy(), pa.int64()),
     })
-    return _rets(_split(t, ["name_id"], num_parts, gsz), fan)
 
 
 @ray.remote(num_returns=2)
@@ -961,16 +796,17 @@ def _cc_reduce(lblpart: pa.Table, *msgs: pa.Table):
 
 
 def connected_components_bsp(
-    und: rd.Dataset,
+    und,
     *,
     num_parts: int = 16,
     max_rounds: int = 64,
-    tree_combine: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
 ) -> tuple[rd.Dataset, int]:
     """BSP min-label propagation + pointer jumping.  ``und`` must be the
-    SYMMETRIC (both directions present) edge set with int64 src/dst.
+    SYMMETRIC (both directions present) edge set with int64 src/dst, a
+    Dataset or sources as :func:`hash_exchange` takes them (each
+    orientation a source: their union, with no union execution).
     Returns (labels Dataset (name_id, component), rounds used).
 
     Per round: one propagation phase over stationary edge partitions,
@@ -987,8 +823,7 @@ def connected_components_bsp(
     partitions and the resumed run is bit-equal to an uninterrupted
     one (including the returned total round count)."""
     _S_E = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    eparts = dataset_to_part_refs(und, "src", num_parts, _S_E,
-                                  tree_combine)
+    eparts = dataset_to_part_refs(und, "src", num_parts, _S_E)
 
     @ray.remote
     def _init_labels(ep: pa.Table) -> pa.Table:
@@ -1021,30 +856,15 @@ def connected_components_bsp(
         # pagerank_bsp's "if rank_parts is None" pattern
         lbl_parts = [_init_labels.remote(ep) for ep in eparts]
 
-    plan = _fan_plan(num_parts, tree_combine)
-    fan = num_parts if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    _S_MSG = pa.schema([("name_id", pa.int64()), ("component", pa.int64())])
-    _S_REQ = pa.schema([("name_id", pa.int64()), ("c", pa.int64())])
-
     rounds = start_round
     for _ in range(start_round, max_rounds):
         rounds += 1
-        props = _phase_exchange([
-            _cc_prop.options(num_returns=fan).remote(
-                eparts[p], lbl_parts[p], num_parts, gsz)
-            for p in range(num_parts)
-        ], num_parts, plan, ["name_id"], _S_MSG)
-        reqs = _phase_exchange([
-            _cc_jump_req.options(num_returns=fan).remote(
-                lbl_parts[p], num_parts, gsz)
-            for p in range(num_parts)
-        ], num_parts, plan, ["c"], _S_REQ)
-        serves = _phase_exchange([
-            _cc_jump_serve.options(num_returns=fan).remote(
-                lbl_parts[r], num_parts, gsz, *reqs[r])
-            for r in range(num_parts)
-        ], num_parts, plan, ["name_id"], _S_MSG)
+        props = _route([(_cc_prop, (eparts[p], lbl_parts[p]))
+                        for p in range(num_parts)], ["name_id"], num_parts)
+        reqs = _route([(_cc_jump_req, (lbl_parts[p],))
+                       for p in range(num_parts)], ["c"], num_parts)
+        serves = _route([(_cc_jump_serve, (lbl_parts[r], *reqs[r]))
+                         for r in range(num_parts)], ["name_id"], num_parts)
         new_parts, sums = [], []
         for q in range(num_parts):
             lp, s = _cc_reduce.remote(
@@ -1070,18 +890,11 @@ def connected_components_bsp(
 # ------------------------------------------------- Label propagation
 
 
-@ray.remote
-def _lpa_vote(epart: pa.Table, lblpart: pa.Table, num_parts: int,
-              gsz: int | None = None):
+def _lpa_vote(epart: pa.Table, lblpart: pa.Table) -> pa.Table:
     """Stationary und-edges (node, nbr) partitioned on hash(nbr) join
     this partition's labels (node, lbl) — co-partitioned, so lbl(nbr)
     resolves locally — and emit per-(voter, lbl) partial vote counts,
-    split by hash(voter) for the reduce side."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    empty = pa.schema([("node", pa.int64()), ("lbl", pa.int64()),
-                       ("c", pa.int64())])
-    if epart.num_rows == 0 or lblpart.num_rows == 0:
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
+    routed on hash(voter) to the reduce side."""
     e = pd.DataFrame({
         "voter": epart.column("node").to_numpy(zero_copy_only=False),
         "node": epart.column("nbr").to_numpy(zero_copy_only=False),
@@ -1093,12 +906,11 @@ def _lpa_vote(epart: pa.Table, lblpart: pa.Table, num_parts: int,
     m = e.merge(lab, on="node", how="inner")
     g = (m.groupby(["voter", "lbl"], sort=False)
          .size().rename("c").reset_index())
-    t = pa.table({
+    return pa.table({
         "node": pa.array(g["voter"].to_numpy(np.int64), pa.int64()),
         "lbl": pa.array(g["lbl"].to_numpy(np.int64), pa.int64()),
         "c": pa.array(g["c"].to_numpy(np.int64), pa.int64()),
     })
-    return _rets(_split(t, ["node"], num_parts, gsz), fan)
 
 
 @ray.remote
@@ -1108,8 +920,8 @@ def _lpa_winner(*partials: pa.Table) -> pa.Table:
     sort + drop_duplicates over every node in the partition."""
     live = [t for t in partials if t.num_rows]
     if not live:
-        return _empty_like(pa.schema([("node", pa.int64()),
-                                      ("lbl", pa.int64())]))
+        return pa.schema([("node", pa.int64()),
+                          ("lbl", pa.int64())]).empty_table()
     cat = pa.concat_tables(live)
     g = cat.group_by(["node", "lbl"]).aggregate([("c", "sum")])
     df = pd.DataFrame({
@@ -1132,7 +944,6 @@ def label_propagation_bsp(
     *,
     iterations: int,
     num_parts: int = 32,
-    tree_combine: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
 ) -> rd.Dataset:
@@ -1147,8 +958,7 @@ def label_propagation_bsp(
     + ``checkpoint_every``: pagerank_bsp's per-partition Parquet +
     ``_DONE`` resume contract over the (node, lbl) state."""
     _S_E = pa.schema([("node", pa.int64()), ("nbr", pa.int64())])
-    eparts = dataset_to_part_refs(und, "nbr", num_parts, _S_E,
-                                  tree_combine)
+    eparts = dataset_to_part_refs(und, "nbr", num_parts, _S_E)
 
     @ray.remote
     def _init_labels(ep: pa.Table) -> pa.Table:
@@ -1168,17 +978,9 @@ def label_propagation_bsp(
         lbl_parts = _ckpt_load(checkpoint_dir, start_iter, num_parts)
     if lbl_parts is None:
         lbl_parts = [_init_labels.remote(ep) for ep in eparts]
-    plan = _fan_plan(num_parts, tree_combine)
-    fan = num_parts if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    _S_V = pa.schema([("node", pa.int64()), ("lbl", pa.int64()),
-                      ("c", pa.int64())])
     for it in range(start_iter, iterations):
-        votes = _phase_exchange([
-            _lpa_vote.options(num_returns=fan).remote(
-                eparts[p], lbl_parts[p], num_parts, gsz)
-            for p in range(num_parts)
-        ], num_parts, plan, ["node"], _S_V)
+        votes = _route([(_lpa_vote, (eparts[p], lbl_parts[p]))
+                        for p in range(num_parts)], ["node"], num_parts)
         lbl_parts = [
             _lpa_winner.remote(*votes[q]) for q in range(num_parts)
         ]
@@ -1193,16 +995,10 @@ def label_propagation_bsp(
 # ------------------------------------------------- HITS
 
 
-@ray.remote
-def _hits_push(epart: pa.Table, scorepart: pa.Table, num_parts: int,
-               gsz: int | None = None):
+def _hits_push(epart: pa.Table, scorepart: pa.Table) -> pa.Table:
     """Stationary directed edges (node, _o) partitioned on hash(node)
     join this partition's scores (node, s) locally; emit per-_o partial
-    sums split by hash(_o)."""
-    fan = num_parts if gsz is None else -(-num_parts // gsz)
-    empty = pa.schema([("node", pa.int64()), ("s", pa.float64())])
-    if epart.num_rows == 0 or scorepart.num_rows == 0:
-        return _rets(tuple(_empty_like(empty) for _ in range(fan)), fan)
+    sums routed on hash(_o)."""
     e = pd.DataFrame({
         "node": epart.column("node").to_numpy(zero_copy_only=False),
         "_o": epart.column("_o").to_numpy(zero_copy_only=False),
@@ -1213,19 +1009,18 @@ def _hits_push(epart: pa.Table, scorepart: pa.Table, num_parts: int,
     })
     m = e.merge(sc, on="node", how="inner")
     g = m.groupby("_o", sort=False)["s"].sum().reset_index()
-    t = pa.table({
+    return pa.table({
         "node": pa.array(g["_o"].to_numpy(np.int64), pa.int64()),
         "s": pa.array(g["s"].to_numpy(np.float64), pa.float64()),
     })
-    return _rets(_split(t, ["node"], num_parts, gsz), fan)
 
 
 @ray.remote
 def _hits_reduce(*partials: pa.Table) -> pa.Table:
     live = [t for t in partials if t.num_rows]
     if not live:
-        return _empty_like(pa.schema([("node", pa.int64()),
-                                      ("s", pa.float64())]))
+        return pa.schema([("node", pa.int64()),
+                          ("s", pa.float64())]).empty_table()
     cat = pa.concat_tables(live)
     g = cat.group_by("node").aggregate([("s", "sum")])
     return pa.table({"node": g.column("node"),
@@ -1256,7 +1051,6 @@ def hits_bsp(
     *,
     iterations: int,
     num_parts: int = 16,
-    tree_combine: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
 ) -> tuple[rd.Dataset, rd.Dataset]:
@@ -1269,10 +1063,8 @@ def hits_bsp(
     state (auth is recomputed by the next half-step, so hub after a
     full iteration is the complete iteration state)."""
     _S_E = pa.schema([("node", pa.int64()), ("_o", pa.int64())])
-    eparts_o = dataset_to_part_refs(eo, "node", num_parts, _S_E,
-                                    tree_combine)
-    eparts_i = dataset_to_part_refs(ei, "node", num_parts, _S_E,
-                                    tree_combine)
+    eparts_o = dataset_to_part_refs(eo, "node", num_parts, _S_E)
+    eparts_i = dataset_to_part_refs(ei, "node", num_parts, _S_E)
 
     @ray.remote
     def _init_hub(ep: pa.Table) -> pa.Table:
@@ -1280,18 +1072,9 @@ def hits_bsp(
         return pa.table({"node": pa.array(ids, pa.int64()),
                          "s": pa.array(np.ones(len(ids), np.float64))})
 
-
-    plan = _fan_plan(num_parts, tree_combine)
-    fan = num_parts if plan is None else plan[1]
-    gsz = None if plan is None else plan[0]
-    _S_S = pa.schema([("node", pa.int64()), ("s", pa.float64())])
-
     def half_step(eparts, scores):
-        pushed = _phase_exchange([
-            _hits_push.options(num_returns=fan).remote(
-                eparts[p], scores[p], num_parts, gsz)
-            for p in range(num_parts)
-        ], num_parts, plan, ["node"], _S_S)
+        pushed = _route([(_hits_push, (eparts[p], scores[p]))
+                         for p in range(num_parts)], ["node"], num_parts)
         red = [
             _hits_reduce.remote(*pushed[q])
             for q in range(num_parts)

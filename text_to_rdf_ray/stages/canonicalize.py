@@ -141,6 +141,8 @@ def connected_components(
     cost.  The distributed path remains for larger graphs (and is what the
     skew/scale design assumes).
     """
+    # one materialization: counted, then read by both orientations
+    edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
         # from_arrow, not from_items([]).map_batches: with zero blocks
@@ -162,14 +164,13 @@ def connected_components(
 
     from .bsp import connected_components_bsp
 
-    fwd = edges.select_columns(["src", "dst"])
-    # swap via explicit arrow rebuild (a rename_columns swap-dict collides)
-    rev = edges.map_batches(
-        lambda t: pa.table({"src": t.column("dst"), "dst": t.column("src")}),
-        batch_format="pyarrow",
-    )
+    # both orientations as two sources of the BSP edge exchange (swap via
+    # explicit arrow rebuild: a rename_columns swap-dict collides)
     labels, rounds = connected_components_bsp(
-        fwd.union(rev), num_parts=16, max_rounds=max_rounds)
+        [(edges, lambda t: t.select(["src", "dst"])),
+         (edges, lambda t: pa.table({"src": t.column("dst"),
+                                     "dst": t.column("src")}))],
+        num_parts=16, max_rounds=max_rounds)
     try:
         from ..state.counters import incr
 
@@ -461,8 +462,9 @@ def apply_canonical_join(
     """Rewrite subj/obj through a (surface, canonical) mapping DATASET via
     hash-partitioned left joins — the at-scale form of
     ``apply_canonical_map`` (same output contract) for mappings too large
-    to broadcast.  ``cmap`` needs only the CHANGED surfaces (surface !=
-    canonical); unmatched rows keep their surface.
+    to broadcast.  ``cmap`` (a Dataset or the :class:`~.bsp.Blocks` of
+    an exchange) needs only the CHANGED surfaces (surface != canonical);
+    unmatched rows keep their surface.
 
     Both joins run as chained ``exchange_join``s (plain tasks, no
     JoinOperator actor pools) with schemas passed through, so the two
@@ -470,14 +472,11 @@ def apply_canonical_join(
     with no materialization barrier."""
     from .exchange import exchange_join, join_out_schema
 
-    def rename(key: str, ccol: str) -> tuple[rd.Dataset, pa.Schema]:
-        side = cmap.map_batches(
-            lambda t, key=key, ccol=ccol: pa.table(
-                {key: t.column("surface").cast(pa.string()),
-                 ccol: t.column("canonical").cast(pa.string())}
-            ),
-            batch_format="pyarrow",
-        )
+    def rename(key: str, ccol: str) -> tuple[tuple, pa.Schema]:
+        # a block function of the join side: no Ray Data map in front
+        side = (cmap, lambda t, key=key, ccol=ccol: pa.table(
+            {key: t.column("surface").cast(pa.string()),
+             ccol: t.column("canonical").cast(pa.string())}))
         return side, pa.schema([(key, pa.string()), (ccol, pa.string())])
 
     t_schema = triples.schema()

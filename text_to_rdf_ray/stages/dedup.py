@@ -426,17 +426,15 @@ def _pairs_from_buckets(
         need_set = set(int(x) for x in need_arr)
         n_ids = len(need_set)
     else:
-        def ids_table(col: str) -> rd.Dataset:
-            return cands.map_batches(
-                lambda t, c=col: pa.table({id_col: t.column(c)}),
-                batch_format="pyarrow",
-            )
+        def ids_of(col: str):
+            return lambda t: pa.table({id_col: t.column(col)})
 
         from .exchange import exchange_agg
 
+        # both id columns as two sources of one distinct
         need_ids = (
-            exchange_agg(
-                ids_table("id_a").union(ids_table("id_b")), id_col)
+            exchange_agg([(cands, ids_of("id_a")), (cands, ids_of("id_b"))],
+                         id_col)
             .map_batches(
                 lambda t: pa.table({id_col: t.column(id_col).cast(pa.int64())}),
                 batch_format="pyarrow")
@@ -1077,8 +1075,8 @@ def dedup_against(
 
         return fn
 
-    exploded = new.map_batches(explode(0), batch_format="pyarrow").union(
-        ref.map_batches(explode(1), batch_format="pyarrow"))
+    # both corpora in one exchange, exploded in the tasks that split them
+    exploded = [(new, explode(0)), (ref, explode(1))]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         # every occurrence of a hash is in THIS partition: df filter,
@@ -1108,7 +1106,7 @@ def dedup_against(
                           "v": inter["v"].astype("int64")}),
         ], ignore_index=True)
 
-    # both corpora in one exchange; materialized, consumed three times below
+    # materialized, consumed three times below
     packed = keyed_apply(exploded, "h", per_part,
                          num_partitions=num_partitions)
 

@@ -19,9 +19,11 @@ block by ``hash % P`` (at P=1, in the one reduce task), so it costs no
 Ray Data execution of its own.  A caller's projection in front of an
 exchange can ride along the same way: every helper takes a
 ``(Dataset, block_fn)`` pair where it takes a Dataset, and the pair's
-function runs first in the same task.  Each source is materialized on
-its own (none, when it already is), the partition count P is sized to
-the source blocks (one partition per
+function runs first in the same task.  Every helper also takes a LIST
+of such sources where it takes one (a join, per side): their rows meet
+in the one exchange as a ``union`` would, with no union execution.
+Each source is materialized on its own (none, when it already is), the
+partition count P is sized to the source blocks (one partition per
 ``DataContext.target_min_block_size``, at most ``num_partitions``), and
 one task per partition runs the vectorized reduce.  Which helper
 serves which reduce:
@@ -210,12 +212,15 @@ def join_out_schema(
     return pa.schema(keys + pay)
 
 
-def _source(src) -> tuple[rd.Dataset, object]:
-    """An exchange input as ``(Dataset, block_fn)``: a Dataset (no block
-    function), or a ``(Dataset, block_fn)`` pair whose Arrow function
-    maps each block before the exchange's own prologue runs on it, in
-    the same split task (a projection costs no Ray Data execution)."""
-    return src if isinstance(src, tuple) else (src, None)
+def _sources(src) -> list[tuple[object, object]]:
+    """An exchange input as a list of ``(source, block_fn)`` pairs.  A
+    source is a Dataset or a :class:`~.bsp.Blocks` (no block function),
+    or a ``(source, block_fn)`` pair whose Arrow function maps each
+    block before the exchange's own prologue runs on it, in the same
+    split task (a projection costs no Ray Data execution); a list of
+    these is the union of their rows, each materialized on its own."""
+    srcs = src if isinstance(src, list) else [src]
+    return [s if isinstance(s, tuple) else (s, None) for s in srcs]
 
 
 def _then(fn, g):
@@ -249,8 +254,8 @@ def exchange_agg(
     columns: keys + out names.  ``combine=True`` (all supported fns are
     decomposable) shrinks each source block to its distinct keys in the
     task that splits it, so shuffle volume is per-block-distinct, not
-    raw rows.  ``ds`` may be a ``(Dataset, block_fn)`` pair (module
-    docstring).
+    raw rows.  ``ds`` may be a ``(Dataset, block_fn)`` pair or a list
+    of sources (module docstring).
     """
     return agg_blocks(ds, keys, aggs, num_partitions=num_partitions,
                       combine=combine).dataset()
@@ -316,10 +321,10 @@ def agg_blocks(ds, keys, aggs=(), *, num_partitions: int = 32,
             return t.group_by(keys).aggregate([])
         return _agg(t, reduce_specs)
 
-    ds, fn = _source(ds)
     first = combine_batch if combine else tag_batch
-    return exchange_blocks([(ds, _then(fn, first))], _PART, reduce_part,
-                           max_parts=num_partitions)
+    return exchange_blocks([(src, _then(fn, first))
+                            for src, fn in _sources(ds)],
+                           _PART, reduce_part, max_parts=num_partitions)
 
 
 def keyed_exchange(
@@ -337,11 +342,12 @@ def keyed_exchange(
     :func:`_hash_col` computes) in the tasks that split the source
     blocks and moved by ONE :func:`~.bsp.hash_exchange`, with
     ``num_partitions`` the cap on the sized partition count; ``ds`` may
-    be a ``(Dataset, block_fn)`` pair (module docstring).  ``reduce``
-    takes the partition's rows as an Arrow table without the tag and
-    returns an Arrow table.  It is never called on an empty partition: a
-    partition with no rows adds no output block, and an empty input
-    gives a dataset with no blocks.  Zero-row outputs are dropped too,
+    be a ``(Dataset, block_fn)`` pair or a list of sources (module
+    docstring).  ``reduce`` takes the partition's rows as an Arrow table
+    without the tag and returns an Arrow table.  It is never called on
+    an empty partition: a partition with no rows adds no output block,
+    and an empty input gives a dataset with no blocks.  Zero-row
+    outputs are dropped too,
     except that when no call returns a row the first typed one is kept,
     so the empty result still has the reduce's schema.  The output is
     materialized.  An input column named ``_part`` raises.
@@ -364,9 +370,8 @@ def keyed_exchange(
             return pa.table({})
         return reduce(t.drop_columns([_KEYED_PART]))
 
-    ds, fn = _source(ds)
-    out = exchange_blocks([(ds, _then(fn, tag))], _KEYED_PART, reduce_part,
-                          max_parts=num_partitions)
+    out = exchange_blocks([(src, _then(fn, tag)) for src, fn in _sources(ds)],
+                          _KEYED_PART, reduce_part, max_parts=num_partitions)
     metas = out.metas()
     live = [ref for ref, m in zip(out.refs, metas) if m[0]]
     if not live:
@@ -385,11 +390,20 @@ def keyed_apply(
     partition's rows as a DataFrame and returns a DataFrame, converted
     to Arrow."""
 
-    def reduce(t: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(per_part(t.to_pandas()),
-                                    preserve_index=False)
+    return keyed_exchange(ds, keys, pandas_block(per_part),
+                          num_partitions=num_partitions)
 
-    return keyed_exchange(ds, keys, reduce, num_partitions=num_partitions)
+
+def pandas_block(fn):
+    """The pandas ``fn`` (DataFrame -> DataFrame) as an Arrow table
+    function: a source's block function or a keyed reduce.  An object
+    column with no value comes back null-typed; the exchange keeps the
+    type of the blocks that have values (:func:`~.bsp._as_table`)."""
+
+    def block_fn(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+
+    return block_fn
 
 
 def exchange_join(
@@ -415,8 +429,9 @@ def exchange_join(
 
     A side is a Dataset or a ``(Dataset, block_fn)`` pair: the pair's
     Arrow function maps each block of the side (a projection or rename)
-    in the task that pads and splits it.  Each side is materialized on
-    its own, with no Ray Data execution when it already is; the padding
+    in the task that pads and splits it.  A side may also be a list of
+    these, the union of their rows.  Each source is materialized on its
+    own, with no Ray Data execution when it already is; the padding
     runs in the split tasks.  ``left_schema``/``right_schema`` are the
     sides' schemas after their block functions: pass them explicitly
     when a side is a lazy lineage — otherwise ``.schema()`` runs a
@@ -446,8 +461,8 @@ def join_blocks(left, right, *, on, how: str = "inner",
     if how not in ("inner", "left_outer", "full_outer"):
         raise ValueError(f"unsupported how={how!r}")
     on = [on] if isinstance(on, str) else list(on)
-    left, lfn, ls = _join_side(left, left_schema)
-    right, rfn, rs = _join_side(right, right_schema)
+    left, ls = _join_side(left, left_schema)
+    right, rs = _join_side(right, right_schema)
 
     def _family(t: pa.DataType) -> str:
         if pa.types.is_integer(t):
@@ -559,19 +574,21 @@ def join_blocks(left, right, *, on, how: str = "inner",
     padded = pa.schema(
         [(k, key_types[k]) for k in on] + all_fields
         + [(_SIDE, pa.int8()), (_PART, pa.int64())])
-    return exchange_blocks([(left, _then(lfn, pad(0))),
-                            (right, _then(rfn, pad(1)))],
-                           _PART, merge_part, padded, max_parts=num_partitions)
+    return exchange_blocks(
+        [(src, _then(fn, pad(0))) for src, fn in left]
+        + [(src, _then(fn, pad(1))) for src, fn in right],
+        _PART, merge_part, padded, max_parts=num_partitions)
 
 
 def _join_side(side, declared: pa.Schema | None):
-    """An ``exchange_join`` side as ``(dataset, block_fn, schema)``: the
-    side is a Dataset or a ``(Dataset, block_fn)`` pair, and its schema
-    is ``declared`` or, when that is None, the dataset's (through the
-    block function: applied to its empty table)."""
-    ds, fn = _source(side)
+    """An ``exchange_join`` side as ``(sources, schema)``: the side is
+    an exchange input (:func:`_sources`), and its schema is ``declared``
+    or, when that is None, its first source's (through the block
+    function: applied to its empty table)."""
+    srcs = _sources(side)
     if declared is None:
-        declared = as_arrow_schema(ds.schema())
+        src, fn = srcs[0]
+        declared = as_arrow_schema(src.schema())
         if fn is not None:
             declared = fn(declared.empty_table()).schema
-    return ds, fn, as_arrow_schema(declared)
+    return srcs, as_arrow_schema(declared)

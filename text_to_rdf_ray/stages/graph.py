@@ -41,10 +41,14 @@ from .canonicalize import _solid
 def _project(ds: rd.Dataset, mapping: list[tuple[str, str]]) -> rd.Dataset:
     """Column projection/rename via arrow rebuild (rename_columns interacts
     badly with the 2.49 join planner on some plans)."""
-    return ds.map_batches(
-        lambda t, m=tuple(mapping): pa.table({new: t.column(old) for old, new in m}),
-        batch_format="pyarrow",
-    )
+    return ds.map_batches(_projection(mapping), batch_format="pyarrow")
+
+
+def _projection(mapping: list[tuple[str, str]]):
+    """The Arrow block function of :func:`_project` (as an exchange
+    source's block function it costs no Ray Data execution)."""
+    return (lambda t, m=tuple(mapping):
+            pa.table({new: t.column(old) for old, new in m}))
 
 
 #: below this many edges the graph fits comfortably on the driver and the
@@ -120,10 +124,8 @@ def pagerank(
     from .exchange import exchange_agg
 
     nodes = _solid(
-        exchange_agg(
-            _project(edges, [(src_col, "node")])
-            .union(_project(edges, [(dst_col, "node")])),
-            ["node"])
+        exchange_agg([(edges, _projection([(src_col, "node")])),
+                      (edges, _projection([(dst_col, "node")]))], ["node"])
     )
     n = nodes.count()
     if n == 0:
@@ -1039,7 +1041,7 @@ def sssp(
             break
         # min-merge: dist ∪ frontier -> per-node min
         dist = exchange_agg(
-            dist.union(frontier), "node", [("dist", "min", "dist")],
+            [dist, frontier], "node", [("dist", "min", "dist")],
             num_partitions=min(num_partitions, 16))
 
     return dist
@@ -1461,7 +1463,7 @@ def scc(
                 batch_format="pyarrow").materialize()
             if new.count() == 0:
                 break
-            visited = exchange_agg(visited.union(new),
+            visited = exchange_agg([visited, new],
                                    ["node", "col"]).map_batches(
                 lambda t: pa.table({"node": t.column("node").cast(
                     pa.int64()), "col": t.column("col").cast(
@@ -1802,8 +1804,7 @@ def modularity(
             "n_nodes": pa.array(c_nodes, pa.int64()),
         }))
         folded = exchange_agg(
-            e0.map_batches(edge_partials, batch_format="pyarrow")
-              .union(node_rows),
+            [(e0, edge_partials), node_rows],
             "lbl",
             [("intra_edges", "sum", "intra_edges"),
              ("deg_sum", "sum", "deg_sum"),
@@ -2048,8 +2049,7 @@ def multi_source_bfs(
         if new.count() == 0:
             break
         levels.append(new.map_batches(stamp(lvl), batch_format="pandas"))
-        visited = exchange_agg(visited.union(new),
-                               ["seed", "node"]).materialize()
+        visited = exchange_agg([visited, new], ["seed", "node"])
         frontier = new
     out = levels[0]
     for p in levels[1:]:
@@ -2353,11 +2353,14 @@ def betweenness_from_seeds(
         "seed": pa.array(sarr, pa.int64()),
         "node": pa.array(sarr, pa.int64()),
         "sigma": pa.array(np.ones(len(sarr), np.int64))})).materialize()
-    visited = frontier.map_batches(
-        lambda t: pa.table({
+    def mark_visited(t: pa.Table) -> pa.Table:
+        return pa.table({
             "seed": t.column("seed"), "node": t.column("node"),
-            "_vis": pa.array(np.ones(t.num_rows, np.int8))}),
-        batch_format="pyarrow").materialize()
+            "_vis": pa.array(np.ones(t.num_rows, np.int8))})
+
+    # the visited set is the union of every level so far: one source per
+    # level, marked in the tasks that split its blocks
+    visited = [(frontier, mark_visited)]
     levels = [frontier]
     for _lvl in range(1, k + 1):
         nb = exchange_join(frontier, e_keyed, on="node",
@@ -2383,11 +2386,7 @@ def betweenness_from_seeds(
         if new.count() == 0:
             break
         levels.append(new)
-        visited = visited.union(new.map_batches(
-            lambda t: pa.table({
-                "seed": t.column("seed"), "node": t.column("node"),
-                "_vis": pa.array(np.ones(t.num_rows, np.int8))}),
-            batch_format="pyarrow")).materialize()
+        visited.append((new, mark_visited))
         frontier = new
 
     def with_dep(lvl_ds: rd.Dataset) -> rd.Dataset:

@@ -39,7 +39,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .exchange import keyed_apply, keyed_exchange
+from .exchange import keyed_apply, keyed_exchange, pandas_block
 
 _SIDE = "_side"
 _TS64 = "_ts_us"
@@ -60,20 +60,21 @@ def _ts_to_us(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray | pa.Array:
     return col.cast(pa.int64())
 
 
-def _pad_union(
+def _pad_sides(
     left: rd.Dataset,
     right: rd.Dataset,
     key_col: str,
     left_ts: str,
     right_ts: str,
-) -> tuple[rd.Dataset, list[tuple[str, pa.DataType]], list[tuple[str, pa.DataType]]]:
-    """Tag-and-union the two sides under one schema for one keyed
-    exchange on ``key_col``.
+) -> tuple[list, list[tuple[str, pa.DataType]], list[tuple[str, pa.DataType]]]:
+    """The two sides padded to one schema, as the two sources of one
+    keyed exchange on ``key_col`` (each side's pad runs in the tasks
+    that split its blocks).
 
     Payload column names must be disjoint between the sides (callers
     project/rename first); the shared key column and one int64 ``_ts_us``
     axis (from each side's own ts column) are the only common fields.
-    Returns (union_ds, left_payload_fields, right_payload_fields).
+    Returns (sources, left_payload_fields, right_payload_fields).
     """
     from .exchange import as_arrow_schema
 
@@ -98,7 +99,7 @@ def _pad_union(
             n = len(batch)
             # cast to the DECLARED types (exchange_join's pad invariant):
             # a large_string block or a narrower int key on one side
-            # would otherwise produce heterogeneous union block schemas
+            # would otherwise give the two sources different schemas
             cols: dict = {key_col: batch.column(key_col).cast(key_type)}
             cols[_TS64] = _ts_to_us(batch.column(ts_name))
             for name, typ in all_fields:
@@ -112,9 +113,8 @@ def _pad_union(
 
         return fn
 
-    u = left.map_batches(pad(left_ts, 0), batch_format="pyarrow").union(
-        right.map_batches(pad(right_ts, 1), batch_format="pyarrow"))
-    return u, l_fields, r_fields
+    return ([(left, pad(left_ts, 0)), (right, pad(right_ts, 1))],
+            l_fields, r_fields)
 
 
 def asof_join(
@@ -144,8 +144,8 @@ def asof_join(
     merge_asof takes the LAST positional row among equal timestamps).
     """
     out_ts = out_left_ts or left_ts
-    u, l_fields, r_fields = _pad_union(left, right, key_col, left_ts,
-                                       right_ts)
+    sides, l_fields, r_fields = _pad_sides(left, right, key_col, left_ts,
+                                           right_ts)
     l_names = [n for n, _ in l_fields]
     r_names = [n for n, _ in r_fields]
 
@@ -187,7 +187,7 @@ def asof_join(
             cols[n] = R.column(n).take(ri)
         return pa.table(cols)
 
-    return keyed_exchange(u, key_col, merge, num_partitions=num_partitions)
+    return keyed_exchange(sides, key_col, merge, num_partitions=num_partitions)
 
 
 def asof_join_broadcast(
@@ -318,7 +318,7 @@ def range_join_agg(
     |L|x|R|).
     """
     out_ts = out_left_ts or left_ts
-    u, l_fields, _ = _pad_union(left, right, key_col, left_ts, right_ts)
+    sides, l_fields, _ = _pad_sides(left, right, key_col, left_ts, right_ts)
     l_names = [n for n, _ in l_fields]
 
     def merge(g: pa.Table) -> pa.Table:
@@ -385,7 +385,7 @@ def range_join_agg(
             cols["sum_value"] = pa.array(sum_value, pa.float64())
         return pa.table(cols)
 
-    return keyed_exchange(u, key_col, merge, num_partitions=num_partitions)
+    return keyed_exchange(sides, key_col, merge, num_partitions=num_partitions)
 
 
 def semi_join_filter(
@@ -653,8 +653,9 @@ def upsert_merge(
     ``order_col``, and ``tiebreak_col`` (desc) breaks exact ties
     deterministically.
 
-    Scale shape: a batch-local winner-per-key combiner runs before the
-    exchange (at most one row per key per batch moves), then ONE
+    Scale shape: a block-local winner-per-key combiner runs in the tasks
+    that split each source block (at most one row per key per block
+    moves; the two inputs are the exchange's two sources), then ONE
     key-hash ``keyed_apply`` whose reduce handles every key in the partition
     with one vectorized sort + ``groupby.head(1)`` — the
     ``topk_per_group`` pattern, never one Python call per key.
@@ -662,32 +663,33 @@ def upsert_merge(
     by = [order_col, "_src", tiebreak_col]
     asc = [False, False, False]
 
-    def tag(src: int):
-        def _t(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.assign(_src=np.full(len(batch), src, np.int8))
-        return _t
-
-    u = base.map_batches(tag(0), batch_format="pandas").union(
-        updates.map_batches(tag(1), batch_format="pandas"))
-
-    def local_win(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch[key_col].isna().any():
-            # pandas groupby drops NaN keys — in a MERGE that is silent
-            # data loss, so refuse loudly (review r5)
-            raise ValueError(
-                f"upsert_merge: null values in key column {key_col!r} — "
-                "filter or fill them first")
-        return (batch.sort_values(by, ascending=asc)
-                .groupby(key_col, sort=False).head(1))
+    def local_win(src: int):
+        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+            batch = batch.assign(_src=np.full(len(batch), src, np.int8))
+            return _local_win(batch, key_col, by, asc, "upsert_merge")
+        return pandas_block(fn)
 
     def final_win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col] + by, ascending=[True] + asc)
         return (g.groupby(key_col, sort=False).head(1)
                 .drop(columns=["_src"]))
 
-    return keyed_apply(
-        u.map_batches(local_win, batch_format="pandas", batch_size=65536),
-        key_col, final_win, num_partitions=num_partitions)
+    return keyed_apply([(base, local_win(0)), (updates, local_win(1))],
+                       key_col, final_win, num_partitions=num_partitions)
+
+
+def _local_win(batch: pd.DataFrame, key_col: str, by: list[str],
+               asc: list[bool], op: str) -> pd.DataFrame:
+    """The block-local winner per key (the combiner in front of
+    ``upsert_merge``'s and ``cdc_apply``'s exchange)."""
+    if batch[key_col].isna().any():
+        # pandas groupby drops NaN keys — in a MERGE that is silent
+        # data loss, so refuse loudly (review r5)
+        raise ValueError(
+            f"{op}: null values in key column {key_col!r} — "
+            "filter or fill them first")
+    return (batch.sort_values(by, ascending=asc)
+            .groupby(key_col, sort=False).head(1))
 
 
 def skew_join(
@@ -853,44 +855,33 @@ def cdc_apply(
     greatest ``(order_col, change-beats-base, tiebreak_col)`` — exactly
     ``upsert_merge``'s ordering — and a winning tombstone REMOVES the key
     from the output.  Losing tombstones (a later upsert re-created the
-    key) are invisible.  Same scale shape as upsert_merge: batch-local
+    key) are invisible.  Same scale shape as upsert_merge: block-local
     winner combiner, ONE key-hash exchange, vectorized per-partition
     reduce; tombstones travel as ordinary rows.
     """
     by = [order_col, "_src", tiebreak_col]
     asc = [False, False, False]
 
-    def tag_base(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.assign(_src=np.full(len(batch), 0, np.int8),
-                            _del=np.zeros(len(batch), np.int8))
+    def win_base(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = batch.assign(_src=np.full(len(batch), 0, np.int8),
+                             _del=np.zeros(len(batch), np.int8))
+        return _local_win(batch, key_col, by, asc, "cdc_apply")
 
-    def tag_chg(batch: pd.DataFrame) -> pd.DataFrame:
+    def win_chg(batch: pd.DataFrame) -> pd.DataFrame:
         dele = (batch[op_col].astype(str) == "D").to_numpy()
-        return (batch.drop(columns=[op_col])
-                .assign(_src=np.full(len(batch), 1, np.int8),
-                        _del=dele.astype(np.int8)))
-
-    u = base.map_batches(tag_base, batch_format="pandas").union(
-        changes.map_batches(tag_chg, batch_format="pandas"))
-
-    def local_win(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch[key_col].isna().any():
-            # pandas groupby drops NaN keys — in a MERGE that is silent
-            # data loss, so refuse loudly (review r5)
-            raise ValueError(
-                f"cdc_apply: null values in key column {key_col!r} — "
-                "filter or fill them first")
-        return (batch.sort_values(by, ascending=asc)
-                .groupby(key_col, sort=False).head(1))
+        batch = (batch.drop(columns=[op_col])
+                 .assign(_src=np.full(len(batch), 1, np.int8),
+                         _del=dele.astype(np.int8)))
+        return _local_win(batch, key_col, by, asc, "cdc_apply")
 
     def final_win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col] + by, ascending=[True] + asc)
         w = g.groupby(key_col, sort=False).head(1)
         return w[w["_del"] == 0].drop(columns=["_src", "_del"])
 
-    return keyed_apply(
-        u.map_batches(local_win, batch_format="pandas", batch_size=65536),
-        key_col, final_win, num_partitions=num_partitions)
+    return keyed_apply([(base, pandas_block(win_base)),
+                        (changes, pandas_block(win_chg))],
+                       key_col, final_win, num_partitions=num_partitions)
 
 
 def interval_self_join(
