@@ -6393,9 +6393,9 @@ def _sssp_sql(n_rounds: int = 8) -> str:
 
 def _parts_sorted_neighborhood(sf_dir: str) -> pd.DataFrame:
     """Sorted-neighborhood ER blocking (stages/dedup.py::
-    sorted_neighborhood_pairs, window=3): global sort positions via the
-    two-pass block prefix, boundary-replicated chunk exchange, exactly-
-    once pair emission.  Oracle: row_number self-join."""
+    sorted_neighborhood_pairs, window=3): one range sort, each sorted
+    block's pairs over its rows plus the next window-1 ids, exactly-once
+    pair emission.  Oracle: row_number self-join."""
     from text_to_rdf_ray.stages.dedup import sorted_neighborhood_pairs
 
     parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
@@ -12614,12 +12614,13 @@ def oracle_sql() -> dict[str, str]:
             c AS (SELECT sum(new_terms) OVER (ORDER BY bucket) AS v,
                          sum(ntok) OVER (ORDER BY bucket) AS n
                   FROM f),
-            pts AS (SELECT ln(CAST(n AS DOUBLE)) AS x,
+            pts AS (SELECT v, n, ln(CAST(n AS DOUBLE)) AS x,
                            ln(CAST(v AS DOUBLE)) AS y
                     FROM c WHERE v > 0 AND n > 0),
             s AS (SELECT count(*) AS m, sum(x) AS sx, sum(y) AS sy,
                          sum(x * x) AS sxx, sum(x * y) AS sxy,
-                         sum(y * y) AS syy
+                         sum(y * y) AS syy,
+                         min(v) = max(v) OR min(n) = max(n) AS flat
                   FROM pts)
             SELECT CAST(m AS BIGINT) AS n_buckets,
                    round((m * sxy - sx * sy)
@@ -12627,7 +12628,7 @@ def oracle_sql() -> dict[str, str]:
                    round((sy - ((m * sxy - sx * sy)
                                 / (m * sxx - sx * sx)) * sx) / m, 6)
                        AS log_k,
-                   round(CASE WHEN (m * sxx - sx * sx)
+                   round(CASE WHEN NOT flat AND (m * sxx - sx * sx)
                                    * (m * syy - sy * sy) > 0
                          THEN (m * sxy - sx * sy)
                               * (m * sxy - sx * sy)

@@ -175,30 +175,25 @@ def test_decontaminate_counts_distinct_bench_grams(ray_session):
     assert out["contaminated"].tolist() == [True, True, True, False, False]
 
 
-def test_pack_sequences_rejects_duplicate_ids():
-    # ADVICE round-3: offsets are keyed by block min id; duplicate ids
-    # straddling a block boundary would silently shift seq_ids, so the
-    # disjointness guard must catch both the shared-min and the
-    # overlapping-range forms (tested directly — where Ray places block
-    # boundaries on a duplicated id is not deterministic).
-    import pandas as pd
+def test_pack_sequences_rejects_duplicate_ids(ray_session, monkeypatch):
+    # ADVICE round-3: a duplicate id would silently shift seq_ids.  Equal
+    # ids always fall in one range of the sort, so the per-range pass sees
+    # them as neighbours and raises, at one range and at many, wherever
+    # the input blocks cut them.
     import pytest
 
-    from text_to_rdf_ray.stages.curation import _check_blocks_disjoint
+    from text_to_rdf_ray.stages.curation import pack_sequences
 
-    ok = pd.DataFrame({"min_id": [0, 10, 20], "max_id": [9, 19, 30],
-                       "tok_sum": [5, 5, 5]})
-    _check_blocks_disjoint(ok, "doc_id")  # disjoint: passes
-
-    shared_min = pd.DataFrame({"min_id": [0, 7, 7], "max_id": [7, 7, 12],
-                               "tok_sum": [5, 5, 5]}).sort_values("min_id")
-    with pytest.raises(ValueError, match="unique"):
-        _check_blocks_disjoint(shared_min, "doc_id")
-
-    overlap = pd.DataFrame({"min_id": [0, 7], "max_id": [9, 12],
-                            "tok_sum": [5, 5]})
-    with pytest.raises(ValueError, match="unique"):
-        _check_blocks_disjoint(overlap, "doc_id")
+    ids = list(range(40)) + [7, 23, 31]
+    ds = rd.from_pandas([pd.DataFrame({"doc_id": ids[i::4],
+                                       "n_tokens": [5] * len(ids[i::4])})
+                         for i in range(4)])
+    ctx = rd.DataContext.get_current()
+    for part_bytes in (ctx.target_min_block_size, 1):
+        monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+        with pytest.raises(ValueError, match="unique"):
+            pack_sequences(ds, id_col="doc_id", token_col="n_tokens",
+                           budget=16)
 
 
 def test_passage_dedup_rejects_oversized_doc_id(ray_session):
@@ -577,17 +572,12 @@ def test_shuffle_rows_permutation_and_salt(ray_session):
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert (out["shuffle_pos"].to_numpy()
             != out2["shuffle_pos"].to_numpy()).mean() > 0.99
-    # duplicate ids: the boundary-straddle guard raises when offsets
-    # would collide; when the sort keeps equal hashes in one block the
-    # result must still be a dense permutation (each ROW gets a position)
+    # duplicate ids: equal hashes fall in one range of the sort, so each
+    # ROW still gets its own position — a dense permutation
     dup = rd.from_pandas(pd.DataFrame(
         {"doc_id": np.r_[ids[:50], ids[:50]]})).repartition(4)
-    try:
-        outd = shuffle_rows(dup, id_col="doc_id").to_pandas()
-    except ValueError as e:
-        assert "unique" in str(e)
-    else:
-        assert sorted(outd["shuffle_pos"]) == list(range(100))
+    outd = shuffle_rows(dup, id_col="doc_id").to_pandas()
+    assert sorted(outd["shuffle_pos"]) == list(range(100))
 
 
 def _line_dedup_brute(docs: dict[int, str], min_df: int) -> pd.DataFrame:

@@ -1029,7 +1029,8 @@ def test_random_projection_preserves_distance_in_expectation(ray_session):
     assert abs(s.mean()) < 0.1
 
 
-def test_sorted_neighborhood_pairs_bruteforce_parity(ray_session):
+def test_sorted_neighborhood_pairs_bruteforce_parity(ray_session,
+                                                     monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -1039,10 +1040,13 @@ def test_sorted_neighborhood_pairs_bruteforce_parity(ray_session):
     names = ["w%03d" % i for i in rng.randint(0, 400, 500)]
     df = pd.DataFrame({"doc_id": np.arange(500, dtype=np.int64),
                        "text": names})
-    # tiny chunk forces many boundary straddles
+    # one sort range per byte: ~8-row sorted blocks, so many windows
+    # straddle block boundaries
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 1)
     out = (sorted_neighborhood_pairs(
         rd.from_pandas(df).repartition(7), key_col="text",
-        id_col="doc_id", window=4, chunk=16)
+        id_col="doc_id", window=4)
         .to_pandas().sort_values(["id_a", "id_b", "dist"])
         .reset_index(drop=True))
     order = sorted(range(500), key=lambda i: (names[i], i))
@@ -1540,10 +1544,12 @@ def test_media_real_decode_raises_without_pil(ray_session):
         stub._decode_real(b"xx", "image")
 
 
-def test_sorted_neighborhood_numeric_key_global_order(ray_session):
-    """Review r5: the block-offset fold must order blocks NATIVELY —
-    str() ordering put key 10 before key 9 and corrupted every global
-    row number for numeric sort keys."""
+def test_sorted_neighborhood_numeric_key_global_order(ray_session,
+                                                      monkeypatch):
+    """Review r5: blocks must be ordered NATIVELY — str() ordering put
+    key 10 before key 9 and corrupted every global row number for
+    numeric sort keys.  30 rows over 64 sort ranges: most blocks hold
+    one row or none, so each pair's right end is in a later block."""
     import pandas as pd
 
     import ray.data as rd
@@ -1554,9 +1560,11 @@ def test_sorted_neighborhood_numeric_key_global_order(ray_session):
     # consecutive integers (9,10), (10,11), ... regardless of blocking
     df = pd.DataFrame({"k": np.arange(1, 31, dtype=np.int64),
                        "doc_id": np.arange(1, 31, dtype=np.int64)})
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 1)
     out = (sorted_neighborhood_pairs(
         rd.from_pandas(df.sample(frac=1.0, random_state=3)),
-        key_col="k", id_col="doc_id", window=2, chunk=7)
+        key_col="k", id_col="doc_id", window=2)
         .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
     want = [(i, i + 1) for i in range(1, 30)]
     assert list(zip(out.id_a, out.id_b)) == want

@@ -405,6 +405,47 @@ _ONE_CPU_SOURCES = textwrap.dedent("""
     assert set(ranks.node) == set(e.src) | set(e.dst)
     got = dict(zip(ranks.node, ranks["rank"]))
     assert all(abs(got[n] - r) < 1e-12 for n, r in zip(ref.node, ref["rank"]))
+
+    # the range-exchange operators, several ranges each, over a
+    # read-backed input and one holding an all-to-all op
+    from text_to_rdf_ray.stages import analytics, curation, dedup, lakehouse
+
+    rd.DataContext.get_current().target_min_block_size = 1024
+    d = pd.DataFrame({"id": np.arange(900, dtype="int64"),
+                      "k": rng.integers(0, 4, 900).astype("int64"),
+                      "v": rng.integers(0, 50, 900).astype("float64"),
+                      "name": [f"w{i:03d}" for i in rng.integers(0, 99, 900)]})
+    for src in (read(d, "d"), shuffled(d)):
+        got = analytics.range_sort(src, key_col="v", tiebreak_col="id",
+                                   num_partitions=4).to_pandas()
+        assert (got.sort_values("global_pos")["id"].tolist()
+                == d.sort_values(["v", "id"])["id"].tolist())
+        got = analytics.grouped_prefix_sum(src, key_col="k", order_col="id",
+                                           value_col="v").to_pandas()
+        assert (got.set_index("id")["before"].sort_index().tolist()
+                == (d.groupby("k")["v"].cumsum() - d["v"]).tolist())
+        got = analytics.prefix_max(src, order_col="id",
+                                   value_col="v").to_pandas()
+        assert (got.set_index("id")["running_max"].sort_index()[1:].tolist()
+                == d["v"].cummax()[:-1].tolist())
+        got = curation.pack_sequences(src, id_col="id", token_col="k",
+                                      budget=5).to_pandas().sort_values("id")
+        assert (got["seq_id"].tolist()
+                == ((d["k"].cumsum() - d["k"]) // 5).tolist())
+        got = curation.shuffle_rows(src, id_col="id").to_pandas()
+        assert sorted(got["shuffle_pos"]) == list(range(900))
+        got = dedup.sorted_neighborhood_pairs(src, key_col="name",
+                                              id_col="id",
+                                              window=2).to_pandas()
+        order = d.sort_values(["name", "id"])["id"].tolist()
+        assert (sorted(zip(got.id_a, got.id_b))
+                == sorted(zip(order[:-1], order[1:])))
+        man = lakehouse.clustered_write(src, tempfile.mkdtemp(),
+                                        key_col="v", num_files=3)
+        assert man["rows"].sum() == 900
+        man = lakehouse.zorder_write(src, tempfile.mkdtemp(),
+                                     cols=["v", "k"], num_files=3)
+        assert man["rows"].sum() == 900
     ray.shutdown()
     print("OK")
 """)
@@ -416,8 +457,9 @@ def test_source_operators_finish_at_one_cpu():
     components (distributed path, and the BSP edge exchange over two
     sources) and the PageRank node distinct — finish and match a pandas
     reference, with one source read-backed and the other holding an
-    all-to-all op.  Runs in its own process, killed with its Ray
-    processes if it has not finished."""
+    all-to-all op; so do the range-exchange operators (the sorts, prefix
+    scans and range-cut writes) over either kind of input.  Runs in its
+    own process, killed with its Ray processes if it has not finished."""
     env = dict(os.environ, PYTHONPATH=ROOT)
     proc = subprocess.Popen([sys.executable, "-c", _ONE_CPU_SOURCES],
                             cwd=ROOT, env=env, stdout=subprocess.PIPE,

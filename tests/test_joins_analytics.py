@@ -1568,35 +1568,158 @@ def test_moved_operator_same_rows_at_every_partition_count(
     pd.testing.assert_frame_equal(run(), sized)
 
 
-def test_only_range_cut_sites_use_map_groups():
-    """Every hash-keyed exchange goes through stages/exchange.py: the
-    package's only map_groups calls are the four range-cut sites whose
-    reduces read their range id."""
-    import ast
+def _no_ray_sort_runs(monkeypatch, tmp_path):
+    """Each operator moved onto the range exchange, run on small input
+    with one range per byte (so every sort cuts several ranges), as
+    ``(name, run)`` pairs; ``run()`` asserts its result against pandas."""
+    from text_to_rdf_ray.stages import analytics, curation, dedup, lakehouse
+
+    ctx = rd.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_min_block_size", 1)
+    rng = np.random.RandomState(4)
+    df = pd.DataFrame({"id": np.arange(600, dtype=np.int64),
+                       "k": rng.randint(0, 5, 600).astype(np.int64),
+                       "v": np.round(rng.rand(600) * 9, 1),
+                       "name": [f"w{i:03d}" for i in rng.randint(0, 90, 600)]})
+    ds = rd.from_pandas(df).repartition(5).materialize()
+
+    def range_sort():
+        out = analytics.range_sort(ds, key_col="v", tiebreak_col="id",
+                                   num_partitions=6).to_pandas()
+        got = out.sort_values("global_pos")
+        assert got["global_pos"].tolist() == list(range(600))
+        assert got["id"].tolist() == df.sort_values(["v", "id"])["id"].tolist()
+
+    def grouped_prefix_sum():
+        out = analytics.grouped_prefix_sum(
+            ds, key_col="k", order_col="id", value_col="v").to_pandas()
+        want = df.groupby("k")["v"].cumsum() - df["v"]
+        got = out.set_index("id")["before"].sort_index()
+        np.testing.assert_allclose(got.to_numpy(), want.to_numpy())
+
+    def prefix_max():
+        out = analytics.prefix_max(ds, order_col="id",
+                                   value_col="v").to_pandas()
+        want = df["v"].cummax().shift(1)
+        got = out.set_index("id")["running_max"].sort_index()
+        np.testing.assert_array_equal(got.to_numpy(), want.to_numpy())
+
+    def pack_sequences():
+        out = curation.pack_sequences(ds, id_col="id", token_col="k",
+                                      budget=7).to_pandas().sort_values("id")
+        before = df["k"].cumsum() - df["k"]
+        assert out["seq_id"].tolist() == (before // 7).tolist()
+
+    def shuffle_rows():
+        out = curation.shuffle_rows(ds, id_col="id").to_pandas()
+        assert sorted(out["shuffle_pos"]) == list(range(600))
+
+    def sorted_neighborhood_pairs():
+        out = dedup.sorted_neighborhood_pairs(
+            ds, key_col="name", id_col="id", window=3).to_pandas()
+        order = df.sort_values(["name", "id"])["id"].tolist()
+        want = sorted((order[p], order[p + g], g) for g in (1, 2)
+                      for p in range(600 - g))
+        assert sorted(map(tuple, out[["id_a", "id_b", "dist"]]
+                          .to_numpy().tolist())) == want
+
+    def clustered_write():
+        man = lakehouse.clustered_write(ds, str(tmp_path / "c"), key_col="v",
+                                        num_files=4)
+        assert man["rows"].sum() == 600 and len(man) > 1
+
+    def zorder_write():
+        man = lakehouse.zorder_write(ds, str(tmp_path / "z"),
+                                     cols=["v", "k"], num_files=4)
+        assert man["rows"].sum() == 600 and len(man) > 1
+
+    return [(f.__name__, f) for f in (
+        range_sort, grouped_prefix_sum, prefix_max, pack_sequences,
+        shuffle_rows, sorted_neighborhood_pairs, clustered_write,
+        zorder_write)]
+
+
+def test_range_operators_run_no_ray_sort_or_map_groups(ray_session,
+                                                       monkeypatch,
+                                                       tmp_path):
+    """The sorts, range cuts and prefix scans run on the raw-task range
+    exchange: with Ray's ``Dataset.sort`` and ``map_groups`` patched to
+    raise, every moved operator still gives the pandas answer, and no
+    ``map_groups(`` or ``.sort([`` call is left in the package."""
     import pathlib
+
+    from ray.data.grouped_data import GroupedData
 
     import text_to_rdf_ray
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray all-to-all sort ran")
+
+    runs = _no_ray_sort_runs(monkeypatch, tmp_path)
+    monkeypatch.setattr(rd.Dataset, "sort", refuse)
+    monkeypatch.setattr(GroupedData, "map_groups", refuse)
+    for name, run in runs:
+        run()
     root = pathlib.Path(text_to_rdf_ray.__file__).parent
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "map_groups"):
-                    sites.append((path.name, fn.name))
-    assert sorted(sites) == [
-        ("analytics.py", "range_sort"),
-        ("dedup.py", "sorted_neighborhood_pairs"),
-        ("lakehouse.py", "clustered_write"),
-        ("lakehouse.py", "zorder_write"),
-    ]
-    assert sum(p.read_text().count(".map_groups(")
-               for p in root.rglob("*.py")) == 4
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        assert ".map_groups(" not in text, path
+        assert ".sort([" not in text and ".sort(\"" not in text, path
+
+
+def test_grouped_prefix_sum_spreads_a_hot_key(ray_session, monkeypatch):
+    """One key with 20k distinct orders is cut over several ranges (the
+    cuts sample the order column too) and still sums as pandas does."""
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.analytics import grouped_prefix_sum
+
+    rng = np.random.RandomState(9)
+    n = 20_000
+    df = pd.DataFrame({"k": np.r_[np.zeros(n, np.int64),
+                                  rng.randint(1, 50, 2000)],
+                       "o": rng.permutation(n + 2000).astype(np.int64),
+                       "v": rng.randint(0, 100, n + 2000).astype(np.float64)})
+    ranges = []
+    real = bsp.sort_blocks
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        ranges.append([m[0] for m in out.metas()])
+        return out
+
+    monkeypatch.setattr(bsp, "sort_blocks", recording)
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 32 * 1024)
+    out = grouped_prefix_sum(rd.from_pandas(df).repartition(6),
+                             key_col="k", order_col="o",
+                             value_col="v").to_pandas()
+    # range 0 holds only rows of the smallest key, the hot one: when it
+    # holds some but not all of them, the key spans several ranges
+    assert len(ranges[0]) > 2 and 0 < ranges[0][0] < n
+    srt = df.sort_values(["k", "o"])
+    want = (srt.groupby("k")["v"].cumsum() - srt["v"]).sort_index()
+    got = out.sort_values("o").set_index("o")["before"]
+    np.testing.assert_array_equal(
+        got.loc[df["o"]].to_numpy(), want.to_numpy())
+
+
+def test_range_ids_integer_key_matches_block_sort():
+    """``bsp._range_ids`` on one integer key (``searchsorted``) gives the
+    ids of its block-sort path and of a brute count: a key equal to a
+    cut row goes after it."""
+    from text_to_rdf_ray.stages.bsp import _range_ids
+
+    rng = np.random.RandomState(5)
+    cut = [3, 3, 17, 39]
+    zeros = pa.array(np.zeros(500, np.int64))
+    for typ in (pa.int64(), pa.int32(), pa.uint64()):
+        keys = rng.randint(0, 41, 500)
+        one = _range_ids(pa.table({"k": pa.array(keys, typ)}), ["k"],
+                         pa.table({"k": cut}))
+        two = _range_ids(pa.table({"k": pa.array(keys, typ), "z": zeros}),
+                         ["k", "z"], pa.table({"k": cut, "z": [0] * 4}))
+        brute = [sum(c <= x for c in cut) for x in keys]
+        assert one.tolist() == two.tolist() == brute
 
 
 def _null_block_frames():

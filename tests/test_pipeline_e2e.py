@@ -246,20 +246,16 @@ def test_document_shaped_rule_rejected_at_build(pages_dir):
         clear_rules()
 
 
-def test_link_actor_and_task_modes_agree(pages_dir):
-    """Actor-pool and task-mode linkers produce identical links."""
+def test_unknown_link_mode_raises(pages_dir):
+    """Only "task" and "join" link: the deleted "actor" mode and a typo
+    raise, naming both, instead of running task mode."""
     from text_to_rdf_ray.pipelines.kg import build_triples, read_pages
     from text_to_rdf_ray.sources.fixtures import kb_records
 
-    kwargs = dict(kb_records=kb_records(), canonicalize=False, validate=False,
-                  dedup=False)
-    a = build_triples(read_pages(pages_dir), link_mode="task", **kwargs).to_pandas()
-    b = build_triples(read_pages(pages_dir), link_mode="actor",
-                      link_concurrency=(1, 2), **kwargs).to_pandas()
-    key = ["url", "subj", "pred", "obj", "subj_uri", "obj_uri"]
-    sa = sorted(map(tuple, a[key].fillna("").values.tolist()))
-    sb = sorted(map(tuple, b[key].fillna("").values.tolist()))
-    assert sa == sb
+    for mode in ("actor", "jion"):
+        with pytest.raises(ValueError, match="'task'.*'join'"):
+            build_triples(read_pages(pages_dir), kb_records=kb_records(),
+                          link_mode=mode)
 
 
 def test_link_join_mode_agrees_with_broadcast(pages_dir):
@@ -560,15 +556,21 @@ def test_corpus_clean_partitioned_resume_and_parity(ray_session, tmp_path):
     assert list(got["n_tokens"]) == list(expect["n_tokens"])
 
 
-def test_sorted_output_files(pages_dir, tmp_path):
+def test_sorted_output_files(pages_dir, tmp_path, monkeypatch):
     """sort_output=True writes each partition's parquet in (subj, pred, obj)
-    order — the deterministic-file-ordering contract (SURVEY §2.6)."""
+    order — the deterministic-file-ordering contract (SURVEY §2.6) — on
+    the range exchange, with Ray's Dataset.sort refused."""
     import pandas as pd
+    import ray.data as rd
 
     from text_to_rdf_ray.pipelines.kg import run_partitioned
     from text_to_rdf_ray.sources.fixtures import kb_records
     from text_to_rdf_ray.state import manifest as mf
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray all-to-all sort ran")
+
+    monkeypatch.setattr(rd.Dataset, "sort", refuse)
     out = str(tmp_path / "sorted")
     run_partitioned(pages_dir, out, partitions=1, kb_records=kb_records(),
                     sort_output=True)

@@ -71,8 +71,7 @@ class LinkerConfig:
     enabled: bool = True
     fuzzy_threshold: float = 0.8
     confidence_threshold: float = 0.5
-    mode: str = "task"  # "task" (small KB) | "actor" (heavy KB) | "join" (KB too big to broadcast)
-    concurrency: tuple = (2, 8)
+    mode: str = "task"  # "task" (small KB) | "join" (KB too big to broadcast)
 
     @classmethod
     def from_env(cls) -> "LinkerConfig":
@@ -149,7 +148,6 @@ class PipelineConfig:
             "lang": self.lang,
             "link": self.linker.enabled,
             "link_mode": self.linker.mode,
-            "link_concurrency": self.linker.concurrency,
             "link_fuzzy_threshold": self.linker.fuzzy_threshold,
             "link_confidence_threshold": self.linker.confidence_threshold,
             "canonicalize": self.canonicalize.enabled,

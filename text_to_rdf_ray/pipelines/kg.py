@@ -6,9 +6,8 @@ End-to-end flow (north star):
   -> filter_lang (vectorized arrow predicate)
   -> extract_triples (per-document kernel: chunking/coref/patterns/KB)
   -> link (``link_mode``: "task", the default — a map task with the KB
-     index cached per worker, KB broadcast via ray.put; "actor" — the
-     LinkEntities actor pool; "join" — shuffle-join linking,
-     ``link_entities_join``, nothing broadcast)
+     index cached per worker, KB broadcast via ray.put; "join" —
+     shuffle-join linking, ``link_entities_join``, nothing broadcast)
   -> canonicalize (MinHash-LSH blocking + union-find shuffles)
   -> validate (vectorized confidence)
   -> global (subj,pred,obj) dedup (salted two-phase shuffle)
@@ -33,7 +32,6 @@ import ray.data as rd
 from ..stages.canonicalize import apply_canonical_map, canonicalize_surfaces, dedup_triples
 from ..stages.kg_stages import (
     KBLabelTable,
-    LinkEntities,
     extract_triples,
     make_lang_filter,
     strip_html,
@@ -69,8 +67,7 @@ def build_triples(
     drop_invalid: bool = False,
     dedup: bool = True,
     from_html: bool = True,
-    link_mode: str = "task",  # "task" (small KB) | "actor" (heavy KB/model) | "join" (KB too big to broadcast)
-    link_concurrency=(2, 8),
+    link_mode: str = "task",  # "task" (small KB) | "join" (KB too big to broadcast)
     link_fuzzy_threshold: float = 0.8,
     link_confidence_threshold: float = 0.5,
     extract_batch_size: int = 256,
@@ -79,7 +76,11 @@ def build_triples(
     canonicalize_tau: float | None = None,
     canonical_map_join_threshold: int = 1_000_000,
 ) -> rd.Dataset:
-    """Assemble the lazy Dataset pipeline from pages to canonical triples."""
+    """Assemble the lazy Dataset pipeline from pages to canonical triples.
+    ``link_mode`` other than ``"task"`` or ``"join"`` raises."""
+    if link_mode not in ("task", "join"):
+        raise ValueError(f"link_mode {link_mode!r}: use 'task' (KB "
+                         "broadcast) or 'join' (shuffle-join linking)")
     ds = pages
     # filter on the cheap lang column BEFORE parsing html: filtered pages
     # never pay the strip cost (and with read_pages(lang=...) pushdown they
@@ -107,19 +108,6 @@ def build_triples(
                 ds, kb_records,
                 fuzzy_threshold=link_fuzzy_threshold,
                 confidence_threshold=link_confidence_threshold,
-            )
-        elif link_mode == "actor":
-            kb_ref = ray.put(kb_records)
-            ds = ds.map_batches(
-                LinkEntities,
-                batch_format="pyarrow",
-                batch_size=4096,
-                concurrency=link_concurrency,
-                fn_constructor_kwargs={
-                    "kb_ref": kb_ref,
-                    "fuzzy_threshold": link_fuzzy_threshold,
-                    "confidence_threshold": link_confidence_threshold,
-                },
             )
         else:
             # task mode (default for small KBs): per-worker cached index,
@@ -332,7 +320,10 @@ def run_partitioned(
                 # deterministic file ordering (SURVEY §2.6: the only global
                 # ordering the engine needs); partition outputs are small
                 # post-dedup, so the sort is partition-local and cheap
-                triples = triples.sort(["subj", "pred", "obj"])
+                from ..stages.bsp import sort_blocks
+
+                triples = sort_blocks(triples,
+                                      ["subj", "pred", "obj"]).dataset()
             if subject_buckets:
                 # co-locate triples of one subject for downstream graph
                 # consumers (hash(subj) % B layout, SURVEY.md §7.2 item 7);

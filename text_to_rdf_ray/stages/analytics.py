@@ -1041,91 +1041,38 @@ def range_sort(
     sample_per_batch: int = 64,
 ) -> rd.Dataset:
     """Distributed total sort with exact global positions: sample-based
-    range partitioning (the TeraSort shape), NOT Ray's built-in sort.
+    range partitioning (the TeraSort shape) on the raw-task exchange
+    (``bsp.sort_blocks``), NOT Ray's built-in sort.
 
-    Three bounded passes over metadata, one over data:
-
-    1. **Sample** — each batch contributes ``sample_per_batch`` evenly
-       spaced keys from its locally sorted keys; the driver collect is
-       bounded by ``batches x sample_per_batch`` and cutpoints are the
-       sample quantiles.  Any cutpoints give a CORRECT order (ranges
-       are disjoint and ordered); sampling only controls balance.
-    2. **Range exchange** — each row's partition via one vectorized
-       ``np.searchsorted`` against the broadcast cutpoints; partition i
-       holds keys strictly below partition i+1's.
-    3. **Per-partition sort** — one vectorized ``sort_values((key,
-       tiebreak))`` per partition (the `_part` reduce pattern) with a
-       local ``arange`` position.
-    4. **Offsets** — per-partition row counts (a ``num_partitions``-row
-       aggregate) prefix-summed on the driver and broadcast;
-       ``pos_col = offset[part] + local_pos`` makes positions globally
+    1. **Sample** — each input block contributes ``sample_per_batch``
+       evenly spaced (key, tiebreak) rows of its locally sorted rows;
+       the cut rows are the sample quantiles.  Any cuts give a CORRECT
+       order (ranges are disjoint and ordered); sampling only controls
+       balance.
+    2. **Range exchange** — each row's range id, computed against the
+       cut rows in the task that splits its block, is its partition:
+       range i's keys sort strictly below range i+1's.  At most
+       ``num_partitions`` ranges, sized to the input.
+    3. **Per-range sort** — one vectorized Arrow sort on (key,
+       tiebreak) per range.
+    4. **Offsets** — range i's offset is the row count of the ranges
+       before it (the exchange's block row counts);
+       ``pos_col = offset + local arange`` makes positions globally
        exact: ORDER BY (key, tiebreak) == ORDER BY pos_col.
 
     ``tiebreak_col`` must be unique for a deterministic total order
     (same contract as SQL ``row_number`` replay).
     """
-    import ray
+    from .bsp import scan_blocks, sort_blocks
 
-    from .exchange import exchange_agg
+    srt = sort_blocks(ds, [key_col, tiebreak_col], max_parts=num_partitions,
+                      sample_per_block=sample_per_batch)
 
-    def sample(batch: pa.Table) -> pa.Table:
-        v = np.sort(batch.column(key_col).to_numpy(zero_copy_only=False))
-        if len(v) == 0:
-            # typed empty — dtype follows the input column so int and
-            # float key columns schema-merge across batches
-            return pa.table({"k": pa.array(v)})
-        idx = np.linspace(0, len(v) - 1, min(sample_per_batch, len(v)))
-        return pa.table({"k": pa.array(v[idx.astype(np.int64)])})
+    def assign(off: int, t: pa.Table) -> pa.Table:
+        return t.append_column(pos_col, pa.array(
+            off + np.arange(t.num_rows, dtype=np.int64)))
 
-    samp = np.sort(ds.map_batches(sample, batch_format="pyarrow")
-                   .to_pandas()["k"].to_numpy())
-    if len(samp) == 0:
-        return ds.map_batches(
-            lambda t: t.append_column(pos_col, pa.array([], pa.int64())),
-            batch_format="pyarrow")
-    cut_idx = np.linspace(0, len(samp) - 1, num_partitions + 1)[1:-1]
-    cuts = samp[cut_idx.astype(np.int64)]
-    cref = ray.put(cuts)
-    cache: dict = {}
-
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        c = cache.get("c")
-        if c is None:
-            c = cache["c"] = ray.get(cref)
-        part = np.searchsorted(c, batch[key_col].to_numpy(),
-                               side="right").astype(np.int32)
-        return batch.assign(_part=part)
-
-    tagged = ds.map_batches(tag, batch_format="pandas")
-
-    def part_counts(batch: pa.Table) -> pa.Table:
-        p, c = np.unique(batch.column("_part").to_numpy(), return_counts=True)
-        return pa.table({"_part": pa.array(p, pa.int32()),
-                         "n": pa.array(c, pa.int64())})
-
-    counts = exchange_agg(
-        tagged.map_batches(part_counts, batch_format="pyarrow"),
-        "_part", [("n", "sum", "n")],
-        num_partitions=8).to_pandas().sort_values("_part")
-    offs = dict(zip(
-        counts["_part"].astype(int),
-        np.concatenate([[0], np.cumsum(counts["n"].to_numpy())[:-1]])))
-    oref = ray.put(offs)
-
-    def sort_part(g: pd.DataFrame) -> pd.DataFrame:
-        o = cache.get("o")
-        if o is None:
-            o = cache["o"] = ray.get(oref)
-        part = int(g["_part"].iloc[0])
-        g = g.sort_values([key_col, tiebreak_col])
-        return (g.assign(**{pos_col: o[part] + np.arange(len(g),
-                                                         dtype=np.int64)})
-                .drop(columns=["_part"]))
-
-    # map_groups stays: sampled range cuts (not a key hash), and
-    # sort_part reads its range id to look up its global row offset
-    return tagged.groupby("_part").map_groups(sort_part,
-                                              batch_format="pandas")
+    return scan_blocks(srt, assign, srt.row_offsets()).dataset()
 
 
 def table_diff(
@@ -1335,85 +1282,55 @@ def grouped_prefix_sum(
     through.  Precondition: ``order_col`` is unique within each key
     (ties make any engine's window order — including SQL's — arbitrary).
 
-    Scale shape (the ``pack_sequences`` two-pass prefix generalized to
-    per-key segments): ONE global range sort on (key, order), then
-    (1) per-BLOCK partials — one tiny row per block carrying the block's
-    first/last key and their run sums (interior keys never span a block
-    boundary after the sort, so they need no cross-block state);
-    (2) the driver walks the O(blocks) partial table carrying the single
-    spanning key's running total forward; (3) a second streaming pass
-    adds block offset + local exclusive cumsum.  A hot key spanning many
-    blocks costs O(its block count) driver ROWS — it is never required
-    to fit in one worker (unlike the hash-partition + groupby.transform
-    shape used by ``sessionize``).
+    Scale shape (the ``pack_sequences`` prefix generalized to per-key
+    segments): ONE range sort on (key, order) (``bsp.sort_blocks``,
+    cut on both columns), then (1) a stats pass gives each sorted block
+    its first and last key and the value sum of its last key's run
+    (interior keys never span a block boundary, so they need no
+    cross-block state); (2) the driver walks those B rows in block
+    order, carrying the one spanning key's running total forward;
+    (3) each block adds its offset to its first key's local exclusive
+    cumsum.  A hot key spanning many ranges costs O(its block count)
+    driver ROWS — it is never required to fit in one worker (unlike
+    the hash-partition + groupby.transform shape used by
+    ``sessionize``).
     """
-    import ray
+    from .bsp import block_values, scan_blocks, sort_blocks
 
-    sorted_ds = ds.sort([key_col, order_col]).materialize()
+    srt = sort_blocks(ds, [key_col, order_col])
 
-    from .exchange import as_arrow_schema
-
-    key_type = as_arrow_schema(sorted_ds.schema()).field(key_col).type
-
-    def block_stats(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
-            return pa.table({
-                "first_key": pa.array([], key_type),
-                "first_order": pa.array([], pa.int64()),
-                "last_key": pa.array([], key_type),
-                "sum_last": pa.array([], pa.float64()),
-            })
-        k = batch.column(key_col)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(
+    def stats(t: pa.Table):
+        if not t.num_rows:
+            return None
+        k = t.column(key_col)
+        kl = k[t.num_rows - 1].as_py()
+        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(
             np.float64)
-        kf, kl = k[0].as_py(), k[n - 1].as_py()
         karr = np.asarray(k.to_pylist(), dtype=object)
-        sum_last = float(v[karr == kl].sum())
-        return pa.table({
-            "first_key": pa.array([kf], key_type),
-            # NATIVE order type — int() truncated float order columns,
-            # colliding distinct block offsets (review r5)
-            "first_order": batch.column(order_col).slice(0, 1)
-            .combine_chunks(),
-            "last_key": pa.array([kl], key_type),
-            "sum_last": pa.array([sum_last], pa.float64()),
-        })
+        return k[0].as_py(), kl, float(v[karr == kl].sum())
 
-    # native key dtype preserved so this driver sort ranks blocks exactly
-    # like the distributed sort did (str() would put key 10 before key 2)
-    partials = (sorted_ds.map_batches(block_stats, batch_format="pyarrow",
-                                      batch_size=None)
-                .to_pandas().sort_values(["first_key", "first_order"]))
-    offsets: dict = {}
+    offsets = []
     running_key, running_sum = None, 0.0
-    for row in partials.itertuples(index=False):
-        off = running_sum if row.first_key == running_key else 0.0
-        offsets[(row.first_key, row.first_order)] = off
-        base = off if row.last_key == row.first_key else 0.0
-        running_key, running_sum = row.last_key, base + float(row.sum_last)
-    off_ref = ray.put(offsets)
-    cache: dict = {}
+    for st in block_values(srt, stats):
+        if st is None:
+            offsets.append(0.0)
+            continue
+        first, last, sum_last = st
+        off = running_sum if first == running_key else 0.0
+        offsets.append(off)
+        base = off if last == first else 0.0
+        running_key, running_sum = last, base + sum_last
 
-    def assign(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
-            return batch.append_column(out_col, pa.array([], pa.float64()))
-        off = cache.get("o")
-        if off is None:
-            off = cache["o"] = ray.get(off_ref)
-        k = pd.Series(batch.column(key_col).to_pylist())
-        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(
+    def assign(block_off: float, t: pa.Table) -> pa.Table:
+        k = pd.Series(t.column(key_col).to_pylist())
+        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(
             np.float64)
         excl = (pd.Series(v).groupby(k, sort=False).cumsum() - v).to_numpy()
-        first_key = k.iloc[0]
-        block_off = off[(first_key,
-                         batch.column(order_col)[0].as_py())]
-        excl[(k == first_key).to_numpy()] += block_off
-        return batch.append_column(out_col, pa.array(excl, pa.float64()))
+        if len(k):
+            excl[(k == k.iloc[0]).to_numpy()] += block_off
+        return t.append_column(out_col, pa.array(excl, pa.float64()))
 
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 batch_size=None)
+    return scan_blocks(srt, assign, offsets).dataset()
 
 
 def profile_table(
@@ -1580,69 +1497,42 @@ def prefix_max(
     on it.  Precondition: ``order_col`` unique (it is the arrival
     sequence).
 
-    Scale shape (the ``grouped_prefix_sum`` two-pass scan without the
-    segment bookkeeping): ONE range sort on ``order_col``, per-block
-    (first_order, max) partials — O(blocks) driver rows — an exclusive
-    prefix-max walk over the partials, then a second streaming pass
-    combining each block's offset with the block-local exclusive
-    ``np.maximum.accumulate``.  No hash exchange; values never leave
-    their block twice.
+    Scale shape (the ``grouped_prefix_sum`` scan without the segment
+    bookkeeping): ONE range sort on ``order_col`` (``bsp.sort_blocks``),
+    a stats pass giving each sorted block its max — B driver values —
+    an exclusive prefix-max walk over them in block order, then each
+    block combines its offset with the block-local exclusive
+    ``np.maximum.accumulate``.  No hash exchange.
     """
-    import ray
+    from .bsp import block_values, scan_blocks, sort_blocks
 
-    sorted_ds = ds.sort(order_col).materialize()
+    srt = sort_blocks(ds, order_col)
 
-    def block_stats(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"first_order": batch.column(order_col)
-                             .slice(0, 0),
-                             "max_val": pa.array([], pa.float64())})
-        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(
-            np.float64)
-        return pa.table({
-            # NATIVE order type (int() truncated float orders, review r5)
-            "first_order": batch.column(order_col).slice(0, 1)
-            .combine_chunks(),
-            "max_val": pa.array([float(v.max())], pa.float64()),
-        })
+    def block_max(t: pa.Table) -> float:
+        v = t.column(value_col).to_numpy(zero_copy_only=False)
+        return float(v.astype(np.float64).max()) if len(v) else -np.inf
 
-    partials = (sorted_ds.map_batches(block_stats, batch_format="pyarrow",
-                                      batch_size=None)
-                .to_pandas().sort_values("first_order"))
-    offsets: dict[int, float] = {}
-    running = -np.inf
-    for row in partials.itertuples(index=False):
-        offsets[row.first_order] = running
-        running = max(running, float(row.max_val))
-    off_ref = ray.put(offsets)
-    cache: dict = {}
+    offsets, running = [], -np.inf
+    for m in block_values(srt, block_max):
+        offsets.append(running)
+        running = max(running, m)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch.append_column(out_col, pa.array([], pa.float64()))
-        off = cache.get("o")
-        if off is None:
-            off = cache["o"] = ray.get(off_ref)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(
+    def assign(block_off: float, t: pa.Table) -> pa.Table:
+        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(
             np.float64)
         # exclusive local running max: shift the inclusive accumulate
-        local = np.empty_like(v)
-        local[0] = -np.inf
-        if len(v) > 1:
-            local[1:] = np.maximum.accumulate(v)[:-1]
-        block_off = off[batch.column(order_col)[0].as_py()]
+        local = np.full(len(v), -np.inf)
+        local[1:] = np.maximum.accumulate(v)[:-1]
         out = np.maximum(local, block_off)
         # -inf can only survive at the globally first row (every later
         # row has at least one finite predecessor); emit it as null
-        if np.isfinite(out[0]):
-            arr = pa.array(out, pa.float64())
-        else:
-            arr = pa.array(np.where(np.isfinite(out), out, np.nan),
-                           pa.float64(), from_pandas=True)
-        return batch.append_column(out_col, arr)
+        if not len(out) or np.isfinite(out[0]):
+            return t.append_column(out_col, pa.array(out, pa.float64()))
+        return t.append_column(out_col, pa.array(
+            np.where(np.isfinite(out), out, np.nan), pa.float64(),
+            from_pandas=True))
 
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 batch_size=None)
+    return scan_blocks(srt, assign, offsets).dataset()
 
 
 def explode_list(

@@ -71,10 +71,9 @@ def _arrow(ds: rd.Dataset) -> rd.Dataset:
 
 
 def _solid(ds: rd.Dataset, n: int = 8) -> rd.Dataset:
-    """Materialize as ``n`` Arrow blocks: Ray ``aggregate`` lineages and
-    the few range-cut ``map_groups`` ones can leave schema-less empty
-    blocks, and many-block lineages cost every exchange that consumes
-    them one split task per block."""
+    """Materialize as ``n`` Arrow blocks: Ray ``aggregate`` lineages can
+    leave schema-less empty blocks, and many-block lineages cost every
+    exchange that consumes them one split task per block."""
     return _arrow(ds).repartition(n).materialize()
 
 

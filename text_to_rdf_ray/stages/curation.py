@@ -102,25 +102,6 @@ def stratified_sample(
         key_col, final_part)
 
 
-def _check_blocks_disjoint(partials: pd.DataFrame, id_col: str) -> None:
-    """Guard for ``pack_sequences``'s uniqueness precondition: after the
-    range sort, block id-ranges must be strictly disjoint.  A duplicate id
-    straddling a block boundary shows up as either two blocks sharing a
-    ``min_id`` (dict-key collision on the offset table) or a block whose
-    ``min_id`` <= the previous block's ``max_id`` — both would silently
-    shift every later ``seq_id``, so raise instead.  ``partials`` must be
-    sorted by ``min_id``."""
-    mins = partials["min_id"].to_numpy()
-    maxs = partials["max_id"].to_numpy()
-    if len(mins) > 1 and (mins[1:] <= maxs[:-1]).any():
-        i = int(np.flatnonzero(mins[1:] <= maxs[:-1])[0])
-        raise ValueError(
-            f"pack_sequences: sorted blocks overlap on {id_col} "
-            f"(block max {maxs[i]} >= next block min {mins[i + 1]}) — "
-            f"{id_col} values must be unique; a duplicate id straddling a "
-            "block boundary would silently shift seq_id")
-
-
 def pack_sequences(
     ds: rd.Dataset,
     *,
@@ -137,70 +118,42 @@ def pack_sequences(
     boundary starts in the sequence its first token lands in).  Output:
     ``(id_col, token_col, seq_id)``.
 
-    Precondition: ``id_col`` values are UNIQUE (document ids).  Per-block
-    offsets are keyed by each block's min id; duplicate ids straddling a
-    block boundary would make two blocks share a key and silently shift
-    every later seq_id — detected and raised below.
+    Precondition: ``id_col`` values are UNIQUE (document ids).  Equal ids
+    always fall in one range of the sort, so a duplicate shows as two
+    equal neighbours there and raises ``ValueError``.
 
-    Distributed two-pass prefix sum: sort by id (range partition), then
-    (1) per-BLOCK (batch_size=None) partial sums keyed by the block's
-    min id — a tiny table; (2) driver computes the prefix offsets of
-    that table (O(blocks)); (3) second pass adds block offset + local
-    cumsum.  Both passes stream; only per-block partials reach the
-    driver.
+    Distributed prefix sum over one range sort (``bsp.sort_blocks``):
+    (1) one stats pass sums each sorted block's tokens; (2) the driver
+    prefix-sums those B numbers; (3) each block adds its offset to its
+    local cumsum.  Only the per-block sums reach the driver.
     """
-    import ray
+    from .bsp import block_values, scan_blocks, sort_blocks
 
-    sorted_ds = ds.select_columns([id_col, token_col]).sort(id_col).materialize()
+    def unique(t: pa.Table) -> pa.Table:
+        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        dup = np.flatnonzero(ids[1:] == ids[:-1])
+        if len(dup):
+            raise ValueError(
+                f"pack_sequences: {id_col} {ids[dup[0]]} occurs more than "
+                f"once — {id_col} values must be unique")
+        return t
 
-    def block_stats(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        toks = batch.column(token_col).to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table({"min_id": pa.array([], pa.int64()),
-                             "max_id": pa.array([], pa.int64()),
-                             "tok_sum": pa.array([], pa.int64())})
+    srt = sort_blocks((ds, lambda t: t.select([id_col, token_col])), id_col,
+                      unique)
+    sums = block_values(srt, lambda t: int(pc.sum(t.column(token_col)).as_py()
+                                           or 0))
+    offsets = np.cumsum([0] + sums[:-1])
+
+    def assign(before: int, t: pa.Table) -> pa.Table:
+        toks = t.column(token_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        seq = (before + np.cumsum(toks) - toks) // budget
         return pa.table({
-            "min_id": pa.array([int(ids.min())], pa.int64()),
-            "max_id": pa.array([int(ids.max())], pa.int64()),
-            "tok_sum": pa.array([int(toks.sum())], pa.int64()),
-        })
-
-    # batch_size=None => one batch per block, so pass-2 batches partition
-    # the id range exactly like these partials (blocks are range-disjoint
-    # after the sort)
-    partials = sorted_ds.map_batches(
-        block_stats, batch_format="pyarrow", batch_size=None
-    ).to_pandas().sort_values("min_id")
-    _check_blocks_disjoint(partials, id_col)
-    offsets = dict(zip(
-        partials["min_id"],
-        np.concatenate([[0], np.cumsum(partials["tok_sum"].to_numpy())[:-1]]),
-    ))
-    off_ref = ray.put(offsets)
-    cache: dict = {}
-
-    def assign(batch: pa.Table) -> pa.Table:
-        off = cache.get("o")
-        if off is None:
-            off = cache["o"] = ray.get(off_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        toks = batch.column(token_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             token_col: pa.array([], pa.int64()),
-                             "seq_id": pa.array([], pa.int64())})
-        before = int(off[int(ids.min())]) + np.concatenate(
-            [[0], np.cumsum(toks)[:-1]]
-        )
-        seq = before // budget
-        return pa.table({
-            id_col: batch.column(id_col),
+            id_col: t.column(id_col),
             token_col: pa.array(toks, pa.int64()),
-            "seq_id": pa.array(seq.astype(np.int64), pa.int64()),
+            "seq_id": pa.array(seq, pa.int64()),
         })
 
-    return sorted_ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
+    return scan_blocks(srt, assign, offsets).dataset()
 
 
 _WS_RUN_RE = re.compile(r"[ \t\n\r\f\v]+")
@@ -1215,20 +1168,15 @@ def shuffle_rows(
     gives an independent epoch order without touching the data.
 
     Shape: the hash is mapped order-preservingly into int64 (flip the
-    sign bit), ONE range-partitioning sort on it, then the
-    ``pack_sequences`` two-pass prefix count assigns dense positions
-    (per-block counts -> driver prefix of the tiny block table -> block
-    offset + local arange).  Ids should be unique (the hash is a
-    bijection, so distinct ids can never tie); duplicate ids that stay
-    inside one sorted block still get distinct consecutive positions,
-    and the boundary-straddle case — the only one that would corrupt the
-    offset table — is detected and raised (same guard as
-    ``pack_sequences``).  Emits ``(id_col, shuffle_pos)``, positions
-    0..n-1.
+    sign bit), ONE range sort on it (``bsp.sort_blocks``), then each
+    sorted block's positions are its offset — the rows of the blocks
+    before it, from the exchange's block row counts — plus a local
+    arange.  Ids should be unique (the hash is a bijection, so distinct
+    ids never tie); duplicate ids still get distinct consecutive
+    positions.  Emits ``(id_col, shuffle_pos)``, positions 0..n-1.
     """
-    import ray
-
     from .analytics import splitmix64
+    from .bsp import scan_blocks, sort_blocks
 
     salt_u = np.uint64(np.int64(salt).view(np.uint64))
 
@@ -1239,56 +1187,14 @@ def shuffle_rows(
         return pa.table({id_col: batch.column(id_col),
                          "_hs": pa.array(hs, pa.int64())})
 
-    sorted_ds = (ds.select_columns([id_col])
-                 .map_batches(add_hash, batch_format="pyarrow")
-                 .sort("_hs").materialize())
+    srt = sort_blocks((ds, add_hash), "_hs")
 
-    def block_stats(batch: pa.Table) -> pa.Table:
-        hs = batch.column("_hs").to_numpy(zero_copy_only=False)
-        if len(hs) == 0:
-            return pa.table({"min_hs": pa.array([], pa.int64()),
-                             "max_hs": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        return pa.table({"min_hs": pa.array([int(hs.min())], pa.int64()),
-                         "max_hs": pa.array([int(hs.max())], pa.int64()),
-                         "n": pa.array([len(hs)], pa.int64())})
+    def assign(off: int, t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t.column(id_col),
+                         "shuffle_pos": pa.array(
+                             off + np.arange(t.num_rows, dtype=np.int64))})
 
-    partials = sorted_ds.map_batches(
-        block_stats, batch_format="pyarrow", batch_size=None
-    ).to_pandas().sort_values("min_hs")
-    # duplicate ids -> duplicate hashes straddling a block boundary would
-    # collide the offset keys and silently shift positions (same guard as
-    # pack_sequences)
-    mins = partials["min_hs"].to_numpy()
-    maxs = partials["max_hs"].to_numpy()
-    if len(mins) > 1 and (mins[1:] <= maxs[:-1]).any():
-        raise ValueError(
-            f"shuffle_rows: sorted hash blocks overlap — {id_col} values "
-            "must be unique (splitmix64 is a bijection, so only duplicate "
-            "ids can produce duplicate hashes)")
-    offsets = dict(zip(
-        partials["min_hs"],
-        np.concatenate([[0], np.cumsum(partials["n"].to_numpy())[:-1]]),
-    ))
-    off_ref = ray.put(offsets)
-    cache: dict = {}
-
-    def assign(batch: pa.Table) -> pa.Table:
-        off = cache.get("o")
-        if off is None:
-            off = cache["o"] = ray.get(off_ref)
-        hs = batch.column("_hs").to_numpy(zero_copy_only=False)
-        if len(hs) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "shuffle_pos": pa.array([], pa.int64())})
-        order = np.argsort(hs, kind="stable")  # rows within a block sorted
-        pos = np.empty(len(hs), np.int64)
-        pos[order] = int(off[int(hs.min())]) + np.arange(len(hs), dtype=np.int64)
-        return pa.table({id_col: batch.column(id_col),
-                         "shuffle_pos": pa.array(pos, pa.int64())})
-
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 batch_size=None)
+    return scan_blocks(srt, assign, srt.row_offsets()).dataset()
 
 
 def line_dedup(
@@ -3271,11 +3177,11 @@ def heaps_fit(
         num_partitions=4).to_pandas()
     folded = (newv.merge(toks, on="bucket", how="outer").fillna(0)
               .sort_values("bucket").reset_index(drop=True))
-    v = folded["new_terms"].cumsum().to_numpy(np.float64)
-    n = folded["ntok"].cumsum().to_numpy(np.float64)
+    v = folded["new_terms"].cumsum().to_numpy(np.int64)
+    n = folded["ntok"].cumsum().to_numpy(np.int64)
     ok = (v > 0) & (n > 0)
-    x = np.log(n[ok])
-    y = np.log(v[ok])
+    x = np.log(n[ok].astype(np.float64))
+    y = np.log(v[ok].astype(np.float64))
     m = len(x)
     if m < 2:
         raise ValueError("heaps_fit: not enough non-empty buckets")
@@ -3285,7 +3191,10 @@ def heaps_fit(
     beta = (m * sxy - sx * sy) / (m * sxx - sx * sx)
     log_k = (sy - beta * sx) / m
     denom = (m * sxx - sx * sx) * (m * syy - sy * sy)
-    r2 = ((m * sxy - sx * sy) ** 2 / denom) if denom > 0 else 1.0
+    # a constant v or n makes denom 0 in exact arithmetic, but rounding
+    # noise can leave either sign: test the degenerate case on the ints
+    flat = len(set(v[ok])) == 1 or len(set(n[ok])) == 1
+    r2 = ((m * sxy - sx * sy) ** 2 / denom) if denom > 0 and not flat else 1.0
     return pd.DataFrame([{
         "n_buckets": np.int64(m),
         "beta": round(beta, 6),

@@ -769,8 +769,8 @@ def pairs_to_canonical(
     it, one hash-exchange left join."""
     from .canonicalize import connected_components
 
-    # map_groups emits pandas blocks; convert to arrow + rename in one pass
-    # (Dataset.rename_columns chokes on pandas blocks in Ray 2.49)
+    # pairs may arrive as pandas blocks; convert to arrow + rename in one
+    # pass (Dataset.rename_columns chokes on pandas blocks in Ray 2.49)
     edges = pairs.map_batches(
         lambda t: pa.table({"src": t.column("id_a"), "dst": t.column("id_b")}),
         batch_format="pyarrow",
@@ -1451,7 +1451,6 @@ def sorted_neighborhood_pairs(
     key_col: str = "text",
     id_col: str = "doc_id",
     window: int = 3,
-    chunk: int = 4096,
 ) -> rd.Dataset:
     """Sorted-neighborhood ER blocking (Hernández & Stolfo 1995):
     candidate pairs = all rows within ``window`` positions of each other
@@ -1461,94 +1460,49 @@ def sorted_neighborhood_pairs(
     id_a the earlier row in sort order and dist = position gap in
     [1, window-1].
 
-    Distributed shape: ONE range-partitioning sort; global positions
-    via the same two-pass block-prefix trick as ``pack_sequences``
-    (per-block counts -> O(blocks) driver offsets -> block-local
-    arange); then each row is exchanged to chunk ``rn // chunk`` and
-    REPLICATED to the previous chunk iff ``rn % chunk < window-1``, so
-    the partition owning a pair's LEFT end always holds both rows —
-    every in-window pair is emitted exactly once.  Pair generation per
-    partition is one vectorized shift pass per gap in [1, window).
+    Distributed shape: ONE range sort (``bsp.sort_blocks``), whose
+    blocks are consecutive runs of the global order.  The pairs whose
+    LEFT end lies in block i are found among block i's rows followed by
+    the first ``window-1`` rows after it, so one small pass reads each
+    block's first ``window-1`` ids (``bsp.block_values``), the driver
+    strings them into each block's tail (across short and empty blocks),
+    and one raw task per block (``bsp.scan_blocks``) emits that block's
+    pairs — every in-window pair exactly once, with no second exchange.
+    Pair generation is one vectorized shift pass per gap in [1, window).
     """
-    srt = ds.select_columns([key_col, id_col]) \
-        .sort([key_col, id_col]).materialize()
+    from .bsp import block_values, scan_blocks, sort_blocks
 
-    def block_stats(batch: pa.Table) -> pa.Table:
-        # the block key keeps its NATIVE type: str() would order the
-        # driver fold lexicographically ('10' < '9') while the dataset
-        # sort ordered natively, corrupting every global offset for
-        # numeric keys (review r5)
-        if batch.num_rows == 0:
-            return pa.table({"k": batch.column(key_col).slice(0, 0),
-                             "i": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        return pa.table({
-            "k": batch.column(key_col).slice(0, 1).combine_chunks(),
-            "i": pa.array([batch.column(id_col)[0].as_py()], pa.int64()),
-            "n": pa.array([batch.num_rows], pa.int64())})
-
-    partials = (srt.map_batches(block_stats, batch_format="pyarrow",
-                                batch_size=None)
-                .to_pandas().sort_values(["k", "i"]))
-    offsets = {(k, int(i)): int(o) for k, i, o in zip(
-        partials["k"], partials["i"],
-        np.concatenate([[0], np.cumsum(partials["n"].to_numpy())[:-1]]))}
-    import ray
-    off_ref = ray.put(offsets)
     w = int(window)
+    srt = sort_blocks((ds, lambda t: t.select([key_col, id_col])),
+                      [key_col, id_col])
+    if not srt.num_rows():
+        return rd.from_arrow(pa.table({"id_a": pa.array([], pa.int64()),
+                                       "id_b": pa.array([], pa.int64()),
+                                       "dist": pa.array([], pa.int64())}))
 
-    def route(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "_rn": pa.array([], pa.int64()),
-                             "_part": pa.array([], pa.int32())})
-        # per-worker cache, not a closure dict (re-pickled per task)
-        off = _worker_obj_cache(off_ref)
-        base = off[(batch.column(key_col)[0].as_py(),
-                    batch.column(id_col)[0].as_py())]
-        rn = base + np.arange(batch.num_rows, dtype=np.int64)
-        ids = batch.column(id_col).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        part = (rn // chunk).astype(np.int32)
-        extra = rn % chunk < (w - 1)
-        out_id = np.concatenate([ids, ids[extra]])
-        out_rn = np.concatenate([rn, rn[extra]])
-        out_p = np.concatenate([part, part[extra] - 1])
-        keep = out_p >= 0
-        return pa.table({id_col: pa.array(out_id[keep], pa.int64()),
-                         "_rn": pa.array(out_rn[keep], pa.int64()),
-                         "_part": pa.array(out_p[keep], pa.int32())})
+    def ids_of(t: pa.Table) -> np.ndarray:
+        return t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_rn")
-        part = int(g["_part"].iloc[0])
-        rn = g["_rn"].to_numpy(np.int64)
-        ids = g[id_col].to_numpy(np.int64)
+    heads = block_values(srt, lambda t: ids_of(t.slice(0, w - 1)))
+    tails, after = [], np.zeros(0, np.int64)
+    for head in reversed(heads):  # block i's tail: the w-1 ids after it
+        tails.append(after)
+        after = np.concatenate([head, after])[:w - 1]
+
+    def pairs(tail: np.ndarray, t: pa.Table) -> pa.Table:
+        ids = np.concatenate([ids_of(t), tail])
         out_a, out_b, out_d = [], [], []
         for gap in range(1, w):
-            a, b = ids[:-gap], ids[gap:]
-            ra, rb = rn[:-gap], rn[gap:]
-            # a pair belongs to the partition owning its LEFT end's
-            # chunk — that partition holds the right end too (own rows
-            # plus the replicated first window-1 rows of the next chunk)
-            ok = (rb - ra == gap) & (ra // chunk == part)
-            out_a.append(a[ok])
-            out_b.append(b[ok])
-            out_d.append(np.full(ok.sum(), gap, np.int64))
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64"),
-                                 "dist": pd.Series(dtype="int64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "dist": np.concatenate(out_d)})
+            m = max(0, min(t.num_rows, len(ids) - gap))  # left ends here
+            out_a.append(ids[:m])
+            out_b.append(ids[gap:gap + m])
+            out_d.append(np.full(m, gap, np.int64))
+        none = [np.zeros(0, np.int64)]
+        return pa.table({"id_a": np.concatenate(none + out_a),
+                         "id_b": np.concatenate(none + out_b),
+                         "dist": np.concatenate(none + out_d)})
 
-    # map_groups stays: rows go to rank chunks (a range cut, not a key
-    # hash) and ``pairs`` reads its chunk id to keep only the pairs whose
-    # left end it owns; the keyed exchange hides the partition id
-    return (srt.map_batches(route, batch_format="pyarrow",
-                            batch_size=None)
-            .groupby("_part").map_groups(pairs, batch_format="pandas"))
+    return scan_blocks(srt, pairs, tails[::-1]).dataset()
 
 
 def cdc_chunks(

@@ -37,11 +37,14 @@ serves which reduce:
 - ``keyed_apply``: the same written over pandas DataFrames (windows,
   dedup and curation marks, KNN top-k, merges and audits).
 
-Every hash-keyed exchange in the package goes through one of these;
-only the range-cut sorts and file writes, whose reduces read their
-range id, keep Ray's ``map_groups``.  That is B split tasks and B*P
-objects for B source blocks (a two-level tree past
-``bsp.TREE_COMBINE_THRESHOLD``), and at P=1 just one reduce task.
+Every hash-keyed exchange in the package goes through one of these.
+The range-keyed ones run on the same exchange at a fixed P, with the
+range id as the int partition column: ``bsp.sort_blocks`` (the sorts
+and prefix scans) and ``bsp.range_exchange`` (the range-cut file
+writes), so no Ray ``Dataset.sort`` or ``map_groups`` is left.  That
+is B split tasks and B*P objects for B source blocks (a two-level tree
+past ``bsp.TREE_COMBINE_THRESHOLD``), and at P=1 just one reduce
+task.
 Measured on a 1-CPU host (BASELINE.md, "Exchange substrate"): one
 ``link_entities_join`` over materialized triples runs nine exchanges
 and starts no Ray Data execution; with padding and projections run as

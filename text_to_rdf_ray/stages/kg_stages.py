@@ -1,7 +1,7 @@
 """Ray Data stages of the KG-construction pipeline.
 
-Stage functions are Arrow-in/Arrow-out ``map_batches`` bodies; the linker
-is an actor-pool class (state loaded once per actor).  All stages are pure
+Stage functions are Arrow-in/Arrow-out ``map_batches`` bodies; the
+task-mode linker builds its KB index once per worker process.  All stages are pure
 w.r.t. row content (deterministic under task retry, SURVEY.md §4.2).
 
 Pipeline shape (pipelines/kg.py):
@@ -9,8 +9,8 @@ Pipeline shape (pipelines/kg.py):
   -> strip_html (drops the wide ``html`` column immediately)
   -> filter_lang
   -> extract_triples (per-document kernel; doc = row, chunk loop inside)
-  -> link (task mode: ``make_link_task``; actor mode: ``LinkEntities``;
-     join mode: ``link_entities_join``)
+  -> link (task mode: ``make_link_task``; join mode:
+     ``link_entities_join``)
   -> canonicalize (stages/canonicalize.py, shuffles)
   -> validate
   -> global dedup (stages/canonicalize.py, shuffles)
@@ -152,48 +152,6 @@ def _link_batch(index, cache, batch: pa.Table) -> pa.Table:
         .append_column("obj_uri", pa.array(obj_uri, pa.string()))
         .append_column("obj_link_conf", pa.array(obj_conf, pa.float64()))
     )
-
-
-class LinkEntities:
-    """Actor-pool stage: link subj/obj surfaces to KB URIs.
-
-    The KB index is built ONCE per actor in ``__init__`` from a broadcast
-    object-store ref (``ray.put`` of the KB records on the driver) — the
-    Ray-native replacement for the reference's per-process Oxigraph store
-    (/root/reference/src/entity_linker.rs:133-151).  Per-batch work is a
-    dict-cached lookup over the batch's distinct surfaces.
-
-    Use this mode when the KB is heavy (GB-scale index / model): the pool
-    bounds the number of index replicas.  NOTE: Ray Data fuses the upstream
-    map chain into the actor pool, so the pool size caps the parallelism of
-    everything fused with it — size ``concurrency`` accordingly, or use
-    ``make_link_task`` (task mode, per-worker cached index) when the KB is
-    cheap to replicate.
-    """
-
-    def __init__(self, kb_ref=None, kb_records=None, fuzzy_threshold=0.8,
-                 confidence_threshold=0.5, disambiguator_factory=None):
-        import ray
-
-        from ..kernels.linker import KBIndex
-
-        if kb_records is None:
-            kb_records = ray.get(kb_ref)
-        # disambiguator built ONCE per actor (where a real deployment opens
-        # its LLM client — the entity_linker.rs:409-479 plug point)
-        disambiguator = disambiguator_factory() if disambiguator_factory else None
-        self.index = KBIndex(
-            kb_records,
-            fuzzy_threshold=fuzzy_threshold,
-            confidence_threshold=confidence_threshold,
-            disambiguator=disambiguator,
-        )
-        from ..functions.ttl_cache import TTLCache
-
-        self.cache = TTLCache()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _link_batch(self.index, self.cache, batch)
 
 
 #: per-worker-process KB index for task-mode linking: at most one
@@ -363,8 +321,8 @@ def link_entities_join(
     num_partitions: int = 16,
 ):
     """Shuffle-join linking — the at-scale form of J1/J2 for KBs too large
-    to broadcast (``make_link_task``/``LinkEntities`` replicate the index
-    per worker/actor; this path replicates NOTHING):
+    to broadcast (``make_link_task`` replicates the index per
+    worker; this path replicates NOTHING):
 
       distinct surfaces (hash exchange — small vs triples)
         exact:  hash join on lowercased label              [conf 0.95]

@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from ..state import counters
@@ -59,6 +60,29 @@ def _bloom_hashes(vals) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+def _write_ranges(ds, assign, write_file, num_files: int,
+                  path: str) -> pd.DataFrame:
+    """One file per non-empty range: ``assign`` (pandas) tags each row
+    with its range id ``_file`` in the task that splits its block, one
+    fixed-P ``bsp.range_exchange`` puts range i in partition i, and the
+    pandas ``write_file`` writes each non-empty range's file and returns
+    its manifest row.  The manifest (sorted by file name) is persisted
+    and returned."""
+    from .bsp import range_exchange
+    from .exchange import pandas_block
+
+    def reduce(t: pa.Table) -> pa.Table:
+        return pandas_block(write_file)(t) if t.num_rows else pa.table({})
+
+    out = range_exchange((ds, pandas_block(assign)), "_file", reduce,
+                         num_files)
+    manifest = pd.concat([t.to_pandas() for t in ray.get(out.refs)
+                          if t.num_rows], ignore_index=True)
+    manifest = manifest.sort_values("file").reset_index(drop=True)
+    manifest.to_parquet(os.path.join(path, MANIFEST), index=False)
+    return manifest
+
+
 def clustered_write(
     ds: rd.Dataset,
     path: str,
@@ -74,10 +98,11 @@ def clustered_write(
     files under ``path`` and write a zone-map manifest.
 
     Cutpoints come from a per-block sample (balance only — a bad sample
-    skews file sizes, never results).  Each range is written by its own
-    reduce task (``groupby`` exchange on the range id, one vectorized
-    writer call per file).  Returns the manifest (``num_files`` rows —
-    inherently driver-sized); also persisted as ``path/manifest.parquet``.
+    skews file sizes, never results).  Each non-empty range is written
+    by its own reduce task (``bsp.range_exchange`` on the range id
+    ``_file``, one vectorized writer call per file).  Returns the
+    manifest (``num_files`` rows — inherently driver-sized); also
+    persisted as ``path/manifest.parquet``.
 
     ``bloom_col``: additionally store a per-file Bloom filter over that
     column (``bloom_bits_per_key`` bits/key, ``bloom_k`` probes ⇒ fp rate
@@ -132,16 +157,7 @@ def clustered_write(
             row["bloom_k"] = pd.Series([bloom_k], dtype="int64")
         return pd.DataFrame(row)
 
-    # map_groups stays: one group per output file, cut by sampled key
-    # ranges (not a key hash), and write_file names the file by its id
-    manifest = (ds.map_batches(assign, batch_format="pandas",
-                               batch_size=65536)
-                .groupby("_file")
-                .map_groups(write_file, batch_format="pandas")
-                .to_pandas())
-    manifest = manifest.sort_values("file").reset_index(drop=True)
-    manifest.to_parquet(os.path.join(path, MANIFEST), index=False)
-    return manifest
+    return _write_ranges(ds, assign, write_file, num_files, path)
 
 
 def pruned_read(
@@ -400,15 +416,7 @@ def zorder_write(
             row[f"max_{c}"] = [float(g[c].max())]
         return pd.DataFrame(row)
 
-    # map_groups stays: one group per output file, cut by sampled Z-order
-    # ranges (not a key hash), and write_file names the file by its id
-    manifest = (ds.map_batches(assign, batch_format="pandas",
-                               batch_size=65536)
-                .groupby("_file").map_groups(write_file,
-                                             batch_format="pandas")
-                .to_pandas().sort_values("file").reset_index(drop=True))
-    manifest.to_parquet(os.path.join(path, MANIFEST), index=False)
-    return manifest
+    return _write_ranges(ds, assign, write_file, num_files, path)
 
 
 def zorder_read(

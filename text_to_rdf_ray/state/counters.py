@@ -1,6 +1,6 @@
 """Operator counters via a named metrics actor (no-silent-caps rule).
 
-LSH bucket stages run inside ``map_groups`` tasks whose only output is the
+LSH bucket stages run inside exchange reduce tasks whose only output is the
 pair stream, so observability (oversized buckets processed, buckets/pairs
 skipped by an explicit cap) flows through a side channel: a tiny named
 actor (num_cpus=0 — holds no slot) that any worker task can increment and
