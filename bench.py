@@ -13,7 +13,7 @@ N-vs-4N-node clusters, BASELINE.md protocol), checks output determinism,
 and reports both throughputs + scaling efficiency.
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS
-(default 32).
+(default: the CPUs this process may run on, ``perfbench.hostinfo.nproc``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,15 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+
+def _default_cpus() -> int:
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from perfbench.hostinfo import nproc
+
+    return nproc()
+
+
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or _default_cpus())
 #: per-measurement repeat count (min wall time wins).  The host is a
 #: shared box with intermittent CPU steal (measured: consecutive
 #: identical single-threaded numpy runs at 9.27s/0.071s/0.047s —

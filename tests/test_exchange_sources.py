@@ -473,3 +473,119 @@ def test_source_operators_finish_at_one_cpu():
         pytest.fail("the one-CPU source operators did not finish in 300 s")
     assert proc.returncode == 0, err[-3000:]
     assert out.strip().splitlines()[-1] == "OK"
+
+
+def test_canonicalize_surfaces_starts_no_execution(ray_session, executions):
+    """canonicalize_surfaces over a materialized input starts no executor
+    run: the LSH feature pass and the pair verify run as raw tasks, and
+    the final projection runs in the last join's reduce tasks."""
+    from text_to_rdf_ray.stages.canonicalize import (canonicalize_local,
+                                                     canonicalize_surfaces)
+
+    names = (["Alan Turing", "Alan Turnig", "alan turing", "Grace Hopper",
+              "Grace Hoper", "Ada Lovelace", "Ada Lovelace.", "Bob"]
+             + [f"Person {i} Example" for i in range(60)])
+    surfaces = rd.from_arrow(pa.table({"surface": names})).repartition(
+        3).materialize()
+    executions[0] = 0
+    out = canonicalize_surfaces(surfaces)
+    rows = out.take_all()
+    assert executions[0] == 0
+    assert out.schema().names == ["surface", "canonical"]
+    got = {r["surface"]: r["canonical"] for r in rows}
+    assert sorted(got) == sorted(names)
+    assert {s: c for s, c in got.items() if s != c} == canonicalize_local(
+        names)
+
+
+def test_blocks_dataset_starts_no_task(ray_session, executions, monkeypatch):
+    """Blocks.dataset() builds its Dataset from the metadata the reduce
+    tasks returned: with rd.from_arrow_refs patched to raise it gives the
+    rows, schema and block count of rd.from_arrow_refs over the same
+    refs, and neither it nor reading its blocks back as an exchange
+    source starts an executor run."""
+    from text_to_rdf_ray.stages import bsp
+
+    src = rd.from_arrow([pa.table({"k": [1, 2, 3]}), pa.table({"k": [4]}),
+                         pa.table({"k": pa.array([], pa.int64())})])
+    blocks = bsp.map_blocks(src.materialize(), lambda t: t.append_column(
+        "s", pa.array([str(v) for v in t.column("k").to_pylist()])))
+    want = rd.from_arrow_refs(blocks.refs)
+    want_rows, want_schema = want.take_all(), want.schema()
+
+    def refuse(*a, **k):
+        raise AssertionError("rd.from_arrow_refs called")
+
+    monkeypatch.setattr(rd, "from_arrow_refs", refuse)
+    executions[0] = 0
+    got = blocks.dataset()
+    assert got.num_blocks() == want.num_blocks()
+    assert got.schema() == want_schema
+    assert got.take_all() == want_rows
+    assert bsp.map_blocks(got, lambda t: t).num_rows() == 4
+    assert executions[0] == 0
+    empty = bsp.Blocks([], []).dataset()
+    assert empty.count() == 0 and empty.num_blocks() == 0
+
+
+def _lakehouse_input(tmp_path):
+    import pyarrow.parquet as pq
+
+    df = pd.DataFrame({"v": np.arange(600, dtype=np.float64),
+                       "k": (np.arange(600) * 7 % 31).astype(np.int64)})
+    d = tmp_path / "in"
+    d.mkdir()
+    for i in range(3):
+        pq.write_table(pa.Table.from_pandas(df.iloc[i * 200:(i + 1) * 200],
+                                            preserve_index=False),
+                       str(d / f"in-{i}.parquet"))
+    return df, str(d)
+
+
+def test_lakehouse_writes_run_a_lazy_input_once(ray_session, executions,
+                                                tmp_path):
+    """clustered_write and zorder_write execute a read-backed input once:
+    the sample and min/max passes read the materialized blocks in raw
+    tasks."""
+    from text_to_rdf_ray.stages.lakehouse import clustered_write, zorder_write
+
+    df, d = _lakehouse_input(tmp_path)
+    executions[0] = 0
+    man = clustered_write(rd.read_parquet(d), str(tmp_path / "c"),
+                          key_col="v", num_files=4)
+    assert executions[0] == 1
+    assert man["rows"].sum() == len(df) and len(man) == 4
+    executions[0] = 0
+    man = zorder_write(rd.read_parquet(d), str(tmp_path / "z"),
+                       cols=["v", "k"], num_files=4)
+    assert executions[0] == 1
+    assert man["rows"].sum() == len(df) and len(man) > 1
+
+
+def test_lakehouse_writes_of_an_empty_input(ray_session, tmp_path):
+    """An empty input writes no data file and an empty manifest with the
+    manifest's columns, for clustered_write (with and without a Bloom
+    column) and zorder_write."""
+    from text_to_rdf_ray.stages.lakehouse import (MANIFEST, clustered_write,
+                                                  zorder_write)
+
+    df, _ = _lakehouse_input(tmp_path)
+    cases = [
+        (lambda p: clustered_write(rd.from_pandas(df.iloc[:0]), p,
+                                   key_col="v", num_files=3),
+         ["file", "rows", "min_key", "max_key"]),
+        (lambda p: clustered_write(rd.from_pandas(df.iloc[:0]), p,
+                                   key_col="v", num_files=3, bloom_col="k"),
+         ["file", "rows", "min_key", "max_key", "bloom", "bloom_nbits",
+          "bloom_k"]),
+        (lambda p: zorder_write(rd.from_pandas(df.iloc[:0]), p,
+                                cols=["v", "k"], num_files=3),
+         ["file", "rows", "min_v", "max_v", "min_k", "max_k"]),
+    ]
+    for i, (write, cols) in enumerate(cases):
+        path = str(tmp_path / f"out{i}")
+        man = write(path)
+        assert len(man) == 0 and list(man.columns) == cols
+        assert os.listdir(path) == [MANIFEST]
+        back = pd.read_parquet(os.path.join(path, MANIFEST))
+        assert len(back) == 0 and list(back.columns) == cols

@@ -1684,7 +1684,7 @@ def test_grouped_prefix_sum_spreads_a_hot_key(ray_session, monkeypatch):
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        ranges.append([m[0] for m in out.metas()])
+        ranges.append([m.num_rows for m in out.metas()])
         return out
 
     monkeypatch.setattr(bsp, "sort_blocks", recording)

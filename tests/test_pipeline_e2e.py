@@ -536,6 +536,10 @@ def test_corpus_clean_partitioned_resume_and_parity(ray_session, tmp_path):
     # resume: nothing re-runs
     rep2 = run_clean_partitioned(str(docs_dir), out, partitions=3)
     assert rep2["ran"] == 0 and rep2["skipped"] == 3
+    # the same files dealt into 2 groups: partition 0's complete manifest
+    # lists another group, so resume refuses it
+    with pytest.raises(ValueError, match=r"partition 0 .*input_fragments"):
+        run_clean_partitioned(str(docs_dir), out, partitions=2)
 
     final = str(tmp_path / "final")
     comp = compact_clean(out, final)
@@ -821,3 +825,205 @@ def test_dedup_triples_null_numeric_keeps_provenance():
                   "subj_slug", "pred_key", "confidence", "valid"):
             if c != name:
                 assert row[c] == src[c], (name, c)
+
+
+def _partition_frames(out: str) -> dict:
+    """Each committed partition's rows, sorted, floats rounded."""
+    import pandas as pd
+
+    from text_to_rdf_ray.state import manifest as mf
+
+    frames = {}
+    for part in mf.completed_partitions(out):
+        pdir = mf.partition_dir(out, part)
+        df = pd.concat([pd.read_parquet(os.path.join(root, f))
+                        for root, _dirs, names in os.walk(pdir)
+                        for f in sorted(names) if f.endswith(".parquet")])
+        df = df.round({c: 9 for c in df.columns if df[c].dtype == float})
+        frames[part] = (df.sort_values(sorted(df.columns))
+                        .reset_index(drop=True)[sorted(df.columns)])
+    return frames
+
+
+def test_partitions_equal_build_triples_per_group(pages_dir, tmp_path):
+    """With two partitions in flight, each partition's rows equal
+    build_triples over its group of files alone."""
+    import pandas as pd
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import (PAGE_COLUMNS, build_triples,
+                                              run_partitioned)
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    out = str(tmp_path / "out")
+    rep = run_partitioned(pages_dir, out, partitions=3,
+                          kb_records=kb_records())
+    assert rep["ran"] == 3
+    got = _partition_frames(out)
+    files = sorted(os.path.join(pages_dir, f) for f in os.listdir(pages_dir)
+                   if f.endswith(".parquet"))
+    assert sorted(got) == [0, 1, 2]
+    for part in range(3):
+        want = build_triples(rd.read_parquet(files[part::3],
+                                             columns=PAGE_COLUMNS),
+                             kb_records=kb_records()).to_pandas()
+        want = want.round({c: 9 for c in want.columns
+                           if want[c].dtype == float})
+        want = (want.sort_values(sorted(want.columns))
+                .reset_index(drop=True)[sorted(want.columns)])
+        pd.testing.assert_frame_equal(got[part], want)
+
+
+def test_failed_partition_raises_and_leaves_nothing(pages_dir, tmp_path,
+                                                    monkeypatch):
+    """A partition that raises makes run_partitioned raise that error; the
+    failed partition leaves no committed and no tmp directory, and no
+    partition thread is alive afterwards."""
+    import threading
+
+    from text_to_rdf_ray.pipelines import kg
+    from text_to_rdf_ray.state import manifest as mf
+
+    class Boom(RuntimeError):
+        pass
+
+    real = kg.build_triples
+
+    def failing(pages, **kw):
+        if any(p.endswith("00001.parquet") for p in pages.input_files()):
+            raise Boom("partition 1 failed")
+        return real(pages, **kw)
+
+    monkeypatch.setattr(kg, "build_triples", failing)
+    out = str(tmp_path / "out")
+    with pytest.raises(Boom, match="partition 1 failed"):
+        kg.run_partitioned(pages_dir, out, partitions=3)
+    assert 1 not in mf.completed_partitions(out)
+    assert not os.path.exists(mf.partition_dir(out, 1))
+    assert not [n for n in os.listdir(out) if n.startswith(".part")]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("kg-partition")]
+
+
+def test_resume_refuses_a_stale_partition(tmp_path):
+    """The resume probe: run 2 of the 8 partitioned_at_scale seed-3 files
+    with partitions=2, add the other 6 and rerun with resume=True.  Each
+    partition's group changed, so resume raises, naming the partition
+    and the manifest field, instead of skipping both."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from perfbench import loadgen
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.sources import fixtures
+
+    rows, kb = loadgen.entity_pages(loadgen.SIZES["partitioned_at_scale"], 3)
+    table = pa.Table.from_pylist(rows, schema=fixtures.PAGES_SCHEMA)
+    step = -(-len(rows) // loadgen.N_FILES)
+    pages = tmp_path / "pages"
+    pages.mkdir()
+
+    def write(ks):
+        for k in ks:
+            pq.write_table(table.slice(k * step, step),
+                           str(pages / f"pages-{k:05d}.parquet"))
+
+    out = str(tmp_path / "out")
+    write(range(2))
+    rep = run_partitioned(str(pages), out, partitions=2, kb_records=kb)
+    assert rep["ran"] == 2
+    write(range(2, loadgen.N_FILES))
+    with pytest.raises(ValueError, match=r"partition 0 .*input_fragments"):
+        run_partitioned(str(pages), out, partitions=2, kb_records=kb,
+                        resume=True)
+    # the same files dealt into 4 groups: partition 0 lists other files
+    with pytest.raises(ValueError, match=r"partition 0 .*input_fragments"):
+        run_partitioned(str(pages), out, partitions=4, kb_records=kb,
+                        resume=True)
+
+
+_PARTITIONED_ONE_CPU = """
+import sys
+
+import ray
+
+from text_to_rdf_ray.pipelines.kg import run_partitioned
+from text_to_rdf_ray.sources.fixtures import kb_records
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+rep = run_partitioned(sys.argv[1], sys.argv[2], partitions=3,
+                      kb_records=kb_records(), link_mode="join",
+                      canonicalize_local_threshold=0)
+assert rep["ran"] == 3, rep
+ray.shutdown()
+
+# every Ray Data read and write resolves its paths through an fsspec HTTP
+# import that fails without aiohttp; the call pinned that failure, so
+# threads resolving paths at once (as partition threads writing do) see
+# no half-imported module
+import threading
+
+from ray.data.datasource.path_util import _resolve_paths_and_filesystem
+
+errors = []
+
+
+def resolve():
+    try:
+        for _ in range(100):
+            _resolve_paths_and_filesystem([sys.argv[2]])
+    except Exception as exc:
+        errors.append(exc)
+
+
+threads = [threading.Thread(target=resolve) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert not errors, errors[0]
+print("OK")
+"""
+
+
+def test_partitioned_join_run_at_one_cpu_in_a_fresh_process(pages_dir,
+                                                            tmp_path):
+    """run_partitioned(partitions=3, link_mode="join",
+    canonicalize_local_threshold=0) in a fresh interpreter with one
+    logical CPU, Ray Data first used inside the call (two partition
+    threads start at once), finishes and writes the rows of the same
+    run in this session; afterwards four threads resolving Ray Data
+    paths at once raise nothing.  Killed with its Ray processes if it
+    has not finished."""
+    import signal
+    import subprocess
+    import sys
+
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sub = str(tmp_path / "sub")
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PARTITIONED_ONE_CPU, pages_dir, sub],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        so, se = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the one-CPU partitioned run did not finish in 300 s")
+    assert proc.returncode == 0, se[-3000:]
+    assert so.strip().splitlines()[-1] == "OK"
+    here = str(tmp_path / "here")
+    run_partitioned(pages_dir, here, partitions=3, kb_records=kb_records(),
+                    link_mode="join", canonicalize_local_threshold=0)
+    got, want = _partition_frames(sub), _partition_frames(here)
+    assert sorted(got) == sorted(want) == [0, 1, 2]
+    import pandas as pd
+
+    for part in want:
+        pd.testing.assert_frame_equal(got[part], want[part])

@@ -89,7 +89,7 @@ def run_clean_partitioned(
     for part, group in enumerate(groups):
         if not group:
             continue
-        if resume and mf.is_complete(out_dir, part):
+        if resume and mf.resumable(out_dir, part, group):
             report["skipped"] += 1
             continue
         docs = rd.read_parquet(group, columns=["doc_id", "text"])

@@ -15,8 +15,11 @@ End-to-end flow (north star):
 
 ``run_partitioned`` processes the input in partition groups of whole
 files, dealt round-robin (file ``i`` of the sorted list to group
-``i % partitions``), with atomic per-partition outputs + manifests so a
-failed run resumes by skipping complete partitions (state/manifest.py).
+``i % partitions``), two groups in flight at once on driver threads
+(``PARTITIONS_IN_FLIGHT``), so partitions commit in no fixed order.
+Each partition's output and manifest commit atomically, so a failed run
+resumes by skipping complete partitions whose manifest lists their
+current files (state/manifest.py).
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def build_triples(
         else:
             from ..stages.exchange import exchange_agg
 
-            surfaces_ds = exchange_agg(comb, ["surface"]).materialize()
+            surfaces_ds = exchange_agg(comb, ["surface"])
             from ..stages.canonicalize import apply_canonical_join
 
             cmap = canonicalize_surfaces(surfaces_ds, tau=tau)
@@ -266,6 +269,35 @@ def _surface_rows(batch: pa.Table) -> pa.Table:
     return pa.table({"surface": pa.array(sorted(names), pa.string())})
 
 
+#: partition groups ``run_partitioned`` runs at once, one driver thread
+#: each.  A partition's driver work (plan building, exchange wiring, the
+#: barriers between stages) leaves the cluster's workers idle; with two
+#: partitions in flight one partition's tasks fill those gaps.  Over the
+#: partitioned_at_scale seed-3 pages cut into four partitions on a
+#: one-CPU Ray, a warm pass took 4.0-4.3 s with one in flight, 2.7-3.3 s
+#: with two, 2.9-3.4 s with three and 2.2-2.8 s with four (BASELINE.md):
+#: past two the gain is within the noise, while every partition in
+#: flight holds its own intermediate blocks in the object store.
+PARTITIONS_IN_FLIGHT = 2
+
+
+def _pin_absent_http_fs() -> None:
+    """Ray Data resolves every read and write path through an import of
+    fsspec's HTTP filesystem and reads ``ModuleNotFoundError`` as "not
+    HTTP".  Without aiohttp that import fails on every call, and a thread
+    importing it while another's attempt is failing sees the half-run
+    module, an ``ImportError`` that escapes (seen with two partition
+    threads writing at once).  After one failed attempt here the module
+    is pinned absent (``None`` in ``sys.modules``), so every later
+    attempt fails at once with ``ModuleNotFoundError``."""
+    import sys
+
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except ModuleNotFoundError:
+        sys.modules.setdefault("fsspec.implementations.http", None)
+
+
 def run_partitioned(
     pages_path: str,
     out_dir: str,
@@ -281,9 +313,21 @@ def run_partitioned(
     """Partitioned, resumable run: the sorted input files are dealt
     round-robin into partition groups (file ``i`` to group
     ``i % partitions``); each group runs the full pipeline and commits
-    atomically with a manifest.  With ``link_mode="join"`` the KB label
-    table is built once for all the groups (``KBLabelTable``).  Returns
-    the aggregated run report."""
+    atomically with a manifest (``state.manifest.write_partition``).
+
+    Up to ``PARTITIONS_IN_FLIGHT`` groups run at once, each on a driver
+    thread, so partitions may commit in any order.  The calling thread
+    first reads the resume state, builds every group's read and, with
+    ``link_mode="join"``, the KB label table (``KBLabelTable``, once for
+    all the groups).  With ``resume`` a partition is skipped when its
+    manifest is complete and lists its current group's files; a complete
+    manifest over other files raises (``manifest.resumable``).  The first
+    partition that fails cancels the ones not yet started, waits for the
+    running ones and re-raises; no partition thread outlives the call,
+    and a failed partition leaves no committed or tmp directory.
+    Returns the aggregated run report."""
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     from ..state import manifest as mf
 
     files = sorted(
@@ -297,69 +341,89 @@ def run_partitioned(
     for i, f in enumerate(files):
         groups[i % partitions].append(f)
 
-    if kb_records is not None and build_kwargs.get("link_mode") == "join":
-        # built on first use, kept for every partition
-        kb_records = KBLabelTable(kb_records)
     report = {"partitions": partitions, "skipped": 0, "ran": 0}
+    todo = []
     for part, group in enumerate(groups):
         if not group:
             continue
-        if resume and mf.is_complete(out_dir, part):
+        if resume and mf.resumable(out_dir, part, group):
             report["skipped"] += 1
             continue
-        pages = rd.read_parquet(group, columns=PAGE_COLUMNS)
+        # built here, not in the partition threads (see
+        # _pin_absent_http_fs)
+        todo.append((part, group, rd.read_parquet(group, columns=PAGE_COLUMNS)))
+    _pin_absent_http_fs()
+    if todo and kb_records is not None and build_kwargs.get("link_mode") == "join":
+        kb_records = KBLabelTable(kb_records)
+        kb_records.labels()
+        kb_records.bands()
+
+    def run_one(part: int, group: list[str], pages: rd.Dataset) -> None:
         docs_in = pages.count()
         triples = build_triples(pages, kb_records=kb_records, **build_kwargs)
         triples = triples.materialize()
         n_triples = triples.count()
         counters = {"docs_in": docs_in, "triples_out": n_triples}
         counters.update(_triple_counters(triples))
-
-        def write_fn(tmp_dir, triples=triples):
-            if sort_output:
-                # deterministic file ordering (SURVEY §2.6: the only global
-                # ordering the engine needs); partition outputs are small
-                # post-dedup, so the sort is partition-local and cheap
-                from ..stages.bsp import sort_blocks
-
-                triples = sort_blocks(triples,
-                                      ["subj", "pred", "obj"]).dataset()
-            if subject_buckets:
-                # co-locate triples of one subject for downstream graph
-                # consumers (hash(subj) % B layout, SURVEY.md §7.2 item 7);
-                # vectorized FNV — the same kernel the dedup salt uses
-                import numpy as _np
-
-                from ..kernels.minhash import _hash_shingles
-
-                def add_bucket(batch: pa.Table) -> pa.Table:
-                    h = _hash_shingles(batch.column("subj").to_pylist())
-                    buckets = (h % _np.uint64(subject_buckets)).astype(_np.int32)
-                    return batch.append_column(
-                        "subj_bucket", pa.array(buckets, pa.int32())
-                    )
-
-                triples.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
-                    tmp_dir, partition_cols=["subj_bucket"]
-                )
-            else:
-                triples.write_parquet(tmp_dir)
-            if ntriples:
-                # .nt shards commit atomically with the partition (inside
-                # the tmp dir the manifest renames on completion)
-                write_ntriples(triples, os.path.join(tmp_dir, "ntriples"))
-            return {"rows": n_triples}
-
         mf.write_partition(
             out_dir,
             part,
-            write_fn,
+            lambda tmp_dir: _write_partition_files(
+                triples, tmp_dir, n_triples, sort_output=sort_output,
+                subject_buckets=subject_buckets, ntriples=ntriples),
             input_fragments=group,
             counters=counters,
         )
-        report["ran"] += 1
+
+    pool = ThreadPoolExecutor(max_workers=PARTITIONS_IN_FLIGHT,
+                              thread_name_prefix="kg-partition")
+    try:
+        futures = [pool.submit(run_one, *job) for job in todo]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # after a failure (or an interrupt of the caller): the partitions
+        # not started are cancelled, the running ones finish
+        pool.shutdown(wait=True, cancel_futures=True)
+    for f in futures:
+        if not f.cancelled() and f.exception() is not None:
+            raise f.exception()
+    report["ran"] = len(todo)
     report["counters"] = mf.aggregate_counters(out_dir)
     return report
+
+
+def _write_partition_files(triples: rd.Dataset, tmp_dir: str, n_triples: int,
+                           *, sort_output: bool, subject_buckets: int,
+                           ntriples: bool) -> dict:
+    """One partition's data files, written into its tmp dir."""
+    if sort_output:
+        # deterministic file ordering (SURVEY §2.6: the only global
+        # ordering the engine needs); partition outputs are small
+        # post-dedup, so the sort is partition-local and cheap
+        from ..stages.bsp import sort_blocks
+
+        triples = sort_blocks(triples, ["subj", "pred", "obj"]).dataset()
+    if subject_buckets:
+        # co-locate triples of one subject for downstream graph
+        # consumers (hash(subj) % B layout, SURVEY.md §7.2 item 7);
+        # vectorized FNV — the same kernel the dedup salt uses
+        from ..kernels.minhash import _hash_shingles
+
+        def add_bucket(batch: pa.Table) -> pa.Table:
+            h = _hash_shingles(batch.column("subj").to_pylist())
+            buckets = (h % np.uint64(subject_buckets)).astype(np.int32)
+            return batch.append_column("subj_bucket", pa.array(buckets, pa.int32()))
+
+        triples.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
+            tmp_dir, partition_cols=["subj_bucket"]
+        )
+    else:
+        triples.write_parquet(tmp_dir)
+    if ntriples:
+        # .nt shards commit atomically with the partition (inside the tmp
+        # dir the manifest renames on completion)
+        write_ntriples(triples, os.path.join(tmp_dir, "ntriples"))
+    return {"rows": n_triples}
 
 
 class _NTriplesDatasink(rd.Datasink):

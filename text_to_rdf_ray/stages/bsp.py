@@ -226,28 +226,26 @@ def _reduce_slices(reduce_fn, schema: pa.Schema | None, fns,
 
 
 @ray.remote(num_returns=2)
-def _reduce_task(reduce_fn, schema: pa.Schema | None, fns,
-                 *tbls: pa.Table) -> tuple[pa.Table, tuple]:
+def _reduce_task(reduce_fn, schema: pa.Schema | None, fns, *tbls: pa.Table):
     """Reduce one partition's slices (:func:`_reduce_slices`).  Returns
-    the block and its ``(rows, bytes, schema)``, the two refs of a
+    the block and its Ray ``BlockMetadataWithSchema``, the two refs of a
     :class:`Blocks` entry."""
-    from ray.data.block import BlockAccessor
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
+    stats = BlockExecStats.builder()
     out = _reduce_slices(reduce_fn, schema, fns, *tbls)
-    acc = BlockAccessor.for_block(out)
-    return out, (acc.num_rows(), acc.size_bytes(), acc.schema())
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
 class Blocks:
     """An exchange's output as block refs, handed to the next exchange of
     the same operator as a source with no Dataset around it.
 
-    ``refs`` holds one Arrow table ref per block; ``meta_refs`` one
-    ``(rows, bytes, schema)`` ref per block, computed by the task that
-    made the block (:func:`_reduce_task`).  A Dataset built from the refs
-    (``rd.from_arrow_refs``) runs one metadata task per block and each
-    ``materialize()`` constructs two more Datasets; an operator that
-    chains exchanges pays that once, at its output (:meth:`dataset`)."""
+    ``refs`` holds one Arrow table ref per block; ``meta_refs`` one Ray
+    ``BlockMetadataWithSchema`` ref per block (rows, bytes, schema),
+    computed by the task that made the block (:func:`_reduce_task`), so
+    the Dataset an operator wraps around its output (:meth:`dataset`)
+    needs no metadata task."""
 
     def __init__(self, refs: list, meta_refs: list) -> None:
         self.refs = refs
@@ -266,31 +264,55 @@ class Blocks:
         return cls([r for p in parts for r in p.refs],
                    [m for p in parts for m in p._meta_refs])
 
-    def metas(self) -> list[tuple[int, int, pa.Schema]]:
-        """Each block's ``(rows, bytes, schema)`` (fetched once; waits for
-        the blocks' tasks)."""
+    def metas(self) -> list:
+        """Each block's ``BlockMetadataWithSchema`` (fetched once; waits
+        for the blocks' tasks)."""
         if self._metas is None:
             self._metas = ray.get(self._meta_refs)
         return self._metas
 
+    def subset(self, indices: list[int]) -> "Blocks":
+        """Blocks ``indices`` of these, in that order."""
+        return Blocks([self.refs[i] for i in indices],
+                      [self._meta_refs[i] for i in indices])
+
     def num_rows(self) -> int:
-        return sum(m[0] for m in self.metas())
+        return sum(m.num_rows for m in self.metas())
 
     def row_offsets(self) -> np.ndarray:
         """Each block's first row position in block order: the rows of
         the blocks before it (a scan's offsets over sorted blocks)."""
-        rows = [m[0] for m in self.metas()]
+        rows = [m.num_rows for m in self.metas()]
         return np.cumsum([0] + rows[:-1])
 
     def schema(self) -> pa.Schema | None:
         """The first block's schema (None: no blocks)."""
         metas = self.metas()
-        return metas[0][2] if metas else None
+        return metas[0].schema if metas else None
 
     def dataset(self) -> rd.MaterializedDataset:
-        # materialize() over Arrow refs starts no executor run, and the
-        # MaterializedDataset lists its blocks without one
-        return rd.from_arrow_refs(self.refs).materialize()
+        """The blocks as a MaterializedDataset, built from the metadata
+        the blocks' tasks returned: a ``FromArrow`` plan marked executed
+        (its source holds the blocks, so that runs no executor) — no
+        per-block metadata task as ``rd.from_arrow_refs`` starts, and no
+        ``materialize()`` copy of the plan.  The one place this module
+        builds a Dataset plan from Ray Data internals."""
+        from ray.data._internal.logical.interfaces import LogicalPlan
+        from ray.data._internal.logical.operators.from_operators import (
+            FromArrow,
+        )
+        from ray.data._internal.plan import ExecutionPlan
+        from ray.data._internal.stats import DatasetStats
+        from ray.data.dataset import MaterializedDataset
+
+        metas = self.metas()
+        plan = ExecutionPlan(
+            DatasetStats(metadata={"FromArrow": metas}, parent=None),
+            rd.DataContext.get_current().copy())
+        out = MaterializedDataset(
+            plan, LogicalPlan(FromArrow(self.refs, metas), plan._context))
+        plan.execute()
+        return out
 
 
 def _source_blocks(src) -> tuple[list[tuple], object]:
@@ -299,8 +321,9 @@ def _source_blocks(src) -> tuple[list[tuple], object]:
     Dataset is materialized (no executor run when it already is); zero-
     row blocks (Ray can emit them schema-less) are dropped."""
     if isinstance(src, Blocks):
-        return ([(r, n, b) for r, (n, b, _) in zip(src.refs, src.metas())
-                 if n], src.schema())
+        return ([(r, m.num_rows, m.size_bytes)
+                 for r, m in zip(src.refs, src.metas()) if m.num_rows],
+                src.schema())
     mat = src.materialize()
     blocks = [(ref, meta.num_rows, meta.size_bytes)
               for bundle in mat.iter_internal_ref_bundles()

@@ -364,12 +364,9 @@ def canonicalize_surfaces(
     edges = Blocks.chain(pair_edges, norm_edges).dataset()
 
     if edges.count() == 0:
-        return ids_ds.map_batches(
-            lambda t: pa.table(
-                {"surface": t.column("surface"), "canonical": t.column("surface")}
-            ),
-            batch_format="pyarrow",
-        )
+        return map_blocks(ids, lambda t: pa.table(
+            {"surface": t.column("surface"),
+             "canonical": t.column("surface")})).dataset()
 
     # connected_components already returns a materialized (or from_arrow)
     # labels table, a join side without further barriers
@@ -402,7 +399,7 @@ def canonicalize_surfaces(
     return exchange_join(
         with_comp, canon, on="component", num_partitions=16,
         left_schema=_S_WC, right_schema=_S_CANON,
-    ).select_columns(["surface", "canonical"])
+        columns=["surface", "canonical"])
 
 
 def apply_canonical_map(triples: rd.Dataset, mapping: dict[str, str]) -> rd.Dataset:

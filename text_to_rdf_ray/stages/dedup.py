@@ -236,11 +236,12 @@ def _pairs_from_buckets(
        baseline char-trigram Jaccard is ~0.45) from exploding into
        millions of false candidates per shard.
     3. verify: ``prepare_fn(payload)`` features are computed ONLY for
-       candidate ids via a streaming filter pass over the corpus (no
+       candidate ids via a filter pass over the corpus blocks (no
        shuffle), then ``verify_fn(f1, f2)`` scores each unique pair once.
        Candidate IDS are a vanishing fraction of the corpus, so the
-       feature set is broadcast (ray.put) and pairs verify streaming in
-       map_batches (dict lookups, no per-pair pickling — robust to
+       feature set is broadcast (ray.put) and pairs verify in one raw
+       task per pair block (``bsp.map_blocks``: no Ray Data execution;
+       dict lookups, no per-pair pickling — robust to
        candidate-PAIR blowups on templated corpora); above
        ``broadcast_threshold`` distinct candidate ids, the same semantics
        run as hash-partitioned joins (candidate-proportional, still no
@@ -358,7 +359,7 @@ def _pairs_from_buckets(
     # re-split by ppart, cross-shard pair dedup in the second task —
     # the Dataset form's two sort-based all-to-all operators (~1.5s
     # fixed each) are gone; shuffle volume identical
-    from .bsp import two_phase_reduce
+    from .bsp import map_blocks, two_phase_reduce
 
     def reduce1_tbl(t: pa.Table) -> pa.Table:
         out = shard_candidates(t.to_pandas())
@@ -443,8 +444,8 @@ def _pairs_from_buckets(
         n_ids = need_ids.count()
 
     # The broadcast-vs-join decision keys on the DISTINCT-ID count (feature
-    # volume), not the pair count: pairs verify streaming through
-    # map_batches either way, so a candidate blowup (millions of pairs over
+    # volume), not the pair count: pairs verify block by block either
+    # way, so a candidate blowup (millions of pairs over
     # a few thousand ids — templated web text) stays on the cheap broadcast
     # path with one dict lookup + verify per pair and zero per-pair
     # (un)pickling.  The hash-join path remains for candidate ID sets too
@@ -455,8 +456,8 @@ def _pairs_from_buckets(
         need_ref = ray.put(need)
 
         def extract_feats(batch: pa.Table) -> pa.Table:
-            # _worker_obj_cache, not a closure dict: map_batches
-            # re-pickles the closure per task, so a closure-level memo
+            # _worker_obj_cache, not a closure dict: every task
+            # unpickles its own copy of the closure, so a closure-level memo
             # starts empty every task and refetches the broadcast
             # (review r5 — the exact pattern the module comment at
             # _WORKER_OBJ_CACHE documents)
@@ -468,9 +469,13 @@ def _pairs_from_buckets(
         # seconds PER TASK to rebuild (measured: 5.4s/task x 64 tasks =
         # 347 core-s on the 120k-surface canonicalization bench, 700x the
         # 0.4s of actual verify work).  Workers unpickle lazily, only the
-        # features their pair partition touches, memoized per id.
-        feat_rows = ds.map_batches(extract_feats, batch_format="pyarrow").take_all()
-        feats = {int(r[id_col]): r["feat"] for r in feat_rows}
+        # features their pair partition touches, memoized per id.  One
+        # raw task per corpus block (bsp.map_blocks), as for the verify
+        # below: no Ray Data execution
+        feats = {}
+        for t in ray.get(map_blocks(ds, extract_feats).refs):
+            feats.update(zip(t.column(id_col).to_pylist(),
+                             t.column("feat").to_pylist()))
         feats_ref = ray.put(feats)
         fcache: dict = {}
 
@@ -478,7 +483,7 @@ def _pairs_from_buckets(
             f = fcache.get("f")
             if f is None:
                 # per-worker-PROCESS cache (module global), not per task:
-                # map_batches re-pickles the closure per task, so a
+                # every task unpickles its own closure, so a
                 # closure-level cache would re-ray.get every task
                 f = _worker_obj_cache(feats_ref)
                 fcache["f"] = f
@@ -504,9 +509,8 @@ def _pairs_from_buckets(
                  "score": pa.array(sc, pa.float64())}
             )
 
-        return cands.map_batches(verify_batch, batch_format="pyarrow").map_batches(
-            norm_pairs, batch_format="pyarrow"
-        )
+        return map_blocks(cands,
+                          lambda t: norm_pairs(verify_batch(t))).dataset()
 
     # distributed verify: semi-join the candidate ids against the corpus to
     # featurize only candidate rows, then attach features to both pair
@@ -571,9 +575,8 @@ def _pairs_from_buckets(
              "score": pa.array(sc, pa.float64())}
         )
 
-    return joined.map_batches(verify_joined, batch_format="pyarrow").map_batches(
-        norm_pairs, batch_format="pyarrow"
-    )
+    return map_blocks(joined,
+                      lambda t: norm_pairs(verify_joined(t))).dataset()
 
 
 def _pairs_inband(

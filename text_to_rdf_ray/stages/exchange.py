@@ -61,11 +61,11 @@ never calls ``reduce`` on, so it drops empty partitions instead.
 
 An operator that chains exchanges calls ``join_blocks`` / ``agg_blocks``
 (or ``bsp.exchange_blocks``) for every exchange but its last: they
-return the reduce tasks' block refs with each block's rows, bytes and
-schema (``bsp.Blocks``), which the next exchange takes as a source.  No
-Dataset is built between the exchanges, so ``rd.from_arrow_refs`` (one
-metadata task per block) and ``materialize()`` run once, at the
-operator's output.
+return the reduce tasks' block refs with each block's Ray metadata
+(``bsp.Blocks``), which the next exchange takes as a source.  No
+Dataset is built between the exchanges; the operator's output is
+wrapped once, from that metadata, with no metadata task
+(``bsp.Blocks.dataset``).
 """
 
 from __future__ import annotations
@@ -376,10 +376,10 @@ def keyed_exchange(
     out = exchange_blocks([(src, _then(fn, tag)) for src, fn in _sources(ds)],
                           _KEYED_PART, reduce_part, max_parts=num_partitions)
     metas = out.metas()
-    live = [ref for ref, m in zip(out.refs, metas) if m[0]]
+    live = [i for i, m in enumerate(metas) if m.num_rows]
     if not live:
-        live = [ref for ref, m in zip(out.refs, metas) if len(m[2])][:1]
-    return rd.from_arrow_refs(live).materialize()
+        live = [i for i, m in enumerate(metas) if len(m.schema)][:1]
+    return out.subset(live).dataset()
 
 
 def keyed_apply(
@@ -418,6 +418,7 @@ def exchange_join(
     num_partitions: int = 32,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
+    columns: list[str] | None = None,
 ) -> rd.Dataset:
     """Equi-join ``left`` with ``right`` on the shared key column(s).
 
@@ -441,7 +442,8 @@ def exchange_join(
     schema-probe execution of it.  The output (see the module
     docstring) is materialized and typed per ``join_out_schema``, even
     when empty; ``num_partitions`` caps the exchange's sized partition
-    count.
+    count.  ``columns`` (None: all) keeps only those output columns, in
+    that order, chosen in the join's reduce tasks.
 
     Semantics deviation from Dataset.join / SQL, by contract: NULL
     join keys MATCH each other (they co-partition via a fixed hash and
@@ -451,12 +453,12 @@ def exchange_join(
     """
     return join_blocks(left, right, on=on, how=how,
                        num_partitions=num_partitions, left_schema=left_schema,
-                       right_schema=right_schema).dataset()
+                       right_schema=right_schema, columns=columns).dataset()
 
 
 def join_blocks(left, right, *, on, how: str = "inner",
                 num_partitions: int = 32, left_schema=None,
-                right_schema=None):
+                right_schema=None, columns: list[str] | None = None):
     """:func:`exchange_join` with its output as :class:`~.bsp.Blocks`
     (the next exchange of the same operator takes it as a source)."""
     from .bsp import exchange_blocks
@@ -489,6 +491,8 @@ def join_blocks(left, right, *, on, how: str = "inner",
                 "cast both sides to one family first")
         key_types[k] = lt
     out_schema = join_out_schema(ls, rs, on)
+    if columns is not None:
+        out_schema = pa.schema([out_schema.field(c) for c in columns])
     l_fields = [(n, t) for n, t in zip(ls.names, ls.types) if n not in on]
     r_fields = [(n, t) for n, t in zip(rs.names, rs.types) if n not in on]
     overlap = {n for n, _ in l_fields} & {n for n, _ in r_fields}

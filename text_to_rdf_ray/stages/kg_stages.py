@@ -201,7 +201,7 @@ def _any_null(blocks, col: str) -> bool:
     """Whether column ``col`` of the exchange output ``blocks`` (a
     ``bsp.Blocks``) holds a null: one task per non-empty block, no Ray
     Data execution."""
-    refs = [ref for ref, m in zip(blocks.refs, blocks.metas()) if m[0]]
+    refs = [ref for ref, m in zip(blocks.refs, blocks.metas()) if m.num_rows]
     return any(ray.get([_null_count.remote(ref, col) for ref in refs]))
 
 

@@ -60,14 +60,27 @@ def _bloom_hashes(vals) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def _write_ranges(ds, assign, write_file, num_files: int,
-                  path: str) -> pd.DataFrame:
+def _per_block(ds: rd.Dataset, fn) -> pd.DataFrame:
+    """The pandas ``fn`` of each non-empty block of the materialized
+    ``ds``, one raw task per block (``bsp.map_blocks``: no Ray Data
+    execution), concatenated; an empty DataFrame when there is none."""
+    from .bsp import map_blocks
+    from .exchange import pandas_block
+
+    frames = [t.to_pandas()
+              for t in ray.get(map_blocks(ds, pandas_block(fn)).refs)]
+    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+
+
+def _write_ranges(ds, assign, write_file, num_files: int, path: str,
+                  columns: dict[str, str]) -> pd.DataFrame:
     """One file per non-empty range: ``assign`` (pandas) tags each row
     with its range id ``_file`` in the task that splits its block, one
     fixed-P ``bsp.range_exchange`` puts range i in partition i, and the
     pandas ``write_file`` writes each non-empty range's file and returns
     its manifest row.  The manifest (sorted by file name) is persisted
-    and returned."""
+    and returned; with no rows it has no rows and the ``columns`` (name
+    to dtype)."""
     from .bsp import range_exchange
     from .exchange import pandas_block
 
@@ -76,8 +89,10 @@ def _write_ranges(ds, assign, write_file, num_files: int,
 
     out = range_exchange((ds, pandas_block(assign)), "_file", reduce,
                          num_files)
-    manifest = pd.concat([t.to_pandas() for t in ray.get(out.refs)
-                          if t.num_rows], ignore_index=True)
+    frames = [t.to_pandas() for t in ray.get(out.refs) if t.num_rows]
+    manifest = (pd.concat(frames, ignore_index=True) if frames
+                else pd.DataFrame({c: pd.Series([], dtype=d)
+                                   for c, d in columns.items()}))
     manifest = manifest.sort_values("file").reset_index(drop=True)
     manifest.to_parquet(os.path.join(path, MANIFEST), index=False)
     return manifest
@@ -111,6 +126,8 @@ def clustered_write(
     the Bloom prunes point lookups on anything else.
     """
     os.makedirs(path, exist_ok=True)
+    # one execution of a lazy input serves the sample and the exchange
+    ds = ds.materialize()
 
     def sample(batch: pd.DataFrame) -> pd.DataFrame:
         k = batch[key_col]
@@ -119,7 +136,7 @@ def clustered_write(
             k = k.iloc[idx]
         return pd.DataFrame({key_col: k})
 
-    samp = ds.map_batches(sample, batch_format="pandas").to_pandas()
+    samp = _per_block(ds, sample)
     if samp.empty:
         cuts = np.array([], dtype=np.float64)
     else:
@@ -157,7 +174,12 @@ def clustered_write(
             row["bloom_k"] = pd.Series([bloom_k], dtype="int64")
         return pd.DataFrame(row)
 
-    return _write_ranges(ds, assign, write_file, num_files, path)
+    columns = {"file": "object", "rows": "int64", "min_key": "float64",
+               "max_key": "float64"}
+    if bloom_col is not None:
+        columns |= {"bloom": "object", "bloom_nbits": "int64",
+                    "bloom_k": "int64"}
+    return _write_ranges(ds, assign, write_file, num_files, path, columns)
 
 
 def pruned_read(
@@ -359,6 +381,9 @@ def zorder_write(
         raise ValueError("zorder_write: exactly two cols supported")
     os.makedirs(path, exist_ok=True)
     ca, cb = cols
+    # one execution of a lazy input serves the min/max pass, the sample
+    # and the exchange
+    ds = ds.materialize()
 
     def mm(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -367,10 +392,9 @@ def zorder_write(
             f"hi_{c}": [float(np.nanmax(batch[c].to_numpy(np.float64)))]
             for c in cols})
 
-    parts = ds.map_batches(mm, batch_format="pandas",
-                           batch_size=65536).to_pandas()
-    span = {c: (float(parts[f"lo_{c}"].min()), float(parts[f"hi_{c}"].max()))
-            for c in cols}
+    parts = _per_block(ds, mm)
+    span = ({c: (float(parts[f"lo_{c}"].min()), float(parts[f"hi_{c}"].max()))
+             for c in cols} if len(parts) else {c: (0.0, 0.0) for c in cols})
 
     def quant(v: np.ndarray, c: str) -> np.ndarray:
         lo, hi = span[c]
@@ -391,7 +415,7 @@ def zorder_write(
             z = z[idx]
         return pd.DataFrame({"z": z})
 
-    samp = ds.map_batches(sample, batch_format="pandas").to_pandas()
+    samp = _per_block(ds, sample)
     qs = np.linspace(0, 1, num_files + 1)[1:-1]
     cuts = (np.quantile(samp["z"].to_numpy(np.float64), qs)
             if len(samp) else np.array([], dtype=np.float64))
@@ -416,7 +440,9 @@ def zorder_write(
             row[f"max_{c}"] = [float(g[c].max())]
         return pd.DataFrame(row)
 
-    return _write_ranges(ds, assign, write_file, num_files, path)
+    columns = {"file": "object", "rows": "int64"} | {
+        f"{m}_{c}": "float64" for c in cols for m in ("min", "max")}
+    return _write_ranges(ds, assign, write_file, num_files, path, columns)
 
 
 def zorder_read(

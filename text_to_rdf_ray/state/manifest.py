@@ -3,9 +3,11 @@
 The reference has no checkpointing (SURVEY.md §4.1); at 100 TB a run must
 resume mid-corpus.  Layout: one output directory per input partition
 (``part=<k>/``), each written atomically (tmp dir + rename) together with a
-``manifest.json`` recording input lineage (fragment paths), row counters,
-and a content fingerprint.  A rerun skips partitions whose manifest is
-complete; everything else is recomputed from lineage.
+``manifest.json`` recording input lineage (fragment paths) and row
+counters.  A rerun skips a partition whose manifest is complete and lists
+the fragments of its current group (:func:`resumable`; a complete
+manifest over other fragments raises); everything else is recomputed
+from lineage.
 """
 
 from __future__ import annotations
@@ -32,6 +34,29 @@ def is_complete(out_dir: str, part: int) -> bool:
             return json.load(f).get("status") == "complete"
     except (json.JSONDecodeError, OSError):
         return False
+
+
+def _norm_paths(paths) -> list[str]:
+    return sorted(os.path.normpath(os.path.abspath(p)) for p in paths)
+
+
+def resumable(out_dir: str, part: int, input_fragments) -> bool:
+    """Whether partition ``part`` can be skipped on resume: True when its
+    complete manifest lists exactly ``input_fragments`` (compared as
+    normalized absolute paths), False when it has no complete manifest.
+    A complete manifest over other fragments is stale — the input
+    changed, or was dealt into another number of partitions — and
+    raises ``ValueError`` naming the partition and the field."""
+    if not is_complete(out_dir, part):
+        return False
+    had = (read_manifest(out_dir, part) or {}).get("input_fragments") or []
+    if _norm_paths(had) != _norm_paths(input_fragments):
+        raise ValueError(
+            f"partition {part} under {out_dir} is complete but stale: its "
+            f"manifest's input_fragments list {len(had)} file(s), not the "
+            f"{len(input_fragments)} of its current group; rerun with "
+            "resume=False or into a new output directory")
+    return True
 
 
 def read_manifest(out_dir: str, part: int) -> dict | None:
