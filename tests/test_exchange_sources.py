@@ -571,21 +571,22 @@ def test_lakehouse_writes_of_an_empty_input(ray_session, tmp_path):
 
     df, _ = _lakehouse_input(tmp_path)
     cases = [
-        (lambda p: clustered_write(rd.from_pandas(df.iloc[:0]), p,
-                                   key_col="v", num_files=3),
+        (lambda src, p: clustered_write(src, p, key_col="v", num_files=3),
          ["file", "rows", "min_key", "max_key"]),
-        (lambda p: clustered_write(rd.from_pandas(df.iloc[:0]), p,
-                                   key_col="v", num_files=3, bloom_col="k"),
+        (lambda src, p: clustered_write(src, p, key_col="v", num_files=3,
+                                        bloom_col="k"),
          ["file", "rows", "min_key", "max_key", "bloom", "bloom_nbits",
           "bloom_k"]),
-        (lambda p: zorder_write(rd.from_pandas(df.iloc[:0]), p,
-                                cols=["v", "k"], num_files=3),
+        (lambda src, p: zorder_write(src, p, cols=["v", "k"], num_files=3),
          ["file", "rows", "min_v", "max_v", "min_k", "max_k"]),
     ]
     for i, (write, cols) in enumerate(cases):
         path = str(tmp_path / f"out{i}")
-        man = write(path)
+        man = write(rd.from_pandas(df.iloc[:0]), path)
         assert len(man) == 0 and list(man.columns) == cols
         assert os.listdir(path) == [MANIFEST]
         back = pd.read_parquet(os.path.join(path, MANIFEST))
         assert len(back) == 0 and list(back.columns) == cols
+        # the dtypes of a manifest with rows
+        full = write(rd.from_pandas(df), str(tmp_path / f"full{i}"))
+        assert len(full) and dict(man.dtypes) == dict(full.dtypes)

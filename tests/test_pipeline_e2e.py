@@ -845,20 +845,32 @@ def _partition_frames(out: str) -> dict:
     return frames
 
 
-def test_partitions_equal_build_triples_per_group(pages_dir, tmp_path):
+def test_partitions_equal_build_triples_per_group(pages_dir, tmp_path,
+                                                  monkeypatch):
     """With two partitions in flight, each partition's rows equal
-    build_triples over its group of files alone."""
+    build_triples over its group of files alone; the task-mode linker of
+    every partition reads one KB ref, so a worker builds one index."""
     import pandas as pd
     import ray.data as rd
 
     from text_to_rdf_ray.pipelines.kg import (PAGE_COLUMNS, build_triples,
                                               run_partitioned)
     from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.stages import kg_stages
 
+    refs = []
+    real_task = kg_stages.make_link_task
+
+    def recording(kb_ref, **kw):
+        refs.append(kb_ref)
+        return real_task(kb_ref, **kw)
+
+    monkeypatch.setattr(kg_stages, "make_link_task", recording)
     out = str(tmp_path / "out")
     rep = run_partitioned(pages_dir, out, partitions=3,
                           kb_records=kb_records())
     assert rep["ran"] == 3
+    assert len(refs) == 3 and len({r.hex() for r in refs}) == 1
     got = _partition_frames(out)
     files = sorted(os.path.join(pages_dir, f) for f in os.listdir(pages_dir)
                    if f.endswith(".parquet"))
@@ -874,11 +886,14 @@ def test_partitions_equal_build_triples_per_group(pages_dir, tmp_path):
         pd.testing.assert_frame_equal(got[part], want)
 
 
+@pytest.mark.parametrize("stage", ["build", "write"])
 def test_failed_partition_raises_and_leaves_nothing(pages_dir, tmp_path,
-                                                    monkeypatch):
-    """A partition that raises makes run_partitioned raise that error; the
-    failed partition leaves no committed and no tmp directory, and no
-    partition thread is alive afterwards."""
+                                                    monkeypatch, stage):
+    """A partition that raises, while its triples are built (on a
+    partition thread) or while it is written (on the calling thread),
+    makes run_partitioned raise that error; the failed partition leaves
+    no committed and no tmp directory, and no partition thread is alive
+    afterwards."""
     import threading
 
     from text_to_rdf_ray.pipelines import kg
@@ -887,20 +902,31 @@ def test_failed_partition_raises_and_leaves_nothing(pages_dir, tmp_path,
     class Boom(RuntimeError):
         pass
 
-    real = kg.build_triples
+    if stage == "build":
+        real = kg.build_triples
 
-    def failing(pages, **kw):
-        if any(p.endswith("00001.parquet") for p in pages.input_files()):
-            raise Boom("partition 1 failed")
-        return real(pages, **kw)
+        def failing(pages, **kw):
+            if any(p.endswith("00001.parquet") for p in pages.input_files()):
+                raise Boom("partition 1 failed")
+            return real(pages, **kw)
 
-    monkeypatch.setattr(kg, "build_triples", failing)
+        monkeypatch.setattr(kg, "build_triples", failing)
+    else:
+        real = kg._write_partition_files
+
+        def failing(triples, tmp_dir, *a, **kw):
+            real(triples, tmp_dir, *a, **kw)
+            if os.path.basename(tmp_dir).startswith(".part1-"):
+                raise Boom("partition 1 failed")
+
+        monkeypatch.setattr(kg, "_write_partition_files", failing)
     out = str(tmp_path / "out")
     with pytest.raises(Boom, match="partition 1 failed"):
         kg.run_partitioned(pages_dir, out, partitions=3)
     assert 1 not in mf.completed_partitions(out)
     assert not os.path.exists(mf.partition_dir(out, 1))
-    assert not [n for n in os.listdir(out) if n.startswith(".part")]
+    left = os.listdir(out) if os.path.isdir(out) else []
+    assert not [n for n in left if n.startswith(".part")]
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("kg-partition")]
 
@@ -957,32 +983,8 @@ rep = run_partitioned(sys.argv[1], sys.argv[2], partitions=3,
                       canonicalize_local_threshold=0)
 assert rep["ran"] == 3, rep
 ray.shutdown()
-
-# every Ray Data read and write resolves its paths through an fsspec HTTP
-# import that fails without aiohttp; the call pinned that failure, so
-# threads resolving paths at once (as partition threads writing do) see
-# no half-imported module
-import threading
-
-from ray.data.datasource.path_util import _resolve_paths_and_filesystem
-
-errors = []
-
-
-def resolve():
-    try:
-        for _ in range(100):
-            _resolve_paths_and_filesystem([sys.argv[2]])
-    except Exception as exc:
-        errors.append(exc)
-
-
-threads = [threading.Thread(target=resolve) for _ in range(4)]
-for t in threads:
-    t.start()
-for t in threads:
-    t.join()
-assert not errors, errors[0]
+# the run left the process's import state alone
+assert sys.modules.get("fsspec.implementations.http", 0) is not None
 print("OK")
 """
 
@@ -993,9 +995,8 @@ def test_partitioned_join_run_at_one_cpu_in_a_fresh_process(pages_dir,
     canonicalize_local_threshold=0) in a fresh interpreter with one
     logical CPU, Ray Data first used inside the call (two partition
     threads start at once), finishes and writes the rows of the same
-    run in this session; afterwards four threads resolving Ray Data
-    paths at once raise nothing.  Killed with its Ray processes if it
-    has not finished."""
+    run in this session.  Killed with its Ray processes if it has not
+    finished."""
     import signal
     import subprocess
     import sys

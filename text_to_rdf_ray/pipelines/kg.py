@@ -15,7 +15,7 @@ End-to-end flow (north star):
 
 ``run_partitioned`` processes the input in partition groups of whole
 files, dealt round-robin (file ``i`` of the sorted list to group
-``i % partitions``), two groups in flight at once on driver threads
+``i % partitions``), two groups in flight at once
 (``PARTITIONS_IN_FLIGHT``), so partitions commit in no fixed order.
 Each partition's output and manifest commit atomically, so a failed run
 resumes by skipping complete partitions whose manifest lists their
@@ -80,7 +80,9 @@ def build_triples(
     canonical_map_join_threshold: int = 1_000_000,
 ) -> rd.Dataset:
     """Assemble the lazy Dataset pipeline from pages to canonical triples.
-    ``link_mode`` other than ``"task"`` or ``"join"`` raises."""
+    ``link_mode`` other than ``"task"`` or ``"join"`` raises.  In task
+    mode ``kb_records`` may be the ``ray.put`` ref of the records, so
+    several calls share one KB index per worker."""
     if link_mode not in ("task", "join"):
         raise ValueError(f"link_mode {link_mode!r}: use 'task' (KB "
                          "broadcast) or 'join' (shuffle-join linking)")
@@ -117,7 +119,8 @@ def build_triples(
             # keeps the fused map chain at full task parallelism
             from ..stages.kg_stages import make_link_task
 
-            kb_ref = ray.put(kb_records)
+            kb_ref = (kb_records if isinstance(kb_records, ray.ObjectRef)
+                      else ray.put(kb_records))
             ds = ds.map_batches(
                 make_link_task(kb_ref, fuzzy_threshold=link_fuzzy_threshold,
                                confidence_threshold=link_confidence_threshold),
@@ -269,33 +272,20 @@ def _surface_rows(batch: pa.Table) -> pa.Table:
     return pa.table({"surface": pa.array(sorted(names), pa.string())})
 
 
-#: partition groups ``run_partitioned`` runs at once, one driver thread
-#: each.  A partition's driver work (plan building, exchange wiring, the
-#: barriers between stages) leaves the cluster's workers idle; with two
-#: partitions in flight one partition's tasks fill those gaps.  Over the
-#: partitioned_at_scale seed-3 pages cut into four partitions on a
-#: one-CPU Ray, a warm pass took 4.0-4.3 s with one in flight, 2.7-3.3 s
-#: with two, 2.9-3.4 s with three and 2.2-2.8 s with four (BASELINE.md):
-#: past two the gain is within the noise, while every partition in
-#: flight holds its own intermediate blocks in the object store.
+#: partition groups ``run_partitioned`` has in flight at once.  While a
+#: partition's driver builds plans, wires exchanges and waits on the
+#: barriers between stages, its tasks leave the workers idle; a second
+#: partition in flight runs its tasks in those gaps.  On a 4-vCPU host
+#: with one CPU for Ray, a warm partitioned_at_scale pass spends nearly
+#: as much CPU in the driver as in the workers (BASELINE.md), so two
+#: overlap the two sides; over its seed-3 pages in four partitions a
+#: second partition in flight cut a warm pass by about 30% in both link
+#: modes, a third gained nothing and a fourth 4-10% more, in ranges that
+#: overlap two's.  Each partition in flight holds its intermediate
+#: blocks in the object store until it is written.  Hosts with more CPUs
+#: for Ray, where the workers finish a partition's tasks sooner and more
+#: partitions in flight may pay, are not measured.
 PARTITIONS_IN_FLIGHT = 2
-
-
-def _pin_absent_http_fs() -> None:
-    """Ray Data resolves every read and write path through an import of
-    fsspec's HTTP filesystem and reads ``ModuleNotFoundError`` as "not
-    HTTP".  Without aiohttp that import fails on every call, and a thread
-    importing it while another's attempt is failing sees the half-run
-    module, an ``ImportError`` that escapes (seen with two partition
-    threads writing at once).  After one failed attempt here the module
-    is pinned absent (``None`` in ``sys.modules``), so every later
-    attempt fails at once with ``ModuleNotFoundError``."""
-    import sys
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except ModuleNotFoundError:
-        sys.modules.setdefault("fsspec.implementations.http", None)
 
 
 def run_partitioned(
@@ -315,18 +305,21 @@ def run_partitioned(
     ``i % partitions``); each group runs the full pipeline and commits
     atomically with a manifest (``state.manifest.write_partition``).
 
-    Up to ``PARTITIONS_IN_FLIGHT`` groups run at once, each on a driver
-    thread, so partitions may commit in any order.  The calling thread
-    first reads the resume state, builds every group's read and, with
-    ``link_mode="join"``, the KB label table (``KBLabelTable``, once for
-    all the groups).  With ``resume`` a partition is skipped when its
-    manifest is complete and lists its current group's files; a complete
-    manifest over other files raises (``manifest.resumable``).  The first
-    partition that fails cancels the ones not yet started, waits for the
-    running ones and re-raises; no partition thread outlives the call,
-    and a failed partition leaves no committed or tmp directory.
-    Returns the aggregated run report."""
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    Up to ``PARTITIONS_IN_FLIGHT`` groups are in flight at once, so
+    partitions may commit in any order.  Each group's triples are built
+    on a driver thread of its own; the calling thread reads the resume
+    state, builds every group's read, shares the KB between the groups
+    (one ``ray.put`` in task mode, one ``KBLabelTable`` with
+    ``link_mode="join"``) and writes each partition as its triples are
+    ready, so every Ray Data path resolution runs on the calling thread.
+    With ``resume`` a partition is skipped when its manifest is complete
+    and lists its current group's files; a complete manifest over other
+    files raises (``manifest.resumable``).  The first partition that
+    fails stops the ones not yet started, waits for the running ones and
+    re-raises; no partition thread outlives the call, and a failed
+    partition leaves no committed or tmp directory.  Returns the
+    aggregated run report."""
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     from ..state import manifest as mf
 
@@ -349,44 +342,59 @@ def run_partitioned(
         if resume and mf.resumable(out_dir, part, group):
             report["skipped"] += 1
             continue
-        # built here, not in the partition threads (see
-        # _pin_absent_http_fs)
         todo.append((part, group, rd.read_parquet(group, columns=PAGE_COLUMNS)))
-    _pin_absent_http_fs()
-    if todo and kb_records is not None and build_kwargs.get("link_mode") == "join":
-        kb_records = KBLabelTable(kb_records)
-        kb_records.labels()
-        kb_records.bands()
+    if todo and kb_records is not None:
+        if build_kwargs.get("link_mode") == "join":
+            kb_records = KBLabelTable(kb_records)
+            kb_records.labels()
+            kb_records.bands()
+        else:
+            # one ref for every partition: a worker keeps one KB index
+            # per ref (make_link_task)
+            kb_records = ray.put(kb_records)
 
-    def run_one(part: int, group: list[str], pages: rd.Dataset) -> None:
+    def build(pages: rd.Dataset) -> tuple[rd.Dataset, dict]:
         docs_in = pages.count()
         triples = build_triples(pages, kb_records=kb_records, **build_kwargs)
         triples = triples.materialize()
         n_triples = triples.count()
         counters = {"docs_in": docs_in, "triples_out": n_triples}
         counters.update(_triple_counters(triples))
-        mf.write_partition(
-            out_dir,
-            part,
-            lambda tmp_dir: _write_partition_files(
-                triples, tmp_dir, n_triples, sort_output=sort_output,
-                subject_buckets=subject_buckets, ntriples=ntriples),
-            input_fragments=group,
-            counters=counters,
-        )
+        return triples, counters
 
+    jobs = iter(todo)
+    running: dict = {}
     pool = ThreadPoolExecutor(max_workers=PARTITIONS_IN_FLIGHT,
                               thread_name_prefix="kg-partition")
     try:
-        futures = [pool.submit(run_one, *job) for job in todo]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        while True:
+            # a partition stays in flight until it is written
+            while len(running) < PARTITIONS_IN_FLIGHT:
+                job = next(jobs, None)
+                if job is None:
+                    break
+                running[pool.submit(build, job[2])] = job
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in sorted(done, key=lambda f: running[f][0]):
+                part, group, _pages = running.pop(fut)
+                triples, counters = fut.result()
+                mf.write_partition(
+                    out_dir,
+                    part,
+                    lambda tmp_dir, t=triples, n=counters["triples_out"]:
+                        _write_partition_files(
+                            t, tmp_dir, n, sort_output=sort_output,
+                            subject_buckets=subject_buckets,
+                            ntriples=ntriples),
+                    input_fragments=group,
+                    counters=counters,
+                )
     finally:
-        # after a failure (or an interrupt of the caller): the partitions
-        # not started are cancelled, the running ones finish
+        # after a failure (or an interrupt of the caller) no partition
+        # starts; the running ones finish
         pool.shutdown(wait=True, cancel_futures=True)
-    for f in futures:
-        if not f.cancelled() and f.exception() is not None:
-            raise f.exception()
     report["ran"] = len(todo)
     report["counters"] = mf.aggregate_counters(out_dir)
     return report

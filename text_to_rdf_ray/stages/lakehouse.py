@@ -63,7 +63,9 @@ def _bloom_hashes(vals) -> tuple[np.ndarray, np.ndarray]:
 def _per_block(ds: rd.Dataset, fn) -> pd.DataFrame:
     """The pandas ``fn`` of each non-empty block of the materialized
     ``ds``, one raw task per block (``bsp.map_blocks``: no Ray Data
-    execution), concatenated; an empty DataFrame when there is none."""
+    execution), concatenated; an empty DataFrame when there is none.
+    One call per block, as a ``map_batches`` without ``batch_size``
+    makes, so per-block samples keep their size."""
     from .bsp import map_blocks
     from .exchange import pandas_block
 
@@ -72,15 +74,17 @@ def _per_block(ds: rd.Dataset, fn) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
 
-def _write_ranges(ds, assign, write_file, num_files: int, path: str,
-                  columns: dict[str, str]) -> pd.DataFrame:
+def _write_ranges(ds, assign, write_file, manifest_row, num_files: int,
+                  path: str, input_cols) -> pd.DataFrame:
     """One file per non-empty range: ``assign`` (pandas) tags each row
     with its range id ``_file`` in the task that splits its block, one
     fixed-P ``bsp.range_exchange`` puts range i in partition i, and the
     pandas ``write_file`` writes each non-empty range's file and returns
-    its manifest row.  The manifest (sorted by file name) is persisted
-    and returned; with no rows it has no rows and the ``columns`` (name
-    to dtype)."""
+    its manifest row, ``manifest_row(file name, rows)``.  The manifest
+    (sorted by file name) is persisted and returned.  With no rows it is
+    ``manifest_row`` of a group with no rows (of the ``input_cols`` it
+    reads) cut to none, so it has the columns and dtypes of every other
+    manifest."""
     from .bsp import range_exchange
     from .exchange import pandas_block
 
@@ -90,9 +94,11 @@ def _write_ranges(ds, assign, write_file, num_files: int, path: str,
     out = range_exchange((ds, pandas_block(assign)), "_file", reduce,
                          num_files)
     frames = [t.to_pandas() for t in ray.get(out.refs) if t.num_rows]
-    manifest = (pd.concat(frames, ignore_index=True) if frames
-                else pd.DataFrame({c: pd.Series([], dtype=d)
-                                   for c, d in columns.items()}))
+    if frames:
+        manifest = pd.concat(frames, ignore_index=True)
+    else:
+        manifest = manifest_row("", pd.DataFrame(
+            {c: pd.Series([], dtype="float64") for c in input_cols})).iloc[:0]
     manifest = manifest.sort_values("file").reset_index(drop=True)
     manifest.to_parquet(os.path.join(path, MANIFEST), index=False)
     return manifest
@@ -155,6 +161,9 @@ def clustered_write(
         fname = f"part_{fid:05d}.parquet"
         pq.write_table(pa.Table.from_pandas(g, preserve_index=False),
                        os.path.join(path, fname))
+        return manifest_row(fname, g)
+
+    def manifest_row(fname: str, g: pd.DataFrame) -> pd.DataFrame:
         row = {
             "file": [fname],
             "rows": pd.Series([len(g)], dtype="int64"),
@@ -174,12 +183,8 @@ def clustered_write(
             row["bloom_k"] = pd.Series([bloom_k], dtype="int64")
         return pd.DataFrame(row)
 
-    columns = {"file": "object", "rows": "int64", "min_key": "float64",
-               "max_key": "float64"}
-    if bloom_col is not None:
-        columns |= {"bloom": "object", "bloom_nbits": "int64",
-                    "bloom_k": "int64"}
-    return _write_ranges(ds, assign, write_file, num_files, path, columns)
+    return _write_ranges(ds, assign, write_file, manifest_row, num_files,
+                         path, [key_col] + ([bloom_col] if bloom_col else []))
 
 
 def pruned_read(
@@ -433,6 +438,9 @@ def zorder_write(
         fname = f"zpart_{fid:05d}.parquet"
         pq.write_table(pa.Table.from_pandas(g, preserve_index=False),
                        os.path.join(path, fname))
+        return manifest_row(fname, g)
+
+    def manifest_row(fname: str, g: pd.DataFrame) -> pd.DataFrame:
         row = {"file": [fname],
                "rows": pd.Series([len(g)], dtype="int64")}
         for c in cols:
@@ -440,9 +448,8 @@ def zorder_write(
             row[f"max_{c}"] = [float(g[c].max())]
         return pd.DataFrame(row)
 
-    columns = {"file": "object", "rows": "int64"} | {
-        f"{m}_{c}": "float64" for c in cols for m in ("min", "max")}
-    return _write_ranges(ds, assign, write_file, num_files, path, columns)
+    return _write_ranges(ds, assign, write_file, manifest_row, num_files,
+                         path, cols)
 
 
 def zorder_read(
