@@ -17,7 +17,6 @@ def test_pipeline_config_defaults_match_reference():
     assert cfg.chunk.token_threshold == 2000    # extractor.rs:575
     assert cfg.linker.fuzzy_threshold == 0.8    # entity_linker defaults
     assert cfg.linker.confidence_threshold == 0.5
-    assert cfg.validation.min_confidence == 0.7  # validation.rs default
     kwargs = cfg.build_kwargs()
     assert kwargs["lang"] == "en" and kwargs["dedup"] is True
 

@@ -170,11 +170,11 @@ def test_list_kb_label_table_blocks(ray_session, executions):
 
 def test_block_functions_same_rows_at_every_partition_count(
         ray_session, sized_and_capped):
-    """hash_exchange over two sources with block functions gives the
+    """exchange_blocks over two sources with block functions gives the
     rows of mapping each source first, at the sized P=1 and at the cap;
     a pandas-block source is typed from its first block, so an object
     column holding lists stays a list column."""
-    from text_to_rdf_ray.stages.bsp import hash_exchange
+    from text_to_rdf_ray.stages.bsp import exchange_blocks
     from text_to_rdf_ray.stages.exchange import _hash_col, keyed_exchange
 
     left, right = _sides()
@@ -193,8 +193,8 @@ def test_block_functions_same_rows_at_every_partition_count(
         return t.group_by(["k", "side"]).aggregate([("p", "count")])
 
     def run():
-        out = hash_exchange([(lds, tag(0)), (rds, tag(1))], "p", count_sides,
-                            max_parts=8)
+        out = exchange_blocks([(lds, tag(0)), (rds, tag(1))], "p",
+                              count_sides, max_parts=8).dataset()
         return (out.to_pandas().sort_values(["k", "side"])
                 .reset_index(drop=True))
 

@@ -1239,8 +1239,8 @@ def test_exchange_pandas_block_input(ray_session, monkeypatch):
 
 def test_exchange_tasks_normalize_pandas_blocks(ray_session):
     """The raw-task exchanges read pandas blocks directly (no Arrow map
-    in front): hash_exchange and two_phase_reduce at P=1 and P=4."""
-    from text_to_rdf_ray.stages.bsp import hash_exchange, two_phase_reduce
+    in front): exchange_blocks and two_phase_reduce at P=1 and P=4."""
+    from text_to_rdf_ray.stages.bsp import exchange_blocks, two_phase_reduce
 
     left, _ = _exchange_sides()
     df = left.assign(p=left["k"], q=left["k"])
@@ -1253,7 +1253,8 @@ def test_exchange_tasks_normalize_pandas_blocks(ray_session):
 
     want = df.groupby("k")["a"].sum().sort_index().tolist()
     for parts in (1, 4):
-        got = hash_exchange(ds, "p", total, schema, max_parts=parts)
+        got = exchange_blocks(ds, "p", total, schema,
+                              max_parts=parts).dataset()
         assert got.to_pandas().sort_values("k")["a_sum"].tolist() == want
         got = two_phase_reduce(ds, "p", "q", total,
                                lambda t: t.select(["k", "a_sum"]),
@@ -1645,7 +1646,8 @@ def test_range_operators_run_no_ray_sort_or_map_groups(ray_session,
     """The sorts, range cuts and prefix scans run on the raw-task range
     exchange: with Ray's ``Dataset.sort`` and ``map_groups`` patched to
     raise, every moved operator still gives the pandas answer, and no
-    ``map_groups(`` or ``.sort([`` call is left in the package."""
+    ``map_groups(``, ``.sort([`` or ``.repartition(`` call (a Ray
+    all-to-all operator) is left in the package."""
     import pathlib
 
     from ray.data.grouped_data import GroupedData
@@ -1665,6 +1667,211 @@ def test_range_operators_run_no_ray_sort_or_map_groups(ray_session,
         text = path.read_text()
         assert ".map_groups(" not in text, path
         assert ".sort([" not in text and ".sort(\"" not in text, path
+        assert ".repartition(" not in text, path
+
+
+def _no_all_to_all_runs(monkeypatch, tmp_path):
+    """Each operator whose Ray ``repartition``, or whose ``union`` in
+    front of an exchange, went, on small input built here, as ``(name,
+    run)`` pairs; ``run()`` asserts its result against pandas, a brute
+    force or a driver tier computed here, before any patch."""
+    from text_to_rdf_ray.kernels.minhash import (band_keys, jaccard,
+                                                 minhash_signature,
+                                                 word_shingles)
+    from text_to_rdf_ray.stages import (analytics, canonicalize, curation,
+                                        dedup, graph, kgops, lakehouse)
+    from text_to_rdf_ray.stages.exchange import exchange_agg
+
+    def frame(**cols):
+        return rd.from_pandas(pd.DataFrame(cols)).materialize()
+
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda"
+    docs = frame(doc_id=np.arange(4, dtype=np.int64),
+                 text=[base, base + " nu", base + " xi",
+                       "unrelated words entirely different topic here now"])
+
+    def lsh_verify_join():
+        def bands_feat(text):
+            sig = minhash_signature(word_shingles(text, 3))
+            return list(enumerate(band_keys(sig, 16))), None
+
+        out = dedup._pairs_from_buckets(
+            docs, bands_feat,
+            lambda a, b: jaccard(a, b) if jaccard(a, b) >= 0.5 else None,
+            "doc_id", "text", prepare_fn=lambda t: word_shingles(t, 3),
+            broadcast_threshold=0).to_pandas()
+        assert sorted(zip(out["id_a"], out["id_b"])) == [(0, 1), (0, 2),
+                                                         (1, 2)]
+
+    ids = frame(doc_id=np.arange(10, dtype=np.int64))
+    id_pairs = frame(id_a=np.array([0, 1, 5], np.int64),
+                     id_b=np.array([1, 2, 6], np.int64))
+
+    def pairs_to_canonical_join():
+        monkeypatch.setattr(canonicalize, "DRIVER_UNION_FIND_THRESHOLD", 0)
+        out = (dedup.pairs_to_canonical(ids, id_pairs, "doc_id")
+               .to_pandas().sort_values("doc_id"))
+        assert out["canonical_id"].tolist() == [0, 0, 0, 3, 4, 5, 5, 7, 8, 9]
+
+    rng = np.random.RandomState(3)
+    src, dst = rng.randint(0, 12, 60), rng.randint(0, 12, 60)
+    pr_edges = frame(src=[f"n{i}" for i in src], dst=[f"n{i}" for i in dst])
+    pr_want = graph.pagerank(pr_edges).to_pandas().sort_values("node")
+
+    def pagerank_bsp():
+        got = (graph.pagerank(pr_edges, driver_threshold=0, num_partitions=4)
+               .to_pandas().sort_values("node"))
+        assert got["node"].tolist() == pr_want["node"].tolist()
+        np.testing.assert_allclose(got["rank"], pr_want["rank"])
+
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    tri_edges = frame(src=np.array([a for a, _ in k4] + [4, 5, 6, 6]),
+                      dst=np.array([b for _, b in k4] + [5, 6, 4, 7]))
+
+    def triangle_count():
+        want = {0: 3, 1: 3, 2: 3, 3: 3, 4: 1, 5: 1, 6: 1}
+        for threshold in (10**9, 0):  # broadcast, then shuffle tier
+            out = graph.triangle_count(tri_edges, num_partitions=8,
+                                       broadcast_threshold=threshold)
+            out = out.to_pandas()
+            assert dict(zip(out["node"], out["n_tri"])) == want
+
+    w_edges = frame(src=np.array([0, 0, 2, 1, 2, 3]),
+                    dst=np.array([1, 2, 1, 3, 3, 4]),
+                    w=np.array([4, 1, 2, 1, 5, 3]))
+
+    def sssp():
+        out = graph.sssp(w_edges, 0, num_partitions=4).to_pandas()
+        assert dict(zip(out["node"], out["dist"])) == {0: 0, 2: 1, 1: 3,
+                                                       3: 4, 4: 7}
+
+    tf_docs = frame(doc_id=np.arange(3, dtype=np.int64),
+                    text=["apple banana apple", "banana cherry",
+                          "cherry cherry durian"])
+
+    def tfidf_terms():
+        out = curation.tfidf_terms(tf_docs).to_pandas()
+        got = {(d, t): (tf, df) for d, t, tf, df in
+               zip(out["doc_id"], out["term"], out["tf"], out["df"])}
+        assert got == {(0, "apple"): (2, 1), (0, "banana"): (1, 2),
+                       (1, "banana"): (1, 2), (1, "cherry"): (1, 2),
+                       (2, "cherry"): (2, 2), (2, "durian"): (1, 1)}
+
+    a = pd.DataFrame({"k": rng.randint(0, 50, 300).astype(np.int64),
+                      "x": np.arange(300, dtype=np.int64)})
+    b = pd.DataFrame({"k": np.arange(60, dtype=np.int64)})
+    b["y"] = b["k"] * 7
+    a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
+    lakehouse.clustered_write(rd.from_pandas(a), a_dir, key_col="k",
+                              num_files=4)
+    lakehouse.clustered_write(rd.from_pandas(b), b_dir, key_col="k",
+                              num_files=3)
+
+    def clustered_join():
+        got = (lakehouse.clustered_join(a_dir, b_dir, key_col_a="k")
+               .to_pandas().sort_values(["k", "x"])
+               .reset_index(drop=True)[["k", "x", "y"]])
+        want = a.merge(b, on="k").sort_values(["k", "x"]).reset_index(
+            drop=True)
+        pd.testing.assert_frame_equal(got, want)
+
+    pts = pd.DataFrame({"x": rng.randint(0, 30, 300).astype(float),
+                        "y": rng.randint(0, 30, 300).astype(np.int64)})
+    pts_ds = rd.from_pandas([pts.iloc[:150], pts.iloc[150:]]).materialize()
+
+    def skyline_2d():
+        out = analytics.skyline_2d(pts_ds, x_col="x", y_col="y").to_pandas()
+        want = {}
+        for x, y in zip(pts["x"], pts["y"]):
+            if not ((pts["x"] >= x) & (pts["y"] <= y)
+                    & ((pts["x"] > x) | (pts["y"] < y))).any():
+                want[(x, y)] = want.get((x, y), 0) + 1
+        assert dict(zip(zip(out["x"], out["y"]), out["n"])) == want
+
+    chain = frame(subj=["a", "b", "c", "d", "a"], pred=["p"] * 4 + ["q"],
+                  obj=["b", "c", "d", "a", "zzz"])
+
+    def property_path():
+        out = kgops.property_path(chain, "p", max_hops=3).to_pandas()
+        got = dict(zip(zip(out["src"], out["dst"]), out["hops"]))
+        names = "abcd"
+        want = {(names[i], names[(i + h) % 4]): h
+                for i in range(4) for h in (1, 2, 3)}
+        assert got == want
+
+    owl = frame(subj=["a", "b", "c", "x"],
+                pred=["follows"] * 3 + ["peer_of"],
+                obj=["b", "c", "d", "y"])
+
+    def property_entailment():
+        out = kgops.property_entailment(
+            owl, transitive=("follows",), symmetric=("peer_of",),
+            inverse=(("follows", "precedes"),)).to_pandas()
+        got = {(s, p, o): int(e) for s, p, o, e in
+               zip(out["subj"], out["pred"], out["obj"], out["entailed"])}
+        follows = {("a", "b"): 0, ("b", "c"): 0, ("c", "d"): 0,
+                   ("a", "c"): 1, ("a", "d"): 1, ("b", "d"): 1}
+        want = {(s, "follows", o): e for (s, o), e in follows.items()}
+        want.update({(o, "precedes", s): 1 for s, o in follows})
+        want.update({("x", "peer_of", "y"): 0, ("y", "peer_of", "x"): 1})
+        assert got == want
+
+    vals = pd.DataFrame({"k": rng.randint(0, 9, 400),
+                         "v": rng.randint(0, 100, 400).astype(np.int64)})
+    states = [exchange_agg(rd.from_pandas(h), "k",
+                           [("v", "sum", "v_sum"), ("v", "min", "v_min")])
+              for h in (vals.iloc[:150], vals.iloc[150:])]
+
+    def merge_agg_states():
+        out = (analytics.merge_agg_states(
+            states, "k", [("v_sum", "sum"), ("v_min", "min")])
+            .to_pandas().sort_values("k"))
+        want = vals.groupby("k")["v"].agg(["sum", "min"])
+        assert out["v_sum"].tolist() == want["sum"].tolist()
+        assert out["v_min"].tolist() == want["min"].tolist()
+
+    scc_edges = frame(src=np.array([0, 1, 2, 2, 3, 4, 4]),
+                      dst=np.array([1, 2, 0, 3, 4, 3, 5]))
+
+    def scc():
+        out = graph.scc(scc_edges, engine="distributed",
+                        num_partitions=4).to_pandas()
+        assert dict(zip(out["node"], out["comp"])) == {
+            0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 5}
+
+    diamond = frame(src=np.array([1, 1, 2, 3, 4]),
+                    dst=np.array([2, 3, 4, 4, 5]))
+
+    def betweenness_from_seeds():
+        out = graph.betweenness_from_seeds(diamond, [1], k=4,
+                                           driver_max_edges=0).to_pandas()
+        assert dict(zip(out["node"], out["bc_nano"])) == {
+            2: 10**9, 3: 10**9, 4: 10**9, 5: 0}
+
+    return [(f.__name__, f) for f in (
+        lsh_verify_join, pairs_to_canonical_join, pagerank_bsp,
+        triangle_count, sssp, tfidf_terms, clustered_join, skyline_2d,
+        property_path, property_entailment, merge_agg_states, scc,
+        betweenness_from_seeds)]
+
+
+def test_exchange_operators_run_no_repartition_or_union(ray_session,
+                                                        monkeypatch,
+                                                        tmp_path):
+    """No Ray all-to-all runs in front of an exchange: with Ray's
+    ``Dataset.repartition`` and ``Dataset.union`` patched to raise, every
+    operator that used one (through ``canonicalize._solid``, a range of
+    blocks, a final single-partition pass or a union of sources) still
+    gives its answer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray repartition or union ran")
+
+    runs = _no_all_to_all_runs(monkeypatch, tmp_path)
+    monkeypatch.setattr(rd.Dataset, "repartition", refuse)
+    monkeypatch.setattr(rd.Dataset, "union", refuse)
+    for name, run in runs:
+        run()
 
 
 def test_grouped_prefix_sum_spreads_a_hot_key(ray_session, monkeypatch):

@@ -30,8 +30,6 @@ class CorefConfig:
 
     strategy: str = "typed"  # "typed" | "reference" | "none"
     max_distance: int = 3
-    max_char_distance: int = 600
-    preserve_original: bool = True
 
     @classmethod
     def from_env(cls) -> "CorefConfig":
@@ -43,7 +41,6 @@ class CorefConfig:
         return cls(
             strategy=strategy,
             max_distance=_env("COREF_MAX_DISTANCE", 3, int),
-            preserve_original=_env("COREF_PRESERVE_ORIGINAL", True, bool),
         )
 
 
@@ -88,14 +85,12 @@ class ValidationConfig:
     """validation.rs defaults."""
 
     enabled: bool = True
-    min_confidence: float = 0.7
     drop_invalid: bool = False
 
     @classmethod
     def from_env(cls) -> "ValidationConfig":
         return cls(
             enabled=_env("KG_VALIDATION_ENABLED", True, bool),
-            min_confidence=_env("KG_VALIDATION_MIN_CONFIDENCE", 0.7, float),
             drop_invalid=_env("KG_VALIDATION_DROP_INVALID", False, bool),
         )
 
@@ -103,10 +98,7 @@ class ValidationConfig:
 @dataclass
 class CanonicalizeConfig:
     enabled: bool = True
-    num_perm: int = 64
-    bands: int = 16
     tau: float = 0.72
-    max_bucket: int = 64
     local_threshold: int = 100_000
 
     @classmethod

@@ -19,8 +19,6 @@ from __future__ import annotations
 import re
 from html.parser import HTMLParser
 
-EXTRACTOR_VERSION = "v1"
-
 # Tags whose entire subtree is boilerplate.
 _SKIP_TAGS = frozenset(
     ["script", "style", "noscript", "head", "nav", "footer", "header", "aside", "template"]

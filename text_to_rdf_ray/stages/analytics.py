@@ -2122,13 +2122,17 @@ def skyline_2d(ds: rd.Dataset, *, x_col: str, y_col: str) -> rd.Dataset:
     minimized).  Emits the frontier's unique (x, y) points with
     n = input rows sitting exactly on that point.
 
-    Two-level reduce with the same vectorized kernel: a per-batch local
+    Two-level reduce with the same vectorized kernel: a per-block local
     skyline combiner (the union of local skylines contains the global
-    frontier, and any global-frontier row survives its own batch's
-    pass, so counts are preserved), then one single-partition final
-    pass.  The exchange volume is the local frontier sizes — for
-    random-ish data O(log n) per batch — never the input.
+    frontier, and any global-frontier row survives its own block's
+    pass, so counts are preserved), then one final pass: the single
+    reduce task of the raw-task exchange at P=1, with the local skyline
+    as its source's block function.  The exchange volume is the local
+    frontier sizes — for random-ish data O(log n) per block — never the
+    input.
     """
+    from .bsp import exchange_blocks
+    from .exchange import pandas_block
 
     def local(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -2141,9 +2145,9 @@ def skyline_2d(ds: rd.Dataset, *, x_col: str, y_col: str) -> rd.Dataset:
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return _sky_kernel(df, x_col, y_col)
 
-    return (ds.map_batches(local, batch_format="pandas", batch_size=65536)
-            .repartition(1)
-            .map_batches(final, batch_format="pandas"))
+    # at P=1 no row is split, so the partition column is never read
+    return exchange_blocks((ds, pandas_block(local)), "_part",
+                           pandas_block(final), max_parts=1).dataset()
 
 
 def welch_ttest(
@@ -2426,10 +2430,8 @@ def merge_agg_states(
 
     fn_map = {"min": "min", "max": "max", "sum": "sum", "count": "sum"}
     merged_aggs = [(c, fn_map[f], c) for c, f in aggs]
-    u = states[0]
-    for s in states[1:]:
-        u = u.union(s)
-    return exchange_agg(u, keys, merged_aggs,
+    # each state is one source of the exchange
+    return exchange_agg(list(states), keys, merged_aggs,
                         num_partitions=num_partitions)
 
 

@@ -17,7 +17,7 @@ partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
 also serve one-shot exchanges sized to their input: ``exchange_blocks``
-/ ``hash_exchange`` (under ``exchange_join`` / ``exchange_agg`` /
+(under ``exchange_join`` / ``exchange_agg`` /
 ``keyed_exchange``), ``two_phase_reduce`` (the salted dedup and LSH
 pair exchanges), and the range exchange at a fixed P:
 ``range_exchange`` and ``sort_blocks`` (the sorts, prefix scans and
@@ -165,7 +165,7 @@ def dataset_to_part_refs(
     ds, key_cols: list[str] | str, num_parts: int, schema: pa.Schema,
 ) -> list[ray.ObjectRef]:
     """The BSP initial exchange: ``ds`` (a Dataset, or sources as
-    :func:`hash_exchange` takes them) as ``num_parts`` object-store refs
+    :func:`exchange_blocks` takes them) as ``num_parts`` object-store refs
     of ``schema`` tables, partitioned on the hash of ``key_cols`` — the
     stationary partitions every later BSP phase reads in place.  An
     empty input gives ``num_parts`` typed empty partitions."""
@@ -472,10 +472,32 @@ def exchange_blocks(
     *,
     max_parts: int,
 ) -> Blocks:
-    """:func:`hash_exchange` with its output as :class:`Blocks` — the
-    exchange under ``exchange_join``, ``exchange_agg`` and
-    ``keyed_exchange``, and the form an operator chaining exchanges
-    calls, wrapping a Dataset around its last output only."""
+    """One hash exchange + a vectorized per-partition reduce as RAW Ray
+    tasks, its output as :class:`Blocks` — the exchange under
+    ``exchange_join``, ``exchange_agg`` and ``keyed_exchange``.  An
+    operator chaining exchanges hands these blocks to the next one and
+    wraps a Dataset (:meth:`Blocks.dataset`) around its last output only.
+
+    ``sources`` is a Dataset, a :class:`Blocks`, a ``(source,
+    block_fn)`` pair, or a list of these whose rows meet in one exchange
+    (the two sides of a join, the inputs of a union); each ``block_fn``
+    runs in the task that splits its source's blocks (see
+    :func:`_partition`).  Moved rows carry ``part_col``, a non-negative
+    int64 hash of the key; they land in partition ``part_col % P``, so
+    every key's rows meet in one partition at every P.  ``schema``
+    declares the moved rows (None: derived from the block function):
+    blocks are normalized to it, and a partition with no rows reduces
+    the empty ``schema`` table, so every output block (and the output
+    of an empty input) is typed; with no rows and no schema the output
+    has no blocks.  ``reduce_fn`` maps one partition's Arrow table to an
+    Arrow table.
+
+    Cost: one executor run per Dataset source not yet materialized, then
+    B split tasks with P returns each plus P reduce tasks for B source
+    blocks (no split tasks at P=1, where ``part_col`` is never read),
+    with P sized as in :func:`two_phase_reduce` and ``max_parts`` as the
+    cap.  Past ``TREE_COMBINE_THRESHOLD`` partitions the split trees.
+    """
     return _exchange(sources, part_col, reduce_fn, schema, None, max_parts)
 
 
@@ -547,7 +569,7 @@ def _range_ids(tbl: pa.Table, keys: list[str], cuts: pa.Table) -> np.ndarray:
 
 def sort_blocks(sources, keys: list[str] | str, reduce_fn=None, *,
                 max_parts: int = 64, sample_per_block: int = 64) -> Blocks:
-    """``sources`` (as :func:`hash_exchange` takes them) sorted ascending
+    """``sources`` (as :func:`exchange_blocks` takes them) sorted ascending
     on ``keys``, as :class:`Blocks` in range order: block i is range i,
     sorted by ``Table.sort_by``, and every key tuple in it sorts before
     every key tuple of block i+1.  A scan reads block i's offset from
@@ -606,42 +628,6 @@ def sort_blocks(sources, keys: list[str] | str, reduce_fn=None, *,
                           sort, P)
 
 
-def hash_exchange(
-    sources,
-    part_col: str,
-    reduce_fn,
-    schema: pa.Schema | None = None,
-    *,
-    max_parts: int,
-) -> rd.Dataset:
-    """One hash exchange + a vectorized per-partition reduce as RAW Ray
-    tasks (:func:`exchange_blocks`, its output wrapped in a Dataset).
-
-    ``sources`` is a Dataset, a :class:`Blocks`, a ``(source,
-    block_fn)`` pair, or a list of these whose rows meet in one exchange
-    (the two sides of a join, the inputs of a union); each ``block_fn``
-    runs in the task that splits its source's blocks (see
-    :func:`_partition`).  Moved rows carry ``part_col``, a non-negative
-    int64 hash of the key; they land in partition ``part_col % P``, so
-    every key's rows meet in one partition at every P.  ``schema``
-    declares the moved rows (None: derived from the block function):
-    blocks are normalized to it, and a partition with no rows reduces
-    the empty ``schema`` table, so every output block (and the output
-    of an empty input) is typed; with no rows and no schema the output
-    has no blocks.  ``reduce_fn`` maps one partition's Arrow table to an
-    Arrow table.
-
-    Cost: one executor run per Dataset source not yet materialized, then
-    B split tasks with P returns each plus P reduce tasks for B source
-    blocks (no split tasks at P=1), with P sized as in
-    :func:`two_phase_reduce` and ``max_parts`` as the cap.  Past
-    ``TREE_COMBINE_THRESHOLD`` partitions the split trees.  The output
-    is a MaterializedDataset.
-    """
-    return exchange_blocks(sources, part_col, reduce_fn, schema,
-                           max_parts=max_parts).dataset()
-
-
 def two_phase_reduce(
     ds,
     p1_col: str,
@@ -655,7 +641,7 @@ def two_phase_reduce(
     """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
 
     The input's materialized blocks are split by the precomputed
-    ``p1_col`` (the :func:`hash_exchange` first phase), each partition
+    ``p1_col`` (the :func:`exchange_blocks` first phase), each partition
     reduced and re-split by ``p2_col`` inside ONE task, and the
     second-phase partitions reduced to the output refs — no executor
     barriers between phases.  ``ds`` is a Dataset or a ``(Dataset,
@@ -848,7 +834,8 @@ def pagerank_bsp(
     checkpoint_every: int = 0,
 ) -> rd.Dataset:
     """BSP power iteration.  ``efact``: (node=src, dst, factor=1/outdeg)
-    rows; ``nodes``: distinct (node) rows; both may be lazy.  Returns a
+    rows; ``nodes``: distinct (node) rows; each a Dataset (lazy or not)
+    or sources as :func:`exchange_blocks` takes them.  Returns a
     (node, rank) Dataset assembled from the final partition refs.
 
     ``checkpoint_dir`` + ``checkpoint_every=k``: every k iterations the
@@ -989,7 +976,7 @@ def connected_components_bsp(
 ) -> tuple[rd.Dataset, int]:
     """BSP min-label propagation + pointer jumping.  ``und`` must be the
     SYMMETRIC (both directions present) edge set with int64 src/dst, a
-    Dataset or sources as :func:`hash_exchange` takes them (each
+    Dataset or sources as :func:`exchange_blocks` takes them (each
     orientation a source: their union, with no union execution).
     Returns (labels Dataset (name_id, component), rounds used).
 

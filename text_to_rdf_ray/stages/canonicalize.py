@@ -64,17 +64,12 @@ def _surface_verify_fn(tau: float):
     return verify
 
 
-def _arrow(ds: rd.Dataset) -> rd.Dataset:
-    """Force arrow blocks (groupby aggregates emit pandas blocks in Ray
-    2.49, on which rename/Project operators break)."""
-    return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-
 def _solid(ds: rd.Dataset, n: int = 8) -> rd.Dataset:
-    """Materialize as ``n`` Arrow blocks: Ray ``aggregate`` lineages can
-    leave schema-less empty blocks, and many-block lineages cost every
-    exchange that consumes them one split task per block."""
-    return _arrow(ds).repartition(n).materialize()
+    """``ds.materialize()`` (``n`` is ignored).  The package no longer
+    calls it: an exchange drops zero-row blocks itself.  It stays only
+    because ``perfbench/stages.py`` imports it, and goes with the next
+    benchmark change (as ``analytics.distinct_rows`` does)."""
+    return ds.materialize()
 
 
 DRIVER_UNION_FIND_THRESHOLD = 200_000
@@ -406,8 +401,9 @@ def apply_canonical_map(triples: rd.Dataset, mapping: dict[str, str]) -> rd.Data
     """Rewrite subj/obj through a broadcast canonical map (ray.put'd dict).
 
     At bench scale the mapping is small (distinct surfaces << triples) so a
-    broadcast lookup beats a shuffle join; at 10^12 scale swap this for a
-    hash-partitioned join on (surface) — same output contract.
+    broadcast lookup beats a shuffle join.  ``build_triples`` switches to
+    :func:`apply_canonical_join` (same output contract) when more than
+    ``canonical_map_join_threshold`` surfaces change.
     """
     import ray
 

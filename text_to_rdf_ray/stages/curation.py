@@ -371,8 +371,6 @@ def tfidf_terms(
     number of docs containing the term, tfidf = tf * (ln((N+1)/(df+1)) + 1)
     (smoothed idf).  The (term, df) side is JOINED, not broadcast: at a
     100 TB vocabulary the df table shuffles candidate-proportionally."""
-    from .canonicalize import _solid
-
     n_docs = ds.count()
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -391,7 +389,8 @@ def tfidf_terms(
             "tf": pa.array(out_c, pa.int64()),
         })
 
-    doc_terms = _solid(ds.map_batches(explode, batch_format="pyarrow"))
+    # two consumers (the df side and the join): materialized once
+    doc_terms = ds.map_batches(explode, batch_format="pyarrow").materialize()
 
     def df_partial(batch: pa.Table) -> pa.Table:
         # per-batch combiner: one (term, partial_df) row per distinct term
@@ -400,16 +399,12 @@ def tfidf_terms(
                          "df_part": g.column("tf_count").cast(pa.int64())})
 
     # hash-exchange arrow reduce: one group per distinct TERM — Ray's
-    # Aggregate would pay one Python call per term.  LAZY: its single
-    # consumer is the exchange_join below (schema passed explicitly), so
-    # the whole df side fuses into the join plan
+    # Aggregate would pay one Python call per term.  The per-block
+    # partial df runs in the exchange's split tasks
     from .exchange import exchange_agg, exchange_join
 
-    df_tbl = exchange_agg(
-        doc_terms.map_batches(df_partial, batch_format="pyarrow",
-                              batch_size=65536),
-        "term", [("df_part", "sum", "df")],
-    )
+    df_tbl = exchange_agg((doc_terms, df_partial), "term",
+                          [("df_part", "sum", "df")])
 
     def score(batch: pa.Table) -> pa.Table:
         tf = batch.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)

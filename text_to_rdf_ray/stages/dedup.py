@@ -414,8 +414,6 @@ def _pairs_from_buckets(
     # directly (saves an exchange); above that, computed DISTRIBUTED (never
     # take_all millions of pairs — templated corpora produce millions of
     # candidate pairs over only thousands of distinct ids)
-    from .canonicalize import _solid
-
     need_ids = None
     if n_cands <= 2_000_000:
         # vectorized driver-side distinct (a 2M-pair table is ~32 MB of
@@ -517,22 +515,19 @@ def _pairs_from_buckets(
     # sides via hash-partitioned joins.  Shuffle volume is proportional to
     # the candidate set, not bands x corpus.
     if need_ids is None:  # small-pairs shortcut skipped the distributed distinct
-        need_ids = _solid(rd.from_arrow(pa.table(
-            {id_col: pa.array(sorted(need_set), pa.int64())})))
+        need_ids = rd.from_arrow(pa.table(
+            {id_col: pa.array(sorted(need_set), pa.int64())}))
     from .exchange import exchange_join, join_out_schema
 
-    corpus = _solid(ds.map_batches(
-        lambda t: pa.table({id_col: t.column(id_col).cast(pa.int64()),
-                            payload_col: t.column(payload_col)}),
-        batch_format="pyarrow"))
-    # payload type varies by caller (string text / list<float> embedding):
-    # corpus is materialized, so reading its schema is free
-    _cs = corpus.schema()
-    _S_CORPUS = pa.schema(list(zip(_cs.names, _cs.types)))
+    # the corpus projection is the join side's block function; the join
+    # reads the side's schema from the materialized corpus (no probe)
+    corpus = (ds.materialize(), lambda t: pa.table({
+        id_col: t.column(id_col).cast(pa.int64()),
+        payload_col: t.column(payload_col)}))
     _S_NEED = pa.schema([(id_col, pa.int64())])
     feats_ds = (
         exchange_join(corpus, need_ids, on=id_col, num_partitions=16,
-                      left_schema=_S_CORPUS, right_schema=_S_NEED)
+                      right_schema=_S_NEED)
         .map_batches(lambda b: featurize(b, None), batch_format="pyarrow")
         .materialize()
     )
@@ -785,7 +780,7 @@ def pairs_to_canonical(
             ),
             batch_format="pyarrow",
         )
-    from .canonicalize import DRIVER_UNION_FIND_THRESHOLD, _solid
+    from .canonicalize import DRIVER_UNION_FIND_THRESHOLD
 
     comp = connected_components(edges)
     if comp.count() < DRIVER_UNION_FIND_THRESHOLD:
@@ -812,11 +807,9 @@ def pairs_to_canonical(
         )
     from .exchange import exchange_join
 
-    comp = comp.map_batches(
-        lambda t: pa.table({id_col: t.column("name_id"), "component": t.column("component")}),
-        batch_format="pyarrow",
-    )
-    ids = _solid(ds.select_columns([id_col]))
+    comp = (comp, lambda t: pa.table({id_col: t.column("name_id"),
+                                      "component": t.column("component")}))
+    ids = (ds, lambda t: pa.table({id_col: t.column(id_col)}))
     _S_IDS = pa.schema([(id_col, pa.int64())])
     _S_COMP = pa.schema([(id_col, pa.int64()), ("component", pa.int64())])
     joined = exchange_join(ids, comp, on=id_col, how="left_outer",

@@ -12,7 +12,7 @@ its input block count.
 ``exchange_join``, ``exchange_agg`` and ``keyed_exchange`` instead tag
 every row with a 63-bit hash of its key (the join pads both sides to
 one Arrow schema; the aggregation optionally combines each block
-first) and run ONE :func:`~.bsp.hash_exchange`.  The padding, tagging
+first) and run ONE :func:`~.bsp.exchange_blocks`.  The padding, tagging
 or combining is a block function of the exchange's source (a join has
 two sources): it runs inside the raw task that splits each source
 block by ``hash % P`` (at P=1, in the one reduce task), so it costs no
@@ -246,7 +246,7 @@ def exchange_agg(
     this helper on a 360k-row / 120k-key min — and 153s vs <2s on a
     48k-key two-string-column distinct, NOTES_r3).  This helper runs the
     same logical aggregation as: optional per-block Arrow ``group_by``
-    combiner -> ONE :func:`~.bsp.hash_exchange` on the key hash ->
+    combiner -> ONE :func:`~.bsp.exchange_blocks` on the key hash ->
     per-partition Arrow ``group_by`` (C++ hash aggregation, vectorized
     across every key in the partition).  ``num_partitions`` caps the
     sized partition count.
@@ -343,7 +343,7 @@ def keyed_exchange(
 
     Rows are tagged with the key hash (``_part``, the column
     :func:`_hash_col` computes) in the tasks that split the source
-    blocks and moved by ONE :func:`~.bsp.hash_exchange`, with
+    blocks and moved by ONE :func:`~.bsp.exchange_blocks`, with
     ``num_partitions`` the cap on the sized partition count; ``ds`` may
     be a ``(Dataset, block_fn)`` pair or a list of sources (module
     docstring).  ``reduce`` takes the partition's rows as an Arrow table

@@ -35,8 +35,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .canonicalize import _solid
-
 
 def _project(ds: rd.Dataset, mapping: list[tuple[str, str]]) -> rd.Dataset:
     """Column projection/rename via arrow rebuild (rename_columns interacts
@@ -123,10 +121,8 @@ def pagerank(
         return _pagerank_driver(edges.to_pandas(), iterations, damping)
     from .exchange import exchange_agg
 
-    nodes = _solid(
-        exchange_agg([(edges, _projection([(src_col, "node")])),
-                      (edges, _projection([(dst_col, "node")]))], ["node"])
-    )
+    nodes = exchange_agg([(edges, _projection([(src_col, "node")])),
+                          (edges, _projection([(dst_col, "node")]))], ["node"])
     n = nodes.count()
     if n == 0:
         return _empty_ranks()
@@ -137,24 +133,21 @@ def pagerank(
 
     outdeg = (
         exchange_agg(
-            _project(edges, [(src_col, "node")]),
+            (edges, _projection([(src_col, "node")])),
             "node", [("node", "count", "cnt")],
-            num_partitions=num_partitions)
-        .map_batches(
-            lambda t: pa.table({
-                "node": t.column("node"),
-                "outdeg": t.column("cnt").cast(pa.float64()),
-            }),
-            batch_format="pyarrow",
-        )
+            num_partitions=num_partitions),
+        lambda t: pa.table({
+            "node": t.column("node"),
+            "outdeg": t.column("cnt").cast(pa.float64()),
+        }),
     )
 
     _S_EDGE = pa.schema([("node", pa.string()), ("dst", pa.string())])
     _S_OUTDEG = pa.schema([("node", pa.string()), ("outdeg", pa.float64())])
 
     e = exchange_join(
-        _project(edges, [(src_col, "node"), (dst_col, "dst")]),
-        _solid(outdeg),
+        (edges, _projection([(src_col, "node"), (dst_col, "dst")])),
+        outdeg,
         on="node", num_partitions=num_partitions,
         left_schema=_S_EDGE, right_schema=_S_OUTDEG)
 
@@ -166,11 +159,9 @@ def pagerank(
             "factor": pa.array(1.0 / od, pa.float64()),
         })
 
-    efact = e.map_batches(edge_factor, batch_format="pyarrow")
-
     from .bsp import pagerank_bsp
 
-    return pagerank_bsp(efact, nodes, n, iterations=iterations,
+    return pagerank_bsp((e, edge_factor), nodes, n, iterations=iterations,
                         damping=damping, num_parts=num_partitions,
                         checkpoint_dir=checkpoint_dir,
                         checkpoint_every=checkpoint_every)
@@ -312,9 +303,12 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
     keys = np.sort(ra * n_nodes + rb)
     ref = ray.put((keys, nodes[order]))  # nodes indexed by rank
 
-    oriented = rd.from_arrow(pa.table({
+    tbl = pa.table({
         "ra": pa.array(ra, pa.int64()), "rb": pa.array(rb, pa.int64()),
-    })).repartition(max(num_partitions // 4, 1))
+    })
+    step = -(-n_edges // max(num_partitions // 4, 1))
+    oriented = rd.from_arrow([tbl.slice(i, step)
+                              for i in range(0, n_edges, step)])
 
     def wedges_check(g: pa.Table, ref=ref, n_nodes=n_nodes) -> pa.Table:
         keys, node_by_rank = _worker_obj_cache(ref)
@@ -342,6 +336,7 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
 
 
 def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
+    from .bsp import map_blocks
     from .exchange import exchange_agg, exchange_join
 
     def endpoints(t: pa.Table) -> pa.Table:
@@ -350,14 +345,14 @@ def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
         return pa.table({"node": node})
 
     deg = exchange_agg(
-        e.map_batches(endpoints, batch_format="pyarrow"),
+        (e, endpoints),
         "node", [("node", "count", "deg")], num_partitions=num_partitions)
 
     _S_E = pa.schema([("u", pa.int64()), ("v", pa.int64())])
     _S_DU = pa.schema([("u", pa.int64()), ("du", pa.int64())])
     _S_DV = pa.schema([("v", pa.int64()), ("dv", pa.int64())])
-    du = _project(deg, [("node", "u"), ("deg", "du")])
-    dv = _project(deg, [("node", "v"), ("deg", "dv")])
+    du = (deg, _projection([("node", "u"), ("deg", "du")]))
+    dv = (deg, _projection([("node", "v"), ("deg", "dv")]))
     ed = exchange_join(
         exchange_join(e, du, on="u", num_partitions=num_partitions,
                       left_schema=_S_E, right_schema=_S_DU),
@@ -378,11 +373,11 @@ def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
             "db": pa.array(np.where(lu, dvv, duv), pa.int64()),
         })
 
-    o = _solid(ed.map_batches(orient, batch_format="pyarrow"),
-               n=max(num_partitions // 4, 1))
+    # read by both wedge-join sides and the closing join: mapped once
+    o = map_blocks(ed, orient)
     _S_O = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                       ("db", pa.int64())])
-    o2 = _project(o, [("a", "a"), ("b", "c"), ("db", "dc")])
+    o2 = (o, _projection([("a", "a"), ("b", "c"), ("db", "dc")]))
     _S_O2 = pa.schema([("a", pa.int64()), ("c", pa.int64()),
                        ("dc", pa.int64())])
 
@@ -400,10 +395,10 @@ def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
 
     wedges = (
         exchange_join(o, o2, on="a", num_partitions=num_partitions,
-                      left_schema=_S_O, right_schema=_S_O2)
-        .map_batches(wedge_filter, batch_format="pyarrow"))
+                      left_schema=_S_O, right_schema=_S_O2),
+        wedge_filter)
 
-    closing = _project(o, [("a", "b"), ("b", "c")])
+    closing = (o, _projection([("a", "b"), ("b", "c")]))
     tri = exchange_join(
         wedges, closing, on=["b", "c"], num_partitions=num_partitions,
         left_schema=pa.schema([("b", pa.int64()), ("c", pa.int64()),
@@ -417,7 +412,7 @@ def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
         return pa.table({"node": node})
 
     return exchange_agg(
-        tri.map_batches(tri_nodes, batch_format="pyarrow"),
+        (tri, tri_nodes),
         "node", [("node", "count", "n_tri")], num_partitions=num_partitions)
 
 
@@ -976,8 +971,8 @@ def sssp(
             "dst": t.column(dst).cast(pa.int64()),
             "w": t.column(w).cast(pa.int64())})
 
-    e = _solid(edges.map_batches(prep, batch_format="pyarrow"),
-               n=max(num_partitions // 4, 2))
+    # joined every round: materialized once
+    e = edges.map_batches(prep, batch_format="pyarrow").materialize()
     e_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
                           ("w", pa.int64())])
     d_schema = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
@@ -992,10 +987,7 @@ def sssp(
             break
         # candidates: frontier ⋈ edges on src -> (dst, dist + w)
         fe = exchange_join(
-            frontier.map_batches(
-                lambda t: pa.table({"src": t.column("node"),
-                                    "fdist": t.column("dist")}),
-                batch_format="pyarrow"),
+            (frontier, _projection([("node", "src"), ("dist", "fdist")])),
             e, on="src",
             left_schema=pa.schema([("src", pa.int64()),
                                    ("fdist", pa.int64())]),
@@ -1008,15 +1000,12 @@ def sssp(
             return pa.table({"node": t.column("dst"),
                              "dist": pa.array(d, pa.int64())})
 
-        cmin = exchange_agg(fe.map_batches(cand, batch_format="pyarrow"),
+        cmin = exchange_agg((fe, cand),
                             "node", [("dist", "min", "dist")],
                             num_partitions=num_partitions)
         # strict improvements vs the running table
         probe = exchange_join(
-            cmin.map_batches(
-                lambda t: pa.table({"node": t.column("node"),
-                                    "cdist": t.column("dist")}),
-                batch_format="pyarrow"),
+            (cmin, _projection([("node", "node"), ("dist", "cdist")])),
             dist, on="node", how="left_outer",
             left_schema=pa.schema([("node", pa.int64()),
                                    ("cdist", pa.int64())]),
@@ -1289,7 +1278,7 @@ def scc(
         ["node"]).materialize()
 
     active = nodes
-    assigned: list = []
+    assigned: list = []  # (node set, its (node, comp) projection)
     outer = 0
     while True:
         n_active = active.count()
@@ -1346,10 +1335,8 @@ def scc(
                     pa.int64())}), batch_format="pyarrow").materialize()
             if trimmed.count() == 0:
                 break
-            assigned.append(trimmed.map_batches(
-                lambda t: pa.table({"node": t.column("node"),
-                                    "comp": t.column("node")}),
-                batch_format="pyarrow").materialize())
+            assigned.append((trimmed, _projection([("node", "node"),
+                                                   ("node", "comp")])))
             active = both
             if active.count() == 0:
                 break
@@ -1471,10 +1458,8 @@ def scc(
                 batch_format="pyarrow").materialize()
             frontier = new
 
-        assigned.append(visited.map_batches(
-            lambda t: pa.table({"node": t.column("node"),
-                                "comp": t.column("col")}),
-            batch_format="pyarrow").materialize())
+        assigned.append((visited, _projection([("node", "node"),
+                                               ("col", "comp")])))
         active = set_op_rows(
             active, visited.select_columns(["node"]), cols=["node"],
             op="except", num_partitions=num_partitions).map_batches(
@@ -1483,17 +1468,15 @@ def scc(
             batch_format="pyarrow").materialize()
 
     counters.incr({"scc_outer_rounds": outer})
-    # drop zero-row batches (a peel round can assign nothing, and Ray
-    # empties may be schema-less) — an all-empty list means an empty
-    # graph: typed empty result (assigned[0] would IndexError)
-    assigned = [a for a in assigned if a.count() > 0]
-    if not assigned:
+    # every trim and peel round's (materialized) node set is one source
+    # of the two exchanges below, labelled comp in their split tasks; a
+    # round can assign nothing, and none assigned means an empty graph:
+    # typed empty result
+    out = [(v, fn) for v, fn in assigned if v.count() > 0]
+    if not out:
         return rd.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "comp": pa.array([], pa.int64())}))
-    out = assigned[0]
-    for a in assigned[1:]:
-        out = out.union(a)
     # canonicalize comp labels to the min member
     mins = exchange_agg(out, "comp", [("node", "min", "mn")],
                         num_partitions=num_partitions)
@@ -2367,12 +2350,8 @@ def betweenness_from_seeds(
                            num_partitions=num_partitions,
                            left_schema=fsch, right_schema=es)
         cand = exchange_agg(
-            nb.map_batches(
-                lambda t: pa.table({
-                    "seed": t.column("seed"),
-                    "node": t.column("_nxt"),
-                    "sigma": t.column("sigma")}),
-                batch_format="pyarrow"),
+            (nb, _projection([("seed", "seed"), ("_nxt", "node"),
+                              ("sigma", "sigma")])),
             ["seed", "node"], [("sigma", "sum", "sigma")],
             num_partitions=num_partitions)
         new = exchange_join(cand, visited, on=["seed", "node"],
@@ -2398,24 +2377,15 @@ def betweenness_from_seeds(
     deps: list[rd.Dataset | None] = [None] * len(levels)
     deps[-1] = with_dep(levels[-1]).materialize()
     for lvl in range(len(levels) - 2, -1, -1):
-        nxt = deps[lvl + 1].map_batches(
-            lambda t: pa.table({
-                "seed": t.column("seed"),
-                "_nxt": t.column("node"),
-                "sigma_w": t.column("sigma"),
-                "dep_w": t.column("dep_n")}),
-            batch_format="pyarrow")
+        nxt = (deps[lvl + 1], _projection([
+            ("seed", "seed"), ("node", "_nxt"), ("sigma", "sigma_w"),
+            ("dep_n", "dep_w")]))
         j1 = exchange_join(levels[lvl], e_keyed, on="node",
                            num_partitions=num_partitions,
                            left_schema=fsch, right_schema=es)
         j2 = exchange_join(
-            j1.map_batches(
-                lambda t: pa.table({
-                    "seed": t.column("seed"),
-                    "_nxt": t.column("_nxt"),
-                    "node": t.column("node"),
-                    "sigma": t.column("sigma")}),
-                batch_format="pyarrow"),
+            (j1, _projection([("seed", "seed"), ("_nxt", "_nxt"),
+                              ("node", "node"), ("sigma", "sigma")])),
             nxt, on=["seed", "_nxt"], num_partitions=num_partitions,
             left_schema=pa.schema([("seed", pa.int64()),
                                    ("_nxt", pa.int64()),
@@ -2425,17 +2395,15 @@ def betweenness_from_seeds(
                                     ("_nxt", pa.int64()),
                                     ("sigma_w", pa.int64()),
                                     ("dep_w", pa.int64())]))
-        contrib = j2.map_batches(
-            lambda t: pa.table({
-                "seed": t.column("seed"),
-                "node": t.column("node"),
-                "c": pa.array(
-                    t.column("sigma").to_numpy(zero_copy_only=False)
-                    * (1.0 + t.column("dep_w")
-                       .to_numpy(zero_copy_only=False) / 1e9)
-                    / t.column("sigma_w")
-                    .to_numpy(zero_copy_only=False), pa.float64())}),
-            batch_format="pyarrow")
+        contrib = (j2, lambda t: pa.table({
+            "seed": t.column("seed"),
+            "node": t.column("node"),
+            "c": pa.array(
+                t.column("sigma").to_numpy(zero_copy_only=False)
+                * (1.0 + t.column("dep_w")
+                   .to_numpy(zero_copy_only=False) / 1e9)
+                / t.column("sigma_w")
+                .to_numpy(zero_copy_only=False), pa.float64())}))
         dsum = exchange_agg(contrib, ["seed", "node"],
                             [("c", "sum", "dep")],
                             num_partitions=num_partitions)
@@ -2459,14 +2427,10 @@ def betweenness_from_seeds(
             "node": pa.array([], pa.int64()),
             "bc_nano": pa.array([], pa.int64()),
             "bc": pa.array([], pa.float64())}))
-    acc = deps[1]
-    for d in deps[2:]:
-        acc = acc.union(d)
+    # every level past the seeds' own is one (materialized) source
     total = exchange_agg(
-        acc.map_batches(
-            lambda t: pa.table({"node": t.column("node"),
-                                "dep_n": t.column("dep_n")}),
-            batch_format="pyarrow"),
+        [(d, _projection([("node", "node"), ("dep_n", "dep_n")]))
+         for d in deps[1:]],
         "node", [("dep_n", "sum", "bc_nano")],
         num_partitions=num_partitions)
     return total.map_batches(

@@ -51,7 +51,6 @@ TRIPLE_FIELDS = [
     ("confidence", pa.float64()),
     ("method", pa.string()),
 ]
-TRIPLE_SCHEMA = pa.schema(TRIPLE_FIELDS)
 
 
 def strip_html(batch: pa.Table) -> pa.Table:

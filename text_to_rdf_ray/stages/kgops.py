@@ -677,42 +677,30 @@ def property_path(
     edges = triples.map_batches(edge_rows,
                                 batch_format="pyarrow").materialize()
 
-    frontier = exchange_agg(
-        edges.map_batches(
-            lambda t: pa.table({"src": t.column("node"),
-                                "dst": t.column("dst")}),
-            batch_format="pyarrow"),
-        ["src", "dst"]).materialize()
+    def pairs(src: str, dst: str):
+        return lambda t: pa.table({"src": t.column(src),
+                                   "dst": t.column(dst)})
 
-    def with_hops(ds: rd.Dataset, h: int) -> rd.Dataset:
-        return ds.map_batches(
-            lambda t, hh=h: t.append_column(
-                "hops", pa.array(np.full(t.num_rows, hh, np.int64))),
-            batch_format="pyarrow")
+    def with_hops(h: int):
+        return lambda t: t.append_column(
+            "hops", pa.array(np.full(t.num_rows, h, np.int64)))
 
-    acc = [with_hops(frontier, 1)]
+    frontier = exchange_agg((edges, pairs("node", "dst")), ["src", "dst"])
+    # every hop's (materialized) frontier is one source of the final
+    # min-hop exchange, its hop count added in the split tasks
+    acc = [(frontier, with_hops(1))]
     for h in range(2, max_hops + 1):
         ext = exchange_join(
-            frontier.map_batches(
-                lambda t: pa.table({"node": t.column("dst"),
-                                    "src": t.column("src")}),
-                batch_format="pyarrow"),
+            (frontier, lambda t: pa.table({"node": t.column("dst"),
+                                           "src": t.column("src")})),
             edges, on="node", num_partitions=num_partitions,
             left_schema=f_schema, right_schema=e_schema)
-        frontier = exchange_agg(
-            ext.map_batches(
-                lambda t: pa.table({"src": t.column("src"),
-                                    "dst": t.column("dst")}),
-                batch_format="pyarrow"),
-            ["src", "dst"]).materialize()
+        frontier = exchange_agg((ext, pairs("src", "dst")), ["src", "dst"])
         if frontier.count() == 0:
             break
-        acc.append(with_hops(frontier, h))
+        acc.append((frontier, with_hops(h)))
 
-    union = acc[0]
-    for a in acc[1:]:
-        union = union.union(a)
-    return exchange_agg(union, ["src", "dst"],
+    return exchange_agg(acc, ["src", "dst"],
                         [("hops", "min", "hops")],
                         num_partitions=num_partitions)
 
@@ -853,8 +841,7 @@ def property_entailment(
     triple rediscovered by a rule stays ``entailed=False`` (min-wins
     exchange_agg, the type_inference convention).
     """
-    from .exchange import exchange_agg, exchange_join
-    from ..stages.exchange import exchange_agg
+    from .exchange import _then
 
     inv_preds = {q for _, q in inverse}
     if inv_preds & (set(transitive) | set(symmetric)):
@@ -874,46 +861,42 @@ def property_entailment(
 
     base = triples.map_batches(base_rows,
                                batch_format="pyarrow").materialize()
-    outs = [base]
 
-    def flipped(src: rd.Dataset, from_pred: str, to_pred: str):
-        def flip(t: pa.Table) -> pa.Table:
-            m = pc.equal(t.column(pred_col), from_pred)
-            f = t.filter(m)
+    # every rule output below is a source list of (materialized Dataset,
+    # block_fn) pairs: a rule is a block function composed onto the
+    # sources it reads, so no union or Ray Data map runs in front of an
+    # exchange
+    def flip(from_pred: str, to_pred: str):
+        def fn(t: pa.Table) -> pa.Table:
+            f = t.filter(pc.equal(t.column(pred_col), from_pred))
             return pa.table({
                 subj_col: f.column(obj_col),
                 pred_col: pa.array([to_pred] * f.num_rows, pa.string()),
                 obj_col: f.column(subj_col),
                 "entailed": pa.array(np.ones(f.num_rows, np.int8))})
-        return src.map_batches(flip, batch_format="pyarrow")
+        return fn
+
+    def then(srcs: list, g) -> list:
+        return [(s, _then(fn, g)) for s, fn in srcs]
 
     # (1) symmetric expansion
-    sym_parts = [flipped(base, p, p) for p in symmetric]
-    expanded = base
-    for sp in sym_parts:
-        expanded = expanded.union(sp)
-    expanded = expanded.materialize()
+    sym_parts = [(base, flip(p, p)) for p in symmetric]
+    expanded = [(base, None)] + sym_parts
 
     # (2) transitive closure by path doubling, per predicate
-    closed_parts: list[rd.Dataset] = []
+    closed_parts: list = []
     for p in transitive:
         pairs = exchange_agg(
-            expanded.map_batches(
-                lambda t, p=p: t.filter(pc.equal(t.column(pred_col), p))
-                                .select([subj_col, obj_col]),
-                batch_format="pyarrow"),
-            [subj_col, obj_col]).materialize()
+            then(expanded, lambda t, p=p: t.filter(
+                pc.equal(t.column(pred_col), p)).select([subj_col, obj_col])),
+            [subj_col, obj_col])
         n_prev = pairs.count()
         converged = False
         for _ in range(max_iters):
-            left = pairs.map_batches(
-                lambda t: pa.table({"_mid": t.column(obj_col),
-                                    subj_col: t.column(subj_col)}),
-                batch_format="pyarrow")
-            right = pairs.map_batches(
-                lambda t: pa.table({"_mid": t.column(subj_col),
-                                    obj_col: t.column(obj_col)}),
-                batch_format="pyarrow")
+            left = (pairs, lambda t: pa.table({"_mid": t.column(obj_col),
+                                               subj_col: t.column(subj_col)}))
+            right = (pairs, lambda t: pa.table({"_mid": t.column(subj_col),
+                                                obj_col: t.column(obj_col)}))
             hop = exchange_join(
                 left, right, on="_mid", num_partitions=num_partitions,
                 left_schema=pa.schema([("_mid", pa.string()),
@@ -921,9 +904,7 @@ def property_entailment(
                 right_schema=pa.schema([("_mid", pa.string()),
                                         (obj_col, pa.string())]))
             pairs = exchange_agg(
-                pairs.union(hop.map_batches(
-                    lambda t: t.select([subj_col, obj_col]),
-                    batch_format="pyarrow")),
+                [pairs, (hop, lambda t: t.select([subj_col, obj_col]))],
                 [subj_col, obj_col])
             n_now = pairs.count()
             if n_now == n_prev:
@@ -941,29 +922,16 @@ def property_entailment(
                 f"not reach a fixpoint within max_iters={max_iters} "
                 f"path-doubling rounds (chain length > 2^{max_iters}); "
                 "raise max_iters")
-        closed_parts.append(pairs.map_batches(
-            lambda t, p=p: pa.table({
-                subj_col: t.column(subj_col),
-                pred_col: pa.array([p] * t.num_rows, pa.string()),
-                obj_col: t.column(obj_col),
-                "entailed": pa.array(np.ones(t.num_rows, np.int8))}),
-            batch_format="pyarrow"))
-    for cp in closed_parts:
-        outs.append(cp)
-    for sp in sym_parts:
-        outs.append(sp)
+        closed_parts.append((pairs, lambda t, p=p: pa.table({
+            subj_col: t.column(subj_col),
+            pred_col: pa.array([p] * t.num_rows, pa.string()),
+            obj_col: t.column(obj_col),
+            "entailed": pa.array(np.ones(t.num_rows, np.int8))})))
+    closed_all = [(base, None)] + closed_parts + sym_parts
 
     # (3) inverse mirrors of the CLOSED predicates
-    closed_all = outs[0]
-    for o in outs[1:]:
-        closed_all = closed_all.union(o)
-    closed_all = closed_all.materialize()
-    for p, q in inverse:
-        outs.append(flipped(closed_all, p, q))
-
-    acc = outs[0]
-    for o in outs[1:]:
-        acc = acc.union(o)
-    return exchange_agg(acc, [subj_col, pred_col, obj_col],
+    outs = closed_all + [src for p, q in inverse
+                         for src in then(closed_all, flip(p, q))]
+    return exchange_agg(outs, [subj_col, pred_col, obj_col],
                         [("entailed", "min", "entailed")],
                         num_partitions=num_partitions)

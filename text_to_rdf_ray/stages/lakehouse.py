@@ -344,7 +344,8 @@ def clustered_join(
                 b, left_on=key_col_a, right_on=key_col_b, how="inner"))
         return pd.concat(outs, ignore_index=True)
 
-    plan_ds = rd.from_pandas(pd.DataFrame(plan)).repartition(len(plan))
+    # one block, so one task, per plan row
+    plan_ds = rd.from_pandas([pd.DataFrame([row]) for row in plan])
     return plan_ds.map_batches(join_task, batch_format="pandas",
                                batch_size=None)
 

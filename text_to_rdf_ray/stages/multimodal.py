@@ -23,19 +23,6 @@ import pyarrow as pa
 
 import ray.data as rd
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("media_type", pa.string()),   # "image" | "audio" | "video"
-        ("payload", pa.binary()),
-        ("mime", pa.string()),
-        ("width", pa.int32()),         # -1 when unknown / not applicable
-        ("height", pa.int32()),
-        ("duration_ms", pa.int32()),
-    ]
-)
-
-
 def make_fake_media(n: int, seed: int = 42) -> pa.Table:
     """Deterministic fake media table for plumbing tests."""
     rng = np.random.RandomState(seed)
