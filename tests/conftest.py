@@ -27,6 +27,25 @@ def ray_session():
 
 
 @pytest.fixture
+def executions(monkeypatch):
+    """The number of Ray Data executor runs started during the test
+    (``StreamingExecutor.execute`` wrapped)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    n = [0]
+    real = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        n[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return n
+
+
+@pytest.fixture
 def partition_counts(monkeypatch):
     """The partition counts the sized exchanges choose during the test,
     in call order (``bsp.sized_parts`` wrapped)."""

@@ -18,25 +18,6 @@ import ray.data as rd
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture
-def executions(monkeypatch):
-    """The number of Ray Data executor runs started during the test
-    (``StreamingExecutor.execute`` wrapped)."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
-    n = [0]
-    real = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        n[0] += 1
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
-    return n
-
-
 def _sides():
     rng = np.random.default_rng(7)
     left = pd.DataFrame({"k": rng.integers(0, 60, 500).astype("int64"),
@@ -496,6 +477,23 @@ def test_canonicalize_surfaces_starts_no_execution(ray_session, executions):
     assert sorted(got) == sorted(names)
     assert {s: c for s, c in got.items() if s != c} == canonicalize_local(
         names)
+
+
+def test_lsh_pairs_execute_a_lazy_input_once(ray_session, executions):
+    """minhash_lsh_pairs reads its corpus for the band exchange and for
+    the verify pass; a lazy input executes once, not once per read."""
+    from text_to_rdf_ray.stages.dedup import minhash_lsh_pairs
+
+    text = "the quick brown fox jumps over the lazy dog again and again"
+    docs = rd.from_pandas(pd.DataFrame({
+        "doc_id": [0, 1, 2, 3],
+        "text": [text, text + " today", "an unrelated line of words here",
+                 text]})).map_batches(lambda df: df, batch_format="pandas")
+    executions[0] = 0
+    pairs = minhash_lsh_pairs(docs, threshold=0.5)
+    assert executions[0] == 1
+    got = {tuple(sorted((r["id_a"], r["id_b"]))) for r in pairs.take_all()}
+    assert {(0, 3), (0, 1), (1, 3)} <= got and not any(2 in p for p in got)
 
 
 def test_blocks_dataset_starts_no_task(ray_session, executions, monkeypatch):

@@ -889,11 +889,10 @@ def test_partitions_equal_build_triples_per_group(pages_dir, tmp_path,
 @pytest.mark.parametrize("stage", ["build", "write"])
 def test_failed_partition_raises_and_leaves_nothing(pages_dir, tmp_path,
                                                     monkeypatch, stage):
-    """A partition that raises, while its triples are built (on a
-    partition thread) or while it is written (on the calling thread),
-    makes run_partitioned raise that error; the failed partition leaves
-    no committed and no tmp directory, and no partition thread is alive
-    afterwards."""
+    """A partition that raises, while its triples are built or while it
+    is written (both on its partition thread), makes run_partitioned
+    raise that error; the failed partition leaves no committed and no
+    tmp directory, and no partition thread is alive afterwards."""
     import threading
 
     from text_to_rdf_ray.pipelines import kg
@@ -966,6 +965,205 @@ def test_resume_refuses_a_stale_partition(tmp_path):
     with pytest.raises(ValueError, match=r"partition 0 .*input_fragments"):
         run_partitioned(str(pages), out, partitions=4, kb_records=kb,
                         resume=True)
+
+
+@pytest.mark.parametrize("field", ["subject_buckets", "hash_version"])
+def test_layout_stamp_refuses_another_layout(pages_dir, tmp_path, field):
+    """Each partition manifest stamps its layout: the subject bucket count
+    and the subject hash's version.  A resume that asks for another
+    layout, and a subject_lookup with another bucket count or hash
+    version, raise naming the field instead of reading the wrong
+    buckets."""
+    import json
+
+    from text_to_rdf_ray.pipelines.kg import run_partitioned, subject_lookup
+    from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.stages.exchange import _KEY_HASH_VERSION
+    from text_to_rdf_ray.state import manifest as mf
+
+    out = str(tmp_path / "graph")
+    run_partitioned(pages_dir, out, partitions=2, kb_records=kb_records(),
+                    subject_buckets=8)
+    for part in (0, 1):
+        m = mf.read_manifest(out, part)
+        assert (m["subject_buckets"], m["hash_version"]) == (
+            8, _KEY_HASH_VERSION)
+    subj = "Alan Bean"
+    if field == "subject_buckets":
+        buckets, had, want = 4, 8, 4
+    else:
+        buckets, had, want = 8, _KEY_HASH_VERSION - 1, _KEY_HASH_VERSION
+        for part in (0, 1):
+            path = os.path.join(mf.partition_dir(out, part), mf.MANIFEST_NAME)
+            with open(path) as fh:
+                m = json.load(fh)
+            m["hash_version"] = had
+            with open(path, "w") as fh:
+                json.dump(m, fh)
+    match = rf"partition \d .*{field}={had}, not {want}"
+    with pytest.raises(ValueError, match=match):
+        run_partitioned(pages_dir, out, partitions=2, kb_records=kb_records(),
+                        subject_buckets=buckets)
+    with pytest.raises(ValueError, match=match):
+        subject_lookup(out, subj, subject_buckets=buckets)
+
+
+def test_partition_tail_starts_no_ray_data_execution(pages_dir, tmp_path,
+                                                      executions):
+    """After linking nothing starts a Ray Data execution: a warm
+    run_partitioned pass in join mode with the distributed canonicalize,
+    N-Triples and subject buckets starts one per partition (its
+    extraction chain), and a task-mode build_triples one; pipelines/kg.py
+    writes with no Ray Data sink, and no Datasink subclass is left in the
+    package."""
+    import glob
+    import re
+
+    from text_to_rdf_ray.pipelines.kg import (build_triples, read_pages,
+                                              run_partitioned)
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    kw = dict(partitions=2, kb_records=kb_records(), ntriples=True,
+              subject_buckets=8, link_mode="join",
+              canonicalize_local_threshold=0, resume=False)
+    out = str(tmp_path / "out")
+    run_partitioned(pages_dir, out, **kw)
+    executions[0] = 0
+    assert run_partitioned(pages_dir, out, **kw)["ran"] == 2
+    assert executions[0] == 2
+    executions[0] = 0
+    build_triples(read_pages(pages_dir), kb_records=kb_records()).materialize()
+    assert executions[0] == 1
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "text_to_rdf_ray")
+    with open(os.path.join(pkg, "pipelines", "kg.py")) as fh:
+        src = fh.read()
+    for banned in ("rd.Datasink", "write_datasink(", "write_parquet("):
+        assert banned not in src, banned
+    for path in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            assert not re.search(r"class \w+\([\w.]*Datasink\)", fh.read()), path
+
+
+def _files(root: str) -> dict:
+    out = {}
+    for dirpath, _dirs, names in os.walk(root):
+        for n in names:
+            with open(os.path.join(dirpath, n), "rb") as fh:
+                out[os.path.relpath(os.path.join(dirpath, n), root)] = fh.read()
+    return out
+
+
+def test_sink_task_rerun_rewrites_the_same_files(pages_dir, tmp_path):
+    """A retried sink task (the same block into the same directory) writes
+    the same file names with the same bytes and leaves no tmp file."""
+    import ray
+
+    from text_to_rdf_ray.pipelines import kg
+    from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.stages.bsp import _source_blocks
+
+    triples = kg.build_triples(kg.read_pages(pages_dir),
+                               kb_records=kb_records())
+    (ref, rows, _), *_ = _source_blocks(triples)[0]
+    out = str(tmp_path / "part")
+    runs = []
+    for _ in range(2):
+        n, counts = ray.get(kg._sink_task.remote(
+            ref, 3, out, 8, os.path.join(out, "ntriples")))
+        assert n == rows and counts
+        runs.append(_files(out))
+    assert runs[0] == runs[1]
+    names = sorted(runs[0])
+    assert len(names) > 2 and not [n for n in names if ".tmp" in n]
+    assert all(os.path.basename(n).startswith("part-00003-") for n in names)
+
+
+def test_sink_matches_ray_writers(pages_dir, tmp_path):
+    """A partition written by the sink tasks holds what Ray's bucketed
+    write_parquet plus the rendered N-Triples lines hold: the same rows
+    with the same types, the subj_bucket column restored from the hive
+    directories, and the same sorted lines."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from perfbench import checks
+    from text_to_rdf_ray.kernels.jsonld import render_ntriples
+    from text_to_rdf_ray.kernels.minhash import _hash_shingles
+    from text_to_rdf_ray.pipelines import kg
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    triples = kg.build_triples(kg.read_pages(pages_dir),
+                               kb_records=kb_records()).materialize()
+    got = str(tmp_path / "sink")
+    os.makedirs(got)
+    kg._write_partition_files(triples, got, triples.count(),
+                              sort_output=False, subject_buckets=8,
+                              ntriples=True)
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        h = _hash_shingles(t.column("subj").to_pylist()) % np.uint64(8)
+        return t.append_column("subj_bucket", pa.array(h.astype(np.int32)))
+
+    want = str(tmp_path / "ray")
+    triples.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
+        want, partition_cols=["subj_bucket"])
+    t = pa.concat_tables(ray.get(triples.to_arrow_refs()))
+    os.makedirs(os.path.join(want, "ntriples"))
+    with open(os.path.join(want, "ntriples", "all.nt"), "w") as fh:
+        cols = [t.column(c).to_pylist()
+                for c in ("subj", "pred", "obj", "obj_type")]
+        fh.writelines(render_ntriples(s, p, o, bool(ot)) + "\n"
+                      for s, p, o, ot in zip(*cols))
+    got_rows, got_lines = checks.partition_content(got)
+    want_rows, want_lines = checks.partition_content(want)
+    assert got_rows.schema == want_rows.schema
+    assert got_rows.equals(want_rows)
+    assert got_lines == want_lines and len(got_lines) == t.num_rows
+
+
+def test_manifest_counters_equal_triple_counters(pages_dir, tmp_path):
+    """The counters the sink tasks return, summed into the manifest, equal
+    _triple_counters over the partition's written triples."""
+    import glob
+
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import _triple_counters, run_partitioned
+    from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.state import manifest as mf
+
+    out = str(tmp_path / "out")
+    run_partitioned(pages_dir, out, partitions=1, kb_records=kb_records(),
+                    subject_buckets=8, ntriples=True)
+    m = mf.read_manifest(out, 0)
+    files = glob.glob(os.path.join(mf.partition_dir(out, 0), "subj_bucket=*",
+                                   "*.parquet"))
+    written = rd.read_parquet(files).materialize()
+    assert m["rows"] == written.count() > 0
+    assert m["counters"] == {"docs_in": N_PAGES, "triples_out": m["rows"],
+                             **_triple_counters(written)}
+
+
+@pytest.mark.parametrize("ntriples", [True, False])
+def test_partition_of_zero_triples(pages_dir, tmp_path, ntriples):
+    """A partition with no triples commits its manifest, an empty
+    ntriples/ directory when N-Triples are on, and no Parquet file."""
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.state import manifest as mf
+
+    out = str(tmp_path / "out")
+    run_partitioned(pages_dir, out, partitions=1, lang="zz",
+                    subject_buckets=8, ntriples=ntriples)
+    pdir = mf.partition_dir(out, 0)
+    tree = {os.path.relpath(d, pdir): sorted(names)
+            for d, _dirs, names in os.walk(pdir)}
+    assert tree == ({".": [mf.MANIFEST_NAME], "ntriples": []} if ntriples
+                    else {".": [mf.MANIFEST_NAME]})
+    m = mf.read_manifest(out, 0)
+    assert m["rows"] == 0
+    assert m["counters"] == {"docs_in": N_PAGES, "triples_out": 0}
 
 
 _PARTITIONED_ONE_CPU = """

@@ -10,9 +10,14 @@ End-to-end flow (north star):
      shuffle-join linking, ``link_entities_join``, nothing broadcast)
   -> canonicalize (MinHash-LSH blocking + union-find shuffles)
   -> validate (vectorized confidence)
-  -> global (subj,pred,obj) dedup (salted two-phase shuffle)
-  -> partitioned Parquet + N-Triples sinks, per-partition manifests.
+  -> global (subj,pred,obj) dedup (salted two-phase shuffle; the
+     canonical rewrite and validation run in its pack tasks)
+  -> partitioned Parquet + N-Triples files, one raw sink task per block,
+     per-partition manifests.
 
+After linking, the steps run in raw Ray tasks over the materialized
+blocks (``stages/bsp.py``), not in a Ray Data execution, unless the
+canonical map is joined (too large to broadcast) or dedup is off.
 ``run_partitioned`` processes the input in partition groups of whole
 files, dealt round-robin (file ``i`` of the sorted list to group
 ``i % partitions``), two groups in flight at once
@@ -24,15 +29,20 @@ current files (state/manifest.py).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
-from ..stages.canonicalize import apply_canonical_map, canonicalize_surfaces, dedup_triples
+from ..kernels.minhash import _hash_shingles
+from ..stages.bsp import _as_table, _source_blocks, block_values, map_blocks
+from ..stages.canonicalize import canonical_rewrite, canonicalize_surfaces, dedup_triples
+from ..stages.exchange import _KEY_HASH_VERSION, _then
 from ..stages.kg_stages import (
     KBLabelTable,
     extract_triples,
@@ -50,8 +60,6 @@ def read_pages(path: str, *, use_gold_text: bool = False,
     the pipeline touches leave storage).  Passing ``lang`` additionally
     pushes the language predicate into the scan (pyarrow row-group
     filtering) so filtered rows never leave storage."""
-    import pyarrow.compute as pc
-
     cols = ["url", "warc_ts", "text", "lang"] if use_gold_text else PAGE_COLUMNS
     kwargs = {}
     if lang is not None:
@@ -126,10 +134,10 @@ def build_triples(
                                confidence_threshold=link_confidence_threshold),
                 batch_format="pyarrow", batch_size=2048,
             )
+    # the steps after the last materialization, as Arrow block functions:
+    # with dedup they run in its pack tasks, with no Ray Data execution
+    fns = []
     if canonicalize:
-        import pyarrow.compute as pc
-
-        from ..stages.bsp import map_blocks
         from ..stages.canonicalize import canonicalize_local
 
         ds = ds.materialize()
@@ -153,7 +161,7 @@ def build_triples(
                                for v in t.column("surface").to_pylist()})
             mapping = canonicalize_local(surfaces, tau=tau)
             if mapping:
-                ds = apply_canonical_map(ds, mapping)
+                fns.append(canonical_rewrite(mapping))
         else:
             from ..stages.exchange import exchange_agg
 
@@ -173,57 +181,46 @@ def build_triples(
                 mapping = {s: c for t in ray.get(changed.refs)
                            for s, c in zip(t.column("surface").to_pylist(),
                                            t.column("canonical").to_pylist())}
-                ds = apply_canonical_map(ds, mapping)
+                fns.append(canonical_rewrite(mapping))
     if validate:
         # capture registered custom rules at graph-construction time (the
         # driver-side registry is not visible inside worker processes)
         from ..functions.registry import get_rules
 
         rules = tuple(get_rules())
-        if rules:
-            # reject document-shaped rules LOUDLY at graph build: the
-            # relational validator only sees {@type, name, pred_key, obj},
-            # so a rule requiring e.g. 'birthDate' would silently fail
-            # every matching triple instead of checking anything
-            from ..stages.kg_stages import RELATIONAL_RULE_KEYS
+        # reject document-shaped rules LOUDLY at graph build: the
+        # relational validator only sees {@type, name, pred_key, obj},
+        # so a rule requiring e.g. 'birthDate' would silently fail
+        # every matching triple instead of checking anything
+        from ..stages.kg_stages import RELATIONAL_RULE_KEYS
 
-            for rule in rules:
-                unknown = [p for p in rule.required_properties
-                           if p not in RELATIONAL_RULE_KEYS]
-                if unknown:
-                    raise ValueError(
-                        f"validation rule {rule.name!r} requires properties "
-                        f"{unknown} that the relational pipeline row view "
-                        f"does not carry ({sorted(RELATIONAL_RULE_KEYS)}); "
-                        "document-shaped rules apply via "
-                        "functions.registry.apply_custom_rules / "
-                        "kernels.validation.validate_document"
-                    )
-            ds = ds.map_batches(
-                lambda t, r=rules: validate_triples(t, rules=r),
-                batch_format="pyarrow",
-            )
-        else:
-            ds = ds.map_batches(validate_triples, batch_format="pyarrow")
+        for rule in rules:
+            unknown = [p for p in rule.required_properties
+                       if p not in RELATIONAL_RULE_KEYS]
+            if unknown:
+                raise ValueError(
+                    f"validation rule {rule.name!r} requires properties "
+                    f"{unknown} that the relational pipeline row view "
+                    f"does not carry ({sorted(RELATIONAL_RULE_KEYS)}); "
+                    "document-shaped rules apply via "
+                    "functions.registry.apply_custom_rules / "
+                    "kernels.validation.validate_document"
+                )
+        fns.append(functools.partial(validate_triples, rules=rules)
+                   if rules else validate_triples)
         if drop_invalid:
             # KG_VALIDATION_DROP_INVALID: emit only valid triples
-            import pyarrow.compute as _pc
-
-            ds = ds.map_batches(
-                lambda t: t.filter(_pc.equal(t.column("valid"), True)),
-                batch_format="pyarrow",
-            )
+            fns.append(lambda t: t.filter(pc.equal(t.column("valid"), True)))
     if dedup:
-        ds = dedup_triples(ds)
+        return dedup_triples((ds, functools.reduce(_then, fns, None)))
+    for fn in fns:
+        ds = ds.map_batches(fn, batch_format="pyarrow")
     return ds
 
 
-@ray.remote
-def _counter_partial(batch: pa.Table) -> list[dict]:
+def _block_counts(batch: pa.Table) -> list[dict]:
     """One block's (method, rows, valid, linked) counts, one dict per
     method (rows of a null method are not counted)."""
-    import pyarrow.compute as pc
-
     n = batch.num_rows
     if not n:  # an empty block may have no columns
         return []
@@ -241,15 +238,11 @@ def _counter_partial(batch: pa.Table) -> list[dict]:
     return [r for r in g.to_pylist() if r["method"] is not None]
 
 
-def _triple_counters(triples: rd.Dataset) -> dict:
-    """Per-partition metric counters: triples by extraction method, valid
-    and linked counts (recorded in the partition manifest for the run
-    report — the 'per-partition lineage + metrics' requirement).  One
-    task per block of the (materialized) triples counts its block; the
-    driver sums."""
+def _sum_counts(parts) -> dict:
+    """The driver sum of the blocks' :func:`_block_counts`: triples by
+    extraction method, valid and linked counts."""
     sums: dict = {}
-    for part in ray.get([_counter_partial.remote(ref)
-                         for ref in triples.to_arrow_refs()]):
+    for part in parts:
         for r in part:
             acc = sums.setdefault(r["method"], [0, 0, 0])
             acc[0] += r["method_count"]
@@ -262,6 +255,15 @@ def _triple_counters(triples: rd.Dataset) -> dict:
     out["triples_valid"] = sum(v[1] for v in sums.values())
     out["triples_linked"] = sum(v[2] for v in sums.values())
     return out
+
+
+def _triple_counters(triples: rd.Dataset) -> dict:
+    """Per-partition metric counters (recorded in the partition manifest
+    for the run report — the 'per-partition lineage + metrics'
+    requirement): one task per block of the triples counts its block
+    (:func:`_block_counts`, the partition sink's kernel); the driver
+    sums."""
+    return _sum_counts(block_values(triples, _block_counts))
 
 
 def _surface_rows(batch: pa.Table) -> pa.Table:
@@ -306,20 +308,20 @@ def run_partitioned(
     atomically with a manifest (``state.manifest.write_partition``).
 
     Up to ``PARTITIONS_IN_FLIGHT`` groups are in flight at once, so
-    partitions may commit in any order.  Each group's triples are built
-    on a driver thread of its own; the calling thread reads the resume
-    state, builds every group's read, shares the KB between the groups
-    (one ``ray.put`` in task mode, one ``KBLabelTable`` with
-    ``link_mode="join"``) and writes each partition as its triples are
-    ready, so every Ray Data path resolution runs on the calling thread.
-    With ``resume`` a partition is skipped when its manifest is complete
-    and lists its current group's files; a complete manifest over other
-    files raises (``manifest.resumable``).  The first partition that
-    fails stops the ones not yet started, waits for the running ones and
-    re-raises; no partition thread outlives the call, and a failed
-    partition leaves no committed or tmp directory.  Returns the
-    aggregated run report."""
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    partitions may commit in any order.  Each group is built, written
+    (raw sink tasks, :func:`_write_partition_files`) and committed on a
+    driver thread of its own.  The calling thread reads the resume
+    state, builds every group's read, so every Ray Data path resolution
+    runs on it, and shares the KB between the groups (one ``ray.put`` in
+    task mode, one ``KBLabelTable`` with ``link_mode="join"``).  With
+    ``resume`` a partition is skipped when its manifest is complete and
+    lists its current group's files and ``subject_buckets`` layout; a
+    complete manifest over other files or another layout raises
+    (``manifest.resumable``).  The first partition that fails stops the
+    ones not yet started, waits for the running ones and re-raises; no
+    partition thread outlives the call, and a failed partition leaves no
+    committed or tmp directory.  Returns the aggregated run report."""
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     from ..state import manifest as mf
 
@@ -339,7 +341,8 @@ def run_partitioned(
     for part, group in enumerate(groups):
         if not group:
             continue
-        if resume and mf.resumable(out_dir, part, group):
+        if resume and mf.resumable(out_dir, part, group,
+                                   _layout(subject_buckets)):
             report["skipped"] += 1
             continue
         todo.append((part, group, rd.read_parquet(group, columns=PAGE_COLUMNS)))
@@ -353,147 +356,144 @@ def run_partitioned(
             # per ref (make_link_task)
             kb_records = ray.put(kb_records)
 
-    def build(pages: rd.Dataset) -> tuple[rd.Dataset, dict]:
+    def run(part: int, group: list[str], pages: rd.Dataset) -> None:
         docs_in = pages.count()
-        triples = build_triples(pages, kb_records=kb_records, **build_kwargs)
-        triples = triples.materialize()
-        n_triples = triples.count()
-        counters = {"docs_in": docs_in, "triples_out": n_triples}
-        counters.update(_triple_counters(triples))
-        return triples, counters
+        triples = build_triples(pages, kb_records=kb_records,
+                                **build_kwargs).materialize()
+        mf.write_partition(
+            out_dir, part,
+            lambda tmp_dir: _write_partition_files(
+                triples, tmp_dir, triples.count(), sort_output=sort_output,
+                subject_buckets=subject_buckets, ntriples=ntriples),
+            input_fragments=group, counters={"docs_in": docs_in})
 
-    jobs = iter(todo)
-    running: dict = {}
     pool = ThreadPoolExecutor(max_workers=PARTITIONS_IN_FLIGHT,
                               thread_name_prefix="kg-partition")
     try:
-        while True:
-            # a partition stays in flight until it is written
-            while len(running) < PARTITIONS_IN_FLIGHT:
-                job = next(jobs, None)
-                if job is None:
-                    break
-                running[pool.submit(build, job[2])] = job
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for fut in sorted(done, key=lambda f: running[f][0]):
-                part, group, _pages = running.pop(fut)
-                triples, counters = fut.result()
-                mf.write_partition(
-                    out_dir,
-                    part,
-                    lambda tmp_dir, t=triples, n=counters["triples_out"]:
-                        _write_partition_files(
-                            t, tmp_dir, n, sort_output=sort_output,
-                            subject_buckets=subject_buckets,
-                            ntriples=ntriples),
-                    input_fragments=group,
-                    counters=counters,
-                )
+        futs = [pool.submit(run, *job) for job in todo]
+        wait(futs, return_when=FIRST_EXCEPTION)
     finally:
         # after a failure (or an interrupt of the caller) no partition
         # starts; the running ones finish
         pool.shutdown(wait=True, cancel_futures=True)
+    for fut in futs:
+        if not fut.cancelled():
+            fut.result()  # the first failure, in partition order
     report["ran"] = len(todo)
     report["counters"] = mf.aggregate_counters(out_dir)
     return report
 
 
+def _layout(subject_buckets: int) -> dict:
+    """The stamp of a partition's file layout, kept in its manifest: the
+    subject bucket count and the version of the string hash that places
+    a subject in its bucket (``exchange._KEY_HASH_VERSION``)."""
+    return {"subject_buckets": subject_buckets,
+            "hash_version": _KEY_HASH_VERSION}
+
+
+def _bucket_ids(subj: list, subject_buckets: int) -> np.ndarray:
+    """Each subject's ``subj_bucket``: ``fnv(subj) % subject_buckets``,
+    the vectorized FNV the dedup salt uses (SURVEY.md §7.2 item 7)."""
+    return (_hash_shingles(subj) % np.uint64(subject_buckets)
+            ).astype(np.int32)
+
+
+@ray.remote
+def _sink_task(tbl, block: int, parquet_dir: str | None, subject_buckets: int,
+               nt_dir: str | None) -> tuple[int, list[dict]]:
+    """Block ``block`` of a triples output as files: with ``parquet_dir``,
+    ``part-<block>-<hash>.parquet`` there or, with ``subject_buckets``,
+    under each ``subj_bucket=K/`` present (no bucket column, as a hive
+    writer drops it); with ``nt_dir``, its N-Triples lines as
+    ``part-<block>-<hash>.nt`` (a CSV writer would add a header and
+    re-quote lines holding ``"``).  A file is named from the block and a
+    hash of its bytes and written to a tmp name, then renamed: a retry
+    rewrites the same files, and two blocks of equal rows keep a file
+    each.  Returns the rows and, with Parquet, :func:`_block_counts`."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from ..kernels.jsonld import render_ntriples
+
+    tbl = _as_table(tbl, None)
+
+    def put(out_dir: str, ext: str, body: bytes) -> None:
+        tag = hashlib.blake2b(body, digest_size=10).hexdigest()
+        path = os.path.join(out_dir, f"part-{block:05d}-{tag}.{ext}")
+        os.makedirs(out_dir, exist_ok=True)
+        with open(f"{path}.tmp-{os.getpid()}", "wb") as fh:
+            fh.write(body)
+        os.replace(fh.name, path)
+
+    def parquet(out_dir: str, t: pa.Table) -> None:
+        buf = pa.BufferOutputStream()
+        pq.write_table(t, buf)
+        put(out_dir, "parquet", buf.getvalue().to_pybytes())
+
+    if parquet_dir is not None and subject_buckets:
+        ids = _bucket_ids(tbl.column("subj").to_pylist(), subject_buckets)
+        for k in np.unique(ids):
+            parquet(os.path.join(parquet_dir, f"subj_bucket={k}"),
+                    tbl.filter(pa.array(ids == k)))
+    elif parquet_dir is not None:
+        parquet(parquet_dir, tbl)
+    if nt_dir is not None:
+        cols = [tbl.column(c).to_pylist()
+                for c in ("subj", "pred", "obj", "obj_type")]
+        put(nt_dir, "nt", "".join(render_ntriples(s, p, o, bool(t)) + "\n"
+                                  for s, p, o, t in zip(*cols)).encode("utf-8"))
+    return tbl.num_rows, _block_counts(tbl) if parquet_dir is not None else []
+
+
+def _sink(triples, parquet_dir: str | None, subject_buckets: int,
+          nt_dir: str | None) -> tuple[int, dict]:
+    """:func:`_sink_task` over each non-empty block of ``triples`` (a
+    Dataset, materialized, or ``bsp.Blocks``), block ``i`` as files
+    ``part-<i>-…``: no Ray Data execution for materialized triples, and
+    an output dir is made even when no block has rows.  Returns the rows
+    written and the summed counts."""
+    for d in (parquet_dir, nt_dir):
+        if d is not None:
+            os.makedirs(d, exist_ok=True)
+    blocks, _ = _source_blocks(triples)
+    done = ray.get([
+        _sink_task.remote(ref, i, parquet_dir, subject_buckets, nt_dir)
+        for i, (ref, _rows, _bytes) in enumerate(blocks)])
+    return sum(n for n, _ in done), _sum_counts(c for _, c in done)
+
+
 def _write_partition_files(triples: rd.Dataset, tmp_dir: str, n_triples: int,
                            *, sort_output: bool, subject_buckets: int,
                            ntriples: bool) -> dict:
-    """One partition's data files, written into its tmp dir."""
+    """One partition's data files, written into its tmp dir by one raw
+    task per block (:func:`_sink`); N-Triples under ``ntriples/``.
+    Returns the manifest's rows, counters and layout stamp
+    (:func:`_layout`); raises when the files hold other than the
+    partition's ``n_triples`` rows."""
     if sort_output:
         # deterministic file ordering (SURVEY §2.6: the only global
-        # ordering the engine needs); partition outputs are small
-        # post-dedup, so the sort is partition-local and cheap
+        # ordering the engine needs): one file per sorted range, in name
+        # order; partition outputs are small post-dedup, so the sort is
+        # partition-local and cheap
         from ..stages.bsp import sort_blocks
 
-        triples = sort_blocks(triples, ["subj", "pred", "obj"]).dataset()
-    if subject_buckets:
-        # co-locate triples of one subject for downstream graph
-        # consumers (hash(subj) % B layout, SURVEY.md §7.2 item 7);
-        # vectorized FNV — the same kernel the dedup salt uses
-        from ..kernels.minhash import _hash_shingles
-
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            h = _hash_shingles(batch.column("subj").to_pylist())
-            buckets = (h % np.uint64(subject_buckets)).astype(np.int32)
-            return batch.append_column("subj_bucket", pa.array(buckets, pa.int32()))
-
-        triples.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
-            tmp_dir, partition_cols=["subj_bucket"]
-        )
-    else:
-        triples.write_parquet(tmp_dir)
-    if ntriples:
-        # .nt shards commit atomically with the partition (inside the tmp
-        # dir the manifest renames on completion)
-        write_ntriples(triples, os.path.join(tmp_dir, "ntriples"))
-    return {"rows": n_triples}
-
-
-class _NTriplesDatasink(rd.Datasink):
-    """Datasink writing raw ``part-<task>-<hash>.nt`` text shards.
-
-    A CSV sink would add a header row and re-quote lines containing ``"``
-    — not valid N-Triples — so each write task renders and writes its
-    blocks directly.  Shard names combine the Ray task index with a
-    content hash and the file commits tmp-then-rename: a task RETRY
-    reproduces the same (task_idx, content) name atomically, while two
-    DISTINCT tasks that happen to render byte-identical bodies (possible
-    with dedup disabled: duplicate triples tile into identical blocks)
-    get distinct files instead of silently overwriting each other."""
-
-    def __init__(self, out_dir: str) -> None:
-        self.out_dir = out_dir
-
-    def get_name(self) -> str:
-        return "NTriples"
-
-    def on_write_start(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
-
-    def write(self, blocks, ctx) -> int:
-        import hashlib
-
-        from ray.data.block import BlockAccessor
-
-        from ..kernels.jsonld import render_ntriples
-
-        written = 0
-        for seq, block in enumerate(blocks):
-            batch = BlockAccessor.for_block(block).to_arrow()
-            if batch.num_rows == 0:
-                # an empty block may carry no schema at all (no columns)
-                continue
-            lines = [
-                render_ntriples(s, p, o, bool(t))
-                for s, p, o, t in zip(
-                    batch.column("subj").to_pylist(),
-                    batch.column("pred").to_pylist(),
-                    batch.column("obj").to_pylist(),
-                    batch.column("obj_type").to_pylist(),
-                )
-            ]
-            body = "\n".join(lines) + "\n"
-            tag = hashlib.blake2b(body.encode("utf-8"), digest_size=10).hexdigest()
-            path = os.path.join(
-                self.out_dir, f"part-{ctx.task_idx:05d}-{seq:03d}-{tag}.nt"
-            )
-            tmp = path + f".tmp-{ctx.task_idx}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, path)
-            written += len(lines)
-        return written
+        triples = sort_blocks(triples, ["subj", "pred", "obj"])
+    rows, counts = _sink(triples, tmp_dir, subject_buckets,
+                         os.path.join(tmp_dir, "ntriples") if ntriples else None)
+    if rows != n_triples:
+        raise RuntimeError(f"the sink wrote {rows} of the partition's "
+                           f"{n_triples} triples")
+    return {"rows": rows, "counters": {"triples_out": rows, **counts},
+            **_layout(subject_buckets)}
 
 
 def write_ntriples(triples: rd.Dataset, out_dir: str) -> None:
-    """Render canonical triples as N-Triples text shards (see
-    ``_NTriplesDatasink`` for the naming/idempotency contract)."""
-    triples.write_datasink(_NTriplesDatasink(out_dir))
+    """Render canonical triples as N-Triples text shards
+    ``part-<block>-<content hash>.nt``, one raw task per block
+    (:func:`_sink_task`)."""
+    _sink(triples, None, 0, out_dir)
 
 
 def compact_partitions(out_dir: str, final_dir: str) -> dict:
@@ -519,10 +519,7 @@ def compact_partitions(out_dir: str, final_dir: str) -> dict:
     rows_in = triples.count()
     if "subj_bucket" in (triples.schema().names or []):
         triples = triples.drop_columns(["subj_bucket"])
-    deduped = dedup_triples(triples).materialize()
-    rows_out = deduped.count()
-    os.makedirs(final_dir, exist_ok=True)
-    deduped.write_parquet(final_dir)
+    rows_out, _ = _sink(dedup_triples(triples), final_dir, 0, None)
     return {"partitions": len(parts), "rows_in": rows_in, "rows_out": rows_out}
 
 
@@ -538,22 +535,22 @@ def subject_lookup(
 
     The writer co-located each subject under ``subj_bucket=hash(subj)%B``
     hive directories; the reader recomputes the SAME vectorized-FNV
-    bucket and opens ONLY that bucket's files across all pipeline
-    partitions (1/B of the graph), then applies the exact subject
-    filter.  Emits ``sublookup_files_total`` / ``sublookup_files_read``
+    bucket (:func:`_bucket_ids`) and opens ONLY that bucket's files
+    across all pipeline partitions (1/B of the graph), then applies the
+    exact subject filter.  A completed partition whose manifest stamp
+    (:func:`_layout`) records another ``subject_buckets`` or hash version
+    raises ``ValueError`` naming the field.  Emits ``sublookup_files_total`` / ``sublookup_files_read``
     counters so the pruning is observable (the lakehouse
     ``point_lookup`` discipline: never a silent full scan).
     """
     import glob as _glob
 
-    import numpy as _np
-
-    import pyarrow.compute as _pc
-
-    from ..kernels.minhash import _hash_shingles
     from ..state import counters as _counters
+    from ..state import manifest as mf
 
-    b = int(_hash_shingles([subject])[0] % _np.uint64(subject_buckets))
+    for part in mf.completed_partitions(out_dir):
+        mf.check_stamp(out_dir, part, _layout(subject_buckets))
+    b = int(_bucket_ids([subject], subject_buckets)[0])
     all_files = _glob.glob(
         os.path.join(out_dir, "**", "subj_bucket=*", "*.parquet"),
         recursive=True)
@@ -568,5 +565,5 @@ def subject_lookup(
             f"was the graph written with subject_buckets={subject_buckets}?")
     ds = rd.read_parquet(hit_files)
     return ds.map_batches(
-        lambda t: t.filter(_pc.equal(t.column("subj"), subject)),
+        lambda t: t.filter(pc.equal(t.column("subj"), subject)),
         batch_format="pyarrow")

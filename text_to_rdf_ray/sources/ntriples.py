@@ -1,7 +1,8 @@
 """N-Triples source: parse ``.nt`` text shards back into a triples table.
 
-Round-trips the ``_NTriplesDatasink`` output (pipelines/kg.py — the
-graph sink the reference writes via its ``NTriplesFormatter``,
+Round-trips the ``write_ntriples`` / ``run_partitioned(ntriples=True)``
+shards (``pipelines/kg.py::_sink_task`` — the graph sink the reference
+writes via its ``NTriplesFormatter``,
 src/formatter.rs): each line is
 ``<subj-uri> <pred-uri> (<obj-uri> | "literal") .`` with the W3C
 escapes ``\\\\ \\" \\n \\r`` in literals.

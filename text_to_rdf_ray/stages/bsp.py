@@ -331,28 +331,33 @@ def _source_blocks(src) -> tuple[list[tuple], object]:
     return blocks, mat.schema(fetch_if_missing=False)
 
 
-def map_blocks(source, fn) -> Blocks:
-    """``fn`` (Arrow table -> Arrow table) over each block of ``source``,
-    one raw task per block: a per-block step after an exchange with no
-    Ray Data execution.  ``source`` is :class:`Blocks` (every block is
-    mapped, the typed empty ones too) or a Dataset (materialized; its
-    zero-row blocks are dropped)."""
-    refs = (source.refs if isinstance(source, Blocks)
+def _block_refs(source) -> list:
+    """The block refs of ``source``: every block of a :class:`Blocks`
+    (the typed empty ones too), or the non-empty blocks of a Dataset
+    (materialized)."""
+    return (source.refs if isinstance(source, Blocks)
             else [ref for ref, _, _ in _source_blocks(source)[0]])
+
+
+def map_blocks(source, fn) -> Blocks:
+    """``fn`` (Arrow table -> Arrow table) over each block of ``source``
+    (:func:`_block_refs`), one raw task per block: a per-block step
+    after an exchange with no Ray Data execution."""
     return Blocks.of([_reduce_task.remote(fn, None, None, ref)
-                      for ref in refs])
+                      for ref in _block_refs(source)])
 
 
 @ray.remote
 def _value_task(fn, tbl):
-    return fn(tbl)
+    return fn(_as_table(tbl, None))
 
 
-def block_values(blocks: Blocks, fn) -> list:
-    """``fn`` (Arrow table -> a small value) of each block of ``blocks``,
-    in block order: one raw task per block, fetched in one ``ray.get``
-    (the per-block stats pass of a scan)."""
-    return ray.get([_value_task.remote(fn, ref) for ref in blocks.refs])
+def block_values(source, fn) -> list:
+    """``fn`` (Arrow table -> a small value) of each block of ``source``
+    (:func:`_block_refs`), in block order: one raw task per block,
+    fetched in one ``ray.get`` (the per-block stats pass of a scan)."""
+    return ray.get([_value_task.remote(fn, ref)
+                    for ref in _block_refs(source)])
 
 
 def scan_blocks(blocks: Blocks, assign, offsets) -> Blocks:

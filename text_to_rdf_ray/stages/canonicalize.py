@@ -405,9 +405,17 @@ def apply_canonical_map(triples: rd.Dataset, mapping: dict[str, str]) -> rd.Data
     :func:`apply_canonical_join` (same output contract) when more than
     ``canonical_map_join_threshold`` surfaces change.
     """
+    return triples.map_batches(canonical_rewrite(mapping),
+                               batch_format="pyarrow")
+
+
+def canonical_rewrite(mapping: dict[str, str]):
+    """:func:`apply_canonical_map`'s rewrite as an Arrow block function
+    (``ray.put`` of ``mapping`` once), for a raw task or a map."""
     import ray
 
     map_ref = ray.put(mapping)
+
     def rewrite(batch: pa.Table) -> pa.Table:
         # task mode via the per-worker object cache (a closure dict is
         # re-pickled EMPTY for every task — dedup._WORKER_OBJ_CACHE's
@@ -428,7 +436,7 @@ def apply_canonical_map(triples: rd.Dataset, mapping: dict[str, str]) -> rd.Data
         cols["subj_lower"] = lower
         return pa.table(cols)
 
-    return triples.map_batches(rewrite, batch_format="pyarrow")
+    return rewrite
 
 
 def _subject_norm_columns(subj: list) -> tuple[pa.Array, pa.Array]:
@@ -536,13 +544,19 @@ _DEDUP_OUT_SCHEMA = pa.schema([
 _DEDUP_MAX_PARTS = 32
 
 
-def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
+def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
     """Global exact (subj, pred, obj) dedup — the final canonical shuffle
     (HashSet semantics of integration_tests.rs:70, A3 in SURVEY.md).
 
+    ``triples`` is a Dataset, or a ``(source, block_fn)`` pair as the
+    exchanges take it: the block function maps each block of the
+    materialized source (a Dataset or :class:`~.bsp.Blocks`) to the
+    triples, in the task that packs it.
+
     Two-phase and fully vectorized (pyarrow kernels, no per-row Python —
     this is the one stage every triple of a 100-TB run passes through):
-    1. map_batches combiner (``pack``): pack all provenance columns into
+    1. per-block combiner (``pack``, one raw task per input block, with
+       no Ray Data execution): pack all provenance columns into
        ONE lexicographically-sortable string (url first, then zero-padded
        chunk/span) with ``pc.binary_join_element_wise``; collapse
        within-batch duplicates with an arrow ``group_by(...).min``.  This
@@ -690,10 +704,7 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
 
     # phase 1: salted partial aggregation (hot keys spread over `salt`
     # reducers); phase 2: unsalted final merge over <= salt rows per key.
-    # Large combiner batches both strengthen the pre-aggregation (dup factor
-    # compounds across input blocks) and coalesce many small upstream blocks
-    # so the shuffle fan is O(data/64k), not O(upstream task count).  Each
-    # reduce is a VECTORIZED arrow group_by over one whole partition —
+    # Each reduce is a VECTORIZED arrow group_by over one whole partition —
     # Ray's built-in Aggregate reduces per key in Python and is ~50x
     # slower here.
     def reduce1(g: pa.Table) -> pa.Table:
@@ -722,12 +733,13 @@ def dedup_triples(triples: rd.Dataset, salt: int = 16) -> rd.Dataset:
         ))
 
     # raw-task two-phase exchange (stages/bsp.py) sized to the packed
-    # input — this tail is on the headline path
-    from .bsp import two_phase_reduce
+    # blocks — this tail is on the headline path
+    from .bsp import map_blocks, two_phase_reduce
+    from .exchange import _sources, _then
 
-    packed = triples.map_batches(pack, batch_format="pyarrow",
-                                 batch_size=65536).materialize()
-    if packed.count() == 0:
+    [(src, fn)] = _sources(triples)
+    packed = map_blocks(src, _then(fn, pack))
+    if packed.num_rows() == 0:
         # zero-block/zero-row input: empty result, not
         # two_phase_reduce's empty-input ValueError (review r5)
         return rd.from_arrow(_DEDUP_OUT_SCHEMA.empty_table())

@@ -251,6 +251,9 @@ def _pairs_from_buckets(
 
     import ray
 
+    # the band exchange and the verify pass both read the corpus: a lazy
+    # input executes once (no executor run when it is materialized)
+    ds = ds.materialize()
     if prepare_fn is None:
         prepare_fn = lambda p: p  # noqa: E731
 

@@ -40,13 +40,16 @@ def _norm_paths(paths) -> list[str]:
     return sorted(os.path.normpath(os.path.abspath(p)) for p in paths)
 
 
-def resumable(out_dir: str, part: int, input_fragments) -> bool:
+def resumable(out_dir: str, part: int, input_fragments,
+              stamp: dict | None = None) -> bool:
     """Whether partition ``part`` can be skipped on resume: True when its
     complete manifest lists exactly ``input_fragments`` (compared as
-    normalized absolute paths), False when it has no complete manifest.
-    A complete manifest over other fragments is stale — the input
-    changed, or was dealt into another number of partitions — and
-    raises ``ValueError`` naming the partition and the field."""
+    normalized absolute paths) and records ``stamp`` (the fields of its
+    file layout, :func:`check_stamp`), False when it has no complete
+    manifest.  A complete manifest over other fragments or another
+    layout is stale — the input changed, was dealt into another number
+    of partitions, or the run asks for another layout — and raises
+    ``ValueError`` naming the partition and the field."""
     if not is_complete(out_dir, part):
         return False
     had = (read_manifest(out_dir, part) or {}).get("input_fragments") or []
@@ -56,7 +59,20 @@ def resumable(out_dir: str, part: int, input_fragments) -> bool:
             f"manifest's input_fragments list {len(had)} file(s), not the "
             f"{len(input_fragments)} of its current group; rerun with "
             "resume=False or into a new output directory")
+    check_stamp(out_dir, part, stamp or {})
     return True
+
+
+def check_stamp(out_dir: str, part: int, stamp: dict) -> None:
+    """Raise ``ValueError``, naming the partition and the field, when
+    partition ``part``'s manifest records a field of ``stamp`` with
+    another value (a writer that stamps nothing records no field)."""
+    m = read_manifest(out_dir, part) or {}
+    for field, want in stamp.items():
+        if field in m and m[field] != want:
+            raise ValueError(
+                f"partition {part} under {out_dir} was written with "
+                f"{field}={m[field]!r}, not {want!r}")
 
 
 def read_manifest(out_dir: str, part: int) -> dict | None:
@@ -72,8 +88,9 @@ def write_partition(out_dir: str, part: int, write_fn, *, input_fragments,
     """Atomically produce ``out_dir/part=<k>``.
 
     ``write_fn(tmp_dir)`` writes the partition's data files into ``tmp_dir``
-    and returns extra manifest fields (e.g. row counts).  On success the tmp
-    dir is renamed into place with a complete manifest inside.
+    and returns extra manifest fields (e.g. row counts); its
+    ``counters`` are added to ``counters``.  On success the tmp dir is
+    renamed into place with a complete manifest inside.
     """
     final = partition_dir(out_dir, part)
     os.makedirs(out_dir, exist_ok=True)
@@ -84,8 +101,8 @@ def write_partition(out_dir: str, part: int, write_fn, *, input_fragments,
             "partition": part,
             "status": "complete",
             "input_fragments": sorted(input_fragments),
-            "counters": counters,
             **extra,
+            "counters": {**counters, **extra.get("counters", {})},
         }
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
