@@ -117,11 +117,14 @@ def test_link_entities_join_executions(ray_session, executions):
 
 def test_list_kb_label_table_blocks(ray_session, executions):
     """A list KB's label table is cut into ceil(rows / 2048) blocks on the
-    driver (no executor run), in KB order with each label before its
-    aliases; a Dataset KB gives the same rows (a Ray Data map, whose
-    output block order is not fixed)."""
+    driver (no executor run, no task: ``bsp.Blocks`` put in the object
+    store), in KB order with each label before its aliases; a Dataset KB
+    gives the same rows (a Ray Data map, whose output block order is not
+    fixed)."""
     import hashlib
     import math
+
+    import ray
 
     from text_to_rdf_ray.stages.kg_stages import (KB_LABEL_BLOCK_ROWS,
                                                   KBLabelTable)
@@ -134,8 +137,8 @@ def test_list_kb_label_table_blocks(ray_session, executions):
     executions[0] = 0
     labels = KBLabelTable(kb).labels()
     assert executions[0] == 0
-    assert labels.num_blocks() == math.ceil(n / KB_LABEL_BLOCK_ROWS)
-    got = labels.to_pandas()
+    assert len(labels.refs) == math.ceil(n / KB_LABEL_BLOCK_ROWS)
+    got = pa.concat_tables(ray.get(labels.refs)).to_pandas()
     want = [(r["uri"], lab) for r in kb for lab in [r["label"], *r["aliases"]]]
     assert list(zip(got["kb_uri"], got["kb_label"])) == want
     assert list(got["kb_low"]) == [lab.lower() for _, lab in want]
@@ -588,3 +591,51 @@ def test_lakehouse_writes_of_an_empty_input(ray_session, tmp_path):
         # the dtypes of a manifest with rows
         full = write(rd.from_pandas(df), str(tmp_path / f"full{i}"))
         assert len(full) and dict(man.dtypes) == dict(full.dtypes)
+
+
+def test_materialized_source_costs_no_materialize(ray_session, executions,
+                                                  monkeypatch):
+    """exchange_blocks and map_blocks read an already-materialized
+    Dataset's blocks (a materialize() output, a from_arrow source) from
+    its plan: with Dataset.materialize patched to raise they give the
+    unpatched output.  A lazy source still runs exactly one execution."""
+    import pyarrow.compute as pc
+    import ray
+    from ray.data import Dataset
+
+    from text_to_rdf_ray.stages.bsp import exchange_blocks, map_blocks
+
+    def rows(blocks):
+        return sorted(r for t in ray.get(blocks.refs) for r in
+                      zip(*(t.column(c).to_pylist() for c in t.column_names)))
+
+    def exchanged(src):
+        return rows(exchange_blocks(
+            [(src, lambda t: t.append_column("p", pc.bit_wise_and(
+                t.column("id"), 3)))],
+            "p", lambda t: t.sort_by("id"), max_parts=4))
+
+    def mapped(src):
+        return rows(map_blocks(src, lambda t: t.append_column(
+            "twice", pc.multiply(t.column("id"), 2))))
+
+    def lazy():
+        return rd.range(64, override_num_blocks=4).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+    mat = lazy().materialize()
+    want = [exchanged(mat), mapped(mat)]
+    assert len(want[0]) == len(want[1]) == 64
+    for op, rows_want in zip((exchanged, mapped), want):
+        executions[0] = 0
+        assert op(lazy()) == rows_want
+        assert executions[0] == 1
+
+    def refuse(self):
+        raise AssertionError("materialize() on a materialized source")
+
+    monkeypatch.setattr(Dataset, "materialize", refuse)
+    executions[0] = 0
+    for src in (mat, rd.from_arrow(pa.table({"id": list(range(64))}))):
+        assert [exchanged(src), mapped(src)] == want
+    assert executions[0] == 0

@@ -902,14 +902,14 @@ def test_failed_partition_raises_and_leaves_nothing(pages_dir, tmp_path,
         pass
 
     if stage == "build":
-        real = kg.build_triples
+        real = kg.build_triples.blocks
 
         def failing(pages, **kw):
             if any(p.endswith("00001.parquet") for p in pages.input_files()):
                 raise Boom("partition 1 failed")
             return real(pages, **kw)
 
-        monkeypatch.setattr(kg, "build_triples", failing)
+        monkeypatch.setattr(kg.build_triples, "blocks", failing)
     else:
         real = kg._write_partition_files
 
@@ -1045,6 +1045,107 @@ def test_partition_tail_starts_no_ray_data_execution(pages_dir, tmp_path,
             assert not re.search(r"class \w+\([\w.]*Datasink\)", fh.read()), path
 
 
+def test_partition_tail_builds_no_dataset(pages_dir, tmp_path, monkeypatch):
+    """The steps after the extraction chain hand block refs to each other
+    with no Dataset around them: a warm run_partitioned pass in join mode
+    with the distributed canonicalize, N-Triples and subject buckets
+    builds no Dataset from stages/bsp.py, exchange.py, canonicalize.py
+    or dedup.py, and calls materialize() only on each partition's
+    extraction chain (the Datasets a materialize() builds are its own)."""
+    import threading
+    import traceback
+
+    from ray.data import Dataset
+
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    kw = dict(partitions=2, kb_records=kb_records(), ntriples=True,
+              subject_buckets=8, link_mode="join",
+              canonicalize_local_threshold=0, resume=False)
+    out = str(tmp_path / "out")
+    run_partitioned(pages_dir, out, **kw)
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "text_to_rdf_ray") + os.sep
+    built, materialized = [], []
+    inside = threading.local()
+    real_init, real_materialize = Dataset.__init__, Dataset.materialize
+
+    def init(self, *args, **kwargs):
+        if not getattr(inside, "depth", 0):
+            sites = [f.filename for f in traceback.extract_stack()
+                     if f.filename.startswith(pkg)]
+            built.append(os.path.relpath(sites[-1], pkg) if sites else "")
+        real_init(self, *args, **kwargs)
+
+    def materialize(self):
+        materialized.append(self._logical_plan.dag.name)
+        inside.depth = getattr(inside, "depth", 0) + 1
+        try:
+            return real_materialize(self)
+        finally:
+            inside.depth -= 1
+
+    monkeypatch.setattr(Dataset, "__init__", init)
+    monkeypatch.setattr(Dataset, "materialize", materialize)
+    assert run_partitioned(pages_dir, out, **kw)["ran"] == 2
+    tail = tuple(os.path.join("stages", f"{m}.py")
+                 for m in ("bsp", "exchange", "canonicalize", "dedup"))
+    assert [site for site in built if site.startswith(tail)] == []
+    assert materialized == ["MapBatches(extract_triples)"] * 2
+
+
+def test_build_triples_same_rows_from_one_block_or_many(pages_dir,
+                                                        monkeypatch):
+    """A join-mode, distributed-canonicalize build_triples gives the same
+    triples (every column, provenance included) and _triple_counters
+    whether its pages arrive as one block, extracted at the default
+    batch size, or as one block per ten pages extracted one page per
+    batch into blocks of at most 4 KiB (Ray's target_max_block_size),
+    and again with every exchange at its partition cap (one partition
+    per byte), so the steps after linking see many blocks too."""
+    import glob
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from text_to_rdf_ray.pipelines.kg import (PAGE_COLUMNS, _triple_counters,
+                                              build_triples)
+    from text_to_rdf_ray.sources.fixtures import kb_records
+
+    pages = pa.concat_tables(
+        pq.read_table(f, columns=PAGE_COLUMNS)
+        for f in sorted(glob.glob(os.path.join(pages_dir, "*.parquet"))))
+
+    def run(src, **kw):
+        extracted = build_triples(src, link=False, canonicalize=False,
+                                  validate=False, dedup=False,
+                                  **kw).materialize()
+        out = build_triples(src, kb_records=kb_records(), link_mode="join",
+                            canonicalize_local_threshold=0, **kw)
+        df = (out.to_pandas().sort_values(["subj", "pred", "obj"])
+              .reset_index(drop=True))
+        return extracted.num_blocks(), df, _triple_counters(out)
+
+    one_blocks, one, one_counts = run(rd.from_arrow(pages))
+    monkeypatch.setattr(rd.DataContext.get_current(), "target_max_block_size",
+                        4096)
+    many_src = rd.from_arrow(
+        [pages.slice(i, 10) for i in range(0, len(pages), 10)])
+    many_blocks, many, many_counts = run(many_src, extract_batch_size=1)
+    assert one_blocks == 1 and many_blocks > 10
+    assert len(one) and one["url"].notna().all()
+    pd.testing.assert_frame_equal(one, many)
+    assert one_counts == many_counts
+    monkeypatch.setattr(rd.DataContext.get_current(), "target_min_block_size",
+                        1)
+    _, capped, capped_counts = run(many_src, extract_batch_size=1)
+    pd.testing.assert_frame_equal(one, capped)
+    assert one_counts == capped_counts
+
+
 def _files(root: str) -> dict:
     out = {}
     for dirpath, _dirs, names in os.walk(root):
@@ -1098,9 +1199,8 @@ def test_sink_matches_ray_writers(pages_dir, tmp_path):
                                kb_records=kb_records()).materialize()
     got = str(tmp_path / "sink")
     os.makedirs(got)
-    kg._write_partition_files(triples, got, triples.count(),
-                              sort_output=False, subject_buckets=8,
-                              ntriples=True)
+    kg._write_partition_files(triples, got, sort_output=False,
+                              subject_buckets=8, ntriples=True)
 
     def add_bucket(t: pa.Table) -> pa.Table:
         h = _hash_shingles(t.column("subj").to_pylist()) % np.uint64(8)

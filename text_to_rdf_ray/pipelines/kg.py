@@ -15,9 +15,9 @@ End-to-end flow (north star):
   -> partitioned Parquet + N-Triples files, one raw sink task per block,
      per-partition manifests.
 
-After linking, the steps run in raw Ray tasks over the materialized
-blocks (``stages/bsp.py``), not in a Ray Data execution, unless the
-canonical map is joined (too large to broadcast) or dedup is off.
+After the extraction chain's one materialization, the steps run in raw
+Ray tasks (``stages/bsp.py``) that hand their block refs (``bsp.Blocks``)
+to each other, with no Ray Data execution and no Dataset between them.
 ``run_partitioned`` processes the input in partition groups of whole
 files, dealt round-robin (file ``i`` of the sorted list to group
 ``i % partitions``), two groups in flight at once
@@ -40,9 +40,10 @@ import ray
 import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
-from ..stages.bsp import _as_table, _source_blocks, block_values, map_blocks
+from ..stages.bsp import (Blocks, _as_table, _source_blocks, block_values,
+                          map_blocks, materialized)
 from ..stages.canonicalize import canonical_rewrite, canonicalize_surfaces, dedup_triples
-from ..stages.exchange import _KEY_HASH_VERSION, _then
+from ..stages.exchange import _KEY_HASH_VERSION, _then, dataset_api
 from ..stages.kg_stages import (
     KBLabelTable,
     extract_triples,
@@ -67,6 +68,7 @@ def read_pages(path: str, *, use_gold_text: bool = False,
     return rd.read_parquet(path, columns=cols, **kwargs)
 
 
+@dataset_api
 def build_triples(
     pages: rd.Dataset,
     *,
@@ -87,7 +89,8 @@ def build_triples(
     canonicalize_tau: float | None = None,
     canonical_map_join_threshold: int = 1_000_000,
 ) -> rd.Dataset:
-    """Assemble the lazy Dataset pipeline from pages to canonical triples.
+    """Assemble the pipeline from pages to canonical triples (without
+    dedup a lazy Dataset when nothing before materialized them).
     ``link_mode`` other than ``"task"`` or ``"join"`` raises.  In task
     mode ``kb_records`` may be the ``ray.put`` ref of the records, so
     several calls share one KB index per worker."""
@@ -117,7 +120,7 @@ def build_triples(
             # at-scale mode for KBs too large to broadcast
             from ..stages.kg_stages import link_entities_join
 
-            ds = link_entities_join(
+            ds = link_entities_join.blocks(
                 ds, kb_records,
                 fuzzy_threshold=link_fuzzy_threshold,
                 confidence_threshold=link_confidence_threshold,
@@ -140,16 +143,14 @@ def build_triples(
     if canonicalize:
         from ..stages.canonicalize import canonicalize_local
 
-        ds = ds.materialize()
+        ds = materialized(ds)
         # per-batch distinct surfaces (combiner), NO exchange yet: the
         # materialized row count is an UPPER bound on the distinct count,
         # so the driver tier can collect these rows directly (bounded by
         # the threshold) and finish the distinct in one set() — skipping
-        # the hash-exchange a global distinct would cost.  Only when the
-        # upper bound exceeds the threshold does the distributed
-        # distinct (hash exchange; Ray's groupby().count() reduces per
-        # key in Python — 153s vs <2s at 48k keys) run.  Raw tasks over
-        # the materialized blocks: no Ray Data execution.
+        # the hash-exchange a global distinct would cost; above the
+        # threshold the distinct is a hash exchange.  Raw tasks over the
+        # materialized blocks: no Ray Data execution.
         comb = map_blocks(ds, _surface_rows)
         from ..stages.canonicalize import DEFAULT_TAU
 
@@ -163,19 +164,18 @@ def build_triples(
             if mapping:
                 fns.append(canonical_rewrite(mapping))
         else:
-            from ..stages.exchange import exchange_agg
-
-            surfaces_ds = exchange_agg(comb, ["surface"])
             from ..stages.canonicalize import apply_canonical_join
+            from ..stages.exchange import agg_blocks
 
-            cmap = canonicalize_surfaces(surfaces_ds, tau=tau)
+            cmap = canonicalize_surfaces.blocks(agg_blocks(comb, ["surface"]),
+                                                tau=tau)
             changed = map_blocks(cmap, lambda t: t.filter(
                 pc.invert(pc.equal(t.column("surface"), t.column("canonical")))))
             n_changed = changed.num_rows()
             if n_changed > canonical_map_join_threshold:
                 # mapping too large to broadcast: hash-partitioned join
                 # rewrite (same output contract as the broadcast map)
-                ds = apply_canonical_join(ds, changed)
+                ds = apply_canonical_join.blocks(ds, changed)
             elif n_changed:
                 # only actually-merged surfaces come back to the driver
                 mapping = {s: c for t in ray.get(changed.refs)
@@ -211,10 +211,12 @@ def build_triples(
         if drop_invalid:
             # KG_VALIDATION_DROP_INVALID: emit only valid triples
             fns.append(lambda t: t.filter(pc.equal(t.column("valid"), True)))
+    fn = functools.reduce(_then, fns, None)
     if dedup:
-        return dedup_triples((ds, functools.reduce(_then, fns, None)))
-    for fn in fns:
-        ds = ds.map_batches(fn, batch_format="pyarrow")
+        return dedup_triples.blocks((ds, fn))
+    if fn is not None:
+        ds = (map_blocks(ds, fn) if isinstance(ds, Blocks)
+              else ds.map_batches(fn, batch_format="pyarrow"))
     return ds
 
 
@@ -277,16 +279,15 @@ def _surface_rows(batch: pa.Table) -> pa.Table:
 #: partition groups ``run_partitioned`` has in flight at once.  While a
 #: partition's driver builds plans, wires exchanges and waits on the
 #: barriers between stages, its tasks leave the workers idle; a second
-#: partition in flight runs its tasks in those gaps.  On a 4-vCPU host
-#: with one CPU for Ray, a warm partitioned_at_scale pass spends nearly
-#: as much CPU in the driver as in the workers (BASELINE.md), so two
-#: overlap the two sides; over its seed-3 pages in four partitions a
-#: second partition in flight cut a warm pass by about 30% in both link
-#: modes, a third gained nothing and a fourth 4-10% more, in ranges that
-#: overlap two's.  Each partition in flight holds its intermediate
-#: blocks in the object store until it is written.  Hosts with more CPUs
-#: for Ray, where the workers finish a partition's tasks sooner and more
-#: partitions in flight may pay, are not measured.
+#: partition in flight runs its tasks in those gaps.  On a 4-vCPU host a
+#: warm pass over perfbench's seed-3 partitioned_at_scale pages spends
+#: 0.5 s of driver CPU against 0.9 s in the Ray workers (BASELINE.md),
+#: and a second partition in flight still pays: warm passes over four
+#: partitions took 2.18 / 1.63 / 1.64 s with 1 / 2 / 3 in flight at one
+#: Ray CPU and 2.41 / 1.40 / 1.48 s at four (tools/pass_probe.py over
+#: perfbench's two partitions, 1 / 2 in flight: 1.08 / 0.98 s at one Ray
+#: CPU, 1.20 / 0.79 s at four).  Each partition in flight holds its
+#: intermediate blocks in the object store until it is written.
 PARTITIONS_IN_FLIGHT = 2
 
 
@@ -358,12 +359,13 @@ def run_partitioned(
 
     def run(part: int, group: list[str], pages: rd.Dataset) -> None:
         docs_in = pages.count()
-        triples = build_triples(pages, kb_records=kb_records,
-                                **build_kwargs).materialize()
+        # the dedup output's blocks go to the sink as they are
+        triples = build_triples.blocks(pages, kb_records=kb_records,
+                                       **build_kwargs)
         mf.write_partition(
             out_dir, part,
             lambda tmp_dir: _write_partition_files(
-                triples, tmp_dir, triples.count(), sort_output=sort_output,
+                triples, tmp_dir, sort_output=sort_output,
                 subject_buckets=subject_buckets, ntriples=ntriples),
             input_fragments=group, counters={"docs_in": docs_in})
 
@@ -450,10 +452,11 @@ def _sink_task(tbl, block: int, parquet_dir: str | None, subject_buckets: int,
 def _sink(triples, parquet_dir: str | None, subject_buckets: int,
           nt_dir: str | None) -> tuple[int, dict]:
     """:func:`_sink_task` over each non-empty block of ``triples`` (a
-    Dataset, materialized, or ``bsp.Blocks``), block ``i`` as files
-    ``part-<i>-…``: no Ray Data execution for materialized triples, and
-    an output dir is made even when no block has rows.  Returns the rows
-    written and the summed counts."""
+    Dataset or ``bsp.Blocks``), block ``i`` as files ``part-<i>-…``: no
+    Ray Data execution for materialized triples, and an output dir is
+    made even when no block has rows.  Returns the rows written and the
+    summed counts; raises when the files hold other than the blocks'
+    rows."""
     for d in (parquet_dir, nt_dir):
         if d is not None:
             os.makedirs(d, exist_ok=True)
@@ -461,17 +464,18 @@ def _sink(triples, parquet_dir: str | None, subject_buckets: int,
     done = ray.get([
         _sink_task.remote(ref, i, parquet_dir, subject_buckets, nt_dir)
         for i, (ref, _rows, _bytes) in enumerate(blocks)])
-    return sum(n for n, _ in done), _sum_counts(c for _, c in done)
+    rows, want = sum(n for n, _ in done), sum(n for _, n, _ in blocks)
+    if rows != want:
+        raise RuntimeError(f"the sink wrote {rows} of {want} triples")
+    return rows, _sum_counts(c for _, c in done)
 
 
-def _write_partition_files(triples: rd.Dataset, tmp_dir: str, n_triples: int,
-                           *, sort_output: bool, subject_buckets: int,
-                           ntriples: bool) -> dict:
+def _write_partition_files(triples, tmp_dir: str, *, sort_output: bool,
+                           subject_buckets: int, ntriples: bool) -> dict:
     """One partition's data files, written into its tmp dir by one raw
-    task per block (:func:`_sink`); N-Triples under ``ntriples/``.
-    Returns the manifest's rows, counters and layout stamp
-    (:func:`_layout`); raises when the files hold other than the
-    partition's ``n_triples`` rows."""
+    task per block (:func:`_sink`) of ``triples`` (a Dataset or
+    ``bsp.Blocks``); N-Triples under ``ntriples/``.  Returns the
+    manifest's rows, counters and layout stamp (:func:`_layout`)."""
     if sort_output:
         # deterministic file ordering (SURVEY §2.6: the only global
         # ordering the engine needs): one file per sorted range, in name
@@ -482,9 +486,6 @@ def _write_partition_files(triples: rd.Dataset, tmp_dir: str, n_triples: int,
         triples = sort_blocks(triples, ["subj", "pred", "obj"])
     rows, counts = _sink(triples, tmp_dir, subject_buckets,
                          os.path.join(tmp_dir, "ntriples") if ntriples else None)
-    if rows != n_triples:
-        raise RuntimeError(f"the sink wrote {rows} of the partition's "
-                           f"{n_triples} triples")
     return {"rows": rows, "counters": {"triples_out": rows, **counts},
             **_layout(subject_buckets)}
 

@@ -62,7 +62,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .exchange import _KEY_HASH_VERSION, _key_hash, _sources, _then
+from .exchange import _KEY_HASH_VERSION, _key_hash, _sources, _then, dataset_api
 
 
 #: above this partition count an exchange switches from the flat P x P
@@ -238,14 +238,15 @@ def _reduce_task(reduce_fn, schema: pa.Schema | None, fns, *tbls: pa.Table):
 
 
 class Blocks:
-    """An exchange's output as block refs, handed to the next exchange of
-    the same operator as a source with no Dataset around it.
+    """A raw-task step's output as block refs, handed to the next step
+    (an exchange, a per-block map, a sink) with no Dataset around it.
 
     ``refs`` holds one Arrow table ref per block; ``meta_refs`` one Ray
     ``BlockMetadataWithSchema`` ref per block (rows, bytes, schema),
-    computed by the task that made the block (:func:`_reduce_task`), so
-    the Dataset an operator wraps around its output (:meth:`dataset`)
-    needs no metadata task."""
+    computed by the task that made the block (:func:`_reduce_task`) or
+    on the driver (:meth:`put`), so counts and sizes need no task and a
+    public operator wraps its output in a Dataset (:meth:`dataset`,
+    :func:`~.exchange.dataset_api`) with no metadata task."""
 
     def __init__(self, refs: list, meta_refs: list) -> None:
         self.refs = refs
@@ -256,6 +257,17 @@ class Blocks:
     def of(cls, pairs: list) -> "Blocks":
         """From ``_reduce_task`` return pairs ``[(block_ref, meta_ref)]``."""
         return cls([b for b, _ in pairs], [m for _, m in pairs])
+
+    @classmethod
+    def put(cls, tables: list) -> "Blocks":
+        """Arrow tables made on the driver as blocks: each table and its
+        metadata put in the object store, with no task."""
+        from ray.data.block import BlockMetadataWithSchema
+
+        metas = [BlockMetadataWithSchema.from_block(t) for t in tables]
+        out = cls([ray.put(t) for t in tables], [ray.put(m) for m in metas])
+        out._metas = metas
+        return out
 
     @classmethod
     def chain(cls, *parts: "Blocks") -> "Blocks":
@@ -291,12 +303,9 @@ class Blocks:
         return metas[0].schema if metas else None
 
     def dataset(self) -> rd.MaterializedDataset:
-        """The blocks as a MaterializedDataset, built from the metadata
-        the blocks' tasks returned: a ``FromArrow`` plan marked executed
-        (its source holds the blocks, so that runs no executor) — no
-        per-block metadata task as ``rd.from_arrow_refs`` starts, and no
-        ``materialize()`` copy of the plan.  The one place this module
-        builds a Dataset plan from Ray Data internals."""
+        """The blocks as a MaterializedDataset from their metadata: a
+        ``FromArrow`` plan marked executed, with no executor run and no
+        per-block metadata task (as ``rd.from_arrow_refs`` starts)."""
         from ray.data._internal.logical.interfaces import LogicalPlan
         from ray.data._internal.logical.operators.from_operators import (
             FromArrow,
@@ -315,26 +324,46 @@ class Blocks:
         return out
 
 
+def _bundles(ds: rd.Dataset) -> list | None:
+    """The ref bundles of a Dataset whose blocks exist (an executed plan
+    or a ``from_*`` source) read from its plan, None for a lazy one: a
+    ``materialize()`` would copy it at three driver RPCs."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    if ds._plan.has_computed_output():
+        return [ds._plan._snapshot_bundle]
+    dag = ds._logical_plan.dag
+    return dag.output_data() if isinstance(dag, SourceOperator) else None
+
+
+def materialized(src):
+    """``src`` as it is when its blocks exist (:class:`Blocks`, or
+    :func:`_bundles`); a lazy Dataset materialized, its one execution."""
+    if isinstance(src, Blocks) or _bundles(src) is not None:
+        return src
+    return src.materialize()
+
+
 def _source_blocks(src) -> tuple[list[tuple], object]:
     """A source's non-empty blocks as ``(ref, rows, bytes)`` and its
     schema (Ray's, for a Dataset: numpy dtypes for pandas blocks).  A
-    Dataset is materialized (no executor run when it already is); zero-
-    row blocks (Ray can emit them schema-less) are dropped."""
+    lazy Dataset is materialized (:func:`materialized`); zero-row blocks
+    (Ray can emit them schema-less) are dropped."""
     if isinstance(src, Blocks):
         return ([(r, m.num_rows, m.size_bytes)
                  for r, m in zip(src.refs, src.metas()) if m.num_rows],
                 src.schema())
-    mat = src.materialize()
+    src = materialized(src)
     blocks = [(ref, meta.num_rows, meta.size_bytes)
-              for bundle in mat.iter_internal_ref_bundles()
+              for bundle in _bundles(src)
               for ref, meta in bundle.blocks if meta.num_rows]
-    return blocks, mat.schema(fetch_if_missing=False)
+    return blocks, src.schema(fetch_if_missing=False)
 
 
 def _block_refs(source) -> list:
     """The block refs of ``source``: every block of a :class:`Blocks`
     (the typed empty ones too), or the non-empty blocks of a Dataset
-    (materialized)."""
+    (:func:`_source_blocks`)."""
     return (source.refs if isinstance(source, Blocks)
             else [ref for ref, _, _ in _source_blocks(source)[0]])
 
@@ -442,7 +471,8 @@ def _partition(
     Dataset source is materialized on its own, never as one union: one
     execution over two lineages, a read-backed one and one holding an
     all-to-all op, hangs a one-CPU cluster.  An already materialized
-    source, or a ``Blocks`` one, costs no executor run.  Zero-row blocks
+    source, or a ``Blocks`` one, costs no executor run and no
+    ``materialize()`` (:func:`_bundles`).  Zero-row blocks
     (Ray can emit them schema-less) are dropped.
 
     ``schema`` declares the moved rows; when None and
@@ -480,8 +510,9 @@ def exchange_blocks(
     """One hash exchange + a vectorized per-partition reduce as RAW Ray
     tasks, its output as :class:`Blocks` — the exchange under
     ``exchange_join``, ``exchange_agg`` and ``keyed_exchange``.  An
-    operator chaining exchanges hands these blocks to the next one and
-    wraps a Dataset (:meth:`Blocks.dataset`) around its last output only.
+    operator chaining exchanges hands these blocks to the next one; a
+    public operator wraps its last output in a Dataset, once
+    (:func:`~.exchange.dataset_api`).
 
     ``sources`` is a Dataset, a :class:`Blocks`, a ``(source,
     block_fn)`` pair, or a list of these whose rows meet in one exchange
@@ -596,12 +627,11 @@ def sort_blocks(sources, keys: list[str] | str, reduce_fn=None, *,
     sample task and in the split task.  The sample sets only the
     balance: any cut rows give the same sorted rows.  Rows with equal
     key tuples fall in one range; ties keep source-block order (the sort
-    is stable).  Nulls sort last.  Dataset sources are materialized
+    is stable).  Nulls sort last.  A lazy Dataset source is materialized
     once, for the sample and the exchange; a ``_range`` input column
     raises."""
     keys = [keys] if isinstance(keys, str) else list(keys)
-    srcs = [(s if isinstance(s, Blocks) else s.materialize(), fn)
-            for s, fn in _sources(sources)]
+    srcs = [(materialized(s), fn) for s, fn in _sources(sources)]
     blocks, _, sizes = _walk_sources(srcs)
     P = _sized(sizes, max_parts)
     cuts = None
@@ -633,6 +663,7 @@ def sort_blocks(sources, keys: list[str] | str, reduce_fn=None, *,
                           sort, P)
 
 
+@dataset_api
 def two_phase_reduce(
     ds,
     p1_col: str,
@@ -645,17 +676,16 @@ def two_phase_reduce(
 ) -> rd.Dataset:
     """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
 
-    The input's materialized blocks are split by the precomputed
-    ``p1_col`` (the :func:`exchange_blocks` first phase), each partition
-    reduced and re-split by ``p2_col`` inside ONE task, and the
-    second-phase partitions reduced to the output refs — no executor
-    barriers between phases.  ``ds`` is a Dataset or a ``(Dataset,
-    block_fn)`` pair: the block function maps each input block, in the
-    task that splits it, to the rows the first phase moves (``p1_col``
-    included).  ``reduce1`` must emit ``p2_col``; ``reduce2`` receives
-    the concatenated second-phase partition.  The output is a
-    MaterializedDataset, one block per partition; an empty input gives
-    one with no blocks.
+    The input's blocks are split by the precomputed ``p1_col`` (the
+    :func:`exchange_blocks` first phase), each partition reduced and
+    re-split by ``p2_col`` inside ONE task, and the second-phase
+    partitions reduced to the output refs — no executor barriers
+    between phases.  ``ds`` is a source as :func:`exchange_blocks` takes
+    it: a pair's block function maps each input block, in the task that
+    splits it, to the rows the first phase moves (``p1_col`` included).
+    ``reduce1`` must emit ``p2_col``; ``reduce2`` receives the
+    concatenated second-phase partition.  The output is one block per
+    partition; an empty input gives no blocks.
 
     Scale shape: each phase costs ~B*P + P^2 objects and 2P + B tasks
     for B input blocks, so P is sized to the materialized input rather
@@ -676,12 +706,12 @@ def two_phase_reduce(
     dest1, fns, _ = _partition(_sources(ds), p1_col, num_parts=num_parts,
                                max_parts=max_parts, derive_schema=False)
     if not dest1[0]:
-        return Blocks([], []).dataset()
+        return Blocks([], [])
     P = len(dest1)
     middle = functools.partial(_reduce_slices, reduce1, None, fns)
     dest2 = _route([(middle, tuple(d)) for d in dest1], p2_col, P)
     return Blocks.of([_reduce_task.remote(reduce2, None, None, *d)
-                      for d in dest2]).dataset()
+                      for d in dest2])
 
 
 # ------------------------------------------------- checkpoint helpers

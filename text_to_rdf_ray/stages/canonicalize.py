@@ -39,6 +39,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernels.minhash import band_keys, char_shingles, jaccard, minhash_signature
+from .bsp import (Blocks, _as_table, _source_blocks, map_blocks, materialized,
+                  two_phase_reduce)
+from .exchange import _sources, _then, agg_blocks, dataset_api, join_blocks, join_out_schema
 
 DEFAULT_NUM_PERM = 64
 DEFAULT_BANDS = 16
@@ -75,8 +78,9 @@ def _solid(ds: rd.Dataset, n: int = 8) -> rd.Dataset:
 DRIVER_UNION_FIND_THRESHOLD = 200_000
 
 
-def _local_union_find(edge_rows) -> list[dict]:
-    """Driver-side path-compressed union-find; deterministic (min root)."""
+def _local_union_find(edges) -> pa.Table:
+    """Driver-side path-compressed union-find over ``(src, dst)`` pairs:
+    ``(name_id, component)`` of every node by id; deterministic (min root)."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -87,18 +91,20 @@ def _local_union_find(edge_rows) -> list[dict]:
             parent[x], x = root, parent[x]
         return root
 
-    for r in edge_rows:
-        a, b = find(int(r["src"])), find(int(r["dst"]))
+    nodes = set()
+    for src, dst in edges:
+        a, b = find(src), find(dst)
         if a != b:
             lo, hi = (a, b) if a < b else (b, a)
             parent[hi] = lo
-    nodes = set()
-    for r in edge_rows:
-        nodes.add(int(r["src"]))
-        nodes.add(int(r["dst"]))
-    return [{"name_id": n, "component": find(n)} for n in sorted(nodes)]
+        nodes.update((src, dst))
+    nodes = sorted(nodes)
+    return pa.table({"name_id": pa.array(nodes, pa.int64()),
+                     "component": pa.array([find(n) for n in nodes],
+                                           pa.int64())})
 
 
+@dataset_api
 def connected_components(
     edges: rd.Dataset,
     max_rounds: int = 64,
@@ -135,26 +141,17 @@ def connected_components(
     cost.  The distributed path remains for larger graphs (and is what the
     skew/scale design assumes).
     """
+    import ray
+
     # one materialization: counted, then read by both orientations
-    edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        # from_arrow, not from_items([]).map_batches: with zero blocks
-        # the lambda never runs and the dataset is schema-less
-        # (review r5)
-        return rd.from_arrow(pa.table(
-            {"name_id": pa.array([], pa.int64()),
-             "component": pa.array([], pa.int64())}))
-    if n_edges < driver_threshold:
-        rows = _local_union_find(edges.take_all())
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "name_id": pa.array([r["name_id"] for r in rows], pa.int64()),
-                    "component": pa.array([r["component"] for r in rows], pa.int64()),
-                }
-            )
-        )
+    edges = materialized(edges)
+    blocks, _ = _source_blocks(edges)
+    n_edges = sum(rows for _, rows, _ in blocks)
+    if not n_edges or n_edges < driver_threshold:
+        tbls = [_as_table(t, None) for t in ray.get([b[0] for b in blocks])]
+        return Blocks.put([_local_union_find(
+            (s, d) for t in tbls for s, d in zip(t.column("src").to_pylist(),
+                                                 t.column("dst").to_pylist()))])
 
     from .bsp import connected_components_bsp
 
@@ -254,6 +251,7 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
     }
 
 
+@dataset_api
 def canonicalize_surfaces(
     surfaces: rd.Dataset,
     *,
@@ -265,7 +263,8 @@ def canonicalize_surfaces(
 ) -> rd.Dataset:
     """(surface) -> (surface, canonical) mapping dataset.
 
-    ``surfaces`` must have a ``surface`` string column (distinct values).
+    ``surfaces`` (a Dataset or :class:`~.bsp.Blocks`) must have a
+    ``surface`` string column (distinct values).
     """
     def assign_ids(t: pa.Table) -> pa.Table:
         from hashlib import blake2b
@@ -280,13 +279,8 @@ def canonicalize_surfaces(
                 pa.int64()),
         })
 
-    from .bsp import Blocks, map_blocks
-    from .exchange import agg_blocks, exchange_join, join_blocks
-
-    # every exchange below hands its block refs to the next (bsp.Blocks);
-    # a Dataset wraps only what leaves the exchange chain
+    # every exchange below hands its block refs to the next (bsp.Blocks)
     ids = map_blocks(surfaces, assign_ids)
-    ids_ds = ids.dataset()
 
     # 63-bit id collision guard: a digest collision would silently merge
     # two unrelated surfaces into one component corpus-wide (birthday
@@ -305,8 +299,8 @@ def canonicalize_surfaces(
     # re-read for the (tiny) candidate set in the verify stage
     from .dedup import _minhash_bands_feat_batch, _pairs_from_buckets
 
-    pairs = _pairs_from_buckets(
-        ids_ds,
+    pairs = _pairs_from_buckets.blocks(
+        ids,
         None,
         _surface_verify_fn(tau),
         "name_id",
@@ -353,19 +347,20 @@ def canonicalize_surfaces(
             t.filter(pc.invert(pc.equal(t.column("name_id"),
                                         t.column("root"))))))
 
-    # both edge sets as one dataset of their blocks: no union execution
+    # both edge sets as the blocks of one source: no union execution
     pair_edges = map_blocks(pairs, lambda t: pa.table(
         {"src": t.column("id_a"), "dst": t.column("id_b")}))
-    edges = Blocks.chain(pair_edges, norm_edges).dataset()
+    edges = Blocks.chain(pair_edges, norm_edges)
 
-    if edges.count() == 0:
+    if edges.num_rows() == 0:
         return map_blocks(ids, lambda t: pa.table(
             {"surface": t.column("surface"),
-             "canonical": t.column("surface")})).dataset()
+             "canonical": t.column("surface")}))
 
-    # connected_components already returns a materialized (or from_arrow)
-    # labels table, a join side without further barriers
-    comp = connected_components(edges, driver_threshold=cc_driver_threshold)
+    # the labels table (driver-tier Blocks, or the BSP's labels) is a
+    # join side without further barriers
+    comp = connected_components.blocks(edges,
+                                       driver_threshold=cc_driver_threshold)
 
     _S_IDS = pa.schema([("surface", pa.string()), ("name_id", pa.int64())])
     _S_COMP = pa.schema([("name_id", pa.int64()), ("component", pa.int64())])
@@ -391,7 +386,7 @@ def canonicalize_surfaces(
     canon = agg_blocks(
         with_comp, "component", [("surface", "min", "canonical")],
         num_partitions=16)
-    return exchange_join(
+    return join_blocks(
         with_comp, canon, on="component", num_partitions=16,
         left_schema=_S_WC, right_schema=_S_CANON,
         columns=["surface", "canonical"])
@@ -456,6 +451,7 @@ def _subject_norm_columns(subj: list) -> tuple[pa.Array, pa.Array]:
     return pa.array(slugs, pa.string()), pa.array(lowers, pa.string())
 
 
+@dataset_api
 def apply_canonical_join(
     triples: rd.Dataset, cmap: rd.Dataset, num_partitions: int = 16
 ) -> rd.Dataset:
@@ -466,12 +462,10 @@ def apply_canonical_join(
     an exchange) needs only the CHANGED surfaces (surface != canonical);
     unmatched rows keep their surface.
 
-    Both joins run as chained ``exchange_join``s (plain tasks, no
-    JoinOperator actor pools) with schemas passed through, so the two
-    rewrites and the final column surgery fuse into ONE executor plan
-    with no materialization barrier."""
-    from .exchange import exchange_join, join_out_schema
-
+    Both joins run as chained raw-task exchange joins (no JoinOperator
+    actor pools) with schemas passed through, and the final column
+    surgery runs one raw task per joined block: no Ray Data execution
+    over materialized triples."""
     def rename(key: str, ccol: str) -> tuple[tuple, pa.Schema]:
         # a block function of the join side: no Ray Data map in front
         side = (cmap, lambda t, key=key, ccol=ccol: pa.table(
@@ -483,12 +477,12 @@ def apply_canonical_join(
     ts = pa.schema(list(zip(t_schema.names, t_schema.types)))
     subj_side, subj_schema = rename("subj", "subj_canon")
     obj_side, obj_schema = rename("obj", "obj_canon")
-    j1 = exchange_join(
+    j1 = join_blocks(
         triples, subj_side, on="subj", how="left_outer",
         num_partitions=num_partitions,
         left_schema=ts, right_schema=subj_schema,
     )
-    joined = exchange_join(
+    joined = join_blocks(
         j1, obj_side, on="obj", how="left_outer",
         num_partitions=num_partitions,
         left_schema=join_out_schema(ts, subj_schema, "subj"),
@@ -516,7 +510,7 @@ def apply_canonical_join(
         cols["subj_lower"] = lower
         return pa.table(cols)
 
-    return joined.map_batches(rewrite, batch_format="pyarrow")
+    return map_blocks(joined, rewrite)
 
 
 _PACK_SEP = "\x1f"
@@ -544,6 +538,7 @@ _DEDUP_OUT_SCHEMA = pa.schema([
 _DEDUP_MAX_PARTS = 32
 
 
+@dataset_api
 def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
     """Global exact (subj, pred, obj) dedup — the final canonical shuffle
     (HashSet semantics of integration_tests.rs:70, A3 in SURVEY.md).
@@ -734,16 +729,12 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
 
     # raw-task two-phase exchange (stages/bsp.py) sized to the packed
     # blocks — this tail is on the headline path
-    from .bsp import map_blocks, two_phase_reduce
-    from .exchange import _sources, _then
-
     [(src, fn)] = _sources(triples)
     packed = map_blocks(src, _then(fn, pack))
     if packed.num_rows() == 0:
-        # zero-block/zero-row input: empty result, not
-        # two_phase_reduce's empty-input ValueError (review r5)
-        return rd.from_arrow(_DEDUP_OUT_SCHEMA.empty_table())
+        # zero-block/zero-row input: one typed empty block (review r5)
+        return Blocks.put([_DEDUP_OUT_SCHEMA.empty_table()])
     # the unpack runs in the second phase's reduce tasks: the output is
     # materialized, with no Ray Data map after the exchange
-    return two_phase_reduce(packed, "p1", "p2", reduce1, reduce2,
-                            max_parts=_DEDUP_MAX_PARTS)
+    return two_phase_reduce.blocks(packed, "p1", "p2", reduce1, reduce2,
+                                   max_parts=_DEDUP_MAX_PARTS)

@@ -34,7 +34,8 @@ from ..kernels.minhash import (
     simhash64,
     word_shingles,
 )
-from .exchange import keyed_apply
+from .bsp import Blocks, map_blocks, materialized, two_phase_reduce
+from .exchange import dataset_api, keyed_apply
 
 
 def _text_hash64(texts: list[str]) -> list[int]:
@@ -202,6 +203,7 @@ _PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                           ("score", pa.float64())])
 
 
+@dataset_api
 def _pairs_from_buckets(
     ds: rd.Dataset,
     bands_feat_fn,
@@ -215,7 +217,8 @@ def _pairs_from_buckets(
     bands_feat_batch_fn=None,
     counter_prefix: str = "lsh",
 ) -> rd.Dataset:
-    """Generic LSH pipeline in three stages:
+    """Generic LSH pipeline over ``ds`` (a Dataset or :class:`~.bsp.Blocks`)
+    in three stages:
 
     1. explode: band keys per row — the exchange moves ONLY
        ``(shard, band_id, band_hash, id[, sketch])`` (tens of bytes plus an
@@ -253,7 +256,7 @@ def _pairs_from_buckets(
 
     # the band exchange and the verify pass both read the corpus: a lazy
     # input executes once (no executor run when it is materialized)
-    ds = ds.materialize()
+    ds = materialized(ds)
     if prepare_fn is None:
         prepare_fn = lambda p: p  # noqa: E731
 
@@ -359,11 +362,7 @@ def _pairs_from_buckets(
     # candidate generation as a raw-task two-phase exchange (bsp.py):
     # split band rows by shard (bucket-key hash — co-locates each
     # bucket), per-shard pair generation + ppart tagging in one task,
-    # re-split by ppart, cross-shard pair dedup in the second task —
-    # the Dataset form's two sort-based all-to-all operators (~1.5s
-    # fixed each) are gone; shuffle volume identical
-    from .bsp import map_blocks, two_phase_reduce
-
+    # re-split by ppart, cross-shard pair dedup in the second task
     def reduce1_tbl(t: pa.Table) -> pa.Table:
         out = shard_candidates(t.to_pandas())
         tt = pa.table({
@@ -380,13 +379,13 @@ def _pairs_from_buckets(
     # the tasks that split the corpus blocks, with no Ray Data map or
     # materialization of the band rows in front of the exchange.  An
     # empty corpus gives no candidate blocks
-    cands = two_phase_reduce(
+    cands = two_phase_reduce.blocks(
         (ds, _band_explode(bands_feat_fn, id_col, payload_col,
                            bands_feat_batch_fn)),
         "shard", "ppart", reduce1_tbl, reduce2_tbl, max_parts=64,
     )
 
-    n_cands = cands.count()
+    n_cands = cands.num_rows()
     # counted once here, after the global pair dedup: per-task counts
     # would re-count a pair that surfaces in several partitions, so the
     # figure would depend on the exchange's partition count
@@ -394,7 +393,7 @@ def _pairs_from_buckets(
 
     incr({f"{counter_prefix}_candidates": n_cands})
     if n_cands == 0:
-        return rd.from_arrow(_PAIR_SCHEMA.empty_table())
+        return Blocks.put([_PAIR_SCHEMA.empty_table()])
 
     def norm_pairs(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "id_a" not in t.column_names:
@@ -423,26 +422,19 @@ def _pairs_from_buckets(
         # int64 — trivial to pull; the distributed union+groupby below
         # costs two exchanges, which dominate when the candidate ID set is
         # small, e.g. templated corpora: 400k pairs over 4k ids)
-        pdf = cands.to_pandas()
-        need_arr = np.union1d(pdf["id_a"].to_numpy(), pdf["id_b"].to_numpy())
-        need_set = set(int(x) for x in need_arr)
+        need_set = {v for t in ray.get(cands.refs) if t.num_rows
+                    for c in ("id_a", "id_b") for v in t.column(c).to_pylist()}
         n_ids = len(need_set)
     else:
         def ids_of(col: str):
             return lambda t: pa.table({id_col: t.column(col)})
 
-        from .exchange import exchange_agg
+        from .exchange import agg_blocks
 
         # both id columns as two sources of one distinct
-        need_ids = (
-            exchange_agg([(cands, ids_of("id_a")), (cands, ids_of("id_b"))],
-                         id_col)
-            .map_batches(
-                lambda t: pa.table({id_col: t.column(id_col).cast(pa.int64())}),
-                batch_format="pyarrow")
-            .materialize()
-        )
-        n_ids = need_ids.count()
+        need_ids = agg_blocks([(cands, ids_of("id_a")),
+                               (cands, ids_of("id_b"))], id_col)
+        n_ids = need_ids.num_rows()
 
     # The broadcast-vs-join decision keys on the DISTINCT-ID count (feature
     # volume), not the pair count: pairs verify block by block either
@@ -453,15 +445,14 @@ def _pairs_from_buckets(
     # large to broadcast.
     if n_ids <= broadcast_threshold:
         need = (need_set if need_ids is None
-                else {int(r[id_col]) for r in need_ids.take_all()})
+                else {v for t in ray.get(need_ids.refs)
+                      for v in t.column(id_col).to_pylist()})
         need_ref = ray.put(need)
 
         def extract_feats(batch: pa.Table) -> pa.Table:
-            # _worker_obj_cache, not a closure dict: every task
-            # unpickles its own copy of the closure, so a closure-level memo
-            # starts empty every task and refetches the broadcast
-            # (review r5 — the exact pattern the module comment at
-            # _WORKER_OBJ_CACHE documents)
+            # _worker_obj_cache, not a closure dict: every task unpickles
+            # its own closure, so a closure-level memo would refetch the
+            # broadcast every task (_WORKER_OBJ_CACHE)
             return featurize(batch, _worker_obj_cache(need_ref))
 
         # features stay PICKLED BYTES end-to-end: a dict of bytes
@@ -478,16 +469,9 @@ def _pairs_from_buckets(
             feats.update(zip(t.column(id_col).to_pylist(),
                              t.column("feat").to_pylist()))
         feats_ref = ray.put(feats)
-        fcache: dict = {}
 
         def verify_batch(batch: pa.Table) -> pa.Table:
-            f = fcache.get("f")
-            if f is None:
-                # per-worker-PROCESS cache (module global), not per task:
-                # every task unpickles its own closure, so a
-                # closure-level cache would re-ray.get every task
-                f = _worker_obj_cache(feats_ref)
-                fcache["f"] = f
+            f = _worker_obj_cache(feats_ref)  # as extract_feats
             local: dict = {}
 
             def feat(i):
@@ -510,44 +494,38 @@ def _pairs_from_buckets(
                  "score": pa.array(sc, pa.float64())}
             )
 
-        return map_blocks(cands,
-                          lambda t: norm_pairs(verify_batch(t))).dataset()
+        return map_blocks(cands, lambda t: norm_pairs(verify_batch(t)))
 
     # distributed verify: semi-join the candidate ids against the corpus to
     # featurize only candidate rows, then attach features to both pair
     # sides via hash-partitioned joins.  Shuffle volume is proportional to
     # the candidate set, not bands x corpus.
     if need_ids is None:  # small-pairs shortcut skipped the distributed distinct
-        need_ids = rd.from_arrow(pa.table(
-            {id_col: pa.array(sorted(need_set), pa.int64())}))
-    from .exchange import exchange_join, join_out_schema
+        need_ids = Blocks.put([pa.table(
+            {id_col: pa.array(sorted(need_set), pa.int64())})])
+    from .exchange import join_blocks, join_out_schema
 
     # the corpus projection is the join side's block function; the join
     # reads the side's schema from the materialized corpus (no probe)
-    corpus = (ds.materialize(), lambda t: pa.table({
+    corpus = (ds, lambda t: pa.table({
         id_col: t.column(id_col).cast(pa.int64()),
         payload_col: t.column(payload_col)}))
     _S_NEED = pa.schema([(id_col, pa.int64())])
-    feats_ds = (
-        exchange_join(corpus, need_ids, on=id_col, num_partitions=16,
-                      right_schema=_S_NEED)
-        .map_batches(lambda b: featurize(b, None), batch_format="pyarrow")
-        .materialize()
-    )
+    feats = map_blocks(
+        join_blocks(corpus, need_ids, on=id_col, num_partitions=16,
+                    right_schema=_S_NEED),
+        lambda b: featurize(b, None))
     _S_FEAT_A = pa.schema([("id_a", pa.int64()), ("feat_a", pa.binary())])
     _S_FEAT_B = pa.schema([("id_b", pa.int64()), ("feat_b", pa.binary())])
     _S_CANDS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
-    def rename_feats(suffix: str) -> rd.Dataset:
-        # lazy over the materialized feats, consumed by the attach joins
-        return feats_ds.map_batches(
-            lambda t, s=suffix: pa.table({f"id_{s}": t.column(id_col),
-                                          f"feat_{s}": t.column("feat")}),
-            batch_format="pyarrow",
-        )
+    def rename_feats(suffix: str) -> tuple:
+        # the feats as one attach join's side
+        return (feats, lambda t: pa.table({f"id_{suffix}": t.column(id_col),
+                                           f"feat_{suffix}": t.column("feat")}))
 
-    joined = exchange_join(
-        exchange_join(
+    joined = join_blocks(
+        join_blocks(
             cands, rename_feats("a"), on="id_a", num_partitions=16,
             left_schema=_S_CANDS, right_schema=_S_FEAT_A,
         ),
@@ -573,8 +551,7 @@ def _pairs_from_buckets(
              "score": pa.array(sc, pa.float64())}
         )
 
-    return map_blocks(joined,
-                      lambda t: norm_pairs(verify_joined(t))).dataset()
+    return map_blocks(joined, lambda t: norm_pairs(verify_joined(t)))
 
 
 def _pairs_inband(

@@ -60,12 +60,9 @@ another materialization.  ``keyed_exchange`` cannot type a partition it
 never calls ``reduce`` on, so it drops empty partitions instead.
 
 An operator that chains exchanges calls ``join_blocks`` / ``agg_blocks``
-(or ``bsp.exchange_blocks``) for every exchange but its last: they
-return the reduce tasks' block refs with each block's Ray metadata
-(``bsp.Blocks``), which the next exchange takes as a source.  No
-Dataset is built between the exchanges; the operator's output is
-wrapped once, from that metadata, with no metadata task
-(``bsp.Blocks.dataset``).
+(or ``bsp.exchange_blocks``): they return the reduce tasks' block refs
+with each block's Ray metadata (``bsp.Blocks``), the next step's
+source; a public operator wraps its output once (:func:`dataset_api`).
 """
 
 from __future__ import annotations
@@ -231,6 +228,23 @@ def _then(fn, g):
     return g if fn is None else (lambda t: g(fn(t)))
 
 
+def dataset_api(op):
+    """The public form of an operator that returns :class:`~.bsp.Blocks`:
+    its output wrapped in a Dataset once, at the return (a Dataset
+    output as it is).  ``op`` stays reachable as ``.blocks``, for callers
+    that hand its blocks to the next raw-task step."""
+    import functools
+
+    @functools.wraps(op)
+    def public(*args, **kwargs):
+        out = op(*args, **kwargs)
+        return out if isinstance(out, rd.Dataset) else out.dataset()
+
+    public.blocks = op
+    return public
+
+
+@dataset_api
 def exchange_agg(
     ds: rd.Dataset,
     keys: tuple[str, ...] | list[str] | str,
@@ -260,14 +274,6 @@ def exchange_agg(
     raw rows.  ``ds`` may be a ``(Dataset, block_fn)`` pair or a list
     of sources (module docstring).
     """
-    return agg_blocks(ds, keys, aggs, num_partitions=num_partitions,
-                      combine=combine).dataset()
-
-
-def agg_blocks(ds, keys, aggs=(), *, num_partitions: int = 32,
-               combine: bool = True):
-    """:func:`exchange_agg` with its output as :class:`~.bsp.Blocks`
-    (the next exchange of the same operator takes it as a source)."""
     from .bsp import exchange_blocks
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -328,6 +334,10 @@ def agg_blocks(ds, keys, aggs=(), *, num_partitions: int = 32,
     return exchange_blocks([(src, _then(fn, first))
                             for src, fn in _sources(ds)],
                            _PART, reduce_part, max_parts=num_partitions)
+
+
+#: :func:`exchange_agg` with its output as :class:`~.bsp.Blocks`
+agg_blocks = exchange_agg.blocks
 
 
 def keyed_exchange(
@@ -409,6 +419,7 @@ def pandas_block(fn):
     return block_fn
 
 
+@dataset_api
 def exchange_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -451,16 +462,6 @@ def exchange_join(
     that need SQL null semantics must filter nulls first.  No oracled
     path here carries null keys.
     """
-    return join_blocks(left, right, on=on, how=how,
-                       num_partitions=num_partitions, left_schema=left_schema,
-                       right_schema=right_schema, columns=columns).dataset()
-
-
-def join_blocks(left, right, *, on, how: str = "inner",
-                num_partitions: int = 32, left_schema=None,
-                right_schema=None, columns: list[str] | None = None):
-    """:func:`exchange_join` with its output as :class:`~.bsp.Blocks`
-    (the next exchange of the same operator takes it as a source)."""
     from .bsp import exchange_blocks
 
     if how not in ("inner", "left_outer", "full_outer"):
@@ -585,6 +586,10 @@ def join_blocks(left, right, *, on, how: str = "inner",
         [(src, _then(fn, pad(0))) for src, fn in left]
         + [(src, _then(fn, pad(1))) for src, fn in right],
         _PART, merge_part, padded, max_parts=num_partitions)
+
+
+#: :func:`exchange_join` with its output as :class:`~.bsp.Blocks`
+join_blocks = exchange_join.blocks
 
 
 def _join_side(side, declared: pa.Schema | None):

@@ -22,11 +22,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..kernels.extractor import extract_document
 from ..kernels.text import extract_text
 from ..kernels.validation import DATE_PREDICATES
+from .bsp import Blocks, block_values, exchange_blocks, map_blocks, materialized
+from .exchange import agg_blocks, dataset_api, join_blocks, join_out_schema
 
 #: the relational row view custom ValidationRules are evaluated against in
 #: ``validate_triples`` — a rule requiring any other property (e.g. a real
@@ -191,19 +192,6 @@ def make_link_task(kb_ref, fuzzy_threshold=0.8, confidence_threshold=0.5):
     return link_batch
 
 
-@ray.remote
-def _null_count(tbl: pa.Table, col: str) -> int:
-    return tbl.column(col).null_count
-
-
-def _any_null(blocks, col: str) -> bool:
-    """Whether column ``col`` of the exchange output ``blocks`` (a
-    ``bsp.Blocks``) holds a null: one task per non-empty block, no Ray
-    Data execution."""
-    refs = [ref for ref, m in zip(blocks.refs, blocks.metas()) if m.num_rows]
-    return any(ray.get([_null_count.remote(ref, col) for ref in refs]))
-
-
 def _id64(key: str) -> int:
     """The linker's 63-bit row id: blake2b-64 of ``key``, shifted right
     by one."""
@@ -275,10 +263,10 @@ class KBLabelTable:
     (``run_partitioned`` builds it once for all its partitions).
 
     A list KB is already in driver memory: it is labelled on the driver
-    and handed over with ``rd.from_arrow`` in blocks of
+    and put in the object store as :class:`~.bsp.Blocks` of
     ``KB_LABEL_BLOCK_ROWS`` rows (one block per 2,048 label rows, at
-    least one), with no Ray Data execution.  A Dataset KB is labelled by
-    one ``map_batches`` over it, materialized."""
+    least one), with no task and no Dataset.  A Dataset KB is labelled
+    by one ``map_batches`` over it, materialized."""
 
     def __init__(self, kb_records) -> None:
         self.kb_records = kb_records
@@ -297,7 +285,7 @@ class KBLabelTable:
             else:
                 t = _label_rows(kb)
                 n = KB_LABEL_BLOCK_ROWS
-                self._labels = rd.from_arrow(
+                self._labels = Blocks.put(
                     [t.slice(i, n) for i in range(0, len(t), n)] or [t])
         return self._labels
 
@@ -305,12 +293,11 @@ class KBLabelTable:
         """The ``(band_id, band_hash, lid)`` rows of every label, one raw
         task per label block (``bsp.Blocks``)."""
         if self._bands is None:
-            from .bsp import map_blocks
-
             self._bands = map_blocks(self.labels(), _band_rows("kb_low", "lid"))
         return self._bands
 
 
+@dataset_api
 def link_entities_join(
     triples,
     kb_records,
@@ -349,9 +336,9 @@ def link_entities_join(
     of the exchange it feeds, and each exchange hands its block refs to
     the next (``bsp.Blocks``): no Dataset is built between them.  Over
     materialized triples and a list KB the link starts no Ray Data
-    execution (a Dataset KB costs one, its label table).  The output is
-    a materialized dataset: the last join's blocks with the link
-    columns finalized, one raw task per block.
+    execution (a Dataset KB costs one, its label table; lazy triples
+    one, their materialization).  The output is the last join's blocks
+    with the link columns finalized, one raw task per block.
 
     Output columns and values equal the broadcast paths exactly on every
     pair the band blocking surfaces (parity-tested).  Recall note: a
@@ -362,8 +349,6 @@ def link_entities_join(
     """
     from ..kernels.linker import EXACT_CONFIDENCE, jaro_winkler_batch
     from ..kernels.minhash import _hash_shingles
-    from .bsp import exchange_blocks, map_blocks
-    from .exchange import agg_blocks, join_blocks, join_out_schema
 
     kb = (kb_records if isinstance(kb_records, KBLabelTable)
           else KBLabelTable(kb_records))
@@ -412,18 +397,15 @@ def link_entities_join(
     # vectorized group_by — NOT a per-surface Ray groupby (one Python
     # call per distinct surface: the measured Ray-2.49 per-key pathology,
     # 153s vs <2s at 48k keys — NOTES_r3.md)
-    triples_mat = triples.materialize()
+    triples_mat = materialized(triples)
     surfaces = exchange_blocks([(triples_mat, surface_rows)], "sid",
                                distinct_surfaces, _S_SURF,
                                max_parts=num_partitions)
 
     # ONE left_outer exchange splits the surfaces: matched rows ARE the
-    # exact links (duplicated per matching label, same as the old inner
-    # join), unmatched rows ARE the fuzzy side — the separate exact-hit
-    # projection + anti-join exchange is gone (one fewer shuffle of the
-    # surface table).  The projections, filters and combiners from here
-    # on are block functions of the exchange each one feeds: they run in
-    # its split tasks, with no Ray Data execution of their own
+    # exact links (one per matching label), unmatched rows ARE the fuzzy
+    # side.  The projections, filters and combiners from here on are
+    # block functions of the exchange each one feeds (its split tasks)
     matched = join_blocks(
         surfaces,
         (labels, lambda t: pa.table({"low": t.column("kb_low"),
@@ -506,7 +488,8 @@ def link_entities_join(
                                     preserve_index=False)
 
     top1_sources = [(matched, lambda t: top1_combine(exact(t)))]
-    if _any_null(matched, "kb_uri"):
+    # any surface without an exact match: one null-count task per block
+    if any(block_values(matched, lambda t: t.column("kb_uri").null_count)):
         # sid rides on the surface rows and lid on the label table, so
         # the band join moves only ids; strings re-attach via exchange
         # joins on the tiny candidate set.  The label band rows are the
@@ -597,7 +580,7 @@ def link_entities_join(
         ]
         return pa.table({name: cols[name] for name in order})
 
-    return map_blocks(out, finalize).dataset()
+    return map_blocks(out, finalize)
 
 
 def validate_triples(batch: pa.Table, rules=()) -> pa.Table:
