@@ -42,9 +42,6 @@ def test_stage_registry(ray_session):
 
     from text_to_rdf_ray.functions import registry
 
-    assert "strip_html" in registry.list_stages()
-    assert "extract_triples" in registry.list_stages()
-
     def upper_text(batch: pa.Table) -> pa.Table:
         return pa.table(
             {"text": pa.array([t.upper() for t in batch.column("text").to_pylist()])}
@@ -133,7 +130,6 @@ def test_extract_json_block_and_context_injection():
         HARDCODED_CONTEXT,
         extract_json_block,
         inject_hardcoded_context,
-        to_json_with_provenance,
     )
 
     # extractor.rs:746-782 test shapes
@@ -147,12 +143,6 @@ def test_extract_json_block_and_context_injection():
     injected = inject_hardcoded_context(doc)
     assert injected["@context"] == HARDCODED_CONTEXT
     assert doc["@context"] == "https://schema.org/"  # original untouched
-
-    with_prov = to_json_with_provenance(doc, text_span=(0, 10), confidence=0.9,
-                                        chunk_id=1, method="pattern")
-    assert with_prov["_provenance"] == {
-        "textSpan": [0, 10], "confidence": 0.9, "chunkId": 1, "method": "pattern"
-    }
 
 
 def test_instructor_retry_loop():

@@ -3,10 +3,7 @@
 from text_to_rdf_ray.kernels.knowledge import KnowledgeBuffer
 from text_to_rdf_ray.kernels.linker import KBIndex, jaro_winkler
 from text_to_rdf_ray.kernels.metrics import evaluate, macro_average
-from text_to_rdf_ray.kernels.validation import (
-    score_triple,
-    validate_document,
-)
+from text_to_rdf_ray.kernels.validation import validate_document
 
 
 def test_kb_first_write_wins():
@@ -240,10 +237,22 @@ def test_validation_reference_arithmetic():
     assert abs(res.confidence - 0.9) < 1e-9
 
 
-def test_score_triple_column_arithmetic():
-    assert score_triple("birthDate", "1932-03-15", False) == 1.0
-    assert abs(score_triple("birthDate", "bad", False) - 0.95) < 1e-9
-    assert abs(score_triple("x", "y", False, has_subj=False) - 0.8) < 1e-9
+def test_validate_triples_confidence_arithmetic():
+    import pyarrow as pa
+
+    from text_to_rdf_ray.stages.kg_stages import validate_triples
+
+    rows = pa.table({
+        "subj": ["Alan Bean", "Alan Bean", ""],
+        "subj_type": ["Person", "Person", "Person"],
+        "pred_key": ["birthDate", "birthDate", "x"],
+        "obj": ["1932-03-15", "bad", "y"],
+        "obj_type": ["", "", ""],
+        "confidence": [1.0, 1.0, 1.0]})
+    conf = validate_triples(rows).column("confidence").to_pylist()
+    assert conf[0] == 1.0
+    assert abs(conf[1] - 0.95) < 1e-9  # malformed date literal
+    assert abs(conf[2] - 0.8) < 1e-9  # missing subject name
 
 
 def test_metrics_reference_math():

@@ -1326,3 +1326,23 @@ def test_partitioned_join_run_at_one_cpu_in_a_fresh_process(pages_dir,
 
     for part in want:
         pd.testing.assert_frame_equal(got[part], want[part])
+
+
+def test_partitioned_join_run_starts_no_counter_actor(pages_dir, tmp_path):
+    """Counters travel with the data: a driver increment and a join-mode
+    run_partitioned with the distributed canonicalize leave no named
+    counter actor in any namespace."""
+    import ray
+
+    from text_to_rdf_ray.pipelines.kg import run_partitioned
+    from text_to_rdf_ray.sources.fixtures import kb_records
+    from text_to_rdf_ray.state import counters
+
+    counters.snapshot(reset=True)
+    counters.incr({"before_run": 1})
+    run_partitioned(pages_dir, str(tmp_path / "out"), partitions=2,
+                    kb_records=kb_records(), link_mode="join",
+                    canonicalize_local_threshold=0)
+    assert counters.snapshot(reset=True).get("before_run") == 1
+    names = [a["name"] for a in ray.util.list_named_actors(all_namespaces=True)]
+    assert "graft_op_counters" not in names

@@ -42,10 +42,6 @@ def register_stage(name: str, fn: Callable | type, *, batch_format: str = "pyarr
     }
 
 
-def list_stages() -> list[str]:
-    return sorted(_STAGES)
-
-
 def apply_stage(ds: rd.Dataset, name: str, **overrides) -> rd.Dataset:
     spec = dict(_STAGES[name])
     spec.update(overrides)

@@ -214,25 +214,3 @@ def inject_hardcoded_context(jsonld: dict) -> dict:
     out = dict(jsonld)
     out["@context"] = dict(HARDCODED_CONTEXT)
     return out
-
-
-def to_json_with_provenance(jsonld: dict, *, text_span=None, confidence=None,
-                            chunk_id=None, method=None, source_text=None) -> dict:
-    """Attach a ``_provenance`` object (types.rs:302-339 / Provenance
-    struct types.rs:91-112).  In the relational pipeline provenance lives
-    in columns; this renderer reproduces the reference's JSON output shape."""
-    out = dict(jsonld)
-    prov = {}
-    if text_span is not None:
-        prov["textSpan"] = list(text_span)
-    if confidence is not None:
-        prov["confidence"] = confidence
-    if chunk_id is not None:
-        prov["chunkId"] = chunk_id
-    if method is not None:
-        prov["method"] = method
-    if source_text is not None:
-        prov["sourceText"] = source_text
-    if prov:
-        out["_provenance"] = prov
-    return out

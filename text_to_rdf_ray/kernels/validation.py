@@ -87,20 +87,3 @@ def validate_document(jsonld: dict, min_confidence: float = 0.7) -> ValidationRe
     confidence = min(1.0, max(0.0, confidence))
     valid = all(v.severity != ERROR for v in violations) and confidence >= min_confidence
     return ValidationResult(valid=valid, confidence=confidence, violations=violations)
-
-
-def score_triple(pred_key: str, obj: str, obj_is_entity: bool, has_subj: bool = True) -> float:
-    """Relational per-triple confidence using the same arithmetic.
-
-    Applied column-wise in the validation stage: 1.0 baseline, -0.2 missing
-    subject name, -0.05 malformed date literal on date predicates, -0.1
-    malformed URI on identifier-like objects; clamped to [0,1].
-    """
-    confidence = 1.0
-    if not has_subj:
-        confidence -= 0.2
-    if pred_key in DATE_PREDICATES and not obj_is_entity and not is_valid_date(obj):
-        confidence -= 0.05
-    if not obj_is_entity and obj.startswith("http") and not is_valid_uri(obj):
-        confidence -= 0.1
-    return min(1.0, max(0.0, confidence))

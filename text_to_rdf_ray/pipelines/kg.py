@@ -40,6 +40,7 @@ import ray
 import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
+from ..state import counters
 from ..stages.bsp import (Blocks, _as_table, _source_blocks, block_values,
                           map_blocks, materialized)
 from ..stages.canonicalize import canonical_rewrite, canonicalize_surfaces, dedup_triples
@@ -53,6 +54,8 @@ from ..stages.kg_stages import (
 )
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]
+#: changed surfaces above which ``build_triples`` rewrites by a hash join
+CANONICAL_MAP_JOIN_THRESHOLD = 1_000_000
 
 
 def read_pages(path: str, *, use_gold_text: bool = False,
@@ -87,7 +90,6 @@ def build_triples(
     extract_kwargs: dict | None = None,
     canonicalize_local_threshold: int = 100_000,
     canonicalize_tau: float | None = None,
-    canonical_map_join_threshold: int = 1_000_000,
 ) -> rd.Dataset:
     """Assemble the pipeline from pages to canonical triples (without
     dedup a lazy Dataset when nothing before materialized them).
@@ -172,7 +174,7 @@ def build_triples(
             changed = map_blocks(cmap, lambda t: t.filter(
                 pc.invert(pc.equal(t.column("surface"), t.column("canonical")))))
             n_changed = changed.num_rows()
-            if n_changed > canonical_map_join_threshold:
+            if n_changed > CANONICAL_MAP_JOIN_THRESHOLD:
                 # mapping too large to broadcast: hash-partitioned join
                 # rewrite (same output contract as the broadcast map)
                 ds = apply_canonical_join.blocks(ds, changed)
@@ -546,7 +548,6 @@ def subject_lookup(
     """
     import glob as _glob
 
-    from ..state import counters as _counters
     from ..state import manifest as mf
 
     for part in mf.completed_partitions(out_dir):
@@ -558,8 +559,8 @@ def subject_lookup(
     want = f"subj_bucket={b}"
     hit_files = [f for f in all_files
                  if os.path.basename(os.path.dirname(f)) == want]
-    _counters.incr({"sublookup_files_total": len(all_files),
-                    "sublookup_files_read": len(hit_files)})
+    counters.incr({"sublookup_files_total": len(all_files),
+                   "sublookup_files_read": len(hit_files)})
     if not hit_files:
         raise FileNotFoundError(
             f"subject_lookup: no subj_bucket={b} files under {out_dir} — "

@@ -9,10 +9,9 @@ escapes ``\\\\ \\" \\n \\r`` in literals.
 
 Ray-Data-first shape: ``ray.data.read_text`` streams the shard files
 (one block per file group, parallel across files), and parsing is one
-``map_batches`` stage with a COMPILED module-level regex — per-line
-work is a single ``re.match`` + group picks, no Python-level state, so
-the stage scales with input bytes exactly like any other map.  Lines
-that do not parse are counted per batch into the ``ntriples_bad_lines``
+raw task per block (``bsp.map_blocks``) with a COMPILED module-level
+regex — per-line work is a single ``re.match`` + group picks.  Lines
+that do not parse are counted per block into the ``ntriples_bad_lines``
 operator counter and dropped (never silently) — at 100 TB a corrupt
 shard must not kill the read, but it must be visible.
 """
@@ -23,6 +22,9 @@ import re
 
 import pyarrow as pa
 import ray.data as rd
+
+from ..stages.bsp import map_blocks
+from ..state.counters import incr
 
 #: one line: subj uri, pred uri, then either an object uri or a quoted
 #: literal (escaped chars allowed), closing ' .'
@@ -46,8 +48,6 @@ def read_ntriples(paths: str | list[str]) -> rd.Dataset:
     ``obj`` is the object URI when ``obj_is_uri`` else the UNESCAPED
     literal text.  Malformed lines are dropped and counted (see module
     docstring)."""
-    from ..state.counters import incr as counter_incr
-
     lines = rd.read_text(paths)
 
     def parse(batch: pa.Table) -> pa.Table:
@@ -73,7 +73,7 @@ def read_ntriples(paths: str | list[str]) -> rd.Dataset:
                 objs.append(_unescape(lit))
                 is_uri.append(False)
         if bad:
-            counter_incr({"ntriples_bad_lines": bad})
+            incr({"ntriples_bad_lines": bad})
         return pa.table({
             "subj_uri": pa.array(subjs, pa.string()),
             "pred_uri": pa.array(preds, pa.string()),
@@ -81,4 +81,4 @@ def read_ntriples(paths: str | list[str]) -> rd.Dataset:
             "obj_is_uri": pa.array(is_uri, pa.bool_()),
         })
 
-    return lines.map_batches(parse, batch_format="pyarrow")
+    return map_blocks(lines, parse).dataset()

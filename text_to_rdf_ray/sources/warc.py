@@ -19,7 +19,8 @@ read, but it must be visible.
 Ray-Data-first shape: ``ray.data.read_binary_files`` streams one file
 per block (files are the parallelism unit for WARC — Common Crawl
 ships ~1 GB shards precisely so readers scale file-wise), and parsing
-is one ``map_batches`` stage over the raw bytes.
+is one raw task per read block (``bsp.map_blocks``) over the raw bytes,
+its counts returned with the block.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import re
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+
+from ..stages.bsp import map_blocks
+from ..state.counters import incr
 
 _STATUS_RE = re.compile(rb"^HTTP/1\.[01] (\d{3})")
 _CTYPE_RE = re.compile(rb"Content-Type: ([^\r\n]+)", re.IGNORECASE)
@@ -104,8 +108,6 @@ def read_warc(paths: str | list[str]) -> rd.Dataset:
     """Read WARC shards into ``(target_uri, record_id, http_status,
     content_type, body)`` — response records only; other record types
     and malformed records are counted, never silently dropped."""
-    from ..state.counters import incr as counter_incr
-
     files = rd.read_binary_files(paths)
 
     def parse(batch: pa.Table) -> pa.Table:
@@ -126,8 +128,7 @@ def read_warc(paths: str | list[str]) -> rd.Dataset:
                 stats.append(r["http_status"])
                 ctypes.append(r["content_type"])
                 bodies.append(r["body"])
-        counter_incr({"warc_skipped_records": skipped,
-                      "warc_bad_records": bad})
+        incr({"warc_skipped_records": skipped, "warc_bad_records": bad})
         return pa.table({
             "target_uri": pa.array(uris, pa.string()),
             "record_id": pa.array(rids, pa.string()),
@@ -136,7 +137,7 @@ def read_warc(paths: str | list[str]) -> rd.Dataset:
             "body": pa.array(bodies, pa.string()),
         })
 
-    return files.map_batches(parse, batch_format="pyarrow")
+    return map_blocks(files, parse).dataset()
 
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "scan", "merge", "table",

@@ -62,6 +62,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..state import counters
 from .exchange import _KEY_HASH_VERSION, _key_hash, _sources, _then, dataset_api
 
 
@@ -102,12 +103,11 @@ def _split(tbl: pa.Table, law, num_parts: int, gsz: int | None = None):
     ``gsz``, into ceil(num_parts/gsz) GROUP buckets where group j owns
     partitions [j*gsz, (j+1)*gsz) (the tree-combine map side: the
     partition id is the same, only the bucketing coarsens, so regroup +
-    member filter reproduces the flat split exactly).  Returned as a
-    task's ``num_returns`` value: a tuple, or the bare table when there
-    is one bucket."""
+    member filter reproduces the flat split exactly).  A tuple of the
+    buckets."""
     fan = num_parts if gsz is None else -(-num_parts // gsz)
     if fan == 1:
-        return tbl
+        return (tbl,)
     ids = _part_ids(tbl, law, num_parts)
     if gsz is not None:
         ids = ids // gsz
@@ -118,8 +118,10 @@ def _split(tbl: pa.Table, law, num_parts: int, gsz: int | None = None):
 def _map_split_task(fn, law, num_parts: int, gsz: int | None, *args):
     """The map side of every exchange: ``fn(*args)`` (a BSP phase step,
     a source block's prologue, a two-phase middle reduce) split by
-    ``law`` (:func:`_split`)."""
-    return _split(fn(*args), law, num_parts, gsz)
+    ``law`` (:func:`_split`), then the counts ``fn`` made
+    (:func:`~..state.counters.counted`) as the last return."""
+    out, counts = counters.counted(fn, *args)
+    return (*_split(out, law, num_parts, gsz), counts)
 
 
 @ray.remote
@@ -141,16 +143,20 @@ def _route(maps: list, law, num_parts: int) -> list[list]:
     partitions — flat, or past ``TREE_COMBINE_THRESHOLD`` through one
     :func:`_regroup_task` per destination group.  Returns ``dest[q]``,
     the refs of partition q's slices (one per map task in flat mode,
-    exactly 1 in tree mode, none when ``maps`` is empty)."""
+    exactly 1 in tree mode, none when ``maps`` is empty).  Each map
+    task's counts are registered (:func:`~..state.counters.add_task`)."""
     P = num_parts
     if not maps:
         return [[] for _ in range(P)]
     plan = _fan_plan(P)
     fan, gsz = (P, None) if plan is None else (plan[1], plan[0])
-    refs = [_map_split_task.options(num_returns=fan).remote(
-                fn, law, P, gsz, *args) for fn, args in maps]
+    refs = []
+    for fn, args in maps:
+        *parts, counts = _map_split_task.options(num_returns=fan + 1).remote(
+            fn, law, P, gsz, *args)
+        counters.add_task(counts)
+        refs.append(parts)
     if plan is None:
-        refs = [[r] for r in refs] if P == 1 else refs
         return [[r[q] for r in refs] for q in range(P)]
     mids: list[list] = []
     for j in range(fan):
@@ -173,7 +179,7 @@ def dataset_to_part_refs(
     dest, fns, schema = _partition(_sources(ds), key_cols,
                                    num_parts=num_parts, max_parts=num_parts,
                                    schema=schema)
-    return [_reduce_task.remote(None, schema, fns, *d)[0] for d in dest]
+    return [_reduce(None, schema, fns, *d)[0] for d in dest]
 
 
 def _as_table(tbl, schema: pa.Schema | None) -> pa.Table:
@@ -225,16 +231,27 @@ def _reduce_slices(reduce_fn, schema: pa.Schema | None, fns,
     return out if reduce_fn is None else reduce_fn(out)
 
 
-@ray.remote(num_returns=2)
+@ray.remote(num_returns=3)
 def _reduce_task(reduce_fn, schema: pa.Schema | None, fns, *tbls: pa.Table):
     """Reduce one partition's slices (:func:`_reduce_slices`).  Returns
-    the block and its Ray ``BlockMetadataWithSchema``, the two refs of a
-    :class:`Blocks` entry."""
+    the block, its Ray ``BlockMetadataWithSchema`` and the counts the
+    reduce made (:func:`~..state.counters.counted`)."""
     from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
     stats = BlockExecStats.builder()
-    out = _reduce_slices(reduce_fn, schema, fns, *tbls)
-    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
+    out, counts = counters.counted(_reduce_slices, reduce_fn, schema, fns,
+                                   *tbls)
+    return (out, BlockMetadataWithSchema.from_block(out, stats=stats.build()),
+            counts)
+
+
+def _reduce(reduce_fn, schema: pa.Schema | None, fns, *tbls) -> tuple:
+    """Submit one :func:`_reduce_task` and register its counts
+    (:func:`~..state.counters.add_task`): the block and meta refs of a
+    :class:`Blocks` entry."""
+    block, meta, counts = _reduce_task.remote(reduce_fn, schema, fns, *tbls)
+    counters.add_task(counts)
+    return block, meta
 
 
 class Blocks:
@@ -243,7 +260,7 @@ class Blocks:
 
     ``refs`` holds one Arrow table ref per block; ``meta_refs`` one Ray
     ``BlockMetadataWithSchema`` ref per block (rows, bytes, schema),
-    computed by the task that made the block (:func:`_reduce_task`) or
+    computed by the task that made the block (:func:`_reduce`) or
     on the driver (:meth:`put`), so counts and sizes need no task and a
     public operator wraps its output in a Dataset (:meth:`dataset`,
     :func:`~.exchange.dataset_api`) with no metadata task."""
@@ -255,7 +272,7 @@ class Blocks:
 
     @classmethod
     def of(cls, pairs: list) -> "Blocks":
-        """From ``_reduce_task`` return pairs ``[(block_ref, meta_ref)]``."""
+        """From :func:`_reduce` pairs ``[(block_ref, meta_ref)]``."""
         return cls([b for b, _ in pairs], [m for _, m in pairs])
 
     @classmethod
@@ -372,30 +389,32 @@ def map_blocks(source, fn) -> Blocks:
     """``fn`` (Arrow table -> Arrow table) over each block of ``source``
     (:func:`_block_refs`), one raw task per block: a per-block step
     after an exchange with no Ray Data execution."""
-    return Blocks.of([_reduce_task.remote(fn, None, None, ref)
+    return Blocks.of([_reduce(fn, None, None, ref)
                       for ref in _block_refs(source)])
 
 
 @ray.remote
 def _value_task(fn, tbl):
-    return fn(_as_table(tbl, None))
+    return counters.counted(fn, _as_table(tbl, None))
 
 
 def block_values(source, fn) -> list:
     """``fn`` (Arrow table -> a small value) of each block of ``source``
     (:func:`_block_refs`), in block order: one raw task per block,
-    fetched in one ``ray.get`` (the per-block stats pass of a scan)."""
-    return ray.get([_value_task.remote(fn, ref)
-                    for ref in _block_refs(source)])
+    fetched in one ``ray.get`` (the per-block stats pass of a scan),
+    the counts ``fn`` made added as they arrive."""
+    pairs = ray.get([_value_task.remote(fn, ref) for ref in _block_refs(source)])
+    for _, counts in pairs:
+        counters.incr(counts)
+    return [value for value, _ in pairs]
 
 
 def scan_blocks(blocks: Blocks, assign, offsets) -> Blocks:
     """The second pass of a scan over sorted ``blocks``: block i mapped
     by ``assign(offsets[i], block)`` (one raw task per block, as
     :func:`map_blocks`)."""
-    return Blocks.of([
-        _reduce_task.remote(functools.partial(assign, off), None, None, ref)
-        for ref, off in zip(blocks.refs, offsets)])
+    return Blocks.of([_reduce(functools.partial(assign, off), None, None, ref)
+                      for ref, off in zip(blocks.refs, offsets)])
 
 
 def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
@@ -406,7 +425,9 @@ def sized_parts(input_bytes: int, cap: int, part_bytes: int) -> int:
 
 @ray.remote
 def _fn_schema_task(tbl, fn) -> pa.Schema:
-    return fn(_as_table(tbl, None)).schema
+    # the split task runs fn on this block again and counts it: the
+    # counts made here are dropped
+    return counters.counted(fn, _as_table(tbl, None))[0].schema
 
 
 def _fn_schema(src, fn, first: list) -> pa.Schema | None:
@@ -543,8 +564,7 @@ def _exchange(sources, law, reduce_fn, schema, num_parts, max_parts) -> Blocks:
                                    schema=schema)
     if schema is None and not dest[0]:
         return Blocks([], [])
-    return Blocks.of([_reduce_task.remote(reduce_fn, schema, fns, *d)
-                      for d in dest])
+    return Blocks.of([_reduce(reduce_fn, schema, fns, *d) for d in dest])
 
 
 def range_exchange(sources, range_col: str, reduce_fn,
@@ -570,8 +590,9 @@ def _ascending(keys: list[str]) -> list[tuple[str, str]]:
 @ray.remote(num_returns=2)
 def _sample_task(tbl, fn, keys: list[str], n: int) -> tuple[pa.Table, int]:
     """Up to ``n`` evenly spaced rows of one source block's sorted keys,
-    and the bytes of the rows its block function gives."""
-    t = _prep(tbl, fn, None)
+    and the bytes of the rows its block function gives (the counts it
+    makes are dropped: the split task runs it again and counts them)."""
+    t = counters.counted(_prep, tbl, fn, None)[0]
     k = t.select(keys).sort_by(_ascending(keys))
     if k.num_rows > n:
         k = k.take(np.linspace(0, k.num_rows - 1, n).astype(np.int64))
@@ -710,8 +731,7 @@ def two_phase_reduce(
     P = len(dest1)
     middle = functools.partial(_reduce_slices, reduce1, None, fns)
     dest2 = _route([(middle, tuple(d)) for d in dest1], p2_col, P)
-    return Blocks.of([_reduce_task.remote(reduce2, None, None, *d)
-                      for d in dest2])
+    return Blocks.of([_reduce(reduce2, None, None, *d) for d in dest2])
 
 
 # ------------------------------------------------- checkpoint helpers

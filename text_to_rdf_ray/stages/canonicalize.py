@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..kernels.minhash import band_keys, char_shingles, jaccard, minhash_signature
+from ..state import counters
 from .bsp import (Blocks, _as_table, _source_blocks, map_blocks, materialized,
                   two_phase_reduce)
 from .exchange import _sources, _then, agg_blocks, dataset_api, join_blocks, join_out_schema
@@ -162,12 +163,7 @@ def connected_components(
          (edges, lambda t: pa.table({"src": t.column("dst"),
                                      "dst": t.column("src")}))],
         num_parts=16, max_rounds=max_rounds)
-    try:
-        from ..state.counters import incr
-
-        incr({"cc_rounds": rounds})
-    except Exception:
-        pass
+    counters.incr({"cc_rounds": rounds})
     return labels
 
 
@@ -185,7 +181,9 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
     exact on BOTH paths via the dedicated pass); used by the pipeline
     when the distinct-surface set fits comfortably on the driver — the
     broadcast-small-side analogue of the distributed path.  Returns only
-    the surfaces whose canonical differs.
+    the surfaces whose canonical differs.  The components are
+    :func:`_local_union_find`'s over surface indices in sorted order: a
+    component's root, its minimum index, is its minimum surface.
     """
     from collections import defaultdict
 
@@ -196,20 +194,6 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
         sig = minhash_signature(char_shingles(norms[sfc]), num_perm=num_perm)
         for bi, bh in enumerate(band_keys(sig, bands)):
             buckets[(bi, bh)].append(idx)
-    parent = list(range(len(ordered)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
     shingle_cache: dict[int, set] = {}
 
     def sh(i):
@@ -217,38 +201,33 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
             shingle_cache[i] = char_shingles(norms[ordered[i]])
         return shingle_cache[i]
 
-    # EXACT same-norm unification first, independent of bucket caps: a
-    # head entity with >max_bucket identical-norm spellings saturates
-    # every band bucket (identical signatures), so the LSH loop below
-    # would skip all of them — the documented still-unified guarantee
-    # needs this dedicated O(n) pass (review r5)
-    by_norm: dict[str, int] = {}
-    for idx in range(len(ordered)):
-        nrm = norms[ordered[idx]]
-        first = by_norm.setdefault(nrm, idx)
-        if first != idx:
-            union(first, idx)
+    def edges():
+        # EXACT same-norm unification first, independent of bucket caps:
+        # a head entity with >max_bucket identical-norm spellings
+        # saturates every band bucket (identical signatures), so the LSH
+        # pass below would skip all of them — the documented
+        # still-unified guarantee needs this dedicated O(n) pass (review r5)
+        by_norm: dict[str, int] = {}
+        for idx in range(len(ordered)):
+            first = by_norm.setdefault(norms[ordered[idx]], idx)
+            if first != idx:
+                yield first, idx
+        for members in buckets.values():
+            members = sorted(set(members))
+            if len(members) < 2 or len(members) > max_bucket:
+                continue
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    a, b = members[i], members[j]
+                    if (norms[ordered[a]] == norms[ordered[b]]
+                            or jaccard(sh(a), sh(b)) >= tau):
+                        yield a, b
 
-    for members in buckets.values():
-        members = sorted(set(members))
-        if len(members) < 2 or len(members) > max_bucket:
-            continue
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                if norms[ordered[a]] == norms[ordered[b]] or jaccard(sh(a), sh(b)) >= tau:
-                    union(a, b)
-    comp_min: dict[int, str] = {}
-    for i in range(len(ordered)):
-        r = find(i)
-        cur = comp_min.get(r)
-        if cur is None or ordered[i] < cur:
-            comp_min[r] = ordered[i]
-    return {
-        ordered[i]: comp_min[find(i)]
-        for i in range(len(ordered))
-        if comp_min[find(i)] != ordered[i]
-    }
+    labels = _local_union_find(edges())
+    return {ordered[i]: ordered[c]
+            for i, c in zip(labels.column("name_id").to_pylist(),
+                            labels.column("component").to_pylist())
+            if ordered[c] != ordered[i]}
 
 
 @dataset_api
@@ -398,7 +377,7 @@ def apply_canonical_map(triples: rd.Dataset, mapping: dict[str, str]) -> rd.Data
     At bench scale the mapping is small (distinct surfaces << triples) so a
     broadcast lookup beats a shuffle join.  ``build_triples`` switches to
     :func:`apply_canonical_join` (same output contract) when more than
-    ``canonical_map_join_threshold`` surfaces change.
+    ``pipelines.kg.CANONICAL_MAP_JOIN_THRESHOLD`` surfaces change.
     """
     return triples.map_batches(canonical_rewrite(mapping),
                                batch_format="pyarrow")

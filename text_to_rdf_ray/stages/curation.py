@@ -46,7 +46,9 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from .exchange import keyed_apply
+from ..state import counters
+from .bsp import map_blocks
+from .exchange import keyed_apply, pandas_block
 
 #: Knuth/Fibonacci multiplicative constant (2^64 / phi) — the sampling
 #: hash must be exactly reproducible in DuckDB HUGEINT arithmetic.
@@ -478,8 +480,6 @@ def inverted_index(
     — partitioning assumption: one PARTITION's postings fit in a worker
     (bounded by |corpus|/num_partitions spread).
     """
-    from ..state import counters
-
     def explode(batch: pa.Table) -> pa.Table:
         out_t, out_i = [], []
         for i, txt in zip(batch.column(id_col).to_pylist(),
@@ -578,7 +578,6 @@ def heavy_hitters(
 
     import ray
 
-    from ..state import counters
     from .exchange import exchange_agg
 
     def mg_summary(batch: pa.Table) -> pa.Table:
@@ -1227,7 +1226,6 @@ def line_dedup(
     """
     import ray
 
-    from ..state import counters
     from .exchange import exchange_join
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2649,7 +2647,7 @@ def extract_links(
     """Outlink extraction — the web-graph builder every crawl pipeline
     runs beside text extraction (host graph -> PageRank/centrality ->
     crawl prioritization & spam scoring): ``href="..."`` attributes
-    pulled with ONE compiled-regex ``str.findall`` pass per batch,
+    pulled with ONE compiled-regex ``str.findall`` pass per block,
     ABSOLUTE http(s) targets kept (relative links are counted via the
     ``extractlinks_relative`` counter, never silently dropped), and
     both endpoints' hosts normalized with the ``canonical_urls``
@@ -2660,8 +2658,6 @@ def extract_links(
     extraction stage.  Host-graph projection = one (src_host,
     dst_host) count exchange downstream.
     """
-    from ..state import counters
-
     href_re = r'href="([^"]*)"'
     host_re = r"^[a-zA-Z][a-zA-Z0-9+.-]*://([^/?#]+)"
 
@@ -2692,8 +2688,9 @@ def extract_links(
             host_re, expand=False).fillna(""))
         return out.reset_index(drop=True)
 
-    return ds.map_batches(per_batch, batch_format="pandas",
-                          batch_size=4096)
+    # one raw task per block: its counts come back with the block, so
+    # reading the output twice counts each link once
+    return map_blocks(ds, pandas_block(per_batch)).dataset()
 
 
 def textrank_keywords(

@@ -34,6 +34,7 @@ from ..kernels.minhash import (
     simhash64,
     word_shingles,
 )
+from ..state import counters
 from .bsp import Blocks, map_blocks, materialized, two_phase_reduce
 from .exchange import dataset_api, keyed_apply
 
@@ -102,7 +103,7 @@ def _minhash_bands_feat_batch(shingle_fn, num_perm: int, bands: int,
     """Batch bands+sketch: one vectorized minhash pass per input batch
     (kernels.minhash.minhash_signatures) + one vectorized band-key pass
     (band_keys_batch) — returns the COLUMNAR protocol consumed by
-    ``_explode_bands``: ``((n, bands) int64 keys, list[bytes] sketches)``.
+    ``_band_explode``: ``((n, bands) int64 keys, list[bytes] sketches)``.
     ``sketch_perms`` caps the b-bit sketch width (keeps the in-band
     feature at 64 bytes even when extra permutations widen the bands)."""
     from ..kernels.minhash import band_keys_batch, minhash_signatures
@@ -120,14 +121,6 @@ def _minhash_bands_feat_batch(shingle_fn, num_perm: int, bands: int,
         return keys, feats
 
     return batch_fn
-
-
-def _explode_bands(ds: rd.Dataset, bands_feat_fn, id_col: str, payload_col: str,
-                   bands_feat_batch_fn=None) -> rd.Dataset:
-    """:func:`_band_explode` as a Ray Data map over ``ds``."""
-    return ds.map_batches(
-        _band_explode(bands_feat_fn, id_col, payload_col, bands_feat_batch_fn),
-        batch_format="pyarrow")
 
 
 def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
@@ -193,8 +186,10 @@ def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
             "band_hash": pa.array(oh_arr, pa.int64()),
             id_col: pa.array(oi_arr, pa.int64()),
         }
-        if has_feat:
-            cols["feat"] = pa.array(of_list, pa.binary())
+        if has_feat or not len(oi_arr):
+            # an empty block keeps the column: an exchange types its rows
+            # from the block function's output on an empty table
+            cols["feat"] = pa.array(of_list or [], pa.binary())
         return pa.table(cols)
 
     return explode
@@ -268,8 +263,6 @@ def _pairs_from_buckets(
         and pairwise sketch agreement is one broadcast comparison — the
         per-bucket numpy dispatch overhead would otherwise dominate when
         buckets number in the hundreds of thousands."""
-        from ..state.counters import incr
-
         use_prune = prune_est is not None and "feat" in group.columns
         df = group.drop_duplicates(["band_id", "band_hash", id_col]).sort_values(
             ["band_id", "band_hash", id_col]
@@ -282,7 +275,7 @@ def _pairs_from_buckets(
             if len(skipped):
                 # explicit skew cap: dropped volume is COUNTED, never silent
                 sk_sizes = skipped.groupby(["band_id", "band_hash"])[id_col].size()
-                incr({
+                counters.incr({
                     f"{counter_prefix}_skipped_buckets": int(len(sk_sizes)),
                     f"{counter_prefix}_skipped_rows": int(sk_sizes.sum()),
                 })
@@ -290,7 +283,7 @@ def _pairs_from_buckets(
         sizes = sizes[df.index]
         giant_rows = int((sizes > 512).sum())
         if giant_rows:
-            incr({f"{counter_prefix}_giant_bucket_rows": giant_rows})
+            counters.incr({f"{counter_prefix}_giant_bucket_rows": giant_rows})
         if not len(df):
             return pd.DataFrame({"id_a": np.array([], dtype=np.int64),
                                  "id_b": np.array([], dtype=np.int64)})
@@ -389,9 +382,7 @@ def _pairs_from_buckets(
     # counted once here, after the global pair dedup: per-task counts
     # would re-count a pair that surfaces in several partitions, so the
     # figure would depend on the exchange's partition count
-    from ..state.counters import incr
-
-    incr({f"{counter_prefix}_candidates": n_cands})
+    counters.incr({f"{counter_prefix}_candidates": n_cands})
     if n_cands == 0:
         return Blocks.put([_PAIR_SCHEMA.empty_table()])
 
@@ -586,8 +577,6 @@ def _pairs_inband(
     scalar fallback; WITHOUT a vectorized form, buckets over ``max_bucket``
     are still skipped — but now counted (``_skipped_buckets`` /
     ``_skipped_pairs``), never silent."""
-    from ..state.counters import incr
-
     def shard_pairs(group: pd.DataFrame) -> pd.DataFrame:
         a_out: list[np.ndarray] = []
         b_out: list[np.ndarray] = []
@@ -643,7 +632,7 @@ def _pairs_inband(
                 a_out.append(np.array(a, dtype=np.int64))
                 b_out.append(np.array(b, dtype=np.int64))
                 s_out.append(np.array(s, dtype=np.float64))
-        incr({
+        counters.incr({
             f"{counter_prefix}_oversized_buckets": oversized_buckets,
             f"{counter_prefix}_oversized_rows": oversized_rows,
             f"{counter_prefix}_skipped_buckets": skipped_buckets,
@@ -672,18 +661,17 @@ def _pairs_inband(
         return pa.table({n: t.column(n).cast(_PAIR_SCHEMA.field(n).type) for n in
                          ("id_a", "id_b", "score")})
 
-    pairs = keyed_apply(
-        _explode_bands(ds, bands_feat_fn, id_col, payload_col),
-        ["band_id", "band_hash"], shard_pairs,
-    ).map_batches(norm_pairs, batch_format="pyarrow")
+    # the band explode runs in the tasks that split the corpus blocks
+    pairs = keyed_apply((ds, _band_explode(bands_feat_fn, id_col, payload_col)),
+                        ["band_id", "band_hash"], shard_pairs)
     # a pair can surface from several bands -> other partitions: dedup.
     # exchange_agg, not Ray's Aggregate — one group per PAIR (millions
     # at scale = the per-key-Python pathology)
-    from .exchange import exchange_agg
+    from .exchange import agg_blocks
 
-    return exchange_agg(
-        pairs, ["id_a", "id_b"], [("score", "min", "score")],
-    ).map_batches(norm_pairs, batch_format="pyarrow")
+    return map_blocks(agg_blocks((pairs, norm_pairs), ["id_a", "id_b"],
+                                 [("score", "min", "score")]),
+                      norm_pairs).dataset()
 
 
 def minhash_lsh_pairs(
@@ -1021,7 +1009,6 @@ def dedup_against(
     assumption: one hash-partition's (id, hash) rows fit in a worker.
     """
     from ..kernels.minhash import _hash_shingles, word_shingles
-    from ..state import counters
     from .analytics import topk_per_group
     from .exchange import exchange_agg, exchange_join
 
@@ -1587,7 +1574,6 @@ def containment_pairs(
     gram's bucket with loud ``containment_skipped_buckets/_rows``
     counters when an approximate sweep is acceptable.
     """
-    from ..state import counters
     from .exchange import exchange_agg, exchange_join
     from .graph import _pairs_within_groups
 

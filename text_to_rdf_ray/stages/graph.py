@@ -35,6 +35,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..state import counters
+from .bsp import Blocks, map_blocks
+
 
 def _project(ds: rd.Dataset, mapping: list[tuple[str, str]]) -> rd.Dataset:
     """Column projection/rename via arrow rebuild (rename_columns interacts
@@ -336,7 +339,6 @@ def _triangle_broadcast(e: rd.Dataset, n_edges: int, *,
 
 
 def _triangle_shuffle(e: rd.Dataset, *, num_partitions: int) -> rd.Dataset:
-    from .bsp import map_blocks
     from .exchange import exchange_agg, exchange_join
 
     def endpoints(t: pa.Table) -> pa.Table:
@@ -506,7 +508,6 @@ def kcore(
     convergence are no-ops (peeling is monotone), which is what makes
     the unrolled-SQL oracle sound.
     """
-    from ..state import counters
     from .exchange import exchange_agg, exchange_join
 
     # undirect + distinct once: every algorithm step assumes (a,b) and
@@ -1246,7 +1247,6 @@ def scc(
     pathological graphs; ``scc_outer_rounds``/``scc_fwd_rounds``
     counters surface behavior).
     """
-    from ..state import counters
     from .analytics import set_op_rows
     from .exchange import exchange_agg, exchange_join
 
@@ -1493,30 +1493,27 @@ def scc(
 
 
 def _cap_hub_degrees(degz: rd.Dataset, deg_col: str, cap: int,
-                     counter_prefix: str) -> rd.Dataset:
+                     counter_prefix: str) -> Blocks:
     """Drop hub rows with ``deg_col > cap`` from a per-z degree table,
     incrementing ``{prefix}_capped_z`` (hub count) and
     ``{prefix}_capped_wedges`` (deg*(deg-1)/2 wedge mass avoided) — the
     repo's no-silent-caps convention (see stages/dedup.py max_bucket).
-    Materialized: the degree table is O(distinct z) (small vs edges) and
-    downstream exchange plans may re-execute a lazy lineage, which would
-    double-count the side-effect counters."""
+    One raw task per block (``bsp.map_blocks``), its counts returned
+    with the block."""
     capv = pa.scalar(int(cap), pa.int64())
 
     def flt(t: pa.Table) -> pa.Table:
-        from ..state.counters import incr
-
         over = pc.greater(t.column(deg_col), capv)
         n_over = pc.sum(over.cast(pa.int64())).as_py() or 0
         if n_over:
             d = t.filter(over).column(deg_col).to_numpy(
                 zero_copy_only=False).astype(np.int64)
-            incr({f"{counter_prefix}_capped_z": int(n_over),
-                  f"{counter_prefix}_capped_wedges":
-                      int((d * (d - 1) // 2).sum())})
+            counters.incr({f"{counter_prefix}_capped_z": int(n_over),
+                           f"{counter_prefix}_capped_wedges":
+                               int((d * (d - 1) // 2).sum())})
         return t.filter(pc.invert(over))
 
-    return degz.map_batches(flt, batch_format="pyarrow").materialize()
+    return map_blocks(degz, flt)
 
 
 def common_neighbors(

@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..state import counters
 from .exchange import keyed_apply, keyed_exchange, pandas_block
 
 _SIDE = "_side"
@@ -740,7 +741,6 @@ def skew_join(
     Counters: ``skewjoin_heavy_keys`` / ``skewjoin_replicated_rows``
     (no silent behavior — an un-skewed input increments nothing).
     """
-    from ..state.counters import incr
     from .analytics import splitmix64
     from .exchange import as_arrow_schema, exchange_agg, exchange_join
 
@@ -769,7 +769,7 @@ def skew_join(
             f"{heavy_threshold} (> max_heavy_keys={max_heavy_keys}); "
             "raise heavy_threshold — broadcasting this many keys costs "
             "more than the skew")
-    incr({"skewjoin_heavy_keys": len(heavy_tbl)})
+    counters.incr({"skewjoin_heavy_keys": len(heavy_tbl)})
     if heavy_tbl.empty:
         return exchange_join(left, right, on=on, how=how,
                              num_partitions=num_partitions,
@@ -819,15 +819,17 @@ def skew_join(
         salts = np.concatenate(
             [salt] + [np.full(len(hot), s, np.int32)
                       for s in range(1, replicate)])
-        incr({"skewjoin_replicated_rows": int(len(hot) * (replicate - 1))})
+        counters.incr({"skewjoin_replicated_rows":
+                       int(len(hot) * (replicate - 1))})
         out = t.take(pa.array(take, pa.int64()))
         return out.append_column("_salt", pa.array(salts, pa.int32()))
 
     ls2 = ls.append(pa.field("_salt", pa.int32()))
     rs2 = rs.append(pa.field("_salt", pa.int32()))
+    # the salting runs in the exchange's split tasks, which return
+    # salt_right's counts with their output
     joined = exchange_join(
-        left.map_batches(salt_left, batch_format="pyarrow"),
-        right.map_batches(salt_right, batch_format="pyarrow"),
+        (left, salt_left), (right, salt_right),
         on=[on, "_salt"], how=how, num_partitions=num_partitions,
         left_schema=ls2, right_schema=rs2)
 
@@ -997,7 +999,6 @@ def planned_join(
     Restriction: single join key, ``inner``/``left`` only (the
     broadcast path's contract).
     """
-    from ..state import counters
     from .analytics import hll_join_estimate
     from .exchange import exchange_join
 

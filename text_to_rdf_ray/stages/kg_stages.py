@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 from ..kernels.extractor import extract_document
 from ..kernels.text import extract_text
 from ..kernels.validation import DATE_PREDICATES
+from ..state import counters
 from .bsp import Blocks, block_values, exchange_blocks, map_blocks, materialized
 from .exchange import agg_blocks, dataset_api, join_blocks, join_out_schema
 
@@ -427,16 +428,10 @@ def link_entities_join(
         return t.filter(pc.is_null(t.column("kb_uri"))).select(_S_SURF.names)
 
     def fuzzy_score(batch: pa.Table) -> pa.Table:
-        from ..state.counters import incr
-
         surfs = batch.column("surface").to_pylist()
         lows = batch.column("low").to_pylist()
         labs = batch.column("kb_label").to_pylist()
         uris = batch.column("kb_uri").to_pylist()
-        # observable blocking volume: JW runs on exactly this many
-        # band-blocked candidates (vs |no_exact| x |KB|/~30 under
-        # first-char blocking)
-        incr({"linkjoin_fuzzy_candidates": len(surfs)})
         lab_lows = [lab.lower() for lab in labs]
         # KBIndex.candidates blocking parity (linker.py), vectorized:
         # same first char (by_first bucket membership) + length window;
@@ -519,6 +514,10 @@ def link_entities_join(
             left_schema=join_out_schema(_S_CAND, _S_SURF, "sid"),
             right_schema=_S_LABELS,
         )
+        # observable blocking volume: JW runs on exactly this many
+        # band-blocked candidates (vs |no_exact| x |KB|/~30 under
+        # first-char blocking), counted on the driver
+        counters.incr({"linkjoin_fuzzy_candidates": fuzzy.num_rows()})
         top1_sources.append((fuzzy, lambda t: top1_combine(fuzzy_score(t))))
 
     def top1_part(t: pa.Table) -> pa.Table:

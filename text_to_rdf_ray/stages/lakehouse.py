@@ -33,6 +33,8 @@ import ray
 import ray.data as rd
 
 from ..state import counters
+from .bsp import Blocks, map_blocks, range_exchange
+from .exchange import pandas_block
 
 MANIFEST = "manifest.parquet"
 
@@ -66,9 +68,6 @@ def _per_block(ds: rd.Dataset, fn) -> pd.DataFrame:
     execution), concatenated; an empty DataFrame when there is none.
     One call per block, as a ``map_batches`` without ``batch_size``
     makes, so per-block samples keep their size."""
-    from .bsp import map_blocks
-    from .exchange import pandas_block
-
     frames = [t.to_pandas()
               for t in ray.get(map_blocks(ds, pandas_block(fn)).refs)]
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
@@ -85,9 +84,6 @@ def _write_ranges(ds, assign, write_file, manifest_row, num_files: int,
     ``manifest_row`` of a group with no rows (of the ``input_cols`` it
     reads) cut to none, so it has the columns and dtypes of every other
     manifest."""
-    from .bsp import range_exchange
-    from .exchange import pandas_block
-
     def reduce(t: pa.Table) -> pa.Table:
         return pandas_block(write_file)(t) if t.num_rows else pa.table({})
 
@@ -817,9 +813,9 @@ def read_with_deletes(
     columns: list[str] | None = None,
 ) -> rd.Dataset:
     """Scan a table masking out any :func:`positional_delete` vectors —
-    one task per data file reads the file (column-pruned) plus its
-    (tiny) position vector and drops those rows with a boolean mask.
-    Files without a vector stream through untouched.  Emits
+    one raw task per data file (``bsp.map_blocks``) reads the file
+    (column-pruned) plus its (tiny) position vector and drops those rows
+    with a boolean mask; files without a vector pass through.  Emits
     ``dvscan_files`` / ``dvscan_rows_masked`` counters.
     """
     import glob as _glob
@@ -847,8 +843,8 @@ def read_with_deletes(
             counters.incr({"dvscan_rows_masked": masked})
         return pd.concat(frames, ignore_index=True)
 
-    return (rd.from_items([{"file": f} for f in files])
-            .map_batches(one_file, batch_format="pandas", batch_size=1))
+    return map_blocks(Blocks.put([pa.table({"file": [f]}) for f in files]),
+                      pandas_block(one_file)).dataset()
 
 
 def vacuum_table(

@@ -1,62 +1,122 @@
-"""Operator counters via a named metrics actor (no-silent-caps rule).
+"""Operator counters (no-silent-caps rule): process-local sums; counts
+made in a task travel back with the task's output.
 
-LSH bucket stages run inside exchange reduce tasks whose only output is the
-pair stream, so observability (oversized buckets processed, buckets/pairs
-skipped by an explicit cap) flows through a side channel: a tiny named
-actor (num_cpus=0 — holds no slot) that any worker task can increment and
-the driver reads after execution.  ``bench.py`` surfaces the snapshot in
-its JSON line; tests assert on it.
-
-Increments are *blocking* (one ``ray.get`` per shard task, not per batch)
-so a driver snapshot taken after ``Dataset`` execution finishes is
-guaranteed to include every task's counts — fire-and-forget sends could
-still be in flight.
+On the driver, :func:`incr` adds to a locked dict (``run_partitioned``'s
+partition threads count at the same time).  A raw ``stages/bsp.py``
+task that runs caller code collects its increments (:func:`counted`)
+and returns them with its output; where the driver submits it, it
+registers the counts ref (:func:`add_task`), whose value is added once.
+A retried task, or a block re-made from its lineage, fills the same
+ref, so its counts replace the first attempt's; a failed task's counts
+are dropped.  Finished tasks' counts are added as more are registered,
+so pending refs stay bounded by the tasks in flight.  An :func:`incr`
+in any other worker process (a Ray Data map) raises and names the
+counters.  The sums do not outlive ``ray.shutdown()``.  ``bench.py``
+and perfbench report :func:`snapshot`; tests assert on it.
 """
 
 from __future__ import annotations
 
+import threading
+
 import ray
 
-ACTOR_NAME = "graft_op_counters"
-NAMESPACE = "text_to_rdf_ray_metrics"
+#: registered counts refs between two adds of the finished ones
+_FOLD_EVERY = 64
+
+_lock = threading.Lock()  # the sums and the pending refs
+_sums: dict[str, int] = {}
+_pending: list = []
+_session: str | None = None
+#: the running raw task's counts (worker side, set by :func:`counted`)
+_task: dict | None = None
 
 
-@ray.remote(num_cpus=0)
-class CounterActor:
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def add(self, delta: dict) -> None:
-        for k, v in delta.items():
-            self.counts[k] = self.counts.get(k, 0) + int(v)
-
-    def snapshot(self, reset: bool = False) -> dict:
-        out = dict(self.counts)
-        if reset:
-            self.counts = {}
-        return out
+def _in_worker() -> bool:
+    return ray._private.worker.global_worker.mode == ray.WORKER_MODE
 
 
-def _actor():
-    # detached: a named-but-owned actor dies as soon as its creating worker
-    # task finishes ("all references removed"), killing mid-flight incr()
-    # calls from sibling tasks; detached pins it to the Ray session (it is
-    # torn down by ray.shutdown, so tests/bench runs stay self-contained)
-    return CounterActor.options(
-        name=ACTOR_NAME, namespace=NAMESPACE, get_if_exists=True,
-        lifetime="detached",
-    ).remote()
+def _sync() -> None:
+    """Drop the sums and pending refs of an earlier Ray session (under
+    ``_lock``); counts made before ``ray.init`` carry into it."""
+    global _session
+    node = ray._private.worker._global_node
+    cur = node.session_name if ray.is_initialized() and node else None
+    if cur != _session:
+        if _session is not None:
+            _sums.clear()
+            _pending.clear()
+        _session = cur
+
+
+def _add(into: dict, delta: dict) -> None:
+    for k, v in delta.items():
+        if v:
+            into[k] = into.get(k, 0) + int(v)
 
 
 def incr(delta: dict) -> None:
-    """Add counter deltas (zero-valued keys are dropped; no-op when all
-    zero, so the common un-skewed path never touches the actor)."""
-    delta = {k: int(v) for k, v in delta.items() if v}
-    if not delta:
+    """Add counter deltas (zero-valued keys are dropped)."""
+    if _task is None and _in_worker():
+        raise RuntimeError(
+            f"counters {sorted(delta)} incremented in a Ray worker outside "
+            "a raw bsp task: their counts would be lost or re-added on a "
+            "retry — run the step as a bsp block function (bsp.map_blocks)")
+    if _task is not None:
+        _add(_task, delta)
         return
-    ray.get(_actor().add.remote(delta))
+    with _lock:
+        _sync()
+        _add(_sums, delta)
+
+
+def counted(fn, *args) -> tuple:
+    """``fn(*args)`` in a raw task and the counts its :func:`incr` calls
+    made there: ``(value, counts)``."""
+    global _task
+    _task = counts = {}
+    try:
+        return fn(*args), counts
+    finally:
+        _task = None
+
+
+def add_task(ref) -> None:
+    """Register the counts ref a raw task submitted by the driver
+    returns."""
+    with _lock:
+        _sync()
+        _pending.append(ref)
+        if len(_pending) % _FOLD_EVERY == 0:
+            _fold()
+
+
+def _fold() -> None:
+    """Add the finished pending counts to the sums (under ``_lock``).  A
+    failed task's counts are dropped: its error is its operator's."""
+    global _pending
+    if _pending:
+        ready, _pending = ray.wait(_pending, num_returns=len(_pending),
+                                   timeout=0)
+        for ref in ready:
+            try:
+                _add(_sums, ray.get(ref))
+            except ray.exceptions.RayError:
+                pass
 
 
 def snapshot(reset: bool = False) -> dict:
-    """Read (and optionally reset) all counters."""
-    return ray.get(_actor().snapshot.remote(reset))
+    """Read (and optionally reset) all counters, once every task
+    registered so far has finished."""
+    with _lock:
+        _sync()
+        refs = list(_pending)
+    if refs:
+        ray.wait(refs, num_returns=len(refs))
+    with _lock:
+        _sync()
+        _fold()
+        out = dict(_sums)
+        if reset:
+            _sums.clear()
+    return out
