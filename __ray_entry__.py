@@ -1222,7 +1222,7 @@ def _events_cube_counts(sf_dir: str) -> pd.DataFrame:
 
 
 def _events_props_extract(sf_dir: str) -> pd.DataFrame:
-    """Semi-structured parsing: JSON props column -> typed value, fully
+    r"""Semi-structured parsing: JSON props column -> typed value, fully
     vectorized via Arrow's C-backed ``pc.extract_regex`` (no per-row
     Python json.loads).  The pattern is ANCHORED at the object start
     (^\s*{\s*"k"\s*:\s*INT followed by , or }) so it can only match
@@ -5415,7 +5415,7 @@ def _kg_incremental_update(sf_dir: str) -> pd.DataFrame:
         from text_to_rdf_ray.kernels.minhash import _hash_shingles
 
         def fn(t: pa.Table) -> pa.Table:
-            h = _hash_shingles(t.column("url").to_pylist())
+            h = _hash_shingles(t.column("url"))
             is_delta = (h % np.uint64(5)) == 0
             keep = is_delta if keep_delta else ~is_delta
             return t.filter(pa.array(keep))

@@ -2142,6 +2142,7 @@ def test_clustered_write_pruned_read_skips_files(ray_session, tmp_path):
     assert counters.snapshot().get("prunedscan_files_read", 0) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_point_lookup_bloom_prunes(ray_session, tmp_path):
     """Bloom point lookup: few files opened, exact results, string keys."""
     from text_to_rdf_ray.stages.lakehouse import clustered_write, point_lookup
@@ -4402,6 +4403,17 @@ def test_exchange_key_hash_null_and_prefix_invariants(ray_session):
     s1 = pa.table({"k": ["ab"]})
     s2 = pa.table({"k": ["ab", "x" * 300]})
     assert _key_hash(s1, ["k"])[0] == _key_hash(s2, ["k"])[0]
+
+    # (d) the string and binary hash reads the Arrow buffers: a sliced
+    # table (offset into the offsets and validity buffers) hashes its
+    # rows as the unsliced one does, nulls included
+    t = pa.table({"s": pa.array(["q", None, "东京", "", "x" * 70, None, "z"]),
+                  "b": pa.array([b"\x00", b"ab", None, b"", b"cd", b"e", None]),
+                  "i": pa.array([1, 2, None, 4, 5, 6, 7], pa.int64())})
+    for keys in (["s"], ["b"], ["s", "b", "i"]):
+        full = _key_hash(t, keys)
+        for lo, n in ((1, 5), (2, 4), (5, 2)):
+            assert (_key_hash(t.slice(lo, n), keys) == full[lo:lo + n]).all()
 
 
 def test_exchange_join_guards_and_nullable_bigint_keys(ray_session):

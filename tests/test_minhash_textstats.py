@@ -238,13 +238,29 @@ def _fnv1a_reference(b: bytes) -> int:
     max_size=80), max_size=40))
 def test_fnv1a_matches_bytewise_reference(strings):
     """Every string hash (NUL and multi-byte UTF-8 included, any mix of
-    lengths in one batch) is the byte-at-a-time FNV-1a."""
+    lengths in one batch) is the byte-at-a-time FNV-1a, whether the
+    strings come as a list or as an Arrow array read from its buffers:
+    sliced at an offset, chunked, large_string or binary."""
+    import pyarrow as pa
+
     from text_to_rdf_ray.kernels.minhash import _hash_shingles
 
+    want = [_fnv1a_reference(s.encode("utf-8")) for s in strings]
     got = _hash_shingles(strings)
     assert got.dtype == np.uint64
-    assert [int(h) for h in got] == [
-        _fnv1a_reference(s.encode("utf-8")) for s in strings]
+    assert [int(h) for h in got] == want
+
+    arr = pa.array(["pad"] + strings, pa.string()).slice(1)
+    cut = len(strings) // 2
+    for values in (
+        arr,
+        pa.chunked_array([arr.slice(0, cut), arr.slice(cut)], pa.string()),
+        pa.array(strings, pa.large_string()),
+        pa.array([s.encode("utf-8") for s in strings], pa.binary()),
+    ):
+        got = _hash_shingles(values)
+        assert got.dtype == np.uint64
+        assert [int(h) for h in got] == want, values.type
 
 
 def test_fnv1a_long_key_in_a_large_batch_fits_in_memory():
@@ -258,7 +274,7 @@ def test_fnv1a_long_key_in_a_large_batch_fits_in_memory():
     code = textwrap.dedent("""
         import os, resource
         import numpy as np
-        from text_to_rdf_ray.kernels.minhash import _fnv1a
+        from text_to_rdf_ray.kernels.minhash import _hash_shingles as _fnv1a
 
         keys = [b"k%d" % i for i in range(65_536)]
         keys[12_345] = bytes(range(256)) * 4096
@@ -277,3 +293,39 @@ def test_fnv1a_long_key_in_a_large_batch_fits_in_memory():
     assert [int(x) for x in out.stdout.split()] == [
         _fnv1a_reference(bytes(range(256)) * 4096),
         _fnv1a_reference(b"k0"), _fnv1a_reference(b"k65535")]
+
+
+#: id63 and digest128 values of each input, recorded from the inline
+#: blake2b copies these functions replaced
+_ID_CORPUS = [
+    ("abc", 3227650029775379948,
+     (3138212647195331279, 1619088549062707489)),
+    ("a\x00b", 5898916173540024575,
+     (1131369072902350469, 3447878367239392220)),
+    ("東京都", 3034901488091350930,
+     (2251466683885173749, 4040942819749934428)),
+    ("", 6510301506637419378,
+     (4665148505410102986, 8103847710287220046)),
+    ("xy" * (1 << 19), 8453095134058821331,
+     (6713107761132600461, -2178675207525223951)),
+]
+
+
+def test_id63_and_digest128_pinned_corpus():
+    """The identity and content-digest hashes are pinned (ASCII, NUL,
+    CJK, empty and a 1 MB string): ids and digests persisted or compared
+    across runs keep their values.  A ``str`` hashes as its utf-8 bytes,
+    and a short document's fingerprint is its id."""
+    from text_to_rdf_ray.kernels.minhash import (digest128, id63,
+                                                 short_doc_fingerprint)
+
+    for text, want_id, want_digest in _ID_CORPUS:
+        assert id63(text) == want_id
+        assert id63(text.encode("utf-8")) == want_id
+        assert short_doc_fingerprint(text) == want_id
+        assert digest128(text) == want_digest
+        assert digest128(text.encode("utf-8")) == want_digest
+    assert digest128(bytes(range(256))) == (-4788035850717083710,
+                                            4838793034265354162)
+    # a lone surrogate is dropped from the fingerprint's bytes
+    assert short_doc_fingerprint("a\ud800b") == 4902290532121356551

@@ -1,4 +1,5 @@
-"""Vectorized MinHash / SimHash / shingle kernels (numpy).
+"""Vectorized MinHash / SimHash / shingle kernels (numpy), and the
+package's three hash roles.
 
 Used by (a) entity-canonicalization LSH blocking on surface forms (the
 north-star J2 path: MinHash-LSH surface-form blocking + union-find) and
@@ -9,6 +10,22 @@ N-vs-4N runs produce identical outputs.
 MinHash uses the standard universal-hash family h_i(x) = (a_i*x + b_i) mod p
 over 64-bit shingle hashes; bands of r rows give the LSH key
 (band_id, hash(band_signature)).
+
+Each hash role has one function here:
+
+- **Placement** (:func:`_hash_shingles`): FNV-1a with a length fold
+  over each string's or byte string's full bytes, read from the Arrow
+  buffers.  Exchange partitions, subject buckets, dedup salts and
+  shingle hashes all use it, so equal keys land together everywhere.
+- **Identity** (:func:`id63`): a 63-bit blake2b id of one string (row
+  ids, text hashes, short-document fingerprints).
+- **Content digest** (:func:`digest128`): a 128-bit blake2b digest as
+  two signed int64 halves, for content that is grouped by hash alone.
+
+Identity and digests stay blake2b, not FNV: two inputs that collide
+there are merged as one row, and FNV collisions can be built on
+purpose from hostile input.  A placement collision only puts two keys
+in one partition.
 """
 
 from __future__ import annotations
@@ -16,6 +33,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pyarrow as pa
 
 _MERSENNE = (1 << 61) - 1
 _DEFAULT_PERMS = 64
@@ -56,56 +74,75 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def _hash_shingles(shingles) -> np.ndarray:
-    """Stable 64-bit hashes of shingles — vectorized FNV-1a over the
-    FULL utf-8 bytes of each shingle (one numpy pass per byte column
-    instead of a Python-loop digest per shingle; deterministic across
-    runs and platforms).
+def _hash_shingles(values) -> np.ndarray:
+    """Stable 64-bit FNV-1a with the length fold over the FULL bytes of
+    each value: the package's one placement hash.
 
-    No truncation: the previous 40-byte cap made distinct shingles
-    sharing a 40-byte prefix collide SYSTEMATICALLY (long compound
-    words, URLs, CJK at 3 bytes/char), silently inflating every
-    hash-equality-based intersection (dedup_against jaccard, n-gram
-    verify) — review r5.  The masked update keeps each hash equal to
-    the true FNV-1a of exactly the shingle's bytes, independent of the
-    batch's max width, so the same shingle hashes identically in every
-    batch; batches of short shingles pay exactly the old per-column
-    cost."""
-    return _fnv1a([s.encode("utf-8") for s in shingles])
+    ``values`` is an Arrow string, large_string, binary or
+    fixed_size_binary array (chunked or sliced), or a list, which is
+    converted once with ``pa.array`` (``str`` hashes its utf-8 bytes).
+    The bytes are read from the array's offsets and data buffers, never
+    as Python objects.  A null hashes as the empty value.
 
-
-def _fnv1a(encoded: list[bytes]) -> np.ndarray:
-    """FNV-1a with the length fold over each byte string — the body of
-    :func:`_hash_shingles`, also applied directly to binary keys.
-
-    Rows are hashed in length buckets: sorted by length, each bucket
-    takes the shortest row left and every row at most twice its length,
-    and pads to its own longest row.  No row is padded past twice its
-    length, so the byte matrices stay within about twice the input
-    whatever the longest key (one long key no longer pads every short
-    one to its width)."""
-    n = len(encoded)
-    lens = np.fromiter((len(b) for b in encoded), dtype=np.int64, count=n)
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    No truncation: a prefix cap makes distinct values sharing that
+    prefix collide systematically (long compound words, URLs, CJK at
+    3 bytes/char), inflating every hash-equality intersection (review
+    r5); the length fold keeps a prefix from colliding with its
+    extensions.  Rows are sorted by length and hashed one byte column
+    at a time, each column gathered from the data buffer for the rows
+    still that long; a gather takes several columns when few rows are
+    left, at most ``len(values)`` bytes.  Memory stays O(rows) whatever
+    the longest value (one long key pads nothing), and each row's hash
+    is independent of its batch."""
+    if not isinstance(values, (pa.Array, pa.ChunkedArray)):
+        values = pa.array(values)
+    if isinstance(values, pa.ChunkedArray):
+        return np.concatenate([np.empty(0, np.uint64)]
+                              + [_hash_shingles(c) for c in values.chunks])
+    n = len(values)
+    if not n:
+        return np.empty(0, np.uint64)
+    typ = values.type
+    bufs = values.buffers()
+    if pa.types.is_fixed_size_binary(typ):
+        starts = (np.arange(n, dtype=np.int64) + values.offset) * typ.byte_width
+        lens = np.full(n, typ.byte_width, np.int64)
+        data = bufs[1]
+    elif (pa.types.is_string(typ) or pa.types.is_binary(typ)
+          or pa.types.is_large_string(typ) or pa.types.is_large_binary(typ)):
+        odt = np.dtype(np.int64 if pa.types.is_large_string(typ)
+                       or pa.types.is_large_binary(typ) else np.int32)
+        offs = np.frombuffer(bufs[1], odt, n + 1,
+                             values.offset * odt.itemsize).astype(np.int64)
+        starts, lens = offs[:-1], np.diff(offs)
+        data = bufs[2]
+    elif pa.types.is_null(typ):
+        starts = lens = np.zeros(n, np.int64)
+        data = None
+    else:
+        raise TypeError(f"_hash_shingles: cannot hash {typ} values")
+    if values.null_count:
+        lens = np.where(values.is_valid().to_numpy(zero_copy_only=False),
+                        lens, 0)
+    data = (np.frombuffer(data, np.uint8) if data is not None
+            else np.empty(0, np.uint8))
     order = np.argsort(lens, kind="stable")
     srt = lens[order]
-    start = int(np.searchsorted(srt, 0, side="right"))  # b"" keeps the basis
-    while start < n:
-        lo = int(srt[start])
-        stop = int(np.searchsorted(srt, 2 * lo, side="right"))
-        rows = order[start:stop]
-        blens = lens[rows]
-        width = int(srt[stop - 1])
-        arr = np.frombuffer(
-            b"".join(encoded[i].ljust(width, b"\x00") for i in rows),
-            dtype=np.uint8).reshape(len(rows), width)
-        hb = h[rows]
-        for j in range(width):
-            hx = (hb ^ arr[:, j]) * _FNV_PRIME
-            # every row of the bucket is at least lo bytes long
-            hb = hx if j < lo else np.where(blens > j, hx, hb)
-        h[rows] = hb
-        start = stop
+    pos = starts[order]
+    hs = np.full(n, _FNV_OFFSET, dtype=np.uint64)  # in length order
+    j = 0
+    for end in np.unique(srt).tolist():
+        # bytes j..end-1 exist in the rows from k on (sorted by length)
+        k = int(np.searchsorted(srt, j, side="right"))
+        hk, pk = hs[k:], pos[k:, None]  # hk is a view: updates land in hs
+        while j < end:
+            cols = data[pk + np.arange(j, min(j + max(1, n // len(hk)), end))]
+            for col in cols.astype(np.uint64).T:
+                hk ^= col
+                hk *= _FNV_PRIME
+            j += cols.shape[1]
+    h = np.empty(n, np.uint64)
+    h[order] = hs
     # fold in the length so prefixes cannot collide with extensions
     return (h ^ lens.astype(np.uint64)) * _FNV_PRIME
 
@@ -236,11 +273,31 @@ def window_hashes(text: str, window: int = 16) -> np.ndarray | None:
     return (strided * pw[::-1]).sum(axis=1, dtype=np.uint64)
 
 
+def id63(data: str | bytes) -> int:
+    """The package's 63-bit identity hash: blake2b-64 of ``data`` (a
+    ``str`` as its utf-8 bytes), little-endian, shifted right by one so
+    it fits a non-negative int64."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return int.from_bytes(
+        hashlib.blake2b(data, digest_size=8).digest(), "little") >> 1
+
+
+def digest128(data: str | bytes) -> tuple[int, int]:
+    """The package's 128-bit content digest: blake2b-128 of ``data`` (a
+    ``str`` as its utf-8 bytes) as two little-endian signed int64
+    halves ``(h1, h2)``; equal pairs mean equal content up to ~n^2/2^128
+    collision odds."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    d = hashlib.blake2b(data, digest_size=16).digest()
+    return (int.from_bytes(d[:8], "little", signed=True),
+            int.from_bytes(d[8:], "little", signed=True))
+
+
 def short_doc_fingerprint(text: str) -> int:
     """The single fingerprint of a sub-window document."""
-    data = text.encode("utf-8", errors="ignore")
-    h = hashlib.blake2b(data, digest_size=8).digest()
-    return int.from_bytes(h, "little") >> 1
+    return id63(text.encode("utf-8", errors="ignore"))
 
 
 def rolling_fingerprint(text: str, window: int = 16, mod_bits: int = 6) -> list[int]:

@@ -31,7 +31,7 @@ def _clean_batch(batch: pa.Table, *, min_tokens: int, lang: str) -> pa.Table:
     """Per-document stages, one pass: language ID -> token/length filter ->
     stats + content hash columns.  Row-parallel; no state."""
     from ..kernels.textstats import lang_id, quality_score, token_count_ws
-    from ..stages.dedup import _text_hash64
+    from ..kernels.minhash import id63
 
     ids = batch.column("doc_id").to_pylist()
     texts = batch.column("text").to_pylist()
@@ -50,7 +50,7 @@ def _clean_batch(batch: pa.Table, *, min_tokens: int, lang: str) -> pa.Table:
         out["alpha_ratio"].append(q["alpha_ratio"])
         keep_texts.append(t)
     out["text"] = keep_texts
-    out["content_hash"] = _text_hash64(keep_texts)
+    out["content_hash"] = [id63(t) for t in keep_texts]
     return pa.table(
         {
             "doc_id": pa.array(out["doc_id"], pa.int64()),

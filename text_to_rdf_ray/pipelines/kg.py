@@ -396,9 +396,10 @@ def _layout(subject_buckets: int) -> dict:
             "hash_version": _KEY_HASH_VERSION}
 
 
-def _bucket_ids(subj: list, subject_buckets: int) -> np.ndarray:
+def _bucket_ids(subj, subject_buckets: int) -> np.ndarray:
     """Each subject's ``subj_bucket``: ``fnv(subj) % subject_buckets``,
-    the vectorized FNV the dedup salt uses (SURVEY.md §7.2 item 7)."""
+    the placement FNV the dedup salt uses (SURVEY.md §7.2 item 7);
+    ``subj`` is an Arrow string column or a list."""
     return (_hash_shingles(subj) % np.uint64(subject_buckets)
             ).astype(np.int32)
 
@@ -437,7 +438,7 @@ def _sink_task(tbl, block: int, parquet_dir: str | None, subject_buckets: int,
         put(out_dir, "parquet", buf.getvalue().to_pybytes())
 
     if parquet_dir is not None and subject_buckets:
-        ids = _bucket_ids(tbl.column("subj").to_pylist(), subject_buckets)
+        ids = _bucket_ids(tbl.column("subj"), subject_buckets)
         for k in np.unique(ids):
             parquet(os.path.join(parquet_dir, f"subj_bucket={k}"),
                     tbl.filter(pa.array(ids == k)))

@@ -38,7 +38,8 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..kernels.minhash import band_keys, char_shingles, jaccard, minhash_signature
+from ..kernels.minhash import (_hash_shingles, band_keys_batch, char_shingles, id63,
+                               jaccard, minhash_signatures)
 from ..state import counters
 from .bsp import (Blocks, _as_table, _source_blocks, map_blocks, materialized,
                   two_phase_reduce)
@@ -190,16 +191,12 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
     norms = {sfc: _norm(sfc) for sfc in surface_list}
     buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
     ordered = sorted(surface_list)
-    for idx, sfc in enumerate(ordered):
-        sig = minhash_signature(char_shingles(norms[sfc]), num_perm=num_perm)
-        for bi, bh in enumerate(band_keys(sig, bands)):
+    shingles = [char_shingles(norms[sfc]) for sfc in ordered]
+    keys = band_keys_batch(minhash_signatures(shingles, num_perm=num_perm),
+                           bands)
+    for idx, row in enumerate(keys.tolist()):
+        for bi, bh in enumerate(row):
             buckets[(bi, bh)].append(idx)
-    shingle_cache: dict[int, set] = {}
-
-    def sh(i):
-        if i not in shingle_cache:
-            shingle_cache[i] = char_shingles(norms[ordered[i]])
-        return shingle_cache[i]
 
     def edges():
         # EXACT same-norm unification first, independent of bucket caps:
@@ -220,7 +217,7 @@ def canonicalize_local(surface_list: list[str], *, num_perm: int = DEFAULT_NUM_P
                 for j in range(i + 1, len(members)):
                     a, b = members[i], members[j]
                     if (norms[ordered[a]] == norms[ordered[b]]
-                            or jaccard(sh(a), sh(b)) >= tau):
+                            or jaccard(shingles[a], shingles[b]) >= tau):
                         yield a, b
 
     labels = _local_union_find(edges())
@@ -246,15 +243,10 @@ def canonicalize_surfaces(
     ``surface`` string column (distinct values).
     """
     def assign_ids(t: pa.Table) -> pa.Table:
-        from hashlib import blake2b
-
         return pa.table({
             "surface": t.column("surface"),
             "name_id": pa.array(
-                [int.from_bytes(
-                    blake2b(s.encode("utf-8"), digest_size=8).digest(),
-                    "little") >> 1
-                 for s in t.column("surface").to_pylist()],
+                [id63(s) for s in t.column("surface").to_pylist()],
                 pa.int64()),
         })
 
@@ -552,9 +544,6 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
        list_element + casts), in the phase-2 reduce tasks; the output
        is materialized.
     """
-    import pyarrow.compute as pc
-
-    from ..kernels.minhash import _hash_shingles
 
     def pack(batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -600,7 +589,7 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
         # salt = fnv(url) % S: a globally-hot (s,p,o) spreads over S
         # reducers in phase 1 (SURVEY.md §4.2 skew handling); the salt only
         # exists in the partial-agg phase and is dropped by phase 2
-        salts = (_hash_shingles(col("url", "").to_pylist())
+        salts = (_hash_shingles(col("url", ""))
                  % np.uint64(salt)).astype(np.int32)
         tbl = pa.table(
             {
@@ -618,7 +607,7 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
         spo = pc.binary_join_element_wise(
             g.column("subj"), g.column("pred"), g.column("obj"), "\x00"
         )
-        spo_h = _hash_shingles(spo.to_pylist())
+        spo_h = _hash_shingles(spo)
         salt_np = g.column("salt").to_numpy(zero_copy_only=False).astype(np.uint64)
         p1 = ((spo_h * np.uint64(0x9E3779B97F4A7C15)) ^ salt_np) \
             % np.uint64(_DEDUP_MAX_PARTS)

@@ -36,7 +36,6 @@ outputs, and each has an exact DuckDB replay in ``__ray_entry__``:
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -46,6 +45,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from ..kernels.minhash import digest128
 from ..state import counters
 from .bsp import map_blocks
 from .exchange import keyed_apply, pandas_block
@@ -270,13 +270,12 @@ def passage_dedup(
                         f"document {did} has >= 2^{_PASSAGE_IDX_BITS} "
                         f"passages; raise _PASSAGE_IDX_BITS")
                 chunk = words[start:start + window]
-                dig = hashlib.blake2b(" ".join(chunk).encode("utf-8"),
-                                      digest_size=16).digest()
+                h1, h2 = digest128(" ".join(chunk))
                 out_id.append(did)
                 out_idx.append(p)
                 out_nw.append(len(chunk))
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(h1)
+                out_h2.append(h2)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "passage_idx": pa.array(out_idx, pa.int64()),
@@ -918,13 +917,12 @@ def dup_ngram_fraction(
             words = _terms(txt)
             counts: dict = {}
             for g in _word_ngrams(words, n):
-                dig = hashlib.blake2b(g.encode("utf-8"),
-                                      digest_size=16).digest()
+                dig = digest128(g)
                 counts[dig] = counts.get(dig, 0) + 1
-            for dig, occ in counts.items():
+            for (h1, h2), occ in counts.items():
                 out_id.append(did)
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(h1)
+                out_h2.append(h2)
                 out_occ.append(occ)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
@@ -1233,12 +1231,11 @@ def line_dedup(
         for did, txt in zip(batch.column(id_col).to_pylist(),
                             batch.column(text_col).to_pylist()):
             for i, line in enumerate((txt or "").split("\n")):
-                dig = hashlib.blake2b(line.encode("utf-8"),
-                                      digest_size=16).digest()
+                h1, h2 = digest128(line)
                 out_id.append(did)
                 out_idx.append(i)
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(h1)
+                out_h2.append(h2)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "line_idx": pa.array(out_idx, pa.int64()),
@@ -1859,11 +1856,10 @@ def dup_spans(
                             batch.column(text_col).to_pylist()):
             words = _terms(txt)
             for i, g in enumerate(_word_ngrams(words, n)):
-                dig = hashlib.blake2b(g.encode("utf-8"),
-                                      digest_size=16).digest()
+                h1, h2 = digest128(g)
                 out_id.append(did)
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(h1)
+                out_h2.append(h2)
                 out_pos.append(i)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
@@ -1933,14 +1929,13 @@ def ngram_novelty(
             words = _terms(txt)
             seen: set = set()
             for g in _word_ngrams(words, n):
-                dig = hashlib.blake2b(g.encode("utf-8"),
-                                      digest_size=16).digest()
+                dig = digest128(g)
                 if dig in seen:
                     continue
                 seen.add(dig)
                 out_id.append(did)
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(dig[0])
+                out_h2.append(dig[1])
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "_h1": pa.array(np.asarray(out_h1, np.int64), pa.int64()),

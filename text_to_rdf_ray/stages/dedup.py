@@ -19,8 +19,6 @@ Pairs outputs are (id_a, id_b, score) with id_a < id_b, globally deduped.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -29,7 +27,9 @@ import ray.data as rd
 
 from ..kernels.minhash import (
     char_shingles,
+    digest128,
     hamming64,
+    id63,
     jaccard,
     simhash64,
     word_shingles,
@@ -37,13 +37,6 @@ from ..kernels.minhash import (
 from ..state import counters
 from .bsp import Blocks, map_blocks, materialized, two_phase_reduce
 from .exchange import dataset_api, keyed_apply
-
-
-def _text_hash64(texts: list[str]) -> list[int]:
-    return [
-        int.from_bytes(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest(), "little") >> 1
-        for t in texts
-    ]
 
 
 def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id") -> rd.Dataset:
@@ -59,7 +52,7 @@ def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id") 
     from .exchange import exchange_agg
 
     def hashed(batch: pa.Table) -> pa.Table:
-        h = np.array(_text_hash64(batch.column(text_col).to_pylist()),
+        h = np.array([id63(t) for t in batch.column(text_col).to_pylist()],
                      dtype=np.int64)
         return pa.table({"h": pa.array(h, pa.int64()),
                          id_col: batch.column(id_col),
@@ -1234,8 +1227,6 @@ def editdist_join(
     ride the variant exchange — the short-key contract (names, titles,
     queries); for document-scale text block on a fingerprint column.
     """
-    import hashlib as _hl
-
     from ..kernels.minhash import _hash_shingles
     from .exchange import exchange_agg, exchange_join
     from .graph import _pairs_within_groups
@@ -1243,18 +1234,13 @@ def editdist_join(
     # ---- (1) exact-duplicate grouping on a 128-bit full-string hash
     def string_hash(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).cast(pa.int64())
-        h1, h2 = [], []
-        for s in t.column(text_col).to_pylist():
-            d = _hl.blake2b((s or "").encode("utf-8"),
-                            digest_size=16).digest()
-            h1.append(int.from_bytes(d[:8], "little", signed=True))
-            h2.append(int.from_bytes(d[8:], "little", signed=True))
+        h = np.array([digest128(s or "")
+                      for s in t.column(text_col).to_pylist()],
+                     np.int64).reshape(-1, 2)
         return pa.table({id_col: ids,
                          "_t": t.column(text_col).cast(pa.string()),
-                         "_h1": pa.array(np.asarray(h1, np.int64),
-                                         pa.int64()),
-                         "_h2": pa.array(np.asarray(h2, np.int64),
-                                         pa.int64())})
+                         "_h1": pa.array(h[:, 0], pa.int64()),
+                         "_h2": pa.array(h[:, 1], pa.int64())})
 
     hashed = ds.map_batches(string_hash, batch_format="pyarrow",
                             batch_size=4096)
@@ -1494,8 +1480,6 @@ def cdc_chunks(
     never chunk bytes — through ONE hash exchange whose per-partition
     winner pick is a vectorized sort + groupby-first.
     """
-    import hashlib as _hl
-
     from ..kernels.minhash import window_hashes
 
     mask = np.uint64((1 << mod_bits) - 1)
@@ -1517,13 +1501,13 @@ def cdc_chunks(
                 cuts = [0] + pos.tolist() + [n]
             for i in range(len(cuts) - 1):
                 st, en = cuts[i], cuts[i + 1]
-                dig = _hl.blake2b(data[st:en], digest_size=16).digest()
+                h1, h2 = digest128(data[st:en])
                 o_id.append(did)
                 o_idx.append(i)
                 o_st.append(st)
                 o_ln.append(en - st)
-                o_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                o_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                o_h1.append(h1)
+                o_h2.append(h2)
         return pa.table({
             id_col: pa.array(o_id, pa.int64()),
             "chunk_idx": pa.array(np.asarray(o_idx, np.int64), pa.int64()),
@@ -1585,14 +1569,13 @@ def containment_pairs(
                             batch.column(text_col).to_pylist()):
             seen: set = set()
             for g in _word_ngrams(_terms(txt), n):
-                dig = hashlib.blake2b(g.encode("utf-8"),
-                                      digest_size=16).digest()
+                dig = digest128(g)
                 if dig in seen:
                     continue
                 seen.add(dig)
                 out_id.append(did)
-                out_h1.append(int.from_bytes(dig[:8], "little", signed=True))
-                out_h2.append(int.from_bytes(dig[8:], "little", signed=True))
+                out_h1.append(dig[0])
+                out_h2.append(dig[1])
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "_h1": pa.array(np.asarray(out_h1, np.int64), pa.int64()),

@@ -87,18 +87,6 @@ _KEYED_PART = "_part"
 _NULL_KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hash_strings(vals: list) -> np.ndarray:
-    """Partition-key string hash: the shingle hash
-    (:func:`~..kernels.minhash._hash_shingles`, FNV-1a over each
-    string's FULL utf-8 bytes, so IRIs sharing a long namespace prefix
-    still spread) with NULL keys mapped to ``_NULL_KEY_HASH``."""
-    h = _hash_shingles([v if v is not None else "" for v in vals])
-    null_mask = np.array([v is None for v in vals], bool)
-    if null_mask.any():
-        h = np.where(null_mask, _NULL_KEY_HASH, h)
-    return h
-
-
 #: version of ``_key_hash``'s output.  State persisted in its partition
 #: layout (BSP checkpoints) records it and refuses to resume on a
 #: mismatch.  2 = full-length string FNV (1 hashed the first 40 bytes).
@@ -134,39 +122,40 @@ def _int_view(col) -> np.ndarray:
 def _key_hash(tbl: pa.Table, on: list[str]) -> np.ndarray:
     """Vectorized uint64 hash of the key tuple, columns combined with a
     rotate-xor: splitmix64 over the int64 view of integer, temporal and
-    bool columns (:func:`_int_view`) and over the IEEE bits of floats;
-    full-length FNV over the utf-8 bytes of strings and over the raw
-    bytes of binary columns.  NULL key elements hash to a fixed constant
-    on every type path — an int64 column with nulls must NOT round-trip
-    through numpy float64 (ids above 2^53 would round, making a key's
-    partition depend on which batch it shares with a null)."""
+    bool columns (:func:`_int_view`) and over the IEEE bits of floats.
+    One branch covers string and binary keys (dictionary-encoded ones
+    are decoded first): the placement FNV of
+    :func:`~..kernels.minhash._hash_shingles` over each value's full
+    bytes, read from the Arrow buffers, so IRIs sharing a long
+    namespace prefix still spread and a string hashes as its utf-8
+    bytes.  NULL key elements, masked from the validity bitmap, hash to
+    a fixed constant on every type path — an int64 column with nulls
+    must NOT round-trip through numpy float64 (ids above 2^53 would
+    round, making a key's partition depend on which batch it shares
+    with a null)."""
     import pyarrow.compute as pc
 
-    from ..kernels.minhash import _fnv1a
     from .analytics import splitmix64
 
     acc = np.zeros(len(tbl), np.uint64)
     for c in on:
         col = tbl.column(c)
+        if pa.types.is_dictionary(col.type):
+            col = pc.cast(col, col.type.value_type)
         typ = col.type
-        nulls = col.null_count
         if (pa.types.is_integer(typ) or pa.types.is_temporal(typ)
                 or pa.types.is_boolean(typ)):
             h = splitmix64(_int_view(col))
         elif pa.types.is_floating(typ):
             # hash the IEEE bit pattern (equal float64 keys — including
             # +0.0 after the canonicalization below — share a partition)
-            filled = pc.fill_null(col, 0.0) if nulls else col
+            filled = pc.fill_null(col, 0.0) if col.null_count else col
             v = filled.to_numpy(zero_copy_only=False).astype(np.float64)
             v = v + 0.0  # -0.0 -> +0.0 so it groups with +0.0
             h = splitmix64(v.view(np.int64))
-        elif (pa.types.is_binary(typ) or pa.types.is_large_binary(typ)
-              or pa.types.is_fixed_size_binary(typ)):
-            h = _fnv1a([b or b"" for b in col.to_pylist()])
         else:
-            h = _hash_strings(col.to_pylist())
-            nulls = 0  # _hash_strings handled them
-        if nulls:
+            h = _hash_shingles(col)
+        if col.null_count:
             mask = pc.is_null(col).to_numpy(zero_copy_only=False)
             h = np.where(mask, _NULL_KEY_HASH, h)
         acc = ((acc << np.uint64(13)) | (acc >> np.uint64(51))) ^ h

@@ -24,11 +24,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernels.extractor import extract_document
+from ..kernels.minhash import id63
 from ..kernels.text import extract_text
 from ..kernels.validation import DATE_PREDICATES
 from ..state import counters
 from .bsp import Blocks, block_values, exchange_blocks, map_blocks, materialized
-from .exchange import agg_blocks, dataset_api, join_blocks, join_out_schema
+from .exchange import (_hash_col, agg_blocks, dataset_api, join_blocks,
+                       join_out_schema)
 
 #: the relational row view custom ValidationRules are evaluated against in
 #: ``validate_triples`` — a rule requiring any other property (e.g. a real
@@ -193,15 +195,6 @@ def make_link_task(kb_ref, fuzzy_threshold=0.8, confidence_threshold=0.5):
     return link_batch
 
 
-def _id64(key: str) -> int:
-    """The linker's 63-bit row id: blake2b-64 of ``key``, shifted right
-    by one."""
-    import hashlib
-
-    return int.from_bytes(
-        hashlib.blake2b(key.encode(), digest_size=8).digest(), "little") >> 1
-
-
 #: the join-mode KB label table: one row per KB label and alias
 _S_LABELS = pa.schema([("kb_uri", pa.string()), ("kb_label", pa.string()),
                        ("kb_low", pa.string()), ("lid", pa.int64())])
@@ -222,7 +215,7 @@ def _label_rows(records) -> pa.Table:
             uris.append(row["uri"])
             labels.append(lab)
             lows.append(low)
-            lids.append(_id64(f"{low}\x00{row['uri']}"))
+            lids.append(id63(f"{low}\x00{row['uri']}"))
     return pa.table([pa.array(uris, pa.string()), pa.array(labels, pa.string()),
                      pa.array(lows, pa.string()), pa.array(lids, pa.int64())],
                     schema=_S_LABELS)
@@ -349,7 +342,6 @@ def link_entities_join(
     the broadcast modes remain the exhaustive-within-block reference.
     """
     from ..kernels.linker import EXACT_CONFIDENCE, jaro_winkler_batch
-    from ..kernels.minhash import _hash_shingles
 
     kb = (kb_records if isinstance(kb_records, KBLabelTable)
           else KBLabelTable(kb_records))
@@ -377,7 +369,7 @@ def link_entities_join(
         names |= {o for o, ot in zip(objs, ots) if ot and o}
         names = sorted(names)
         lows = [n.lower() for n in names]
-        sids = [_id64(low) for low in lows]
+        sids = [id63(low) for low in lows]
         return pa.table(
             {
                 "surface": pa.array(names, pa.string()),
@@ -476,11 +468,9 @@ def link_entities_join(
     def top1_combine(t: pa.Table) -> pa.Table:
         # block-local top-1 is a safe combiner: the global top-1 under the
         # (conf desc, uri asc) total order is the max of block maxima
-        b = top1_vec(t.to_pandas())
-        part = (_hash_shingles(b["surface"].tolist())
-                >> np.uint64(1)).astype(np.int64)
-        return pa.Table.from_pandas(b.assign(_part=part), schema=_S_TOP1,
-                                    preserve_index=False)
+        b = pa.Table.from_pandas(top1_vec(t.to_pandas()),
+                                 schema=_LINK_SCHEMA, preserve_index=False)
+        return b.append_column("_part", _hash_col(b, ["surface"]))
 
     top1_sources = [(matched, lambda t: top1_combine(exact(t)))]
     # any surface without an exact match: one null-count task per block

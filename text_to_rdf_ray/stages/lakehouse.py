@@ -245,18 +245,13 @@ def point_lookup(
 
     def may_contain(row) -> bool:
         bits = np.frombuffer(row["bloom"], dtype=np.uint64)
-        nbits = np.uint64(row["bloom_nbits"])
-        for a, b in zip(h1, h2):
-            hit = True
-            for i in range(int(row["bloom_k"])):
-                pos = (a + np.uint64(i) * b) % nbits
-                w = bits[int(pos >> np.uint64(6))]
-                if not (w >> (pos & np.uint64(63))) & np.uint64(1):
-                    hit = False
-                    break
-            if hit:
-                return True
-        return False
+        # every value's k probes as one (values, k) uint64 array: array
+        # arithmetic wraps mod 2^64 silently, as the writer's does
+        i = np.arange(int(row["bloom_k"]), dtype=np.uint64)
+        pos = (h1[:, None] + i * h2[:, None]) % np.uint64(row["bloom_nbits"])
+        hit = (bits[(pos >> np.uint64(6)).astype(np.int64)]
+               >> (pos & np.uint64(63))) & np.uint64(1)
+        return bool(hit.all(axis=1).any())
 
     keep = manifest[[may_contain(r) for _, r in manifest.iterrows()]]
     counters.incr({"bloomscan_files_total": len(manifest),

@@ -23,6 +23,9 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..kernels.minhash import digest128
+
+
 def make_fake_media(n: int, seed: int = 42) -> pa.Table:
     """Deterministic fake media table for plumbing tests."""
     rng = np.random.RandomState(seed)
@@ -264,20 +267,14 @@ def media_exact_dedup(
     Emits (id, canonical_id) for every input row.  One hash exchange;
     per partition a vectorized min-per-digest + self-merge.
     """
-    import hashlib as _hl
-
     from .exchange import keyed_apply
 
     def digest(t: pa.Table) -> pd.DataFrame:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        h1 = np.empty(len(ids), np.int64)
-        h2 = np.empty(len(ids), np.int64)
-        for i, payload in enumerate(t.column(payload_col).to_pylist()):
-            d = _hl.blake2b(payload, digest_size=16).digest()
-            h1[i] = int.from_bytes(d[:8], "little", signed=True)
-            h2[i] = int.from_bytes(d[8:], "little", signed=True)
+        h = np.array([digest128(p) for p in t.column(payload_col).to_pylist()],
+                     np.int64).reshape(-1, 2)
         return pd.DataFrame({id_col: ids.astype(np.int64),
-                             "_h1": h1, "_h2": h2})
+                             "_h1": h[:, 0], "_h2": h[:, 1]})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         canon = (g.groupby(["_h1", "_h2"], sort=False)[id_col]
