@@ -827,6 +827,189 @@ def test_dedup_triples_null_numeric_keeps_provenance():
                 assert row[c] == src[c], (name, c)
 
 
+_SPO = ["subj", "pred", "obj"]
+
+
+def _hot_key_input():
+    """64 blocks of 500 triples: one (subj, pred, obj) in every other row
+    of every block, each row with its own (url, chunk, span), and 1,000
+    cold keys in the rest."""
+    import numpy as np
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    rng = np.random.RandomState(11)
+    n_blocks, per = 64, 500
+    n = n_blocks * per
+    hot = np.arange(n) % 2 == 0
+    k = np.where(hot, -1, rng.randint(0, 1000, n))
+    url = rng.randint(0, 300, n)
+    span = rng.permutation(n) * 3
+    t = pa.table({
+        "url": pa.array([f"https://hot.test/p{u}" for u in url]),
+        "subj": pa.array(["Hot" if i < 0 else f"S{i % 41}" for i in k]),
+        "subj_slug": pa.array(["hot" if i < 0 else f"s{i % 41}" for i in k]),
+        "subj_lower": pa.array(["hot" if i < 0 else f"s{i % 41}" for i in k]),
+        "pred": pa.array(["p" if i < 0 else f"p{i % 13}" for i in k]),
+        "pred_key": pa.array(["p" if i < 0 else f"p{i % 13}" for i in k]),
+        "obj": pa.array(["o" if i < 0 else f"o{i}" for i in k]),
+        "subj_type": pa.array(rng.choice(["Person", "Place"], n)),
+        "obj_type": pa.array([""] * n),
+        "nested_in": pa.array([""] * n),
+        "chunk_id": pa.array(rng.randint(0, 4, n), pa.int32()),
+        "span_start": pa.array(span, pa.int64()),
+        "span_end": pa.array(span + 5, pa.int64()),
+        "method": pa.array(rng.choice(["pattern", "kb"], n)),
+        "subj_uri": pa.array([f"https://kg/{i}" for i in k]),
+        "subj_link_conf": pa.array(rng.rand(n)),
+        "obj_uri": pa.array([None] * n, pa.string()),
+        "obj_link_conf": pa.array(rng.rand(n)),
+        "confidence": pa.array(rng.rand(n)),
+        "valid": pa.array(rng.rand(n) > 0.2),
+    })
+    return t, rd.from_arrow([t.slice(i * per, per) for i in range(n_blocks)])
+
+
+def test_dedup_triples_hot_key_one_row_at_sized_and_capped_parts(
+        monkeypatch, partition_counts):
+    """A key in every block of the input reaches the reduce as one row per
+    block: at the sized partition count, at the cap and at the cap as a
+    tree, it dedups to one row, and every output row (every column) is
+    the min-(url, chunk, span) row of its key."""
+    import pandas as pd
+
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.canonicalize import (_DEDUP_MAX_PARTS,
+                                                     dedup_triples)
+
+    t, ds = _hot_key_input()
+    ref = (t.to_pandas()
+           .sort_values(["url", "chunk_id", "span_start", "span_end"])
+           .drop_duplicates(_SPO).sort_values(_SPO).reset_index(drop=True))
+    assert len(ref) > 900
+    ctx = DataContext.get_current()
+    flat = bsp.TREE_COMBINE_THRESHOLD
+    for part_bytes, tree_threshold in ((ctx.target_min_block_size, flat),
+                                       (1, flat), (1, 0)):
+        monkeypatch.setattr(ctx, "target_min_block_size", part_bytes)
+        monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", tree_threshold)
+        out = dedup_triples(ds).to_pandas()
+        assert ((out["subj"] == "Hot") & (out["pred"] == "p")
+                & (out["obj"] == "o")).sum() == 1
+        pd.testing.assert_frame_equal(
+            out.sort_values(_SPO).reset_index(drop=True), ref[out.columns],
+            obj=f"P={partition_counts[-1]} tree threshold={tree_threshold}")
+    assert 1 < partition_counts[0] < _DEDUP_MAX_PARTS, partition_counts
+    assert partition_counts[1:] == [_DEDUP_MAX_PARTS] * 2, partition_counts
+
+
+def test_dedup_triples_empty_input_gives_one_typed_block():
+    """A zero-row input and a zero-block input each give one empty block,
+    typed as a non-empty run's output."""
+    import ray
+    import ray.data as rd
+
+    from text_to_rdf_ray.stages.bsp import Blocks
+    from text_to_rdf_ray.stages.canonicalize import dedup_triples
+
+    t, ds = _dedup_input()
+    want = ray.get(dedup_triples.blocks(ds).refs[0]).schema
+    for empty in (rd.from_arrow(t.slice(0, 0)), Blocks([], [])):
+        out = dedup_triples.blocks(empty)
+        assert len(out.refs) == 1
+        block = ray.get(out.refs[0])
+        assert block.num_rows == 0
+        assert block.schema == want
+
+
+@pytest.mark.parametrize("part_bytes, parts", [(1 << 40, 1), (1, 32)],
+                         ids=["P1", "cap"])
+def test_dedup_triples_retried_block_function_gives_a_clean_run(
+        tmp_path, monkeypatch, partition_counts, part_bytes, parts):
+    """A block function that counts its rows and then kills its worker on
+    its first call is retried by Ray: the output rows (every column) and
+    the counters equal a clean run's, at P=1 (the block function runs in
+    the reduce task) and at the cap (in the split tasks)."""
+    import pandas as pd
+
+    import ray
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages.canonicalize import dedup_triples
+    from text_to_rdf_ray.state import counters
+
+    marker = tmp_path / "crashed"
+
+    def fn(t):
+        counters.incr({"dedup_retry_rows": t.num_rows})
+        if not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return t
+
+    t, ds = _dedup_input()
+    ds = ds.materialize()
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        part_bytes)
+    runs = []
+    for _ in range(2):  # the first run crashes once, the second is clean
+        counters.snapshot(reset=True)
+        out = dedup_triples.blocks((ds, fn))
+        rows = pd.concat([b.to_pandas() for b in ray.get(out.refs)])
+        runs.append((rows.sort_values(_SPO).reset_index(drop=True),
+                     counters.snapshot(reset=True)))
+    assert marker.exists()
+    assert partition_counts == [parts] * 2
+    pd.testing.assert_frame_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1] == {"dedup_retry_rows": t.num_rows}
+
+
+@pytest.mark.parametrize("parts, want", [
+    (1, {"_reduce_task": 1}),
+    (4, {"_map_split_task": 3, "_reduce_task": 4}),
+])
+def test_dedup_triples_is_one_exchange(monkeypatch, partition_counts, parts,
+                                       want):
+    """Over a materialized 3-block input, dedup_triples is one exchange:
+    one reduce task at P=1; at P=4 a split task per block and a reduce
+    task per partition.  The packing runs in those tasks."""
+    import collections
+
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.remote_function import RemoteFunction
+
+    from text_to_rdf_ray.stages.bsp import _source_blocks
+    from text_to_rdf_ray.stages.canonicalize import dedup_triples
+
+    t, _ = _dedup_input()
+    n = -(-t.num_rows // 3)
+    ds = rd.from_arrow([t.slice(i * n, n) for i in range(3)]).materialize()
+    blocks, _ = _source_blocks(ds)
+    assert len(blocks) == 3
+    total = sum(size for _, _, size in blocks)
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        1 << 40 if parts == 1 else -(-total // parts))
+    tasks = collections.Counter()
+    real = RemoteFunction._remote
+
+    def counting(self, *args, **kwargs):
+        tasks[self._function_name.rsplit(".", 1)[-1]] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counting)
+    out = dedup_triples.blocks(ds)
+    monkeypatch.setattr(RemoteFunction, "_remote", real)
+    assert sum(b.num_rows for b in ray.get(out.refs)) == len(
+        t.to_pandas().drop_duplicates(_SPO))
+    assert partition_counts == [parts]
+    assert dict(tasks) == want
+
+
 def _partition_frames(out: str) -> dict:
     """Each committed partition's rows, sorted, floats rounded."""
     import pandas as pd

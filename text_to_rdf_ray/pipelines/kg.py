@@ -10,8 +10,9 @@ End-to-end flow (north star):
      shuffle-join linking, ``link_entities_join``, nothing broadcast)
   -> canonicalize (MinHash-LSH blocking + union-find shuffles)
   -> validate (vectorized confidence)
-  -> global (subj,pred,obj) dedup (salted two-phase shuffle; the
-     canonical rewrite and validation run in its pack tasks)
+  -> global (subj,pred,obj) dedup (one hash exchange; the canonical
+     rewrite and validation run in its split tasks, or at one partition
+     in its reduce task)
   -> partitioned Parquet + N-Triples files, one raw sink task per block,
      per-partition manifests.
 
@@ -140,7 +141,8 @@ def build_triples(
                 batch_format="pyarrow", batch_size=2048,
             )
     # the steps after the last materialization, as Arrow block functions:
-    # with dedup they run in its pack tasks, with no Ray Data execution
+    # with dedup they run in the tasks of its exchange, in front of its
+    # combiner, with no Ray Data execution
     fns = []
     if canonicalize:
         from ..stages.canonicalize import canonicalize_local

@@ -17,9 +17,9 @@ partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
 also serve one-shot exchanges sized to their input: ``exchange_blocks``
-(under ``exchange_join`` / ``exchange_agg`` /
-``keyed_exchange``), ``two_phase_reduce`` (the salted dedup and LSH
-pair exchanges), and the range exchange at a fixed P:
+(under ``exchange_join`` / ``exchange_agg`` / ``keyed_exchange`` and
+the triple dedup), ``two_phase_reduce`` (the LSH pair exchange), and
+the range exchange at a fixed P:
 ``range_exchange`` and ``sort_blocks`` (the sorts, prefix scans and
 range-cut writes), whose output block i is range i.
 
@@ -117,7 +117,8 @@ def _split(tbl: pa.Table, law, num_parts: int, gsz: int | None = None):
 @ray.remote
 def _map_split_task(fn, law, num_parts: int, gsz: int | None, *args):
     """The map side of every exchange: ``fn(*args)`` (a BSP phase step,
-    a source block's prologue, a two-phase middle reduce) split by
+    a source block's block function and prologue, ``two_phase_reduce``'s
+    middle reduce) split by
     ``law`` (:func:`_split`), then the counts ``fn`` made
     (:func:`~..state.counters.counted`) as the last return."""
     out, counts = counters.counted(fn, *args)

@@ -25,25 +25,25 @@ canonicalization at 10^12-doc scale —
 Label propagation runs on the stationary-partition BSP engine
 (stages/bsp.py), or as an in-process union-find for small edge sets; every
 other shuffle is a raw-task hash exchange (``exchange_join`` /
-``exchange_agg`` / ``two_phase_reduce``).  Candidate-pair generation
-shuffles only (shard, band, hash, name_id) rows — never surfaces,
-never documents.
+``exchange_agg``, and ``dedup_triples``' one ``exchange_blocks``).
+Candidate-pair generation shuffles only (shard, band, hash, name_id)
+rows — never surfaces, never documents.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..kernels.minhash import (_hash_shingles, band_keys_batch, char_shingles, id63,
-                               jaccard, minhash_signatures)
+from ..kernels.minhash import (band_keys_batch, char_shingles, id63, jaccard,
+                               minhash_signatures)
 from ..state import counters
-from .bsp import (Blocks, _as_table, _source_blocks, map_blocks, materialized,
-                  two_phase_reduce)
-from .exchange import _sources, _then, agg_blocks, dataset_api, join_blocks, join_out_schema
+from .bsp import (Blocks, _as_table, _source_blocks, exchange_blocks, map_blocks,
+                  materialized)
+from .exchange import (_hash_col, _sources, _then, agg_blocks, dataset_api, join_blocks,
+                       join_out_schema)
 
 DEFAULT_NUM_PERM = 64
 DEFAULT_BANDS = 16
@@ -487,62 +487,62 @@ def apply_canonical_join(
 _PACK_SEP = "\x1f"
 
 
-#: dedup_triples output schema (unpack's column layout) — used for the
-#: typed empty-input result
-_DEDUP_OUT_SCHEMA = pa.schema([
-    ("url", pa.string()), ("subj", pa.string()),
-    ("subj_slug", pa.string()), ("subj_lower", pa.string()),
-    ("pred", pa.string()), ("pred_key", pa.string()),
-    ("obj", pa.string()), ("subj_type", pa.string()),
-    ("obj_type", pa.string()), ("nested_in", pa.string()),
-    ("chunk_id", pa.int32()), ("span_start", pa.int64()),
-    ("span_end", pa.int64()), ("method", pa.string()),
-    ("subj_uri", pa.string()), ("subj_link_conf", pa.float64()),
-    ("obj_uri", pa.string()), ("obj_link_conf", pa.float64()),
-    ("confidence", pa.float64()), ("valid", pa.bool_()),
-])
-
-
-#: dedup_triples exchange fan-out cap — also the modulus of the packed
-#: ``p1``/``p2`` partition columns, which the exchange re-splits ``% P``
-#: for its sized P <= this cap
+#: dedup_triples exchange fan-out cap: the sized partition count's
+#: upper bound
 _DEDUP_MAX_PARTS = 32
+
+#: the rows dedup_triples' exchange moves: the key, the packed
+#: provenance and the key hash (``exchange._hash_col``) as the
+#: partition column
+_DEDUP_PACKED_SCHEMA = pa.schema([
+    ("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
+    ("prov", pa.string()), ("_part", pa.int64())])
+
+
+_SPO = ["subj", "pred", "obj"]
+
+
+def _min_prov(t: pa.Table) -> pa.Table:
+    """The min packed provenance of each (subj, pred, obj) of ``t``."""
+    g = t.group_by(_SPO).aggregate([("prov", "min")])
+    return pa.table({"subj": g.column("subj"), "pred": g.column("pred"),
+                     "obj": g.column("obj"), "prov": g.column("prov_min")})
 
 
 @dataset_api
-def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
+def dedup_triples(triples) -> rd.Dataset:
     """Global exact (subj, pred, obj) dedup — the final canonical shuffle
     (HashSet semantics of integration_tests.rs:70, A3 in SURVEY.md).
 
     ``triples`` is a Dataset, or a ``(source, block_fn)`` pair as the
     exchanges take it: the block function maps each block of the
     materialized source (a Dataset or :class:`~.bsp.Blocks`) to the
-    triples, in the task that packs it.
+    triples, in the task that splits it.
 
-    Two-phase and fully vectorized (pyarrow kernels, no per-row Python —
-    this is the one stage every triple of a 100-TB run passes through):
-    1. per-block combiner (``pack``, one raw task per input block, with
-       no Ray Data execution): pack all provenance columns into
-       ONE lexicographically-sortable string (url first, then zero-padded
-       chunk/span) with ``pc.binary_join_element_wise``; collapse
-       within-batch duplicates with an arrow ``group_by(...).min``.  This
-       absorbs head-entity skew before the exchange.  Each row gets two
-       partition columns: ``p1`` from (spo hash, salt) with salt =
-       fnv(url) % S, so a globally-hot key spreads over S reducers, and
-       ``p2`` from the spo hash alone.
-    2. :func:`~.bsp.two_phase_reduce` as raw Ray tasks: split by ``p1``,
-       salted partial min per (subj, pred, obj, salt), re-split by ``p2``,
-       unsalted final min per (subj, pred, obj) over <= salt rows per key.
-       Grouping on the REAL key columns (not a 64-bit digest) makes a key
-       collision impossible at any scale.  Min of the packed string
-       selects a CONSISTENT representative row (deterministic
-       first-by-(url, chunk, span)); Min is associative and commutative,
-       so the result is exactly the single-phase result for every
-       partition count, and the exchange sizes its partition count to
-       the packed input (at most ``_DEDUP_MAX_PARTS``).
+    One :func:`~.bsp.exchange_blocks`, fully vectorized (pyarrow
+    kernels, no per-row Python — this is the one stage every triple of
+    a 100-TB run passes through):
+    1. per-block combiner (``pack``, in the task that splits the source
+       block, after its block function): pack all provenance columns
+       into ONE lexicographically-sortable string (url first, then
+       zero-padded chunk/span) with ``pc.binary_join_element_wise``;
+       collapse within-block duplicates with an arrow
+       ``group_by(...).min``, and tag each row with the key hash
+       (``exchange._hash_col``, the law ``exchange_agg`` uses).  After
+       it a key reaches the reduce as at most one row per source block,
+       so a globally-hot key costs its partition at most B rows for B
+       source blocks.
+    2. the reduce: the same min per (subj, pred, obj) over the
+       partition.  Grouping on the REAL key columns (not a 64-bit
+       digest) makes a key collision impossible at any scale.  Min of
+       the packed string selects a CONSISTENT representative row
+       (deterministic first-by-(url, chunk, span)); Min is associative
+       and commutative, so the result is the same at every partition
+       count, and the exchange sizes its partition count to the source
+       blocks (at most ``_DEDUP_MAX_PARTS``).
     3. unpack provenance back into columns (vectorized split_pattern +
-       list_element + casts), in the phase-2 reduce tasks; the output
-       is materialized.
+       list_element + casts), in the same reduce task; the output is
+       materialized.  An empty input gives one typed empty block.
     """
 
     def pack(batch: pa.Table) -> pa.Table:
@@ -586,43 +586,12 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
             col("pred_key", ""),
             _PACK_SEP,
         )
-        # salt = fnv(url) % S: a globally-hot (s,p,o) spreads over S
-        # reducers in phase 1 (SURVEY.md §4.2 skew handling); the salt only
-        # exists in the partial-agg phase and is dropped by phase 2
-        salts = (_hash_shingles(col("url", ""))
-                 % np.uint64(salt)).astype(np.int32)
-        tbl = pa.table(
-            {
-                "subj": batch.column("subj"),
-                "pred": batch.column("pred"),
-                "obj": batch.column("obj"),
-                "salt": pa.array(salts, pa.int32()),
-                "prov": prov,
-            }
-        )
-        # within-batch combiner: keep min prov per (spo, salt)
-        g = tbl.group_by(["subj", "pred", "obj", "salt"]).aggregate([("prov", "min")])
-        # partition keys: p1 spreads a hot spo over `salt` reducers (phase 1),
-        # p2 co-locates all of a spo's <= salt survivors (phase 2)
-        spo = pc.binary_join_element_wise(
-            g.column("subj"), g.column("pred"), g.column("obj"), "\x00"
-        )
-        spo_h = _hash_shingles(spo)
-        salt_np = g.column("salt").to_numpy(zero_copy_only=False).astype(np.uint64)
-        p1 = ((spo_h * np.uint64(0x9E3779B97F4A7C15)) ^ salt_np) \
-            % np.uint64(_DEDUP_MAX_PARTS)
-        p2 = spo_h % np.uint64(_DEDUP_MAX_PARTS)
-        return pa.table(
-            {
-                "subj": g.column("subj"),
-                "pred": g.column("pred"),
-                "obj": g.column("obj"),
-                "salt": g.column("salt"),
-                "prov": g.column("prov_min"),
-                "p1": pa.array(p1.astype(np.int32), pa.int32()),
-                "p2": pa.array(p2.astype(np.int32), pa.int32()),
-            }
-        )
+        # within-block combiner: keep min prov per (subj, pred, obj)
+        g = _min_prov(pa.table({"subj": batch.column("subj"),
+                                "pred": batch.column("pred"),
+                                "obj": batch.column("obj"),
+                                "prov": prov}))
+        return g.append_column("_part", _hash_col(g, _SPO))
 
     def unpack(batch: pa.Table) -> pa.Table:
         parts = pc.split_pattern(batch.column("prov"), pattern=_PACK_SEP)
@@ -665,44 +634,13 @@ def dedup_triples(triples, salt: int = 16) -> rd.Dataset:
             }
         )
 
-    # phase 1: salted partial aggregation (hot keys spread over `salt`
-    # reducers); phase 2: unsalted final merge over <= salt rows per key.
-    # Each reduce is a VECTORIZED arrow group_by over one whole partition —
-    # Ray's built-in Aggregate reduces per key in Python and is ~50x
-    # slower here.
-    def reduce1(g: pa.Table) -> pa.Table:
-        r = g.group_by(["subj", "pred", "obj", "salt"]).aggregate(
-            [("prov", "min"), ("p2", "min")]
-        )
-        return pa.table(
-            {
-                "subj": r.column("subj"),
-                "pred": r.column("pred"),
-                "obj": r.column("obj"),
-                "prov": r.column("prov_min"),
-                "p2": r.column("p2_min"),
-            }
-        )
+    def reduce(t: pa.Table) -> pa.Table:
+        return unpack(_min_prov(t))
 
-    def reduce2(g: pa.Table) -> pa.Table:
-        r = g.group_by(["subj", "pred", "obj"]).aggregate([("prov", "min")])
-        return unpack(pa.table(
-            {
-                "subj": r.column("subj"),
-                "pred": r.column("pred"),
-                "obj": r.column("obj"),
-                "prov": r.column("prov_min"),
-            }
-        ))
-
-    # raw-task two-phase exchange (stages/bsp.py) sized to the packed
-    # blocks — this tail is on the headline path
-    [(src, fn)] = _sources(triples)
-    packed = map_blocks(src, _then(fn, pack))
-    if packed.num_rows() == 0:
-        # zero-block/zero-row input: one typed empty block (review r5)
-        return Blocks.put([_DEDUP_OUT_SCHEMA.empty_table()])
-    # the unpack runs in the second phase's reduce tasks: the output is
-    # materialized, with no Ray Data map after the exchange
-    return two_phase_reduce.blocks(packed, "p1", "p2", reduce1, reduce2,
-                                   max_parts=_DEDUP_MAX_PARTS)
+    # the arrow group_by reduces every key of a partition in one
+    # vectorized call: Ray's built-in Aggregate reduces per key in Python
+    # and is ~50x slower here
+    return exchange_blocks([(src, _then(fn, pack))
+                            for src, fn in _sources(triples)],
+                           "_part", reduce, _DEDUP_PACKED_SCHEMA,
+                           max_parts=_DEDUP_MAX_PARTS)

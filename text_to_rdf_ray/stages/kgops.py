@@ -554,23 +554,21 @@ def sameas_closure(
     from .exchange import exchange_agg
     from .canonicalize import connected_components
 
+    def hash_ids(t: pa.Table, col: str) -> pa.Array:
+        # _hash_shingles hashes a null as "", the name hash_names gives it
+        return pa.array(_hash_shingles(t.column(col).cast(pa.string()))
+                        .astype(np.int64))
+
     def hash_edges(t: pa.Table) -> pa.Table:
-        av = [x if x is not None else "" for x in t.column(a_col).to_pylist()]
-        bv = [x if x is not None else "" for x in t.column(b_col).to_pylist()]
-        return pa.table({
-            "src": pa.array(_hash_shingles(av).astype(np.int64), pa.int64()),
-            "dst": pa.array(_hash_shingles(bv).astype(np.int64), pa.int64()),
-        })
+        return pa.table({"src": hash_ids(t, a_col), "dst": hash_ids(t, b_col)})
 
     edges = sameas.map_batches(hash_edges, batch_format="pyarrow")
     comp = connected_components(edges)  # (name_id, component)
 
     def hash_names(t: pa.Table, col: str) -> pa.Table:
-        v = [x if x is not None else "" for x in t.column(col).to_pylist()]
         return pa.table({
-            "name": pa.array(v, pa.string()),
-            "name_id": pa.array(_hash_shingles(v).astype(np.int64),
-                                pa.int64())})
+            "name": pc.fill_null(t.column(col).cast(pa.string()), ""),
+            "name_id": hash_ids(t, col)})
 
     names = exchange_agg(
         sameas.map_batches(lambda t: pa.concat_tables(

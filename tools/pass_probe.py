@@ -23,6 +23,10 @@ For every pass it prints one JSON line:
   the innermost ``text_to_rdf_ray`` call site, and ``materialize_calls``
   (``Dataset.materialize``) by the same key;
 * ``tasks``: raw Ray task submissions by function name;
+* ``exchanges``: each raw-task exchange's first phase
+  (``bsp._partition``) as ``[P, input bytes]`` (the source blocks'
+  bytes, before their block functions), by the innermost call site
+  outside ``stages/bsp.py`` and ``stages/exchange.py``;
 * ``driver_cpu_s``: this process's CPU time (``time.process_time``);
 * ``ray_cpu_s``: the CPU (utime + stime from ``/proc/<pid>/stat``) the
   Ray processes (this process's descendants) used during the pass, by
@@ -77,11 +81,12 @@ class _Host:
         rd.DataContext.get_current().enable_progress_bars = False
 
 
-def _site() -> str:
-    """The innermost ``text_to_rdf_ray`` frame of the caller's stack as
-    ``path:line``."""
+def _site(skip: tuple = ()) -> str:
+    """The innermost ``text_to_rdf_ray`` frame of the caller's stack,
+    outside the package files ``skip``, as ``path:line``."""
     frames = [f for f in traceback.extract_stack()
-              if f.filename.startswith(PKG)]
+              if f.filename.startswith(PKG)
+              and os.path.relpath(f.filename, PKG) not in skip]
     return (f"{os.path.relpath(frames[-1].filename, PKG)}:{frames[-1].lineno}"
             if frames else "<outside>")
 
@@ -140,10 +145,17 @@ def _ray_delta(before: dict, after: dict) -> tuple[dict, list]:
             sorted(started))
 
 
+#: the exchange engine's own files, skipped when naming an exchange's
+#: call site
+_EXCHANGE_FILES = (os.path.join("stages", "bsp.py"),
+                   os.path.join("stages", "exchange.py"))
+
+
 class _Recorder:
     """Counts executions, Dataset constructions, ``materialize()`` calls
-    and task submissions and times ``PHASES`` while installed; ``take()``
-    returns and clears what one pass recorded."""
+    and task submissions, records each exchange's P and input bytes and
+    times ``PHASES`` while installed; ``take()`` returns and clears what
+    one pass recorded."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -152,6 +164,7 @@ class _Recorder:
         self.datasets: collections.Counter = collections.Counter()
         self.materialize_calls: collections.Counter = collections.Counter()
         self.tasks: collections.Counter = collections.Counter()
+        self.exchanges: collections.defaultdict = collections.defaultdict(list)
         self.phases: list = []
 
     def install(self) -> None:
@@ -186,6 +199,7 @@ class _Recorder:
 
         StreamingExecutor.execute = counting_execute
         RemoteFunction._remote = counting_remote
+        self._wrap_partition()
         for mod_name, path in PHASES:
             *owners, name = path.split(".")
             obj = importlib.import_module(mod_name)
@@ -193,6 +207,32 @@ class _Recorder:
                 obj = getattr(obj, owner)
             if hasattr(obj, name):
                 setattr(obj, name, self._timed(path, getattr(obj, name)))
+
+    def _wrap_partition(self) -> None:
+        """Record ``[P, input bytes]`` per ``bsp._partition`` call: P is
+        its partition count, the bytes the sizes its ``_walk_sources``
+        call read (same thread) from the source blocks' metadata."""
+        from text_to_rdf_ray.stages import bsp
+
+        rec, local = self, threading.local()
+        walk, partition = bsp._walk_sources, bsp._partition
+
+        def recording_walk(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            local.sizes = out[2]
+            return out
+
+        def recording_partition(*args, **kwargs):
+            local.sizes = []
+            out = partition(*args, **kwargs)
+            nbytes = sum(size or 0 for size in local.sizes)
+            with rec.lock:
+                rec.exchanges[_site(_EXCHANGE_FILES)].append(
+                    [len(out[0]), nbytes])
+            return out
+
+        bsp._walk_sources = recording_walk
+        bsp._partition = recording_partition
 
     def _timed(self, name: str, fn):
         @functools.wraps(fn)
@@ -215,9 +255,11 @@ class _Recorder:
                    "materialize_calls": dict(sorted(
                        self.materialize_calls.items())),
                    "tasks": dict(sorted(self.tasks.items())),
+                   "exchanges": dict(sorted(self.exchanges.items())),
                    "phases": sorted(self.phases, key=lambda p: p[2])}
             for counter in (self.executions, self.datasets,
-                            self.materialize_calls, self.tasks):
+                            self.materialize_calls, self.tasks,
+                            self.exchanges):
                 counter.clear()
             self.phases = []
             self.t0 = time.perf_counter()
