@@ -172,28 +172,35 @@ def test_capped_bucket_skips_are_counted():
 
 
 def test_lsh_band_exchange_is_payload_free():
-    """The band-bucket exchange must carry only (shard, band, hash, id) —
-    never the document text (the 16-32x shuffle-amplification guard)."""
+    """The band-bucket exchange must carry only (shard, band, hash, id,
+    feat) — never the document text (the 16-32x shuffle-amplification
+    guard)."""
     import pyarrow as pa
 
-    from text_to_rdf_ray.stages.dedup import _band_explode
+    from text_to_rdf_ray.stages.dedup import _band_explode, _band_schema
 
     docs = pa.table({"doc_id": [0, 1], "text": ["aaa", "bbb"]})
 
     def bands_feat(text):
         return [(0, len(text)), (1, hash(text) % 97)], None
 
-    names = _band_explode(bands_feat, "doc_id", "text")(docs).column_names
-    assert names == ["shard", "band_id", "band_hash", "doc_id"]
+    out = _band_explode(bands_feat, "doc_id", "text")(docs)
+    names = out.column_names
+    # no sketch: the feat column is there, all null, so every block of
+    # the exchange has one schema
+    assert names == ["shard", "band_id", "band_hash", "doc_id", "feat"]
+    assert out.schema == _band_schema("doc_id")
+    assert out.column("feat").null_count == out.num_rows == 4
     assert "text" not in names
 
-    # with an in-band sketch: the fixed-size feat column appears, the
-    # payload still does not
+    # with an in-band sketch: the feat column holds it, the payload
+    # still does not enter
     def bands_feat_s(text):
         return [(0, len(text))], b"\x01" * 64
 
-    names2 = _band_explode(bands_feat_s, "doc_id", "text")(docs).column_names
-    assert "text" not in names2 and "feat" in names2
+    out2 = _band_explode(bands_feat_s, "doc_id", "text")(docs)
+    assert out2.schema == _band_schema("doc_id")
+    assert out2.column("feat").null_count == 0
 
 
 def test_pairs_from_buckets_empty_input_gives_empty_pairs():
@@ -347,6 +354,100 @@ def test_giant_bucket_pairs_not_dropped():
         bands_feat_batch_fn=bands_feat_batch,
     ).to_pandas()
     assert len(out2) == 0
+
+
+def test_lsh_candidates_are_two_exchanges(monkeypatch, partition_counts):
+    """_pairs_from_buckets' candidates are two exchanges (the per-shard
+    pairs, then their distinct): at P=1 one reduce task each.  The pair
+    set and the candidate, skipped and giant-bucket counters are the
+    same at P=1, with both exchanges at their cap of 64, and with the
+    tree combine forced."""
+    import collections
+    import hashlib
+
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.remote_function import RemoteFunction
+
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.stages.dedup import _pairs_from_buckets
+    from text_to_rdf_ray.state import counters
+
+    def sketch(i: int) -> bytes:
+        # docs 2k, 2k+1 (k < 50) share a sketch, and so do 7 and 8
+        if i in (7, 8):
+            return bytes([255] * 64)
+        if i < 100:
+            return bytes([i // 2] * 64)
+        return hashlib.blake2b(b"%d" % i, digest_size=64).digest()
+
+    def bands_feat_batch(payloads):
+        # band 0: one giant bucket (docs 0-549, kept: 550 <= max_bucket);
+        # band 1: one bucket over the cap (docs 550-1249, skipped);
+        # band 2: two-doc buckets
+        out = []
+        for p in payloads:
+            i = int(p)
+            out.append(([(0, 42 if i < 550 else 10**6 + i),
+                         (1, 99 if 550 <= i < 1250 else 2 * 10**6 + i),
+                         (2, i // 2)], sketch(i)))
+        return out
+
+    ds = rd.from_items([{"doc_id": i, "text": str(i)}
+                        for i in range(1300)]).materialize()
+
+    def verify(t1, t2):
+        return 1.0 if sketch(int(t1)) == sketch(int(t2)) else None
+
+    inside = [0]
+    real_exchange = bsp._exchange
+
+    def exchange(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return real_exchange(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    tasks = collections.Counter()
+    real_remote = RemoteFunction._remote
+
+    def counting(self, *args, **kwargs):
+        if inside[0]:
+            tasks[self._function_name.rsplit(".", 1)[-1]] += 1
+        return real_remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(bsp, "_exchange", exchange)
+    monkeypatch.setattr(RemoteFunction, "_remote", counting)
+
+    def run():
+        tasks.clear()
+        partition_counts.clear()
+        counters.snapshot(reset=True)
+        out = _pairs_from_buckets(
+            ds, None, verify, "doc_id", "text", max_bucket=600,
+            prune_est=0.9, prepare_fn=lambda t: t,
+            bands_feat_batch_fn=bands_feat_batch).to_pandas()
+        pairs = sorted(zip(out.id_a.tolist(), out.id_b.tolist()))
+        return pairs, counters.snapshot(reset=True)
+
+    ctx = DataContext.get_current()
+    sized = run()
+    assert dict(tasks) == {"_reduce_task": 2}
+    assert partition_counts == [1, 1]
+    want_pairs = sorted({(2 * k, 2 * k + 1) for k in range(50)} - {(6, 7), (8, 9)}
+                        | {(7, 8)})
+    assert sized[0] == want_pairs
+    assert sized[1] == {"lsh_candidates": 49, "lsh_skipped_buckets": 1,
+                        "lsh_skipped_rows": 700, "lsh_giant_bucket_rows": 550}
+
+    # one partition per byte of input: both exchanges at their cap
+    monkeypatch.setattr(ctx, "target_min_block_size", 1)
+    assert run() == sized
+    assert partition_counts == [64, 64]
+    monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
+    assert run() == sized
+    assert tasks["_regroup_task"] > 0
 
 
 def test_apply_canonical_join_matches_broadcast():

@@ -486,13 +486,17 @@ def test_exchange_agg_matches_pandas_groupby(ray_session):
         set(map(tuple, want[["k1", "k2"]].itertuples(index=False)))
 
 
-def test_two_phase_reduce_matches_dataset_form(ray_session, monkeypatch):
-    """two_phase_reduce must equal the groupby(p1)->groupby(p2) Dataset
-    formulation for a salted min-reduce."""
+def test_chained_exchange_matches_dataset_form(ray_session, monkeypatch,
+                                               partition_counts):
+    """An exchange_blocks (a salted partial min) chained into an
+    agg_blocks (the min per key) must equal the pandas groupby min, with
+    both exchanges at P=8, flat and through the forced tree combine."""
     import pyarrow as pa
+    from ray.data import DataContext
 
     from text_to_rdf_ray.stages import bsp
-    from text_to_rdf_ray.stages.bsp import two_phase_reduce
+    from text_to_rdf_ray.stages.bsp import exchange_blocks
+    from text_to_rdf_ray.stages.exchange import agg_blocks
 
     rng = np.random.RandomState(11)
     n = 4000
@@ -502,34 +506,33 @@ def test_two_phase_reduce_matches_dataset_form(ray_session, monkeypatch):
     t = pa.table({
         "key": pa.array(key), "salt": pa.array(salt), "val": pa.array(val),
         "p1": pa.array(((key * 31 + salt) % 16).astype("int32"), pa.int32()),
-        "p2": pa.array((key % 16).astype("int32"), pa.int32()),
     })
     ds = rd.from_arrow(t).repartition(6)
 
     def r1(g: pa.Table) -> pa.Table:
-        r = g.group_by(["key", "salt"]).aggregate([("val", "min"), ("p2", "min")])
-        return pa.table({"key": r.column("key"), "val": r.column("val_min"),
-                         "p2": r.column("p2_min")})
-
-    def r2(g: pa.Table) -> pa.Table:
-        r = g.group_by("key").aggregate([("val", "min")])
+        r = g.group_by(["key", "salt"]).aggregate([("val", "min")])
         return pa.table({"key": r.column("key"), "val": r.column("val_min")})
 
-    got = two_phase_reduce(ds, "p1", "p2", r1, r2, num_parts=8).to_pandas()
+    # one partition per byte of input: both exchanges at their cap
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
+
+    def run():
+        out = agg_blocks(exchange_blocks(ds, "p1", r1, max_parts=8), "key",
+                         [("val", "min")], num_partitions=8)
+        return (out.dataset().to_pandas().sort_values("key")
+                .reset_index(drop=True))
+
     want = (pd.DataFrame({"key": key, "val": val})
             .groupby("key", as_index=False)["val"].min())
-    g = got.sort_values("key").reset_index(drop=True)
-    w = want.sort_values("key").reset_index(drop=True)
-    assert (g["key"].to_numpy() == w["key"].to_numpy()).all()
-    assert (g["val"].to_numpy() == w["val"].to_numpy()).all()
+    g = run()
+    assert partition_counts == [8, 8]
+    assert (g["key"].to_numpy() == want["key"].to_numpy()).all()
+    assert (g["val"].to_numpy() == want["val"].to_numpy()).all()
 
     # forced tree combine (the >512-part object-count path) must be
     # bit-identical to the flat exchange
     monkeypatch.setattr(bsp, "TREE_COMBINE_THRESHOLD", 0)
-    gt = (two_phase_reduce(ds, "p1", "p2", r1, r2, num_parts=8).to_pandas()
-          .sort_values("key").reset_index(drop=True))
-    assert (gt["key"].to_numpy() == w["key"].to_numpy()).all()
-    assert (gt["val"].to_numpy() == w["val"].to_numpy()).all()
+    pd.testing.assert_frame_equal(run(), g)
 
 
 def test_set_op_rows_except_intersect_match_pandas(ray_session):
@@ -1237,29 +1240,35 @@ def test_exchange_pandas_block_input(ray_session, monkeypatch):
             len(want["inner"])
 
 
-def test_exchange_tasks_normalize_pandas_blocks(ray_session):
+def test_exchange_tasks_normalize_pandas_blocks(ray_session, monkeypatch,
+                                                partition_counts):
     """The raw-task exchanges read pandas blocks directly (no Arrow map
-    in front): exchange_blocks and two_phase_reduce at P=1 and P=4."""
-    from text_to_rdf_ray.stages.bsp import exchange_blocks, two_phase_reduce
+    in front): exchange_blocks and agg_blocks at P=1 and P=4."""
+    from ray.data import DataContext
+
+    from text_to_rdf_ray.stages.bsp import exchange_blocks
+    from text_to_rdf_ray.stages.exchange import agg_blocks
 
     left, _ = _exchange_sides()
-    df = left.assign(p=left["k"], q=left["k"])
+    df = left.assign(p=left["k"])
     ds = rd.from_pandas([df.iloc[:200], df.iloc[200:]])
     schema = pa.Schema.from_pandas(df, preserve_index=False)
 
     def total(t: pa.Table) -> pa.Table:
-        g = t.group_by("k").aggregate([("a", "sum")])
-        return g.append_column("q", g.column("k"))
+        return t.group_by("k").aggregate([("a", "sum")])
 
     want = df.groupby("k")["a"].sum().sort_index().tolist()
+    # one partition per byte of input: each exchange at its cap
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
     for parts in (1, 4):
+        partition_counts.clear()
         got = exchange_blocks(ds, "p", total, schema,
                               max_parts=parts).dataset()
         assert got.to_pandas().sort_values("k")["a_sum"].tolist() == want
-        got = two_phase_reduce(ds, "p", "q", total,
-                               lambda t: t.select(["k", "a_sum"]),
-                               num_parts=parts)
-        assert got.to_pandas().sort_values("k")["a_sum"].tolist() == want
+        got = agg_blocks(ds, "k", [("a", "sum")],
+                         num_partitions=parts).dataset()
+        assert got.to_pandas().sort_values("k")["a"].tolist() == want
+        assert partition_counts == [parts, parts]
 
 
 def test_exchange_empty_input_keeps_declared_schema(ray_session):

@@ -295,6 +295,38 @@ def test_fnv1a_long_key_in_a_large_batch_fits_in_memory():
         _fnv1a_reference(b"k0"), _fnv1a_reference(b"k65535")]
 
 
+def test_fnv1a_long_key_costs_under_a_second():
+    """One 1 MiB key among 65,536 short ones hashes in about 1 s of CPU
+    at most (a numpy step per byte of the long key took over 2 s), with
+    the bytewise reference's bits.  Timed in a fresh process, so no
+    other thread's CPU counts."""
+    import subprocess
+    import sys
+    import textwrap
+
+    code = textwrap.dedent("""
+        import time
+        from text_to_rdf_ray.kernels.minhash import _hash_shingles as _fnv1a
+
+        keys = [b"k%d" % i for i in range(65_536)]
+        keys[12_345] = bytes(range(256)) * 4096
+        t0 = time.process_time()
+        h = _fnv1a(keys)
+        print(time.process_time() - t0, int(h[12_345]), int(h[-1]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env,
+                         cwd=os.path.dirname(os.path.dirname(
+                             os.path.abspath(__file__))))
+    assert out.returncode == 0, out.stderr[-2000:]
+    cpu_s, long_h, last_h = out.stdout.split()
+    assert [int(long_h), int(last_h)] == [
+        _fnv1a_reference(bytes(range(256)) * 4096),
+        _fnv1a_reference(b"k65535")]
+    assert float(cpu_s) < 1.0, cpu_s
+
+
 #: id63 and digest128 values of each input, recorded from the inline
 #: blake2b copies these functions replaced
 _ID_CORPUS = [

@@ -73,6 +73,18 @@ def word_shingles(text: str, k: int = 5) -> set[str]:
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
+#: at or below this many rows still unhashed, each finishes in a scalar
+#: per-byte loop: one numpy step per byte column costs more than that
+_SCALAR_ROWS = 8
+
+
+def _fnv1a_tail(h: int, data: bytes) -> int:
+    """FNV-1a state ``h`` carried over the bytes ``data``."""
+    prime = int(_FNV_PRIME)
+    for x in data:
+        h = ((h ^ x) * prime) & 0xFFFFFFFFFFFFFFFF
+    return h
+
 
 def _hash_shingles(values) -> np.ndarray:
     """Stable 64-bit FNV-1a with the length fold over the FULL bytes of
@@ -91,9 +103,11 @@ def _hash_shingles(values) -> np.ndarray:
     extensions.  Rows are sorted by length and hashed one byte column
     at a time, each column gathered from the data buffer for the rows
     still that long; a gather takes several columns when few rows are
-    left, at most ``len(values)`` bytes.  Memory stays O(rows) whatever
-    the longest value (one long key pads nothing), and each row's hash
-    is independent of its batch."""
+    left, at most ``len(values)`` bytes.  The last ``_SCALAR_ROWS`` rows
+    still unhashed finish one at a time in a scalar loop, so a long key
+    costs one Python step per byte, not one numpy step.  Memory stays
+    O(rows) whatever the longest value (one long key pads nothing), and
+    each row's hash is independent of its batch."""
     if not isinstance(values, (pa.Array, pa.ChunkedArray)):
         values = pa.array(values)
     if isinstance(values, pa.ChunkedArray):
@@ -134,6 +148,11 @@ def _hash_shingles(values) -> np.ndarray:
     for end in np.unique(srt).tolist():
         # bytes j..end-1 exist in the rows from k on (sorted by length)
         k = int(np.searchsorted(srt, j, side="right"))
+        if n - k <= _SCALAR_ROWS:
+            for r in range(k, n):
+                hs[r] = _fnv1a_tail(int(hs[r]), data[pos[r] + j:
+                                                     pos[r] + srt[r]].tobytes())
+            break
         hk, pk = hs[k:], pos[k:, None]  # hk is a view: updates land in hs
         while j < end:
             cols = data[pk + np.arange(j, min(j + max(1, n // len(hk)), end))]

@@ -16,12 +16,13 @@ repo drops below the Dataset API: Ray Data cannot express "keep this
 partitioning resident across N dependent executions" (each Dataset
 execution re-plans its exchanges), which is exactly the BSP contract
 iterative graph algorithms need.  The same split/route/reduce tasks
-also serve one-shot exchanges sized to their input: ``exchange_blocks``
-(under ``exchange_join`` / ``exchange_agg`` / ``keyed_exchange`` and
-the triple dedup), ``two_phase_reduce`` (the LSH pair exchange), and
-the range exchange at a fixed P:
-``range_exchange`` and ``sort_blocks`` (the sorts, prefix scans and
-range-cut writes), whose output block i is range i.
+also serve one-shot exchanges: ``exchange_blocks``, sized to its input
+(under ``exchange_join`` / ``exchange_agg`` / ``keyed_exchange``, the
+triple dedup and the LSH pair exchange), and the range exchange at a
+fixed P: ``range_exchange`` and ``sort_blocks`` (the sorts, prefix
+scans and range-cut writes), whose output block i is range i.  An
+operator that needs two exchanges chains them: the first one's
+:class:`Blocks` are the second one's source.
 
 Every exchange has one split law (:func:`_part_ids`): a row goes to
 partition ``col % P`` of an int partition column, or ``_key_hash(keys)
@@ -63,7 +64,7 @@ import ray
 import ray.data as rd
 
 from ..state import counters
-from .exchange import _KEY_HASH_VERSION, _key_hash, _sources, _then, dataset_api
+from .exchange import _KEY_HASH_VERSION, _key_hash, _sources, _then
 
 
 #: above this partition count an exchange switches from the flat P x P
@@ -117,9 +118,8 @@ def _split(tbl: pa.Table, law, num_parts: int, gsz: int | None = None):
 @ray.remote
 def _map_split_task(fn, law, num_parts: int, gsz: int | None, *args):
     """The map side of every exchange: ``fn(*args)`` (a BSP phase step,
-    a source block's block function and prologue, ``two_phase_reduce``'s
-    middle reduce) split by
-    ``law`` (:func:`_split`), then the counts ``fn`` made
+    or a source block's block function and prologue) split by ``law``
+    (:func:`_split`), then the counts ``fn`` made
     (:func:`~..state.counters.counted`) as the last return."""
     out, counts = counters.counted(fn, *args)
     return (*_split(out, law, num_parts, gsz), counts)
@@ -222,10 +222,11 @@ def _prep(tbl, fn, schema: pa.Schema | None) -> pa.Table:
 
 def _reduce_slices(reduce_fn, schema: pa.Schema | None, fns,
                    *tbls) -> pa.Table:
-    """One partition's slices concatenated (:func:`_concat`) and reduced
-    by ``reduce_fn`` (None: kept as they are).  ``fns`` (P=1: the
-    unsplit source blocks) holds each block's block function, still to
-    run."""
+    """The reduce side of every exchange (and the body of a per-block
+    raw task): one partition's slices concatenated (:func:`_concat`)
+    and reduced by ``reduce_fn`` (None: kept as they are).  ``fns``
+    (P=1: the unsplit source blocks) holds each block's block function,
+    still to run."""
     if fns is not None:
         tbls = tuple(_prep(t, f, schema) for t, f in zip(tbls, fns))
     out = _concat(tbls, schema)
@@ -478,7 +479,6 @@ def _partition(
     num_parts: int | None,
     max_parts: int,
     schema: pa.Schema | None = None,
-    derive_schema: bool = True,
 ) -> tuple[list[list], list | None, pa.Schema | None]:
     """The shared first exchange phase over ``sources``, each a
     ``(source, block_fn)`` pair whose source is a Dataset or the
@@ -497,10 +497,10 @@ def _partition(
     ``materialize()`` (:func:`_bundles`).  Zero-row blocks
     (Ray can emit them schema-less) are dropped.
 
-    ``schema`` declares the moved rows; when None and
-    ``derive_schema``, it is derived from the first source with a block
-    function (:func:`_fn_schema`).  P is ``num_parts`` when given, else
-    sized to the source blocks (:func:`_sized`).
+    ``schema`` declares the moved rows; when None, it is derived from
+    the first source with a block function (:func:`_fn_schema`).  P is
+    ``num_parts`` when given, else sized to the source blocks
+    (:func:`_sized`).
 
     Returns ``(dest, fns, schema)`` with ``dest[q]`` the refs of
     partition q's slices (P lists; all empty when no source has a
@@ -509,7 +509,7 @@ def _partition(
     one)."""
     blocks, heads, sizes = _walk_sources(sources)
     for src_schema, fn, first in heads:
-        if schema is None and derive_schema and fn is not None:
+        if schema is None and fn is not None:
             schema = _fn_schema(src_schema, fn, first)
     P = _sized(sizes, max_parts) if num_parts is None else num_parts
     if P == 1:
@@ -552,9 +552,17 @@ def exchange_blocks(
 
     Cost: one executor run per Dataset source not yet materialized, then
     B split tasks with P returns each plus P reduce tasks for B source
-    blocks (no split tasks at P=1, where ``part_col`` is never read),
-    with P sized as in :func:`two_phase_reduce` and ``max_parts`` as the
-    cap.  Past ``TREE_COMBINE_THRESHOLD`` partitions the split trees.
+    blocks (no split tasks at P=1, where ``part_col`` is never read):
+    ~B*P + P objects.  So P is sized to the source blocks rather than
+    fixed: one partition per ``DataContext.target_min_block_size``
+    (1 MiB) of input, at least 1 and at most ``max_parts``
+    (:func:`sized_parts`).  Below the cap a partition holds about 1 MiB;
+    above it partitions grow with the data and one must still fit in a
+    worker.  The split is key-determined (``v % P``), so a reduce that
+    is complete per key gives the same rows at every P, only in another
+    order.  Past ``TREE_COMBINE_THRESHOLD`` partitions the split trees
+    (B*sqrt(P) + P objects instead of B*P); source-order concat keeps
+    the reduce bit-identical.
     """
     return _exchange(sources, part_col, reduce_fn, schema, None, max_parts)
 
@@ -683,56 +691,6 @@ def sort_blocks(sources, keys: list[str] | str, reduce_fn=None, *,
 
     return range_exchange([(s, _then(fn, tag)) for s, fn in srcs], _RANGE,
                           sort, P)
-
-
-@dataset_api
-def two_phase_reduce(
-    ds,
-    p1_col: str,
-    p2_col: str,
-    reduce1,
-    reduce2,
-    *,
-    num_parts: int | None = None,
-    max_parts: int = 32,
-) -> rd.Dataset:
-    """Two chained hash exchanges + vectorized reduces as RAW Ray tasks.
-
-    The input's blocks are split by the precomputed ``p1_col`` (the
-    :func:`exchange_blocks` first phase), each partition reduced and
-    re-split by ``p2_col`` inside ONE task, and the second-phase
-    partitions reduced to the output refs — no executor barriers
-    between phases.  ``ds`` is a source as :func:`exchange_blocks` takes
-    it: a pair's block function maps each input block, in the task that
-    splits it, to the rows the first phase moves (``p1_col`` included).
-    ``reduce1`` must emit ``p2_col``; ``reduce2`` receives the
-    concatenated second-phase partition.  The output is one block per
-    partition; an empty input gives no blocks.
-
-    Scale shape: each phase costs ~B*P + P^2 objects and 2P + B tasks
-    for B input blocks, so P is sized to the materialized input rather
-    than fixed: one partition per ``DataContext.target_min_block_size``
-    (1 MiB) of input, at least 1 and at most ``max_parts``
-    (:func:`sized_parts`).  Below the cap a partition holds about 1 MiB;
-    above it partitions grow with the data and one must still fit in a
-    worker.  An explicit ``num_parts`` bypasses the sizing (parity
-    tests, callers that need a fixed partitioning).  Both phases split
-    on key-determined columns (``v % P``), so reduces that are complete
-    per key give the same rows at every P, only in another order.  Past
-    ``TREE_COMBINE_THRESHOLD`` partitions both exchanges switch to the
-    two-level tree combine ((B+P)*sqrt(P) objects instead of B*P +
-    P^2); source-order concat keeps the reduces bit-identical.
-    """
-    # no declared schema: reduce1 sees the moved rows as the block
-    # function made them
-    dest1, fns, _ = _partition(_sources(ds), p1_col, num_parts=num_parts,
-                               max_parts=max_parts, derive_schema=False)
-    if not dest1[0]:
-        return Blocks([], [])
-    P = len(dest1)
-    middle = functools.partial(_reduce_slices, reduce1, None, fns)
-    dest2 = _route([(middle, tuple(d)) for d in dest1], p2_col, P)
-    return Blocks.of([_reduce(reduce2, None, None, *d) for d in dest2])
 
 
 # ------------------------------------------------- checkpoint helpers

@@ -4,17 +4,18 @@ North-star core (BASELINE.json): cross-document surface-form
 canonicalization at 10^12-doc scale —
 
   distinct surfaces
-  -> map_batches: char-shingle MinHash signatures, explode to
-     (shard, band_id, band_hash, name_id) rows — no surface
-     strings enter the exchange                            [no shuffle]
-  -> groupby(band_key): per-bucket candidate pairs; surfaces for the
-     (tiny) candidate set are re-read in a verify stage and checked by
-     exact shingle Jaccard >= tau                           [shuffle 1]
+  -> char-shingle MinHash signatures, exploded to (shard, band_id,
+     band_hash, name_id, sketch) rows in the tasks that split the
+     surface blocks — no surface strings enter the exchange
+  -> exchange on shard: per-bucket candidate pairs        [shuffle 1]
+  -> distinct over the pairs (one pair, several bands)    [shuffle 2]
+     surfaces for the (tiny) candidate set are re-read in a verify
+     stage and checked by exact shingle Jaccard >= tau
      (buckets larger than ``max_bucket`` are skipped — the skew guard for
       head surface forms; exact duplicates inside a skipped bucket are
       still unified because identical norms share ALL bands and one
       unskewed band key, and identical strings canonicalize identically)
-  -> iterative min-label propagation over the edge set     [shuffles 2..k]
+  -> iterative min-label propagation over the edge set     [shuffles 3..k]
      (connected components as BSP rounds over edges pinned once in
       stationary partitions, with early convergence detection; only
       nodes that appear in edges join the iteration — singletons
@@ -25,9 +26,10 @@ canonicalization at 10^12-doc scale —
 Label propagation runs on the stationary-partition BSP engine
 (stages/bsp.py), or as an in-process union-find for small edge sets; every
 other shuffle is a raw-task hash exchange (``exchange_join`` /
-``exchange_agg``, and ``dedup_triples``' one ``exchange_blocks``).
-Candidate-pair generation shuffles only (shard, band, hash, name_id)
-rows — never surfaces, never documents.
+``exchange_agg``, the candidate pairs' ``exchange_blocks`` and
+``agg_blocks``, and ``dedup_triples``' one ``exchange_blocks``).
+Candidate-pair generation shuffles only (shard, band, hash, name_id,
+sketch) rows — never surfaces, never documents.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def canonicalize_surfaces(
             "surfaces would silently share a canonical form)")
 
     # payload-free LSH pair generation (stages/dedup.py machinery): the band
-    # exchange carries only (shard, band, hash, name_id); surfaces are
+    # exchange carries only (shard, band, hash, name_id, sketch); surfaces are
     # re-read for the (tiny) candidate set in the verify stage
     from .dedup import _minhash_bands_feat_batch, _pairs_from_buckets
 

@@ -35,8 +35,8 @@ from ..kernels.minhash import (
     word_shingles,
 )
 from ..state import counters
-from .bsp import Blocks, map_blocks, materialized, two_phase_reduce
-from .exchange import dataset_api, keyed_apply
+from .bsp import Blocks, exchange_blocks, map_blocks, materialized
+from .exchange import agg_blocks, dataset_api, keyed_apply
 
 
 def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id") -> rd.Dataset:
@@ -119,14 +119,16 @@ def _minhash_bands_feat_batch(shingle_fn, num_perm: int, bands: int,
 def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
                   bands_feat_batch_fn=None):
     """The block function mapping corpus rows to (shard, band_id,
-    band_hash, id[, feat]) rows — the ONLY columns the
-    LSH bucket exchange moves.  ``bands_feat_fn(payload) -> (bands, feat)``
-    where ``bands`` is a list of (band_id, band_hash) and ``feat`` is an
-    optional SMALL fixed-size bytes feature (b-bit minhash sketch, simhash
-    value, normalized vector) used in-bucket.  The payload itself never
-    enters the shuffle: with 16-32 bands, payload replication here would
-    amplify the corpus's text bytes 16-32x across the exchange — the
-    feature is bounded (64-512 B) regardless of document size."""
+    band_hash, id, feat) rows (:func:`_band_schema`) — the ONLY columns
+    the LSH bucket exchange moves.  ``bands_feat_fn(payload) -> (bands,
+    feat)`` where ``bands`` is a list of (band_id, band_hash) and
+    ``feat`` is an optional SMALL fixed-size bytes feature (b-bit minhash
+    sketch, simhash value, normalized vector) used in-bucket, null where
+    there is none, so every block has the one schema.  The payload
+    itself never enters the shuffle: with 16-32 bands, payload
+    replication here would amplify the corpus's text bytes 16-32x
+    across the exchange — the feature is bounded (64-512 B) regardless
+    of document size."""
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_pylist()
@@ -144,17 +146,14 @@ def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
             oi_arr = np.repeat(np.asarray(ids, dtype=np.int64), nb)
             ob_arr = np.tile(np.arange(nb, dtype=np.int64), n)
             oh_arr = keys.ravel()
-            of_list = (None if feats is None
-                       else [f for f in feats for _ in range(nb)])
-            has_feat = feats is not None
+            feat_arr = (pa.nulls(n * nb, pa.binary()) if feats is None
+                        else pa.array([f for f in feats for _ in range(nb)],
+                                      pa.binary()))
         else:
             ob, oh, oi, of = [], [], [], []
-            has_feat = False
             for row_idx, (i, p) in enumerate(zip(ids, payloads)):
                 bands, feat = (res[row_idx] if res is not None
                                else bands_feat_fn(p))
-                if feat is not None:
-                    has_feat = True
                 for band_id, band_hash in bands:
                     ob.append(band_id)
                     oh.append(band_hash)
@@ -163,7 +162,7 @@ def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
             oi_arr = np.array(oi, dtype=np.int64)
             ob_arr = np.array(ob, dtype=np.int64)
             oh_arr = np.array(oh, dtype=np.int64)
-            of_list = of if has_feat else None
+            feat_arr = pa.array(of, pa.binary())
         # splitmix-style finalize: '^ (band_id << 56)' alone is a no-op
         # under % 512 (2^56 is divisible by 2^9), which co-located equal
         # band_hash values from EVERY band in one shard (review r5)
@@ -173,22 +172,26 @@ def _band_explode(bands_feat_fn, id_col: str, payload_col: str,
             (oh_arr.astype(np.uint64)
              ^ (ob_arr.astype(np.uint64) << np.uint64(56))).view(np.int64))
         shard = (mixed % np.uint64(512)).astype(np.int32)
-        cols = {
+        return pa.table({
             "shard": pa.array(shard, pa.int32()),
             "band_id": pa.array(ob_arr.astype(np.int32), pa.int32()),
             "band_hash": pa.array(oh_arr, pa.int64()),
             id_col: pa.array(oi_arr, pa.int64()),
-        }
-        if has_feat or not len(oi_arr):
-            # an empty block keeps the column: an exchange types its rows
-            # from the block function's output on an empty table
-            cols["feat"] = pa.array(of_list or [], pa.binary())
-        return pa.table(cols)
+            "feat": feat_arr,
+        })
 
     return explode
 
-_PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
-                          ("score", pa.float64())])
+
+def _band_schema(id_col: str) -> pa.Schema:
+    """The rows :func:`_band_explode` gives, on every block."""
+    return pa.schema([("shard", pa.int32()), ("band_id", pa.int32()),
+                      ("band_hash", pa.int64()), (id_col, pa.int64()),
+                      ("feat", pa.binary())])
+
+
+_CAND_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+_PAIR_SCHEMA = _CAND_SCHEMA.append(pa.field("score", pa.float64()))
 
 
 @dataset_api
@@ -209,18 +212,21 @@ def _pairs_from_buckets(
     in three stages:
 
     1. explode: band keys per row — the exchange moves ONLY
-       ``(shard, band_id, band_hash, id[, sketch])`` (tens of bytes plus an
-       optional bounded sketch), never the payload.  With 16-32 bands,
-       shuffling payloads here would amplify the corpus's text bytes
-       16-32x — the #1 scale killer at 100 TB.
-    2. groupby(shard) -> candidate (id_a, id_b) pairs, globally deduped
-       (a pair can collide in several bands -> different shards).  With
+       ``(shard, band_id, band_hash, id, sketch)`` (tens of bytes plus an
+       optional bounded sketch, null without one), never the payload.
+       With 16-32 bands, shuffling payloads here would amplify the
+       corpus's text bytes 16-32x — the #1 scale killer at 100 TB.
+    2. one exchange on ``shard`` (a bucket-key hash, so each bucket
+       meets in one partition) -> each partition's candidate (id_a, id_b)
+       pairs; a second one, a distinct over the pair (a pair can collide
+       in several bands -> different shards), dedups them globally.  With
        ``max_bucket=None`` (the exact-recall default) every bucket is
        processed, chunked; a caller-set cap skips oversized buckets but
        surfaces the dropped volume via ``<prefix>_skipped_*`` counters
        (state/counters) — never silently.  When
-       ``prune_est`` is set and band rows carry a b-bit minhash sketch
-       (uint8[num_perm], Li & König b-bit minwise hashing), candidates are
+       ``prune_est`` is set and every band row of a partition carries a
+       b-bit minhash sketch (uint8[num_perm], Li & König b-bit minwise
+       hashing), candidates are
        pruned in-bucket by the VECTORIZED estimated Jaccard
        (mean sketch-byte agreement) >= prune_est — this is what keeps
        near-threshold-similar corpora (e.g. templated web text whose
@@ -248,16 +254,17 @@ def _pairs_from_buckets(
     if prepare_fn is None:
         prepare_fn = lambda p: p  # noqa: E731
 
-    def shard_candidates(group: pd.DataFrame) -> pd.DataFrame:
-        """One Ray group = one shard = many LSH buckets.
+    def shard_candidates(t: pa.Table) -> pa.Table:
+        """One exchange partition: the LSH buckets of its shards.
 
         With a sketch (prune path), buckets are processed VECTORIZED BY
         SIZE CLASS: all size-k buckets stack into an (nb, k, bytes) array
         and pairwise sketch agreement is one broadcast comparison — the
         per-bucket numpy dispatch overhead would otherwise dominate when
         buckets number in the hundreds of thousands."""
-        use_prune = prune_est is not None and "feat" in group.columns
-        df = group.drop_duplicates(["band_id", "band_hash", id_col]).sort_values(
+        df = t.to_pandas()
+        use_prune = prune_est is not None and df["feat"].notna().all()
+        df = df.drop_duplicates(["band_id", "band_hash", id_col]).sort_values(
             ["band_id", "band_hash", id_col]
         )
         sizes = df.groupby(["band_id", "band_hash"])[id_col].transform("size")
@@ -278,8 +285,7 @@ def _pairs_from_buckets(
         if giant_rows:
             counters.incr({f"{counter_prefix}_giant_bucket_rows": giant_rows})
         if not len(df):
-            return pd.DataFrame({"id_a": np.array([], dtype=np.int64),
-                                 "id_b": np.array([], dtype=np.int64)})
+            return _CAND_SCHEMA.empty_table()
         out_a: list[np.ndarray] = []
         out_b: list[np.ndarray] = []
         for k, sub in df.groupby(sizes.to_numpy()):
@@ -334,42 +340,20 @@ def _pairs_from_buckets(
             pk = np.stack([a, b], axis=1)
             pk = np.unique(pk, axis=0)
             a, b = pk[:, 0], pk[:, 1]
-        return pd.DataFrame(
-            {"id_a": a.astype(np.int64), "id_b": b.astype(np.int64)}
-        )
+        return pa.table([a.astype(np.int64), b.astype(np.int64)],
+                        schema=_CAND_SCHEMA)
 
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        # cheap vectorized partition key for the cross-shard pair dedup
-        a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("id_b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        pp = ((a * np.uint64(0x9E3779B97F4A7C15)) ^ b) % np.uint64(64)
-        return t.append_column("ppart", pa.array(pp.astype(np.int32), pa.int32()))
-
-    # candidate generation as a raw-task two-phase exchange (bsp.py):
-    # split band rows by shard (bucket-key hash — co-locates each
-    # bucket), per-shard pair generation + ppart tagging in one task,
-    # re-split by ppart, cross-shard pair dedup in the second task
-    def reduce1_tbl(t: pa.Table) -> pa.Table:
-        out = shard_candidates(t.to_pandas())
-        tt = pa.table({
-            "id_a": pa.array(out["id_a"].to_numpy(), pa.int64()),
-            "id_b": pa.array(out["id_b"].to_numpy(), pa.int64()),
-        })
-        return add_pair_part(tt)
-
-    def reduce2_tbl(t: pa.Table) -> pa.Table:
-        g = t.group_by(["id_a", "id_b"]).aggregate([])
-        return pa.table({"id_a": g.column("id_a"), "id_b": g.column("id_b")})
-
-    # the band explode is the first phase's block function: it runs in
-    # the tasks that split the corpus blocks, with no Ray Data map or
-    # materialization of the band rows in front of the exchange.  An
-    # empty corpus gives no candidate blocks
-    cands = two_phase_reduce.blocks(
-        (ds, _band_explode(bands_feat_fn, id_col, payload_col,
-                           bands_feat_batch_fn)),
-        "shard", "ppart", reduce1_tbl, reduce2_tbl, max_parts=64,
-    )
+    # candidate generation as two raw-task exchanges: the band explode is
+    # the first one's block function (it runs in the tasks that split the
+    # corpus blocks, with no Ray Data map in front), its reduce the
+    # per-shard pairs; the second is the distinct over the pairs.  Each
+    # shard's pairs are already distinct, so no combiner runs
+    cands = agg_blocks(
+        exchange_blocks(
+            (ds, _band_explode(bands_feat_fn, id_col, payload_col,
+                               bands_feat_batch_fn)),
+            "shard", shard_candidates, _band_schema(id_col), max_parts=64),
+        ["id_a", "id_b"], num_partitions=64, combine=False)
 
     n_cands = cands.num_rows()
     # counted once here, after the global pair dedup: per-task counts
@@ -412,8 +396,6 @@ def _pairs_from_buckets(
     else:
         def ids_of(col: str):
             return lambda t: pa.table({id_col: t.column(col)})
-
-        from .exchange import agg_blocks
 
         # both id columns as two sources of one distinct
         need_ids = agg_blocks([(cands, ids_of("id_a")),
@@ -501,7 +483,6 @@ def _pairs_from_buckets(
         lambda b: featurize(b, None))
     _S_FEAT_A = pa.schema([("id_a", pa.int64()), ("feat_a", pa.binary())])
     _S_FEAT_B = pa.schema([("id_b", pa.int64()), ("feat_b", pa.binary())])
-    _S_CANDS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
     def rename_feats(suffix: str) -> tuple:
         # the feats as one attach join's side
@@ -511,10 +492,10 @@ def _pairs_from_buckets(
     joined = join_blocks(
         join_blocks(
             cands, rename_feats("a"), on="id_a", num_partitions=16,
-            left_schema=_S_CANDS, right_schema=_S_FEAT_A,
+            left_schema=_CAND_SCHEMA, right_schema=_S_FEAT_A,
         ),
         rename_feats("b"), on="id_b", num_partitions=16,
-        left_schema=join_out_schema(_S_CANDS, _S_FEAT_A, "id_a"),
+        left_schema=join_out_schema(_CAND_SCHEMA, _S_FEAT_A, "id_a"),
         right_schema=_S_FEAT_B,
     )
 
@@ -660,8 +641,6 @@ def _pairs_inband(
     # a pair can surface from several bands -> other partitions: dedup.
     # exchange_agg, not Ray's Aggregate — one group per PAIR (millions
     # at scale = the per-key-Python pathology)
-    from .exchange import agg_blocks
-
     return map_blocks(agg_blocks((pairs, norm_pairs), ["id_a", "id_b"],
                                  [("score", "min", "score")]),
                       norm_pairs).dataset()

@@ -57,7 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(ROOT, "text_to_rdf_ray") + os.sep
 
 #: (module, function) pairs timed into a pass's ``phases``; ``op.blocks``
-#: names the unwrapped operator the pipeline chains (``bsp.dataset_api``)
+#: names the unwrapped operator the pipeline chains (``exchange.dataset_api``)
 PHASES = (("text_to_rdf_ray.pipelines.kg", "build_triples.blocks"),
           ("text_to_rdf_ray.pipelines.kg", "dedup_triples.blocks"),
           ("text_to_rdf_ray.pipelines.kg", "_write_partition_files"),
