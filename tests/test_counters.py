@@ -124,3 +124,51 @@ def test_driver_threads_count_exactly(ray_session):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert counters.snapshot(reset=True) == {"threaded": 20_000}
+
+
+def test_counted_nests():
+    """A counted call inside another (a task body run inline by a tail
+    task) restores the enclosing task's counts, which then hold the
+    inner counts once; a dropped call's counts reach neither."""
+    from text_to_rdf_ray.state import counters
+
+    def inner():
+        counters.incr({"inner": 1})
+        return "value"
+
+    def outer():
+        counters.incr({"outer": 2})
+        assert counters.counted(inner) == ("value", {"inner": 1})
+        assert counters.dropped(inner) == "value"
+        counters.incr({"outer": 1})
+        return "done"
+
+    assert counters.counted(outer) == ("done", {"outer": 3, "inner": 1})
+    assert counters._task is None
+
+
+def test_tail_task_counts_nest_in_a_worker(ray_session):
+    """Steps run inside one tail task (bsp.run_in_task) count into it:
+    increments before, inside and after an inline per-block map all
+    reach the driver's sums, once."""
+    import pyarrow as pa
+    import ray
+
+    from text_to_rdf_ray.stages import bsp
+    from text_to_rdf_ray.state import counters
+
+    def count(t):
+        counters.incr({"block_rows": t.num_rows})
+        return t
+
+    def steps(src):
+        counters.incr({"tail_steps": 1})
+        rows = bsp.map_blocks(src, count).num_rows()
+        counters.incr({"tail_steps": 1})
+        return rows, None
+
+    src = bsp.Blocks.put([pa.table({"x": [1, 2]})] * 3)
+    counters.snapshot(reset=True)
+    rows, _ = bsp.run_in_task(steps, src)
+    assert ray.get(rows) == 6
+    assert counters.snapshot(reset=True) == {"tail_steps": 2, "block_rows": 6}

@@ -19,6 +19,14 @@ End-to-end flow (north star):
 After the extraction chain's one materialization, the steps run in raw
 Ray tasks (``stages/bsp.py``) that hand their block refs (``bsp.Blocks``)
 to each other, with no Ray Data execution and no Dataset between them.
+These steps are the tail (:func:`_tail_steps`); ``build_triples.blocks``
+returns them not yet run (:class:`_Tail`), and its consumer runs them
+with its own last step, ``run_partitioned``'s sink included.  When the
+tail's inputs (the extraction blocks and, in join mode, the KB's label
+and band blocks) hold at most ``DataContext.target_min_block_size``
+bytes, the whole tail runs as ONE raw task (``bsp.run_in_task``);
+larger inputs run it step by step from the driver.  Either way every
+exchange chooses the same partition count, so the rows are the same.
 ``run_partitioned`` processes the input in partition groups of whole
 files, dealt round-robin (file ``i`` of the sorted list to group
 ``i % partitions``), two groups in flight at once
@@ -42,8 +50,9 @@ import ray.data as rd
 
 from ..kernels.minhash import _hash_shingles
 from ..state import counters
-from ..stages.bsp import (Blocks, _as_table, _source_blocks, block_values,
-                          map_blocks, materialized)
+from ..stages.bsp import (Blocks, _as_table, _concat, _source_blocks,
+                          _submit, block_values, fetch, fits_one_task,
+                          map_blocks, run_in_task)
 from ..stages.canonicalize import canonical_rewrite, canonicalize_surfaces, dedup_triples
 from ..stages.exchange import _KEY_HASH_VERSION, _then, dataset_api
 from ..stages.kg_stages import (
@@ -117,75 +126,20 @@ def build_triples(
         ds = ds.map_batches(
             extract_triples, batch_format="pyarrow", batch_size=extract_batch_size
         )
-    if link and kb_records is not None:
-        if link_mode == "join":
-            # shuffle-join linking: nothing replicated per worker — the
-            # at-scale mode for KBs too large to broadcast
-            from ..stages.kg_stages import link_entities_join
+    join = link and kb_records is not None and link_mode == "join"
+    if link and kb_records is not None and not join:
+        # task mode (default for small KBs): per-worker cached index,
+        # keeps the fused map chain at full task parallelism
+        from ..stages.kg_stages import make_link_task
 
-            ds = link_entities_join.blocks(
-                ds, kb_records,
-                fuzzy_threshold=link_fuzzy_threshold,
-                confidence_threshold=link_confidence_threshold,
-            )
-        else:
-            # task mode (default for small KBs): per-worker cached index,
-            # keeps the fused map chain at full task parallelism
-            from ..stages.kg_stages import make_link_task
-
-            kb_ref = (kb_records if isinstance(kb_records, ray.ObjectRef)
-                      else ray.put(kb_records))
-            ds = ds.map_batches(
-                make_link_task(kb_ref, fuzzy_threshold=link_fuzzy_threshold,
-                               confidence_threshold=link_confidence_threshold),
-                batch_format="pyarrow", batch_size=2048,
-            )
-    # the steps after the last materialization, as Arrow block functions:
-    # with dedup they run in the tasks of its exchange, in front of its
-    # combiner, with no Ray Data execution
-    fns = []
-    if canonicalize:
-        from ..stages.canonicalize import canonicalize_local
-
-        ds = materialized(ds)
-        # per-batch distinct surfaces (combiner), NO exchange yet: the
-        # materialized row count is an UPPER bound on the distinct count,
-        # so the driver tier can collect these rows directly (bounded by
-        # the threshold) and finish the distinct in one set() — skipping
-        # the hash-exchange a global distinct would cost; above the
-        # threshold the distinct is a hash exchange.  Raw tasks over the
-        # materialized blocks: no Ray Data execution.
-        comb = map_blocks(ds, _surface_rows)
-        from ..stages.canonicalize import DEFAULT_TAU
-
-        tau = DEFAULT_TAU if canonicalize_tau is None else canonicalize_tau
-        if comb.num_rows() <= canonicalize_local_threshold:
-            # small distinct-surface set: identical LSH+union-find
-            # semantics computed driver-side (broadcast-small-side path)
-            surfaces = sorted({v for t in ray.get(comb.refs)
-                               for v in t.column("surface").to_pylist()})
-            mapping = canonicalize_local(surfaces, tau=tau)
-            if mapping:
-                fns.append(canonical_rewrite(mapping))
-        else:
-            from ..stages.canonicalize import apply_canonical_join
-            from ..stages.exchange import agg_blocks
-
-            cmap = canonicalize_surfaces.blocks(agg_blocks(comb, ["surface"]),
-                                                tau=tau)
-            changed = map_blocks(cmap, lambda t: t.filter(
-                pc.invert(pc.equal(t.column("surface"), t.column("canonical")))))
-            n_changed = changed.num_rows()
-            if n_changed > CANONICAL_MAP_JOIN_THRESHOLD:
-                # mapping too large to broadcast: hash-partitioned join
-                # rewrite (same output contract as the broadcast map)
-                ds = apply_canonical_join.blocks(ds, changed)
-            elif n_changed:
-                # only actually-merged surfaces come back to the driver
-                mapping = {s: c for t in ray.get(changed.refs)
-                           for s, c in zip(t.column("surface").to_pylist(),
-                                           t.column("canonical").to_pylist())}
-                fns.append(canonical_rewrite(mapping))
+        kb_ref = (kb_records if isinstance(kb_records, ray.ObjectRef)
+                  else ray.put(kb_records))
+        ds = ds.map_batches(
+            make_link_task(kb_ref, fuzzy_threshold=link_fuzzy_threshold,
+                           confidence_threshold=link_confidence_threshold),
+            batch_format="pyarrow", batch_size=2048,
+        )
+    rules = None
     if validate:
         # capture registered custom rules at graph-construction time (the
         # driver-side registry is not visible inside worker processes)
@@ -210,18 +164,188 @@ def build_triples(
                     "functions.registry.apply_custom_rules / "
                     "kernels.validation.validate_document"
                 )
+    if not (join or canonicalize or dedup):
+        # nothing needs the rows materialized: the row steps stay lazy
+        fn = _row_steps(rules, drop_invalid)
+        return ds if fn is None else ds.map_batches(fn, batch_format="pyarrow")
+    kb = None
+    if join:
+        # shuffle-join linking: nothing replicated per worker — the
+        # at-scale mode for KBs too large to broadcast
+        kb = (kb_records if isinstance(kb_records, KBLabelTable)
+              else KBLabelTable(kb_records))
+    return _Tail(Blocks.of_dataset(ds), kb, functools.partial(
+        _tail_steps, join=join, fuzzy_threshold=link_fuzzy_threshold,
+        confidence_threshold=link_confidence_threshold,
+        canonicalize=canonicalize,
+        canonicalize_local_threshold=canonicalize_local_threshold,
+        canonicalize_tau=canonicalize_tau, rules=rules,
+        drop_invalid=drop_invalid, dedup=dedup))
+
+
+def _row_steps(rules: tuple | None, drop_invalid: bool):
+    """Validation (``rules`` None: none) and the invalid-row filter as one
+    Arrow block function (None: no step)."""
+    fns = []
+    if rules is not None:
         fns.append(functools.partial(validate_triples, rules=rules)
                    if rules else validate_triples)
         if drop_invalid:
             # KG_VALIDATION_DROP_INVALID: emit only valid triples
             fns.append(lambda t: t.filter(pc.equal(t.column("valid"), True)))
-    fn = functools.reduce(_then, fns, None)
+    return functools.reduce(_then, fns, None)
+
+
+def _tail_steps(ds: Blocks, kb, *, join: bool, fuzzy_threshold: float,
+                confidence_threshold: float, canonicalize: bool,
+                canonicalize_local_threshold: int,
+                canonicalize_tau: float | None, rules: tuple | None,
+                drop_invalid: bool, dedup: bool) -> Blocks:
+    """``build_triples``' steps after the extraction chain over its
+    materialized blocks ``ds``: join linking over the label table ``kb``,
+    canonicalization, validation and dedup, each a raw-task step
+    (``stages/bsp.py``).  Run from the driver, or in one tail task
+    (:class:`_Tail`)."""
+    if join:
+        from ..stages.kg_stages import link_entities_join
+
+        ds = link_entities_join.blocks(
+            ds, kb, fuzzy_threshold=fuzzy_threshold,
+            confidence_threshold=confidence_threshold)
+    # the row steps as Arrow block functions: with dedup they run in the
+    # tasks of its exchange, in front of its combiner
+    fns = []
+    if canonicalize:
+        from ..stages.canonicalize import DEFAULT_TAU, canonicalize_local
+
+        # per-block distinct surfaces (combiner), NO exchange yet: the
+        # row count is an UPPER bound on the distinct count, so the
+        # local tier can collect these rows directly (bounded by the
+        # threshold) and finish the distinct in one set() — skipping the
+        # hash-exchange a global distinct would cost; above the
+        # threshold the distinct is a hash exchange
+        comb = map_blocks(ds, _surface_rows)
+        tau = DEFAULT_TAU if canonicalize_tau is None else canonicalize_tau
+        if comb.num_rows() <= canonicalize_local_threshold:
+            # small distinct-surface set: identical LSH+union-find
+            # semantics computed in this process (broadcast-small-side
+            # path)
+            surfaces = sorted({v for t in fetch(comb.refs)
+                               for v in t.column("surface").to_pylist()})
+            mapping = canonicalize_local(surfaces, tau=tau)
+            if mapping:
+                fns.append(canonical_rewrite(mapping))
+        else:
+            from ..stages.canonicalize import apply_canonical_join
+            from ..stages.exchange import agg_blocks
+
+            cmap = canonicalize_surfaces.blocks(agg_blocks(comb, ["surface"]),
+                                                tau=tau)
+            changed = map_blocks(cmap, lambda t: t.filter(
+                pc.invert(pc.equal(t.column("surface"), t.column("canonical")))))
+            n_changed = changed.num_rows()
+            if n_changed > CANONICAL_MAP_JOIN_THRESHOLD:
+                # mapping too large to broadcast: hash-partitioned join
+                # rewrite (same output contract as the broadcast map)
+                ds = apply_canonical_join.blocks(ds, changed)
+            elif n_changed:
+                # only actually-merged surfaces come back
+                mapping = {s: c for t in fetch(changed.refs)
+                           for s, c in zip(t.column("surface").to_pylist(),
+                                           t.column("canonical").to_pylist())}
+                fns.append(canonical_rewrite(mapping))
+    fn = functools.reduce(_then, fns + [_row_steps(rules, drop_invalid)], None)
     if dedup:
         return dedup_triples.blocks((ds, fn))
-    if fn is not None:
-        ds = (map_blocks(ds, fn) if isinstance(ds, Blocks)
-              else ds.map_batches(fn, batch_format="pyarrow"))
-    return ds
+    return ds if fn is None else map_blocks(ds, fn)
+
+
+class _Tail:
+    """What ``build_triples.blocks`` returns when steps follow the
+    extraction chain: its materialized blocks ``triples`` (non-empty,
+    ``Blocks.of_dataset``), the label table ``kb`` (None: no join
+    linking) and the steps (:func:`_tail_steps`), not run yet.  The
+    consumer runs them: :meth:`blocks` (the public ``build_triples``'
+    Dataset), or :func:`_write_partition_files`, which runs the
+    partition's sink with them.
+
+    When the inputs (the extraction blocks and, with join linking, the
+    KB's label and band blocks) hold at most
+    ``DataContext.target_min_block_size`` bytes, the size at which every
+    exchange over them alone gets one partition
+    (``bsp.fits_one_task``), the steps and the sink run as ONE raw task
+    (``bsp.run_in_task``): a warm partition then costs one task instead
+    of ~30 dependent ones, each with its submission, metadata fetch and
+    scheduling hop.  Larger inputs run step by step from the driver,
+    where the exchanges spread over the cluster.  Either way the steps
+    choose the same partition counts and give the same rows."""
+
+    def __init__(self, triples: Blocks, kb, steps) -> None:
+        self.triples = triples
+        self.kb = kb
+        self.steps = steps
+
+    def _sources(self) -> list[Blocks]:
+        if self.kb is None:
+            return [self.triples]
+        labels = self.kb.labels()
+        if not isinstance(labels, Blocks):  # a Dataset KB's label table
+            labels = Blocks.of_dataset(labels)
+        return [self.triples, labels, self.kb.bands()]
+
+    def _in_one_task(self, finish):
+        """The refs of ``finish(output blocks)``, a pair, computed by one
+        tail task when the inputs fit it; None when they do not."""
+        srcs = self._sources()
+        if not fits_one_task(*srcs):
+            return None
+        return run_in_task(functools.partial(_tail_in_task, self.steps, finish),
+                           *srcs)
+
+    def blocks(self) -> Blocks:
+        """The output blocks: one block from a tail task, the steps'
+        blocks from the driver."""
+        refs = self._in_one_task(_one_block)
+        if refs is None:
+            return self.steps(self.triples, self.kb)
+        block, meta = refs
+        meta = ray.get(meta)
+        return Blocks([], []) if meta is None else Blocks([block], None, [meta])
+
+    def dataset(self) -> rd.MaterializedDataset:
+        return self.blocks().dataset()
+
+    def write(self, write_fn):
+        """``write_fn(output blocks)`` (a sink), in the tail task with
+        the steps when the inputs fit it."""
+        refs = self._in_one_task(functools.partial(_with_none, write_fn))
+        if refs is None:
+            return write_fn(self.steps(self.triples, self.kb))
+        return ray.get(refs[0])
+
+
+def _tail_in_task(steps, finish, triples: Blocks, labels: Blocks | None = None,
+                  bands: Blocks | None = None):
+    """A tail task's body: the steps over its input blocks, then
+    ``finish``."""
+    kb = None if labels is None else KBLabelTable.of_blocks(labels, bands)
+    return finish(steps(triples, kb))
+
+
+def _one_block(out: Blocks) -> tuple:
+    """A tail task's output blocks as one block and its metadata
+    (``(None, None)``: no blocks)."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    tables = fetch(out.refs)
+    if not tables:
+        return None, None
+    t = _concat(tables, None)
+    return t, BlockMetadataWithSchema.from_block(t)
+
+
+def _with_none(fn, out) -> tuple:
+    return fn(out), None
 
 
 def _block_counts(batch: pa.Table) -> list[dict]:
@@ -281,17 +405,17 @@ def _surface_rows(batch: pa.Table) -> pa.Table:
 
 
 #: partition groups ``run_partitioned`` has in flight at once.  While a
-#: partition's driver builds plans, wires exchanges and waits on the
-#: barriers between stages, its tasks leave the workers idle; a second
-#: partition in flight runs its tasks in those gaps.  On a 4-vCPU host a
-#: warm pass over perfbench's seed-3 partitioned_at_scale pages spends
-#: 0.5 s of driver CPU against 0.9 s in the Ray workers (BASELINE.md),
-#: and a second partition in flight still pays: warm passes over four
-#: partitions took 2.18 / 1.63 / 1.64 s with 1 / 2 / 3 in flight at one
-#: Ray CPU and 2.41 / 1.40 / 1.48 s at four (tools/pass_probe.py over
-#: perfbench's two partitions, 1 / 2 in flight: 1.08 / 0.98 s at one Ray
-#: CPU, 1.20 / 0.79 s at four).  Each partition in flight holds its
-#: intermediate blocks in the object store until it is written.
+#: partition's driver builds its extraction plan and waits on its
+#: execution and its tail task, that partition leaves workers idle; a
+#: second partition in flight runs its tasks in those gaps.  On a 4-vCPU
+#: host, warm passes over perfbench's seed-3 partitioned_at_scale pages
+#: dealt into four partitions took 1.32 / 1.20 / 1.12 s with 1 / 2 / 3
+#: in flight at one Ray CPU and 1.48 / 0.81 / 0.85 s at four (median of
+#: five; over perfbench's two partitions, 1 / 2 in flight: 0.96 / 0.90 s
+#: at one Ray CPU, 1.01 / 0.60 s at four).  A third partition in flight
+#: gains 7% at one Ray CPU and loses 5% at four.  Each partition in
+#: flight holds its extraction blocks in the object store until its
+#: tail task has written them.
 PARTITIONS_IN_FLIGHT = 2
 
 
@@ -315,7 +439,9 @@ def run_partitioned(
     Up to ``PARTITIONS_IN_FLIGHT`` groups are in flight at once, so
     partitions may commit in any order.  Each group is built, written
     (raw sink tasks, :func:`_write_partition_files`) and committed on a
-    driver thread of its own.  The calling thread reads the resume
+    driver thread of its own: the extraction chain's one Ray Data
+    execution, then the tail and the sink, as one raw task when the
+    partition is small (:class:`_Tail`).  The calling thread reads the resume
     state, builds every group's read, so every Ray Data path resolution
     runs on it, and shares the KB between the groups (one ``ray.put`` in
     task mode, one ``KBLabelTable`` with ``link_mode="join"``).  With
@@ -466,8 +592,8 @@ def _sink(triples, parquet_dir: str | None, subject_buckets: int,
         if d is not None:
             os.makedirs(d, exist_ok=True)
     blocks, _ = _source_blocks(triples)
-    done = ray.get([
-        _sink_task.remote(ref, i, parquet_dir, subject_buckets, nt_dir)
+    done = fetch([
+        _submit(_sink_task, ref, i, parquet_dir, subject_buckets, nt_dir)
         for i, (ref, _rows, _bytes) in enumerate(blocks)])
     rows, want = sum(n for n, _ in done), sum(n for _, n, _ in blocks)
     if rows != want:
@@ -478,9 +604,21 @@ def _sink(triples, parquet_dir: str | None, subject_buckets: int,
 def _write_partition_files(triples, tmp_dir: str, *, sort_output: bool,
                            subject_buckets: int, ntriples: bool) -> dict:
     """One partition's data files, written into its tmp dir by one raw
-    task per block (:func:`_sink`) of ``triples`` (a Dataset or
-    ``bsp.Blocks``); N-Triples under ``ntriples/``.  Returns the
+    task per block (:func:`_sink`) of ``triples`` (a Dataset,
+    ``bsp.Blocks`` or ``build_triples.blocks``' pending steps, which
+    then run with the sink, in one tail task when they fit it,
+    :meth:`_Tail.write`); N-Triples under ``ntriples/``.  Returns the
     manifest's rows, counters and layout stamp (:func:`_layout`)."""
+    write = functools.partial(_write_files, tmp_dir=tmp_dir,
+                              sort_output=sort_output,
+                              subject_buckets=subject_buckets,
+                              ntriples=ntriples)
+    return triples.write(write) if isinstance(triples, _Tail) else write(triples)
+
+
+def _write_files(triples, *, tmp_dir: str, sort_output: bool,
+                 subject_buckets: int, ntriples: bool) -> dict:
+    """:func:`_write_partition_files` over the triples' blocks."""
     if sort_output:
         # deterministic file ordering (SURVEY §2.6: the only global
         # ordering the engine needs): one file per sorted range, in name

@@ -143,16 +143,18 @@ def connected_components(
     checked by count) a driver-side path-compressed union-find replaces the
     iterative shuffles — identical output, none of the per-round barrier
     cost.  The distributed path remains for larger graphs (and is what the
-    skew/scale design assumes).
+    skew/scale design assumes).  In a tail task (``bsp.in_task``) the
+    union-find runs in the task at every size: the BSP rounds would
+    submit tasks from it (``cc_rounds`` is then not counted).
     """
-    import ray
+    from . import bsp
 
     # one materialization: counted, then read by both orientations
     edges = materialized(edges)
     blocks, _ = _source_blocks(edges)
     n_edges = sum(rows for _, rows, _ in blocks)
-    if not n_edges or n_edges < driver_threshold:
-        tbls = [_as_table(t, None) for t in ray.get([b[0] for b in blocks])]
+    if not n_edges or n_edges < driver_threshold or bsp._in_task:
+        tbls = [_as_table(t, None) for t in bsp.fetch([b[0] for b in blocks])]
         return Blocks.put([_local_union_find(
             (s, d) for t in tbls for s, d in zip(t.column("src").to_pylist(),
                                                  t.column("dst").to_pylist()))])

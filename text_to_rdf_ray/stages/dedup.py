@@ -35,7 +35,7 @@ from ..kernels.minhash import (
     word_shingles,
 )
 from ..state import counters
-from .bsp import Blocks, exchange_blocks, map_blocks, materialized
+from .bsp import Blocks, exchange_blocks, fetch, map_blocks, materialized
 from .exchange import agg_blocks, dataset_api, keyed_apply
 
 
@@ -390,7 +390,7 @@ def _pairs_from_buckets(
         # int64 — trivial to pull; the distributed union+groupby below
         # costs two exchanges, which dominate when the candidate ID set is
         # small, e.g. templated corpora: 400k pairs over 4k ids)
-        need_set = {v for t in ray.get(cands.refs) if t.num_rows
+        need_set = {v for t in fetch(cands.refs) if t.num_rows
                     for c in ("id_a", "id_b") for v in t.column(c).to_pylist()}
         n_ids = len(need_set)
     else:
@@ -411,7 +411,7 @@ def _pairs_from_buckets(
     # large to broadcast.
     if n_ids <= broadcast_threshold:
         need = (need_set if need_ids is None
-                else {v for t in ray.get(need_ids.refs)
+                else {v for t in fetch(need_ids.refs)
                       for v in t.column(id_col).to_pylist()})
         need_ref = ray.put(need)
 
@@ -431,7 +431,7 @@ def _pairs_from_buckets(
         # raw task per corpus block (bsp.map_blocks), as for the verify
         # below: no Ray Data execution
         feats = {}
-        for t in ray.get(map_blocks(ds, extract_feats).refs):
+        for t in fetch(map_blocks(ds, extract_feats).refs):
             feats.update(zip(t.column(id_col).to_pylist(),
                              t.column("feat").to_pylist()))
         feats_ref = ray.put(feats)

@@ -267,6 +267,15 @@ class KBLabelTable:
         self._labels = None
         self._bands = None
 
+    @classmethod
+    def of_blocks(cls, labels, bands) -> "KBLabelTable":
+        """A table whose label and band rows are built already: the
+        :class:`~.bsp.Blocks` ``labels`` and ``bands`` (a tail task's
+        inputs)."""
+        kb = cls(None)
+        kb._labels, kb._bands = labels, bands
+        return kb
+
     def labels(self):
         if self._labels is None:
             import ray.data as rd

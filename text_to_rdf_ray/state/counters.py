@@ -8,7 +8,8 @@ and returns them with its output; where the driver submits it, it
 registers the counts ref (:func:`add_task`), whose value is added once.
 A retried task, or a block re-made from its lineage, fills the same
 ref, so its counts replace the first attempt's; a failed task's counts
-are dropped.  Finished tasks' counts are added as more are registered,
+are dropped.  A task body run inside another raw task (a tail task's
+steps, ``bsp.in_task``) nests: its counts go to the enclosing task's.  Finished tasks' counts are added as more are registered,
 so pending refs stay bounded by the tasks in flight.  An :func:`incr`
 in any other worker process (a Ray Data map) raises and names the
 counters.  The sums do not outlive ``ray.shutdown()``.  ``bench.py``
@@ -70,15 +71,34 @@ def incr(delta: dict) -> None:
         _add(_sums, delta)
 
 
+def _collect(fn, args: tuple) -> tuple:
+    """``fn(*args)`` with its :func:`incr` calls collected in a dict of
+    their own: ``(value, counts, enclosing dict)``, the enclosing one
+    (None outside a raw task) restored."""
+    global _task
+    outer, _task = _task, {}
+    counts = _task
+    try:
+        return fn(*args), counts, outer
+    finally:
+        _task = outer
+
+
 def counted(fn, *args) -> tuple:
     """``fn(*args)`` in a raw task and the counts its :func:`incr` calls
-    made there: ``(value, counts)``."""
-    global _task
-    _task = counts = {}
-    try:
-        return fn(*args), counts
-    finally:
-        _task = None
+    made there: ``(value, counts)``.  Nested in another ``counted`` (a
+    task body run inline by a tail task, ``bsp.in_task``) the counts
+    are also added, once, to the enclosing task's when ``fn`` returns."""
+    value, counts, outer = _collect(fn, args)
+    if outer is not None:
+        _add(outer, counts)
+    return value, counts
+
+
+def dropped(fn, *args):
+    """``fn(*args)`` in a raw task with the counts it makes dropped (a
+    block function run once more only to type or size its output)."""
+    return _collect(fn, args)[0]
 
 
 def add_task(ref) -> None:

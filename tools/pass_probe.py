@@ -26,7 +26,9 @@ For every pass it prints one JSON line:
 * ``exchanges``: each raw-task exchange's first phase
   (``bsp._partition``) as ``[P, input bytes]`` (the source blocks'
   bytes, before their block functions), by the innermost call site
-  outside ``stages/bsp.py`` and ``stages/exchange.py``;
+  outside ``stages/bsp.py`` and ``stages/exchange.py``.  Only the
+  exchanges run from the driver are recorded: a tail run as one raw
+  task (``bsp.run_in_task``) runs its exchanges in a worker;
 * ``driver_cpu_s``: this process's CPU time (``time.process_time``);
 * ``ray_cpu_s``: the CPU (utime + stime from ``/proc/<pid>/stat``) the
   Ray processes (this process's descendants) used during the pass, by
@@ -59,6 +61,8 @@ PKG = os.path.join(ROOT, "text_to_rdf_ray") + os.sep
 #: (module, function) pairs timed into a pass's ``phases``; ``op.blocks``
 #: names the unwrapped operator the pipeline chains (``exchange.dataset_api``)
 PHASES = (("text_to_rdf_ray.pipelines.kg", "build_triples.blocks"),
+          ("text_to_rdf_ray.pipelines.kg", "_Tail.blocks"),
+          ("text_to_rdf_ray.pipelines.kg", "_Tail.write"),
           ("text_to_rdf_ray.pipelines.kg", "dedup_triples.blocks"),
           ("text_to_rdf_ray.pipelines.kg", "_write_partition_files"),
           ("text_to_rdf_ray.state.manifest", "write_partition"))
